@@ -9,7 +9,7 @@ import (
 	"mosaic/internal/sim"
 )
 
-// diffFlowSimInc drives the incremental flow engine (IncFlowSim: per-link
+// diffFlowSimInc drives the incremental flow engine (FlowSim: per-link
 // flow indices, dirty-set component waterfill, completion heap) through a
 // randomized trace of arrivals, link kills/restores, capacity fractions,
 // batched bursts, and time advances, and after every mutation compares
@@ -42,7 +42,7 @@ func diffFlowSimInc(seed int64, caseIdx, size, workers int) string {
 	}
 
 	eng := sim.NewEngine(caseSeed(seed, caseIdx))
-	fs := netsim.NewIncFlowSim(topo, eng)
+	fs := netsim.NewFlowSim(topo, eng)
 
 	steps := 6 * size
 	inBatch := false
@@ -96,7 +96,7 @@ func diffFlowSimInc(seed int64, caseIdx, size, workers int) string {
 
 // compareIncToRef recomputes the global reference allocation for the
 // engine's current flow set and demands bitwise rate equality.
-func compareIncToRef(fs *netsim.IncFlowSim) string {
+func compareIncToRef(fs *netsim.FlowSim) string {
 	states := fs.FlowStates()
 	flows := make([]refmodel.RefFlow, len(states))
 	for i, st := range states {

@@ -28,21 +28,21 @@ func TestFlowSimCapacityConservation(t *testing.T) {
 
 	check := func(when string) {
 		t.Helper()
-		sumRates := make([]float64, len(fs.capacity))
+		sumRates := make([]float64, len(fs.g.capacity))
 		for _, f := range fs.active {
 			for _, l := range f.Path {
 				sumRates[l] += f.rate
 			}
 		}
 		for l, sum := range sumRates {
-			if cap := fs.capacity[l]; sum > cap*(1+1e-9)+1 {
+			if cap := fs.g.capacity[l]; sum > cap*(1+1e-9)+1 {
 				t.Fatalf("%s: link %d oversubscribed: %.3g bps allocated on %.3g bps capacity", when, l, sum, cap)
 			}
 		}
 		for id, f := range fs.active {
 			saturated := false
 			for _, l := range f.Path {
-				if sumRates[l] >= fs.capacity[l]*(1-1e-9)-1 {
+				if sumRates[l] >= fs.g.capacity[l]*(1-1e-9)-1 {
 					saturated = true
 					break
 				}
@@ -76,7 +76,7 @@ func TestFlowSimCapacityConservation(t *testing.T) {
 	// Phase 3: degrade and restore random links (the MAC bridge's view of
 	// PHY sparing), re-checking the invariants after each capacity change.
 	for i := 0; i < 10; i++ {
-		l := rng.Intn(len(fs.capacity))
+		l := rng.Intn(len(fs.g.capacity))
 		fs.SetLinkCapacityFraction(l, []float64{0.5, 0.96, 0}[rng.Intn(3)])
 		check("after degrade")
 		fs.SetLinkCapacityFraction(l, 1)

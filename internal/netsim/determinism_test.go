@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"slices"
 	"testing"
 
 	"mosaic/internal/sim"
@@ -79,53 +80,61 @@ func TestCompletionTieBreakDeterministic(t *testing.T) {
 
 // Regression (perf): capacity writes that change nothing — repeated
 // RestoreLink, a Bridge re-sync publishing the fraction the link already
-// has, a second FailLink — must not trigger a global reschedule.
+// has, a second FailLink — must not waterfill anything, and neither must
+// a real change on a link no flow crosses.
 func TestSetLinkCapacityFractionNoOpSkipsRecompute(t *testing.T) {
 	topo, err := NewLeafSpine(2, 2, 2, 100e9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	engine := sim.NewEngine(1)
-	fs := NewFlowSim(topo, engine)
+	fs := NewFlowSim(topo, sim.NewEngine(1))
 	hosts := topo.Hosts()
 	if _, err := fs.StartFlow(hosts[0], hosts[2], 1e12, 5); err != nil {
 		t.Fatal(err)
 	}
+	path := fs.FlowStates()[0].Path
+	used := path[1] // the leaf uplink the flow crosses
+	idle := -1      // a link it does not
+	for l := range topo.Links {
+		if !slices.Contains(path, l) {
+			idle = l
+			break
+		}
+	}
 
-	base := fs.Recomputes()
-	fs.RestoreLink(2) // already at full capacity
-	fs.RestoreLink(2)
-	if got := fs.Recomputes(); got != base {
+	base := fs.Waterfills()
+	fs.RestoreLink(used) // already at full capacity
+	fs.RestoreLink(used)
+	if got := fs.Waterfills(); got != base {
 		t.Fatalf("no-op RestoreLink recomputed: %d -> %d", base, got)
 	}
 
-	fs.SetLinkCapacityFraction(2, 0.5)
-	if got := fs.Recomputes(); got != base+1 {
+	fs.SetLinkCapacityFraction(used, 0.5)
+	if got := fs.Waterfills(); got != base+1 {
 		t.Fatalf("real change should recompute once: %d -> %d", base, got)
 	}
-	fs.SetLinkCapacityFraction(2, 0.5) // same fraction again
-	if got := fs.Recomputes(); got != base+1 {
+	fs.SetLinkCapacityFraction(used, 0.5) // same fraction again
+	if got := fs.Waterfills(); got != base+1 {
 		t.Fatalf("repeated fraction recomputed: %d", got)
 	}
 
-	// A second kill of a dead link is a no-op too.
-	dead := 3
-	fs.FailLink(dead)
-	n := fs.Recomputes()
-	fs.FailLink(dead)
-	if got := fs.Recomputes(); got != n {
-		t.Fatalf("second FailLink recomputed: %d -> %d", n, got)
+	// A real change on a flow-less link has no component to re-fill.
+	fs.SetLinkCapacityFraction(idle, 0.5)
+	if got := fs.LinkCapacity(idle); got != topo.Links[idle].RateBps*0.5 {
+		t.Fatalf("flow-less link capacity = %g, want half of nominal", got)
+	}
+	if got := fs.Waterfills(); got != base+1 {
+		t.Fatalf("capacity change on a flow-less link waterfilled: %d -> %d", base+1, got)
 	}
 
-	// The incremental engine honors the same contract (waterfill counter).
-	ifs := NewIncFlowSim(topo, sim.NewEngine(1))
-	if _, err := ifs.StartFlow(hosts[0], hosts[2], 1e12, 5); err != nil {
-		t.Fatal(err)
+	// A second kill of a dead link is a no-op too.
+	fs.FailLink(used)
+	n := fs.Waterfills()
+	if n == base+1 {
+		t.Fatal("killing the flow's link should reroute and recompute")
 	}
-	w := ifs.Waterfills()
-	ifs.RestoreLink(2)
-	ifs.RestoreLink(2)
-	if got := ifs.Waterfills(); got != w {
-		t.Fatalf("incremental no-op RestoreLink waterfilled: %d -> %d", w, got)
+	fs.FailLink(used)
+	if got := fs.Waterfills(); got != n {
+		t.Fatalf("second FailLink recomputed: %d -> %d", n, got)
 	}
 }

@@ -4,7 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"mosaic/internal/sim"
 )
@@ -27,6 +27,26 @@ type Flow struct {
 	rate      float64
 	start     sim.Time
 	lastTouch sim.Time
+
+	// ver is the version of the flow's one valid completion-heap entry.
+	// It lives here, not on the engine's per-flow record, so a flow that
+	// is rerouted and re-admitted keeps counting up and can never match
+	// an entry queued for its old path.
+	ver uint32
+}
+
+// weight returns the flow's effective max-min weight (zero value = 1, so
+// Flow literals without an explicit weight behave like weight-1 flows).
+func (f *Flow) weight() float64 {
+	if f.Weight <= 0 || f.Weight != f.Weight {
+		return 1
+	}
+	return f.Weight
+}
+
+// record closes the flow out at end, completed or stalled.
+func (f *Flow) record(end sim.Time, stalled bool) FlowRecord {
+	return FlowRecord{ID: f.ID, SizeBits: f.SizeBits, Start: f.start, End: end, Stalled: stalled}
 }
 
 // FlowRecord is a completed (or abandoned) flow.
@@ -41,89 +61,30 @@ type FlowRecord struct {
 // FCT returns the flow completion time.
 func (r FlowRecord) FCT() sim.Time { return r.End - r.Start }
 
-// FlowSim is a max-min fair fluid flow simulator over a Topology, driven
-// by a discrete-event engine. Rates are recomputed on every arrival,
-// completion, or capacity change; the next completion is scheduled exactly.
-type FlowSim struct {
-	Topo   *Topology
-	Engine *sim.Engine
+var (
+	// errFlowSize rejects flow sizes that are not positive and finite.
+	errFlowSize = errors.New("netsim: flow size must be positive and finite")
+	// errSelfFlow rejects a flow from a host to itself: it has no path
+	// and would never complete.
+	errSelfFlow = errors.New("netsim: flow source and destination are the same host")
+	// errDeadPath is routeAvoidingDead's verdict on one ECMP attempt; a
+	// sentinel, so up to 64 discarded retries format nothing.
+	errDeadPath = errors.New("netsim: path through dead link")
+)
 
-	capacity []float64 // current capacity per link (bps)
-	active   map[int]*Flow
-	nextID   int
-	records  []FlowRecord
-
-	recomputes        uint64
-	pendingCompletion sim.Canceler
+// routeFlow is the one admission check both drivers share: it validates
+// a flow request and returns its live ECMP path.
+func routeFlow(t *Topology, capacity []float64, src, dst int, sizeBits float64, hash uint64) ([]int, error) {
+	if !(sizeBits > 0) || math.IsInf(sizeBits, 1) {
+		return nil, errFlowSize
+	}
+	if src == dst {
+		return nil, errSelfFlow
+	}
+	return routeAvoidingDead(t, capacity, src, dst, hash)
 }
 
-// NewFlowSim builds a simulator over the topology with each link at its
-// nominal rate.
-func NewFlowSim(t *Topology, engine *sim.Engine) *FlowSim {
-	fs := &FlowSim{
-		Topo:     t,
-		Engine:   engine,
-		capacity: make([]float64, len(t.Links)),
-		active:   make(map[int]*Flow),
-	}
-	for i, l := range t.Links {
-		fs.capacity[i] = l.RateBps
-	}
-	return fs
-}
-
-// LinkCapacity returns the current capacity of a link.
-func (fs *FlowSim) LinkCapacity(linkID int) float64 { return fs.capacity[linkID] }
-
-// ActiveFlows returns the number of in-flight flows.
-func (fs *FlowSim) ActiveFlows() int { return len(fs.active) }
-
-// Records returns completed/stalled flow records.
-func (fs *FlowSim) Records() []FlowRecord { return fs.records }
-
-// Recomputes returns how many global rate recomputations have run — the
-// quantity the incremental engine exists to reduce, and the counter the
-// SetLinkCapacityFraction no-op test asserts on.
-func (fs *FlowSim) Recomputes() uint64 { return fs.recomputes }
-
-// StartFlow injects a weight-1 flow now. It picks the ECMP path from the
-// hash and returns the flow ID.
-func (fs *FlowSim) StartFlow(src, dst int, sizeBits float64, hash uint64) (int, error) {
-	return fs.StartFlowWeighted(src, dst, sizeBits, hash, 1)
-}
-
-// StartFlowWeighted injects a flow with a max-min scheduling weight
-// (weight <= 0 or NaN is treated as 1, so plain flows are unaffected).
-func (fs *FlowSim) StartFlowWeighted(src, dst int, sizeBits float64, hash uint64, weight float64) (int, error) {
-	if sizeBits <= 0 {
-		return 0, errFlowSize
-	}
-	if weight <= 0 || weight != weight {
-		weight = 1
-	}
-	path, err := routeAvoidingDead(fs.Topo, fs.capacity, src, dst, hash)
-	if err != nil {
-		return 0, err
-	}
-	id := fs.nextID
-	fs.nextID++
-	f := &Flow{
-		ID: id, Src: src, Dst: dst, SizeBits: sizeBits,
-		Path: path, Hash: hash, Weight: weight,
-		remaining: sizeBits,
-		start:     fs.Engine.Now(),
-		lastTouch: fs.Engine.Now(),
-	}
-	fs.active[id] = f
-	fs.reschedule()
-	return id, nil
-}
-
-// errFlowSize rejects non-positive flow sizes.
-var errFlowSize = errors.New("netsim: flow size must be positive")
-
-// routeAvoidingDead retries ECMP hashes until the path avoids dead
-// links. Shared by every engine flavor (global, incremental, fleet).
+// routeAvoidingDead retries ECMP hashes until the path avoids dead links.
 func routeAvoidingDead(t *Topology, capacity []float64, src, dst int, hash uint64) ([]int, error) {
 	var lastErr error
 	for attempt := uint64(0); attempt < 64; attempt++ {
@@ -142,20 +103,24 @@ func routeAvoidingDead(t *Topology, capacity []float64, src, dst int, hash uint6
 		if ok {
 			return path, nil
 		}
-		lastErr = fmt.Errorf("netsim: path through dead link")
+		lastErr = errDeadPath
 	}
 	return nil, fmt.Errorf("netsim: no live path from %d to %d: %w", src, dst, lastErr)
 }
 
-// SetLinkCapacityFraction scales a link to frac of its nominal rate
-// (graceful degradation: a Mosaic link that lost channels). frac=0 kills
-// the link and reroutes affected flows. frac is clamped to [0, 1]: a
-// degraded link can never exceed its nominal rate (RestoreLink is the
-// ceiling), and NaN is treated as link-down rather than poisoning the
-// max-min waterfill.
-func (fs *FlowSim) SetLinkCapacityFraction(linkID int, frac float64) {
-	if linkID < 0 || linkID >= len(fs.capacity) {
-		return
+// setLinkFraction is the one capacity write both drivers share. It
+// scales a link to frac of its nominal rate, clamped to [0, 1]: a
+// degraded link can never exceed nominal, and NaN is link-down rather
+// than poison for the waterfill. changed is false for an unknown link
+// and for a write that leaves the capacity as it was (repeated
+// RestoreLink, a Bridge re-sync republishing its fraction, a second
+// FailLink) — nothing about the allocation can change, so the caller
+// does no work at all. dead reports that the link just went to zero and
+// its crossing flows must be rerouted; no flow is routed over a dead
+// link afterwards, so a repeated kill has nothing to reroute.
+func setLinkFraction(t *Topology, capacity []float64, linkID int, frac float64) (changed, dead bool) {
+	if linkID < 0 || linkID >= len(capacity) {
+		return false, false
 	}
 	if frac < 0 || frac != frac {
 		frac = 0
@@ -163,21 +128,108 @@ func (fs *FlowSim) SetLinkCapacityFraction(linkID int, frac float64) {
 	if frac > 1 {
 		frac = 1
 	}
-	newCap := fs.Topo.Links[linkID].RateBps * frac
-	if newCap == fs.capacity[linkID] {
-		// No-op change (repeated RestoreLink, a Bridge re-sync publishing
-		// the fraction it already holds, a second FailLink on a dead
-		// link): nothing about the allocation can change, so skip the
-		// global reschedule entirely. A dead link stays dead here — the
-		// reroute already happened when the capacity first hit zero, and
-		// no active flow can cross a zero-capacity link since.
+	newCap := t.Links[linkID].RateBps * frac
+	if newCap == capacity[linkID] {
+		return false, false
+	}
+	capacity[linkID] = newCap
+	return true, newCap == 0
+}
+
+// FlowSim is an exactly max-min fair fluid flow simulator over a
+// Topology: one shard driven by a discrete-event engine. Each arrival,
+// completion or capacity change re-waterfills only the affected
+// component, and the single pending engine event always points at the
+// completion heap's first live entry.
+type FlowSim struct {
+	Topo   *Topology
+	Engine *sim.Engine
+
+	shard
+	nextID    int
+	pending   sim.Canceler
+	pendingAt sim.Time
+	batch     bool
+}
+
+// NewFlowSim builds a simulator over the topology with each link at its
+// nominal rate.
+func NewFlowSim(t *Topology, engine *sim.Engine) *FlowSim {
+	return &FlowSim{Topo: t, Engine: engine, shard: newShard(t, nominalCapacity(t))}
+}
+
+func nominalCapacity(t *Topology) []float64 {
+	capacity := make([]float64, len(t.Links))
+	for i, l := range t.Links {
+		capacity[i] = l.RateBps
+	}
+	return capacity
+}
+
+// LinkCapacity returns the current capacity of a link.
+func (fs *FlowSim) LinkCapacity(linkID int) float64 { return fs.g.capacity[linkID] }
+
+// ActiveFlows returns the number of in-flight flows.
+func (fs *FlowSim) ActiveFlows() int { return len(fs.active) }
+
+// Records returns completed/stalled flow records.
+func (fs *FlowSim) Records() []FlowRecord { return fs.records }
+
+// Waterfills returns how many component waterfill passes have run.
+func (fs *FlowSim) Waterfills() uint64 { return fs.g.waterfills }
+
+// StartFlow injects a weight-1 flow now. It picks the ECMP path from the
+// hash and returns the flow ID.
+func (fs *FlowSim) StartFlow(src, dst int, sizeBits float64, hash uint64) (int, error) {
+	return fs.StartFlowWeighted(src, dst, sizeBits, hash, 1)
+}
+
+// StartFlowWeighted injects a flow with a max-min scheduling weight
+// (weight <= 0 or NaN is treated as 1 — see Flow.weight — so plain
+// flows are unaffected).
+func (fs *FlowSim) StartFlowWeighted(src, dst int, sizeBits float64, hash uint64, weight float64) (int, error) {
+	path, err := routeFlow(fs.Topo, fs.g.capacity, src, dst, sizeBits, hash)
+	if err != nil {
+		return 0, err
+	}
+	id, now := fs.nextID, fs.Engine.Now()
+	fs.nextID++
+	fs.admit(&incFlow{Flow: Flow{
+		ID: id, Src: src, Dst: dst, SizeBits: sizeBits,
+		Path: path, Hash: hash, Weight: weight,
+		remaining: sizeBits, start: now, lastTouch: now,
+	}})
+	fs.flush()
+	return id, nil
+}
+
+// BeginBatch suspends rate recomputation: arrivals and capacity changes
+// accumulate in the dirty set and a single CommitBatch waterfills each
+// affected component once. Use it to apply a burst of simultaneous
+// events (a correlated failure, a fleet epoch) at O(components) instead
+// of O(events × components).
+func (fs *FlowSim) BeginBatch() { fs.batch = true }
+
+// CommitBatch ends a batch and recomputes the dirtied components.
+func (fs *FlowSim) CommitBatch() {
+	fs.batch = false
+	fs.flush()
+}
+
+// SetLinkCapacityFraction scales a link to frac of its nominal rate
+// (graceful degradation: a Mosaic link that lost channels), with
+// setLinkFraction's clamp and no-op semantics. frac=0 kills the link and
+// reroutes affected flows.
+func (fs *FlowSim) SetLinkCapacityFraction(linkID int, frac float64) {
+	changed, dead := setLinkFraction(fs.Topo, fs.g.capacity, linkID, frac)
+	if !changed {
 		return
 	}
-	fs.capacity[linkID] = newCap
-	if newCap == 0 {
+	fs.g.markDirty(linkID)
+	if dead {
 		fs.rerouteThrough(linkID)
 	}
-	fs.reschedule()
+	fs.flush()
 }
 
 // FailLink kills a link entirely (optics-style link-down) and reroutes.
@@ -188,184 +240,80 @@ func (fs *FlowSim) RestoreLink(linkID int) { fs.SetLinkCapacityFraction(linkID, 
 
 // rerouteThrough re-paths all active flows crossing the (now dead) link.
 // Flows with no remaining live path are recorded as stalled and dropped.
-// Crossing flows are processed in ascending flow-ID order: a link kill
-// that strands several flows must append their Stalled records in a
-// run-independent order, not whatever order the active map yields.
 func (fs *FlowSim) rerouteThrough(linkID int) {
-	var crossing []int
-	for id, f := range fs.active {
-		for _, l := range f.Path {
-			if l == linkID {
-				crossing = append(crossing, id)
-				break
-			}
-		}
-	}
-	sort.Ints(crossing)
-	for _, id := range crossing {
-		f := fs.active[id]
-		fs.settle(f)
-		path, err := routeAvoidingDead(fs.Topo, fs.capacity, f.Src, f.Dst, f.Hash+1)
+	now := fs.Engine.Now()
+	fs.g.now = now
+	for _, f := range fs.crossing(linkID) {
+		fs.g.settle(f)
+		fs.remove(f)
+		path, err := routeAvoidingDead(fs.Topo, fs.g.capacity, f.Src, f.Dst, f.Hash+1)
 		if err != nil {
-			fs.records = append(fs.records, FlowRecord{
-				ID: f.ID, SizeBits: f.SizeBits, Start: f.start,
-				End: fs.Engine.Now(), Stalled: true,
-			})
-			delete(fs.active, id)
+			fs.records = append(fs.records, f.record(now, true))
 			continue
 		}
 		f.Path = path
+		fs.admit(f)
 	}
 }
 
-// settle progresses a flow's remaining bits to the current instant.
-func (fs *FlowSim) settle(f *Flow) {
-	elapsed := float64(fs.Engine.Now() - f.lastTouch)
-	if elapsed > 0 && f.rate > 0 {
-		f.remaining -= f.rate * elapsed
-		if f.remaining < 0 {
-			f.remaining = 0
-		}
-	}
-	f.lastTouch = fs.Engine.Now()
-}
-
-// recomputeRates performs progressive-filling weighted max-min fairness:
-// each link's fair share is remaining capacity per unit of flow weight,
-// and a flow frozen at a bottleneck receives share * Weight. With all
-// weights 1 this reduces exactly to classic max-min.
-//
-// Flows are processed in ascending ID order and links in ascending index
-// order, so the floating-point accumulation sequence — and therefore
-// every computed rate, bit for bit — is identical from run to run and
-// identical to the incremental engine's per-component waterfill (which
-// the flowsim_inc diffcheck stage pins against refmodel.MaxMinRates).
-func (fs *FlowSim) recomputeRates() {
-	fs.recomputes++
-	for _, f := range fs.active {
-		fs.settle(f)
-		f.rate = 0
-	}
-	if len(fs.active) == 0 {
+// flush recomputes dirty components (unless batching), refreshes the
+// completion entries of every re-rated flow, and points the single
+// pending engine event at the earliest live completion.
+func (fs *FlowSim) flush() {
+	if fs.batch {
 		return
 	}
-	remCap := make([]float64, len(fs.capacity))
-	copy(remCap, fs.capacity)
-	weightOn := make([]float64, len(fs.capacity)) // unfrozen flow weight per link
-	unfrozen := make([]*Flow, 0, len(fs.active))
-	for _, f := range fs.active {
-		unfrozen = append(unfrozen, f)
-	}
-	sort.Slice(unfrozen, func(i, j int) bool { return unfrozen[i].ID < unfrozen[j].ID })
-	for _, f := range unfrozen {
-		for _, l := range f.Path {
-			weightOn[l] += f.weight()
-		}
-	}
-	for len(unfrozen) > 0 {
-		// Find the bottleneck link: minimal per-weight fair share among
-		// links with unfrozen flows (first such link on a tie).
-		bottleneck := -1
-		best := math.Inf(1)
-		for l := range remCap {
-			if weightOn[l] <= 0 {
-				continue
-			}
-			fair := remCap[l] / weightOn[l]
-			if fair < best {
-				best = fair
-				bottleneck = l
-			}
-		}
-		if bottleneck < 0 {
-			break
-		}
-		// Freeze every unfrozen flow crossing the bottleneck at its
-		// weighted share of `best`, in ascending flow-ID order.
-		keep := unfrozen[:0]
-		for _, f := range unfrozen {
-			crosses := false
-			for _, l := range f.Path {
-				if l == bottleneck {
-					crosses = true
-					break
-				}
-			}
-			if !crosses {
-				keep = append(keep, f)
-				continue
-			}
-			f.rate = best * f.weight()
-			for _, l := range f.Path {
-				remCap[l] -= f.rate
-				if remCap[l] < 0 {
-					remCap[l] = 0
-				}
-				weightOn[l] -= f.weight()
-			}
-		}
-		if len(keep) == len(unfrozen) {
-			// No flow crossed the bottleneck: its weightOn is only
-			// floating-point residue from non-integer weights. Retire the
-			// link and keep filling — other links may still constrain
-			// live flows.
-			weightOn[bottleneck] = 0
-			continue
-		}
-		unfrozen = keep
-	}
-}
+	now := fs.Engine.Now()
+	fs.g.now = now
+	fs.refresh(fs.g.flush(false), now)
 
-// weight returns the flow's effective max-min weight (zero value = 1, so
-// Flow literals without an explicit weight behave like before).
-func (f *Flow) weight() float64 {
-	if f.Weight <= 0 || f.Weight != f.Weight {
-		return 1
-	}
-	return f.Weight
-}
-
-// reschedule recomputes rates and schedules the next completion event.
-func (fs *FlowSim) reschedule() {
-	if fs.pendingCompletion != nil {
-		fs.pendingCompletion()
-		fs.pendingCompletion = nil
-	}
-	fs.recomputeRates()
-	// Earliest completion; exact ties break on the lower flow ID, so two
-	// flows finishing at the same instant are recorded in a
-	// run-independent order instead of active-map iteration order.
-	var next *Flow
-	nextAt := sim.Time(math.Inf(1))
-	for _, f := range fs.active {
-		if f.rate <= 0 {
-			continue
-		}
-		at := fs.Engine.Now() + sim.Time(f.remaining/f.rate)
-		if at < nextAt || (at == nextAt && next != nil && f.ID < next.ID) {
-			nextAt = at
-			next = f
-		}
-	}
-	if next == nil {
-		return
-	}
-	id := next.ID
-	fs.pendingCompletion = fs.Engine.Schedule(nextAt, func() {
-		fs.pendingCompletion = nil
-		f, ok := fs.active[id]
-		if !ok {
-			fs.reschedule()
+	next, at := fs.nextDue()
+	if fs.pending != nil {
+		if next != nil && fs.pendingAt == at {
 			return
 		}
-		fs.settle(f)
-		fs.records = append(fs.records, FlowRecord{
-			ID: f.ID, SizeBits: f.SizeBits, Start: f.start, End: fs.Engine.Now(),
-		})
-		delete(fs.active, id)
-		fs.reschedule()
-	})
+		fs.pending()
+		fs.pending = nil
+	}
+	if next != nil {
+		fs.pendingAt = at
+		fs.pending = fs.Engine.Schedule(at, fs.onCompletion)
+	}
 }
+
+// onCompletion completes the (single) flow at the heap head, then
+// recomputes its component and reschedules. A simultaneous second
+// completion fires as its own engine event, in flow-ID order.
+func (fs *FlowSim) onCompletion() {
+	fs.pending = nil
+	now := fs.Engine.Now()
+	if f, _ := fs.popDue(now); f != nil {
+		fs.complete(f, now)
+	}
+	fs.flush()
+}
+
+// FlowState is a read-only view of one active flow's allocation, the
+// exchange format for the differential and property harnesses.
+type FlowState struct {
+	ID     int
+	Path   []int
+	Weight float64
+	Rate   float64
+}
+
+// FlowStates returns the active flows sorted by ID.
+func (fs *FlowSim) FlowStates() []FlowState {
+	out := make([]FlowState, 0, len(fs.active))
+	for _, f := range fs.active {
+		out = append(out, FlowState{ID: f.ID, Path: f.Path, Weight: f.weight(), Rate: f.rate})
+	}
+	slices.SortFunc(out, func(a, b FlowState) int { return a.ID - b.ID })
+	return out
+}
+
+// Capacities returns a copy of the current per-link capacities.
+func (fs *FlowSim) Capacities() []float64 { return slices.Clone(fs.g.capacity) }
 
 // FCTStats summarises completion times.
 type FCTStats struct {
@@ -395,17 +343,10 @@ func Stats(records []FlowRecord) FCTStats {
 	if st.Count == 0 {
 		return st
 	}
-	sort.Float64s(fcts)
+	slices.Sort(fcts)
 	st.Mean = sim.Time(sum / float64(st.Count))
 	st.P50 = sim.Time(fcts[st.Count/2])
 	st.P99 = sim.Time(fcts[min(st.Count-1, st.Count*99/100)])
 	st.Max = sim.Time(fcts[st.Count-1])
 	return st
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

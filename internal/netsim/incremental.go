@@ -1,20 +1,19 @@
 package netsim
 
 import (
-	"container/heap"
 	"math"
 	"slices"
-	"sort"
 
 	"mosaic/internal/sim"
 )
 
-// This file is the incremental flow engine: the dirty-set max-min core
-// (flowGraph) shared by IncFlowSim and the fleet shards, plus IncFlowSim
-// itself — an event-driven, exactly-max-min simulator that only
-// re-waterfills the connected component of links/flows an event can
-// have affected, instead of FlowSim's full O(links × flows × pathlen)
-// sweep on every event.
+// This file is the one flow-engine core: the dirty-set max-min allocator
+// (flowGraph) and the shard built on it (active set, records, typed
+// completion heap). The two drivers — the event-driven FlowSim in
+// flowsim.go and the epoch-barrier FleetSim in shard.go — own no
+// allocation or completion logic of their own. An arrival, completion or
+// capacity change re-waterfills only the connected component of
+// links/flows it can have affected, never the whole network.
 //
 // Exactness: weighted max-min by progressive filling decomposes over
 // connected components of the flow/link sharing graph — flows in
@@ -38,7 +37,6 @@ type linkRef struct {
 type incFlow struct {
 	Flow
 	pos  []int32 // pos[i] = index of this flow in linkFlows[Path[i]]
-	ver  uint32  // valid completion-heap entry version
 	mark uint64  // component-gather epoch marker
 	seen uint64  // fleet per-epoch re-rated dedup marker
 
@@ -60,8 +58,7 @@ type incFlow struct {
 
 // flowGraph is the incremental allocation core: per-link flow indices,
 // a dirty-link set, and a component-restricted waterfill with reusable
-// scratch. IncFlowSim drives one flowGraph from a discrete-event engine;
-// the sharded fleet engine drives one per shard from its epoch barrier.
+// scratch.
 type flowGraph struct {
 	topo     *Topology
 	capacity []float64 // may be shared across shards; written only at barriers
@@ -202,7 +199,7 @@ func (g *flowGraph) gatherComponent(seed int) {
 
 // waterfillComponent runs progressive-filling weighted max-min fairness
 // restricted to the gathered component, with the same deterministic
-// ordering as the global algorithm: links scanned ascending, flows
+// ordering as refmodel.MaxMinRates: links scanned ascending, flows
 // frozen ascending by ID. Pinned proxies contribute a fixed demand
 // (capacity subtracted up front) instead of participating in the fill;
 // with unpinProxies set, proxies join the fill as ordinary flows and
@@ -317,296 +314,159 @@ type completion struct {
 	ver uint32
 }
 
+func (c completion) before(o completion) bool {
+	if c.at != o.at {
+		return c.at < o.at
+	}
+	return c.id < o.id
+}
+
+// completionHeap is a binary min-heap of completions, typed so a push or
+// pop never boxes its entry through an interface.
 type completionHeap []completion
 
-func (h completionHeap) Len() int { return len(h) }
-func (h completionHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (h *completionHeap) push(c completion) {
+	s := append(*h, c)
+	*h = s
+	for j := len(s) - 1; j > 0; {
+		p := (j - 1) / 2
+		if !s[j].before(s[p]) {
+			break
+		}
+		s[j], s[p] = s[p], s[j]
+		j = p
 	}
-	return h[i].id < h[j].id
-}
-func (h completionHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *completionHeap) Push(x any)   { *h = append(*h, x.(completion)) }
-func (h *completionHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
 }
 
-// IncFlowSim is the incremental counterpart of FlowSim: the same
-// max-min fluid model and discrete-event integration, but each arrival,
-// completion, or capacity change re-waterfills only the affected
-// component (per-link flow indices + dirty set) and the next completion
-// comes from a heap instead of an O(flows) scan. It implements the same
-// capacity-sink surface as FlowSim, so mac.Bridge can drive it.
-type IncFlowSim struct {
-	Topo   *Topology
-	Engine *sim.Engine
+func (h *completionHeap) pop() completion {
+	s := *h
+	top, n := s[0], len(s)-1
+	s[0] = s[n]
+	*h = s[:n]
+	s[:n].down(0)
+	return top
+}
 
+func (h completionHeap) down(i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if r := c + 1; r < len(h) && h[r].before(h[c]) {
+			c = r
+		}
+		if !h[c].before(h[i]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+}
+
+// shard is the state both drivers run on: one flowGraph, the flows
+// active on it, their records, and the completion heap. FlowSim is one
+// shard advanced by sim.Engine events; FleetSim is one shard per pod
+// advanced by its epoch barrier.
+type shard struct {
 	g       *flowGraph
 	active  map[int]*incFlow
-	nextID  int
 	records []FlowRecord
-
-	h         completionHeap
-	pending   sim.Canceler
-	pendingAt sim.Time
-	batch     bool
+	h       completionHeap
 }
 
-// NewIncFlowSim builds an incremental simulator over the topology with
-// every link at its nominal rate.
-func NewIncFlowSim(t *Topology, engine *sim.Engine) *IncFlowSim {
-	capacity := make([]float64, len(t.Links))
-	for i, l := range t.Links {
-		capacity[i] = l.RateBps
-	}
-	return &IncFlowSim{
-		Topo:   t,
-		Engine: engine,
-		g:      newFlowGraph(t, capacity),
-		active: make(map[int]*incFlow),
-	}
+func newShard(t *Topology, capacity []float64) shard {
+	return shard{g: newFlowGraph(t, capacity), active: make(map[int]*incFlow)}
 }
 
-// LinkCapacity returns the current capacity of a link.
-func (fs *IncFlowSim) LinkCapacity(linkID int) float64 { return fs.g.capacity[linkID] }
-
-// ActiveFlows returns the number of in-flight flows.
-func (fs *IncFlowSim) ActiveFlows() int { return len(fs.active) }
-
-// Records returns completed/stalled flow records.
-func (fs *IncFlowSim) Records() []FlowRecord { return fs.records }
-
-// Waterfills returns how many component waterfill passes have run.
-func (fs *IncFlowSim) Waterfills() uint64 { return fs.g.waterfills }
-
-// RatedFlows returns the cumulative number of per-flow rate assignments
-// — the incremental engine's work metric, directly comparable to
-// FlowSim's recomputes × active flows.
-func (fs *IncFlowSim) RatedFlows() uint64 { return fs.g.rated }
-
-// StartFlow injects a weight-1 flow now (ECMP path from the hash).
-func (fs *IncFlowSim) StartFlow(src, dst int, sizeBits float64, hash uint64) (int, error) {
-	return fs.StartFlowWeighted(src, dst, sizeBits, hash, 1)
+// admit activates a routed flow and dirties its path.
+func (s *shard) admit(f *incFlow) {
+	s.active[f.ID] = f
+	s.g.addFlow(f)
 }
 
-// StartFlowWeighted injects a flow with a max-min scheduling weight.
-func (fs *IncFlowSim) StartFlowWeighted(src, dst int, sizeBits float64, hash uint64, weight float64) (int, error) {
-	if sizeBits <= 0 {
-		return 0, errFlowSize
-	}
-	if weight <= 0 || weight != weight {
-		weight = 1
-	}
-	path, err := routeAvoidingDead(fs.Topo, fs.g.capacity, src, dst, hash)
-	if err != nil {
-		return 0, err
-	}
-	id := fs.nextID
-	fs.nextID++
-	f := &incFlow{Flow: Flow{
-		ID: id, Src: src, Dst: dst, SizeBits: sizeBits,
-		Path: path, Hash: hash, Weight: weight,
-		remaining: sizeBits,
-		start:     fs.Engine.Now(),
-		lastTouch: fs.Engine.Now(),
-	}}
-	fs.active[id] = f
-	fs.g.addFlow(f)
-	fs.flush()
-	return id, nil
+// remove deactivates a flow, invalidating any queued completion.
+func (s *shard) remove(f *incFlow) {
+	f.ver++
+	delete(s.active, f.ID)
+	s.g.removeFlow(f)
 }
 
-// BeginBatch suspends rate recomputation: arrivals and capacity changes
-// accumulate in the dirty set and a single CommitBatch waterfills each
-// affected component once. Use it to apply a burst of simultaneous
-// events (a correlated failure, a fleet epoch) at O(components) instead
-// of O(events × components).
-func (fs *IncFlowSim) BeginBatch() { fs.batch = true }
-
-// CommitBatch ends a batch and recomputes the dirtied components.
-func (fs *IncFlowSim) CommitBatch() {
-	fs.batch = false
-	fs.flush()
+// complete retires a flow that finished at the given instant.
+func (s *shard) complete(f *incFlow, at sim.Time) {
+	s.remove(f)
+	s.records = append(s.records, f.record(at, false))
 }
 
-// SetLinkCapacityFraction scales a link to frac of its nominal rate,
-// with FlowSim's exact clamping semantics, the no-op early return, and
-// component-local recomputation. frac=0 kills the link and reroutes.
-func (fs *IncFlowSim) SetLinkCapacityFraction(linkID int, frac float64) {
-	if linkID < 0 || linkID >= len(fs.g.capacity) {
-		return
-	}
-	if frac < 0 || frac != frac {
-		frac = 0
-	}
-	if frac > 1 {
-		frac = 1
-	}
-	newCap := fs.Topo.Links[linkID].RateBps * frac
-	if newCap == fs.g.capacity[linkID] {
-		return
-	}
-	fs.g.capacity[linkID] = newCap
-	fs.g.markDirty(linkID)
-	if newCap == 0 {
-		fs.rerouteThrough(linkID)
-	}
-	fs.flush()
-}
-
-// FailLink kills a link entirely and reroutes affected flows.
-func (fs *IncFlowSim) FailLink(linkID int) { fs.SetLinkCapacityFraction(linkID, 0) }
-
-// RestoreLink returns a link to full capacity.
-func (fs *IncFlowSim) RestoreLink(linkID int) { fs.SetLinkCapacityFraction(linkID, 1) }
-
-// rerouteThrough re-paths the flows crossing a dead link in ascending
-// flow-ID order (the determinism discipline the FlowSim fix installed).
-func (fs *IncFlowSim) rerouteThrough(linkID int) {
-	refs := fs.g.linkFlows[linkID]
-	crossing := make([]*incFlow, len(refs))
+// crossing returns the flows indexed on a link in ascending ID order —
+// the order every reroute processes them in, so the records a link kill
+// appends never depend on index or map order. The slice is a copy: the
+// caller removes flows from the index while walking it.
+func (s *shard) crossing(linkID int) []*incFlow {
+	refs := s.g.linkFlows[linkID]
+	out := make([]*incFlow, len(refs))
 	for i, ref := range refs {
-		crossing[i] = ref.f
+		out[i] = ref.f
 	}
-	sort.Slice(crossing, func(i, j int) bool { return crossing[i].ID < crossing[j].ID })
-	fs.g.now = fs.Engine.Now()
-	for _, f := range crossing {
-		fs.g.settle(f)
-		path, err := routeAvoidingDead(fs.Topo, fs.g.capacity, f.Src, f.Dst, f.Hash+1)
-		fs.g.removeFlow(f)
-		if err != nil {
-			fs.records = append(fs.records, FlowRecord{
-				ID: f.ID, SizeBits: f.SizeBits, Start: f.start,
-				End: fs.Engine.Now(), Stalled: true,
-			})
-			delete(fs.active, f.ID)
-			f.ver++ // invalidate any queued completion
-			continue
-		}
-		f.Path = path
-		fs.g.addFlow(f)
-	}
+	slices.SortFunc(out, func(a, b *incFlow) int { return a.ID - b.ID })
+	return out
 }
 
-// flush recomputes dirty components (unless batching) and refreshes the
-// completion entries of every re-rated flow.
-func (fs *IncFlowSim) flush() {
-	if fs.batch {
-		return
-	}
-	fs.g.now = fs.Engine.Now()
-	touched := fs.g.flush(false)
+// refresh replaces the completion entry of every re-rated flow, then
+// compacts the heap once stale entries outnumber live ones 4:1.
+func (s *shard) refresh(touched []*incFlow, now sim.Time) {
 	for _, f := range touched {
 		f.ver++
 		if f.rate > 0 {
-			heap.Push(&fs.h, completion{
-				at:  fs.Engine.Now() + sim.Time(f.remaining/f.rate),
-				id:  f.ID,
-				ver: f.ver,
-			})
+			s.h.push(completion{at: now + sim.Time(f.remaining/f.rate), id: f.ID, ver: f.ver})
 		}
 	}
-	if len(fs.h) > 4*len(fs.active)+64 {
-		fs.compact()
+	if len(s.h) > 4*len(s.active)+64 {
+		s.compact()
 	}
-	fs.rescheduleHead()
 }
 
-// compact rebuilds the heap dropping stale entries.
-func (fs *IncFlowSim) compact() {
-	live := fs.h[:0]
-	for _, c := range fs.h {
-		if f, ok := fs.active[c.id]; ok && f.ver == c.ver {
-			live = append(live, c)
-		}
+// live returns the flow a heap entry will complete, nil if it is stale.
+func (s *shard) live(c completion) *incFlow {
+	if f := s.active[c.id]; f != nil && f.ver == c.ver {
+		return f
 	}
-	fs.h = live
-	heap.Init(&fs.h)
+	return nil
 }
 
-// rescheduleHead points the single pending engine event at the heap's
-// first valid entry.
-func (fs *IncFlowSim) rescheduleHead() {
-	for len(fs.h) > 0 {
-		head := fs.h[0]
-		if f, ok := fs.active[head.id]; ok && f.ver == head.ver {
-			break
+// compact rebuilds the heap from its live entries.
+func (s *shard) compact() {
+	keep := s.h[:0]
+	for _, c := range s.h {
+		if s.live(c) != nil {
+			keep = append(keep, c)
 		}
-		heap.Pop(&fs.h)
 	}
-	if len(fs.h) == 0 {
-		if fs.pending != nil {
-			fs.pending()
-			fs.pending = nil
-		}
-		return
+	s.h = keep
+	for i := len(keep)/2 - 1; i >= 0; i-- {
+		keep.down(i)
 	}
-	at := fs.h[0].at
-	if fs.pending != nil {
-		if fs.pendingAt == at {
-			return
-		}
-		fs.pending()
-	}
-	fs.pendingAt = at
-	fs.pending = fs.Engine.Schedule(at, fs.onCompletion)
 }
 
-// onCompletion completes the (single) flow at the heap head, then
-// recomputes its component and reschedules. A simultaneous second
-// completion fires as its own engine event, in flow-ID order.
-func (fs *IncFlowSim) onCompletion() {
-	fs.pending = nil
-	for len(fs.h) > 0 {
-		head := fs.h[0]
-		f, ok := fs.active[head.id]
-		if !ok || f.ver != head.ver {
-			heap.Pop(&fs.h)
-			continue
+// nextDue drops stale heads and returns the flow with the earliest live
+// completion and its finish time; nil when none is queued.
+func (s *shard) nextDue() (*incFlow, sim.Time) {
+	for len(s.h) > 0 {
+		if f := s.live(s.h[0]); f != nil {
+			return f, s.h[0].at
 		}
-		if head.at > fs.Engine.Now() {
-			break // head changed since scheduling; push the event later
-		}
-		heap.Pop(&fs.h)
-		fs.g.now = fs.Engine.Now()
-		fs.g.settle(f)
-		fs.records = append(fs.records, FlowRecord{
-			ID: f.ID, SizeBits: f.SizeBits, Start: f.start, End: fs.Engine.Now(),
-		})
-		delete(fs.active, f.ID)
-		fs.g.removeFlow(f)
-		break
+		s.h.pop()
 	}
-	fs.flush()
+	return nil, 0
 }
 
-// FlowState is a read-only view of one active flow's allocation, the
-// exchange format for the differential and property harnesses.
-type FlowState struct {
-	ID     int
-	Path   []int
-	Weight float64
-	Rate   float64
-}
-
-// FlowStates returns the active flows sorted by ID.
-func (fs *IncFlowSim) FlowStates() []FlowState {
-	out := make([]FlowState, 0, len(fs.active))
-	for _, f := range fs.active {
-		out = append(out, FlowState{ID: f.ID, Path: f.Path, Weight: f.weight(), Rate: f.rate})
+// popDue dequeues the earliest live completion if it is due by limit;
+// nil when nothing is.
+func (s *shard) popDue(limit sim.Time) (*incFlow, sim.Time) {
+	f, at := s.nextDue()
+	if f == nil || at > limit {
+		return nil, 0
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
-// Capacities returns a copy of the current per-link capacities.
-func (fs *IncFlowSim) Capacities() []float64 {
-	out := make([]float64, len(fs.g.capacity))
-	copy(out, fs.g.capacity)
-	return out
+	s.h.pop()
+	return f, at
 }

@@ -1,17 +1,20 @@
 package netsim
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"reflect"
+	"slices"
 	"testing"
 
 	"mosaic/internal/refmodel"
 	"mosaic/internal/sim"
 )
 
-// incTraceCase drives IncFlowSim through one randomized trace of
+// incTraceCase drives FlowSim through one randomized trace of
 // arrivals, kills, restores, degrades and time advances, verifying after
 // every mutation:
 //
@@ -37,7 +40,7 @@ func incTraceCase(t *testing.T, seed int64, size int) {
 	}
 	hosts := topo.Hosts()
 	engine := sim.NewEngine(seed)
-	fs := NewIncFlowSim(topo, engine)
+	fs := NewFlowSim(topo, engine)
 
 	check := func(step int) {
 		t.Helper()
@@ -124,8 +127,9 @@ func incTraceCase(t *testing.T, seed int64, size int) {
 	}
 }
 
-// TestIncFlowSimProperties is the tier-1 slice of the incremental-engine
-// property suite.
+// TestIncFlowSimProperties is the tier-1 slice of the flow-engine
+// property suite. (The name predates the engine merge; the test floor
+// pins it and its twelve subtests by ID, so it stays.)
 func TestIncFlowSimProperties(t *testing.T) {
 	for c := 0; c < 12; c++ {
 		c := c
@@ -135,10 +139,10 @@ func TestIncFlowSimProperties(t *testing.T) {
 	}
 }
 
-// TestIncFlowSimDeepProperties is the verify-deep slice: many more
+// TestFlowSimDeepProperties is the verify-deep slice: many more
 // randomized traces at larger sizes (MOSAIC_VERIFY_DEEP=1, run under
 // -race by make verify-deep).
-func TestIncFlowSimDeepProperties(t *testing.T) {
+func TestFlowSimDeepProperties(t *testing.T) {
 	if os.Getenv("MOSAIC_VERIFY_DEEP") == "" {
 		t.Skip("set MOSAIC_VERIFY_DEEP=1 to run the deep incremental property suite")
 	}
@@ -148,6 +152,71 @@ func TestIncFlowSimDeepProperties(t *testing.T) {
 			t.Parallel()
 			incTraceCase(t, 0xDEE9+int64(c)*0x9E3779B1, 5+c%8)
 		})
+	}
+}
+
+// TestCompletionHeapProperties pins the typed completion heap against
+// sort: random (at, id, ver) pushes with exact-time ties, interleaved
+// with pops, always pop the (at, id) minimum of what is queued, and
+// compact keeps exactly the entries whose flow is still active at the
+// queued version.
+func TestCompletionHeapProperties(t *testing.T) {
+	byTimeThenID := func(a, b completion) int {
+		if a.at != b.at {
+			return cmp.Compare(a.at, b.at)
+		}
+		return a.id - b.id
+	}
+	for seed := int64(0); seed < 50; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var h completionHeap
+		var model []completion // the queued entries, kept sorted
+		popMatches := func() {
+			t.Helper()
+			if got := h.pop(); got != model[0] {
+				t.Fatalf("seed %d: popped %+v, want %+v", seed, got, model[0])
+			}
+			model = model[1:]
+		}
+		for id := 0; id < 300; id++ {
+			// Eight distinct times, so most entries tie on `at`.
+			c := completion{at: sim.Time(rng.Intn(8)), id: id, ver: uint32(rng.Intn(3))}
+			h.push(c)
+			model = append(model, c)
+			slices.SortFunc(model, byTimeThenID)
+			if rng.Intn(3) == 0 {
+				popMatches()
+			}
+		}
+
+		// compact on a copy: a third of the flows stay active at the
+		// queued version, a third moved on to a later one, a third left.
+		s := shard{active: make(map[int]*incFlow), h: slices.Clone(h)}
+		var live []completion
+		for _, c := range model {
+			switch rng.Intn(3) {
+			case 0:
+				s.active[c.id] = &incFlow{Flow: Flow{ver: c.ver}}
+				live = append(live, c)
+			case 1:
+				s.active[c.id] = &incFlow{Flow: Flow{ver: c.ver + 1}}
+			}
+		}
+		s.compact()
+		var kept []completion
+		for len(s.h) > 0 {
+			kept = append(kept, s.h.pop())
+		}
+		if !slices.Equal(kept, live) {
+			t.Fatalf("seed %d: compact kept %d entries, want exactly the %d live ones in order", seed, len(kept), len(live))
+		}
+
+		for len(model) > 0 {
+			popMatches()
+		}
+		if len(h) != 0 {
+			t.Fatalf("seed %d: %d entries left after draining", seed, len(h))
+		}
 	}
 }
 
@@ -185,6 +254,48 @@ func runFleetScenario(workers int) ([]string, []FlowRecord) {
 		fs.Step(1)
 	}
 	return fs.EventLog(), fs.Records()
+}
+
+// Regression: a local flow rerouted inside its own shard must not be
+// completed by the completion entry queued for its old path. The
+// re-admitted flow used to restart its entry version at zero, so after
+// as many re-rates as the old flow had seen, the stale entry (same ID,
+// same version) read as live and finished the flow at the old path's
+// time.
+func TestFleetRerouteKeepsStaleCompletionsStale(t *testing.T) {
+	topo, err := NewFleet(1, 2, 2, 2, 100e9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := NewFleetSim(topo, 1)
+	h := topo.Hosts()
+	// A crosses the pod alone: 1000 Gb at 100G, entry queued for t=10.
+	a, err := fs.Inject(h[0], h[2], 1000e9, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs.Step(1)
+	var uplink int
+	for _, f := range fs.shards[0].active {
+		uplink = f.Path[1]
+	}
+	// Kill A's leaf uplink and start B, which never finishes: both now
+	// share the surviving spine, so A's 900 Gb drain at 50G until t=19.
+	fs.SetLinkFraction(uplink, 0)
+	if _, err := fs.Inject(h[1], h[3], 1e15, 0); err != nil {
+		t.Fatal(err)
+	}
+	for fs.Now() < 25 {
+		fs.Step(1)
+	}
+	for _, r := range fs.Records() {
+		if r.ID == a && math.Abs(float64(r.End)-19) > 1e-6 {
+			t.Fatalf("rerouted flow finished at t=%v, want 19 (t=10 is the dead path's stale entry)", r.End)
+		}
+	}
+	if n := len(fs.Records()); n != 1 {
+		t.Fatalf("want exactly flow A recorded, got %d records", n)
+	}
 }
 
 // TestFleetSimWorkerInvariance pins the sharded engine's determinism

@@ -7,7 +7,7 @@ import "fmt"
 // instant rates are globally consistent. The scenario conformance
 // harness (internal/scenario) asserts these properties every epoch for
 // every registered scenario; the deep netsim property suite asserts the
-// same two properties for IncFlowSim.
+// same two properties for FlowSim.
 
 // SetResolvedHook installs fn to run inside every Step, at the one
 // sequential point where the epoch's rates are fully resolved: after

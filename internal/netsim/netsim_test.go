@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -414,12 +415,50 @@ func TestSetLinkCapacityFractionBounds(t *testing.T) {
 	}
 }
 
+// Both drivers reject a bad flow request in the one shared admission
+// check. At the parent of this test a self flow panicked the fleet
+// engine's next Step (a cross flow with zero proxies) and leaked a
+// never-completing flow in the event-driven one, and NaN/+Inf sizes
+// passed the `sizeBits <= 0` guard.
 func TestStartFlowValidation(t *testing.T) {
-	topo := mustTree(t, 4)
-	fs := NewFlowSim(topo, sim.NewEngine(1))
+	topo, err := NewFleet(2, 2, 2, 2, 100e9)
+	if err != nil {
+		t.Fatal(err)
+	}
 	h := topo.Hosts()
-	if _, err := fs.StartFlow(h[0], h[1], 0, 0); err == nil {
-		t.Error("zero-size flow accepted")
+	cases := []struct {
+		name     string
+		src, dst int
+		size     float64
+		want     error
+	}{
+		{"zero-size", h[0], h[1], 0, errFlowSize},
+		{"negative-size", h[0], h[1], -1, errFlowSize},
+		{"nan-size", h[0], h[1], math.NaN(), errFlowSize},
+		{"inf-size", h[0], h[1], math.Inf(1), errFlowSize},
+		{"self-flow", h[0], h[0], 1e9, errSelfFlow},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := sim.NewEngine(1)
+			fs := NewFlowSim(topo, eng)
+			if _, err := fs.StartFlow(tc.src, tc.dst, tc.size, 0); !errors.Is(err, tc.want) {
+				t.Errorf("FlowSim.StartFlow: err = %v, want %v", err, tc.want)
+			}
+			eng.Run()
+			if n := fs.ActiveFlows(); n != 0 {
+				t.Errorf("FlowSim leaked %d active flows", n)
+			}
+
+			fleet := NewFleetSim(topo, 1)
+			if _, err := fleet.Inject(tc.src, tc.dst, tc.size, 0); !errors.Is(err, tc.want) {
+				t.Errorf("FleetSim.Inject: err = %v, want %v", err, tc.want)
+			}
+			fleet.Step(1)
+			if n := fleet.ActiveFlows(); n != 0 {
+				t.Errorf("FleetSim holds %d active flows", n)
+			}
+		})
 	}
 }
 

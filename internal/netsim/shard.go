@@ -1,21 +1,19 @@
 package netsim
 
 import (
-	"container/heap"
 	"fmt"
 	"runtime"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 
 	"mosaic/internal/sim"
 )
 
-// FleetSim is the sharded, epoch-driven flow engine for fleet-scale
-// simulation (ROADMAP item 2): one flowGraph shard per pod, rates
-// frozen between epoch barriers, and all cross-shard coupling resolved
-// at the barrier so the parallel phases touch only shard-local state.
+// FleetSim is the sharded, epoch-driven driver of the flow-engine core
+// for fleet-scale simulation: one shard per pod, rates frozen between
+// epoch barriers, and all cross-shard coupling resolved at the barrier
+// so the parallel phases touch only shard-local state.
 //
 // An epoch proceeds:
 //
@@ -40,7 +38,7 @@ import (
 // log, and every rate are byte-identical at any worker count — the same
 // discipline the PHY/MAC pipelines obey.
 //
-// The fleet model is deliberately weaker than IncFlowSim's: rates are
+// The fleet model is deliberately weaker than FlowSim's: rates are
 // exact weighted max-min within a shard given the pinned cross rates,
 // but cross flows advance at the min of per-shard offers (a bounded-
 // staleness approximation refreshed whenever either side's component is
@@ -72,58 +70,38 @@ type FleetSim struct {
 	onResolved func()
 }
 
-// fleetShard is one pod's slice of the fleet: its own flowGraph over
-// the shared capacity vector (only its pod's links are ever indexed), a
-// completion heap for local flows, and its own record log.
+// fleetShard is one pod's slice of the fleet: a shard over the shared
+// capacity vector (only its pod's links are ever indexed) holding the
+// pod's local flows, plus the per-epoch re-rate bookkeeping.
 type fleetShard struct {
-	id     int
-	g      *flowGraph
-	active map[int]*incFlow
-	h      completionHeap
-
-	records []FlowRecord
+	shard
 	reRated []*incFlow // flows re-rated this epoch (phase A ∪ phase C)
 	seenGen uint64
 	done    int // completions this epoch
 }
 
-// crossFlow is the fleet-level master record of a two-shard flow; each
-// involved shard holds a proxy restricted to its own links.
+// crossFlow is the fleet-level master record of a two-shard flow (Path
+// is the full route); each involved shard holds a proxy restricted to
+// its own links.
 type crossFlow struct {
-	id        int
-	src, dst  int
-	sizeBits  float64
-	remaining float64
-	rate      float64
-	hash      uint64
-	start     sim.Time
-	proxies   []*incFlow // ascending shard order
-	shards    []int
+	Flow
+	proxies []*incFlow // ascending shard order
+	shards  []int
 }
 
 // NewFleetSim builds the sharded engine over a fleet topology.
 // workers <= 0 runs the parallel phases on GOMAXPROCS goroutines;
 // workers == 1 is fully sequential. Results are identical either way.
 func NewFleetSim(t *Topology, workers int) *FleetSim {
-	shardOf := LinkShards(t)
-	pods := NumPods(t)
-	capacity := make([]float64, len(t.Links))
-	for i, l := range t.Links {
-		capacity[i] = l.RateBps
-	}
 	fs := &FleetSim{
 		Topo:     t,
-		shardOf:  shardOf,
+		shardOf:  LinkShards(t),
 		workers:  workers,
-		capacity: capacity,
+		capacity: nominalCapacity(t),
 		cross:    make(map[int]*crossFlow),
 	}
-	for p := 0; p < pods; p++ {
-		fs.shards = append(fs.shards, &fleetShard{
-			id:     p,
-			g:      newFlowGraph(t, capacity),
-			active: make(map[int]*incFlow),
-		})
+	for range NumPods(t) {
+		fs.shards = append(fs.shards, &fleetShard{shard: newShard(t, fs.capacity)})
 	}
 	return fs
 }
@@ -153,7 +131,7 @@ func (fs *FleetSim) Waterfills() uint64 {
 }
 
 // RatedFlows sums per-flow rate assignments across shards — the work
-// actually done, against FlowSim's recomputes × active upper bound.
+// actually done.
 func (fs *FleetSim) RatedFlows() uint64 {
 	var n uint64
 	for _, s := range fs.shards {
@@ -191,139 +169,96 @@ func (fs *FleetSim) Records() []FlowRecord {
 // shard, flows spanning two pods become a cross flow with one proxy per
 // shard. Weight is 1 (fleet traffic is best-effort).
 func (fs *FleetSim) Inject(src, dst int, sizeBits float64, hash uint64) (int, error) {
-	if sizeBits <= 0 {
-		return 0, errFlowSize
-	}
-	path, err := routeAvoidingDead(fs.Topo, fs.capacity, src, dst, hash)
+	path, err := routeFlow(fs.Topo, fs.capacity, src, dst, sizeBits, hash)
 	if err != nil {
 		return 0, err
 	}
 	id := fs.nextID
 	fs.nextID++
-	fs.admit(id, src, dst, sizeBits, sizeBits, hash, fs.now, path)
+	fs.admit(Flow{
+		ID: id, Src: src, Dst: dst, SizeBits: sizeBits,
+		Path: path, Hash: hash, Weight: 1,
+		remaining: sizeBits, start: fs.now,
+	})
 	fs.arrivals++
 	return id, nil
 }
 
 // admit places a routed flow (new or rerouted) into its shard(s).
-func (fs *FleetSim) admit(id, src, dst int, sizeBits, remaining float64, hash uint64, start sim.Time, path []int) {
-	shardSet := []int{}
-	for _, l := range path {
-		s := fs.shardOf[l]
-		found := false
-		for _, have := range shardSet {
-			if have == s {
-				found = true
-				break
-			}
-		}
-		if !found {
+func (fs *FleetSim) admit(fl Flow) {
+	fl.rate, fl.lastTouch = 0, fs.now
+	var shardSet []int
+	for _, l := range fl.Path {
+		if s := fs.shardOf[l]; !slices.Contains(shardSet, s) {
 			shardSet = append(shardSet, s)
 		}
 	}
-	sort.Ints(shardSet)
+	slices.Sort(shardSet)
 
 	if len(shardSet) == 1 {
-		sh := fs.shards[shardSet[0]]
-		f := &incFlow{Flow: Flow{
-			ID: id, Src: src, Dst: dst, SizeBits: sizeBits,
-			Path: path, Hash: hash, Weight: 1,
-			remaining: remaining, start: start, lastTouch: fs.now,
-		}}
-		sh.active[id] = f
-		sh.g.addFlow(f)
+		fs.shards[shardSet[0]].admit(&incFlow{Flow: fl})
 		return
 	}
 
-	cf := &crossFlow{
-		id: id, src: src, dst: dst, sizeBits: sizeBits,
-		remaining: remaining, hash: hash, start: start, shards: shardSet,
-	}
+	cf := &crossFlow{Flow: fl, shards: shardSet}
 	for _, s := range shardSet {
-		sub := make([]int, 0, len(path))
-		for _, l := range path {
+		p := &incFlow{Flow: fl, proxy: true}
+		p.Path = make([]int, 0, len(fl.Path))
+		for _, l := range fl.Path {
 			if fs.shardOf[l] == s {
-				sub = append(sub, l)
+				p.Path = append(p.Path, l)
 			}
 		}
-		p := &incFlow{Flow: Flow{
-			ID: id, Src: src, Dst: dst, SizeBits: sizeBits,
-			Path: sub, Hash: hash, Weight: 1,
-		}, proxy: true}
 		fs.shards[s].g.addFlow(p)
 		cf.proxies = append(cf.proxies, p)
 	}
-	fs.cross[id] = cf
+	fs.cross[fl.ID] = cf
 	fs.crossArrivals++
 }
 
-// SetLinkFraction scales a link to frac of nominal at the barrier, with
-// FlowSim's clamp and no-op semantics. frac=0 kills the link: crossing
-// flows reroute (in ascending flow-ID order) or stall.
-func (fs *FleetSim) SetLinkFraction(linkID int, frac float64) {
-	if linkID < 0 || linkID >= len(fs.capacity) {
-		return
+// retire unindexes a cross flow's proxies and forgets it.
+func (fs *FleetSim) retire(cf *crossFlow) {
+	for i, s := range cf.shards {
+		fs.shards[s].g.removeFlow(cf.proxies[i])
 	}
-	if frac < 0 || frac != frac {
-		frac = 0
-	}
-	if frac > 1 {
-		frac = 1
-	}
-	newCap := fs.Topo.Links[linkID].RateBps * frac
-	if newCap == fs.capacity[linkID] {
-		return
-	}
-	fs.capacity[linkID] = newCap
-	fs.shards[fs.shardOf[linkID]].g.markDirty(linkID)
-	if newCap == 0 {
-		fs.rerouteThrough(linkID)
-	}
+	delete(fs.cross, cf.ID)
 }
 
-// rerouteThrough re-admits or stalls every flow crossing a dead link.
-func (fs *FleetSim) rerouteThrough(linkID int) {
-	sh := fs.shards[fs.shardOf[linkID]]
-	refs := sh.g.linkFlows[linkID]
-	ids := make([]int, 0, len(refs))
-	for _, ref := range refs {
-		ids = append(ids, ref.f.ID)
+// SetLinkFraction scales a link to frac of nominal at the barrier, with
+// setLinkFraction's clamp and no-op semantics. frac=0 kills the link:
+// crossing flows reroute (in ascending flow-ID order) or stall.
+func (fs *FleetSim) SetLinkFraction(linkID int, frac float64) {
+	changed, dead := setLinkFraction(fs.Topo, fs.capacity, linkID, frac)
+	if !changed {
+		return
 	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		if cf, ok := fs.cross[id]; ok {
-			for i, s := range cf.shards {
-				fs.shards[s].g.removeFlow(cf.proxies[i])
-			}
-			delete(fs.cross, id)
-			fs.repath(id, cf.src, cf.dst, cf.sizeBits, cf.remaining, cf.hash, cf.start)
+	sh := fs.shards[fs.shardOf[linkID]]
+	sh.g.markDirty(linkID)
+	if !dead {
+		return
+	}
+	// Re-admit (possibly changing local/cross classification) or stall
+	// every flow crossing the dead link.
+	sh.g.now = fs.now
+	for _, f := range sh.crossing(linkID) {
+		fl := &f.Flow
+		if f.proxy {
+			cf := fs.cross[f.ID]
+			fs.retire(cf)
+			fl = &cf.Flow
+		} else {
+			sh.g.settle(f)
+			sh.remove(f)
+		}
+		path, err := routeAvoidingDead(fs.Topo, fs.capacity, fl.Src, fl.Dst, fl.Hash+1)
+		if err != nil {
+			fs.records = append(fs.records, fl.record(fs.now, true))
+			fs.stalls++
 			continue
 		}
-		f, ok := sh.active[id]
-		if !ok {
-			continue // already handled (duplicate ref cannot happen, but stay safe)
-		}
-		sh.g.now = fs.now
-		sh.g.settle(f)
-		f.ver++ // invalidate queued completion
-		delete(sh.active, id)
-		sh.g.removeFlow(f)
-		fs.repath(id, f.Src, f.Dst, f.SizeBits, f.remaining, f.Hash, f.start)
+		fl.Path = path
+		fs.admit(*fl)
 	}
-}
-
-// repath routes a displaced flow around dead links, re-admitting it
-// (possibly changing local/cross classification) or recording a stall.
-func (fs *FleetSim) repath(id, src, dst int, sizeBits, remaining float64, hash uint64, start sim.Time) {
-	path, err := routeAvoidingDead(fs.Topo, fs.capacity, src, dst, hash+1)
-	if err != nil {
-		fs.records = append(fs.records, FlowRecord{
-			ID: id, SizeBits: sizeBits, Start: start, End: fs.now, Stalled: true,
-		})
-		fs.stalls++
-		return
-	}
-	fs.admit(id, src, dst, sizeBits, remaining, hash, start, path)
 }
 
 // Step advances the fleet by one epoch: resolve rates (phases A–C),
@@ -344,7 +279,7 @@ func (fs *FleetSim) Step(epochLen sim.Time) {
 	for id := range fs.cross {
 		crossIDs = append(crossIDs, id)
 	}
-	sort.Ints(crossIDs)
+	slices.Sort(crossIDs)
 	for _, id := range crossIDs {
 		cf := fs.cross[id]
 		final := cf.proxies[0].offer
@@ -388,13 +323,8 @@ func (fs *FleetSim) Step(epochLen sim.Time) {
 		}
 		at := fs.now + sim.Time(cf.remaining/cf.rate)
 		if at <= epochEnd {
-			fs.records = append(fs.records, FlowRecord{
-				ID: cf.id, SizeBits: cf.sizeBits, Start: cf.start, End: at,
-			})
-			for i, s := range cf.shards {
-				fs.shards[s].g.removeFlow(cf.proxies[i])
-			}
-			delete(fs.cross, id)
+			fs.records = append(fs.records, cf.record(at, false))
+			fs.retire(cf)
 			crossDone++
 			continue
 		}
@@ -404,42 +334,11 @@ func (fs *FleetSim) Step(epochLen sim.Time) {
 	// Epoch run: refresh completion entries for re-rated local flows,
 	// then drain each shard's heap to the epoch end at frozen rates.
 	fs.runShards(func(sh *fleetShard) {
-		sh.done = 0
-		for _, f := range sh.reRated {
-			if _, ok := sh.active[f.ID]; !ok {
-				continue
-			}
-			f.ver++
-			if f.rate > 0 {
-				heap.Push(&sh.h, completion{
-					at:  fs.now + sim.Time(f.remaining/f.rate),
-					id:  f.ID,
-					ver: f.ver,
-				})
-			}
-		}
+		sh.refresh(sh.reRated, fs.now)
 		sh.reRated = sh.reRated[:0]
-		if len(sh.h) > 4*len(sh.active)+64 {
-			sh.compact()
-		}
-		for len(sh.h) > 0 {
-			head := sh.h[0]
-			f, ok := sh.active[head.id]
-			if !ok || f.ver != head.ver {
-				heap.Pop(&sh.h)
-				continue
-			}
-			if head.at > epochEnd {
-				break
-			}
-			heap.Pop(&sh.h)
-			sh.g.now = head.at
-			sh.g.settle(f)
-			sh.records = append(sh.records, FlowRecord{
-				ID: f.ID, SizeBits: f.SizeBits, Start: f.start, End: head.at,
-			})
-			delete(sh.active, f.ID)
-			sh.g.removeFlow(f)
+		sh.done = 0
+		for f, at := sh.popDue(epochEnd); f != nil; f, at = sh.popDue(epochEnd) {
+			sh.complete(f, at)
 			sh.done++
 		}
 	})
@@ -474,18 +373,6 @@ func (sh *fleetShard) noteReRated(touched []*incFlow) {
 		f.seen = sh.seenGen
 		sh.reRated = append(sh.reRated, f)
 	}
-}
-
-// compact rebuilds the shard heap dropping stale entries.
-func (sh *fleetShard) compact() {
-	live := sh.h[:0]
-	for _, c := range sh.h {
-		if f, ok := sh.active[c.id]; ok && f.ver == c.ver {
-			live = append(live, c)
-		}
-	}
-	sh.h = live
-	heap.Init(&sh.h)
 }
 
 // runShards executes fn once per shard, on fs.workers goroutines

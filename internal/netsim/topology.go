@@ -4,9 +4,14 @@
 // accounting, and a flow-level max-min fair simulator with failure
 // injection.
 //
+// The flow simulator is one incremental engine (incremental.go: a
+// dirty-set weighted max-min allocator and the shard built on it) behind
+// two drivers: FlowSim advances one shard from a discrete-event engine,
+// FleetSim advances one shard per pod from an epoch barrier.
+//
 // It exists to answer the paper's system-level question: what changes when
 // the 2 m copper / power-hungry optics dichotomy is replaced by a 50 m,
-// copper-power link? (Experiments E11 and E12.)
+// copper-power link? (Experiments E11, E12, E23 and E24.)
 package netsim
 
 import (

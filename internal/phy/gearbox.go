@@ -46,10 +46,3 @@ func Destripe(units [][][]byte, lanes, unitLen, totalUnits int) (stream []byte, 
 	}
 	return stream, missing
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
