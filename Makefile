@@ -1,10 +1,10 @@
 # Tier-1 verification for the Mosaic repo. `make check` is the gate every
-# change must pass: vet, build, the plain test suite, the same suite under
-# the race detector (the PHY's per-lane stage runs on a shared worker
-# pool), and a doubled determinism run to catch any seed-dependent
-# flakiness. CI (.github/workflows/ci.yml) runs `make check` plus the
-# fuzz-smoke, bench-check, scenario-conformance, and coverage stages
-# below.
+# change must pass: vet, the substrate grep gate, build, the plain test
+# suite, the same suite under the race detector (every fan-out runs on
+# internal/par), and a doubled determinism run to catch any
+# seed-dependent flakiness. CI (.github/workflows/ci.yml) runs
+# `make check` plus the fuzz-smoke, bench-check, scenario-conformance,
+# and coverage stages below.
 
 GO ?= go
 FUZZTIME ?= 20s
@@ -13,9 +13,9 @@ FUZZ_TARGETS = internal/phy:FuzzFramerDecodeStream internal/phy:FuzzHammingFECDe
 	internal/phy:FuzzRSLiteDecode internal/phy:FuzzParseFramesNeverPanics \
 	internal/mac:FuzzMACDeframe internal/scenario:FuzzScenarioSpec
 
-.PHONY: check vet build test race determinism staticcheck bench bench-mac bench-e24 bench-check coverage fuzz-smoke verify-deep soak-fleetd scenario-conformance loc
+.PHONY: check vet substrate build test race determinism staticcheck bench bench-mac bench-e24 bench-check coverage fuzz-smoke verify-deep soak-fleetd scenario-conformance loc
 
-check: vet staticcheck build test race determinism
+check: vet substrate staticcheck build test race determinism
 
 vet:
 	$(GO) vet ./...
@@ -29,6 +29,27 @@ staticcheck:
 	else \
 		echo "staticcheck: not installed, skipping (CI enforces it)"; \
 	fi
+
+# One execution substrate, one event log: non-test Go under internal/
+# and cmd/ writes `go func` or holds a sync.WaitGroup only in
+# internal/par, and hashes with sha256 only in internal/eventlog. The
+# allow-list is one server goroutine in each of httpx and mosaicfleetd,
+# and E23's copper stall-record hash (records, not a line log).
+SUBSTRATE_SRC = find internal cmd -name '*.go' ! -name '*_test.go'
+substrate:
+	@bad=$$( { $(SUBSTRATE_SRC) ! -path 'internal/par/*' \
+			! -path internal/telemetry/httpx/httpx.go ! -path cmd/mosaicfleetd/main.go \
+			-exec grep -nE 'go func|sync\.WaitGroup' {} + ; \
+		$(SUBSTRATE_SRC) ! -path 'internal/eventlog/*' ! -path internal/experiments/e23.go \
+			-exec grep -nF 'sha256.Sum256(' {} + ; \
+		for f in internal/telemetry/httpx/httpx.go cmd/mosaicfleetd/main.go; do \
+			[ "$$(grep -cE 'go func|sync\.WaitGroup' $$f)" -le 1 ] || echo "$$f: more than its one server goroutine"; \
+		done; } ); \
+	if [ -n "$$bad" ]; then \
+		echo "substrate: FAIL — use internal/par for fan-out and internal/eventlog for log digests:"; \
+		echo "$$bad"; exit 1; \
+	fi; \
+	echo "substrate: OK — goroutines only in internal/par, sha256 only in internal/eventlog"
 
 build:
 	$(GO) build ./...
@@ -96,13 +117,13 @@ bench-check:
 	$(MAKE) --no-print-directory bench | tee BENCH_RAW.txt | $(GO) run ./cmd/benchguard \
 		-baseline ci/bench_baseline.json -out BENCH_E10.json
 
-# Coverage gate for the packages the vectorized kernels and the fault
-# machinery live in: the PHY, the coding stack, and faultinject must
-# stay at or above $(COVER_MIN)% statement coverage combined. COVER.out
-# is uploaded as a CI artifact.
+# Coverage gate for the packages the vectorized kernels, the fault
+# machinery and the one worker pool live in: the PHY, the coding stack,
+# faultinject and par must stay at or above $(COVER_MIN)% statement
+# coverage combined. COVER.out is uploaded as a CI artifact.
 COVER_MIN ?= 85
 coverage:
-	$(GO) test -coverprofile=COVER.out -covermode=atomic ./internal/phy/... ./internal/coding/... ./internal/faultinject/...
+	$(GO) test -coverprofile=COVER.out -covermode=atomic ./internal/phy/... ./internal/coding/... ./internal/faultinject/... ./internal/par/...
 	@total=$$($(GO) tool cover -func=COVER.out | awk '/^total:/ { gsub(/%/, "", $$3); print $$3 }'); \
 	awk -v t=$$total -v min=$(COVER_MIN) 'BEGIN { \
 		if (t + 0 < min + 0) { printf "coverage: FAIL — %.1f%% below minimum %d%%\n", t, min; exit 1 } \

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"strings"
 
+	"mosaic/internal/eventlog"
 	"mosaic/internal/faultinject"
 	"mosaic/internal/mac"
 	"mosaic/internal/netsim"
@@ -89,8 +90,7 @@ func e23WithWorkers(seed int64, workers int) (Table, error) {
 			retx = fmt.Sprintf("%d", res.A.Retransmits)
 			frac = fm(res.Fraction, 4)
 			if sc.mode == e23Aging {
-				h := sha256.Sum256([]byte(strings.Join(res.Log, "\n") + "\n" + res.Summary()))
-				macSHA = hex.EncodeToString(h[:8])
+				macSHA = eventlog.Digest(res.Log, res.Summary())
 			}
 		}
 		t.AddRow(sc.name, fmt.Sprintf("%d", st.Count+st.Stalled),

@@ -1,14 +1,13 @@
 package experiments
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"math"
 	"math/rand"
 	"sort"
 	"strings"
 
+	"mosaic/internal/eventlog"
 	"mosaic/internal/faultinject"
 	"mosaic/internal/mac"
 	"mosaic/internal/netsim"
@@ -165,8 +164,7 @@ func e24WithWorkers(seed int64, workers int) (Table, e24Metrics, error) {
 	}
 	m.Waterfills = fs.Waterfills()
 	m.RatedFlows = fs.RatedFlows()
-	h := sha256.Sum256([]byte(strings.Join(fs.EventLog(), "\n")))
-	m.LogSHA = hex.EncodeToString(h[:8])
+	m.LogSHA = eventlog.Digest(fs.EventLog())
 
 	samples, err := e24BringUpSamples(seed, workers, aging, len(topo.Links))
 	if err != nil {

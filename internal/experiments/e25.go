@@ -1,11 +1,10 @@
 package experiments
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"strings"
 
+	"mosaic/internal/eventlog"
 	"mosaic/internal/faultinject"
 	"mosaic/internal/mac"
 	"mosaic/internal/phy"
@@ -79,8 +78,7 @@ func e25WithWorkers(seed int64, workers int) (Table, error) {
 			fmt.Sprintf("%d", res.B.Discarded),
 			fmt.Sprintf("%d", res.B.Reordered))
 		if sc.name == "sr-3vc-qos" {
-			h := sha256.Sum256([]byte(strings.Join(res.Log, "\n") + "\n" + res.Summary()))
-			logSHA = hex.EncodeToString(h[:8])
+			logSHA = eventlog.Digest(res.Log, res.Summary())
 			parts := make([]string, len(res.BVCs))
 			for vc, v := range res.BVCs {
 				parts[vc] = fmt.Sprintf("vc%d(class %d)=%d", vc, v.Class, v.Delivered)

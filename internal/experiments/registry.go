@@ -2,9 +2,9 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
+	"mosaic/internal/par"
 	"mosaic/internal/telemetry"
 )
 
@@ -308,12 +308,12 @@ type Result struct {
 }
 
 // Run generates the experiments named by ids (all of them if ids is
-// empty) with the given seed, fanning the generators out over up to par
-// goroutines (par <= 1 runs serially). Results always come back in
-// registry order, regardless of completion order. Unknown IDs make Run
-// fail before any generator starts.
-func Run(ids []string, seed int64, par int) ([]Result, error) {
-	return RunMetered(ids, seed, par, nil)
+// empty) with the given seed, fanning the generators out over a par.Pool
+// of the given size (workers <= 1 runs serially). Results always come
+// back in registry order, regardless of completion order. Unknown IDs
+// make Run fail before any generator starts.
+func Run(ids []string, seed int64, workers int) ([]Result, error) {
+	return RunMetered(ids, seed, workers, nil)
 }
 
 // RunMetered is Run with optional telemetry: when reg is non-nil, each
@@ -323,8 +323,8 @@ func Run(ids []string, seed int64, par int) ([]Result, error) {
 // wall-clock and therefore nondeterministic — they flow only into the
 // registry, never into a table, so the generated output stays
 // byte-identical with telemetry on or off. The registry is safe for the
-// concurrent generators a par > 1 run spawns.
-func RunMetered(ids []string, seed int64, par int, reg *telemetry.Registry) ([]Result, error) {
+// concurrent generators a workers > 1 run spawns.
+func RunMetered(ids []string, seed int64, workers int, reg *telemetry.Registry) ([]Result, error) {
 	sel := make([]int, 0, len(registry))
 	if len(ids) == 0 {
 		for i := range registry {
@@ -375,32 +375,8 @@ func RunMetered(ids []string, seed int64, par int, reg *telemetry.Registry) ([]R
 		}
 		results[k] = Result{Experiment: e, Table: tab, Err: err}
 	}
-	if par <= 1 || len(sel) == 1 {
-		for k := range sel {
-			gen(k)
-		}
-		return results, nil
-	}
-	if par > len(sel) {
-		par = len(sel)
-	}
 	// Slot-indexed results: workers may finish in any order, the output
 	// order is fixed by sel.
-	work := make(chan int)
-	var wg sync.WaitGroup
-	wg.Add(par)
-	for w := 0; w < par; w++ {
-		go func() {
-			defer wg.Done()
-			for k := range work {
-				gen(k)
-			}
-		}()
-	}
-	for k := range sel {
-		work <- k
-	}
-	close(work)
-	wg.Wait()
+	par.New(max(workers, 1)).Run(len(sel), gen)
 	return results, nil
 }

@@ -1,13 +1,12 @@
 package faultinject
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"runtime"
 	"strings"
 	"testing"
 
+	"mosaic/internal/eventlog"
 	"mosaic/internal/phy"
 	"mosaic/internal/telemetry"
 )
@@ -64,9 +63,7 @@ func runGoldenSoak(t *testing.T, workers int, reg *telemetry.Registry) (string, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob := strings.Join(res.Log, "\n") + "\n" + res.Summary()
-	h := sha256.Sum256([]byte(blob))
-	return hex.EncodeToString(h[:8]), res
+	return eventlog.Digest(res.Log, res.Summary()), res
 }
 
 func TestSoakDeterminismAcrossWorkerCounts(t *testing.T) {

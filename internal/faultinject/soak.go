@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"mosaic/internal/eventlog"
 	"mosaic/internal/phy"
 	"mosaic/internal/telemetry"
 )
@@ -26,8 +27,9 @@ type Config struct {
 	Policy        phy.MaintenancePolicy
 	MaintainEvery int
 
-	// MaxLog caps the event log (0 = 100000). Injections and milestones
-	// past the cap are still counted in the Result, just not logged.
+	// MaxLog caps the event log (0 = eventlog.DefaultMax). Injections and
+	// milestones past the cap are still counted in the Result, just not
+	// logged.
 	MaxLog int
 
 	// Metrics, when non-nil, receives live telemetry for the run: the
@@ -90,10 +92,6 @@ func Run(cfg Config) (*Result, error) {
 	if err := cfg.Schedule.Validate(); err != nil {
 		return nil, err
 	}
-	maxLog := cfg.MaxLog
-	if maxLog <= 0 {
-		maxLog = 100000
-	}
 
 	link := cfg.Link
 	res := &Result{
@@ -102,11 +100,8 @@ func Run(cfg Config) (*Result, error) {
 		SpareExhaustSF: -1,
 		LanesStart:     link.Mapper().NumLanes(),
 	}
-	logf := func(format string, args ...any) {
-		if len(res.Log) < maxLog {
-			res.Log = append(res.Log, fmt.Sprintf(format, args...))
-		}
-	}
+	log := eventlog.Log{Max: cfg.MaxLog}
+	defer func() { res.Log = log.Lines() }() // also on the error return
 
 	// Fixed traffic, regenerated per run from the seed (the same frames
 	// every superframe, like the determinism goldens).
@@ -154,7 +149,7 @@ func Run(cfg Config) (*Result, error) {
 	sf := 0
 	base := link.Monitor().Transitions()
 	link.Monitor().SetTransitionHook(func(physical int, from, to phy.ChannelState) {
-		logf("sf=%d transition ch=%d %v->%v", sf, physical, from, to)
+		log.Addf("sf=%d transition ch=%d %v->%v", sf, physical, from, to)
 		if col != nil {
 			col.OnTransition(physical, from, to)
 		}
@@ -165,7 +160,7 @@ func Run(cfg Config) (*Result, error) {
 	// state; the soak only observes injections (log + counters).
 	applier := NewApplier(link, cfg.Schedule)
 	applier.OnInject = func(e Event) {
-		logf("inject %v", e)
+		log.Addf("inject %v", e)
 		if ctr := mInject[e.Kind]; ctr != nil {
 			ctr.Inc()
 		}
@@ -179,7 +174,7 @@ func Run(cfg Config) (*Result, error) {
 		handled[physical] = true
 		ev := link.FailChannel(physical)
 		res.Remaps++
-		logf("sf=%d remap %v", sf, ev)
+		log.Addf("sf=%d remap %v", sf, ev)
 		if mRemaps != nil {
 			mRemaps.Inc()
 		}
@@ -203,7 +198,7 @@ func Run(cfg Config) (*Result, error) {
 		res.Corrections += st.Corrections
 		if res.FirstDropSF < 0 && st.FramesDelivered < st.FramesIn {
 			res.FirstDropSF = sf
-			logf("sf=%d first-drop delivered=%d/%d", sf, st.FramesDelivered, st.FramesIn)
+			log.Addf("sf=%d first-drop delivered=%d/%d", sf, st.FramesDelivered, st.FramesIn)
 			if mFirstDrop != nil {
 				mFirstDrop.SetInt(int64(sf))
 			}
@@ -224,7 +219,7 @@ func Run(cfg Config) (*Result, error) {
 			for _, a := range link.Maintain(cfg.Policy) {
 				handled[a.Physical] = true
 				res.MaintenanceActions++
-				logf("sf=%d maintain %v", sf, a)
+				log.Addf("sf=%d maintain %v", sf, a)
 				if mMaintain != nil {
 					mMaintain.Inc()
 				}
@@ -234,14 +229,14 @@ func Run(cfg Config) (*Result, error) {
 		// 6. Milestones.
 		if res.DegradedSF < 0 && link.Mapper().NumLanes() < res.LanesStart {
 			res.DegradedSF = sf
-			logf("sf=%d degraded lanes=%d/%d", sf, link.Mapper().NumLanes(), res.LanesStart)
+			log.Addf("sf=%d degraded lanes=%d/%d", sf, link.Mapper().NumLanes(), res.LanesStart)
 			if mDegraded != nil {
 				mDegraded.SetInt(int64(sf))
 			}
 		}
 		if res.SpareExhaustSF < 0 && link.Mapper().SparesLeft() == 0 {
 			res.SpareExhaustSF = sf
-			logf("sf=%d spares-exhausted", sf)
+			log.Addf("sf=%d spares-exhausted", sf)
 			if mExhausted != nil {
 				mExhausted.SetInt(int64(sf))
 			}

@@ -146,6 +146,9 @@ func TestAPILifecycle(t *testing.T) {
 	if code != http.StatusOK || snap.LiveLinks != 1 || snap.Admission.Retired != 1 {
 		t.Fatalf("fleet = %d %s", code, body)
 	}
+	if !strings.Contains(string(body), `"event_log_dropped":0`) {
+		t.Errorf("fleet snapshot does not serve event_log_dropped: %s", body)
+	}
 }
 
 func TestAPIBatch(t *testing.T) {

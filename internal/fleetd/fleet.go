@@ -4,13 +4,14 @@ import (
 	"container/heap"
 	"context"
 	"errors"
-	"fmt"
 	"math/rand"
 	"sort"
 	"sync"
 	"sync/atomic"
 
+	"mosaic/internal/eventlog"
 	"mosaic/internal/netsim"
+	"mosaic/internal/par"
 	"mosaic/internal/sim"
 	"mosaic/internal/telemetry"
 )
@@ -34,7 +35,7 @@ var ErrUnknownLink = errors.New("fleetd: unknown link")
 type Fleet struct {
 	mu   sync.Mutex
 	cfg  Config
-	pool *pool
+	pool *par.Pool
 
 	links  map[int]*managedLink
 	order  []int // live link IDs, ascending (nextID is monotonic)
@@ -46,10 +47,8 @@ type Fleet struct {
 	lastSheds uint64 // adm.Sheds() at the previous barrier (overload detection)
 	draining  bool
 
-	epoch      uint64
-	log        []string
-	maxLog     int
-	logDropped uint64
+	epoch uint64
+	log   eventlog.Log
 
 	topo          *netsim.Topology
 	fsim          *netsim.FleetSim
@@ -71,6 +70,9 @@ type Fleet struct {
 	snap atomic.Pointer[Snapshot]
 }
 
+// PoolStats is the worker pool's telemetry snapshot.
+type PoolStats = par.Stats
+
 // Snapshot is the lock-free fleet summary refreshed at every barrier.
 type Snapshot struct {
 	Epoch       uint64         `json:"epoch"`
@@ -82,6 +84,9 @@ type Snapshot struct {
 	Admission   AdmissionStats `json:"admission"`
 	Pool        PoolStats      `json:"pool"`
 	ActiveFlows int            `json:"active_flows"`
+
+	// LogDropped counts lines refused since the event log hit Config.MaxLog.
+	LogDropped uint64 `json:"event_log_dropped"`
 
 	// ScrapeBudget mirrors Budgets.ScrapePerEpoch so the HTTP scrape gate
 	// can shed without taking the fleet lock.
@@ -98,17 +103,17 @@ func New(cfg Config, reg *telemetry.Registry) (*Fleet, error) {
 	}
 	f := &Fleet{
 		cfg:      cfg,
-		pool:     newPool(cfg.Workers),
+		pool:     par.New(cfg.Workers),
 		links:    make(map[int]*managedLink),
 		bucket:   newTokenBucket(cfg.Budgets.AdmitPerEpoch, cfg.Budgets.AdmitBurst),
-		maxLog:   cfg.MaxLog,
+		log:      eventlog.Log{Max: cfg.MaxLog},
 		retired:  make(map[int]LinkInfo),
 		reg:      reg,
 		linkCols: make(map[int]*telemetry.FleetLinkCollector),
 		flowRNG:  rand.New(rand.NewSource(cfg.Seed + 0x5eed)),
 	}
-	if f.maxLog <= 0 {
-		f.maxLog = 200000
+	if f.log.Max <= 0 {
+		f.log.Max = 200000
 	}
 
 	// Fleet topology: enough host-ToR links for MaxLinks members, in
@@ -142,14 +147,6 @@ func shedReasonNames() []string {
 		string(ShedScrape), string(ShedDraining)}
 }
 
-func (f *Fleet) logf(format string, args ...any) {
-	if len(f.log) < f.maxLog {
-		f.log = append(f.log, fmt.Sprintf(format, args...))
-	} else {
-		f.logDropped++
-	}
-}
-
 // countShed books a shed under its reason counter and logs it.
 func (f *Fleet) countShed(op string, reason ShedReason) *ShedError {
 	switch reason {
@@ -164,7 +161,7 @@ func (f *Fleet) countShed(op string, reason ShedReason) *ShedError {
 	case ShedDraining:
 		f.adm.ShedDraining++
 	}
-	f.logf("epoch=%d shed op=%s reason=%s", f.epoch, op, reason)
+	f.log.Addf("epoch=%d shed op=%s reason=%s", f.epoch, op, reason)
 	return &ShedError{Reason: reason}
 }
 
@@ -236,7 +233,7 @@ func (f *Fleet) Create(n int, d *LinkDesign) ([]int, error) {
 		f.links[id] = ml
 		f.order = append(f.order, id)
 		f.adm.Admitted++
-		f.logf("epoch=%d op=create link=%d topo=%d lanes=%d", f.epoch, id, topoID, design.Lanes)
+		f.log.Addf("epoch=%d op=create link=%d topo=%d lanes=%d", f.epoch, id, topoID, design.Lanes)
 		if f.reg != nil && (f.cfg.Budgets.DetailLinks < 0 || id < f.cfg.Budgets.DetailLinks) {
 			f.linkCols[id] = telemetry.NewFleetLinkCollector(f.reg, id)
 		}
@@ -277,7 +274,7 @@ func (f *Fleet) Degrade(id, count int) error {
 			killed++
 		}
 	}
-	f.logf("epoch=%d op=degrade link=%d killed=%d", f.epoch, id, killed)
+	f.log.Addf("epoch=%d op=degrade link=%d killed=%d", f.epoch, id, killed)
 	return nil
 }
 
@@ -294,7 +291,7 @@ func (f *Fleet) Renegotiate(id int) error {
 	if err := ml.transition(StateRenegotiating, "op"); err != nil {
 		return err
 	}
-	f.logf("epoch=%d op=renegotiate link=%d", f.epoch, id)
+	f.log.Addf("epoch=%d op=renegotiate link=%d", f.epoch, id)
 	return nil
 }
 
@@ -310,7 +307,7 @@ func (f *Fleet) Retire(id int) error {
 	if err := ml.transition(StateDraining, "op"); err != nil {
 		return err
 	}
-	f.logf("epoch=%d op=retire link=%d", f.epoch, id)
+	f.log.Addf("epoch=%d op=retire link=%d", f.epoch, id)
 	return nil
 }
 
@@ -332,7 +329,7 @@ func (f *Fleet) Reload(cfg Config) error {
 	f.cfg.Budgets = cfg.Budgets
 	f.cfg.Design = cfg.Design
 	f.bucket.resize(cfg.Budgets.AdmitPerEpoch, cfg.Budgets.AdmitBurst)
-	f.logf("epoch=%d op=reload max_links=%d admit=%g/%g step_budget=%d",
+	f.log.Addf("epoch=%d op=reload max_links=%d admit=%g/%g step_budget=%d",
 		f.epoch, cfg.Budgets.MaxLinks, cfg.Budgets.AdmitPerEpoch,
 		cfg.Budgets.AdmitBurst, cfg.Budgets.StepBudget)
 	return nil
@@ -386,17 +383,17 @@ func (f *Fleet) stepLocked() {
 
 	// Fan out. runnable is in ascending ID order (f.order is sorted),
 	// which is also the merge order below.
-	f.pool.run(len(runnable), func(i int) { runnable[i].step() })
+	f.pool.Run(len(runnable), func(i int) { runnable[i].step() })
 
 	// Barrier: merge event buffers, publish bridge capacity fractions
 	// into the fleet-wide flow simulator, and collect retirees — all in
 	// ascending link-ID order.
 	var retirees []*managedLink
 	for _, ml := range runnable {
-		for _, line := range ml.events {
-			f.logf("epoch=%d link=%d %s", f.epoch, ml.id, line)
+		for _, line := range ml.events.Lines() {
+			f.log.Addf("epoch=%d link=%d %s", f.epoch, ml.id, line)
 		}
-		ml.events = ml.events[:0]
+		ml.events.Reset()
 		if ml.caps.dirty {
 			f.fsim.SetLinkFraction(ml.topoID, ml.caps.frac)
 			ml.caps.dirty = false
@@ -426,7 +423,7 @@ func (f *Fleet) stepLocked() {
 
 	// Epoch summary line: the fleet-level determinism witness.
 	counts := f.stateCountsLocked()
-	f.logf("epoch=%d summary live=%d serving=%d degraded=%d draining=%d retired=%d flows=%d",
+	f.log.Addf("epoch=%d summary live=%d serving=%d degraded=%d draining=%d retired=%d flows=%d",
 		f.epoch, len(f.links),
 		counts[StateServing], counts[StateDegraded], counts[StateDraining],
 		f.adm.Retired, f.fsim.ActiveFlows())
@@ -485,9 +482,10 @@ func (f *Fleet) publishSnapshot(overloaded bool) {
 		Draining:     f.draining,
 		Overloaded:   overloaded,
 		Admission:    f.adm,
-		Pool:         f.pool.stats(),
+		Pool:         f.pool.Stats(),
 		ActiveFlows:  f.fsim.ActiveFlows(),
 		ScrapeBudget: f.cfg.Budgets.ScrapePerEpoch,
+		LogDropped:   f.log.Dropped(),
 	})
 }
 
@@ -500,8 +498,8 @@ func (f *Fleet) syncTelemetryLocked(counts [NumStates]int) {
 		stateCounts[i] = int64(n)
 	}
 	f.col.SyncStates(stateCounts[:])
-	f.col.SyncPool(f.pool.stats().Workers, f.pool.stats().Tasks, f.pool.stats().Steals,
-		f.pool.stats().Rounds, f.pool.stats().Depth)
+	ps := f.pool.Stats()
+	f.col.SyncPool(ps.Workers, ps.Tasks, ps.Steals, ps.Rounds, ps.Depth)
 	f.col.SyncAdmission(f.adm.Admitted, f.adm.Retired, []uint64{
 		f.adm.ShedRate, f.adm.ShedLinks, f.adm.ShedTopology,
 		f.adm.ShedScrape, f.adm.ShedDraining,
@@ -568,7 +566,7 @@ func (f *Fleet) List(limit int) []LinkInfo {
 func (f *Fleet) EventLog() []string {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return append([]string(nil), f.log...)
+	return append([]string(nil), f.log.Lines()...)
 }
 
 // Admission returns the admission counters.
@@ -579,7 +577,7 @@ func (f *Fleet) Admission() AdmissionStats {
 }
 
 // PoolStats returns the worker pool counters.
-func (f *Fleet) PoolStats() PoolStats { return f.pool.stats() }
+func (f *Fleet) PoolStats() PoolStats { return f.pool.Stats() }
 
 // ScrapeBudget returns the per-epoch scrape budget (0 = unlimited),
 // read by the HTTP shedding gate.
@@ -596,7 +594,7 @@ func (f *Fleet) ScrapeBudget() int64 {
 func (f *Fleet) Drain(ctx context.Context) int {
 	f.mu.Lock()
 	f.draining = true
-	f.logf("epoch=%d op=drain links=%d", f.epoch, len(f.links))
+	f.log.Addf("epoch=%d op=drain links=%d", f.epoch, len(f.links))
 	for _, id := range f.order {
 		ml := f.links[id]
 		if ml.state != StateDraining && ml.state != StateRetired {

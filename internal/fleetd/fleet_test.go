@@ -327,6 +327,55 @@ func TestConcurrentAdmissionDeterministic(t *testing.T) {
 	}
 }
 
+// TestEventLogCapIsVisible steps a fleet past its MaxLog: the log must
+// freeze at exactly the cap, hold the same first lines as an uncapped
+// twin, and say so — Snapshot (and so GET /v1/fleet) carries a drop
+// count that keeps growing while the daemon runs on.
+func TestEventLogCapIsVisible(t *testing.T) {
+	const maxLog = 50
+	run := func(cap int) *Fleet {
+		cfg := testConfig(2)
+		cfg.MaxLog = cap
+		f, err := New(cfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Create(8, nil); err != nil {
+			t.Fatal(err)
+		}
+		for e := 0; e < 80; e++ {
+			f.Step()
+		}
+		return f
+	}
+	capped, twin := run(maxLog), run(0)
+
+	got, want := capped.EventLog(), twin.EventLog()
+	if len(want) <= maxLog {
+		t.Fatalf("uncapped twin logged only %d lines; the run must exceed the cap", len(want))
+	}
+	if len(got) != maxLog {
+		t.Fatalf("capped log has %d lines, want exactly %d", len(got), maxLog)
+	}
+	if d := firstDiff(got, want[:maxLog]); !strings.HasPrefix(d, "length") {
+		t.Fatalf("capped log is not a prefix of the uncapped one: %s", d)
+	}
+	dropped := capped.Snapshot().LogDropped
+	if wantDropped := uint64(len(want) - maxLog); dropped != wantDropped {
+		t.Fatalf("event_log_dropped = %d, want %d (uncapped lines past the cap)", dropped, wantDropped)
+	}
+	capped.Step()
+	if after := capped.Snapshot().LogDropped; after <= dropped {
+		t.Errorf("event_log_dropped did not grow across an epoch: %d -> %d", dropped, after)
+	}
+	if len(capped.EventLog()) != maxLog {
+		t.Errorf("log grew past the cap to %d lines", len(capped.EventLog()))
+	}
+	if twin.Snapshot().LogDropped != 0 {
+		t.Errorf("uncapped twin reports %d dropped lines", twin.Snapshot().LogDropped)
+	}
+}
+
 // TestFleetTelemetry checks the collector wiring end to end: per-state
 // gauges, admission counters, and per-link gauges that appear at
 // admission and vanish at retirement.

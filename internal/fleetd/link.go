@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"mosaic/internal/eventlog"
 	"mosaic/internal/faultinject"
 	"mosaic/internal/mac"
 	"mosaic/internal/phy"
@@ -59,7 +60,7 @@ type managedLink struct {
 
 	// events buffers this epoch's log lines; the fleet merges and clears
 	// it at the barrier.
-	events []string
+	events eventlog.Log
 
 	// runServe marks the link as scheduled for serving ticks this epoch
 	// (set by the fleet's budgeted rotor before the fan-out).
@@ -67,10 +68,6 @@ type managedLink struct {
 
 	// Counters mirrored into the API/telemetry snapshots.
 	queued, delivered, retx uint64
-}
-
-func (m *managedLink) logf(format string, args ...any) {
-	m.events = append(m.events, fmt.Sprintf(format, args...))
 }
 
 // transition applies a lifecycle edge, returning the typed error on an
@@ -82,9 +79,9 @@ func (m *managedLink) transition(to State, detail string) error {
 	from := m.state
 	m.state = to
 	if detail != "" {
-		m.logf("%s->%s %s", from, to, detail)
+		m.events.Addf("%s->%s %s", from, to, detail)
 	} else {
-		m.logf("%s->%s", from, to)
+		m.events.Addf("%s->%s", from, to)
 	}
 	return nil
 }
@@ -153,12 +150,12 @@ func (m *managedLink) construct() error {
 	// Health transitions land in the link's event buffer; the bridge
 	// chains after this hook and records capacity changes.
 	m.fwd.Monitor().SetTransitionHook(func(physical int, from, to phy.ChannelState) {
-		m.logf("sf=%d transition ch=%d %v->%v", m.sf, physical, from, to)
+		m.events.Addf("sf=%d transition ch=%d %v->%v", m.sf, physical, from, to)
 	})
 	m.eng = sim.NewEngine(m.seed)
 	m.bridge = mac.NewBridge(m.fwd, &m.caps, m.topoID, m.eng)
 	m.bridge.OnRenegotiate = func(_ sim.Time, lanes int, frac float64) {
-		m.logf("sf=%d bridge lanes=%d frac=%.4f", m.sf, lanes, frac)
+		m.events.Addf("sf=%d bridge lanes=%d frac=%.4f", m.sf, lanes, frac)
 	}
 	m.bridge.Install()
 
@@ -181,10 +178,10 @@ func (m *managedLink) loadSchedule() {
 		if err != nil {
 			// Unreachable for a registered scenario (the library validates);
 			// log and serve unfaulted rather than wedging the lifecycle.
-			m.logf("sf=%d scenario=%s witness error: %v", m.sf, entry.ID, err)
+			m.events.Addf("sf=%d scenario=%s witness error: %v", m.sf, entry.ID, err)
 		} else {
 			sched = s
-			m.logf("sf=%d scenario=%s witness events=%d round=%d", m.sf, entry.ID, len(sched.Events), m.round)
+			m.events.Addf("sf=%d scenario=%s witness events=%d round=%d", m.sf, entry.ID, len(sched.Events), m.round)
 		}
 	} else if d.Hazard > 0 {
 		rng := rand.New(rand.NewSource(roundSeed))
@@ -192,7 +189,7 @@ func (m *managedLink) loadSchedule() {
 	}
 	m.applier = faultinject.NewApplier(m.fwd, sched)
 	m.applier.OnInject = func(e faultinject.Event) {
-		m.logf("sf=%d inject %v", m.sf, e)
+		m.events.Addf("sf=%d inject %v", m.sf, e)
 	}
 }
 
@@ -230,7 +227,7 @@ func (m *managedLink) tick(draining bool) {
 		}
 		m.handledFail[p] = true
 		ev := m.fwd.FailChannel(p)
-		m.logf("sf=%d remap %v", m.sf, ev)
+		m.events.Addf("sf=%d remap %v", m.sf, ev)
 	}
 	m.eng.Run()
 
@@ -245,7 +242,7 @@ func (m *managedLink) tick(draining bool) {
 func (m *managedLink) fail(err error) {
 	if m.err == nil {
 		m.err = err
-		m.logf("sf=%d error: %v", m.sf, err)
+		m.events.Addf("sf=%d error: %v", m.sf, err)
 	}
 	if m.state != StateDraining && m.state != StateRetired {
 		_ = m.transition(StateDraining, "on-error")

@@ -1,13 +1,12 @@
 package mac
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"runtime"
 	"strings"
 	"testing"
 
+	"mosaic/internal/eventlog"
 	"mosaic/internal/faultinject"
 	"mosaic/internal/sim"
 	"mosaic/internal/telemetry"
@@ -56,9 +55,7 @@ func runGoldenSession(t *testing.T, workers int, reg *telemetry.Registry) (strin
 	}
 	eng.Run()
 	res := sess.Result()
-	blob := strings.Join(res.Log, "\n") + "\n" + res.Summary()
-	h := sha256.Sum256([]byte(blob))
-	return hex.EncodeToString(h[:8]), res, sink
+	return eventlog.Digest(res.Log, res.Summary()), res, sink
 }
 
 func TestSessionDeterminismAcrossWorkerCounts(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"mosaic/internal/eventlog"
 	"mosaic/internal/faultinject"
 	"mosaic/internal/phy"
 	"mosaic/internal/sim"
@@ -52,7 +53,7 @@ type SessionConfig struct {
 	// the event log.
 	Metrics *telemetry.Registry
 
-	// MaxLog caps the event log (0 = 100000).
+	// MaxLog caps the event log (0 = eventlog.DefaultMax).
 	MaxLog int
 }
 
@@ -75,8 +76,7 @@ type Session struct {
 	prevRetx   uint64
 	err        error
 
-	log    []string
-	maxLog int
+	log eventlog.Log
 }
 
 // Result summarizes a finished session.
@@ -162,10 +162,7 @@ func NewSession(cfg SessionConfig) (*Session, error) {
 		cfg:        cfg,
 		handled:    make(map[int]bool),
 		lanesStart: cfg.Fwd.Mapper().NumLanes(),
-		maxLog:     cfg.MaxLog,
-	}
-	if s.maxLog <= 0 {
-		s.maxLog = 100000
+		log:        eventlog.Log{Max: cfg.MaxLog},
 	}
 
 	pair, err := NewPair(cfg.Fwd, cfg.Rev, pc, nil, nil)
@@ -186,7 +183,7 @@ func NewSession(cfg SessionConfig) (*Session, error) {
 
 	s.applier = faultinject.NewApplier(cfg.Fwd, cfg.Schedule)
 	s.applier.OnInject = func(e faultinject.Event) {
-		s.logf("inject %v", e)
+		s.log.Addf("inject %v", e)
 	}
 
 	if cfg.Metrics != nil {
@@ -197,7 +194,7 @@ func NewSession(cfg SessionConfig) (*Session, error) {
 	// Health transitions land in the log as they happen. The bridge (if
 	// any) chains onto this hook, so install ours first.
 	cfg.Fwd.Monitor().SetTransitionHook(func(physical int, from, to phy.ChannelState) {
-		s.logf("sf=%d transition ch=%d %v->%v", s.sf, physical, from, to)
+		s.log.Addf("sf=%d transition ch=%d %v->%v", s.sf, physical, from, to)
 		if s.linkCol != nil {
 			s.linkCol.OnTransition(physical, from, to)
 		}
@@ -206,19 +203,13 @@ func NewSession(cfg SessionConfig) (*Session, error) {
 		cfg.Bridge.Install()
 		if cfg.Bridge.OnRenegotiate == nil {
 			cfg.Bridge.OnRenegotiate = func(at sim.Time, lanes int, frac float64) {
-				s.logf("sf=%d renegotiate t=%v lanes=%d frac=%.4f", s.sf, at, lanes, frac)
+				s.log.Addf("sf=%d renegotiate t=%v lanes=%d frac=%.4f", s.sf, at, lanes, frac)
 			}
 		}
 	}
 
 	cfg.Engine.After(cfg.Interval, s.tick)
 	return s, nil
-}
-
-func (s *Session) logf(format string, args ...any) {
-	if len(s.log) < s.maxLog {
-		s.log = append(s.log, fmt.Sprintf(format, args...))
-	}
 }
 
 // queueTraffic queues this tick's client packets at A: either
@@ -230,7 +221,7 @@ func (s *Session) queueTraffic() bool {
 		for k := 0; k < n; k++ {
 			if err := s.pair.A.SendVC(vc, s.packets[i]); err != nil {
 				s.err = err
-				s.logf("sf=%d send error: %v", s.sf, err)
+				s.log.Addf("sf=%d send error: %v", s.sf, err)
 				return false
 			}
 			i++
@@ -247,7 +238,7 @@ func (s *Session) queueTraffic() bool {
 		return false
 	}
 	if s.cfg.BurstEvery > 0 && s.sf%s.cfg.BurstEvery == 0 {
-		s.logf("sf=%d incast burst +%d", s.sf, s.cfg.BurstPackets)
+		s.log.Addf("sf=%d incast burst +%d", s.sf, s.cfg.BurstPackets)
 		if !send(0, s.cfg.BurstPackets) {
 			return false
 		}
@@ -268,7 +259,7 @@ func (s *Session) tick() {
 	}
 	if err := s.pair.Tick(); err != nil {
 		s.err = err
-		s.logf("sf=%d exchange error: %v", s.sf, err)
+		s.log.Addf("sf=%d exchange error: %v", s.sf, err)
 		return
 	}
 
@@ -281,12 +272,12 @@ func (s *Session) tick() {
 		}
 		s.handled[p] = true
 		ev := s.cfg.Fwd.FailChannel(p)
-		s.logf("sf=%d remap %v", s.sf, ev)
+		s.log.Addf("sf=%d remap %v", s.sf, ev)
 	}
 
 	// Retransmission activity (the LLR doing its job) is log-worthy.
 	if retx := s.pair.A.Stats().Retransmits; retx > s.prevRetx {
-		s.logf("sf=%d retx +%d (total=%d inflight=%d)",
+		s.log.Addf("sf=%d retx +%d (total=%d inflight=%d)",
 			s.sf, retx-s.prevRetx, retx, s.pair.A.Stats().InFlight)
 		s.prevRetx = retx
 	}
@@ -294,11 +285,11 @@ func (s *Session) tick() {
 	// Milestones.
 	if !s.degraded && s.cfg.Fwd.Mapper().NumLanes() < s.lanesStart {
 		s.degraded = true
-		s.logf("sf=%d degraded lanes=%d/%d", s.sf, s.cfg.Fwd.Mapper().NumLanes(), s.lanesStart)
+		s.log.Addf("sf=%d degraded lanes=%d/%d", s.sf, s.cfg.Fwd.Mapper().NumLanes(), s.lanesStart)
 	}
 	if !s.exhausted && s.cfg.Fwd.Mapper().SparesLeft() == 0 {
 		s.exhausted = true
-		s.logf("sf=%d spares-exhausted", s.sf)
+		s.log.Addf("sf=%d spares-exhausted", s.sf)
 	}
 
 	if s.col != nil {
@@ -326,7 +317,7 @@ func (s *Session) tick() {
 // Result snapshots the session after the engine has drained.
 func (s *Session) Result() *Result {
 	r := &Result{
-		Log:         s.log,
+		Log:         s.log.Lines(),
 		Superframes: s.sf,
 		A:           s.pair.A.Stats(),
 		B:           s.pair.B.Stats(),

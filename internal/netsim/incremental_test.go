@@ -10,6 +10,7 @@ import (
 	"slices"
 	"testing"
 
+	"mosaic/internal/eventlog"
 	"mosaic/internal/refmodel"
 	"mosaic/internal/sim"
 )
@@ -254,6 +255,36 @@ func runFleetScenario(workers int) ([]string, []FlowRecord) {
 		fs.Step(1)
 	}
 	return fs.EventLog(), fs.Records()
+}
+
+// The epoch log is bounded: mosaicfleetd steps one FleetSim for as long
+// as it lives and never reads this log, so it must stop retaining lines
+// at the eventlog cap rather than grow by one per epoch forever. Runs of
+// ordinary length (E24 is 24 epochs) keep every line.
+func TestFleetSimEventLogIsBounded(t *testing.T) {
+	topo, err := NewFleet(1, 1, 1, 2, 100e9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := NewFleetSim(topo, 1)
+	for e := 0; e < 24; e++ {
+		fs.Step(1)
+	}
+	day := slices.Clone(fs.EventLog())
+	if len(day) != 24 {
+		t.Fatalf("24 epochs logged %d lines", len(day))
+	}
+	for e := 24; e < eventlog.DefaultMax+10; e++ {
+		fs.Step(1)
+	}
+	log := fs.EventLog()
+	if len(log) != eventlog.DefaultMax {
+		t.Fatalf("idle FleetSim holds %d log lines after %d epochs, want the cap %d",
+			len(log), eventlog.DefaultMax+10, eventlog.DefaultMax)
+	}
+	if !slices.Equal(log[:24], day) {
+		t.Error("the first day's lines changed once the log hit its cap")
+	}
 }
 
 // Regression: a local flow rerouted inside its own shard must not be

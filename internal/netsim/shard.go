@@ -2,11 +2,11 @@ package netsim
 
 import (
 	"fmt"
-	"runtime"
 	"slices"
 	"strings"
-	"sync"
 
+	"mosaic/internal/eventlog"
+	"mosaic/internal/par"
 	"mosaic/internal/sim"
 )
 
@@ -46,7 +46,7 @@ import (
 type FleetSim struct {
 	Topo    *Topology
 	shardOf []int
-	workers int
+	pool    *par.Pool
 
 	now      sim.Time
 	capacity []float64 // shared; written only at barriers
@@ -56,7 +56,7 @@ type FleetSim struct {
 	cross  map[int]*crossFlow
 
 	records []FlowRecord // stalls + cross completions (shard records merged on demand)
-	log     []string
+	log     eventlog.Log // one line per epoch, capped at eventlog.DefaultMax
 
 	// Per-epoch counters (reset each Step).
 	epochIdx      int
@@ -96,7 +96,7 @@ func NewFleetSim(t *Topology, workers int) *FleetSim {
 	fs := &FleetSim{
 		Topo:     t,
 		shardOf:  LinkShards(t),
-		workers:  workers,
+		pool:     par.New(workers),
 		capacity: nominalCapacity(t),
 		cross:    make(map[int]*crossFlow),
 	}
@@ -141,8 +141,9 @@ func (fs *FleetSim) RatedFlows() uint64 {
 }
 
 // EventLog returns the per-epoch log lines (the determinism witness:
-// its sha must match at any worker count).
-func (fs *FleetSim) EventLog() []string { return fs.log }
+// its sha must match at any worker count), capped so that the FleetSim
+// inside a long-lived mosaicfleetd does not grow by a line per epoch.
+func (fs *FleetSim) EventLog() []string { return fs.log.Lines() }
 
 // Records merges all shard-local and fleet-level records, ordered by
 // (End, ID) — a deterministic global completion order.
@@ -354,10 +355,10 @@ func (fs *FleetSim) Step(epochLen sim.Time) {
 	for _, c := range fs.capacity {
 		capSum += c
 	}
-	fs.log = append(fs.log, fmt.Sprintf(
+	fs.log.Addf(
 		"epoch=%d t=%.3f arrivals=%d cross_arrivals=%d stalls=%d done=%d cross_done=%d per_shard=[%s] active=%d cross=%d cap_sum=%.6e",
 		fs.epochIdx, float64(fs.now), fs.arrivals, fs.crossArrivals, fs.stalls,
-		done, crossDone, strings.Join(perShard, ","), fs.ActiveFlows(), len(fs.cross), capSum))
+		done, crossDone, strings.Join(perShard, ","), fs.ActiveFlows(), len(fs.cross), capSum)
 	fs.epochIdx++
 	fs.arrivals, fs.crossArrivals, fs.stalls = 0, 0, 0
 	fs.now = epochEnd
@@ -375,37 +376,8 @@ func (sh *fleetShard) noteReRated(touched []*incFlow) {
 	}
 }
 
-// runShards executes fn once per shard, on fs.workers goroutines
-// (GOMAXPROCS when <= 0). Shards never share mutable state during a
-// phase, so the schedule cannot affect the result.
+// runShards executes fn once per shard on the fleet's pool. Shards share
+// no mutable state during a phase, so the schedule cannot affect the result.
 func (fs *FleetSim) runShards(fn func(*fleetShard)) {
-	w := fs.workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > len(fs.shards) {
-		w = len(fs.shards)
-	}
-	if w <= 1 {
-		for _, sh := range fs.shards {
-			fn(sh)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	work := make(chan *fleetShard)
-	for i := 0; i < w; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for sh := range work {
-				fn(sh)
-			}
-		}()
-	}
-	for _, sh := range fs.shards {
-		work <- sh
-	}
-	close(work)
-	wg.Wait()
+	fs.pool.Run(len(fs.shards), func(i int) { fn(fs.shards[i]) })
 }

@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 
 	"mosaic/internal/coding/linecode"
+	"mosaic/internal/par"
 )
 
 // Config describes a Mosaic PHY instance.
@@ -19,9 +20,9 @@ type Config struct {
 	// paper's operating point); used for throughput/latency accounting.
 	PerChannelBitRate float64
 	Seed              int64
-	// Workers caps how many pool workers the per-lane pipeline stage may
-	// use: 0 means runtime.GOMAXPROCS, 1 runs the lanes inline (serial).
-	// Results are bit-identical for any value — see pool.go.
+	// Workers sizes the par.Pool the per-lane pipeline stage fans out on:
+	// 0 means runtime.GOMAXPROCS, 1 runs the lanes inline (serial). Each
+	// lane owns its state and RNG, so results are bit-identical for any value.
 	Workers int
 }
 
@@ -76,7 +77,11 @@ type Link struct {
 	descrambler *linecode.Descrambler
 	scratch     linkScratch
 	probe       probeScratch
-	dispatch    *laneDispatcher
+
+	// The per-lane stage fans out on pool (nil when Workers == 1: inline).
+	// laneFn is stageLaneIdx bound once, so Run stays off the heap.
+	pool   *par.Pool
+	laneFn func(lane int)
 
 	superframes uint64 // completed Exchange rounds
 }
@@ -112,7 +117,10 @@ func New(cfg Config) (*Link, error) {
 	for i := range l.channels {
 		l.channels[i].init(0, cfg.Seed+int64(i)*7919)
 	}
-	l.dispatch = newLaneDispatcher(l.stageLaneIdx)
+	if cfg.Workers != 1 {
+		l.pool = par.New(cfg.Workers)
+	}
+	l.laneFn = l.stageLaneIdx
 	return l, nil
 }
 
@@ -231,7 +239,7 @@ type ExchangeBuf struct {
 // the 7-byte start block).
 //
 // The pipeline is staged (see pipeline.go); all buffers are reused across
-// calls and the per-lane stage runs on the persistent worker pool, so the
+// calls and the per-lane stage is one allocation-free par.Pool.Run, so the
 // steady state allocates only the returned frames and stats map. Callers
 // that consume the delivered frames before their next call should use
 // ExchangeInto, which recycles those too and allocates nothing at all.
@@ -309,7 +317,7 @@ func (l *Link) exchange(frames [][]byte, st *ExchangeStats, emit func(frame []by
 	sc := &l.scratch
 	sc.curLanes, sc.curUnits = lanes, totalUnits
 	sc.curTx, sc.curRx = stream, rxStream
-	l.dispatch.dispatch(lanes, l.cfg.Workers)
+	l.pool.Run(lanes, l.laneFn)
 	sc.curTx, sc.curRx = nil, nil
 
 	// --- Destripe: fold lane results serially, in lane order ---

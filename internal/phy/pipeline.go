@@ -14,8 +14,8 @@ import (
 //	per-lane transmit/decode → destripe → descramble → parse
 //
 // The serial stages run on the caller's goroutine and reuse buffers held
-// in linkScratch; the per-lane stage fans out over the persistent worker
-// pool (pool.go), each lane working exclusively on its own laneState.
+// in linkScratch; the per-lane stage fans out over the link's par.Pool
+// (Config.Workers), each lane working exclusively on its own laneState.
 // Striping allocates nothing: the padded TX stream is already a whole
 // number of units, so unit (seq, lane) is the byte view
 // stream[(seq*lanes+lane)*unitLen:], and on the receive side the lanes
@@ -74,8 +74,8 @@ type linkScratch struct {
 	parse    []byte // frame-in-progress buffer for the parse stage
 	lanes    []*laneState
 
-	// Arguments of the in-flight per-lane stage, read by the persistent
-	// dispatch function (see Link.stageLaneIdx): striping geometry plus
+	// Arguments of the in-flight per-lane stage, read by the pool task
+	// function (see Link.stageLaneIdx): striping geometry plus
 	// the TX and RX streams.
 	curLanes int
 	curUnits int
@@ -240,8 +240,8 @@ func LaneUnits(totalUnits, lanes, lane int) int {
 	return laneUnits(totalUnits, lanes, lane)
 }
 
-// stageLaneIdx is the persistent dispatch function handed to the link's
-// laneDispatcher at construction: it reads the in-flight Exchange's
+// stageLaneIdx is the task function the link hands its pool (bound once
+// at construction as Link.laneFn): it reads the in-flight Exchange's
 // striping arguments from linkScratch, so no per-call closure exists on
 // the hot path.
 func (l *Link) stageLaneIdx(lane int) {

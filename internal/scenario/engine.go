@@ -1,11 +1,10 @@
 package scenario
 
 import (
-	"crypto/sha256"
 	"fmt"
 	"math"
-	"strings"
 
+	"mosaic/internal/eventlog"
 	"mosaic/internal/netsim"
 	"mosaic/internal/telemetry"
 )
@@ -120,10 +119,8 @@ func Run(spec Spec, opts Options) (*Result, error) {
 		Hosts:  len(hosts),
 		Links:  len(topo.Links),
 	}
-	logf := func(format string, args ...any) {
-		res.EventLog = append(res.EventLog, fmt.Sprintf(format, args...))
-	}
-	logf("scenario=%s seed=%d epochs=%d hosts=%d links=%d workloads=%d environments=%d",
+	var log eventlog.Log
+	log.Addf("scenario=%s seed=%d epochs=%d hosts=%d links=%d workloads=%d environments=%d",
 		spec.Name, spec.Seed, spec.Epochs, len(hosts), len(topo.Links), len(workloads), len(envs))
 
 	winLen := spec.windowEpochs()
@@ -144,7 +141,7 @@ func Run(spec Spec, opts Options) (*Result, error) {
 		}
 		envEvents := 0
 		for i, env := range envs {
-			n := env.apply(e, mult, logf)
+			n := env.apply(e, mult, log.Addf)
 			eventCounts[i] += n
 			envEvents += n
 		}
@@ -158,7 +155,7 @@ func Run(spec Spec, opts Options) (*Result, error) {
 			unroutable += u
 		}
 		fs.Step(1)
-		logf("epoch=%d flows=%d unroutable=%d env_events=%d active=%d cross=%d",
+		log.Addf("epoch=%d flows=%d unroutable=%d env_events=%d active=%d cross=%d",
 			e, flows, unroutable, envEvents, fs.ActiveFlows(), fs.CrossFlows())
 
 		res.Flows += flows
@@ -200,9 +197,8 @@ func Run(spec Spec, opts Options) (*Result, error) {
 		})
 	}
 
-	res.EventLog = append(res.EventLog, fs.EventLog()...)
-	sum := sha256.Sum256([]byte(strings.Join(res.EventLog, "\n")))
-	res.LogSHA = fmt.Sprintf("%x", sum[:8])
+	res.EventLog = append(log.Lines(), fs.EventLog()...)
+	res.LogSHA = eventlog.Digest(res.EventLog)
 
 	if reg := opts.Metrics; reg != nil {
 		reg.Help("mosaic_scenario_runs_total", "Completed scenario runs by scenario name.")
