@@ -30,12 +30,19 @@ staticcheck:
 		echo "staticcheck: not installed, skipping (CI enforces it)"; \
 	fi
 
-# One execution substrate, one event log: non-test Go under internal/
-# and cmd/ writes `go func` or holds a sync.WaitGroup only in
-# internal/par, and hashes with sha256 only in internal/eventlog. The
-# allow-list is one server goroutine in each of httpx and mosaicfleetd,
-# and E23's copper stall-record hash (records, not a line log).
-SUBSTRATE_SRC = find internal cmd -name '*.go' ! -name '*_test.go'
+# One execution substrate, one event log, one superframe boundary:
+# non-test Go under internal/, cmd/ and examples/ writes `go func` or
+# holds a sync.WaitGroup only in internal/par, and hashes with sha256
+# only in internal/eventlog. The allow-list is one server goroutine in
+# each of httpx and mosaicfleetd, and E23's copper stall-record hash
+# (records, not a line log). The link supervisor is the single owner of
+# the reactive-sparing boundary: nothing calls Monitor.FailedChannels or
+# keeps a `handled` map (phy.Link.SpareFailed asks the mapper), only
+# faultinject/supervisor.go and mac/bridge.go install a transition-hook
+# closure, only the supervisor formats the remap line, and the Poisson
+# gap is drawn only inside internal/netsim (FlowSim.OfferPoisson).
+SUBSTRATE_SRC = find internal cmd examples -name '*.go' ! -name '*_test.go'
+SUPERVISOR = internal/faultinject/supervisor.go
 substrate:
 	@bad=$$( { $(SUBSTRATE_SRC) ! -path 'internal/par/*' \
 			! -path internal/telemetry/httpx/httpx.go ! -path cmd/mosaicfleetd/main.go \
@@ -44,12 +51,20 @@ substrate:
 			-exec grep -nF 'sha256.Sum256(' {} + ; \
 		for f in internal/telemetry/httpx/httpx.go cmd/mosaicfleetd/main.go; do \
 			[ "$$(grep -cE 'go func|sync\.WaitGroup' $$f)" -le 1 ] || echo "$$f: more than its one server goroutine"; \
+		done; \
+		$(SUBSTRATE_SRC) -exec grep -nE '\.FailedChannels\(|handled[A-Za-z]*[ :=]+(make\()?map\[' {} + ; \
+		$(SUBSTRATE_SRC) ! -path $(SUPERVISOR) ! -path internal/mac/bridge.go \
+			-exec grep -nF 'SetTransitionHook(func' {} + ; \
+		$(SUBSTRATE_SRC) ! -path $(SUPERVISOR) -exec grep -nF '"sf=%d remap %v"' {} + ; \
+		$(SUBSTRATE_SRC) ! -path 'internal/netsim/*' -exec grep -nF '.NextGapSec(' {} + ; \
+		for pat in 'SetTransitionHook(func' '"sf=%d remap %v"'; do \
+			[ "$$(grep -cF "$$pat" $(SUPERVISOR))" -eq 1 ] || echo "$(SUPERVISOR): want exactly one $$pat"; \
 		done; } ); \
 	if [ -n "$$bad" ]; then \
-		echo "substrate: FAIL — use internal/par for fan-out and internal/eventlog for log digests:"; \
+		echo "substrate: FAIL — use internal/par for fan-out, internal/eventlog for log digests, faultinject.Supervisor for the superframe boundary:"; \
 		echo "$$bad"; exit 1; \
 	fi; \
-	echo "substrate: OK — goroutines only in internal/par, sha256 only in internal/eventlog"
+	echo "substrate: OK — goroutines only in internal/par, sha256 only in internal/eventlog, sparing/hook/remap line only in the link supervisor"
 
 build:
 	$(GO) build ./...
@@ -69,8 +84,13 @@ race:
 # scenario-library goldens: every registered scenario experiment
 # (E26/E27) renders a byte-identical table at 1 worker vs GOMAXPROCS,
 # and 50 shuffles of a spec's component arrays keep the event-log sha.
+# The soak and MAC-session golden shas (both harnesses cross every
+# superframe through the link supervisor) run at 1/2/3/4/NumCPU/all
+# PHY workers.
 determinism:
 	$(GO) test -run TestDeterminism -count=2 ./internal/phy/
+	$(GO) test -run 'TestSoakDeterminismAcrossWorkerCounts' -count=1 ./internal/faultinject/
+	$(GO) test -run 'TestSessionDeterminismAcrossWorkerCounts' -count=1 ./internal/mac/
 	$(GO) test -run 'TestFleetSimWorkerInvariance' -count=1 ./internal/netsim/
 	$(GO) test -run 'TestE24DeterministicAcrossWorkers|TestScenarioTablesDeterministicAcrossWorkers' -count=1 ./internal/experiments/
 	$(GO) test -run 'TestFleetdDeterministicAcrossWorkers|TestConcurrentAdmissionDeterministic' -count=1 ./internal/fleetd/

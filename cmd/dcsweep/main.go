@@ -79,27 +79,11 @@ func runScenario(k int, rate, load float64, nflows int, seed int64, frac float64
 	}
 	eng := sim.NewEngine(seed)
 	fs := netsim.NewFlowSim(topo, eng)
-	hosts := topo.Hosts()
 	dist := workload.WebSearch()
-	arr := workload.NewPoissonForLoad(load, len(hosts), rate, dist.MeanBits())
+	arr := workload.NewPoissonForLoad(load, topo.NumHosts(), rate, dist.MeanBits())
 	rng := eng.RNG("workload")
 
-	var schedule func(i int, at sim.Time)
-	schedule = func(i int, at sim.Time) {
-		if i >= nflows {
-			return
-		}
-		eng.Schedule(at, func() {
-			src := hosts[rng.Intn(len(hosts))]
-			dst := hosts[rng.Intn(len(hosts))]
-			for dst == src {
-				dst = hosts[rng.Intn(len(hosts))]
-			}
-			_, _ = fs.StartFlow(src, dst, dist.SampleBits(rng), rng.Uint64())
-			schedule(i+1, at+sim.Time(arr.NextGapSec(rng)))
-		})
-	}
-	schedule(0, 0)
+	fs.OfferPoisson(nflows, dist, arr, rng)
 	if frac >= 0 {
 		// Mid-run fault on an access link (no ECMP diversity there).
 		faultAt := sim.Time(0.15 * float64(nflows) / arr.RatePerSec)

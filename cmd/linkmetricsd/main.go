@@ -242,12 +242,6 @@ func soakLoop(newLink func() *phy.Link, reg *telemetry.Registry,
 	log.Printf("soak finished after %d rounds; still serving", p.rounds)
 }
 
-// nullSink is the MAC bridge's capacity sink when no network simulator
-// is attached: renegotiations land only in the metric registry.
-type nullSink struct{}
-
-func (nullSink) SetLinkCapacityFraction(int, float64) {}
-
 // macSoakLoop is soakLoop's MAC-mode twin: each round replays a seeded
 // random-kill schedule against the forward link of a full-duplex MAC
 // session, so the registry carries the mosaic_mac_* set (retransmits,
@@ -262,23 +256,8 @@ func macSoakLoop(newLink func() *phy.Link, reg *telemetry.Registry,
 	var pc mac.PairConfig
 	pc.Endpoint.ARQ = p.arq
 	pc.Endpoint.VCs = p.vcs
-	if p.vcs > 0 {
-		classes := make([]uint8, p.vcs)
-		for vc := range classes {
-			classes[vc] = uint8(vc % mac.NumClasses)
-		}
-		pc.Endpoint.VCClass = classes
-	}
 	var vcPackets []int
-	if p.vcs > 1 {
-		vcPackets = make([]int, p.vcs)
-		for vc := range vcPackets {
-			vcPackets[vc] = p.frames / p.vcs
-			if vc < p.frames%p.vcs {
-				vcPackets[vc]++
-			}
-		}
-	}
+	pc.Endpoint.VCClass, vcPackets = mac.RoundRobinVCs(p.vcs, p.frames)
 	fwd, rev := newLink(), newLink()
 	for round := 0; p.rounds == 0 || round < p.rounds; round++ {
 		select {
@@ -304,7 +283,7 @@ func macSoakLoop(newLink func() *phy.Link, reg *telemetry.Registry,
 			VCPackets:    vcPackets,
 			PacketLen:    p.frameLen,
 			Seed:         p.seed,
-			Bridge:       mac.NewBridge(fwd, nullSink{}, 0, eng),
+			Bridge:       mac.NewBridge(fwd, mac.DiscardCapacity{}, 0, eng),
 			Metrics:      reg,
 		})
 		if err != nil {

@@ -103,10 +103,7 @@ func macDemo(d core.Design, seed int64, packets int, arqName string, vcs int) {
 	if err != nil {
 		fatal(err)
 	}
-	classes := make([]uint8, vcs)
-	for vc := range classes {
-		classes[vc] = uint8(vc % mac.NumClasses)
-	}
+	classes, _ := mac.RoundRobinVCs(vcs, 0)
 	delivered := 0
 	pair, err := mac.NewPair(fwd, rev, mac.PairConfig{
 		Endpoint: mac.Config{Window: 64, RetxTimeout: 2, MaxPayload: 1500,
@@ -203,13 +200,7 @@ func report(d core.Design, seed int64, eye, run bool, frames int, sweep bool) {
 	if err != nil {
 		fatal(err)
 	}
-	rng := rand.New(rand.NewSource(seed))
-	payload := make([][]byte, frames)
-	for i := range payload {
-		payload[i] = make([]byte, 1500)
-		rng.Read(payload[i])
-	}
-	_, st, err := link.Exchange(payload)
+	_, st, err := link.Exchange(phy.SeededFrames(seed, frames, 1500))
 	if err != nil {
 		fatal(err)
 	}

@@ -172,12 +172,6 @@ func main() {
 	fmt.Println(res.Summary())
 }
 
-// printSink is the MAC bridge's capacity sink when there is no network
-// simulator attached: renegotiations only land in the event log.
-type printSink struct{}
-
-func (printSink) SetLinkCapacityFraction(int, float64) {}
-
 // runMACSoak replays the schedule against the forward link of a
 // full-duplex MAC pair: client packets cross the CRC-framed LLR (the
 // selected ARQ discipline, split across the configured virtual
@@ -200,25 +194,8 @@ func runMACSoak(fwd *phy.Link, cfg phy.Config, sched faultinject.Schedule,
 	var pc mac.PairConfig
 	pc.Endpoint.ARQ = arq
 	pc.Endpoint.VCs = vcs
-	if vcs > 0 {
-		classes := make([]uint8, vcs)
-		for vc := range classes {
-			classes[vc] = uint8(vc % mac.NumClasses)
-		}
-		pc.Endpoint.VCClass = classes
-	}
-	// Split the per-superframe packet load evenly across VCs (the first
-	// packets%vcs channels carry one extra).
 	var vcPackets []int
-	if vcs > 1 {
-		vcPackets = make([]int, vcs)
-		for vc := range vcPackets {
-			vcPackets[vc] = packets / vcs
-			if vc < packets%vcs {
-				vcPackets[vc]++
-			}
-		}
-	}
+	pc.Endpoint.VCClass, vcPackets = mac.RoundRobinVCs(vcs, packets)
 	eng := sim.NewEngine(seed)
 	sess, err := mac.NewSession(mac.SessionConfig{
 		Engine:       eng,
@@ -232,7 +209,7 @@ func runMACSoak(fwd *phy.Link, cfg phy.Config, sched faultinject.Schedule,
 		VCPackets:    vcPackets,
 		PacketLen:    packetLen,
 		Seed:         seed,
-		Bridge:       mac.NewBridge(fwd, printSink{}, 0, eng),
+		Bridge:       mac.NewBridge(fwd, mac.DiscardCapacity{}, 0, eng),
 		Metrics:      reg,
 	})
 	if err != nil {

@@ -55,28 +55,12 @@ func run(frac float64) netsim.FCTStats {
 	}
 	eng := sim.NewEngine(3)
 	fs := netsim.NewFlowSim(topo, eng)
-	hosts := topo.Hosts()
 	dist := workload.WebSearch()
-	arr := workload.NewPoissonForLoad(0.4, len(hosts), 800e9, dist.MeanBits())
+	arr := workload.NewPoissonForLoad(0.4, topo.NumHosts(), 800e9, dist.MeanBits())
 	rng := eng.RNG("flows")
 
 	const nflows = 2000
-	var schedule func(i int, at sim.Time)
-	schedule = func(i int, at sim.Time) {
-		if i >= nflows {
-			return
-		}
-		eng.Schedule(at, func() {
-			src := hosts[rng.Intn(len(hosts))]
-			dst := hosts[rng.Intn(len(hosts))]
-			for dst == src {
-				dst = hosts[rng.Intn(len(hosts))]
-			}
-			_, _ = fs.StartFlow(src, dst, dist.SampleBits(rng), rng.Uint64())
-			schedule(i+1, at+sim.Time(arr.NextGapSec(rng)))
-		})
-	}
-	schedule(0, 0)
+	fs.OfferPoisson(nflows, dist, arr, rng)
 	if frac >= 0 {
 		// Fault once ~15% of the flows have arrived (mid-run, independent
 		// of absolute arrival rate). Fault an access link: that is where

@@ -8,9 +8,9 @@ package main
 import (
 	"fmt"
 	"log"
-	"math/rand"
 
 	"mosaic/internal/core"
+	"mosaic/internal/phy"
 	"mosaic/internal/units"
 )
 
@@ -23,12 +23,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	rng := rand.New(rand.NewSource(7))
-	frames := make([][]byte, 50)
-	for i := range frames {
-		frames[i] = make([]byte, 1500)
-		rng.Read(frames[i])
-	}
+	frames := phy.SeededFrames(7, 50, 1500)
 
 	exchange := func(tag string) {
 		_, st, err := link.Exchange(frames)

@@ -5,9 +5,9 @@ package main
 import (
 	"fmt"
 	"log"
-	"math/rand"
 
 	"mosaic/internal/core"
+	"mosaic/internal/phy"
 	"mosaic/internal/units"
 )
 
@@ -38,12 +38,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(42))
-	frames := make([][]byte, 100)
-	for i := range frames {
-		frames[i] = make([]byte, 1500)
-		rng.Read(frames[i])
-	}
+	frames := phy.SeededFrames(42, 100, 1500)
 	delivered, stats, err := link.Exchange(frames)
 	if err != nil {
 		log.Fatal(err)

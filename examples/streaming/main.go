@@ -7,7 +7,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"math/rand"
 
 	"mosaic/internal/core"
 	"mosaic/internal/phy"
@@ -30,12 +29,7 @@ func main() {
 
 	// A steady source: 2000 x 1500B frames ≈ 24 Mbit, a few hundred µs at
 	// 200 Gbps.
-	rng := rand.New(rand.NewSource(4))
-	frames := make([][]byte, 2000)
-	for i := range frames {
-		frames[i] = make([]byte, 1500)
-		rng.Read(frames[i])
-	}
+	frames := phy.SeededFrames(4, 2000, 1500)
 	stream.Enqueue(frames...)
 
 	// Channel 33's transmitter dies 40 µs in; ops spares it 40 µs later.

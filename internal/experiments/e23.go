@@ -115,31 +115,12 @@ func runE23Scenario(seed int64, workers int, mode e23Mode) (netsim.FCTStats, *ma
 	}
 	eng := sim.NewEngine(seed)
 	fs := netsim.NewFlowSim(topo, eng)
-	hosts := topo.Hosts()
 	dist := workload.WebSearch()
-	arr := workload.NewPoissonForLoad(0.4, len(hosts), 800e9, dist.MeanBits())
+	arr := workload.NewPoissonForLoad(0.4, topo.NumHosts(), 800e9, dist.MeanBits())
 	rng := eng.RNG("workload")
 
 	const nflows = 3000
-	unroutable := 0
-	var schedule func(i int, at sim.Time)
-	schedule = func(i int, at sim.Time) {
-		if i >= nflows {
-			return
-		}
-		eng.Schedule(at, func() {
-			src := hosts[rng.Intn(len(hosts))]
-			dst := hosts[rng.Intn(len(hosts))]
-			for dst == src {
-				dst = hosts[rng.Intn(len(hosts))]
-			}
-			if _, err := fs.StartFlow(src, dst, dist.SampleBits(rng), rng.Uint64()); err != nil {
-				unroutable++
-			}
-			schedule(i+1, at+sim.Time(arr.NextGapSec(rng)))
-		})
-	}
-	schedule(0, 0)
+	unroutable := fs.OfferPoisson(nflows, dist, arr, rng)
 
 	victim := topo.LinksByTier()[netsim.TierHostToR][0]
 	// 60 session superframes span the whole arrival window; the first
@@ -191,7 +172,7 @@ func runE23Scenario(seed int64, workers int, mode e23Mode) (netsim.FCTStats, *ma
 	eng.Run()
 	recs := fs.Records()
 	st := netsim.Stats(recs)
-	st.Stalled += unroutable
+	st.Stalled += *unroutable
 	if sess != nil {
 		res := sess.Result()
 		if res.Err != "" {

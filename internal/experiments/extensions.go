@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"mosaic/internal/channel"
 	"mosaic/internal/core"
@@ -109,7 +108,7 @@ func E15Cost() (Table, error) {
 func E16BlastRadius(seed int64) (Table, error) {
 	t := tableFor("E16")
 	t.Columns = []string{"architecture", "healthy", "after 1 death", "after repair action"}
-	rng := randFrames(seed, 100, 1500)
+	rng := phy.SeededFrames(seed, 100, 1500)
 
 	run := func(cfg phy.Config) (h, dead, repaired string, err error) {
 		link, err := phy.New(cfg)
@@ -207,16 +206,6 @@ func E17Equalization() (Table, error) {
 	t.Notes = "taps=0 means the raw channel meets the target: no FFE, no DFE, no CDR complexity — " +
 		"the analog front end is a slicer"
 	return t, nil
-}
-
-func randFrames(seed int64, n, size int) [][]byte {
-	rng := rand.New(rand.NewSource(seed))
-	frames := make([][]byte, n)
-	for i := range frames {
-		frames[i] = make([]byte, size)
-		rng.Read(frames[i])
-	}
-	return frames
 }
 
 // A5Modulation contrasts NRZ against PAM4 per channel: PAM4 would halve

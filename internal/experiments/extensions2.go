@@ -15,7 +15,7 @@ import (
 func E18Waterfall(seed int64) (Table, error) {
 	t := tableFor("E18")
 	t.Columns = []string{"BER", "none", "hamming72", "rslite", "kp4"}
-	frames := randFrames(seed, 150, 1500)
+	frames := phy.SeededFrames(seed, 150, 1500)
 	fecs := []phy.FEC{phy.NoFEC{}, phy.HammingFEC{}, phy.NewRSLite(), phy.NewRSKP4()}
 	for _, ber := range []float64{1e-7, 1e-6, 1e-5, 3e-5, 1e-4, 3e-4, 1e-3} {
 		row := []string{fe(ber)}
@@ -104,7 +104,7 @@ func E21PredictiveMaintenance(seed int64) (Table, error) {
 	if err != nil {
 		return t, err
 	}
-	frames := randFrames(seed, 60, 1500)
+	frames := phy.SeededFrames(seed, 60, 1500)
 	policy := phy.DefaultMaintenancePolicy()
 	policy.KeepSpares = 0
 	var lostPro, lostRea int
@@ -122,9 +122,7 @@ func E21PredictiveMaintenance(seed int64) (Table, error) {
 		}
 		pro.Maintain(policy)
 		// Reactive: only hard failure detection (monitor Failed state).
-		for _, p := range rea.Monitor().FailedChannels() {
-			rea.FailChannel(p)
-		}
+		rea.SpareFailed(nil)
 		stateOf := func(l *phy.Link) string {
 			if l.Mapper().LaneOf(victim) == -1 {
 				return "replaced"

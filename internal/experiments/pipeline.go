@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"mosaic/internal/core"
 	"mosaic/internal/mac"
@@ -85,12 +84,7 @@ func sortFloats(v []float64) {
 func E10EndToEnd(seed int64) (Table, error) {
 	t := tableFor("E10")
 	t.Columns = []string{"length_m", "frames_ok", "frames_bad", "corrections", "goodput_frac"}
-	rng := rand.New(rand.NewSource(seed))
-	frames := make([][]byte, 200)
-	for i := range frames {
-		frames[i] = make([]byte, 1500)
-		rng.Read(frames[i])
-	}
+	frames := phy.SeededFrames(seed, 200, 1500)
 	// The delivered frames are only counted, never kept, so one arena
 	// serves every reach point.
 	var buf phy.ExchangeBuf
@@ -203,32 +197,13 @@ func runFaultScenario(seed int64, tier netsim.Tier, mode faultMode) (netsim.FCTS
 	}
 	eng := sim.NewEngine(seed)
 	fs := netsim.NewFlowSim(topo, eng)
-	hosts := topo.Hosts()
 	dist := workload.WebSearch()
-	arr := workload.NewPoissonForLoad(0.4, len(hosts), 800e9, dist.MeanBits())
+	arr := workload.NewPoissonForLoad(0.4, topo.NumHosts(), 800e9, dist.MeanBits())
 	rng := eng.RNG("workload")
 
 	// Inject 3000 flows with Poisson arrivals.
 	const nflows = 3000
-	unroutable := 0
-	var schedule func(i int, at sim.Time)
-	schedule = func(i int, at sim.Time) {
-		if i >= nflows {
-			return
-		}
-		eng.Schedule(at, func() {
-			src := hosts[rng.Intn(len(hosts))]
-			dst := hosts[rng.Intn(len(hosts))]
-			for dst == src {
-				dst = hosts[rng.Intn(len(hosts))]
-			}
-			if _, err := fs.StartFlow(src, dst, dist.SampleBits(rng), rng.Uint64()); err != nil {
-				unroutable++ // endpoint stranded by a dead access link
-			}
-			schedule(i+1, at+sim.Time(arr.NextGapSec(rng)))
-		})
-	}
-	schedule(0, 0)
+	unroutable := fs.OfferPoisson(nflows, dist, arr, rng)
 
 	if mode != faultNone {
 		faultAt := sim.Time(0.15 * nflows / arr.RatePerSec)
@@ -264,7 +239,7 @@ func runFaultScenario(seed int64, tier netsim.Tier, mode faultMode) (netsim.FCTS
 	}
 	eng.Run()
 	st := netsim.Stats(fs.Records())
-	st.Stalled += unroutable
+	st.Stalled += *unroutable
 	return st, nil
 }
 
@@ -289,12 +264,7 @@ func A1Oversampling() (Table, error) {
 func A2FECChoice(seed int64) (Table, error) {
 	t := tableFor("A2")
 	t.Columns = []string{"BER", "fec", "overhead", "frames_ok", "corrections"}
-	rng := rand.New(rand.NewSource(seed))
-	frames := make([][]byte, 100)
-	for i := range frames {
-		frames[i] = make([]byte, 1500)
-		rng.Read(frames[i])
-	}
+	frames := phy.SeededFrames(seed, 100, 1500)
 	fecs := []phy.FEC{phy.NoFEC{}, phy.HammingFEC{}, phy.NewRSLite(), phy.NewRSKP4()}
 	for _, ber := range []float64{1e-7, 1e-5, 1e-4} {
 		for _, fec := range fecs {
@@ -324,12 +294,7 @@ func A2FECChoice(seed int64) (Table, error) {
 func A3UnitSize(seed int64) (Table, error) {
 	t := tableFor("A3")
 	t.Columns = []string{"unit_B", "goodput_frac", "frames_ok@1e-5"}
-	rng := rand.New(rand.NewSource(seed))
-	frames := make([][]byte, 100)
-	for i := range frames {
-		frames[i] = make([]byte, 1500)
-		rng.Read(frames[i])
-	}
+	frames := phy.SeededFrames(seed, 100, 1500)
 	for _, unit := range []int{63, 117, 243, 495, 999} {
 		cfg := phy.DefaultConfig()
 		cfg.UnitLen = unit
@@ -355,12 +320,7 @@ func A3UnitSize(seed int64) (Table, error) {
 func A4SparingPolicy(seed int64) (Table, error) {
 	t := tableFor("A4")
 	t.Columns = []string{"failures", "with_4_spares_rate", "no_spares_rate", "with_spares_ok", "no_spares_ok"}
-	rng := rand.New(rand.NewSource(seed))
-	frames := make([][]byte, 50)
-	for i := range frames {
-		frames[i] = make([]byte, 1200)
-		rng.Read(frames[i])
-	}
+	frames := phy.SeededFrames(seed, 50, 1200)
 	mk := func(spares int) (*phy.Link, error) {
 		cfg := phy.DefaultConfig()
 		cfg.Lanes = 20

@@ -4,10 +4,12 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"mosaic/internal/eventlog"
 )
 
 // Degenerate event shapes must be rejected at validation, not limp
-// through the applier: a zero-duration burst would save-and-restore the
+// through the supervisor: a zero-duration burst would save-and-restore the
 // same BER in one step (a no-op that still logs an injection), and a
 // zero-duration aging ramp divides by zero in the progress computation.
 func TestValidateDegenerateEvents(t *testing.T) {
@@ -56,11 +58,13 @@ func TestOverlappingCorrelatedWindows(t *testing.T) {
 	if err := sched.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	a := NewApplier(link, sched)
+	var log eventlog.Log
+	a := Supervise(link, &log, nil)
+	a.Load(sched, 0)
 	var injected int
 	a.OnInject = func(Event) { injected++ }
-	a.Step(0)
-	a.Step(1)
+	a.Begin(0)
+	a.Begin(1)
 	if injected != 3 {
 		t.Fatalf("injected %d events, want all 3 despite overlap", injected)
 	}

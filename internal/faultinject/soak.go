@@ -3,7 +3,6 @@ package faultinject
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 
 	"mosaic/internal/eventlog"
 	"mosaic/internal/phy"
@@ -94,98 +93,38 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	link := cfg.Link
-	res := &Result{
-		FirstDropSF:    -1,
-		DegradedSF:     -1,
-		SpareExhaustSF: -1,
-		LanesStart:     link.Mapper().NumLanes(),
-	}
+	res := &Result{FirstDropSF: -1, DegradedSF: -1, SpareExhaustSF: -1}
 	log := eventlog.Log{Max: cfg.MaxLog}
 	defer func() { res.Log = log.Lines() }() // also on the error return
 
 	// Fixed traffic, regenerated per run from the seed (the same frames
 	// every superframe, like the determinism goldens).
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	frames := make([][]byte, cfg.FramesPerSF)
-	for i := range frames {
-		frames[i] = make([]byte, cfg.FrameLen)
-		rng.Read(frames[i])
-	}
+	frames := phy.SeededFrames(cfg.Seed, cfg.FramesPerSF, cfg.FrameLen)
 
-	// Optional telemetry: the collector owns the link/channel metric set;
-	// the soak adds its own event counters. All of it is fed from this
+	// The supervisor owns the schedule, the monitor hook, reactive sparing,
+	// the lane/spare milestones and the per-link telemetry feed; the soak
+	// adds its own event counters on top. All telemetry is fed from this
 	// goroutine at superframe boundaries, never from a scrape.
-	var (
-		col         *telemetry.LinkCollector
-		mInject     map[Kind]*telemetry.Counter
-		mRemaps     *telemetry.Counter
-		mMaintain   *telemetry.Counter
-		mFirstDrop  *telemetry.Gauge
-		mDegraded   *telemetry.Gauge
-		mExhausted  *telemetry.Gauge
-		mSuperframe *telemetry.Counter
-	)
-	if cfg.Metrics != nil {
-		col = telemetry.NewLinkCollector(cfg.Metrics, link)
-		cfg.Metrics.Help("mosaic_soak_injections_total", "fault events injected, by kind")
-		cfg.Metrics.Help("mosaic_soak_first_drop_superframe", "superframe of the first lost/corrupted frame (-1 = never)")
-		mInject = make(map[Kind]*telemetry.Counter, 4)
-		for _, k := range []Kind{KindKill, KindAging, KindBurst, KindCorrelated} {
-			mInject[k] = cfg.Metrics.Counter("mosaic_soak_injections_total", "kind", string(k))
-		}
-		mRemaps = cfg.Metrics.Counter("mosaic_soak_remaps_total")
-		mMaintain = cfg.Metrics.Counter("mosaic_soak_maintenance_actions_total")
-		mSuperframe = cfg.Metrics.Counter("mosaic_soak_superframes_total")
-		mFirstDrop = cfg.Metrics.Gauge("mosaic_soak_first_drop_superframe")
-		mDegraded = cfg.Metrics.Gauge("mosaic_soak_degraded_superframe")
-		mExhausted = cfg.Metrics.Gauge("mosaic_soak_spare_exhaust_superframe")
-		mFirstDrop.SetInt(-1)
-		mDegraded.SetInt(-1)
-		mExhausted.SetInt(-1)
-	}
-
-	// Health transitions land in the log as they happen; sf tracks the
-	// current superframe for the hook.
-	sf := 0
+	sup := Supervise(link, &log, cfg.Metrics)
+	defer sup.Close()
+	sup.Load(cfg.Schedule, 0)
+	res.LanesStart = sup.LanesStart()
 	base := link.Monitor().Transitions()
-	link.Monitor().SetTransitionHook(func(physical int, from, to phy.ChannelState) {
-		log.Addf("sf=%d transition ch=%d %v->%v", sf, physical, from, to)
-		if col != nil {
-			col.OnTransition(physical, from, to)
-		}
-	})
-	defer link.Monitor().SetTransitionHook(nil)
 
-	// The Applier owns the schedule cursor plus aging-ramp and burst
-	// state; the soak only observes injections (log + counters).
-	applier := NewApplier(link, cfg.Schedule)
-	applier.OnInject = func(e Event) {
+	var m *soakMetrics
+	if cfg.Metrics != nil {
+		m = newSoakMetrics(cfg.Metrics)
+	}
+	sup.OnInject = func(e Event) {
 		log.Addf("inject %v", e)
-		if ctr := mInject[e.Kind]; ctr != nil {
-			ctr.Inc()
-		}
-	}
-	handled := make(map[int]bool) // physicals already spared out
-
-	spare := func(physical int) {
-		if handled[physical] {
-			return
-		}
-		handled[physical] = true
-		ev := link.FailChannel(physical)
-		res.Remaps++
-		log.Addf("sf=%d remap %v", sf, ev)
-		if mRemaps != nil {
-			mRemaps.Inc()
+		if m != nil {
+			m.inject[e.Kind].Inc()
 		}
 	}
 
-	for sf = 0; sf < cfg.Superframes; sf++ {
-		// 1+2. Inject events due at this boundary, step aging ramps
-		// (log-linear BER climb), and expire bursts.
-		applier.Step(sf)
+	for sf := 0; sf < cfg.Superframes; sf++ {
+		sup.Begin(sf)
 
-		// 3. One superframe of traffic.
 		_, st, err := link.Exchange(frames)
 		if err != nil {
 			return res, fmt.Errorf("faultinject: superframe %d: %w", sf, err)
@@ -199,53 +138,30 @@ func Run(cfg Config) (*Result, error) {
 		if res.FirstDropSF < 0 && st.FramesDelivered < st.FramesIn {
 			res.FirstDropSF = sf
 			log.Addf("sf=%d first-drop delivered=%d/%d", sf, st.FramesDelivered, st.FramesIn)
-			if mFirstDrop != nil {
-				mFirstDrop.SetInt(int64(sf))
-			}
-		}
-		if col != nil {
-			col.ObserveExchange(st)
-			mSuperframe.Inc()
 		}
 
-		// 4. Reactive sparing: monitor-failed channels are remapped at
-		// the boundary, taking effect next superframe.
-		for _, p := range link.Monitor().FailedChannels() {
-			spare(p)
-		}
+		remaps := sup.Spare()
+		res.Remaps += remaps
 
-		// 5. Periodic proactive maintenance.
+		// Periodic proactive maintenance.
 		if cfg.MaintainEvery > 0 && (sf+1)%cfg.MaintainEvery == 0 {
 			for _, a := range link.Maintain(cfg.Policy) {
-				handled[a.Physical] = true
 				res.MaintenanceActions++
 				log.Addf("sf=%d maintain %v", sf, a)
-				if mMaintain != nil {
-					mMaintain.Inc()
+				if m != nil {
+					m.maintain.Inc()
 				}
 			}
 		}
 
-		// 6. Milestones.
-		if res.DegradedSF < 0 && link.Mapper().NumLanes() < res.LanesStart {
-			res.DegradedSF = sf
-			log.Addf("sf=%d degraded lanes=%d/%d", sf, link.Mapper().NumLanes(), res.LanesStart)
-			if mDegraded != nil {
-				mDegraded.SetInt(int64(sf))
-			}
-		}
-		if res.SpareExhaustSF < 0 && link.Mapper().SparesLeft() == 0 {
-			res.SpareExhaustSF = sf
-			log.Addf("sf=%d spares-exhausted", sf)
-			if mExhausted != nil {
-				mExhausted.SetInt(int64(sf))
-			}
-		}
-
-		// 7. Refresh gauges and per-channel counters at the boundary, so
-		// a concurrent scrape always sees a whole-superframe view.
-		if col != nil {
-			col.Sync()
+		sup.End(st)
+		res.DegradedSF, res.SpareExhaustSF = sup.Milestones()
+		if m != nil {
+			m.superframes.Inc()
+			m.remaps.Add(uint64(remaps))
+			m.firstDrop.SetInt(int64(res.FirstDropSF))
+			m.degraded.SetInt(int64(res.DegradedSF))
+			m.exhausted.SetInt(int64(res.SpareExhaustSF))
 		}
 	}
 
@@ -261,6 +177,36 @@ func Run(cfg Config) (*Result, error) {
 		HealthyToFailed:   tr.HealthyToFailed - base.HealthyToFailed,
 	}
 	return res, nil
+}
+
+// soakMetrics is the soak-level event telemetry of a run (injections by
+// kind, remaps, maintenance actions, milestone superframes), next to the
+// per-link set the supervisor's collector owns.
+type soakMetrics struct {
+	inject                         map[Kind]*telemetry.Counter
+	remaps, maintain, superframes  *telemetry.Counter
+	firstDrop, degraded, exhausted *telemetry.Gauge
+}
+
+func newSoakMetrics(reg *telemetry.Registry) *soakMetrics {
+	reg.Help("mosaic_soak_injections_total", "fault events injected, by kind")
+	reg.Help("mosaic_soak_first_drop_superframe", "superframe of the first lost/corrupted frame (-1 = never)")
+	m := &soakMetrics{
+		inject:      make(map[Kind]*telemetry.Counter, 4),
+		remaps:      reg.Counter("mosaic_soak_remaps_total"),
+		maintain:    reg.Counter("mosaic_soak_maintenance_actions_total"),
+		superframes: reg.Counter("mosaic_soak_superframes_total"),
+		firstDrop:   reg.Gauge("mosaic_soak_first_drop_superframe"),
+		degraded:    reg.Gauge("mosaic_soak_degraded_superframe"),
+		exhausted:   reg.Gauge("mosaic_soak_spare_exhaust_superframe"),
+	}
+	for _, k := range []Kind{KindKill, KindAging, KindBurst, KindCorrelated} {
+		m.inject[k] = reg.Counter("mosaic_soak_injections_total", "kind", string(k))
+	}
+	m.firstDrop.SetInt(-1)
+	m.degraded.SetInt(-1)
+	m.exhausted.SetInt(-1)
+	return m
 }
 
 // Summary renders the aggregate counters as a short multi-line report.

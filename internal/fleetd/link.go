@@ -29,7 +29,7 @@ func (c *capRecorder) SetLinkCapacityFraction(_ int, frac float64) {
 
 // managedLink is one fleet member: a full-duplex PHY pair under a MAC
 // endpoint pair, a seeded fault schedule replayed by the shared
-// faultinject.Applier, and a capacity bridge — plus the lifecycle
+// faultinject.Supervisor, and a capacity bridge — plus the lifecycle
 // bookkeeping the state machine needs. During a pooled step the link is
 // owned exclusively by its worker; between steps the fleet lock guards
 // it.
@@ -44,7 +44,7 @@ type managedLink struct {
 
 	fwd, rev *phy.Link
 	pair     *mac.Pair
-	applier  *faultinject.Applier
+	sup      *faultinject.Supervisor
 	round    int // fault-schedule round (sf / Horizon)
 	eng      *sim.Engine
 	bridge   *mac.Bridge
@@ -55,8 +55,7 @@ type managedLink struct {
 	drained  int // superframes spent draining
 	err      error
 
-	packets     [][]byte
-	handledFail map[int]bool
+	packets [][]byte
 
 	// events buffers this epoch's log lines; the fleet merges and clears
 	// it at the barrier.
@@ -122,36 +121,26 @@ func (m *managedLink) construct() error {
 	}
 
 	var pc mac.PairConfig
-	pc.Endpoint.MaxPayload = d.PacketLen
-	pc.Endpoint.Window = 4 * d.PacketsPerSF
-	if pc.Endpoint.Window < mac.DefaultWindow {
-		pc.Endpoint.Window = mac.DefaultWindow
-	}
-	// One tick of fresh data plus a full retransmission round plus a
-	// pure ack — the same sizing rule mac.Session uses.
-	pc.Endpoint.PayloadBudget = (2*d.PacketsPerSF + 1) * (d.PacketLen + mac.Overhead)
+	pc.Endpoint.SizeFor(d.PacketsPerSF, 0, d.PacketLen)
 	if m.pair, err = mac.NewPair(m.fwd, m.rev, pc, nil, nil); err != nil {
 		return err
 	}
 
 	// Fixed client payloads regenerated from the seed.
-	rng := rand.New(rand.NewSource(m.seed))
-	m.packets = make([][]byte, d.PacketsPerSF)
-	for i := range m.packets {
-		m.packets[i] = make([]byte, d.PacketLen)
-		rng.Read(m.packets[i])
-	}
+	m.packets = phy.SeededFrames(m.seed, d.PacketsPerSF, d.PacketLen)
 
 	m.nominal = m.fwd.Mapper().NumLanes()
 	m.contract = m.nominal
 	m.caps.frac = 1
-	m.handledFail = make(map[int]bool)
 
-	// Health transitions land in the link's event buffer; the bridge
-	// chains after this hook and records capacity changes.
-	m.fwd.Monitor().SetTransitionHook(func(physical int, from, to phy.ChannelState) {
-		m.events.Addf("sf=%d transition ch=%d %v->%v", m.sf, physical, from, to)
-	})
+	// Health transitions and remaps land in the link's event buffer via
+	// the supervisor; the bridge chains after its hook and records
+	// capacity changes. Injections carry the absolute superframe, not the
+	// schedule round's.
+	m.sup = faultinject.Supervise(m.fwd, &m.events, nil)
+	m.sup.OnInject = func(e faultinject.Event) {
+		m.events.Addf("sf=%d inject %v", m.sf, e)
+	}
 	m.eng = sim.NewEngine(m.seed)
 	m.bridge = mac.NewBridge(m.fwd, &m.caps, m.topoID, m.eng)
 	m.bridge.OnRenegotiate = func(_ sim.Time, lanes int, frac float64) {
@@ -164,11 +153,12 @@ func (m *managedLink) construct() error {
 }
 
 // loadSchedule (re)generates the seeded fault schedule for the current
-// horizon round and arms a fresh applier on it. A design bound to a
-// registered scenario replays that scenario's witness schedule (its
-// environment models mapped to per-channel faults) instead of
-// hazard-generated random kills; both derive the round's seed the same
-// way, so scenario links are exactly as reproducible as hazard links.
+// horizon round and arms the supervisor on it, At=0 being this
+// superframe. A design bound to a registered scenario replays that
+// scenario's witness schedule (its environment models mapped to
+// per-channel faults) instead of hazard-generated random kills; both
+// derive the round's seed the same way, so scenario links are exactly as
+// reproducible as hazard links.
 func (m *managedLink) loadSchedule() {
 	d := m.design
 	var sched faultinject.Schedule
@@ -187,23 +177,18 @@ func (m *managedLink) loadSchedule() {
 		rng := rand.New(rand.NewSource(roundSeed))
 		sched = faultinject.RandomKills(rng, d.Lanes+d.Spares, d.Hazard, d.Horizon)
 	}
-	m.applier = faultinject.NewApplier(m.fwd, sched)
-	m.applier.OnInject = func(e faultinject.Event) {
-		m.events.Addf("sf=%d inject %v", m.sf, e)
-	}
+	m.sup.Load(sched, m.sf)
 }
 
 // tick advances one superframe: inject faults, queue client traffic
 // (unless draining), move the pair one round trip, spare out failed
 // channels, and drain the bridge's zero-delay capacity syncs.
 func (m *managedLink) tick(draining bool) {
-	roundSF := m.sf - m.round*m.design.Horizon
-	if roundSF >= m.design.Horizon {
+	if m.sf >= (m.round+1)*m.design.Horizon {
 		m.round++
 		m.loadSchedule()
-		roundSF = m.sf - m.round*m.design.Horizon
 	}
-	m.applier.Step(roundSF)
+	m.sup.Begin(m.sf)
 
 	if !draining {
 		for _, p := range m.packets {
@@ -221,14 +206,7 @@ func (m *managedLink) tick(draining bool) {
 
 	// Reactive sparing; the bridge hook has queued a capacity sync for
 	// any width change, drained below.
-	for _, p := range m.fwd.Monitor().FailedChannels() {
-		if m.handledFail[p] {
-			continue
-		}
-		m.handledFail[p] = true
-		ev := m.fwd.FailChannel(p)
-		m.events.Addf("sf=%d remap %v", m.sf, ev)
-	}
+	m.sup.Spare()
 	m.eng.Run()
 
 	m.delivered = m.pair.B.Stats().Delivered

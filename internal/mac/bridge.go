@@ -13,6 +13,14 @@ type CapacitySink interface {
 	SetLinkCapacityFraction(linkID int, frac float64)
 }
 
+// DiscardCapacity is the CapacitySink of a bridge with no network
+// simulator attached: renegotiations land only in the bridge's own
+// counters and its OnRenegotiate observer.
+type DiscardCapacity struct{}
+
+// SetLinkCapacityFraction implements CapacitySink.
+func (DiscardCapacity) SetLinkCapacityFraction(int, float64) {}
+
 // VCCapacitySink receives the per-virtual-channel breakdown of a
 // renegotiation: each VC's share of the degraded link, split by QoS
 // class weight (the same weights the MAC scheduler uses, so the network

@@ -113,3 +113,37 @@ func TestSessionTelemetryPreservesLog(t *testing.T) {
 		t.Errorf("renegotiation counter = %d, want %d", got, res.Renegotiations)
 	}
 }
+
+// A link carries its sparing history in its mapper, so a second session
+// on links whose first session spared a channel has nothing to remap (no
+// phantom "spare channel failed" line at sf=0), and the session that
+// ended left no hook of its own behind on the monitor.
+func TestSessionOnReusedLinksRemapsNothing(t *testing.T) {
+	fwd, rev := testLink(t, 11, 1), testLink(t, 12, 1)
+	run := func(sched faultinject.Schedule) *Result {
+		t.Helper()
+		eng := sim.NewEngine(1)
+		sess, err := NewSession(SessionConfig{
+			Engine: eng, Fwd: fwd, Rev: rev,
+			Pair:     PairConfig{PHYFrameLen: 120},
+			Schedule: sched, Superframes: 10, Interval: 1e-5,
+			PacketsPerSF: 4, PacketLen: 150, Seed: 21,
+			Bridge: NewBridge(fwd, DiscardCapacity{}, 0, eng),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng.Run()
+		if fwd.Monitor().TransitionHook() != nil {
+			t.Fatal("finished session left its transition hook installed")
+		}
+		return sess.Result()
+	}
+	first := run(faultinject.Schedule{Events: []faultinject.Event{{At: 2, Kind: faultinject.KindKill, Channel: 3}}})
+	if n := strings.Count(strings.Join(first.Log, "\n"), " remap "); n != 1 {
+		t.Fatalf("first session logged %d remaps, want 1:\n%s", n, strings.Join(first.Log, "\n"))
+	}
+	if second := run(faultinject.Schedule{}); len(second.Log) != 0 {
+		t.Fatalf("second session on the spared link logged:\n%s", strings.Join(second.Log, "\n"))
+	}
+}

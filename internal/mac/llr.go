@@ -79,6 +79,48 @@ func (c *Config) withDefaults() (Config, error) {
 	return out, nil
 }
 
+// SizeFor derives the fields c leaves unset for a client offering perTick
+// packets of packetLen bytes per superframe, plus burst more in an incast
+// tick: MaxPayload one packet, Window four ticks of packets (at least
+// DefaultWindow), PayloadBudget one tick of fresh data with its burst
+// plus a full retransmission round plus a pure ack, at the frame overhead
+// of the wire version c speaks. Session and fleetd's links both size here.
+func (c *Config) SizeFor(perTick, burst, packetLen int) {
+	if c.MaxPayload <= 0 {
+		c.MaxPayload = packetLen
+	}
+	if c.Window <= 0 {
+		c.Window = max(4*perTick, DefaultWindow)
+	}
+	if c.PayloadBudget <= 0 {
+		c.PayloadBudget = (2*(perTick+burst) + 1) * (packetLen + c.wireOverhead())
+	}
+}
+
+// RoundRobinVCs lays packets per superframe out over vcs virtual
+// channels: classes[vc] is vc % NumClasses and perVC[vc] an even share of
+// the packets (the first packets%vcs channels carry one extra). classes
+// is nil for vcs <= 0 and perVC nil for vcs <= 1: the single-VC defaults
+// of Config.VCClass and SessionConfig.VCPackets.
+func RoundRobinVCs(vcs, packets int) (classes []uint8, perVC []int) {
+	if vcs > 0 {
+		classes = make([]uint8, vcs)
+		for vc := range classes {
+			classes[vc] = uint8(vc % NumClasses)
+		}
+	}
+	if vcs > 1 {
+		perVC = make([]int, vcs)
+		for vc := range perVC {
+			perVC[vc] = packets / vcs
+			if vc < packets%vcs {
+				perVC[vc]++
+			}
+		}
+	}
+	return classes, perVC
+}
+
 // wireOverhead is the per-frame overhead of the wire version a config
 // speaks: v1 for legacy single-VC go-back-N, v2 everywhere else.
 func (c Config) wireOverhead() int {

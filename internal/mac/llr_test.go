@@ -285,3 +285,37 @@ func TestLLRSequenceWraparound(t *testing.T) {
 		t.Fatalf("clean wraparound run retransmitted: %+v", s)
 	}
 }
+
+// SizeFor is the one endpoint sizing rule: unset fields only, the frame
+// overhead of the wire version the config speaks, and for a zero config
+// exactly the v1 mac.Overhead number fleetd's links have always used.
+func TestSizeForDerivesUnsetFields(t *testing.T) {
+	var c Config
+	c.SizeFor(4, 0, 150)
+	if c.MaxPayload != 150 || c.Window != DefaultWindow || c.PayloadBudget != (2*4+1)*(150+Overhead) {
+		t.Fatalf("zero config sized to %+v", c)
+	}
+	sr := Config{ARQ: ARQSelectiveRepeat, VCs: 3, Window: 7}
+	sr.SizeFor(40, 10, 150)
+	if sr.Window != 7 || sr.PayloadBudget != (2*(40+10)+1)*(150+OverheadV2) {
+		t.Fatalf("v2 config sized to %+v", sr)
+	}
+	big := Config{}
+	big.SizeFor(40, 10, 150)
+	if big.Window != 160 {
+		t.Fatalf("window %d, want four ticks of packets", big.Window)
+	}
+}
+
+func TestRoundRobinVCs(t *testing.T) {
+	classes, perVC := RoundRobinVCs(4, 10)
+	if fmt.Sprint(classes, perVC) != "[0 1 2 0] [3 3 2 2]" {
+		t.Fatalf("4 VCs, 10 packets: classes %v perVC %v", classes, perVC)
+	}
+	if classes, perVC := RoundRobinVCs(1, 10); fmt.Sprint(classes) != "[0]" || perVC != nil {
+		t.Fatalf("1 VC: classes %v perVC %v", classes, perVC)
+	}
+	if classes, perVC := RoundRobinVCs(0, 10); classes != nil || perVC != nil {
+		t.Fatalf("0 VCs: classes %v perVC %v", classes, perVC)
+	}
+}

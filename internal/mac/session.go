@@ -3,7 +3,6 @@ package mac
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 
 	"mosaic/internal/eventlog"
 	"mosaic/internal/faultinject"
@@ -62,19 +61,13 @@ type SessionConfig struct {
 type Session struct {
 	cfg     SessionConfig
 	pair    *Pair
-	applier *faultinject.Applier
+	sup     *faultinject.Supervisor
 	packets [][]byte
-	handled map[int]bool
-
 	col     *telemetry.MACCollector
-	linkCol *telemetry.LinkCollector
 
-	sf         int
-	lanesStart int
-	degraded   bool
-	exhausted  bool
-	prevRetx   uint64
-	err        error
+	sf       int
+	prevRetx uint64
+	err      error
 
 	log eventlog.Log
 }
@@ -101,9 +94,10 @@ type Result struct {
 	Fraction       float64 `json:"fraction"`
 }
 
-// NewSession validates cfg, wires the pair, applier, monitor hook, and
-// optional bridge/telemetry, and schedules the first tick on the
-// engine at Now()+Interval. Run the engine to completion afterwards.
+// NewSession validates cfg, wires the pair, the link supervisor (which
+// holds Fwd's monitor hook until the last tick) and the optional
+// bridge/telemetry, and schedules the first tick on the engine at
+// Now()+Interval. Run the engine to completion afterwards.
 func NewSession(cfg SessionConfig) (*Session, error) {
 	if cfg.Engine == nil || cfg.Fwd == nil || cfg.Rev == nil {
 		return nil, errors.New("mac: SessionConfig needs Engine, Fwd, Rev")
@@ -138,67 +132,34 @@ func NewSession(cfg SessionConfig) (*Session, error) {
 	if len(cfg.VCPackets) > vcs {
 		return nil, fmt.Errorf("mac: VCPackets names %d VCs but the endpoint has %d", len(cfg.VCPackets), vcs)
 	}
-	if pc.Endpoint.MaxPayload <= 0 {
-		pc.Endpoint.MaxPayload = cfg.PacketLen
-	}
-	if pc.Endpoint.Window <= 0 {
-		w := 4 * perTick
-		if w < DefaultWindow {
-			w = DefaultWindow
-		}
-		pc.Endpoint.Window = w
-	}
 	burst := 0
 	if cfg.BurstEvery > 0 {
 		burst = cfg.BurstPackets
 	}
-	if pc.Endpoint.PayloadBudget <= 0 {
-		// Room for one tick of fresh data (incl. an incast burst) plus a
-		// full retransmission round plus a pure ack.
-		pc.Endpoint.PayloadBudget = (2*(perTick+burst) + 1) * (cfg.PacketLen + pc.Endpoint.wireOverhead())
-	}
-
-	s := &Session{
-		cfg:        cfg,
-		handled:    make(map[int]bool),
-		lanesStart: cfg.Fwd.Mapper().NumLanes(),
-		log:        eventlog.Log{Max: cfg.MaxLog},
-	}
+	pc.Endpoint.SizeFor(perTick, burst, cfg.PacketLen)
 
 	pair, err := NewPair(cfg.Fwd, cfg.Rev, pc, nil, nil)
 	if err != nil {
 		return nil, err
 	}
-	s.pair = pair
+	s := &Session{cfg: cfg, pair: pair, log: eventlog.Log{Max: cfg.MaxLog}}
 
 	// Fixed client traffic, regenerated from the seed (the same packets
 	// every tick, like the soak harness). The pool covers the steady
 	// per-tick load plus one incast burst.
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	s.packets = make([][]byte, perTick+burst)
-	for i := range s.packets {
-		s.packets[i] = make([]byte, cfg.PacketLen)
-		rng.Read(s.packets[i])
-	}
-
-	s.applier = faultinject.NewApplier(cfg.Fwd, cfg.Schedule)
-	s.applier.OnInject = func(e faultinject.Event) {
-		s.log.Addf("inject %v", e)
-	}
+	s.packets = phy.SeededFrames(cfg.Seed, perTick+burst, cfg.PacketLen)
 
 	if cfg.Metrics != nil {
 		s.col = telemetry.NewMACCollector(cfg.Metrics)
-		s.linkCol = telemetry.NewLinkCollector(cfg.Metrics, cfg.Fwd)
 	}
 
-	// Health transitions land in the log as they happen. The bridge (if
-	// any) chains onto this hook, so install ours first.
-	cfg.Fwd.Monitor().SetTransitionHook(func(physical int, from, to phy.ChannelState) {
-		s.log.Addf("sf=%d transition ch=%d %v->%v", s.sf, physical, from, to)
-		if s.linkCol != nil {
-			s.linkCol.OnTransition(physical, from, to)
-		}
-	})
+	// The supervisor logs health transitions as they happen. The bridge
+	// (if any) chains onto its hook, so the supervisor goes in first.
+	s.sup = faultinject.Supervise(cfg.Fwd, &s.log, cfg.Metrics)
+	s.sup.Load(cfg.Schedule, 0)
+	s.sup.OnInject = func(e faultinject.Event) {
+		s.log.Addf("inject %v", e)
+	}
 	if cfg.Bridge != nil {
 		cfg.Bridge.Install()
 		if cfg.Bridge.OnRenegotiate == nil {
@@ -250,30 +211,26 @@ func (s *Session) queueTraffic() bool {
 // the pair one round trip, spare out failed channels, then log
 // milestones and push telemetry. Bridge syncs scheduled by the monitor
 // hook run after this callback returns (same simulated instant), so
-// they observe the post-remap lane count.
+// they observe the post-remap lane count. The tick that ends the session
+// (the last, or one that errs) hands Fwd's monitor hook back, so a link
+// reused by a later session carries no stale chain.
 func (s *Session) tick() {
-	s.applier.Step(s.sf)
+	s.sup.Begin(s.sf)
 
 	if !s.queueTraffic() {
+		s.sup.Close()
 		return
 	}
 	if err := s.pair.Tick(); err != nil {
 		s.err = err
 		s.log.Addf("sf=%d exchange error: %v", s.sf, err)
+		s.sup.Close()
 		return
 	}
 
-	// Reactive sparing: monitor-failed channels on the forward link are
-	// remapped at the boundary (the bridge hook has already scheduled a
-	// renegotiation sync for this instant).
-	for _, p := range s.cfg.Fwd.Monitor().FailedChannels() {
-		if s.handled[p] {
-			continue
-		}
-		s.handled[p] = true
-		ev := s.cfg.Fwd.FailChannel(p)
-		s.log.Addf("sf=%d remap %v", s.sf, ev)
-	}
+	// Reactive sparing at the boundary (the bridge hook has already
+	// scheduled a renegotiation sync for this instant).
+	s.sup.Spare()
 
 	// Retransmission activity (the LLR doing its job) is log-worthy.
 	if retx := s.pair.A.Stats().Retransmits; retx > s.prevRetx {
@@ -282,15 +239,7 @@ func (s *Session) tick() {
 		s.prevRetx = retx
 	}
 
-	// Milestones.
-	if !s.degraded && s.cfg.Fwd.Mapper().NumLanes() < s.lanesStart {
-		s.degraded = true
-		s.log.Addf("sf=%d degraded lanes=%d/%d", s.sf, s.cfg.Fwd.Mapper().NumLanes(), s.lanesStart)
-	}
-	if !s.exhausted && s.cfg.Fwd.Mapper().SparesLeft() == 0 {
-		s.exhausted = true
-		s.log.Addf("sf=%d spares-exhausted", s.sf)
-	}
+	s.sup.End(s.pair.FwdStats)
 
 	if s.col != nil {
 		s.col.Sync("a", s.pair.A.Stats().Export())
@@ -304,13 +253,13 @@ func (s *Session) tick() {
 		if s.cfg.Bridge != nil {
 			s.col.SyncBridge(s.cfg.Bridge.Renegotiations(), s.cfg.Bridge.Fraction())
 		}
-		s.linkCol.ObserveExchange(s.pair.FwdStats)
-		s.linkCol.Sync()
 	}
 
 	s.sf++
 	if s.sf < s.cfg.Superframes {
 		s.cfg.Engine.After(s.cfg.Interval, s.tick)
+	} else {
+		s.sup.Close()
 	}
 }
 
@@ -321,7 +270,7 @@ func (s *Session) Result() *Result {
 		Superframes: s.sf,
 		A:           s.pair.A.Stats(),
 		B:           s.pair.B.Stats(),
-		LanesStart:  s.lanesStart,
+		LanesStart:  s.sup.LanesStart(),
 		LanesEnd:    s.cfg.Fwd.Mapper().NumLanes(),
 		SparesEnd:   s.cfg.Fwd.Mapper().SparesLeft(),
 		Fraction:    1,

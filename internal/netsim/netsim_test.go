@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"mosaic/internal/netsim/workload"
 	"mosaic/internal/power"
 	"mosaic/internal/sim"
 )
@@ -494,5 +495,23 @@ func TestTierStrings(t *testing.T) {
 		if k.String() == "" {
 			t.Error("empty node kind")
 		}
+	}
+}
+
+// OfferPoisson accounts for every arrival: it either starts a flow or is
+// counted unroutable (here, hosts stranded behind a dead access link).
+func TestOfferPoissonCountsUnroutableArrivals(t *testing.T) {
+	topo := mustTree(t, 4)
+	eng := sim.NewEngine(1)
+	fs := NewFlowSim(topo, eng)
+	fs.FailLink(topo.adj[topo.Hosts()[0]][0])
+	dist := workload.Fixed{Bits: 1e6}
+	arr := workload.NewPoissonForLoad(0.3, topo.NumHosts(), 800e9, dist.MeanBits())
+	const n = 400
+	unroutable := fs.OfferPoisson(n, dist, arr, eng.RNG("workload"))
+	eng.Run()
+	if *unroutable == 0 || *unroutable+len(fs.Records()) != n {
+		t.Fatalf("%d unroutable + %d recorded, want %d arrivals with some stranded",
+			*unroutable, len(fs.Records()), n)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math/rand"
 
 	"mosaic/internal/coding/linecode"
 	"mosaic/internal/par"
@@ -190,6 +191,43 @@ func (l *Link) KillChannel(physical int) {
 func (l *Link) FailChannel(physical int) RemapEvent {
 	l.monitor.MarkFailed(physical)
 	return l.mapper.Fail(physical)
+}
+
+// SpareFailed is the reactive-sparing step of a superframe boundary: every
+// channel the monitor classifies Failed that the mapper has not already
+// retired is remapped, in ascending physical order, and fn (when non-nil)
+// sees each event. The mapper's retired set is the only memory of what
+// has been spared, so the step is idempotent however many boundaries,
+// runs or harnesses call it on one link, and it walks the monitor in
+// place: with nothing new to spare it allocates nothing. Returns the
+// number of channels remapped.
+func (l *Link) SpareFailed(fn func(RemapEvent)) int {
+	n := 0
+	for p := range l.monitor.channels {
+		if l.monitor.channels[p].State != Failed || l.mapper.failed[p] {
+			continue
+		}
+		ev := l.mapper.Fail(p)
+		n++
+		if fn != nil {
+			fn(ev)
+		}
+	}
+	return n
+}
+
+// SeededFrames returns n frames of size random bytes drawn from one
+// rand.Source seeded with seed — the fixed traffic every soak, session,
+// fleet link and experiment regenerates from its seed, so a given
+// (seed, n, size) is the same byte pattern everywhere.
+func SeededFrames(seed int64, n, size int) [][]byte {
+	rng := rand.New(rand.NewSource(seed))
+	frames := make([][]byte, n)
+	for i := range frames {
+		frames[i] = make([]byte, size)
+		rng.Read(frames[i])
+	}
+	return frames
 }
 
 // AggregateRate returns the current payload-agnostic aggregate line rate:

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -339,5 +340,34 @@ func BenchmarkExchange100ch(b *testing.B) {
 		if st.FramesDelivered != 64 {
 			b.Fatal(fmt.Sprintf("dropped frames: %+v", st))
 		}
+	}
+}
+
+// SpareFailed remaps exactly the channels the monitor failed and the
+// mapper has not retired: once each, in ascending order, whoever retired
+// the others.
+func TestSpareFailedRemapsEachFailedChannelOnce(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Lanes = 20
+	cfg.Spares = 2
+	l := mustLink(t, cfg)
+	l.FailChannel(9) // retired by the caller: not SpareFailed's to report
+	l.Monitor().MarkFailed(12)
+	l.Monitor().MarkFailed(4)
+
+	var got []RemapEvent
+	if n := l.SpareFailed(func(ev RemapEvent) { got = append(got, ev) }); n != 2 {
+		t.Fatalf("spared %d channels, want 2", n)
+	}
+	// One spare went to channel 9; 4 takes the last one, 12 degrades.
+	want := []RemapEvent{
+		{Physical: 4, Lane: 4, Spare: 21},
+		{Physical: 12, Lane: 12, Spare: -1, Degraded: true},
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("remap events %+v, want %+v", got, want)
+	}
+	if n := l.SpareFailed(nil); n != 0 {
+		t.Fatalf("second pass spared %d channels, want 0", n)
 	}
 }
