@@ -30,17 +30,22 @@ staticcheck:
 		echo "staticcheck: not installed, skipping (CI enforces it)"; \
 	fi
 
-# One execution substrate, one event log, one superframe boundary:
-# non-test Go under internal/, cmd/ and examples/ writes `go func` or
-# holds a sync.WaitGroup only in internal/par, and hashes with sha256
-# only in internal/eventlog. The allow-list is one server goroutine in
-# each of httpx and mosaicfleetd, and E23's copper stall-record hash
-# (records, not a line log). The link supervisor is the single owner of
-# the reactive-sparing boundary: nothing calls Monitor.FailedChannels or
-# keeps a `handled` map (phy.Link.SpareFailed asks the mapper), only
-# faultinject/supervisor.go and mac/bridge.go install a transition-hook
-# closure, only the supervisor formats the remap line, and the Poisson
-# gap is drawn only inside internal/netsim (FlowSim.OfferPoisson).
+# One execution substrate, one event log, one superframe boundary, one
+# clock per link: non-test Go under internal/, cmd/ and examples/ writes
+# `go func` or holds a sync.WaitGroup only in internal/par, and hashes
+# with sha256 only in internal/eventlog. The allow-list is one server
+# goroutine in each of httpx and mosaicfleetd, and E23's copper
+# stall-record hash (records, not a line log). The link supervisor is
+# the single owner of the reactive-sparing boundary: nothing calls
+# Monitor.FailedChannels or keeps a `handled` map (phy.Link.SpareFailed
+# asks the mapper), only faultinject/supervisor.go installs a
+# transition-hook closure, only the supervisor formats the remap line,
+# and the Poisson gap is drawn only inside internal/netsim
+# (FlowSim.OfferPoisson). Capacity renegotiation is a plain Bridge.Sync
+# call at that boundary: no zero-delay event under internal/mac or
+# internal/fleetd (phy.Stream's pump keeps its two), no sim import in
+# fleetd/link.go, and the MAC collector lives beside mac.Stats, so
+# internal/telemetry declares no MACStats/MACVCStats/MACCollector mirror.
 SUBSTRATE_SRC = find internal cmd examples -name '*.go' ! -name '*_test.go'
 SUPERVISOR = internal/faultinject/supervisor.go
 substrate:
@@ -53,18 +58,20 @@ substrate:
 			[ "$$(grep -cE 'go func|sync\.WaitGroup' $$f)" -le 1 ] || echo "$$f: more than its one server goroutine"; \
 		done; \
 		$(SUBSTRATE_SRC) -exec grep -nE '\.FailedChannels\(|handled[A-Za-z]*[ :=]+(make\()?map\[' {} + ; \
-		$(SUBSTRATE_SRC) ! -path $(SUPERVISOR) ! -path internal/mac/bridge.go \
-			-exec grep -nF 'SetTransitionHook(func' {} + ; \
+		$(SUBSTRATE_SRC) ! -path $(SUPERVISOR) -exec grep -nF 'SetTransitionHook(func' {} + ; \
+		$(SUBSTRATE_SRC) \( -path 'internal/mac/*' -o -path 'internal/fleetd/*' \) -exec grep -nF 'After(0' {} + ; \
+		grep -HnF '"mosaic/internal/sim"' internal/fleetd/link.go ; \
+		$(SUBSTRATE_SRC) -path 'internal/telemetry/*' -exec grep -nE '^type (MACStats|MACVCStats|MACCollector)\b' {} + ; \
 		$(SUBSTRATE_SRC) ! -path $(SUPERVISOR) -exec grep -nF '"sf=%d remap %v"' {} + ; \
 		$(SUBSTRATE_SRC) ! -path 'internal/netsim/*' -exec grep -nF '.NextGapSec(' {} + ; \
 		for pat in 'SetTransitionHook(func' '"sf=%d remap %v"'; do \
 			[ "$$(grep -cF "$$pat" $(SUPERVISOR))" -eq 1 ] || echo "$(SUPERVISOR): want exactly one $$pat"; \
 		done; } ); \
 	if [ -n "$$bad" ]; then \
-		echo "substrate: FAIL — use internal/par for fan-out, internal/eventlog for log digests, faultinject.Supervisor for the superframe boundary:"; \
+		echo "substrate: FAIL — use internal/par for fan-out, internal/eventlog for log digests, faultinject.Supervisor for the superframe boundary, a plain Bridge.Sync after its sparing step for renegotiation, internal/mac for MAC metrics:"; \
 		echo "$$bad"; exit 1; \
 	fi; \
-	echo "substrate: OK — goroutines only in internal/par, sha256 only in internal/eventlog, sparing/hook/remap line only in the link supervisor"
+	echo "substrate: OK — goroutines only in internal/par, sha256 only in internal/eventlog, sparing/hook/remap line only in the link supervisor, no deferred sync or per-link engine in mac/fleetd, no MAC stats mirror in telemetry"
 
 build:
 	$(GO) build ./...

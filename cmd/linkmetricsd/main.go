@@ -283,7 +283,7 @@ func macSoakLoop(newLink func() *phy.Link, reg *telemetry.Registry,
 			VCPackets:    vcPackets,
 			PacketLen:    p.frameLen,
 			Seed:         p.seed,
-			Bridge:       mac.NewBridge(fwd, mac.DiscardCapacity{}, 0, eng),
+			Bridge:       mac.NewBridge(fwd, mac.DiscardCapacity{}, 0),
 			Metrics:      reg,
 		})
 		if err != nil {

@@ -209,7 +209,7 @@ func runMACSoak(fwd *phy.Link, cfg phy.Config, sched faultinject.Schedule,
 		VCPackets:    vcPackets,
 		PacketLen:    packetLen,
 		Seed:         seed,
-		Bridge:       mac.NewBridge(fwd, mac.DiscardCapacity{}, 0, eng),
+		Bridge:       mac.NewBridge(fwd, mac.DiscardCapacity{}, 0),
 		Metrics:      reg,
 	})
 	if err != nil {

@@ -150,7 +150,7 @@ func runE23Scenario(seed int64, workers int, mode e23Mode) (netsim.FCTStats, *ma
 		if err != nil {
 			return netsim.FCTStats{}, nil, nil, err
 		}
-		bridge := mac.NewBridge(fwd, fs, victim, eng)
+		bridge := mac.NewBridge(fwd, fs, victim)
 		sess, err = mac.NewSession(mac.SessionConfig{
 			Engine:       eng,
 			Fwd:          fwd,

@@ -257,7 +257,7 @@ func e24BringUpSamples(seed int64, workers int, aging *faultinject.FleetAging, l
 			PacketsPerSF: 4,
 			PacketLen:    150,
 			Seed:         seed + 600 + int64(i),
-			Bridge:       mac.NewBridge(fwd, sub, victim, eng),
+			Bridge:       mac.NewBridge(fwd, sub, victim),
 		})
 		if err != nil {
 			return nil, err

@@ -214,9 +214,9 @@ func runFaultScenario(seed int64, tier netsim.Tier, mode faultMode) (netsim.FCTS
 		case faultMosaicBridge:
 			// A Mosaic endpoint on the victim link: 100 lanes plus 4
 			// spares, bridged into the flow sim. Killing 8 channels
-			// exhausts sparing and degrades the lane count to 96; the
-			// bridge observes the monitor transitions and republishes
-			// capacity 0.96 itself (coalesced, post-remap).
+			// exhausts sparing and degrades the lane count to 96; one
+			// Sync after the burst republishes capacity 0.96 (post-remap,
+			// one renegotiation for all eight).
 			link, err := phy.New(phy.Config{
 				Lanes:             100,
 				Spares:            4,
@@ -228,12 +228,12 @@ func runFaultScenario(seed int64, tier netsim.Tier, mode faultMode) (netsim.FCTS
 			if err != nil {
 				return netsim.FCTStats{}, err
 			}
-			bridge := mac.NewBridge(link, fs, victim, eng)
-			bridge.Install()
+			bridge := mac.NewBridge(link, fs, victim)
 			eng.Schedule(faultAt, func() {
 				for ch := 0; ch < 8; ch++ {
 					link.FailChannel(ch)
 				}
+				bridge.Sync()
 			})
 		}
 	}

@@ -103,8 +103,7 @@ func Supervise(link *phy.Link, log *eventlog.Log, metrics *telemetry.Registry) *
 	return s
 }
 
-// Close hands the monitor back: the hook found at Supervise is restored
-// (dropping anything chained on top of the supervisor's since).
+// Close hands the monitor back: the hook found at Supervise is restored.
 func (s *Supervisor) Close() { s.link.Monitor().SetTransitionHook(s.prev) }
 
 // Load arms a validated schedule (events sorted by At) whose At=0 is the

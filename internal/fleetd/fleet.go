@@ -394,9 +394,8 @@ func (f *Fleet) stepLocked() {
 			f.log.Addf("epoch=%d link=%d %s", f.epoch, ml.id, line)
 		}
 		ml.events.Reset()
-		if ml.caps.dirty {
-			f.fsim.SetLinkFraction(ml.topoID, ml.caps.frac)
-			ml.caps.dirty = false
+		if ml.bridge != nil {
+			f.fsim.SetLinkFraction(ml.topoID, ml.bridge.Fraction()) // no-op unless it moved
 		}
 		if ml.state == StateRetired {
 			retirees = append(retirees, ml)
@@ -507,7 +506,7 @@ func (f *Fleet) syncTelemetryLocked(counts [NumStates]int) {
 	f.col.SyncFleet(f.epoch, uint64(f.fsim.ActiveFlows()), f.flowsInjected, uint64(len(f.links)))
 	for id, col := range f.linkCols {
 		ml := f.links[id]
-		col.Sync(int(ml.state), ml.lanes(), ml.caps.frac, ml.queued, ml.delivered, ml.retx)
+		col.Sync(int(ml.state), ml.lanes(), ml.fraction(), ml.queued, ml.delivered, ml.retx)
 	}
 }
 

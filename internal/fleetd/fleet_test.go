@@ -81,6 +81,26 @@ func TestFleetLifecycleWalk(t *testing.T) {
 	if info.Lanes >= info.Contract {
 		t.Fatalf("degraded link: lanes=%d contract=%d", info.Lanes, info.Contract)
 	}
+	// The bridge publishes the shed width in the epoch the kills land in
+	// (the op line's epoch), not one later.
+	var opEpoch string
+	bridged := false
+	for _, line := range f.EventLog() {
+		epoch, rest, _ := strings.Cut(line, " ")
+		switch {
+		case strings.HasPrefix(rest, "op=degrade"):
+			opEpoch = epoch
+		case strings.Contains(rest, " bridge "):
+			want := fmt.Sprintf("bridge lanes=%d frac=%.4f", info.Lanes, info.Fraction)
+			if epoch != opEpoch || !strings.HasSuffix(rest, want) {
+				t.Fatalf("bridge line %q, want %s ... %s", line, opEpoch, want)
+			}
+			bridged = true
+		}
+	}
+	if !bridged {
+		t.Fatalf("degrade past the spare pool logged no bridge line:\n%s", strings.Join(f.EventLog(), "\n"))
+	}
 
 	// Renegotiate commits the degraded width as the new contract.
 	if err := f.Renegotiate(id); err != nil {

@@ -9,23 +9,7 @@ import (
 	"mosaic/internal/mac"
 	"mosaic/internal/phy"
 	"mosaic/internal/scenario"
-	"mosaic/internal/sim"
 )
-
-// capRecorder is the per-link mac.CapacitySink: the bridge's After(0)
-// syncs run inside the pooled step, so the fraction lands in link-owned
-// state here and the fleet republishes it into the shared FleetSim
-// sequentially at the barrier (ascending link ID — race-free and
-// worker-count invariant).
-type capRecorder struct {
-	frac  float64
-	dirty bool
-}
-
-func (c *capRecorder) SetLinkCapacityFraction(_ int, frac float64) {
-	c.frac = frac
-	c.dirty = true
-}
 
 // managedLink is one fleet member: a full-duplex PHY pair under a MAC
 // endpoint pair, a seeded fault schedule replayed by the shared
@@ -46,11 +30,12 @@ type managedLink struct {
 	pair     *mac.Pair
 	sup      *faultinject.Supervisor
 	round    int // fault-schedule round (sf / Horizon)
-	eng      *sim.Engine
-	bridge   *mac.Bridge
-	caps     capRecorder
+	// bridge's sink is mac.DiscardCapacity: its syncs run inside the
+	// pooled step, so the fleet reads Fraction() and republishes it into
+	// the shared FleetSim sequentially at the barrier (ascending link ID
+	// — race-free and worker-count invariant).
+	bridge *mac.Bridge
 
-	nominal  int // lane count at construction; the bridge's 1.0 reference
 	contract int // lanes the link last negotiated to serve at
 	drained  int // superframes spent draining
 	err      error
@@ -129,24 +114,19 @@ func (m *managedLink) construct() error {
 	// Fixed client payloads regenerated from the seed.
 	m.packets = phy.SeededFrames(m.seed, d.PacketsPerSF, d.PacketLen)
 
-	m.nominal = m.fwd.Mapper().NumLanes()
-	m.contract = m.nominal
-	m.caps.frac = 1
+	m.contract = d.Lanes
 
 	// Health transitions and remaps land in the link's event buffer via
-	// the supervisor; the bridge chains after its hook and records
-	// capacity changes. Injections carry the absolute superframe, not the
-	// schedule round's.
+	// the supervisor, capacity changes via the bridge. Injections carry
+	// the absolute superframe, not the schedule round's.
 	m.sup = faultinject.Supervise(m.fwd, &m.events, nil)
 	m.sup.OnInject = func(e faultinject.Event) {
 		m.events.Addf("sf=%d inject %v", m.sf, e)
 	}
-	m.eng = sim.NewEngine(m.seed)
-	m.bridge = mac.NewBridge(m.fwd, &m.caps, m.topoID, m.eng)
-	m.bridge.OnRenegotiate = func(_ sim.Time, lanes int, frac float64) {
+	m.bridge = mac.NewBridge(m.fwd, mac.DiscardCapacity{}, m.topoID)
+	m.bridge.OnRenegotiate = func(lanes int, frac float64) {
 		m.events.Addf("sf=%d bridge lanes=%d frac=%.4f", m.sf, lanes, frac)
 	}
-	m.bridge.Install()
 
 	m.loadSchedule()
 	return nil
@@ -182,7 +162,7 @@ func (m *managedLink) loadSchedule() {
 
 // tick advances one superframe: inject faults, queue client traffic
 // (unless draining), move the pair one round trip, spare out failed
-// channels, and drain the bridge's zero-delay capacity syncs.
+// channels, and renegotiate capacity at the post-remap width.
 func (m *managedLink) tick(draining bool) {
 	if m.sf >= (m.round+1)*m.design.Horizon {
 		m.round++
@@ -204,10 +184,8 @@ func (m *managedLink) tick(draining bool) {
 		return
 	}
 
-	// Reactive sparing; the bridge hook has queued a capacity sync for
-	// any width change, drained below.
 	m.sup.Spare()
-	m.eng.Run()
+	m.bridge.Sync()
 
 	m.delivered = m.pair.B.Stats().Delivered
 	m.retx = m.pair.A.Stats().Retransmits
@@ -239,7 +217,7 @@ func (m *managedLink) step() {
 			m.fail(fmt.Errorf("construct: %w", err))
 			return
 		}
-		_ = m.transition(StateBringUp, fmt.Sprintf("lanes=%d", m.nominal))
+		_ = m.transition(StateBringUp, fmt.Sprintf("lanes=%d", m.design.Lanes))
 
 	case StateBringUp:
 		for i := 0; i < m.design.SFPerStep && m.state == StateBringUp; i++ {
@@ -261,15 +239,11 @@ func (m *managedLink) step() {
 		m.checkDegraded()
 
 	case StateRenegotiating:
-		// Commit the degraded width as the new contract and republish the
-		// bridge fraction (relative to the original nominal) at the
-		// barrier.
-		lanes := m.fwd.Mapper().NumLanes()
-		m.contract = lanes
-		m.caps.frac = float64(lanes) / float64(m.nominal)
-		m.caps.dirty = true
+		// Commit the degraded width as the new contract. The fraction is
+		// the bridge's (relative to the design width), already published.
+		m.contract = m.fwd.Mapper().NumLanes()
 		_ = m.transition(StateServing,
-			fmt.Sprintf("sf=%d lanes=%d frac=%.4f", m.sf, lanes, m.caps.frac))
+			fmt.Sprintf("sf=%d lanes=%d frac=%.4f", m.sf, m.contract, m.bridge.Fraction()))
 
 	case StateDraining:
 		if m.pair == nil {
@@ -308,6 +282,15 @@ func (m *managedLink) lanes() int {
 	return m.fwd.Mapper().NumLanes()
 }
 
+// fraction returns the capacity fraction the bridge last published (0
+// before construction).
+func (m *managedLink) fraction() float64 {
+	if m.bridge == nil {
+		return 0
+	}
+	return m.bridge.Fraction()
+}
+
 // LinkInfo is the API/inspection snapshot of one managed link.
 type LinkInfo struct {
 	ID        int     `json:"id"`
@@ -329,8 +312,8 @@ type LinkInfo struct {
 func (m *managedLink) info() LinkInfo {
 	info := LinkInfo{
 		ID: m.id, State: m.state.String(), TopoLink: m.topoID, Seed: m.seed,
-		SF: m.sf, Lanes: m.lanes(), Contract: m.contract, Nominal: m.nominal,
-		Fraction: m.caps.frac, Queued: m.queued, Delivered: m.delivered, Retx: m.retx,
+		SF: m.sf, Lanes: m.lanes(), Contract: m.contract, Nominal: m.design.Lanes,
+		Fraction: m.fraction(), Queued: m.queued, Delivered: m.delivered, Retx: m.retx,
 		Scenario: m.design.Scenario,
 	}
 	if m.err != nil {

@@ -1,9 +1,6 @@
 package mac
 
-import (
-	"mosaic/internal/phy"
-	"mosaic/internal/sim"
-)
+import "mosaic/internal/phy"
 
 // CapacitySink is where the bridge publishes renegotiated capacity.
 // netsim.FlowSim satisfies it; the indirection keeps the MAC layer
@@ -30,34 +27,28 @@ type VCCapacitySink interface {
 	SetVCCapacityFraction(linkID, vc int, frac float64)
 }
 
-// Bridge is the capacity-renegotiation half of the MAC: it watches a
-// PHY link's health monitor and republishes the link's usable width
-// into a flow simulator whenever sparing consumes lanes. This replaces
-// hand-wired SetLinkCapacityFraction calls — the network layer learns
-// about degradation the same way a real switch would, from the link's
-// own adaptation machinery.
+// Bridge is the capacity-renegotiation half of the MAC: it republishes
+// a PHY link's usable width into a flow simulator whenever sparing
+// consumes lanes. This replaces hand-wired SetLinkCapacityFraction
+// calls — the network layer learns about degradation the same way a
+// real switch would, from the link's own adaptation machinery.
 //
-// Timing: the monitor fires its transition hook *before* the mapper
-// remaps (FailChannel marks, then remaps), so the hook must not read
-// the lane count synchronously. Notify instead schedules a zero-delay
-// sync on the event engine; the engine's FIFO tie-break runs it after
-// the current callback — and the remap — completes. Multiple failures
-// in one instant coalesce into a single renegotiation.
+// The bridge is a pull: whoever drives the link calls Sync at the
+// superframe boundary, after the sparing step has remapped, and the
+// bridge publishes only if the fraction moved since the last Sync. Any
+// number of failures between two Syncs are therefore one renegotiation
+// at the settled width.
 type Bridge struct {
 	link   *phy.Link
 	sink   CapacitySink
 	linkID int
-	eng    *sim.Engine
 
-	nominal  int // lane count at install time; the 1.0 reference
-	lastFrac float64
-	pending  bool
-
+	lastFrac       float64 // fraction last published; the bridge's whole memory
 	renegotiations uint64
 
 	// VCSink, when non-nil, additionally receives each VC's weighted
 	// share of every renegotiated fraction (set alongside VCClasses
-	// before Install).
+	// before the first Sync).
 	VCSink VCCapacitySink
 	// VCClasses assigns the QoS class per VC for the VCSink split; nil
 	// with a non-nil VCSink means one class-0 VC.
@@ -65,63 +56,32 @@ type Bridge struct {
 
 	// OnRenegotiate, when non-nil, observes each published change (for
 	// event logs and telemetry). Called after the sink is updated.
-	OnRenegotiate func(at sim.Time, lanes int, frac float64)
-
-	prevHook func(physical int, from, to phy.ChannelState)
+	OnRenegotiate func(lanes int, frac float64)
 }
 
 // NewBridge wires a bridge between link and sink for the given flow-sim
-// link ID. Call Install to start observing monitor transitions.
-func NewBridge(link *phy.Link, sink CapacitySink, linkID int, eng *sim.Engine) *Bridge {
-	return &Bridge{
-		link:     link,
-		sink:     sink,
-		linkID:   linkID,
-		eng:      eng,
-		nominal:  link.Mapper().NumLanes(),
-		lastFrac: 1,
-	}
+// link ID. The 1.0 reference is the link's configured lane count, not
+// its current one: a sink starts at 1.0, so the first Sync on a link
+// that has already shed lanes publishes the real fraction.
+func NewBridge(link *phy.Link, sink CapacitySink, linkID int) *Bridge {
+	return &Bridge{link: link, sink: sink, linkID: linkID, lastFrac: 1}
 }
 
-// Install subscribes the bridge to the link's monitor. The monitor has
-// a single hook slot, so any previously installed hook is chained:
-// it still runs, first, on every transition.
-func (b *Bridge) Install() {
-	b.prevHook = b.link.Monitor().TransitionHook()
-	b.link.Monitor().SetTransitionHook(func(physical int, from, to phy.ChannelState) {
-		if b.prevHook != nil {
-			b.prevHook(physical, from, to)
-		}
-		if to == phy.Failed {
-			b.Notify()
-		}
-	})
-}
-
-// Notify schedules a capacity sync at the current simulated time (after
-// the in-flight event completes). Safe to call redundantly; pending
-// notifications coalesce.
-func (b *Bridge) Notify() {
-	if b.pending {
-		return
-	}
-	b.pending = true
-	b.eng.After(0, b.sync)
-}
-
-func (b *Bridge) sync() {
-	b.pending = false
+// Sync reads the link's current lane count and, if the usable fraction
+// moved since the last Sync, publishes it to the sink(s) and the
+// OnRenegotiate observer. A Sync with nothing changed does nothing.
+func (b *Bridge) Sync() {
 	lanes := b.link.Mapper().NumLanes()
-	frac := float64(lanes) / float64(b.nominal)
+	frac := float64(lanes) / float64(b.link.Config().Lanes)
 	if frac == b.lastFrac {
-		return // spares absorbed the failure; width unchanged
+		return // spares absorbed any failure; width unchanged
 	}
 	b.lastFrac = frac
 	b.renegotiations++
 	b.sink.SetLinkCapacityFraction(b.linkID, frac)
 	b.publishVCs(frac)
 	if b.OnRenegotiate != nil {
-		b.OnRenegotiate(b.eng.Now(), lanes, frac)
+		b.OnRenegotiate(lanes, frac)
 	}
 }
 

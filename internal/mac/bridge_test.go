@@ -1,10 +1,10 @@
 package mac
 
 import (
+	"reflect"
 	"testing"
 
 	"mosaic/internal/phy"
-	"mosaic/internal/sim"
 )
 
 // recordingSink captures every capacity publication.
@@ -42,14 +42,12 @@ func bridgeLink(t *testing.T, lanes, spares int) *phy.Link {
 // run out, each lane loss publishes exactly one shrinking fraction.
 func TestBridgeSparesAbsorbThenDegrade(t *testing.T) {
 	link := bridgeLink(t, 10, 2)
-	eng := sim.NewEngine(1)
 	sink := &recordingSink{}
-	b := NewBridge(link, sink, 7, eng)
-	b.Install()
+	b := NewBridge(link, sink, 7)
 
 	fail := func(ch int) {
-		eng.After(1e-6, func() { link.FailChannel(ch) })
-		eng.Run()
+		link.FailChannel(ch)
+		b.Sync()
 	}
 
 	fail(0)
@@ -74,23 +72,20 @@ func TestBridgeSparesAbsorbThenDegrade(t *testing.T) {
 	}
 }
 
-// Simultaneous failures (same engine instant) coalesce into one
+// Failures between two Syncs (one superframe's worth) coalesce into one
 // renegotiation at the settled fraction.
 func TestBridgeCoalescesSimultaneousFailures(t *testing.T) {
 	link := bridgeLink(t, 10, 0)
-	eng := sim.NewEngine(1)
 	sink := &recordingSink{}
-	b := NewBridge(link, sink, 0, eng)
-	b.Install()
+	b := NewBridge(link, sink, 0)
 
-	eng.After(1e-6, func() {
-		link.FailChannel(0)
-		link.FailChannel(1)
-		link.FailChannel(2)
-	})
-	eng.Run()
+	b.Sync()
+	link.FailChannel(0)
+	link.FailChannel(1)
+	link.FailChannel(2)
+	b.Sync()
 
-	if len(sink.calls) != 1 {
+	if len(sink.calls) != 1 || b.Renegotiations() != 1 {
 		t.Fatalf("published %d times, want 1 coalesced: %+v", len(sink.calls), sink.calls)
 	}
 	if sink.calls[0].frac != 0.7 {
@@ -98,23 +93,43 @@ func TestBridgeCoalescesSimultaneousFailures(t *testing.T) {
 	}
 }
 
-// Installing the bridge must chain, not replace, an existing monitor
-// hook.
-func TestBridgeChainsExistingHook(t *testing.T) {
+// The bridge never touches the monitor's single hook slot: a hook
+// installed before NewBridge is the same hook, and still fires, after a
+// Sync.
+func TestBridgeLeavesExistingHook(t *testing.T) {
 	link := bridgeLink(t, 4, 0)
-	eng := sim.NewEngine(1)
 	var hookCalls int
 	link.Monitor().SetTransitionHook(func(int, phy.ChannelState, phy.ChannelState) { hookCalls++ })
-	b := NewBridge(link, &recordingSink{}, 0, eng)
-	b.Install()
+	before := reflect.ValueOf(link.Monitor().TransitionHook()).Pointer()
+	b := NewBridge(link, &recordingSink{}, 0)
 
-	eng.After(1e-6, func() { link.FailChannel(0) })
-	eng.Run()
+	link.FailChannel(0)
+	b.Sync()
 	if hookCalls == 0 {
-		t.Fatal("pre-existing transition hook was replaced, not chained")
+		t.Fatal("pre-existing transition hook did not fire")
+	}
+	if after := reflect.ValueOf(link.Monitor().TransitionHook()).Pointer(); after != before {
+		t.Fatal("the bridge replaced the monitor's transition hook")
 	}
 	if b.Renegotiations() != 1 {
 		t.Fatalf("renegotiations = %d, want 1", b.Renegotiations())
+	}
+}
+
+// A Sync with nothing changed publishes nothing and allocates nothing —
+// it runs on every superframe of every link.
+func TestBridgeIdleSyncIsFree(t *testing.T) {
+	link := bridgeLink(t, 10, 0)
+	sink := &recordingSink{}
+	b := NewBridge(link, sink, 0)
+	link.FailChannel(0)
+	b.Sync()
+
+	if allocs := testing.AllocsPerRun(100, b.Sync); allocs != 0 {
+		t.Errorf("idle Sync allocates %v times per call, want 0", allocs)
+	}
+	if len(sink.calls) != 1 || b.Renegotiations() != 1 || b.Fraction() != 0.9 {
+		t.Fatalf("idle Syncs published: %+v (renegs=%d frac=%v)", sink.calls, b.Renegotiations(), b.Fraction())
 	}
 }
 
@@ -137,16 +152,14 @@ func (r *recordingVCSink) SetVCCapacityFraction(link, vc int, frac float64) {
 // class-weighted share of the new fraction, in VC order.
 func TestBridgePublishesVCShares(t *testing.T) {
 	link := bridgeLink(t, 10, 0)
-	eng := sim.NewEngine(1)
 	sink := &recordingSink{}
 	vcSink := &recordingVCSink{}
-	b := NewBridge(link, sink, 7, eng)
+	b := NewBridge(link, sink, 7)
 	b.VCSink = vcSink
 	b.VCClasses = []uint8{0, 1, 2} // weights 4, 2, 1 -> shares 4/7, 2/7, 1/7
-	b.Install()
 
-	eng.After(1e-6, func() { link.FailChannel(0) })
-	eng.Run()
+	link.FailChannel(0)
+	b.Sync()
 
 	if len(vcSink.calls) != 3 {
 		t.Fatalf("published %d VC shares, want 3: %+v", len(vcSink.calls), vcSink.calls)
@@ -171,14 +184,12 @@ func TestBridgePublishesVCShares(t *testing.T) {
 // implied class-0 channel at the full link fraction.
 func TestBridgeVCSinkDefaultsToOneVC(t *testing.T) {
 	link := bridgeLink(t, 10, 0)
-	eng := sim.NewEngine(1)
 	vcSink := &recordingVCSink{}
-	b := NewBridge(link, &recordingSink{}, 3, eng)
+	b := NewBridge(link, &recordingSink{}, 3)
 	b.VCSink = vcSink
-	b.Install()
 
-	eng.After(1e-6, func() { link.FailChannel(0) })
-	eng.Run()
+	link.FailChannel(0)
+	b.Sync()
 	if len(vcSink.calls) != 1 || vcSink.calls[0].vc != 0 || vcSink.calls[0].frac != 0.9 {
 		t.Fatalf("default VC publication = %+v, want one (vc 0, 0.9)", vcSink.calls)
 	}

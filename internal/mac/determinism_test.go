@@ -8,6 +8,7 @@ import (
 
 	"mosaic/internal/eventlog"
 	"mosaic/internal/faultinject"
+	"mosaic/internal/phy"
 	"mosaic/internal/sim"
 	"mosaic/internal/telemetry"
 )
@@ -30,7 +31,7 @@ func runGoldenSession(t *testing.T, workers int, reg *telemetry.Registry) (strin
 	rev := testLink(t, 12, workers)
 	eng := sim.NewEngine(1)
 	sink := &recordingSink{}
-	bridge := NewBridge(fwd, sink, 3, eng)
+	bridge := NewBridge(fwd, sink, 3)
 	sess, err := NewSession(SessionConfig{
 		Engine: eng,
 		Fwd:    fwd,
@@ -128,7 +129,7 @@ func TestSessionOnReusedLinksRemapsNothing(t *testing.T) {
 			Pair:     PairConfig{PHYFrameLen: 120},
 			Schedule: sched, Superframes: 10, Interval: 1e-5,
 			PacketsPerSF: 4, PacketLen: 150, Seed: 21,
-			Bridge: NewBridge(fwd, DiscardCapacity{}, 0, eng),
+			Bridge: NewBridge(fwd, DiscardCapacity{}, 0),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -145,5 +146,59 @@ func TestSessionOnReusedLinksRemapsNothing(t *testing.T) {
 	}
 	if second := run(faultinject.Schedule{}); len(second.Log) != 0 {
 		t.Fatalf("second session on the spared link logged:\n%s", strings.Join(second.Log, "\n"))
+	}
+}
+
+// shedSession runs a short session on a spare-less 10-lane pair: any
+// kill in sched sheds a lane in the superframe it lands on.
+func shedSession(t *testing.T, fwd, rev *phy.Link, sched faultinject.Schedule, reg *telemetry.Registry) *Result {
+	t.Helper()
+	eng := sim.NewEngine(1)
+	sess, err := NewSession(SessionConfig{
+		Engine: eng, Fwd: fwd, Rev: rev,
+		Schedule: sched, Superframes: 4, Interval: 1e-5,
+		PacketsPerSF: 2, PacketLen: 100, Seed: 21,
+		Bridge:  NewBridge(fwd, DiscardCapacity{}, 0),
+		Metrics: reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.Run()
+	res := sess.Result()
+	if res.Err != "" {
+		t.Fatal(res.Err)
+	}
+	return res
+}
+
+var killOnLastSuperframe = faultinject.Schedule{Events: []faultinject.Event{{At: 3, Kind: faultinject.KindKill, Channel: 4}}}
+
+// The bridge series are pushed after the tick's own renegotiation, so a
+// lane shed on the final superframe still reaches the registry.
+func TestSessionTelemetrySeesFinalSuperframeRenegotiation(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	res := shedSession(t, bridgeLink(t, 10, 0), bridgeLink(t, 10, 0), killOnLastSuperframe, reg)
+	if res.Fraction != 0.9 || res.Renegotiations != 1 {
+		t.Fatalf("result fraction=%v renegotiations=%d, want 0.9/1", res.Fraction, res.Renegotiations)
+	}
+	if got := reg.Gauge("mosaic_mac_capacity_fraction").Value(); got != res.Fraction {
+		t.Errorf("capacity fraction gauge = %v, result says %v", got, res.Fraction)
+	}
+	if got := reg.Counter("mosaic_mac_renegotiations_total").Value(); got != res.Renegotiations {
+		t.Errorf("renegotiation counter = %d, result says %d", got, res.Renegotiations)
+	}
+}
+
+// The bridge's 1.0 is the configured width, not the width it was built
+// on: a second session (new bridge, fresh sink) on a pair whose first
+// session shed a lane reports the worn fraction, published once.
+func TestSessionOnWornLinkReportsRealFraction(t *testing.T) {
+	fwd, rev := bridgeLink(t, 10, 0), bridgeLink(t, 10, 0)
+	shedSession(t, fwd, rev, killOnLastSuperframe, nil)
+	second := shedSession(t, fwd, rev, faultinject.Schedule{}, nil)
+	if second.LanesStart != 9 || second.Fraction != 0.9 || second.Renegotiations != 1 {
+		t.Fatalf("second session lanes_start=%d fraction=%v renegotiations=%d, want 9/0.9/1",
+			second.LanesStart, second.Fraction, second.Renegotiations)
 	}
 }

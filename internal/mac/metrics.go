@@ -1,102 +1,58 @@
-package telemetry
+package mac
 
-import "strconv"
+import (
+	"strconv"
 
-// MACStats is a neutral snapshot of one MAC/LLR endpoint's cumulative
-// counters and gauges. It mirrors mac.Stats field-for-field but lives
-// here so the telemetry package never imports internal/mac (which
-// imports faultinject, which imports telemetry); the MAC layer converts
-// its own stats into this struct when pushing.
-type MACStats struct {
-	PacketsQueued uint64
-	DataTx        uint64
-	Retransmits   uint64
-	AcksTx        uint64
-	DataRx        uint64
-	Delivered     uint64
-	Duplicates    uint64
-	Discarded     uint64
-	Reordered     uint64
-	AcksRx        uint64
-	SacksRx       uint64
-	UnknownVC     uint64
-	CreditStalls  uint64
-	Timeouts      uint64
-
-	InFlight     int
-	QueueDepth   int
-	ReorderDepth int
-
-	DeframeFrames uint64
-	CRCRejects    uint64
-	HeaderRejects uint64
-	SkippedBytes  uint64
-}
-
-// MACVCStats is the per-virtual-channel breakdown of the same counters,
-// mirroring mac.VCStats.
-type MACVCStats struct {
-	Class         int
-	PacketsQueued uint64
-	DataTx        uint64
-	Retransmits   uint64
-	Delivered     uint64
-	Duplicates    uint64
-	Discarded     uint64
-	Reordered     uint64
-	CreditStalls  uint64
-	Timeouts      uint64
-
-	InFlight     int
-	QueueDepth   int
-	ReorderDepth int
-}
+	"mosaic/internal/telemetry"
+)
 
 // macEndpoint holds the metric handles and previous snapshot for one
 // labeled endpoint.
 type macEndpoint struct {
-	packets, dataTx, retx, acksTx      *Counter
-	dataRx, delivered, dups, discarded *Counter
-	reordered, acksRx, sacksRx         *Counter
-	unknownVC, stalls, timeouts        *Counter
-	deframed, crcRej, hdrRej, skipped  *Counter
+	packets, dataTx, retx, acksTx      *telemetry.Counter
+	dataRx, delivered, dups, discarded *telemetry.Counter
+	reordered, acksRx, sacksRx         *telemetry.Counter
+	unknownVC, stalls, timeouts        *telemetry.Counter
+	deframed, crcRej, hdrRej, skipped  *telemetry.Counter
 
-	inFlight, queueDepth, reorderDepth, retxRate *Gauge
+	inFlight, queueDepth, reorderDepth, retxRate *telemetry.Gauge
 
-	prev MACStats
+	prev Stats
 }
 
 // macVC holds the metric handles and previous snapshot for one
 // (endpoint, virtual channel) pair.
 type macVC struct {
-	packets, dataTx, retx, delivered *Counter
-	dups, discarded, reordered       *Counter
-	stalls, timeouts                 *Counter
+	packets, dataTx, retx, delivered *telemetry.Counter
+	dups, discarded, reordered       *telemetry.Counter
+	stalls, timeouts                 *telemetry.Counter
 
-	class, inFlight, queueDepth, reorderDepth *Gauge
+	class, inFlight, queueDepth, reorderDepth *telemetry.Gauge
 
-	prev MACVCStats
+	prev VCStats
 }
 
-// MACCollector pushes MAC endpoint snapshots into a Registry, following
-// the same discipline as LinkCollector: handles are created up front,
-// cumulative snapshot counters become registry deltas against the
-// previous Sync, and gauges are overwritten. All writes happen on the
-// caller's goroutine at superframe boundaries; scrapes read atomics.
-type MACCollector struct {
-	reg       *Registry
+// collector pushes MAC endpoint snapshots into a telemetry.Registry,
+// following the same discipline as telemetry.LinkCollector: handles are
+// created up front, cumulative snapshot counters become registry deltas
+// against the previous sync, and gauges are overwritten. All writes
+// happen on the caller's goroutine at superframe boundaries; scrapes
+// read atomics. It lives beside the Stats it reads because telemetry
+// cannot import mac (mac -> faultinject -> telemetry).
+type collector struct {
+	reg       *telemetry.Registry
 	endpoints map[string]*macEndpoint
 	vcs       map[string]*macVC
 
-	renegotiations *Counter
-	capacityFrac   *Gauge
+	renegotiations *telemetry.Counter
+	capacityFrac   *telemetry.Gauge
 	prevReneg      uint64
 }
 
-// NewMACCollector registers the MAC metric set (with help text) and
+// newCollector registers the MAC metric set (with help text) and
 // returns a collector. Endpoint handles are created lazily per label on
-// first Sync; bridge-level metrics are singletons.
-func NewMACCollector(reg *Registry) *MACCollector {
+// first sync; bridge-level metrics are singletons.
+func newCollector(reg *telemetry.Registry) *collector {
 	reg.Help("mosaic_mac_retransmits_total", "LLR data frames re-sent by the ARQ")
 	reg.Help("mosaic_mac_delivered_total", "packets delivered in order to the client")
 	reg.Help("mosaic_mac_discarded_total", "data frames dropped with no reorder room (ahead of window)")
@@ -110,7 +66,7 @@ func NewMACCollector(reg *Registry) *MACCollector {
 	reg.Help("mosaic_mac_capacity_fraction", "capacity fraction last published by the MAC bridge")
 	reg.Help("mosaic_mac_vc_delivered_total", "per-VC packets delivered in order to the client")
 	reg.Help("mosaic_mac_vc_class", "QoS class assigned to the virtual channel (0 = highest)")
-	c := &MACCollector{
+	c := &collector{
 		reg:            reg,
 		endpoints:      make(map[string]*macEndpoint),
 		vcs:            make(map[string]*macVC),
@@ -121,7 +77,7 @@ func NewMACCollector(reg *Registry) *MACCollector {
 	return c
 }
 
-func (c *MACCollector) endpoint(label string) *macEndpoint {
+func (c *collector) endpoint(label string) *macEndpoint {
 	if ep, ok := c.endpoints[label]; ok {
 		return ep
 	}
@@ -154,7 +110,7 @@ func (c *MACCollector) endpoint(label string) *macEndpoint {
 	return ep
 }
 
-func (c *MACCollector) vc(label string, vc int) *macVC {
+func (c *collector) vc(label string, vc int) *macVC {
 	key := label + "/" + strconv.Itoa(vc)
 	if h, ok := c.vcs[key]; ok {
 		return h
@@ -180,11 +136,11 @@ func (c *MACCollector) vc(label string, vc int) *macVC {
 	return h
 }
 
-// Sync publishes one endpoint snapshot: counters advance by the delta
+// sync publishes one endpoint snapshot: counters advance by the delta
 // against the previous snapshot (so restarts of the underlying endpoint
 // never decrease registry counters), gauges are overwritten, and the
-// retx-rate gauge reflects only the window since the last Sync.
-func (c *MACCollector) Sync(label string, s MACStats) {
+// retx-rate gauge reflects only the window since the last sync.
+func (c *collector) sync(label string, s Stats) {
 	ep := c.endpoint(label)
 	p := ep.prev
 	ep.packets.Add(s.PacketsQueued - p.PacketsQueued)
@@ -201,10 +157,10 @@ func (c *MACCollector) Sync(label string, s MACStats) {
 	ep.unknownVC.Add(s.UnknownVC - p.UnknownVC)
 	ep.stalls.Add(s.CreditStalls - p.CreditStalls)
 	ep.timeouts.Add(s.Timeouts - p.Timeouts)
-	ep.deframed.Add(s.DeframeFrames - p.DeframeFrames)
-	ep.crcRej.Add(s.CRCRejects - p.CRCRejects)
-	ep.hdrRej.Add(s.HeaderRejects - p.HeaderRejects)
-	ep.skipped.Add(s.SkippedBytes - p.SkippedBytes)
+	ep.deframed.Add(s.Deframe.Frames - p.Deframe.Frames)
+	ep.crcRej.Add(s.Deframe.CRCRejects - p.Deframe.CRCRejects)
+	ep.hdrRej.Add(s.Deframe.HeaderRejects - p.Deframe.HeaderRejects)
+	ep.skipped.Add(s.Deframe.SkippedBytes - p.Deframe.SkippedBytes)
 
 	ep.inFlight.SetInt(int64(s.InFlight))
 	ep.queueDepth.SetInt(int64(s.QueueDepth))
@@ -219,9 +175,9 @@ func (c *MACCollector) Sync(label string, s MACStats) {
 	ep.prev = s
 }
 
-// SyncVC publishes one virtual channel's snapshot for a labeled
-// endpoint, with the same delta-against-previous discipline as Sync.
-func (c *MACCollector) SyncVC(label string, vcIdx int, s MACVCStats) {
+// syncVC publishes one virtual channel's snapshot for a labeled
+// endpoint, with the same delta-against-previous discipline as sync.
+func (c *collector) syncVC(label string, vcIdx int, s VCStats) {
 	h := c.vc(label, vcIdx)
 	p := h.prev
 	h.packets.Add(s.PacketsQueued - p.PacketsQueued)
@@ -241,9 +197,9 @@ func (c *MACCollector) SyncVC(label string, vcIdx int, s MACVCStats) {
 	h.prev = s
 }
 
-// SyncBridge publishes bridge-level renegotiation state (cumulative
+// syncBridge publishes bridge-level renegotiation state (cumulative
 // count plus the current capacity fraction).
-func (c *MACCollector) SyncBridge(renegotiations uint64, frac float64) {
+func (c *collector) syncBridge(renegotiations uint64, frac float64) {
 	c.renegotiations.Add(renegotiations - c.prevReneg)
 	c.prevReneg = renegotiations
 	c.capacityFrac.Set(frac)

@@ -1,0 +1,71 @@
+package mac
+
+import (
+	"testing"
+
+	"mosaic/internal/telemetry"
+)
+
+// TestMACCollectorSync checks delta folding, the windowed retx-rate math
+// (including the zero-denominator window), and bridge-level publication.
+func TestMACCollectorSync(t *testing.T) {
+	r := telemetry.NewRegistry()
+	c := newCollector(r)
+
+	s := Stats{
+		PacketsQueued: 10, DataTx: 20, Retransmits: 5, AcksTx: 2,
+		DataRx: 18, Delivered: 9, Duplicates: 1, Discarded: 1,
+		AcksRx: 15, CreditStalls: 3, Timeouts: 2,
+		InFlight: 4, QueueDepth: 6,
+		Deframe: DeframeStats{Frames: 40, CRCRejects: 2, HeaderRejects: 1, SkippedBytes: 7},
+	}
+	c.sync("a", s)
+	if got := r.Counter("mosaic_mac_retransmits_total", "endpoint", "a").Value(); got != 5 {
+		t.Fatalf("retransmits %d, want 5", got)
+	}
+	// First window: 5 retransmits over 20 fresh + 5 retx data frames.
+	if got := r.Gauge("mosaic_mac_retx_rate", "endpoint", "a").Value(); got != 5.0/25.0 {
+		t.Fatalf("retx rate %v, want 0.2", got)
+	}
+	if got := r.Gauge("mosaic_mac_replay_occupancy", "endpoint", "a").Value(); got != 4 {
+		t.Fatalf("replay occupancy %v, want 4", got)
+	}
+
+	// Second sync with identical cumulative stats: every delta is zero, so
+	// counters hold and the retx-rate window divides by nothing -> 0.
+	c.sync("a", s)
+	if got := r.Counter("mosaic_mac_retransmits_total", "endpoint", "a").Value(); got != 5 {
+		t.Fatalf("retransmits double-counted: %d", got)
+	}
+	if got := r.Gauge("mosaic_mac_retx_rate", "endpoint", "a").Value(); got != 0 {
+		t.Fatalf("empty-window retx rate %v, want 0", got)
+	}
+
+	// Third sync: only fresh data this window -> rate 0 with nonzero
+	// denominator; counters advance by the delta only.
+	s2 := s
+	s2.DataTx += 10
+	s2.Delivered += 10
+	c.sync("a", s2)
+	if got := r.Gauge("mosaic_mac_retx_rate", "endpoint", "a").Value(); got != 0 {
+		t.Fatalf("clean-window retx rate %v, want 0", got)
+	}
+	if got := r.Counter("mosaic_mac_data_frames_tx_total", "endpoint", "a").Value(); got != 30 {
+		t.Fatalf("data_tx %d, want 30", got)
+	}
+
+	// A second endpoint gets its own handle set.
+	c.sync("b", Stats{DataTx: 1})
+	if got := r.Counter("mosaic_mac_data_frames_tx_total", "endpoint", "b").Value(); got != 1 {
+		t.Fatalf("endpoint b data_tx %d, want 1", got)
+	}
+
+	c.syncBridge(2, 0.5)
+	c.syncBridge(5, 1.0)
+	if got := r.Counter("mosaic_mac_renegotiations_total").Value(); got != 5 {
+		t.Fatalf("renegotiations %d, want 5", got)
+	}
+	if got := r.Gauge("mosaic_mac_capacity_fraction").Value(); got != 1.0 {
+		t.Fatalf("capacity fraction %v, want 1", got)
+	}
+}

@@ -42,8 +42,8 @@ type SessionConfig struct {
 	BurstEvery   int
 	BurstPackets int
 
-	// Bridge, when non-nil, is Installed on Fwd's monitor before the
-	// first tick; its renegotiations land in the event log.
+	// Bridge, when non-nil, is Synced at the end of every tick; its
+	// renegotiations land in the event log.
 	Bridge *Bridge
 
 	// Metrics, when non-nil, receives MAC endpoint metrics ("a", "b"),
@@ -63,7 +63,7 @@ type Session struct {
 	pair    *Pair
 	sup     *faultinject.Supervisor
 	packets [][]byte
-	col     *telemetry.MACCollector
+	col     *collector
 
 	sf       int
 	prevRetx uint64
@@ -150,22 +150,18 @@ func NewSession(cfg SessionConfig) (*Session, error) {
 	s.packets = phy.SeededFrames(cfg.Seed, perTick+burst, cfg.PacketLen)
 
 	if cfg.Metrics != nil {
-		s.col = telemetry.NewMACCollector(cfg.Metrics)
+		s.col = newCollector(cfg.Metrics)
 	}
 
-	// The supervisor logs health transitions as they happen. The bridge
-	// (if any) chains onto its hook, so the supervisor goes in first.
+	// The supervisor logs health transitions as they happen.
 	s.sup = faultinject.Supervise(cfg.Fwd, &s.log, cfg.Metrics)
 	s.sup.Load(cfg.Schedule, 0)
 	s.sup.OnInject = func(e faultinject.Event) {
 		s.log.Addf("inject %v", e)
 	}
-	if cfg.Bridge != nil {
-		cfg.Bridge.Install()
-		if cfg.Bridge.OnRenegotiate == nil {
-			cfg.Bridge.OnRenegotiate = func(at sim.Time, lanes int, frac float64) {
-				s.log.Addf("sf=%d renegotiate t=%v lanes=%d frac=%.4f", s.sf, at, lanes, frac)
-			}
+	if cfg.Bridge != nil && cfg.Bridge.OnRenegotiate == nil {
+		cfg.Bridge.OnRenegotiate = func(lanes int, frac float64) {
+			s.log.Addf("sf=%d renegotiate t=%v lanes=%d frac=%.4f", s.sf, cfg.Engine.Now(), lanes, frac)
 		}
 	}
 
@@ -208,12 +204,10 @@ func (s *Session) queueTraffic() bool {
 }
 
 // tick runs one superframe: inject faults, queue client packets, move
-// the pair one round trip, spare out failed channels, then log
-// milestones and push telemetry. Bridge syncs scheduled by the monitor
-// hook run after this callback returns (same simulated instant), so
-// they observe the post-remap lane count. The tick that ends the session
-// (the last, or one that errs) hands Fwd's monitor hook back, so a link
-// reused by a later session carries no stale chain.
+// the pair one round trip, spare out failed channels, log milestones,
+// renegotiate capacity, and push telemetry. The tick that ends the
+// session (the last, or one that errs) hands Fwd's monitor hook back, so
+// a link reused by a later session carries no stale hook.
 func (s *Session) tick() {
 	s.sup.Begin(s.sf)
 
@@ -228,8 +222,7 @@ func (s *Session) tick() {
 		return
 	}
 
-	// Reactive sparing at the boundary (the bridge hook has already
-	// scheduled a renegotiation sync for this instant).
+	// Reactive sparing at the boundary.
 	s.sup.Spare()
 
 	// Retransmission activity (the LLR doing its job) is log-worthy.
@@ -241,25 +234,33 @@ func (s *Session) tick() {
 
 	s.sup.End(s.pair.FwdStats)
 
-	if s.col != nil {
-		s.col.Sync("a", s.pair.A.Stats().Export())
-		s.col.Sync("b", s.pair.B.Stats().Export())
-		for vc := 0; vc < s.pair.A.NumVCs(); vc++ {
-			s.col.SyncVC("a", vc, s.pair.A.VCSnapshot(vc).Export())
-		}
-		for vc := 0; vc < s.pair.B.NumVCs(); vc++ {
-			s.col.SyncVC("b", vc, s.pair.B.VCSnapshot(vc).Export())
-		}
-		if s.cfg.Bridge != nil {
-			s.col.SyncBridge(s.cfg.Bridge.Renegotiations(), s.cfg.Bridge.Fraction())
-		}
-	}
-
 	s.sf++
 	if s.sf < s.cfg.Superframes {
 		s.cfg.Engine.After(s.cfg.Interval, s.tick)
 	} else {
 		s.sup.Close()
+	}
+
+	// The boundary's last step: republish the post-remap width. It runs
+	// after the milestones and the increment, so a renegotiate line
+	// closes its superframe's block and names the superframe about to
+	// start; and before the push, so telemetry sees this tick's width.
+	if s.cfg.Bridge != nil {
+		s.cfg.Bridge.Sync()
+	}
+
+	if s.col != nil {
+		s.col.sync("a", s.pair.A.Stats())
+		s.col.sync("b", s.pair.B.Stats())
+		for vc := 0; vc < s.pair.A.NumVCs(); vc++ {
+			s.col.syncVC("a", vc, s.pair.A.VCSnapshot(vc))
+		}
+		for vc := 0; vc < s.pair.B.NumVCs(); vc++ {
+			s.col.syncVC("b", vc, s.pair.B.VCSnapshot(vc))
+		}
+		if s.cfg.Bridge != nil {
+			s.col.syncBridge(s.cfg.Bridge.Renegotiations(), s.cfg.Bridge.Fraction())
+		}
 	}
 }
 
@@ -301,50 +302,4 @@ func (r *Result) Summary() string {
 		r.A.Retransmits, r.A.Timeouts, r.A.CreditStalls, r.B.AcksTx+r.A.AcksTx,
 		r.B.Deframe.CRCRejects, r.B.Deframe.SkippedBytes,
 		r.LanesStart, r.LanesEnd, r.SparesEnd, r.Renegotiations, r.Fraction)
-}
-
-// Export converts the endpoint stats into the neutral telemetry shape.
-func (s Stats) Export() telemetry.MACStats {
-	return telemetry.MACStats{
-		PacketsQueued: s.PacketsQueued,
-		DataTx:        s.DataTx,
-		Retransmits:   s.Retransmits,
-		AcksTx:        s.AcksTx,
-		DataRx:        s.DataRx,
-		Delivered:     s.Delivered,
-		Duplicates:    s.Duplicates,
-		Discarded:     s.Discarded,
-		Reordered:     s.Reordered,
-		AcksRx:        s.AcksRx,
-		SacksRx:       s.SacksRx,
-		UnknownVC:     s.UnknownVC,
-		CreditStalls:  s.CreditStalls,
-		Timeouts:      s.Timeouts,
-		InFlight:      s.InFlight,
-		QueueDepth:    s.QueueDepth,
-		ReorderDepth:  s.ReorderDepth,
-		DeframeFrames: s.Deframe.Frames,
-		CRCRejects:    s.Deframe.CRCRejects,
-		HeaderRejects: s.Deframe.HeaderRejects,
-		SkippedBytes:  s.Deframe.SkippedBytes,
-	}
-}
-
-// ExportVC converts one VC's stats into the neutral telemetry shape.
-func (s VCStats) Export() telemetry.MACVCStats {
-	return telemetry.MACVCStats{
-		Class:         int(s.Class),
-		PacketsQueued: s.PacketsQueued,
-		DataTx:        s.DataTx,
-		Retransmits:   s.Retransmits,
-		Delivered:     s.Delivered,
-		Duplicates:    s.Duplicates,
-		Discarded:     s.Discarded,
-		Reordered:     s.Reordered,
-		CreditStalls:  s.CreditStalls,
-		Timeouts:      s.Timeouts,
-		InFlight:      s.InFlight,
-		QueueDepth:    s.QueueDepth,
-		ReorderDepth:  s.ReorderDepth,
-	}
 }
