@@ -42,10 +42,13 @@ staticcheck:
 # transition-hook closure, only the supervisor formats the remap line,
 # and the Poisson gap is drawn only inside internal/netsim
 # (FlowSim.OfferPoisson). Capacity renegotiation is a plain Bridge.Sync
-# call at that boundary: no zero-delay event under internal/mac or
-# internal/fleetd (phy.Stream's pump keeps its two), no sim import in
-# fleetd/link.go, and the MAC collector lives beside mac.Stats, so
-# internal/telemetry declares no MACStats/MACVCStats/MACCollector mirror.
+# call at that boundary, and links are stepped, never scheduled: no
+# zero-delay event anywhere, no sim import in fleetd/link.go, and a
+# sim.Engine named only by the event-driven flow simulator and what
+# co-simulates on it (internal/sim, netsim, diffcheck, experiments,
+# cmd/dcsweep, examples/datacenter). The MAC collector lives beside
+# mac.Stats, so internal/telemetry declares no
+# MACStats/MACVCStats/MACCollector mirror.
 SUBSTRATE_SRC = find internal cmd examples -name '*.go' ! -name '*_test.go'
 SUPERVISOR = internal/faultinject/supervisor.go
 substrate:
@@ -59,8 +62,11 @@ substrate:
 		done; \
 		$(SUBSTRATE_SRC) -exec grep -nE '\.FailedChannels\(|handled[A-Za-z]*[ :=]+(make\()?map\[' {} + ; \
 		$(SUBSTRATE_SRC) ! -path $(SUPERVISOR) -exec grep -nF 'SetTransitionHook(func' {} + ; \
-		$(SUBSTRATE_SRC) \( -path 'internal/mac/*' -o -path 'internal/fleetd/*' \) -exec grep -nF 'After(0' {} + ; \
+		$(SUBSTRATE_SRC) -exec grep -nF 'After(0' {} + ; \
 		grep -HnF '"mosaic/internal/sim"' internal/fleetd/link.go ; \
+		$(SUBSTRATE_SRC) ! -path 'internal/sim/*' ! -path 'internal/netsim/*' ! -path 'internal/diffcheck/*' \
+			! -path 'internal/experiments/*' ! -path cmd/dcsweep/main.go ! -path examples/datacenter/main.go \
+			-exec grep -nE 'sim\.(New)?Engine' {} + ; \
 		$(SUBSTRATE_SRC) -path 'internal/telemetry/*' -exec grep -nE '^type (MACStats|MACVCStats|MACCollector)\b' {} + ; \
 		$(SUBSTRATE_SRC) ! -path $(SUPERVISOR) -exec grep -nF '"sf=%d remap %v"' {} + ; \
 		$(SUBSTRATE_SRC) ! -path 'internal/netsim/*' -exec grep -nF '.NextGapSec(' {} + ; \
@@ -68,10 +74,10 @@ substrate:
 			[ "$$(grep -cF "$$pat" $(SUPERVISOR))" -eq 1 ] || echo "$(SUPERVISOR): want exactly one $$pat"; \
 		done; } ); \
 	if [ -n "$$bad" ]; then \
-		echo "substrate: FAIL — use internal/par for fan-out, internal/eventlog for log digests, faultinject.Supervisor for the superframe boundary, a plain Bridge.Sync after its sparing step for renegotiation, internal/mac for MAC metrics:"; \
+		echo "substrate: FAIL — use internal/par for fan-out, internal/eventlog for log digests, faultinject.Supervisor for the superframe boundary, a plain Bridge.Sync after its sparing step for renegotiation, a step loop (not a sim.Engine) to drive a link, internal/mac for MAC metrics:"; \
 		echo "$$bad"; exit 1; \
 	fi; \
-	echo "substrate: OK — goroutines only in internal/par, sha256 only in internal/eventlog, sparing/hook/remap line only in the link supervisor, no deferred sync or per-link engine in mac/fleetd, no MAC stats mirror in telemetry"
+	echo "substrate: OK — goroutines only in internal/par, sha256 only in internal/eventlog, sparing/hook/remap line only in the link supervisor, links stepped (no zero-delay event, sim.Engine only under the flow simulator), no MAC stats mirror in telemetry"
 
 build:
 	$(GO) build ./...
@@ -134,12 +140,15 @@ bench-e24:
 		$(GO) run ./cmd/benchguard -out BENCH_E24.json
 
 # CI bench-regression gate: run the baselined benchmarks, keep the raw
-# `go test -bench` text in BENCH_RAW.txt (uploaded as a CI artifact so a
-# regression can be diagnosed from the individual -count repeats), record
+# `go test -bench` text in BENCH_RAW.txt (so a regression can be diagnosed
+# from the individual -count repeats), record
 # the min-of-N aggregate in BENCH_E10.json, and fail if any baselined
 # benchmark regresses allocs/op >10% or ns/op >25% (a baseline of exactly
 # 0 allocs allows no allocations at all).
-# After an intentional change: make bench | go run ./cmd/benchguard -baseline ci/bench_baseline.json -update
+# After an intentional change re-pin and commit the run with it, so
+# `git log -p BENCH_*.json` is the performance history:
+#   make bench > BENCH_RAW.txt && go run ./cmd/benchguard -in BENCH_RAW.txt \
+#       -baseline ci/bench_baseline.json -update -out BENCH_E10.json
 bench-check:
 	$(MAKE) --no-print-directory bench | tee BENCH_RAW.txt | $(GO) run ./cmd/benchguard \
 		-baseline ci/bench_baseline.json -out BENCH_E10.json
@@ -208,7 +217,7 @@ fuzz-smoke:
 # The design-economy ledger: non-test Go lines (wc -l) per top-level
 # package and in total, with benchmark/ (the measuring harness, not the
 # system) listed apart. ROADMAP's "non-test line count goes down" is read
-# off LOC.txt, which CI's lint job prints and uploads.
+# off the committed LOC.txt (CI's lint job also prints and uploads it).
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './.*' -exec wc -l {} + | awk ' \
 		$$2 == "total" { next } \

@@ -283,7 +283,7 @@ func BenchmarkFullSuite(b *testing.B) {
 	for _, par := range []int{1, 4} {
 		b.Run("par="+strconv.Itoa(par), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				results, err := experiments.Run(nil, 1, par)
+				results, err := experiments.RunMetered(nil, 1, par, nil)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -19,6 +19,7 @@ import (
 	"math/rand"
 	"os"
 
+	"mosaic/cmd/internal/linkflags"
 	"mosaic/internal/channel"
 	"mosaic/internal/core"
 	"mosaic/internal/mac"
@@ -27,25 +28,27 @@ import (
 )
 
 func main() {
+	link := linkflags.AddLink(flag.CommandLine)
+	macf := linkflags.AddMAC(flag.CommandLine)
 	var (
 		lengthM  = flag.Float64("length", 2, "fiber length in metres")
 		offsetM  = flag.Float64("offset", 0, "lateral misalignment in metres (e.g. 10e-6)")
 		channels = flag.Int("channels", 100, "data channels")
-		spares   = flag.Int("spares", 4, "spare channels")
 		chanRate = flag.Float64("chanrate", 2e9, "per-channel rate in bit/s")
-		fecName  = flag.String("fec", "rslite", "per-channel FEC: none|hamming72|rslite|kp4")
-		seed     = flag.Int64("seed", 1, "simulation seed")
 		run      = flag.Bool("run", false, "also run bit-true traffic through the link")
 		frames   = flag.Int("frames", 200, "frames to exchange with -run")
 		sweep    = flag.Bool("sweep", false, "print a reach sweep instead")
 		eye      = flag.Bool("eye", false, "render the channel eye diagram")
 		cfgPath  = flag.String("config", "", "JSON design config (overrides other design flags)")
 		par      = flag.Int("par", 0, "PHY lane workers for -run (0 = all cores, 1 = serial; same results either way)")
-		macRun   = flag.Bool("mac", false, "run MAC-framed traffic (CRC framing + LLR) over a full-duplex pair")
-		arqName  = flag.String("arq", "gbn", "LLR retransmission discipline with -mac: gbn|sr")
-		vcCount  = flag.Int("vc", 1, "virtual channels with -mac (classes assigned round-robin)")
 	)
 	flag.Parse()
+	if err := link.Resolve(); err != nil {
+		fatal(err)
+	}
+	if err := macf.Resolve(); err != nil {
+		fatal(err)
+	}
 
 	var d core.Design
 	if *cfgPath != "" {
@@ -60,26 +63,22 @@ func main() {
 		d.LateralOffsetM = *offsetM
 		d.AggregateRate = float64(*channels) * *chanRate
 		d.ChannelRate = *chanRate
-		d.Spares = *spares
-		d.Seed = *seed
+		d.Spares = link.Spares
+		d.Seed = link.Seed
 		if *channels > 150 {
 			// Denser grid for big arrays (the 800G-class packing).
 			d.ChannelPitchM = 25e-6
 			d.SpotDiameterM = 20e-6
 		}
-		fec, err := phy.FECByName(*fecName)
-		if err != nil {
-			fatal(err)
-		}
-		d.FEC = fec
+		d.FEC = link.FEC
 		if err := d.Validate(); err != nil {
 			fatal(err)
 		}
 	}
 	d.Workers = *par
-	report(d, *seed, *eye, *run, *frames, *sweep)
-	if *macRun {
-		macDemo(d, *seed, *frames, *arqName, *vcCount)
+	report(d, link.Seed, *eye, *run, *frames, *sweep)
+	if macf.Enabled {
+		macDemo(d, link.Seed, *frames, macf)
 	}
 }
 
@@ -88,11 +87,7 @@ func main() {
 // discipline (go-back-N or selective repeat, over one or more virtual
 // channels) all run over the bit-true PHY, so residual post-FEC errors
 // surface as retransmissions instead of lost frames.
-func macDemo(d core.Design, seed int64, packets int, arqName string, vcs int) {
-	arq, err := mac.ARQByName(arqName)
-	if err != nil {
-		fatal(err)
-	}
+func macDemo(d core.Design, seed int64, packets int, macf *linkflags.MAC) {
 	fwd, err := d.BuildPHY()
 	if err != nil {
 		fatal(err)
@@ -103,13 +98,11 @@ func macDemo(d core.Design, seed int64, packets int, arqName string, vcs int) {
 	if err != nil {
 		fatal(err)
 	}
-	classes, _ := mac.RoundRobinVCs(vcs, 0)
+	pc := mac.PairConfig{Endpoint: mac.Config{Window: 64, RetxTimeout: 2, MaxPayload: 1500,
+		PayloadBudget: 16 * (1500 + mac.OverheadV2)}}
+	macf.Endpoint(&pc.Endpoint, 0)
 	delivered := 0
-	pair, err := mac.NewPair(fwd, rev, mac.PairConfig{
-		Endpoint: mac.Config{Window: 64, RetxTimeout: 2, MaxPayload: 1500,
-			PayloadBudget: 16 * (1500 + mac.OverheadV2),
-			ARQ:           arq, VCs: vcs, VCClass: classes},
-	}, nil, func([]byte) { delivered++ })
+	pair, err := mac.NewPair(fwd, rev, pc, nil, func([]byte) { delivered++ })
 	if err != nil {
 		fatal(err)
 	}
@@ -119,7 +112,7 @@ func macDemo(d core.Design, seed int64, packets int, arqName string, vcs int) {
 	for ; delivered < packets && ticks < 8*packets; ticks++ {
 		for k := 0; k < 8 && sent < packets; k++ {
 			rng.Read(payload)
-			if err := pair.A.SendVC(sent%vcs, payload); err != nil {
+			if err := pair.A.SendVC(sent%macf.VCs, payload); err != nil {
 				fatal(err)
 			}
 			sent++
@@ -130,12 +123,12 @@ func macDemo(d core.Design, seed int64, packets int, arqName string, vcs int) {
 	}
 	a, b := pair.A.Stats(), pair.B.Stats()
 	fmt.Printf("\nmac exchange (%s, %d vc): %d/%d packets delivered in %d superframes\n",
-		arq, vcs, delivered, sent, ticks)
+		macf.ARQ, macf.VCs, delivered, sent, ticks)
 	fmt.Printf("llr: %d data tx, %d retransmits, %d timeouts, %d credit stalls\n",
 		a.DataTx, a.Retransmits, a.Timeouts, a.CreditStalls)
 	fmt.Printf("deframer: %d frames, %d crc rejects, %d resync bytes skipped\n",
 		b.Deframe.Frames, b.Deframe.CRCRejects, b.Deframe.SkippedBytes)
-	if vcs > 1 {
+	if macf.VCs > 1 {
 		for vc := 0; vc < pair.B.NumVCs(); vc++ {
 			v := pair.B.VCSnapshot(vc)
 			fmt.Printf("vc %d (class %d): %d delivered, %d reordered\n",

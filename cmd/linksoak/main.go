@@ -36,71 +36,48 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
-	"math/rand"
+	"math"
 	"os"
 
+	"mosaic/cmd/internal/linkflags"
 	"mosaic/internal/faultinject"
-	"mosaic/internal/mac"
-	"mosaic/internal/phy"
 	"mosaic/internal/scenario"
-	"mosaic/internal/sim"
 	"mosaic/internal/telemetry"
 )
 
 func main() {
+	soak := linkflags.AddSoak(flag.CommandLine, 120, 0)
 	var (
-		lanes       = flag.Int("lanes", 100, "active data lanes")
-		spares      = flag.Int("spares", 4, "spare channels")
-		fecName     = flag.String("fec", "rslite", "per-channel FEC: none|hamming72|rslite|kp4")
-		unitLen     = flag.Int("unit", 243, "stripe unit length in bytes (multiple of 9)")
-		superframes = flag.Int("superframes", 120, "superframes (Exchange rounds) to soak")
-		frames      = flag.Int("frames", 24, "frames per superframe")
-		frameLen    = flag.Int("framesize", 1500, "bytes per frame")
-		seed        = flag.Int64("seed", 1, "simulation seed")
-		workers     = flag.Int("workers", 0, "PHY lane workers (0 = all cores; results identical at any value)")
-		maintEvery  = flag.Int("maintain-every", 10, "superframes between proactive maintenance passes (0 = never)")
-		keepSpares  = flag.Int("keep-spares", 1, "spares held back for hard failures")
-		spareAbove  = flag.Float64("spare-above", 1e-6, "proactive remap threshold (estimated BER)")
 		schedPath   = flag.String("schedule", "", "JSON fault schedule to replay (default: -scenario witness, -hazard random kills, else the default scenario)")
 		scenName    = flag.String("scenario", "", "registered scenario whose witness fault schedule to replay (experiment ID like E26 or spec name; see mosaicbench -list)")
 		dumpPath    = flag.String("dump", "", "write the schedule that was run to this file")
-		hazard      = flag.Float64("hazard", 0, "per-superframe channel death probability for a random-kill schedule")
 		trials      = flag.Int("trials", 0, "run a survival study of N trials instead of one soak")
 		jsonOut     = flag.Bool("json", false, "emit the result as JSON")
 		metricsPath = flag.String("metrics", "", "write a telemetry snapshot to this file after the soak (.json suffix = JSON, else Prometheus text); see cmd/linkmetricsd for live HTTP exposition")
-		macMode     = flag.Bool("mac", false, "soak a full MAC session (CRC framing + LLR + capacity bridge) instead of a bare PHY")
-		arqName     = flag.String("arq", "gbn", "LLR retransmission discipline with -mac: gbn|sr")
-		vcCount     = flag.Int("vc", 1, "virtual channels with -mac (classes assigned round-robin)")
 	)
 	flag.Parse()
-
-	fec, err := phy.FECByName(*fecName)
-	if err != nil {
+	if err := soak.Resolve(); err != nil {
 		fatal(err)
 	}
 
 	if *trials > 0 {
-		runStudy(*lanes, *spares, *hazard, *superframes, *trials, *seed, *workers, *jsonOut)
+		flag.Visit(func(f *flag.Flag) {
+			if f.Name == "fec" {
+				fatal(errors.New("-fec does not apply to -trials: the survival study counts raw channel deaths and always runs without FEC"))
+			}
+		})
+		runStudy(soak, *trials, *jsonOut)
 		return
 	}
 
-	cfg := phy.Config{
-		Lanes:             *lanes,
-		Spares:            *spares,
-		FEC:               fec,
-		UnitLen:           *unitLen,
-		PerChannelBitRate: 2e9,
-		Seed:              *seed,
-		Workers:           *workers,
-	}
-	link, err := phy.New(cfg)
+	links, err := soak.NewLinks()
 	if err != nil {
 		fatal(err)
 	}
-
-	sched, err := buildSchedule(*schedPath, *scenName, *hazard, *lanes+*spares, *superframes, *seed)
+	sched, err := buildSchedule(soak, *schedPath, *scenName)
 	if err != nil {
 		fatal(err)
 	}
@@ -121,29 +98,9 @@ func main() {
 	if *metricsPath != "" {
 		reg = telemetry.NewRegistry()
 	}
-
-	if *macMode {
-		runMACSoak(link, cfg, sched, *superframes, *frames, *frameLen, *seed,
-			*arqName, *vcCount, reg, *metricsPath, *jsonOut)
-		return
-	}
-
-	res, err := faultinject.Run(faultinject.Config{
-		Link:        link,
-		Schedule:    sched,
-		Superframes: *superframes,
-		FramesPerSF: *frames,
-		FrameLen:    *frameLen,
-		Seed:        *seed,
-		Policy: phy.MaintenancePolicy{
-			SpareAboveBER: *spareAbove,
-			KeepSpares:    *keepSpares,
-		},
-		MaintainEvery: *maintEvery,
-		Metrics:       reg,
-	})
-	if err != nil {
-		fatal(err)
+	rep, runErr := soak.Round(links, sched, reg)
+	if rep == nil {
+		fatal(runErr)
 	}
 	if reg != nil {
 		if err := telemetry.WriteFile(reg, *metricsPath); err != nil {
@@ -152,104 +109,34 @@ func main() {
 	}
 
 	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(res); err != nil {
-			fatal(err)
+		writeJSON(rep.Result)
+	} else {
+		if soak.MAC.Enabled {
+			fmt.Printf("mac soak: %d+%d channels, %s FEC, %s arq, %d vc, %d superframes x %d packets x %dB, seed %d\n",
+				soak.Lanes, soak.Spares, soak.FEC.Name(), soak.ARQ, soak.VCs, soak.Superframes, soak.Frames, soak.FrameLen, soak.Seed)
+		} else {
+			fmt.Printf("soak: %d+%d channels, %s FEC, %d superframes x %d frames, seed %d\n",
+				soak.Lanes, soak.Spares, soak.FEC.Name(), soak.Superframes, soak.Frames, soak.Seed)
 		}
-		return
-	}
-	fmt.Printf("soak: %d+%d channels, %s FEC, %d superframes x %d frames, seed %d\n",
-		*lanes, *spares, fec.Name(), *superframes, *frames, *seed)
-	for _, e := range sched.Events {
-		fmt.Printf("scheduled: %v\n", e)
-	}
-	fmt.Println()
-	for _, line := range res.Log {
-		fmt.Println(line)
-	}
-	fmt.Println()
-	fmt.Println(res.Summary())
-}
-
-// runMACSoak replays the schedule against the forward link of a
-// full-duplex MAC pair: client packets cross the CRC-framed LLR (the
-// selected ARQ discipline, split across the configured virtual
-// channels) every superframe while reactive sparing remaps failures and
-// the bridge renegotiates capacity. The event log is byte-identical at
-// any -workers value, like the bare-PHY soak.
-func runMACSoak(fwd *phy.Link, cfg phy.Config, sched faultinject.Schedule,
-	superframes, packets, packetLen int, seed int64, arqName string, vcs int,
-	reg *telemetry.Registry, metricsPath string, jsonOut bool) {
-	arq, err := mac.ARQByName(arqName)
-	if err != nil {
-		fatal(err)
-	}
-	revCfg := cfg
-	revCfg.Seed = cfg.Seed + 1
-	rev, err := phy.New(revCfg)
-	if err != nil {
-		fatal(err)
-	}
-	var pc mac.PairConfig
-	pc.Endpoint.ARQ = arq
-	pc.Endpoint.VCs = vcs
-	var vcPackets []int
-	pc.Endpoint.VCClass, vcPackets = mac.RoundRobinVCs(vcs, packets)
-	eng := sim.NewEngine(seed)
-	sess, err := mac.NewSession(mac.SessionConfig{
-		Engine:       eng,
-		Fwd:          fwd,
-		Rev:          rev,
-		Pair:         pc,
-		Schedule:     sched,
-		Superframes:  superframes,
-		Interval:     1e-5,
-		PacketsPerSF: packets,
-		VCPackets:    vcPackets,
-		PacketLen:    packetLen,
-		Seed:         seed,
-		Bridge:       mac.NewBridge(fwd, mac.DiscardCapacity{}, 0),
-		Metrics:      reg,
-	})
-	if err != nil {
-		fatal(err)
-	}
-	eng.Run()
-	res := sess.Result()
-	if reg != nil {
-		if err := telemetry.WriteFile(reg, metricsPath); err != nil {
-			fatal(err)
+		for _, e := range sched.Events {
+			fmt.Printf("scheduled: %v\n", e)
 		}
-	}
-	if jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(res); err != nil {
-			fatal(err)
+		fmt.Println()
+		for _, line := range rep.Log {
+			fmt.Println(line)
 		}
-		return
+		fmt.Println()
+		fmt.Println(rep.Summary)
 	}
-	fmt.Printf("mac soak: %d+%d channels, %s FEC, %s arq, %d vc, %d superframes x %d packets x %dB, seed %d\n",
-		cfg.Lanes, cfg.Spares, cfg.FEC.Name(), arq, vcs, superframes, packets, packetLen, seed)
-	for _, e := range sched.Events {
-		fmt.Printf("scheduled: %v\n", e)
-	}
-	fmt.Println()
-	for _, line := range res.Log {
-		fmt.Println(line)
-	}
-	fmt.Println()
-	fmt.Println(res.Summary())
-	if res.Err != "" {
-		os.Exit(1)
+	if runErr != nil {
+		fatal(runErr)
 	}
 }
 
 // buildSchedule picks the fault script: an explicit file, a library
 // scenario's witness schedule, seeded random kills when -hazard is set,
 // or the default showcase scenario.
-func buildSchedule(path, scenName string, hazard float64, channels, superframes int, seed int64) (faultinject.Schedule, error) {
+func buildSchedule(soak *linkflags.Soak, path, scenName string) (faultinject.Schedule, error) {
 	if path != "" {
 		return faultinject.LoadFile(path)
 	}
@@ -258,48 +145,43 @@ func buildSchedule(path, scenName string, hazard float64, channels, superframes 
 		if !ok {
 			return faultinject.Schedule{}, fmt.Errorf("unknown scenario %q (see mosaicbench -list)", scenName)
 		}
-		return scenario.Witness(entry.Spec, channels, superframes, seed)
+		return scenario.Witness(entry.Spec, soak.Channels(), soak.Superframes, soak.Seed)
 	}
-	if hazard > 0 {
-		s := faultinject.RandomKills(rand.New(rand.NewSource(seed)), channels, hazard, superframes)
-		s.Seed = seed
-		return s, nil
+	if soak.Hazard > 0 {
+		return soak.RandomKills(soak.Seed), nil
 	}
-	return faultinject.DefaultScenario(channels, superframes)
+	return faultinject.DefaultScenario(soak.Channels(), soak.Superframes)
 }
 
 // runStudy cross-validates pipeline survival against the k-of-n closed
 // form, like experiment E22 but at caller-chosen scale.
-func runStudy(lanes, spares int, hazard float64, superframes, trials int, seed int64, workers int, jsonOut bool) {
+func runStudy(soak *linkflags.Soak, trials int, jsonOut bool) {
+	hazard := soak.Hazard
 	if hazard <= 0 {
 		hazard = 0.002
 	}
 	res, err := faultinject.SurvivalStudy(faultinject.SurvivalConfig{
-		Lanes:       lanes,
-		Spares:      spares,
+		Lanes:       soak.Lanes,
+		Spares:      soak.Spares,
 		HazardPerSF: hazard,
-		Superframes: superframes,
+		Superframes: soak.Superframes,
 		Trials:      trials,
-		Seed:        seed,
-		Workers:     workers,
+		Seed:        soak.Seed,
+		Workers:     soak.Workers,
 	})
 	if err != nil {
 		fatal(err)
 	}
 	if jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(res); err != nil {
-			fatal(err)
-		}
+		writeJSON(res)
 		return
 	}
 	fmt.Printf("survival study: %d+%d channels, hazard %.2e/superframe, %d superframes, %d trials\n",
-		lanes, spares, hazard, superframes, trials)
+		soak.Lanes, soak.Spares, hazard, soak.Superframes, trials)
 	fmt.Printf("simulated survival: %.4f  (%d/%d trials kept full width)\n",
 		res.SimSurvival, res.Survived, res.Trials)
 	fmt.Printf("closed-form k-of-n: %.4f  (|err| %.4f, tolerance %.4f)\n",
-		res.ClosedForm, abs(res.SimSurvival-res.ClosedForm), res.Tolerance)
+		res.ClosedForm, math.Abs(res.SimSurvival-res.ClosedForm), res.Tolerance)
 	fmt.Printf("mean remaps/trial: %.2f; %d trials dropped frames (mean first drop sf %.1f)\n",
 		res.MeanRemaps, res.DroppedTrials, res.MeanFirstDrop)
 	if res.Agrees() {
@@ -310,11 +192,12 @@ func runStudy(lanes, spares int, hazard float64, superframes, trials int, seed i
 	}
 }
 
-func abs(v float64) float64 {
-	if v < 0 {
-		return -v
+func writeJSON(v any) {
+	enc := json.NewEncoder(os.Stdout)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(v); err != nil {
+		fatal(err)
 	}
-	return v
 }
 
 func fatal(err error) {

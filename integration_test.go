@@ -288,8 +288,8 @@ func TestConfigToTraffic(t *testing.T) {
 }
 
 // TestMaintenanceUnderStream runs the predictive-maintenance policy inside
-// a time-domain stream: periodic Maintain calls replace a drifting channel
-// before it loses anything.
+// a stepped stream of superframes: periodic Maintain calls replace a
+// drifting channel before it loses anything.
 func TestMaintenanceUnderStream(t *testing.T) {
 	d := core.DefaultDesign()
 	d.Variation.DeadProb = 0
@@ -297,29 +297,31 @@ func TestMaintenanceUnderStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := sim.NewEngine(3)
-	stream, err := phy.NewStream(link, eng)
-	if err != nil {
-		t.Fatal(err)
-	}
 	rng := rand.New(rand.NewSource(3))
-	stream.Enqueue(makeFrames(rng, 1500, 1500)...)
+	queue := makeFrames(rng, 1500, 1500)
 
-	// Channel 12 drifts upward during the run; a maintenance tick fires
-	// every 20 µs.
-	eng.After(15e-6, func() { link.SetChannelBER(12, 5e-5) })
-	var tick func()
-	tick = func() {
-		link.Maintain(phy.DefaultMaintenancePolicy())
-		if stream.QueueDepth() > 0 {
-			eng.After(20e-6, tick)
+	// 44 frames fill a 64 KiB superframe (~3.3 µs at 200 Gbps). Channel 12
+	// drifts upward five superframes in; a maintenance pass runs every
+	// six (~20 µs).
+	lost := 0
+	for sf := 0; len(queue) > 0; sf++ {
+		if sf == 5 {
+			link.SetChannelBER(12, 5e-5)
+		}
+		n := min(44, len(queue))
+		_, st, err := link.Exchange(queue[:n])
+		if err != nil {
+			t.Fatal(err)
+		}
+		queue = queue[n:]
+		lost += st.FramesIn - st.FramesDelivered
+		if (sf+1)%6 == 0 {
+			link.Maintain(phy.DefaultMaintenancePolicy())
 		}
 	}
-	eng.After(20e-6, tick)
-	eng.Run()
 
-	if stream.FramesLost != 0 {
-		t.Errorf("lost %d frames despite graceful drift + maintenance", stream.FramesLost)
+	if lost != 0 {
+		t.Errorf("lost %d frames despite graceful drift + maintenance", lost)
 	}
 	if link.Mapper().LaneOf(12) != -1 {
 		t.Error("drifting channel never replaced")

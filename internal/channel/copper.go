@@ -32,17 +32,6 @@ func Twinax26AWG() Copper {
 	}
 }
 
-// Twinax30AWG returns the thinner 30 AWG variant (lossier, used for short
-// in-rack hops).
-func Twinax30AWG() Copper {
-	return Copper{
-		Name:            "twinax-30AWG",
-		SkinDBPerMRtGHz: 1.45,
-		DielDBPerMGHz:   0.13,
-		FixedDB:         12,
-	}
-}
-
 // Validate reports whether the cable parameters are meaningful.
 func (c Copper) Validate() error {
 	if c.SkinDBPerMRtGHz < 0 || c.DielDBPerMGHz < 0 || c.FixedDB < 0 {

@@ -221,41 +221,6 @@ func (e *Eye) Render(rows int) string {
 	return b.String()
 }
 
-// MeasureBER estimates the channel's bit error rate by direct Monte-Carlo
-// counting: nbits random bits are pushed through the single-pole channel
-// (sampled once per UI at the end of the interval — the exact zero-order-
-// hold recursion), noise is added, and threshold decisions are compared
-// with the transmitted bits. It cross-validates the closed-form Q-factor
-// engine at operating points where errors are frequent enough to count.
-func MeasureBER(cfg EyeConfig, nbits int) (float64, error) {
-	if err := cfg.Validate(); err != nil {
-		return 0, err
-	}
-	if nbits <= 0 {
-		nbits = 1 << 20
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	tau := 1 / (2 * math.Pi * cfg.BandwidthHz)
-	a := math.Exp(-1 / (cfg.BitRate * tau)) // one-UI decay
-	mid := (cfg.HighLevel + cfg.LowLevel) / 2
-
-	y := cfg.LowLevel
-	errs := 0
-	for i := 0; i < nbits; i++ {
-		x := cfg.LowLevel
-		bit := rng.Intn(2) == 1
-		if bit {
-			x = cfg.HighLevel
-		}
-		y = a*y + (1-a)*x
-		sample := y + rng.NormFloat64()*cfg.NoiseSigma
-		if (sample >= mid) != bit {
-			errs++
-		}
-	}
-	return float64(errs) / float64(nbits), nil
-}
-
 // EyeFromOptical builds an EyeConfig matching an OpticalParams channel at
 // its decision point: levels are the photocurrents and the noise is the
 // receiver's RMS noise current at the average level.

@@ -196,86 +196,6 @@ func TestEyeNaNFree(t *testing.T) {
 	}
 }
 
-func TestMeasureBERMatchesClosedForm(t *testing.T) {
-	// A wideband channel (no ISI) with noise set for Q = 3: the measured
-	// BER must land near 0.5·erfc(3/√2) ≈ 1.35e-3.
-	cfg := EyeConfig{
-		BitRate:     2e9,
-		BandwidthHz: 50e9, // effectively no ISI
-		HighLevel:   1,
-		LowLevel:    0,
-		NoiseSigma:  1.0 / 6.0, // swing/(2σ) = 3
-		Seed:        5,
-	}
-	got, err := MeasureBER(cfg, 2_000_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := 1.35e-3
-	if got < want/2 || got > want*2 {
-		t.Errorf("measured BER %v vs analytic %v", got, want)
-	}
-}
-
-func TestMeasureBERWithISI(t *testing.T) {
-	// With real ISI the measured (average-pattern) BER must be at or below
-	// the closed-form worst-case prediction, but not absurdly below it.
-	cfg := EyeConfig{
-		BitRate:     2e9,
-		BandwidthHz: 1.0e9,
-		HighLevel:   1,
-		LowLevel:    0,
-		NoiseSigma:  0.15, // worst-case Q ~3: errors frequent enough to count
-		Seed:        6,
-	}
-	measured, err := MeasureBER(cfg, 2_000_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Closed-form worst case: eye factor 1-2exp(-2π·bw/baud), Q = eye/(2σ).
-	eye := 1 - 2*math.Exp(-2*math.Pi*cfg.BandwidthHz/cfg.BitRate)
-	q := eye / (2 * cfg.NoiseSigma)
-	worst := 0.5 * math.Erfc(q/math.Sqrt2)
-	if measured > worst*3 {
-		t.Errorf("measured %v far above worst-case %v", measured, worst)
-	}
-	if measured < worst/1000 {
-		t.Errorf("measured %v implausibly below worst-case %v", measured, worst)
-	}
-}
-
-func TestMeasureBERMonotoneInNoise(t *testing.T) {
-	base := EyeConfig{
-		BitRate: 2e9, BandwidthHz: 2e9, HighLevel: 1, LowLevel: 0, Seed: 7,
-	}
-	prev := -1.0
-	for _, sigma := range []float64{0.08, 0.12, 0.2, 0.3} {
-		cfg := base
-		cfg.NoiseSigma = sigma
-		ber, err := MeasureBER(cfg, 400_000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ber < prev {
-			t.Fatalf("BER not monotone in noise at sigma=%v", sigma)
-		}
-		prev = ber
-	}
-}
-
-func TestMeasureBERValidation(t *testing.T) {
-	bad := cleanEyeConfig()
-	bad.BitRate = 0
-	if _, err := MeasureBER(bad, 1000); err == nil {
-		t.Error("invalid config accepted")
-	}
-	// Default nbits path.
-	cfg := cleanEyeConfig()
-	if _, err := MeasureBER(cfg, 0); err != nil {
-		t.Error(err)
-	}
-}
-
 func BenchmarkSimulateEye(b *testing.B) {
 	cfg := cleanEyeConfig()
 	for i := 0; i < b.N; i++ {

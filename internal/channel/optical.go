@@ -50,8 +50,7 @@ type OpticalParams struct {
 	PathLossDB float64 // fiber + coupling + connector loss, dB
 	MediumBWHz float64 // dispersion-limited bandwidth of the medium
 	// CrosstalkDB is the aggregate interferer power relative to the signal,
-	// in dB (negative). Use math.Inf(-1), or leave zero-value semantics to
-	// NoCrosstalk, for a clean channel.
+	// in dB (negative). Use math.Inf(-1) for a clean channel.
 	CrosstalkDB float64
 
 	// Receiver.
@@ -61,9 +60,6 @@ type OpticalParams struct {
 	BitRate    float64
 	Modulation Modulation
 }
-
-// NoCrosstalk is the CrosstalkDB value for a channel with no interferers.
-func NoCrosstalk() float64 { return math.Inf(-1) }
 
 // Result reports the evaluated channel quality.
 type Result struct {

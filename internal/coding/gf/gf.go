@@ -143,14 +143,6 @@ func (f *Field) Div(a, b int) int {
 	return int(f.exp[d])
 }
 
-// Inv returns the multiplicative inverse of a. It panics if a is zero.
-func (f *Field) Inv(a int) int {
-	if a == 0 {
-		panic("gf: inverse of zero")
-	}
-	return int(f.exp[f.mask-int(f.log[a])])
-}
-
 // Pow returns a^n (n may be negative if a != 0; 0^0 = 1).
 func (f *Field) Pow(a, n int) int {
 	if a == 0 {
@@ -215,15 +207,6 @@ func (f *Field) PolyAdd(a, b []int) []int {
 	copy(out, a)
 	for i, bi := range b {
 		out[i] ^= bi
-	}
-	return out
-}
-
-// PolyScale returns c·a.
-func (f *Field) PolyScale(a []int, c int) []int {
-	out := make([]int, len(a))
-	for i, ai := range a {
-		out[i] = f.Mul(ai, c)
 	}
 	return out
 }

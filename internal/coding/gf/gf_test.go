@@ -77,7 +77,7 @@ func TestFieldAxioms(t *testing.T) {
 		}
 		// Inverses.
 		x := rnz()
-		if f.Mul(x, f.Inv(x)) != 1 {
+		if f.Mul(x, f.Div(1, x)) != 1 {
 			t.Fatal("x * x^-1 != 1")
 		}
 		if f.Div(f.Mul(a, x), x) != a {
@@ -100,7 +100,6 @@ func TestFieldAxiomsQuick(t *testing.T) {
 func TestDivInvPanics(t *testing.T) {
 	f := MustNew(8)
 	assertPanics(t, "Div by zero", func() { f.Div(3, 0) })
-	assertPanics(t, "Inv of zero", func() { f.Inv(0) })
 	assertPanics(t, "Log of zero", func() { f.Log(0) })
 	assertPanics(t, "neg pow of zero", func() { f.Pow(0, -1) })
 }
@@ -145,7 +144,7 @@ func TestAlphaWraps(t *testing.T) {
 	if f.Alpha(f.Order()) != 1 {
 		t.Error("alpha^order != 1")
 	}
-	if f.Alpha(-1) != f.Inv(f.Alpha(1)) {
+	if f.Alpha(-1) != f.Div(1, f.Alpha(1)) {
 		t.Error("alpha^-1 != inverse of alpha")
 	}
 }
@@ -182,10 +181,6 @@ func TestPolyMulAddScale(t *testing.T) {
 		}
 		if f.PolyEval(f.PolyAdd(a, b), x) != f.Add(f.PolyEval(a, x), f.PolyEval(b, x)) {
 			t.Fatal("PolyAdd breaks evaluation homomorphism")
-		}
-		c := rng.Intn(f.Size())
-		if f.PolyEval(f.PolyScale(a, c), x) != f.Mul(c, f.PolyEval(a, x)) {
-			t.Fatal("PolyScale breaks evaluation homomorphism")
 		}
 	}
 	if f.PolyMul(nil, []int{1, 2}) != nil {

@@ -67,12 +67,3 @@ func Default(m int) (*Field, error) {
 	actual, _ := defaultFields.LoadOrStore(m, f)
 	return actual.(*Field), nil
 }
-
-// MustDefault is Default but panics on error; for package-level codecs.
-func MustDefault(m int) *Field {
-	f, err := Default(m)
-	if err != nil {
-		panic(err)
-	}
-	return f
-}

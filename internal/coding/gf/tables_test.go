@@ -21,8 +21,17 @@ func naiveMul8(a, b int) int {
 	return p
 }
 
+func mustDefault(t *testing.T, m int) *Field {
+	t.Helper()
+	f, err := Default(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
 func TestMulTable8Exhaustive(t *testing.T) {
-	f := MustDefault(8)
+	f := mustDefault(t, 8)
 	tab := f.MulTable8()
 	for a := 0; a < 256; a++ {
 		for b := 0; b < 256; b++ {
@@ -38,7 +47,7 @@ func TestMulTable8Exhaustive(t *testing.T) {
 }
 
 func TestMulTable8CachedPerField(t *testing.T) {
-	f := MustDefault(8)
+	f := mustDefault(t, 8)
 	if f.MulTable8() != f.MulTable8() {
 		t.Error("MulTable8 rebuilt the table instead of returning the cache")
 	}
@@ -53,7 +62,7 @@ func TestMulTable8RejectsOtherFields(t *testing.T) {
 			t.Error("MulTable8 on GF(2^10) should panic")
 		}
 	}()
-	MustDefault(10).MulTable8()
+	mustDefault(t, 10).MulTable8()
 }
 
 func TestDefaultCachesPerM(t *testing.T) {

@@ -111,16 +111,3 @@ func Decode(cw Codeword) (uint64, Result, error) {
 
 // Overhead returns the code's rate overhead, 8/64.
 func Overhead() float64 { return 8.0 / 64.0 }
-
-// FlipDataBit returns cw with data bit i flipped (test/bench helper for
-// error injection).
-func FlipDataBit(cw Codeword, i int) Codeword {
-	cw.Data ^= 1 << uint(i%64)
-	return cw
-}
-
-// FlipCheckBit returns cw with check bit i flipped.
-func FlipCheckBit(cw Codeword, i int) Codeword {
-	cw.Check ^= 1 << uint(i%8)
-	return cw
-}

@@ -6,6 +6,18 @@ import (
 	"testing/quick"
 )
 
+// flipDataBit returns cw with data bit i flipped.
+func flipDataBit(cw Codeword, i int) Codeword {
+	cw.Data ^= 1 << uint(i%64)
+	return cw
+}
+
+// flipCheckBit returns cw with check bit i flipped.
+func flipCheckBit(cw Codeword, i int) Codeword {
+	cw.Check ^= 1 << uint(i%8)
+	return cw
+}
+
 func TestCleanRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 1000; i++ {
@@ -23,7 +35,7 @@ func TestCorrectsEverySingleDataBit(t *testing.T) {
 		d := rng.Uint64()
 		cw := Encode(d)
 		for bit := 0; bit < 64; bit++ {
-			got, res, err := Decode(FlipDataBit(cw, bit))
+			got, res, err := Decode(flipDataBit(cw, bit))
 			if err != nil || res != Corrected {
 				t.Fatalf("bit %d: res=%v err=%v", bit, res, err)
 			}
@@ -38,7 +50,7 @@ func TestCorrectsEveryCheckBit(t *testing.T) {
 	d := uint64(0x0123456789abcdef)
 	cw := Encode(d)
 	for bit := 0; bit < 8; bit++ {
-		got, res, err := Decode(FlipCheckBit(cw, bit))
+		got, res, err := Decode(flipCheckBit(cw, bit))
 		if err != nil || res != Corrected {
 			t.Fatalf("check bit %d: res=%v err=%v", bit, res, err)
 		}
@@ -58,7 +70,7 @@ func TestDetectsDoubleErrors(t *testing.T) {
 		for j == i {
 			j = rng.Intn(64)
 		}
-		bad := FlipDataBit(FlipDataBit(cw, i), j)
+		bad := flipDataBit(flipDataBit(cw, i), j)
 		_, res, err := Decode(bad)
 		if err == nil || res != Detected {
 			t.Fatalf("double error (%d,%d) not detected: res=%v err=%v", i, j, res, err)
@@ -73,7 +85,7 @@ func TestDetectsDataPlusCheckDouble(t *testing.T) {
 	for trial := 0; trial < trials; trial++ {
 		d := rng.Uint64()
 		cw := Encode(d)
-		bad := FlipCheckBit(FlipDataBit(cw, rng.Intn(64)), rng.Intn(7))
+		bad := flipCheckBit(flipDataBit(cw, rng.Intn(64)), rng.Intn(7))
 		got, res, _ := Decode(bad)
 		// A data+check double error either gets detected or, in some
 		// patterns, miscorrected — but it must never be reported Clean
@@ -94,7 +106,7 @@ func TestDetectsDataPlusCheckDouble(t *testing.T) {
 
 func TestQuickSingleErrorProperty(t *testing.T) {
 	prop := func(d uint64, bit uint8) bool {
-		cw := FlipDataBit(Encode(d), int(bit)%64)
+		cw := flipDataBit(Encode(d), int(bit)%64)
 		got, res, err := Decode(cw)
 		return err == nil && res == Corrected && got == d
 	}
@@ -133,7 +145,7 @@ func BenchmarkEncode(b *testing.B) {
 }
 
 func BenchmarkDecodeCorrecting(b *testing.B) {
-	cw := FlipDataBit(Encode(0xfeedfacecafebeef), 17)
+	cw := flipDataBit(Encode(0xfeedfacecafebeef), 17)
 	b.SetBytes(8)
 	for i := 0; i < b.N; i++ {
 		if _, _, err := Decode(cw); err != nil {

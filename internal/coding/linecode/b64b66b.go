@@ -163,18 +163,13 @@ func DecodeBlock(sync byte, payload [8]byte) (Block, error) {
 // or a frame cannot be expressed as blocks.
 var ErrBadFraming = errors.New("linecode: bad frame delineation")
 
-// MinFrameLen is the smallest frame FrameToBlocks accepts: the start block
+// MinFrameLen is the smallest frame AppendFrameBlocks accepts: the start block
 // always carries 7 payload bytes, so shorter frames would be ambiguous.
 // (Real MACs never get near this: the Ethernet minimum is 64 bytes.)
 const MinFrameLen = 7
 
-// FrameToBlocks converts a payload into Start/Data/Term blocks.
-func FrameToBlocks(frame []byte) ([]Block, error) {
-	return AppendFrameBlocks(make([]Block, 0, 2+len(frame)/8), frame)
-}
-
-// AppendFrameBlocks is FrameToBlocks into a reusable slice: the frame's
-// blocks are appended to dst and the extended slice returned.
+// AppendFrameBlocks converts a payload into Start/Data/Term blocks,
+// appended to dst; the extended slice is returned.
 func AppendFrameBlocks(dst []Block, frame []byte) ([]Block, error) {
 	if len(frame) < MinFrameLen {
 		return dst, fmt.Errorf("%w: frame of %d bytes below minimum %d", ErrBadFraming, len(frame), MinFrameLen)
@@ -195,28 +190,4 @@ func AppendFrameBlocks(dst []Block, frame []byte) ([]Block, error) {
 		panic(err)
 	}
 	return append(dst, tb), nil
-}
-
-// BlocksToFrame reassembles a payload from a Start..Term block run.
-// It returns the number of blocks consumed.
-func BlocksToFrame(blocks []Block) ([]byte, int, error) {
-	if len(blocks) == 0 || blocks[0].Kind != KindStart {
-		return nil, 0, fmt.Errorf("%w: frame must begin with a start block", ErrBadFraming)
-	}
-	frame := make([]byte, 0, 64)
-	frame = append(frame, blocks[0].Data[:7]...)
-	for i := 1; i < len(blocks); i++ {
-		switch blocks[i].Kind {
-		case KindData:
-			frame = append(frame, blocks[i].Data[:]...)
-		case KindTerm:
-			frame = append(frame, blocks[i].Data[:blocks[i].TermLen]...)
-			// The start block always carries 7 bytes; short frames are
-			// padded there, so trim via the length the blocks imply.
-			return frame, i + 1, nil
-		default:
-			return nil, 0, fmt.Errorf("%w: unexpected %v block inside frame", ErrBadFraming, blocks[i].Kind)
-		}
-	}
-	return nil, 0, fmt.Errorf("%w: missing terminate block", ErrBadFraming)
 }

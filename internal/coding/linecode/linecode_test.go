@@ -2,6 +2,7 @@ package linecode
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -82,163 +83,6 @@ func TestScramblerWhitens(t *testing.T) {
 
 // --- 8b/10b ---
 
-func TestEnc6TableSanity(t *testing.T) {
-	for v, cols := range enc6 {
-		for c, code := range cols {
-			d := popcount6(code)*2 - 6
-			if d != 0 && d != 2 && d != -2 {
-				t.Errorf("enc6[%d][%d] disparity %d", v, c, d)
-			}
-		}
-		// Alternate columns must have opposite (or zero) disparity.
-		d0 := popcount6(cols[0])*2 - 6
-		d1 := popcount6(cols[1])*2 - 6
-		if d0 != -d1 && !(d0 == 0 && d1 == 0) {
-			t.Errorf("enc6[%d]: disparities %d,%d not complementary", v, d0, d1)
-		}
-		// RD- column must not have negative disparity.
-		if d0 < 0 {
-			t.Errorf("enc6[%d]: RD- column has negative disparity", v)
-		}
-	}
-}
-
-func TestEnc4TableSanity(t *testing.T) {
-	for v, cols := range enc4 {
-		d0 := popcount4(cols[0])*2 - 4
-		d1 := popcount4(cols[1])*2 - 4
-		if d0 != -d1 && !(d0 == 0 && d1 == 0) {
-			t.Errorf("enc4[%d]: disparities %d,%d not complementary", v, d0, d1)
-		}
-		if d0 < 0 {
-			t.Errorf("enc4[%d]: RD- column negative disparity", v)
-		}
-	}
-}
-
-func TestEncode8b10bRoundTripAllBytes(t *testing.T) {
-	var enc Encoder8b10b
-	dec := NewDecoder8b10b()
-	for round := 0; round < 4; round++ { // hit both RD states
-		for v := 0; v < 256; v++ {
-			sym := enc.EncodeByte(byte(v))
-			got, comma, err := dec.DecodeSymbol(sym)
-			if err != nil {
-				t.Fatalf("byte %#02x RD round %d: %v", v, round, err)
-			}
-			if comma {
-				t.Fatalf("byte %#02x decoded as comma", v)
-			}
-			if got != byte(v) {
-				t.Fatalf("byte %#02x decoded as %#02x", v, got)
-			}
-		}
-	}
-}
-
-func TestRunningDisparityBounded(t *testing.T) {
-	var enc Encoder8b10b
-	rng := rand.New(rand.NewSource(3))
-	rd := -1
-	for i := 0; i < 100000; i++ {
-		sym := enc.EncodeByte(byte(rng.Intn(256)))
-		rd += SymbolDisparity(sym)
-		if rd != -1 && rd != 1 {
-			t.Fatalf("running disparity escaped to %d at symbol %d", rd, i)
-		}
-		if enc.RD() != rd {
-			t.Fatalf("encoder RD %d != tracked %d", enc.RD(), rd)
-		}
-	}
-}
-
-func TestDCBalanceLongStream(t *testing.T) {
-	var enc Encoder8b10b
-	// Worst case for DC balance: constant bytes.
-	for _, fill := range []byte{0x00, 0xff, 0xaa, 0x17} {
-		ones, total := 0, 0
-		e := enc
-		for i := 0; i < 10000; i++ {
-			sym := e.EncodeByte(fill)
-			total += 10
-			for j := 0; j < 10; j++ {
-				ones += int(sym>>uint(j)) & 1
-			}
-		}
-		frac := float64(ones) / float64(total)
-		if frac < 0.49 || frac > 0.51 {
-			t.Errorf("fill %#02x: ones fraction %v, want ~0.5", fill, frac)
-		}
-	}
-}
-
-func TestMaxRunLengthProperty(t *testing.T) {
-	var enc Encoder8b10b
-	rng := rand.New(rand.NewSource(4))
-	data := make([]byte, 20000)
-	rng.Read(data)
-	syms := enc.Encode(data)
-	if run := MaxRunLength(syms); run > 5 {
-		t.Errorf("8b/10b run length %d exceeds 5", run)
-	}
-}
-
-func TestCommaSymbol(t *testing.T) {
-	var enc Encoder8b10b
-	dec := NewDecoder8b10b()
-	sym := enc.EncodeComma()
-	if !IsComma(sym) {
-		t.Fatal("EncodeComma did not produce a comma")
-	}
-	b, comma, err := dec.DecodeSymbol(sym)
-	if err != nil || !comma || b != 0xbc {
-		t.Fatalf("comma decode: b=%#02x comma=%v err=%v", b, comma, err)
-	}
-	// Comma flips RD.
-	if enc.RD() != 1 {
-		t.Errorf("RD after comma from - should be +, got %d", enc.RD())
-	}
-}
-
-func TestDecodeInvalidSymbol(t *testing.T) {
-	dec := NewDecoder8b10b()
-	// 6b group 000000 is not in the code.
-	if _, _, err := dec.DecodeSymbol(0); err == nil {
-		t.Error("all-zero symbol accepted")
-	}
-	// Valid 6b, invalid 4b (0000).
-	if _, _, err := dec.DecodeSymbol(0b1100010000); err == nil {
-		t.Error("invalid 4b group accepted")
-	}
-}
-
-func TestDecodeStreamSkipsCommas(t *testing.T) {
-	var enc Encoder8b10b
-	dec := NewDecoder8b10b()
-	syms := []uint16{enc.EncodeByte(0x42), enc.EncodeComma(), enc.EncodeByte(0x99)}
-	out, err := dec.Decode(syms)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(out, []byte{0x42, 0x99}) {
-		t.Fatalf("got %x", out)
-	}
-}
-
-func Test8b10bQuickRoundTrip(t *testing.T) {
-	dec := NewDecoder8b10b()
-	prop := func(data []byte) bool {
-		var enc Encoder8b10b
-		out, err := dec.Decode(enc.Encode(data))
-		return err == nil && bytes.Equal(out, data)
-	}
-	if err := quick.Check(prop, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// --- 64b/66b ---
-
 func TestBlockEncodeDecodeRoundTrip(t *testing.T) {
 	var d8 [8]byte
 	copy(d8[:], "abcdefgh")
@@ -307,16 +151,37 @@ func TestDecodeBlockErrors(t *testing.T) {
 	}
 }
 
+// blocksToFrame is the test-side inverse of AppendFrameBlocks: it
+// reassembles a payload from a Start..Term block run and returns the
+// number of blocks consumed.
+func blocksToFrame(blocks []Block) ([]byte, int, error) {
+	if len(blocks) == 0 || blocks[0].Kind != KindStart {
+		return nil, 0, fmt.Errorf("%w: frame must begin with a start block", ErrBadFraming)
+	}
+	frame := append([]byte(nil), blocks[0].Data[:7]...)
+	for i := 1; i < len(blocks); i++ {
+		switch blocks[i].Kind {
+		case KindData:
+			frame = append(frame, blocks[i].Data[:]...)
+		case KindTerm:
+			return append(frame, blocks[i].Data[:blocks[i].TermLen]...), i + 1, nil
+		default:
+			return nil, 0, fmt.Errorf("%w: unexpected %v block inside frame", ErrBadFraming, blocks[i].Kind)
+		}
+	}
+	return nil, 0, fmt.Errorf("%w: missing terminate block", ErrBadFraming)
+}
+
 func TestFrameRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, n := range []int{7, 8, 15, 16, 64, 65, 1499, 1500} {
 		frame := make([]byte, n)
 		rng.Read(frame)
-		blocks, err := FrameToBlocks(frame)
+		blocks, err := AppendFrameBlocks(nil, frame)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, used, err := BlocksToFrame(blocks)
+		got, used, err := blocksToFrame(blocks)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -330,24 +195,8 @@ func TestFrameRoundTrip(t *testing.T) {
 }
 
 func TestFrameTooShort(t *testing.T) {
-	if _, err := FrameToBlocks(make([]byte, 3)); err == nil {
+	if _, err := AppendFrameBlocks(nil, make([]byte, 3)); err == nil {
 		t.Error("sub-minimum frame accepted")
-	}
-}
-
-func TestBlocksToFrameErrors(t *testing.T) {
-	if _, _, err := BlocksToFrame(nil); err == nil {
-		t.Error("empty block list accepted")
-	}
-	if _, _, err := BlocksToFrame([]Block{IdleBlock()}); err == nil {
-		t.Error("frame not starting with start block accepted")
-	}
-	var f7 [7]byte
-	if _, _, err := BlocksToFrame([]Block{StartBlock(f7), IdleBlock()}); err == nil {
-		t.Error("idle inside frame accepted")
-	}
-	if _, _, err := BlocksToFrame([]Block{StartBlock(f7)}); err == nil {
-		t.Error("unterminated frame accepted")
 	}
 }
 
@@ -356,11 +205,11 @@ func TestFrameQuickRoundTrip(t *testing.T) {
 		if len(raw) < MinFrameLen {
 			raw = append(raw, make([]byte, MinFrameLen-len(raw))...)
 		}
-		blocks, err := FrameToBlocks(raw)
+		blocks, err := AppendFrameBlocks(nil, raw)
 		if err != nil {
 			return false
 		}
-		got, _, err := BlocksToFrame(blocks)
+		got, _, err := blocksToFrame(blocks)
 		return err == nil && bytes.Equal(got, raw)
 	}
 	if err := quick.Check(prop, nil); err != nil {
@@ -385,15 +234,6 @@ func BenchmarkScramble(b *testing.B) {
 	b.SetBytes(4096)
 	for i := 0; i < b.N; i++ {
 		s.Scramble(buf)
-	}
-}
-
-func Benchmark8b10bEncode(b *testing.B) {
-	var enc Encoder8b10b
-	data := make([]byte, 4096)
-	b.SetBytes(4096)
-	for i := 0; i < b.N; i++ {
-		enc.Encode(data)
 	}
 }
 
@@ -456,30 +296,6 @@ func TestScramblerWordMatchesBitSerial(t *testing.T) {
 			}
 			if !bytes.Equal(got, data) {
 				t.Fatalf("size %d chunk %d: chunked descramble not the inverse", size, chunk)
-			}
-		}
-	}
-}
-
-// TestScramblerWord64MatchesSlice pins the exported single-word step
-// against the slice path on one aligned word.
-func TestScramblerWord64MatchesSlice(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	for trial := 0; trial < 50; trial++ {
-		var buf [8]byte
-		rng.Read(buf[:])
-		seed := rng.Uint64() & (1<<58 - 1)
-		w := uint64(0)
-		for i, b := range buf {
-			w |= uint64(b) << (8 * i)
-		}
-		s1 := NewScrambler(seed)
-		o := s1.ScrambleWord64(w)
-		s2 := NewScrambler(seed)
-		got := s2.Scramble(append([]byte(nil), buf[:]...))
-		for i := range got {
-			if got[i] != byte(o>>(8*i)) {
-				t.Fatalf("trial %d: slice byte %d %02x != word byte %02x", trial, i, got[i], byte(o>>(8*i)))
 			}
 		}
 	}

@@ -1,9 +1,6 @@
 // Package linecode implements the line codes a serial PHY needs: the
 // self-synchronizing x^58 scrambler and 64b/66b block coding used by
-// Ethernet PCS layers (and by Mosaic's protocol-agnostic gearbox), and the
-// classic 8b/10b code with running disparity used where DC balance must be
-// guaranteed per channel (a directly-modulated LED has no bias tee — the
-// driver is AC-coupled, so per-channel DC balance matters).
+// Ethernet PCS layers (and by Mosaic's protocol-agnostic gearbox).
 package linecode
 
 import "math/bits"
@@ -36,9 +33,8 @@ import "math/bits"
 //
 // (the substitution terminates because (x<<39)<<39 overflows 64 bits).
 // The next state is the last 58 output bits, i.e. O reversed and masked.
-// ScrambleWord64/DescrambleWord64 expose one such step; the slice forms
-// run the same recurrence but keep the history in time order across the
-// whole word run — the next history is just O >> 6 (scramble) or in >> 6
+// The slice forms run this recurrence but keep the history in time order
+// across the whole word run — the next history is just O >> 6 (scramble) or in >> 6
 // (descramble), so the two Reverse64 per word collapse into a single
 // register-form write-back after the loop. The tail stays bit-serial,
 // producing byte-identical output at any offset (the equivalence is
@@ -76,21 +72,9 @@ func (s *Scrambler) ScrambleBit(in byte) byte {
 	return out
 }
 
-// ScrambleWord64 scrambles 64 bits at once. The input word is time-ordered:
-// bit 0 is the first bit on the wire — exactly the layout of 8 consecutive
-// stream bytes read little-endian, since the byte stream is LSB-first.
-// Output and state update are bit-identical to 64 ScrambleBit calls.
-func (s *Scrambler) ScrambleWord64(in uint64) uint64 {
-	h := histWord(s.state)
-	t := in ^ (h >> 19) ^ h
-	o := t ^ (t << 39) ^ (t << 58)
-	s.state = bits.Reverse64(o) & mask58
-	return o
-}
-
 // Scramble scrambles bits in place over a packed byte slice (LSB-first
 // within each byte) and returns the same slice. Aligned 8-byte runs go
-// through ScrambleWord64; the tail stays bit-serial.
+// a word at a time; the tail stays bit-serial.
 func (s *Scrambler) Scramble(buf []byte) []byte {
 	// History-form loop: h stays time-ordered across words. The next
 	// history is the last 58 output bits in time order — exactly o >> 6 —
@@ -153,20 +137,9 @@ func (d *Descrambler) DescrambleBit(in byte) byte {
 	return out
 }
 
-// DescrambleWord64 descrambles 64 time-ordered bits at once (see
-// ScrambleWord64 for the layout). The descrambler is feed-forward — the
-// taps read the *input* history — so there is no in-word recurrence to
-// unroll: the new state is simply the last 58 input bits.
-func (d *Descrambler) DescrambleWord64(in uint64) uint64 {
-	h := histWord(d.state)
-	o := in ^ (h >> 19) ^ h ^ (in << 39) ^ (in << 58)
-	d.state = bits.Reverse64(in) & mask58
-	return o
-}
-
 // Descramble descrambles bits in place over a packed byte slice (LSB-first
 // within each byte) and returns the same slice. Aligned 8-byte runs go
-// through DescrambleWord64; the tail stays bit-serial.
+// a word at a time; the tail stays bit-serial.
 func (d *Descrambler) Descramble(buf []byte) []byte {
 	// History-form loop (see Scrambler.Scramble): the descrambler's next
 	// history is the last 58 *input* bits in time order, i.e. w >> 6.

@@ -109,15 +109,6 @@ func newCodec8(c *Code) *Codec8 {
 	return cd
 }
 
-// N returns the codeword length in bytes.
-func (cd *Codec8) N() int { return cd.n }
-
-// K returns the data length in bytes.
-func (cd *Codec8) K() int { return cd.k }
-
-// Parity returns the parity length in bytes.
-func (cd *Codec8) Parity() int { return cd.np }
-
 // EncodeParity writes the np parity bytes of the systematic codeword for
 // data into parity (len ≥ np). data holds the leading data bytes; any
 // missing bytes up to k are treated as zero, matching the zero-padded

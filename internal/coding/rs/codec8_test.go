@@ -28,9 +28,9 @@ func TestCodec8Envelope(t *testing.T) {
 		if cd == nil {
 			t.Fatalf("%v: inside the envelope but Codec8() == nil", c)
 		}
-		if cd.N() != c.N() || cd.K() != c.K() || cd.Parity() != c.Parity() {
+		if cd.n != c.N() || cd.k != c.K() || cd.np != c.Parity() {
 			t.Errorf("%v: codec geometry %d/%d/%d != code %d/%d/%d",
-				c, cd.N(), cd.K(), cd.Parity(), c.N(), c.K(), c.Parity())
+				c, cd.n, cd.k, cd.np, c.N(), c.K(), c.Parity())
 		}
 		if c.Codec8() != cd {
 			t.Errorf("%v: Codec8 not cached", c)
@@ -179,8 +179,8 @@ func TestCachedCodeSharesInstances(t *testing.T) {
 	if a != b {
 		t.Error("Lite(68,64) returned distinct codes; want one shared instance")
 	}
-	if KP4() != KP4() || KR4() != KR4() {
-		t.Error("KP4/KR4 not cached")
+	if KP4() != KP4() {
+		t.Error("KP4 not cached")
 	}
 	if _, err := Lite(3, 5); err == nil {
 		t.Error("Lite(3,5) (k >= n) should error")

@@ -2,11 +2,10 @@
 // full hard-decision decoder (syndromes, Berlekamp-Massey, Chien search,
 // Forney algorithm) and erasure support.
 //
-// Three code families matter to this reproduction:
+// Two code families matter to this reproduction:
 //
 //   - RS(544,514) over GF(2^10) — "KP4", the heavyweight FEC every 100G/lane
 //     PAM4 Ethernet link must run, part of the DSP power Mosaic eliminates.
-//   - RS(528,514) over GF(2^10) — "KR4", the lighter NRZ-era FEC.
 //   - Short high-rate codes over GF(2^8) (e.g. RS(68,64)) — the class of
 //     lightweight per-link FEC a wide-and-slow design can afford, because
 //     each 2 Gbps channel is nearly error-free to begin with.
@@ -94,15 +93,6 @@ func cachedCode(m, n, k int) (*Code, error) {
 // FEC (IEEE 802.3 clause 91/161 class).
 func KP4() *Code {
 	c, err := cachedCode(10, 544, 514)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
-// KR4 returns RS(528,514) over GF(2^10): t=7.
-func KR4() *Code {
-	c, err := cachedCode(10, 528, 514)
 	if err != nil {
 		panic(err)
 	}

@@ -33,9 +33,6 @@ func TestConstructors(t *testing.T) {
 	if KP4().T() != 15 || KP4().N() != 544 || KP4().K() != 514 {
 		t.Error("KP4 parameters wrong")
 	}
-	if KR4().T() != 7 {
-		t.Error("KR4 parameters wrong")
-	}
 	lite, err := Lite(68, 64)
 	if err != nil || lite.T() != 2 {
 		t.Errorf("Lite(68,64): %v, t=%d", err, lite.T())
@@ -53,7 +50,7 @@ func TestConstructors(t *testing.T) {
 
 func TestEncodeProducesCodeword(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	for _, c := range []*Code{MustNew(gf.MustNew(8), 20, 12, 0), KR4()} {
+	for _, c := range []*Code{MustNew(gf.MustNew(8), 20, 12, 0), KP4()} {
 		for i := 0; i < 20; i++ {
 			w, err := c.Encode(randData(rng, c))
 			if err != nil {

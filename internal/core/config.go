@@ -81,39 +81,6 @@ func (c DesignConfig) ToDesign() (Design, error) {
 	return d, nil
 }
 
-// FromDesign captures a Design back into its config form.
-func FromDesign(d Design) DesignConfig {
-	spares := d.Spares
-	mod := "nrz"
-	if d.Modulation == channel.PAM4 {
-		mod = "pam4"
-	}
-	fecName := "rslite"
-	switch d.FEC.(type) {
-	case phy.NoFEC:
-		fecName = "none"
-	case phy.HammingFEC:
-		fecName = "hamming72"
-	default:
-		if d.FEC != nil && d.FEC.Name() == "RS(544,514)/GF(2^10)" {
-			fecName = "kp4"
-		}
-	}
-	return DesignConfig{
-		AggregateRateGbps: d.AggregateRate / 1e9,
-		ChannelRateGbps:   d.ChannelRate / 1e9,
-		Spares:            &spares,
-		LengthM:           d.LengthM,
-		LateralOffsetUm:   d.LateralOffsetM * 1e6,
-		SpotDiameterUm:    d.SpotDiameterM * 1e6,
-		ChannelPitchUm:    d.ChannelPitchM * 1e6,
-		ExtinctionRatioDB: d.ExtinctionRatioDB,
-		Modulation:        mod,
-		FEC:               fecName,
-		Seed:              d.Seed,
-	}
-}
-
 // ReadDesign parses a JSON design config from r.
 func ReadDesign(r io.Reader) (Design, error) {
 	var cfg DesignConfig
@@ -133,11 +100,4 @@ func LoadDesign(path string) (Design, error) {
 	}
 	defer f.Close()
 	return ReadDesign(f)
-}
-
-// WriteDesign serialises a design's config as indented JSON to w.
-func WriteDesign(w io.Writer, d Design) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(FromDesign(d))
 }

@@ -2,6 +2,7 @@ package diffcheck_test
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -33,7 +34,7 @@ func mosaicOperatingPoint(pathLossDB float64) channel.OpticalParams {
 		ExtinctionRatioDB: 12,
 		PathLossDB:        pathLossDB,
 		MediumBWHz:        5e9,
-		CrosstalkDB:       channel.NoCrosstalk(),
+		CrosstalkDB:       math.Inf(-1),
 		Rx:                photonics.MosaicReceiver(),
 		BitRate:           2e9,
 		Modulation:        channel.NRZ,

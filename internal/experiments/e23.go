@@ -106,8 +106,9 @@ func e23WithWorkers(seed int64, workers int) (Table, error) {
 
 // runE23Scenario runs one scenario: the shared fat-tree workload plus,
 // for the MAC modes, a live Mosaic session whose forward link is the
-// access victim. Session ticks and flow events interleave on the same
-// engine; capacity changes reach the flow sim only via the bridge.
+// access victim. The session is stepped from the flow engine, one
+// superframe per interval, so its boundaries interleave with the flow
+// events; capacity changes reach the flow sim only via the bridge.
 func runE23Scenario(seed int64, workers int, mode e23Mode) (netsim.FCTStats, *mac.Result, []netsim.FlowRecord, error) {
 	topo, err := netsim.NewFatTree(8, 800e9)
 	if err != nil {
@@ -152,7 +153,6 @@ func runE23Scenario(seed int64, workers int, mode e23Mode) (netsim.FCTStats, *ma
 		}
 		bridge := mac.NewBridge(fwd, fs, victim)
 		sess, err = mac.NewSession(mac.SessionConfig{
-			Engine:       eng,
 			Fwd:          fwd,
 			Rev:          rev,
 			Pair:         mac.PairConfig{PHYFrameLen: 120},
@@ -167,6 +167,13 @@ func runE23Scenario(seed int64, workers int, mode e23Mode) (netsim.FCTStats, *ma
 		if err != nil {
 			return netsim.FCTStats{}, nil, nil, err
 		}
+		var step func()
+		step = func() {
+			if sess.Step() {
+				eng.After(interval, step)
+			}
+		}
+		eng.After(interval, step)
 	}
 
 	eng.Run()

@@ -13,7 +13,6 @@ import (
 	"mosaic/internal/netsim"
 	"mosaic/internal/netsim/workload"
 	"mosaic/internal/phy"
-	"mosaic/internal/sim"
 )
 
 // E24 fleet shape and workload. 12 pods of a 10-leaf x 6-spine
@@ -225,13 +224,6 @@ func e24BringUpSamples(seed int64, workers int, aging *faultinject.FleetAging, l
 			})
 		}
 
-		topo, err := netsim.NewLeafSpine(2, 1, 1, e24LinkRate)
-		if err != nil {
-			return nil, err
-		}
-		eng := sim.NewEngine(seed + int64(i))
-		sub := netsim.NewFlowSim(topo, eng)
-		victim := topo.LinksByTier()[netsim.TierHostToR][0]
 		fwd, err := phy.New(phy.Config{
 			Lanes: 16, Spares: 2, FEC: phy.NewRSLite(), UnitLen: 63,
 			PerChannelBitRate: 2e9, Seed: seed + 400 + int64(i), Workers: workers,
@@ -247,7 +239,6 @@ func e24BringUpSamples(seed int64, workers int, aging *faultinject.FleetAging, l
 			return nil, err
 		}
 		sess, err := mac.NewSession(mac.SessionConfig{
-			Engine:       eng,
 			Fwd:          fwd,
 			Rev:          rev,
 			Pair:         mac.PairConfig{PHYFrameLen: 120},
@@ -257,13 +248,12 @@ func e24BringUpSamples(seed int64, workers int, aging *faultinject.FleetAging, l
 			PacketsPerSF: 4,
 			PacketLen:    150,
 			Seed:         seed + 600 + int64(i),
-			Bridge:       mac.NewBridge(fwd, sub, victim),
+			Bridge:       mac.NewBridge(fwd, mac.DiscardCapacity{}, 0),
 		})
 		if err != nil {
 			return nil, err
 		}
-		eng.Run()
-		res := sess.Result()
+		res := sess.Run()
 		if res.Err != "" {
 			return nil, fmt.Errorf("experiments: E24 bring-up on link %d: %s", c.link, res.Err)
 		}

@@ -109,7 +109,6 @@ const (
 // Window and payload budget are pinned identically across scenarios so
 // the only variable is the ARQ discipline (and the VC layout).
 func runE25Scenario(seed int64, workers int, sc e25Scenario) (*mac.Result, error) {
-	eng := sim.NewEngine(seed)
 	fwd, err := phy.New(phy.Config{
 		Lanes: 16, Spares: 2, FEC: phy.NewRSLite(), UnitLen: 63,
 		PerChannelBitRate: 2e9, Seed: seed + 100, Workers: workers,
@@ -136,7 +135,6 @@ func runE25Scenario(seed int64, workers int, sc e25Scenario) (*mac.Result, error
 	// retransmissions fit in the slack.
 	pc.Endpoint.PayloadBudget = (e25PerSF + 6) * (e25PacketLen + mac.OverheadV2)
 	sess, err := mac.NewSession(mac.SessionConfig{
-		Engine:       eng,
 		Fwd:          fwd,
 		Rev:          rev,
 		Pair:         pc,
@@ -153,8 +151,7 @@ func runE25Scenario(seed int64, workers int, sc e25Scenario) (*mac.Result, error
 	if err != nil {
 		return nil, err
 	}
-	eng.Run()
-	res := sess.Result()
+	res := sess.Run()
 	if res.Err != "" {
 		return res, fmt.Errorf("experiments: E25 mac session (%s): %s", sc.name, res.Err)
 	}

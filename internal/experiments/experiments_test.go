@@ -43,16 +43,16 @@ func cellF(t *testing.T, tab Table, row, col int) float64 {
 func TestAllExperimentsRun(t *testing.T) {
 	// Run the whole registry through the parallel runner: every generator
 	// must produce a well-formed table carrying its registered ID.
-	results, err := Run(nil, 1, 4)
+	results, err := RunMetered(nil, 1, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != len(Registry()) {
-		t.Fatalf("got %d results, registry has %d", len(results), len(Registry()))
+	if len(results) != len(registry) {
+		t.Fatalf("got %d results, registry has %d", len(results), len(registry))
 	}
 	for i, r := range results {
-		if r.Experiment.ID != Registry()[i].ID {
-			t.Errorf("result %d is %s, want registry order %s", i, r.Experiment.ID, Registry()[i].ID)
+		if r.Experiment.ID != registry[i].ID {
+			t.Errorf("result %d is %s, want registry order %s", i, r.Experiment.ID, registry[i].ID)
 		}
 		out := render(t, r.Table, r.Err)
 		if !strings.Contains(out, r.Experiment.ID) {
@@ -63,7 +63,7 @@ func TestAllExperimentsRun(t *testing.T) {
 
 func TestRegistryMetadata(t *testing.T) {
 	seen := map[string]bool{}
-	for _, e := range Registry() {
+	for _, e := range registry {
 		if e.ID == "" || e.Title == "" || e.Gen == nil {
 			t.Errorf("incomplete registry entry %+v", e)
 		}
@@ -81,7 +81,7 @@ func TestRegistryMetadata(t *testing.T) {
 }
 
 func TestRunUnknownID(t *testing.T) {
-	if _, err := Run([]string{"E1", "bogus"}, 1, 1); err == nil {
+	if _, err := RunMetered([]string{"E1", "bogus"}, 1, 1, nil); err == nil {
 		t.Fatal("unknown ID must fail before running anything")
 	}
 }
@@ -90,11 +90,11 @@ func TestRunParallelMatchesSerial(t *testing.T) {
 	// A parallel run must produce byte-identical tables in the same order
 	// as a serial run: each generator owns its seeded random state.
 	ids := []string{"E5", "E9", "E10", "A3"}
-	serial, err := Run(ids, 3, 1)
+	serial, err := RunMetered(ids, 3, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := Run(ids, 3, 4)
+	par, err := RunMetered(ids, 3, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,7 +48,7 @@ func TestRunMeteredRecordsRuns(t *testing.T) {
 
 func TestRunMeteredOutputMatchesRun(t *testing.T) {
 	ids := []string{"E1", "E9"}
-	plain, err := Run(ids, 7, 1)
+	plain, err := RunMetered(ids, 7, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

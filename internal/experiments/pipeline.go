@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"mosaic/internal/core"
 	"mosaic/internal/mac"
@@ -30,7 +31,7 @@ func E5PrototypeBER(seed int64) (Table, error) {
 			bers = append(bers, c.BER)
 		}
 	}
-	sortFloats(bers)
+	sort.Float64s(bers)
 	pct := func(p float64) float64 {
 		i := int(p * float64(len(bers)-1))
 		return bers[i]
@@ -69,14 +70,6 @@ func logChoose(n, k int) float64 {
 	b, _ := math.Lgamma(float64(k + 1))
 	c, _ := math.Lgamma(float64(n - k + 1))
 	return a - b - c
-}
-
-func sortFloats(v []float64) {
-	for i := 1; i < len(v); i++ {
-		for j := i; j > 0 && v[j] < v[j-1]; j-- {
-			v[j], v[j-1] = v[j-1], v[j]
-		}
-	}
 }
 
 // E10EndToEnd drives the bit-true 100-channel PHY over increasing reach and

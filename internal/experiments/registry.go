@@ -269,14 +269,6 @@ func ByKind(kind string) []Experiment {
 	return out
 }
 
-// Registry returns the registered experiments in presentation order.
-// The slice is a copy; the metadata is shared and must not be mutated.
-func Registry() []Experiment {
-	out := make([]Experiment, len(registry))
-	copy(out, registry)
-	return out
-}
-
 // Lookup finds an experiment by ID.
 func Lookup(id string) (Experiment, bool) {
 	for _, e := range registry {
@@ -307,16 +299,11 @@ type Result struct {
 	Err        error
 }
 
-// Run generates the experiments named by ids (all of them if ids is
-// empty) with the given seed, fanning the generators out over a par.Pool
-// of the given size (workers <= 1 runs serially). Results always come
-// back in registry order, regardless of completion order. Unknown IDs
-// make Run fail before any generator starts.
-func Run(ids []string, seed int64, workers int) ([]Result, error) {
-	return RunMetered(ids, seed, workers, nil)
-}
-
-// RunMetered is Run with optional telemetry: when reg is non-nil, each
+// RunMetered generates the experiments named by ids (all of them if ids
+// is empty) with the given seed, fanning the generators out over a
+// par.Pool of the given size (workers <= 1 runs serially). Results always
+// come back in registry order, regardless of completion order. Unknown
+// IDs make it fail before any generator starts. When reg is non-nil, each
 // generator's wall-clock duration lands in the
 // mosaic_experiment_duration_seconds histogram and a per-experiment
 // last-duration gauge, alongside run and error counters. Timings are

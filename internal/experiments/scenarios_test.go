@@ -29,7 +29,7 @@ func TestScenarioAutoRegistration(t *testing.T) {
 	}
 	// Presentation order: E26 must come after E25 and before A1.
 	pos := map[string]int{}
-	for i, e := range Registry() {
+	for i, e := range registry {
 		pos[e.ID] = i
 	}
 	if !(pos["E25"] < pos["E26"] && pos["E26"] < pos["A1"]) {
@@ -59,8 +59,8 @@ func TestKindsPartitionRegistry(t *testing.T) {
 			total++
 		}
 	}
-	if total != len(Registry()) {
-		t.Errorf("ByKind slices cover %d experiments, registry has %d", total, len(Registry()))
+	if total != len(registry) {
+		t.Errorf("ByKind slices cover %d experiments, registry has %d", total, len(registry))
 	}
 	if got := ByKind("nope"); got != nil {
 		t.Errorf("ByKind(nope) = %v, want nil", got)

@@ -93,7 +93,7 @@ func TestFleetAgingFloorExactlyAtThreshold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := ref.Decay(0)
+	d := ref.decays[0]
 	for e := 3; e <= 12; e++ {
 		floor := math.Exp(-d * float64(e))
 		fa, err := NewFleetAging(7, 4, 0.05, floor)

@@ -49,9 +49,6 @@ func NewFleetAging(seed int64, links int, meanDecay, floor float64) (*FleetAging
 	return fa, nil
 }
 
-// Decay returns link l's per-epoch decay rate.
-func (fa *FleetAging) Decay(l int) float64 { return fa.decays[l] }
-
 // Fraction returns the capacity fraction link l delivers at epoch e:
 // exp(-decay*e), or exactly 0 once it falls below the sparing floor
 // (the link is dead and stays dead — decay is monotone).

@@ -12,7 +12,7 @@ func TestFleetAgingDeterministicAndMonotone(t *testing.T) {
 		t.Fatal(err)
 	}
 	for l := 0; l < 200; l++ {
-		if a.Decay(l) != b.Decay(l) {
+		if a.decays[l] != b.decays[l] {
 			t.Fatalf("link %d: same seed drew different decays", l)
 		}
 		prev := 1.0

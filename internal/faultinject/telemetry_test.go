@@ -89,7 +89,11 @@ func TestSoakMetricsAgreeWithResult(t *testing.T) {
 		t.Errorf("killed channel shows no lost frames")
 	}
 	// Exposition renders and includes per-channel series.
-	prom := reg.PrometheusString()
+	var sb strings.Builder
+	if err := reg.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	prom := sb.String()
 	for _, want := range []string{
 		`mosaic_channel_ber_estimate{channel="2"}`,
 		`mosaic_channel_state{channel="2"} 2`, // failed

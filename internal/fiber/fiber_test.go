@@ -164,18 +164,6 @@ func TestNeighborLeak(t *testing.T) {
 	}
 }
 
-func TestCoresPerChannel(t *testing.T) {
-	g := ChannelGroup{SpotDiameterM: 40e-6, Fiber: DefaultImagingFiber()}
-	n := g.CoresPerChannel()
-	// 40 µm spot over 3.2 µm pitch: on the order of a hundred cores.
-	if n < 50 || n > 300 {
-		t.Errorf("cores per channel = %d, want ~100", n)
-	}
-	if (ChannelGroup{SpotDiameterM: 0, Fiber: DefaultImagingFiber()}).CoresPerChannel() != 0 {
-		t.Error("zero spot should cover zero cores")
-	}
-}
-
 func TestMaxChannelsHoldsPrototypeAndScale(t *testing.T) {
 	f := DefaultImagingFiber()
 	// 50 µm channel pitch: enough spots for 100 channels (prototype) and
@@ -186,40 +174,6 @@ func TestMaxChannelsHoldsPrototypeAndScale(t *testing.T) {
 	}
 	if f.MaxChannels(0) != 0 {
 		t.Error("zero pitch should be rejected")
-	}
-}
-
-func TestConventionalCatalog(t *testing.T) {
-	for _, c := range []Conventional{OM4(), SMF()} {
-		if err := c.Validate(); err != nil {
-			t.Errorf("%s: %v", c.Name, err)
-		}
-	}
-	bad := OM4()
-	bad.AttenDBPerM = -1
-	if bad.Validate() == nil {
-		t.Error("accepted negative attenuation")
-	}
-}
-
-func TestConventionalAttenuation(t *testing.T) {
-	om4 := OM4()
-	// 100 m of OM4: 0.23 dB + 0.6 connectors.
-	if got := om4.AttenuationDB(100); !units.ApproxEqual(got, 0.83, 1e-9) {
-		t.Errorf("OM4 100m = %v dB", got)
-	}
-	if got := om4.AttenuationDB(0); got != 2*om4.ConnectorDB {
-		t.Errorf("zero length should still pay connectors: %v", got)
-	}
-}
-
-func TestSMFUnlimitedModalBW(t *testing.T) {
-	if !math.IsInf(SMF().ModalBandwidth(1e5), 1) {
-		t.Error("SMF should have no modal dispersion")
-	}
-	// OM4 at 100 m: 47 GHz — fine for 25G VCSELs.
-	if bw := OM4().ModalBandwidth(100); bw < 20e9 {
-		t.Errorf("OM4 modal bandwidth at 100m = %v", bw)
 	}
 }
 

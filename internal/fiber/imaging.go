@@ -114,28 +114,6 @@ func (f ImagingFiber) AdjacentCrosstalkDB(lengthM float64) float64 {
 	return f.XTalkDBPerM + 10*math.Log10(lengthM)
 }
 
-// ChannelGroup describes how one logical Mosaic channel maps onto the core
-// lattice: a disc of cores of the given diameter.
-type ChannelGroup struct {
-	SpotDiameterM float64 // imaged LED spot diameter on the facet
-	Fiber         ImagingFiber
-}
-
-// CoresPerChannel returns how many cores one channel's spot covers.
-func (g ChannelGroup) CoresPerChannel() int {
-	if g.SpotDiameterM <= 0 {
-		return 0
-	}
-	r := g.SpotDiameterM / 2
-	area := math.Pi * r * r
-	density := 2 / (math.Sqrt(3) * g.Fiber.CorePitchM * g.Fiber.CorePitchM)
-	n := int(area * density)
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
 // MaxChannels returns how many channel spots fit in the bundle with the
 // given centre-to-centre channel pitch.
 func (f ImagingFiber) MaxChannels(channelPitchM float64) int {

@@ -174,11 +174,6 @@ func (f *Fleet) CountScrapeShed() {
 	f.countShed("scrape", ShedScrape)
 }
 
-// Create admits n links with the given design (nil = the config
-// default). Admission is gated per link: the MaxLinks budget, a free
-// topology slot, and one token from the bucket. It returns the IDs
-// admitted; if any were shed, the first ShedError is returned alongside
-// the partial result.
 // DesignOrDefault returns a copy of d, or of the fleet's default design
 // when d is nil — the base callers layer per-request overrides (like a
 // scenario binding) onto before Create.
@@ -191,6 +186,11 @@ func (f *Fleet) DesignOrDefault(d *LinkDesign) LinkDesign {
 	return f.cfg.Design
 }
 
+// Create admits n links with the given design (nil = the config
+// default). Admission is gated per link: the MaxLinks budget, a free
+// topology slot, and one token from the bucket. It returns the IDs
+// admitted; if any were shed, the first ShedError is returned alongside
+// the partial result.
 func (f *Fleet) Create(n int, d *LinkDesign) ([]int, error) {
 	if n <= 0 {
 		return nil, errors.New("fleetd: create needs count > 0")
@@ -577,14 +577,6 @@ func (f *Fleet) Admission() AdmissionStats {
 
 // PoolStats returns the worker pool counters.
 func (f *Fleet) PoolStats() PoolStats { return f.pool.Stats() }
-
-// ScrapeBudget returns the per-epoch scrape budget (0 = unlimited),
-// read by the HTTP shedding gate.
-func (f *Fleet) ScrapeBudget() int64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.cfg.Budgets.ScrapePerEpoch
-}
 
 // Drain performs the graceful-shutdown sequence: stop admissions, put
 // every live link on the drain path, and step until the fleet is empty

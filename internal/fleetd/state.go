@@ -78,16 +78,6 @@ func StateNames() []string {
 	return out
 }
 
-// StateByName parses a wire name back into a State.
-func StateByName(name string) (State, bool) {
-	for i, n := range stateNames {
-		if n == name {
-			return State(i), true
-		}
-	}
-	return 0, false
-}
-
 // legalEdges is the full transition relation. Anything not listed is
 // rejected with a *TransitionError.
 var legalEdges = map[State][]State{
@@ -122,6 +112,3 @@ func CanTransition(from, to State) bool {
 	}
 	return false
 }
-
-// Terminal reports whether the state has no outgoing edges.
-func (s State) Terminal() bool { return len(legalEdges[s]) == 0 }

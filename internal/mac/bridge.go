@@ -18,15 +18,6 @@ type DiscardCapacity struct{}
 // SetLinkCapacityFraction implements CapacitySink.
 func (DiscardCapacity) SetLinkCapacityFraction(int, float64) {}
 
-// VCCapacitySink receives the per-virtual-channel breakdown of a
-// renegotiation: each VC's share of the degraded link, split by QoS
-// class weight (the same weights the MAC scheduler uses, so the network
-// layer's view of priority matches what the wire actually does).
-// netsim.VCLinkMap satisfies it.
-type VCCapacitySink interface {
-	SetVCCapacityFraction(linkID, vc int, frac float64)
-}
-
 // Bridge is the capacity-renegotiation half of the MAC: it republishes
 // a PHY link's usable width into a flow simulator whenever sparing
 // consumes lanes. This replaces hand-wired SetLinkCapacityFraction
@@ -46,14 +37,6 @@ type Bridge struct {
 	lastFrac       float64 // fraction last published; the bridge's whole memory
 	renegotiations uint64
 
-	// VCSink, when non-nil, additionally receives each VC's weighted
-	// share of every renegotiated fraction (set alongside VCClasses
-	// before the first Sync).
-	VCSink VCCapacitySink
-	// VCClasses assigns the QoS class per VC for the VCSink split; nil
-	// with a non-nil VCSink means one class-0 VC.
-	VCClasses []uint8
-
 	// OnRenegotiate, when non-nil, observes each published change (for
 	// event logs and telemetry). Called after the sink is updated.
 	OnRenegotiate func(lanes int, frac float64)
@@ -68,7 +51,7 @@ func NewBridge(link *phy.Link, sink CapacitySink, linkID int) *Bridge {
 }
 
 // Sync reads the link's current lane count and, if the usable fraction
-// moved since the last Sync, publishes it to the sink(s) and the
+// moved since the last Sync, publishes it to the sink and the
 // OnRenegotiate observer. A Sync with nothing changed does nothing.
 func (b *Bridge) Sync() {
 	lanes := b.link.Mapper().NumLanes()
@@ -79,32 +62,8 @@ func (b *Bridge) Sync() {
 	b.lastFrac = frac
 	b.renegotiations++
 	b.sink.SetLinkCapacityFraction(b.linkID, frac)
-	b.publishVCs(frac)
 	if b.OnRenegotiate != nil {
 		b.OnRenegotiate(lanes, frac)
-	}
-}
-
-// publishVCs splits a renegotiated link fraction across the virtual
-// channels in proportion to their QoS class weights — the share each VC
-// would win from the MAC's weighted scheduler under full load.
-func (b *Bridge) publishVCs(frac float64) {
-	if b.VCSink == nil {
-		return
-	}
-	classes := b.VCClasses
-	if len(classes) == 0 {
-		classes = []uint8{0}
-	}
-	total := 0
-	for _, class := range classes {
-		total += ClassWeight(class)
-	}
-	if total == 0 {
-		return
-	}
-	for vc, class := range classes {
-		b.VCSink.SetVCCapacityFraction(b.linkID, vc, frac*float64(ClassWeight(class))/float64(total))
 	}
 }
 

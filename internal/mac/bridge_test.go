@@ -132,65 +132,3 @@ func TestBridgeIdleSyncIsFree(t *testing.T) {
 		t.Fatalf("idle Syncs published: %+v (renegs=%d frac=%v)", sink.calls, b.Renegotiations(), b.Fraction())
 	}
 }
-
-// recordingVCSink captures every per-VC capacity publication.
-type recordingVCSink struct {
-	calls []struct {
-		link, vc int
-		frac     float64
-	}
-}
-
-func (r *recordingVCSink) SetVCCapacityFraction(link, vc int, frac float64) {
-	r.calls = append(r.calls, struct {
-		link, vc int
-		frac     float64
-	}{link, vc, frac})
-}
-
-// A renegotiation with a VC sink attached must also publish each VC's
-// class-weighted share of the new fraction, in VC order.
-func TestBridgePublishesVCShares(t *testing.T) {
-	link := bridgeLink(t, 10, 0)
-	sink := &recordingSink{}
-	vcSink := &recordingVCSink{}
-	b := NewBridge(link, sink, 7)
-	b.VCSink = vcSink
-	b.VCClasses = []uint8{0, 1, 2} // weights 4, 2, 1 -> shares 4/7, 2/7, 1/7
-
-	link.FailChannel(0)
-	b.Sync()
-
-	if len(vcSink.calls) != 3 {
-		t.Fatalf("published %d VC shares, want 3: %+v", len(vcSink.calls), vcSink.calls)
-	}
-	total := 0.0
-	for vc, c := range vcSink.calls {
-		if c.link != 7 || c.vc != vc {
-			t.Fatalf("publication %d targeted (link %d, vc %d)", vc, c.link, c.vc)
-		}
-		want := 0.9 * float64(ClassWeight(uint8(vc))) / 7
-		if diff := c.frac - want; diff > 1e-12 || diff < -1e-12 {
-			t.Errorf("vc %d share = %v, want %v", vc, c.frac, want)
-		}
-		total += c.frac
-	}
-	if diff := total - 0.9; diff > 1e-12 || diff < -1e-12 {
-		t.Errorf("VC shares sum to %v, want the link fraction 0.9", total)
-	}
-}
-
-// With no VCClasses configured, a VC sink still hears about the single
-// implied class-0 channel at the full link fraction.
-func TestBridgeVCSinkDefaultsToOneVC(t *testing.T) {
-	link := bridgeLink(t, 10, 0)
-	vcSink := &recordingVCSink{}
-	b := NewBridge(link, &recordingSink{}, 3)
-	b.VCSink = vcSink
-
-	link.FailChannel(0)
-	b.Sync()
-	if len(vcSink.calls) != 1 || vcSink.calls[0].vc != 0 || vcSink.calls[0].frac != 0.9 {
-		t.Fatalf("default VC publication = %+v, want one (vc 0, 0.9)", vcSink.calls)
-	}
-}

@@ -2,6 +2,7 @@ package mac
 
 import (
 	"fmt"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -23,20 +24,27 @@ import (
 // goldenSessionSHA is sha256[:8] of the scenario's joined log + summary.
 const goldenSessionSHA = "d02225b7ded5020b"
 
-// runGoldenSession executes the pinned scenario. reg may be nil; the
-// golden hash must not depend on it (telemetry is write-only).
+// goldenInterval is the pinned scenario's superframe period.
+const goldenInterval = sim.Time(1e-5)
+
+// runGoldenSession executes the pinned scenario with Run. reg may be nil;
+// the golden hash must not depend on it (telemetry is write-only).
 func runGoldenSession(t *testing.T, workers int, reg *telemetry.Registry) (string, *Result, *recordingSink) {
+	t.Helper()
+	return driveGoldenSession(t, workers, reg, (*Session).Run)
+}
+
+// driveGoldenSession builds the pinned scenario and hands it to drive.
+func driveGoldenSession(t *testing.T, workers int, reg *telemetry.Registry, drive func(*Session) *Result) (string, *Result, *recordingSink) {
 	t.Helper()
 	fwd := testLink(t, 11, workers)
 	rev := testLink(t, 12, workers)
-	eng := sim.NewEngine(1)
 	sink := &recordingSink{}
 	bridge := NewBridge(fwd, sink, 3)
 	sess, err := NewSession(SessionConfig{
-		Engine: eng,
-		Fwd:    fwd,
-		Rev:    rev,
-		Pair:   PairConfig{PHYFrameLen: 120},
+		Fwd:  fwd,
+		Rev:  rev,
+		Pair: PairConfig{PHYFrameLen: 120},
 		Schedule: faultinject.Schedule{Events: []faultinject.Event{
 			{At: 5, Kind: faultinject.KindKill, Channel: 2},
 			{At: 10, Kind: faultinject.KindAging, Channel: 6, BER: 4e-3, Duration: 8},
@@ -44,7 +52,7 @@ func runGoldenSession(t *testing.T, workers int, reg *telemetry.Registry) (strin
 			{At: 30, Kind: faultinject.KindCorrelated, Channel: 3, Span: 2},
 		}},
 		Superframes:  45,
-		Interval:     1e-5,
+		Interval:     goldenInterval,
 		PacketsPerSF: 4,
 		PacketLen:    150,
 		Seed:         21,
@@ -54,8 +62,7 @@ func runGoldenSession(t *testing.T, workers int, reg *telemetry.Registry) (strin
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.Run()
-	res := sess.Result()
+	res := drive(sess)
 	return eventlog.Digest(res.Log, res.Summary()), res, sink
 }
 
@@ -81,6 +88,40 @@ func TestSessionDeterminismAcrossWorkerCounts(t *testing.T) {
 			if res.Renegotiations == 0 || len(sink.calls) == 0 {
 				t.Errorf("spare exhaustion never renegotiated (%d, %d sink calls)",
 					res.Renegotiations, len(sink.calls))
+			}
+		})
+	}
+}
+
+// A co-simulation (E23) steps the session from its own event engine, one
+// Step per Interval; that must be the same session Run produces — the
+// same log bytes, "renegotiate t=" labels included (the session's clock
+// and the engine's accumulate the same sums), and the same Result.
+func TestSessionStepEqualsRun(t *testing.T) {
+	fromEngine := func(s *Session) *Result {
+		eng := sim.NewEngine(1)
+		var step func()
+		step = func() {
+			if s.Step() {
+				eng.After(goldenInterval, step)
+			}
+		}
+		eng.After(goldenInterval, step)
+		eng.Run()
+		if s.Step() {
+			t.Error("Step after the last superframe reported more work")
+		}
+		return s.Result()
+	}
+	for _, w := range []int{1, runtime.GOMAXPROCS(0)} {
+		t.Run(fmt.Sprintf("workers=%d", w), func(t *testing.T) {
+			stepSHA, stepped, _ := driveGoldenSession(t, w, nil, fromEngine)
+			runSHA, ran, _ := runGoldenSession(t, w, nil)
+			if stepSHA != runSHA || stepSHA != goldenSessionSHA {
+				t.Errorf("stepped sha %s, Run sha %s, golden %s", stepSHA, runSHA, goldenSessionSHA)
+			}
+			if !reflect.DeepEqual(stepped, ran) {
+				t.Errorf("results differ:\nstepped %+v\nrun     %+v", stepped, ran)
 			}
 		})
 	}
@@ -123,9 +164,8 @@ func TestSessionOnReusedLinksRemapsNothing(t *testing.T) {
 	fwd, rev := testLink(t, 11, 1), testLink(t, 12, 1)
 	run := func(sched faultinject.Schedule) *Result {
 		t.Helper()
-		eng := sim.NewEngine(1)
 		sess, err := NewSession(SessionConfig{
-			Engine: eng, Fwd: fwd, Rev: rev,
+			Fwd: fwd, Rev: rev,
 			Pair:     PairConfig{PHYFrameLen: 120},
 			Schedule: sched, Superframes: 10, Interval: 1e-5,
 			PacketsPerSF: 4, PacketLen: 150, Seed: 21,
@@ -134,11 +174,11 @@ func TestSessionOnReusedLinksRemapsNothing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng.Run()
+		res := sess.Run()
 		if fwd.Monitor().TransitionHook() != nil {
 			t.Fatal("finished session left its transition hook installed")
 		}
-		return sess.Result()
+		return res
 	}
 	first := run(faultinject.Schedule{Events: []faultinject.Event{{At: 2, Kind: faultinject.KindKill, Channel: 3}}})
 	if n := strings.Count(strings.Join(first.Log, "\n"), " remap "); n != 1 {
@@ -153,9 +193,8 @@ func TestSessionOnReusedLinksRemapsNothing(t *testing.T) {
 // kill in sched sheds a lane in the superframe it lands on.
 func shedSession(t *testing.T, fwd, rev *phy.Link, sched faultinject.Schedule, reg *telemetry.Registry) *Result {
 	t.Helper()
-	eng := sim.NewEngine(1)
 	sess, err := NewSession(SessionConfig{
-		Engine: eng, Fwd: fwd, Rev: rev,
+		Fwd: fwd, Rev: rev,
 		Schedule: sched, Superframes: 4, Interval: 1e-5,
 		PacketsPerSF: 2, PacketLen: 100, Seed: 21,
 		Bridge:  NewBridge(fwd, DiscardCapacity{}, 0),
@@ -164,8 +203,7 @@ func shedSession(t *testing.T, fwd, rev *phy.Link, sched faultinject.Schedule, r
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.Run()
-	res := sess.Result()
+	res := sess.Run()
 	if res.Err != "" {
 		t.Fatal(res.Err)
 	}

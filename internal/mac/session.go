@@ -11,13 +11,11 @@ import (
 	"mosaic/internal/telemetry"
 )
 
-// SessionConfig describes one engine-driven MAC session: a full-duplex
-// pair, client traffic A->B, and a fault schedule replayed against the
-// forward link.
+// SessionConfig describes one MAC session: a full-duplex pair, client
+// traffic A->B, and a fault schedule replayed against the forward link.
 type SessionConfig struct {
-	Engine *sim.Engine // required; the caller runs it
-	Fwd    *phy.Link   // required; carries data, receives the faults
-	Rev    *phy.Link   // required; carries acks back
+	Fwd *phy.Link // required; carries data, receives the faults
+	Rev *phy.Link // required; carries acks back
 
 	Pair PairConfig // endpoint/framing knobs; PayloadBudget 0 = derived
 
@@ -25,8 +23,8 @@ type SessionConfig struct {
 	// (kill/aging/burst/correlated, superframe-indexed).
 	Schedule faultinject.Schedule
 
-	Superframes  int      // ticks to run (required > 0)
-	Interval     sim.Time // simulated time between ticks (required > 0)
+	Superframes  int      // steps to run (required > 0)
+	Interval     sim.Time // simulated time one step advances the session clock (required > 0)
 	PacketsPerSF int      // client packets queued at A per tick (on VC 0)
 	PacketLen    int      // bytes per client packet (required > 0)
 	Seed         int64    // client payload seed
@@ -56,8 +54,9 @@ type SessionConfig struct {
 	MaxLog int
 }
 
-// Session is an in-flight MAC run. Construct with NewSession, then run
-// the engine; Result is valid once the engine drains.
+// Session is an in-flight MAC run, stepped one superframe at a time:
+// Run loops Step to the end; a co-simulation calls Step from its own
+// clock every Interval and reads Result when Step reports false.
 type Session struct {
 	cfg     SessionConfig
 	pair    *Pair
@@ -66,6 +65,7 @@ type Session struct {
 	col     *collector
 
 	sf       int
+	now      sim.Time // sf * Interval, accumulated the way an event clock would
 	prevRetx uint64
 	err      error
 
@@ -94,13 +94,12 @@ type Result struct {
 	Fraction       float64 `json:"fraction"`
 }
 
-// NewSession validates cfg, wires the pair, the link supervisor (which
-// holds Fwd's monitor hook until the last tick) and the optional
-// bridge/telemetry, and schedules the first tick on the engine at
-// Now()+Interval. Run the engine to completion afterwards.
+// NewSession validates cfg and wires the pair, the link supervisor (which
+// holds Fwd's monitor hook until the last step) and the optional
+// bridge/telemetry. Nothing runs until Step or Run.
 func NewSession(cfg SessionConfig) (*Session, error) {
-	if cfg.Engine == nil || cfg.Fwd == nil || cfg.Rev == nil {
-		return nil, errors.New("mac: SessionConfig needs Engine, Fwd, Rev")
+	if cfg.Fwd == nil || cfg.Rev == nil {
+		return nil, errors.New("mac: SessionConfig needs Fwd, Rev")
 	}
 	if cfg.Superframes <= 0 || cfg.Interval <= 0 {
 		return nil, errors.New("mac: need Superframes > 0 and Interval > 0")
@@ -161,12 +160,17 @@ func NewSession(cfg SessionConfig) (*Session, error) {
 	}
 	if cfg.Bridge != nil && cfg.Bridge.OnRenegotiate == nil {
 		cfg.Bridge.OnRenegotiate = func(lanes int, frac float64) {
-			s.log.Addf("sf=%d renegotiate t=%v lanes=%d frac=%.4f", s.sf, cfg.Engine.Now(), lanes, frac)
+			s.log.Addf("sf=%d renegotiate t=%v lanes=%d frac=%.4f", s.sf, s.now, lanes, frac)
 		}
 	}
-
-	cfg.Engine.After(cfg.Interval, s.tick)
 	return s, nil
+}
+
+// Run steps the session to its end and returns the result.
+func (s *Session) Run() *Result {
+	for s.Step() {
+	}
+	return s.Result()
 }
 
 // queueTraffic queues this tick's client packets at A: either
@@ -203,23 +207,29 @@ func (s *Session) queueTraffic() bool {
 	return true
 }
 
-// tick runs one superframe: inject faults, queue client packets, move
-// the pair one round trip, spare out failed channels, log milestones,
-// renegotiate capacity, and push telemetry. The tick that ends the
-// session (the last, or one that errs) hands Fwd's monitor hook back, so
-// a link reused by a later session carries no stale hook.
-func (s *Session) tick() {
+// Step runs one superframe, Interval later on the session clock than the
+// last: inject faults, queue client packets, move the pair one round
+// trip, spare out failed channels, log milestones, renegotiate capacity,
+// and push telemetry. It reports whether another step remains; the step
+// that ends the session (the last, or one that errs) hands Fwd's monitor
+// hook back, so a link reused by a later session carries no stale hook,
+// and every Step after it is a no-op.
+func (s *Session) Step() bool {
+	if s.err != nil || s.sf >= s.cfg.Superframes {
+		return false
+	}
+	s.now += s.cfg.Interval
 	s.sup.Begin(s.sf)
 
 	if !s.queueTraffic() {
 		s.sup.Close()
-		return
+		return false
 	}
 	if err := s.pair.Tick(); err != nil {
 		s.err = err
 		s.log.Addf("sf=%d exchange error: %v", s.sf, err)
 		s.sup.Close()
-		return
+		return false
 	}
 
 	// Reactive sparing at the boundary.
@@ -235,9 +245,8 @@ func (s *Session) tick() {
 	s.sup.End(s.pair.FwdStats)
 
 	s.sf++
-	if s.sf < s.cfg.Superframes {
-		s.cfg.Engine.After(s.cfg.Interval, s.tick)
-	} else {
+	more := s.sf < s.cfg.Superframes
+	if !more {
 		s.sup.Close()
 	}
 
@@ -262,9 +271,10 @@ func (s *Session) tick() {
 			s.col.syncBridge(s.cfg.Bridge.Renegotiations(), s.cfg.Bridge.Fraction())
 		}
 	}
+	return more
 }
 
-// Result snapshots the session after the engine has drained.
+// Result snapshots the session; it is final once Step has reported false.
 func (s *Session) Result() *Result {
 	r := &Result{
 		Log:         s.log.Lines(),

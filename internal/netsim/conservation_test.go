@@ -68,8 +68,7 @@ func TestFlowSimCapacityConservation(t *testing.T) {
 	}
 
 	// Phase 2: let some flows complete, checking at each event.
-	for i := 0; i < 30 && engine.Pending() > 0; i++ {
-		engine.Step()
+	for i := 0; i < 30 && engine.Step(); i++ {
 		check("after completion")
 	}
 

@@ -120,7 +120,7 @@ func TestSetLinkCapacityFractionNoOpSkipsRecompute(t *testing.T) {
 
 	// A real change on a flow-less link has no component to re-fill.
 	fs.SetLinkCapacityFraction(idle, 0.5)
-	if got := fs.LinkCapacity(idle); got != topo.Links[idle].RateBps*0.5 {
+	if got := fs.g.capacity[idle]; got != topo.Links[idle].RateBps*0.5 {
 		t.Fatalf("flow-less link capacity = %g, want half of nominal", got)
 	}
 	if got := fs.Waterfills(); got != base+1 {

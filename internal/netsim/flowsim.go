@@ -166,9 +166,6 @@ func nominalCapacity(t *Topology) []float64 {
 	return capacity
 }
 
-// LinkCapacity returns the current capacity of a link.
-func (fs *FlowSim) LinkCapacity(linkID int) float64 { return fs.g.capacity[linkID] }
-
 // ActiveFlows returns the number of in-flight flows.
 func (fs *FlowSim) ActiveFlows() int { return len(fs.active) }
 

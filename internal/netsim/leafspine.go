@@ -1,9 +1,6 @@
 package netsim
 
-import (
-	"errors"
-	"fmt"
-)
+import "errors"
 
 // NewLeafSpine builds the two-tier topology most production pods actually
 // use: `leaves` leaf (ToR) switches each serving `hostsPerLeaf` hosts and
@@ -57,34 +54,4 @@ func NewLeafSpine(leaves, spines, hostsPerLeaf int, linkRate float64) (*Topology
 		t.adj[l.B] = append(t.adj[l.B], l.ID)
 	}
 	return t, nil
-}
-
-// Oversubscription returns the leaf oversubscription ratio of a leaf-spine
-// topology: host-facing bandwidth over spine-facing bandwidth per leaf.
-// It returns an error on fat-trees (which are non-blocking by design).
-func Oversubscription(t *Topology) (float64, error) {
-	if t.K != 0 {
-		return 0, fmt.Errorf("netsim: oversubscription is a leaf-spine property")
-	}
-	// Find any leaf and count its link types.
-	for _, n := range t.Nodes {
-		if n.Kind != NodeEdge {
-			continue
-		}
-		var down, up float64
-		for _, lid := range t.adj[n.ID] {
-			l := t.Links[lid]
-			switch l.Tier {
-			case TierHostToR:
-				down += l.RateBps
-			case TierToRAgg:
-				up += l.RateBps
-			}
-		}
-		if up == 0 {
-			return 0, errors.New("netsim: leaf has no uplinks")
-		}
-		return down / up, nil
-	}
-	return 0, errors.New("netsim: no leaves found")
 }

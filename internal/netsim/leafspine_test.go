@@ -11,7 +11,7 @@ func TestLeafSpineShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	counts := topo.CountNodes()
+	counts := countNodes(topo)
 	if counts[NodeHost] != 128 || counts[NodeEdge] != 8 || counts[NodeAgg] != 4 {
 		t.Fatalf("counts = %v", counts)
 	}
@@ -76,21 +76,6 @@ func TestLeafSpineECMPAcrossSpines(t *testing.T) {
 	}
 	if len(spines) < 3 {
 		t.Errorf("ECMP used only %d of 4 spines", len(spines))
-	}
-}
-
-func TestOversubscription(t *testing.T) {
-	topo, _ := NewLeafSpine(8, 4, 16, 800e9)
-	ratio, err := Oversubscription(topo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ratio != 4 { // 16 host links over 4 uplinks
-		t.Errorf("oversubscription = %v, want 4", ratio)
-	}
-	ft, _ := NewFatTree(4, 800e9)
-	if _, err := Oversubscription(ft); err == nil {
-		t.Error("fat-tree oversubscription should error")
 	}
 }
 

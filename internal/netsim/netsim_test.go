@@ -19,10 +19,19 @@ func mustTree(t *testing.T, k int) *Topology {
 	return topo
 }
 
+// countNodes returns node counts by kind.
+func countNodes(t *Topology) map[NodeKind]int {
+	out := make(map[NodeKind]int)
+	for _, n := range t.Nodes {
+		out[n.Kind]++
+	}
+	return out
+}
+
 func TestFatTreeShape(t *testing.T) {
 	for _, k := range []int{4, 8} {
 		topo := mustTree(t, k)
-		counts := topo.CountNodes()
+		counts := countNodes(topo)
 		if counts[NodeHost] != k*k*k/4 {
 			t.Errorf("k=%d: hosts = %d, want %d", k, counts[NodeHost], k*k*k/4)
 		}
@@ -370,16 +379,16 @@ func TestRestoreLink(t *testing.T) {
 	fs := NewFlowSim(topo, eng)
 	lid := 0
 	fs.SetLinkCapacityFraction(lid, 0.5)
-	if fs.LinkCapacity(lid) != topo.Links[lid].RateBps*0.5 {
+	if fs.g.capacity[lid] != topo.Links[lid].RateBps*0.5 {
 		t.Error("capacity not scaled")
 	}
 	fs.RestoreLink(lid)
-	if fs.LinkCapacity(lid) != topo.Links[lid].RateBps {
+	if fs.g.capacity[lid] != topo.Links[lid].RateBps {
 		t.Error("capacity not restored")
 	}
 	fs.SetLinkCapacityFraction(-1, 0.5) // must not panic
 	fs.SetLinkCapacityFraction(lid, -2)
-	if fs.LinkCapacity(lid) != 0 {
+	if fs.g.capacity[lid] != 0 {
 		t.Error("negative fraction should clamp to dead")
 	}
 }
@@ -409,7 +418,7 @@ func TestSetLinkCapacityFractionBounds(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			fs := NewFlowSim(topo, sim.NewEngine(1))
 			fs.SetLinkCapacityFraction(0, tc.frac)
-			if got := fs.LinkCapacity(0); got != tc.want {
+			if got := fs.g.capacity[0]; got != tc.want {
 				t.Errorf("frac=%v: capacity = %g, want %g", tc.frac, got, tc.want)
 			}
 		})

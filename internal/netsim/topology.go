@@ -302,12 +302,3 @@ func (t *Topology) upLinks(node int, kind NodeKind) []int {
 	}
 	return out
 }
-
-// CountNodes returns node counts by kind.
-func (t *Topology) CountNodes() map[NodeKind]int {
-	out := make(map[NodeKind]int)
-	for _, n := range t.Nodes {
-		out[n.Kind]++
-	}
-	return out
-}

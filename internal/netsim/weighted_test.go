@@ -89,34 +89,3 @@ func TestWeightSanitized(t *testing.T) {
 		}
 	}
 }
-
-// VCLinkMap must fan per-VC capacity publications out to exactly the
-// mapped flow-sim links and ignore everything else.
-func TestVCLinkMapRouting(t *testing.T) {
-	topo := mustTree(t, 4)
-	eng := sim.NewEngine(1)
-	fs := NewFlowSim(topo, eng)
-	m := NewVCLinkMap(fs)
-	m.Map(7, 0, 0)
-	m.Map(7, 1, 1)
-
-	nominal0 := fs.LinkCapacity(0)
-	nominal1 := fs.LinkCapacity(1)
-	m.SetVCCapacityFraction(7, 0, 0.5)
-	if got := fs.LinkCapacity(0); got != nominal0*0.5 {
-		t.Errorf("mapped VC 0 capacity = %v, want %v", got, nominal0*0.5)
-	}
-	if got := fs.LinkCapacity(1); got != nominal1 {
-		t.Errorf("VC 1 link rescaled by a VC 0 publication: %v", got)
-	}
-	m.SetVCCapacityFraction(7, 1, 0.25)
-	if got := fs.LinkCapacity(1); got != nominal1*0.25 {
-		t.Errorf("mapped VC 1 capacity = %v, want %v", got, nominal1*0.25)
-	}
-	// Unmapped VC and unknown MAC link: silently ignored.
-	m.SetVCCapacityFraction(7, 9, 0.1)
-	m.SetVCCapacityFraction(99, 0, 0.1)
-	if fs.LinkCapacity(0) != nominal0*0.5 || fs.LinkCapacity(1) != nominal1*0.25 {
-		t.Error("unmapped publication changed a link capacity")
-	}
-}

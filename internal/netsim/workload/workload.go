@@ -138,20 +138,6 @@ func WebSearch() *Empirical {
 	return e
 }
 
-// DataMining returns the data-mining (Hadoop-style) distribution: mostly
-// tiny flows plus a very heavy tail.
-func DataMining() *Empirical {
-	kb := 8.0 * 1024
-	e, err := NewEmpirical("datamining",
-		[]float64{0.3 * kb, 0.5 * kb, 1 * kb, 2 * kb, 10 * kb, 100 * kb,
-			1000 * kb, 10000 * kb, 100000 * kb, 1000000 * kb},
-		[]float64{0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.97, 0.99, 0.999, 1.0})
-	if err != nil {
-		panic(err)
-	}
-	return e
-}
-
 // PoissonArrivals yields exponential inter-arrival times for a target
 // offered load on a set of hosts.
 type PoissonArrivals struct {

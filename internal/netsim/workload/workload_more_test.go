@@ -88,23 +88,6 @@ func TestParetoAlphaOneMean(t *testing.T) {
 	}
 }
 
-func TestDataMiningHeavierTailThanWebSearch(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	ws, dm := WebSearch(), DataMining()
-	wsMax, dmMax := 0.0, 0.0
-	for i := 0; i < 50000; i++ {
-		if s := ws.SampleBits(rng); s > wsMax {
-			wsMax = s
-		}
-		if s := dm.SampleBits(rng); s > dmMax {
-			dmMax = s
-		}
-	}
-	if !(dmMax > wsMax) {
-		t.Errorf("data-mining tail %v should exceed web-search %v", dmMax, wsMax)
-	}
-}
-
 func TestPoissonGapQuick(t *testing.T) {
 	p := PoissonArrivals{RatePerSec: 1e6}
 	rng := rand.New(rand.NewSource(15))
@@ -118,7 +101,7 @@ func TestPoissonGapQuick(t *testing.T) {
 }
 
 func TestSampleBitsAlwaysPositiveQuick(t *testing.T) {
-	dists := []SizeDist{WebSearch(), DataMining(),
+	dists := []SizeDist{WebSearch(),
 		Fixed{Bits: 100}, Pareto{Alpha: 1.3, MinBits: 10, MaxBits: 1e6}}
 	rng := rand.New(rand.NewSource(16))
 	prop := func(uint8) bool {

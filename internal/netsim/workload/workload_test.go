@@ -71,7 +71,7 @@ func TestEmpiricalValidation(t *testing.T) {
 
 func TestPresetDistributions(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	for _, d := range []SizeDist{WebSearch(), DataMining()} {
+	for _, d := range []SizeDist{WebSearch()} {
 		if d.Name() == "" || d.MeanBits() <= 0 {
 			t.Fatalf("%s: bad metadata", d.Name())
 		}

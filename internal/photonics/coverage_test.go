@@ -6,15 +6,8 @@ import (
 	"testing"
 )
 
-func TestLaserWallPlugAndBandwidth(t *testing.T) {
+func TestLaserBandwidthAndString(t *testing.T) {
 	l := VCSEL850()
-	if l.WallPlugPower(0) != 0 || l.WallPlugPower(-1) != 0 {
-		t.Error("nonpositive drive should burn nothing")
-	}
-	want := 5e-3 * l.ForwardVoltage
-	if got := l.WallPlugPower(5e-3); math.Abs(got-want) > 1e-12 {
-		t.Errorf("wall plug = %v, want %v", got, want)
-	}
 	if l.Bandwidth(1e-3) != l.BandwidthHz {
 		t.Error("laser bandwidth should be bias-independent here")
 	}
@@ -57,9 +50,6 @@ func TestMicroLEDStringAndExtremes(t *testing.T) {
 	// Pathological drive saturates instead of looping forever.
 	if n := m.CarrierDensity(1e20); n < 1e30 {
 		t.Errorf("huge drive carrier density = %v", n)
-	}
-	if m.WallPlugPower(0) != 0 {
-		t.Error("zero drive should burn nothing")
 	}
 	// Degenerate device: zero recombination denominators.
 	z := m

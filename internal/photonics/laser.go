@@ -116,15 +116,6 @@ func (l Laser) CurrentForPower(p float64) (float64, error) {
 	return i, nil
 }
 
-// WallPlugPower returns the electrical power (W) consumed by the laser diode
-// at drive current i, including threshold bias: I·Vf.
-func (l Laser) WallPlugPower(i float64) float64 {
-	if i <= 0 {
-		return 0
-	}
-	return i * l.ForwardVoltage
-}
-
 // Bandwidth returns the modulation bandwidth (Hz). For lasers this is
 // essentially bias-independent in our operating range.
 func (l Laser) Bandwidth(float64) float64 { return l.BandwidthHz }

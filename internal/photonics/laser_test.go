@@ -90,7 +90,7 @@ func TestMicroLEDTransmitterEnergyPerBit(t *testing.T) {
 	// win over optics comes from there being no DSP, CDR, or laser driver.
 	led := DefaultMicroLED()
 	i := led.NominalCurrent()
-	p := led.WallPlugPower(i)
+	p := i * (led.ForwardVoltage + i*led.SeriesOhm) // I·(Vf + I·Rs)
 	if p > 5e-3 {
 		t.Errorf("per-channel diode power %v W too high", p)
 	}

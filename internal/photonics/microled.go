@@ -100,11 +100,6 @@ func (m MicroLED) AreaM2() float64 {
 	return math.Pi * r * r
 }
 
-// CurrentDensity returns the drive current density in A/m² for current i (A).
-func (m MicroLED) CurrentDensity(i float64) float64 {
-	return i / m.AreaM2()
-}
-
 // CurrentForDensity returns the drive current in A for a current density in
 // A/m².
 func (m MicroLED) CurrentForDensity(j float64) float64 {
@@ -214,15 +209,6 @@ func (m MicroLED) Bandwidth(i float64) float64 {
 		return fc
 	}
 	return fc * fr / math.Sqrt(fc*fc+fr*fr)
-}
-
-// WallPlugPower returns the electrical power (W) consumed by the LED itself
-// at drive current i: I·(Vf + I·Rs).
-func (m MicroLED) WallPlugPower(i float64) float64 {
-	if i <= 0 {
-		return 0
-	}
-	return i * (m.ForwardVoltage + i*m.SeriesOhm)
 }
 
 // String summarises the device.

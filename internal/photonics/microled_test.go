@@ -139,31 +139,6 @@ func TestCombinedBandwidthBelowBoth(t *testing.T) {
 	}
 }
 
-func TestWallPlugPower(t *testing.T) {
-	m := DefaultMicroLED()
-	i := 0.5e-3
-	want := i * (m.ForwardVoltage + i*m.SeriesOhm)
-	if got := m.WallPlugPower(i); !units.ApproxEqual(got, want, 1e-12) {
-		t.Errorf("WallPlugPower = %v, want %v", got, want)
-	}
-	// A microLED channel should burn only ~1-2 mW in the diode itself.
-	if p := m.WallPlugPower(i); p > 5e-3 {
-		t.Errorf("diode power %v W is too high for the wide-and-slow story", p)
-	}
-}
-
-func TestCurrentDensityRoundTrip(t *testing.T) {
-	m := DefaultMicroLED()
-	f := func(raw float64) bool {
-		j := math.Abs(math.Mod(raw, 1e8))
-		i := m.CurrentForDensity(j)
-		return units.ApproxEqual(m.CurrentDensity(i), j, 1e-9)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestEQEBelowExtraction(t *testing.T) {
 	m := DefaultMicroLED()
 	for _, i := range []float64{1e-5, 1e-4, 1e-3} {

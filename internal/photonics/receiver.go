@@ -36,32 +36,6 @@ func SiPD() Photodiode {
 	}
 }
 
-// InGaAsPD returns a 1310 nm telecom photodiode used in DR/FR receivers.
-func InGaAsPD() Photodiode {
-	return Photodiode{
-		Name:             "InGaAs-PD",
-		Material:         "InGaAs",
-		DiameterM:        16e-6,
-		PeakRespAPerW:    1.0,
-		PeakWavelengthM:  1310e-9,
-		CapPerAreaFPerM2: 1.5e-3,
-		DarkCurrentA:     5e-9,
-	}
-}
-
-// GaAsPD returns an 850 nm datacom photodiode used in SR4/AOC receivers.
-func GaAsPD() Photodiode {
-	return Photodiode{
-		Name:             "GaAs-PD",
-		Material:         "GaAs",
-		DiameterM:        18e-6,
-		PeakRespAPerW:    0.6,
-		PeakWavelengthM:  850e-9,
-		CapPerAreaFPerM2: 1.0e-3,
-		DarkCurrentA:     1e-9,
-	}
-}
-
 // Validate reports whether the photodiode parameters are meaningful.
 func (p Photodiode) Validate() error {
 	if p.DiameterM <= 0 || p.PeakRespAPerW <= 0 || p.PeakWavelengthM <= 0 {
@@ -131,17 +105,6 @@ func SimpleTIA() TIA {
 		NoiseAPerRtHz: 1.5e-12,
 		BandwidthHz:   2.2e9,
 		PowerW:        0.9e-3,
-	}
-}
-
-// HighSpeedTIA returns the 50+ GHz front end a 100 Gbps/lane receiver needs.
-func HighSpeedTIA() TIA {
-	return TIA{
-		Name:          "SiGe-TIA-50G",
-		GainOhm:       4e3,
-		NoiseAPerRtHz: 14e-12,
-		BandwidthHz:   42e9,
-		PowerW:        180e-3,
 	}
 }
 

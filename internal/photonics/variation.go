@@ -61,12 +61,3 @@ func (v Variation) Sample(rng *rand.Rand) ChannelSample {
 		Dead:            rng.Float64() < v.DeadProb,
 	}
 }
-
-// SampleArray draws n independent channel samples.
-func (v Variation) SampleArray(rng *rand.Rand, n int) []ChannelSample {
-	out := make([]ChannelSample, n)
-	for i := range out {
-		out[i] = v.Sample(rng)
-	}
-	return out
-}

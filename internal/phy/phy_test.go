@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 // --- BSC ---
@@ -169,57 +168,6 @@ func popcount8(b byte) int {
 		n++
 	}
 	return n
-}
-
-// --- Gearbox ---
-
-func TestStripeDestripeRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	for _, n := range []int{0, 1, 62, 63, 64, 1000, 6300} {
-		stream := make([]byte, n)
-		rng.Read(stream)
-		units := Stripe(stream, 10, 63)
-		total := (n + 62) / 63
-		got, missing := Destripe(units, 10, 63, total)
-		if len(missing) != 0 {
-			t.Fatalf("n=%d: unexpected missing %v", n, missing)
-		}
-		if !bytes.Equal(got[:n], stream) {
-			t.Fatalf("n=%d: round trip mismatch", n)
-		}
-	}
-}
-
-func TestDestripeReportsMissing(t *testing.T) {
-	stream := make([]byte, 63*10)
-	units := Stripe(stream, 5, 63)
-	units[2][1] = nil // kill global unit 2 + 1*5 = 7
-	_, missing := Destripe(units, 5, 63, 10)
-	if len(missing) != 1 || missing[0] != 7 {
-		t.Fatalf("missing = %v, want [7]", missing)
-	}
-}
-
-func TestStripeQuick(t *testing.T) {
-	prop := func(data []byte, rawLanes uint8) bool {
-		lanes := 1 + int(rawLanes)%16
-		units := Stripe(data, lanes, 9)
-		total := (len(data) + 8) / 9
-		got, missing := Destripe(units, lanes, 9, total)
-		return len(missing) == 0 && bytes.Equal(got[:len(data)], data)
-	}
-	if err := quick.Check(prop, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestStripePanicsOnBadArgs(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Stripe with zero lanes did not panic")
-		}
-	}()
-	Stripe(nil, 0, 9)
 }
 
 // --- Framer ---

@@ -21,7 +21,12 @@ import (
 // stream[(seq*lanes+lane)*unitLen:], and on the receive side the lanes
 // write recovered units straight into their disjoint slots of the
 // reassembly buffer — the destripe permutation is an index computation,
-// not a data structure.
+// not a data structure. This stripe/destripe pair is the gearbox that
+// makes Mosaic protocol agnostic: one fast serial stream becomes many slow
+// channel streams, unit i on lane i mod L with per-lane sequence number
+// i div L, and reassembly inverts the permutation from the sequence
+// numbers carried in channel frames, so per-channel skew cannot reorder
+// data.
 
 // laneState is one lane's persistent working set. A lane is touched by
 // exactly one pool worker per Exchange, so no locking is needed; buffers

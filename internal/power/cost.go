@@ -26,14 +26,6 @@ type CostBreakdown struct {
 // TotalUSD sums modules and cable.
 func (c CostBreakdown) TotalUSD() float64 { return c.ModulesUSD + c.CableUSD }
 
-// USDPerGbps normalises by rate.
-func (c CostBreakdown) USDPerGbps() float64 {
-	if c.RateBps <= 0 {
-		return 0
-	}
-	return c.TotalUSD() / (c.RateBps / 1e9)
-}
-
 // modulePairUSD800 is the module-pair cost at 800G.
 var modulePairUSD800 = map[Tech]float64{
 	DAC:    90,   // connectors + shells (cable priced per metre)

@@ -8,7 +8,7 @@ func TestCostBasics(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", tech, err)
 		}
-		if c.TotalUSD() <= 0 || c.USDPerGbps() <= 0 {
+		if c.TotalUSD() <= 0 {
 			t.Errorf("%v: nonpositive cost", tech)
 		}
 	}
@@ -20,9 +20,6 @@ func TestCostValidation(t *testing.T) {
 	}
 	if _, err := Cost(DR, 0, 1); err == nil {
 		t.Error("zero rate accepted")
-	}
-	if (CostBreakdown{}).USDPerGbps() != 0 {
-		t.Error("zero breakdown should be 0")
 	}
 }
 

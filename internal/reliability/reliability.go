@@ -36,14 +36,6 @@ const (
 // LambdaPerHour converts FIT to a per-hour failure rate.
 func (f FIT) LambdaPerHour() float64 { return float64(f) / 1e9 }
 
-// MTTFHours returns the mean time to failure in hours.
-func (f FIT) MTTFHours() float64 {
-	if f <= 0 {
-		return math.Inf(1)
-	}
-	return 1e9 / float64(f)
-}
-
 // Series returns the FIT of a series system (any component failure is a
 // system failure): the sum.
 func Series(fits ...FIT) FIT {
@@ -219,99 +211,11 @@ func MosaicLinkFIT(dataChannels, spares int, missionHours float64) FIT {
 	return Series(array, 2*FITGearbox, 2*FITConnector)
 }
 
-// --- Weibull lifetimes (infant mortality and wear-out) ---
-
-// Weibull describes a Weibull lifetime distribution with shape k and
-// characteristic life eta (hours): survival R(t) = exp(-(t/eta)^k).
-// k < 1 models infant mortality (decreasing hazard — early deaths
-// dominate), k = 1 is the constant-rate exponential, k > 1 models
-// wear-out (LED lumen decay, laser facet degradation).
-type Weibull struct {
-	Shape    float64 // k
-	EtaHours float64 // characteristic life
-}
-
-// Validate checks the parameters.
-func (w Weibull) Validate() error {
-	if w.Shape <= 0 || w.EtaHours <= 0 {
-		return errors.New("reliability: Weibull needs positive shape and eta")
-	}
-	return nil
-}
-
-// Survival returns R(t) = exp(-(t/eta)^k).
-func (w Weibull) Survival(hours float64) float64 {
-	if hours <= 0 {
-		return 1
-	}
-	if w.Validate() != nil {
-		return 0
-	}
-	return math.Exp(-math.Pow(hours/w.EtaHours, w.Shape))
-}
-
-// HazardPerHour returns the instantaneous failure rate h(t) =
-// (k/eta)·(t/eta)^(k-1).
-func (w Weibull) HazardPerHour(hours float64) float64 {
-	if w.Validate() != nil || hours < 0 {
-		return 0
-	}
-	if hours == 0 {
-		if w.Shape < 1 {
-			return math.Inf(1) // infant-mortality hazard diverges at t=0
-		}
-		if w.Shape == 1 {
-			return 1 / w.EtaHours
-		}
-		return 0
-	}
-	return w.Shape / w.EtaHours * math.Pow(hours/w.EtaHours, w.Shape-1)
-}
-
-// Sample draws a lifetime in hours via inverse transform.
-func (w Weibull) Sample(rng *rand.Rand) float64 {
-	if w.Validate() != nil {
-		return 0
-	}
-	u := rng.Float64()
-	for u == 0 {
-		u = rng.Float64()
-	}
-	return w.EtaHours * math.Pow(-math.Log(u), 1/w.Shape)
-}
-
-// SparedWeibullSurvival estimates (by Monte Carlo) the survival of an
-// n-channel, s-spare system whose channel lifetimes follow the given
-// Weibull — capturing burn-in escapes (k<1) and wear-out clustering (k>1)
-// that the exponential closed form cannot.
-func SparedWeibullSurvival(n, spares int, w Weibull, missionHours float64, trials int, rng *rand.Rand) float64 {
-	if n <= 0 || spares < 0 || spares >= n || trials <= 0 || w.Validate() != nil {
-		return 0
-	}
-	survived := 0
-	for t := 0; t < trials; t++ {
-		failures := 0
-		for c := 0; c < n; c++ {
-			if w.Sample(rng) < missionHours {
-				failures++
-				if failures > spares {
-					break
-				}
-			}
-		}
-		if failures <= spares {
-			survived++
-		}
-	}
-	return float64(survived) / float64(trials)
-}
-
 // --- Monte Carlo ---
 
 // MonteCarloSurvival estimates the spared-system survival probability at
 // missionHours by simulating `trials` systems with exponential channel
-// lifetimes. It exists to validate the closed form (and is used by the
-// failure-injection experiments).
+// lifetimes. It exists to validate the closed form.
 func MonteCarloSurvival(s SparedSystem, missionHours float64, trials int, rng *rand.Rand) float64 {
 	if err := s.Validate(); err != nil || trials <= 0 {
 		return 0

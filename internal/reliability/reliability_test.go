@@ -11,12 +11,6 @@ func TestFITBasics(t *testing.T) {
 	if f.LambdaPerHour() != 1e-7 {
 		t.Errorf("lambda = %v", f.LambdaPerHour())
 	}
-	if f.MTTFHours() != 1e7 {
-		t.Errorf("MTTF = %v", f.MTTFHours())
-	}
-	if !math.IsInf(FIT(0).MTTFHours(), 1) {
-		t.Error("zero FIT should never fail")
-	}
 	if got := Series(100, 200, 50); got != 350 {
 		t.Errorf("series = %v", got)
 	}

@@ -31,7 +31,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
-	"os"
 	"regexp"
 	"sort"
 	"strings"
@@ -490,16 +489,6 @@ func Decode(r io.Reader) (Spec, error) {
 
 // Parse parses a JSON spec from bytes.
 func Parse(data []byte) (Spec, error) { return Decode(strings.NewReader(string(data))) }
-
-// LoadFile reads a JSON spec from disk.
-func LoadFile(path string) (Spec, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return Spec{}, err
-	}
-	defer f.Close()
-	return Decode(f)
-}
 
 // Encode writes the spec as indented JSON.
 func (s Spec) Encode(w io.Writer) error {

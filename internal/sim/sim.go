@@ -3,8 +3,10 @@
 // ordering for simultaneous events, and named deterministic RNG streams so
 // that adding a new source of randomness never perturbs existing ones.
 //
-// It underpins the network-level experiments (flow simulation, failure
-// injection) and the bit-true link pipeline's error processes.
+// It underpins the network-level experiments (the event-driven flow
+// simulator and the co-simulations on top of it). Links are not scheduled
+// on it: every link harness is stepped superframe by superframe and only
+// borrows Time for its clock.
 package sim
 
 import (
@@ -13,19 +15,13 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
-	"time"
 )
 
 // Time is simulation time in seconds.
 type Time float64
 
-// Duration helpers.
-const (
-	Nanosecond  Time = 1e-9
-	Microsecond Time = 1e-6
-	Millisecond Time = 1e-3
-	Second      Time = 1
-)
+// Millisecond is the one duration unit a caller spells out.
+const Millisecond Time = 1e-3
 
 // String renders the time with a convenient unit.
 func (t Time) String() string {
@@ -41,11 +37,6 @@ func (t Time) String() string {
 	default:
 		return fmt.Sprintf("%.6gns", v*1e9)
 	}
-}
-
-// ToStdDuration converts to a time.Duration (for printing).
-func (t Time) ToStdDuration() time.Duration {
-	return time.Duration(float64(t) * float64(time.Second))
 }
 
 // Event is a scheduled callback.
@@ -79,12 +70,11 @@ func (q *eventQueue) Pop() any {
 // Engine is a single-threaded discrete-event simulator. Not safe for
 // concurrent use — determinism is the point.
 type Engine struct {
-	now    Time
-	queue  eventQueue
-	seq    uint64
-	seed   int64
-	rngs   map[string]*rand.Rand
-	events uint64 // total events executed
+	now   Time
+	queue eventQueue
+	seq   uint64
+	seed  int64
+	rngs  map[string]*rand.Rand
 }
 
 // NewEngine returns an engine whose named RNG streams derive from seed.
@@ -94,9 +84,6 @@ func NewEngine(seed int64) *Engine {
 
 // Now returns the current simulation time.
 func (e *Engine) Now() Time { return e.now }
-
-// EventsExecuted returns how many events have run.
-func (e *Engine) EventsExecuted() uint64 { return e.events }
 
 // Canceler cancels a scheduled event when called. Calling it after the
 // event has fired is a harmless no-op.
@@ -131,7 +118,6 @@ func (e *Engine) Step() bool {
 			continue
 		}
 		e.now = ev.at
-		e.events++
 		ev.fn()
 		return true
 	}
@@ -163,10 +149,6 @@ func (e *Engine) RunUntil(deadline Time) {
 		e.now = deadline
 	}
 }
-
-// Pending returns the number of events still queued (including canceled
-// ones not yet reaped).
-func (e *Engine) Pending() int { return len(e.queue) }
 
 // RNG returns the deterministic random stream for the given name, creating
 // it on first use. Streams with different names are independent; the same

@@ -17,9 +17,6 @@ func TestScheduleOrdering(t *testing.T) {
 	if e.Now() != 3 {
 		t.Errorf("final time = %v", e.Now())
 	}
-	if e.EventsExecuted() != 3 {
-		t.Errorf("events = %d", e.EventsExecuted())
-	}
 }
 
 func TestSimultaneousEventsFIFO(t *testing.T) {
@@ -167,25 +164,6 @@ func TestTimeString(t *testing.T) {
 		if got := c.t.String(); got != c.want {
 			t.Errorf("%v.String() = %q, want %q", float64(c.t), got, c.want)
 		}
-	}
-}
-
-func TestToStdDuration(t *testing.T) {
-	if Millisecond.ToStdDuration().Milliseconds() != 1 {
-		t.Error("conversion wrong")
-	}
-}
-
-func TestPending(t *testing.T) {
-	e := NewEngine(1)
-	e.Schedule(1, func() {})
-	e.Schedule(2, func() {})
-	if e.Pending() != 2 {
-		t.Errorf("pending = %d", e.Pending())
-	}
-	e.Run()
-	if e.Pending() != 0 {
-		t.Errorf("pending after run = %d", e.Pending())
 	}
 }
 

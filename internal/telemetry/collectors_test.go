@@ -165,7 +165,7 @@ func TestHistogramBucketEdges(t *testing.T) {
 	if h.Count() != 4 || h.Sum() != 13.5 {
 		t.Fatalf("count=%d sum=%v, want 4 and 13.5", h.Count(), h.Sum())
 	}
-	text := r.PrometheusString()
+	text := promString(r)
 	for _, line := range []string{
 		`mosaic_test_hist_bucket{le="1"} 1`,
 		`mosaic_test_hist_bucket{le="2"} 2`,

@@ -197,11 +197,3 @@ func WriteFile(r *Registry, path string) error {
 	}
 	return err
 }
-
-// PrometheusString renders the exposition to a string (test helper and
-// file-snapshot convenience).
-func (r *Registry) PrometheusString() string {
-	var b strings.Builder
-	_ = r.WritePrometheus(&b) // strings.Builder writes cannot fail
-	return b.String()
-}

@@ -8,6 +8,13 @@ import (
 	"testing"
 )
 
+// promString renders r's Prometheus exposition to a string.
+func promString(r *Registry) string {
+	var b strings.Builder
+	_ = r.WritePrometheus(&b) // strings.Builder writes cannot fail
+	return b.String()
+}
+
 func TestHandleIdentity(t *testing.T) {
 	r := NewRegistry()
 	a := r.Counter("requests_total", "method", "get", "code", "200")
@@ -102,11 +109,11 @@ func TestPrometheusExposition(t *testing.T) {
 		`test_total{channel="2"} 5`,
 		``,
 	}, "\n")
-	if got := r.PrometheusString(); got != want {
+	if got := promString(r); got != want {
 		t.Errorf("exposition mismatch:\n--- got ---\n%s\n--- want ---\n%s", got, want)
 	}
 	// Deterministic: rendering twice is byte-identical.
-	if r.PrometheusString() != r.PrometheusString() {
+	if promString(r) != promString(r) {
 		t.Error("exposition not deterministic across renders")
 	}
 	checkJSON(r, t)
@@ -143,7 +150,7 @@ func checkJSON(r *Registry, t *testing.T) {
 func TestLabelValueEscaping(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("c", "path", "a\"b\\c\nd").Inc()
-	out := r.PrometheusString()
+	out := promString(r)
 	want := `c{path="a\"b\\c\nd"} 1`
 	if !strings.Contains(out, want) {
 		t.Errorf("escaped sample %q not found in:\n%s", want, out)

@@ -17,25 +17,8 @@ import (
 // Physical constants (SI).
 const (
 	ElectronCharge = 1.602176634e-19 // C
-	Boltzmann      = 1.380649e-23    // J/K
 	PlanckConst    = 6.62607015e-34  // J*s
 	LightSpeed     = 2.99792458e8    // m/s
-	RoomTempK      = 300.0           // K, nominal operating temperature
-)
-
-// Common rate units, in bits per second.
-const (
-	Kbps = 1e3
-	Mbps = 1e6
-	Gbps = 1e9
-	Tbps = 1e12
-)
-
-// Common frequency units, in hertz.
-const (
-	KHz = 1e3
-	MHz = 1e6
-	GHz = 1e9
 )
 
 // DB converts a linear power ratio to decibels.
@@ -57,11 +40,6 @@ func DBm(watts float64) float64 {
 	return DB(watts / 1e-3)
 }
 
-// FromDBm converts dBm to watts.
-func FromDBm(dbm float64) float64 {
-	return 1e-3 * FromDB(dbm)
-}
-
 // WavelengthToFreq converts a vacuum wavelength in metres to frequency in Hz.
 func WavelengthToFreq(lambda float64) float64 {
 	return LightSpeed / lambda
@@ -73,28 +51,6 @@ func PhotonEnergy(lambda float64) float64 {
 	return PlanckConst * WavelengthToFreq(lambda)
 }
 
-// QFromBER inverts BERFromQ: it returns the Q-factor that yields the given
-// bit error rate under the Gaussian noise model. It is computed by bisection
-// on the monotone map Q -> BER and is accurate to ~1e-12 in Q.
-func QFromBER(ber float64) float64 {
-	if ber <= 0 {
-		return math.Inf(1)
-	}
-	if ber >= 0.5 {
-		return 0
-	}
-	lo, hi := 0.0, 40.0
-	for i := 0; i < 200; i++ {
-		mid := (lo + hi) / 2
-		if BERFromQ(mid) > ber {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return (lo + hi) / 2
-}
-
 // BERFromQ returns the NRZ bit error rate for a Q-factor under additive
 // Gaussian noise: BER = 1/2 * erfc(Q/sqrt(2)).
 func BERFromQ(q float64) float64 {
@@ -102,16 +58,6 @@ func BERFromQ(q float64) float64 {
 		return 0.5
 	}
 	return 0.5 * math.Erfc(q/math.Sqrt2)
-}
-
-// ThermalNoiseCurrentSq returns the mean-square thermal (Johnson) noise
-// current in A^2 for a resistance r (ohms) over bandwidth bw (Hz) at
-// temperature t (K): 4kT*bw/r.
-func ThermalNoiseCurrentSq(r, bw, t float64) float64 {
-	if r <= 0 || bw <= 0 {
-		return 0
-	}
-	return 4 * Boltzmann * t * bw / r
 }
 
 // ShotNoiseCurrentSq returns the mean-square shot noise current in A^2 for
@@ -131,23 +77,6 @@ func RINNoiseCurrentSq(i, rinDBHz, bw float64) float64 {
 		return 0
 	}
 	return FromDB(rinDBHz) * i * i * bw
-}
-
-// Clamp limits v to the closed interval [lo, hi].
-func Clamp(v, lo, hi float64) float64 {
-	switch {
-	case v < lo:
-		return lo
-	case v > hi:
-		return hi
-	default:
-		return v
-	}
-}
-
-// Lerp linearly interpolates between a and b by t in [0,1].
-func Lerp(a, b, t float64) float64 {
-	return a + (b-a)*t
 }
 
 // ApproxEqual reports whether a and b agree within relative tolerance rel
@@ -218,13 +147,4 @@ func (p Power) String() string {
 	default:
 		return fmt.Sprintf("%.4gnW", v*1e9)
 	}
-}
-
-// EnergyPerBit returns the energy efficiency in pJ/bit for a power in watts
-// at a data rate in bit/s.
-func EnergyPerBit(powerW, rateBps float64) float64 {
-	if rateBps <= 0 {
-		return math.Inf(1)
-	}
-	return powerW / rateBps * 1e12
 }
