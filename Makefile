@@ -13,7 +13,7 @@ FUZZ_TARGETS = internal/phy:FuzzFramerDecodeStream internal/phy:FuzzHammingFECDe
 	internal/phy:FuzzRSLiteDecode internal/phy:FuzzParseFramesNeverPanics \
 	internal/mac:FuzzMACDeframe internal/scenario:FuzzScenarioSpec
 
-.PHONY: check vet substrate build test race determinism staticcheck bench bench-mac bench-e24 bench-check coverage fuzz-smoke verify-deep soak-fleetd scenario-conformance loc
+.PHONY: check vet substrate build test race determinism staticcheck bench bench-mac bench-e24 bench-check bench-layers coverage fuzz-smoke verify-deep soak-fleetd scenario-conformance loc
 
 check: vet substrate staticcheck build test race determinism
 
@@ -48,7 +48,12 @@ staticcheck:
 # co-simulates on it (internal/sim, netsim, diffcheck, experiments,
 # cmd/dcsweep, examples/datacenter). The MAC collector lives beside
 # mac.Stats, so internal/telemetry declares no
-# MACStats/MACVCStats/MACCollector mirror.
+# MACStats/MACVCStats/MACCollector mirror. Flows are pointer-free slab
+# records addressed by handle: non-test internal/netsim names no
+# *incFlow, keeps no map[int]*T flow table, sorts flows only as integer
+# (ID, handle) keys (no slices.SortFunc comparator over flows), and
+# Topology.Path routes from up-link lists built once (no per-route
+# `var out []int`).
 SUBSTRATE_SRC = find internal cmd examples -name '*.go' ! -name '*_test.go'
 SUPERVISOR = internal/faultinject/supervisor.go
 substrate:
@@ -70,14 +75,16 @@ substrate:
 		$(SUBSTRATE_SRC) -path 'internal/telemetry/*' -exec grep -nE '^type (MACStats|MACVCStats|MACCollector)\b' {} + ; \
 		$(SUBSTRATE_SRC) ! -path $(SUPERVISOR) -exec grep -nF '"sf=%d remap %v"' {} + ; \
 		$(SUBSTRATE_SRC) ! -path 'internal/netsim/*' -exec grep -nF '.NextGapSec(' {} + ; \
+		$(SUBSTRATE_SRC) -path 'internal/netsim/*' -exec grep -nE '\*incFlow|map\[int\]\*|SortFunc\(.*func\(a, b \*?(flow|flowSlot|handle)\)' {} + ; \
+		grep -HnF 'var out []int' internal/netsim/topology.go ; \
 		for pat in 'SetTransitionHook(func' '"sf=%d remap %v"'; do \
 			[ "$$(grep -cF "$$pat" $(SUPERVISOR))" -eq 1 ] || echo "$(SUPERVISOR): want exactly one $$pat"; \
 		done; } ); \
 	if [ -n "$$bad" ]; then \
-		echo "substrate: FAIL — use internal/par for fan-out, internal/eventlog for log digests, faultinject.Supervisor for the superframe boundary, a plain Bridge.Sync after its sparing step for renegotiation, a step loop (not a sim.Engine) to drive a link, internal/mac for MAC metrics:"; \
+		echo "substrate: FAIL — use internal/par for fan-out, internal/eventlog for log digests, faultinject.Supervisor for the superframe boundary, a plain Bridge.Sync after its sparing step for renegotiation, a step loop (not a sim.Engine) to drive a link, internal/mac for MAC metrics, slab handles and integer sort keys (not flow pointers) in internal/netsim:"; \
 		echo "$$bad"; exit 1; \
 	fi; \
-	echo "substrate: OK — goroutines only in internal/par, sha256 only in internal/eventlog, sparing/hook/remap line only in the link supervisor, links stepped (no zero-delay event, sim.Engine only under the flow simulator), no MAC stats mirror in telemetry"
+	echo "substrate: OK — goroutines only in internal/par, sha256 only in internal/eventlog, sparing/hook/remap line only in the link supervisor, links stepped (no zero-delay event, sim.Engine only under the flow simulator), no MAC stats mirror in telemetry, netsim flows pointer-free"
 
 build:
 	$(GO) build ./...
@@ -112,7 +119,9 @@ determinism:
 # Not part of check: the time-and-allocation benchmarks. E10 exercises
 # the whole pipeline (7 reach points, construction + exchange); the
 # steady-state Exchange and the MAC round trips are pinned
-# allocation-free; FleetdAdmit pins the cost of admitting one link into
+# allocation-free; FleetSimEpochSteady pins the flow engine's epoch at a
+# constant population (its allocs/op must not scale with the flows held);
+# FleetdAdmit pins the cost of admitting one link into
 # a live fleet and stepping it through an epoch. Every benchmark runs -count=$(BENCH_COUNT) and
 # benchguard folds the repeats min-of-N (min ns/op, max allocs/op)
 # before gating, so scheduler noise cannot fail a healthy run. The fast
@@ -123,7 +132,8 @@ bench:
 	@$(GO) test -bench 'BenchmarkE10EndToEnd$$' -benchmem -benchtime 3x -count=$(BENCH_COUNT) -run '^$$' . && \
 	$(GO) test -bench 'BenchmarkExchangeSteadyState$$|BenchmarkMACFrameRoundTrip$$|BenchmarkMACFrameRoundTripSR$$' \
 		-benchmem -benchtime 1000x -count=$(BENCH_COUNT) -run '^$$' . && \
-	$(GO) test -bench 'BenchmarkE24FleetFlows$$' -benchmem -benchtime 1x -count=2 -run '^$$' -timeout 30m . && \
+	$(GO) test -bench 'BenchmarkE24FleetFlows$$' -benchmem -benchtime 1x -count=$(BENCH_COUNT) -run '^$$' -timeout 30m . && \
+	$(GO) test -bench 'BenchmarkFleetSimEpochSteady$$' -benchmem -benchtime 200x -count=$(BENCH_COUNT) -run '^$$' . && \
 	$(GO) test -bench 'BenchmarkFleetdAdmit$$' -benchmem -benchtime 500x -count=$(BENCH_COUNT) -run '^$$' .
 
 # Standalone MAC framing benchmark at a stable iteration count; the JSON
@@ -152,6 +162,19 @@ bench-e24:
 bench-check:
 	$(MAKE) --no-print-directory bench | tee BENCH_RAW.txt | $(GO) run ./cmd/benchguard \
 		-baseline ci/bench_baseline.json -out BENCH_E10.json
+
+# The per-layer ledger: the repo benchmark's five workloads, untraced and
+# traced, three times over at fixed work (-rounds 8, so every counted
+# metric repeats exactly from row to row and only the timings move),
+# every metric folded to its median into the "after" row of
+# BENCH_LAYERS.json (committed; other rows are kept). A change that
+# claims a gain commits a "before" row measured on its parent tree — run
+# the same loop in a checkout of the parent and pipe it through this
+# tree's `benchguard -layers before` — beside the "after" row this target
+# writes. ~2 min per run on this tree.
+bench-layers:
+	@for i in 1 2 3; do $(GO) run ./benchmark -all -trace 1 -rounds 8 || exit 1; done | \
+		$(GO) run ./cmd/benchguard -layers after -out BENCH_LAYERS.json
 
 # Coverage gate for the packages the vectorized kernels, the fault
 # machinery and the one worker pool live in: the PHY, the coding stack,

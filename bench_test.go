@@ -22,6 +22,7 @@ import (
 	"mosaic/internal/experiments"
 	"mosaic/internal/fleetd"
 	"mosaic/internal/mac"
+	"mosaic/internal/netsim"
 	"mosaic/internal/phy"
 	"mosaic/internal/power"
 	"mosaic/internal/reliability"
@@ -475,6 +476,62 @@ func BenchmarkMACFrameRoundTripSR(b *testing.B) {
 	b.StopTimer()
 	if delivered != b.N {
 		b.Fatalf("delivered %d/%d packets", delivered, b.N)
+	}
+}
+
+// BenchmarkFleetSimEpochSteady prices one epoch of the flow engine at a
+// constant population: the E24 fleet (1752 links, 12 shards) holding
+// 20,000 long-lived flows, with 512 short flows arriving and completing
+// every epoch (a tenth of either kind cross-pod), so each Step re-rates
+// the whole backlog and drains about as many flows as were injected. The
+// slab, link indices, heaps and scratch lists are at their working size
+// after the warm-up, so allocs/op is the epoch's fixed cost (log line,
+// barrier closures, the drained records) and must not scale with the
+// population. Pinned in ci/bench_baseline.json via make bench-check.
+func BenchmarkFleetSimEpochSteady(b *testing.B) {
+	const pods, hostsPerPod = 12, 80
+	topo, err := netsim.NewFleet(pods, 10, 6, 8, 100e9)
+	if err != nil {
+		b.Fatal(err)
+	}
+	fs := netsim.NewFleetSim(topo, 0)
+	hosts := topo.Hosts()
+	rng := rand.New(rand.NewSource(1))
+	inject := func(n int, bits float64) {
+		for i := 0; i < n; i++ {
+			src := rng.Intn(len(hosts))
+			pod := src / hostsPerPod
+			if i%10 == 0 {
+				pod = (pod + 1 + rng.Intn(pods-1)) % pods
+			}
+			dst := pod*hostsPerPod + (src+1+rng.Intn(hostsPerPod-1))%hostsPerPod
+			if _, err := fs.Inject(hosts[src], hosts[dst], bits, rng.Uint64()); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	epoch := func() int {
+		inject(512, 1e6)
+		fs.Step(1)
+		return len(fs.DrainRecords())
+	}
+	for i := 0; i < 20000; i += 10 {
+		inject(10, 1e18)
+	}
+	for i := 0; i < 20; i++ {
+		epoch()
+	}
+	base := fs.ActiveFlows()
+
+	b.ReportAllocs()
+	b.ResetTimer()
+	done := 0
+	for i := 0; i < b.N; i++ {
+		done += epoch()
+	}
+	b.StopTimer()
+	if done < 500*b.N || fs.ActiveFlows() > base+512 {
+		b.Fatalf("not steady: %d completions in %d epochs, population %d -> %d", done, b.N, base, fs.ActiveFlows())
 	}
 }
 

@@ -20,6 +20,9 @@
 // pinned allocation-free); a negative allocs/op or zero/negative ns/op
 // baseline leaves that metric ungated. Refresh the baseline after an
 // intentional change with -update.
+//
+// With -layers LABEL it instead folds the repo benchmark's result lines
+// into one row of the per-layer ledger (layers.go, make bench-layers).
 package main
 
 import (
@@ -188,6 +191,7 @@ func main() {
 		maxRegress     = flag.Float64("max-regress", 0.10, "allowed fractional allocs/op regression")
 		maxTimeRegress = flag.Float64("max-time-regress", 0.25, "allowed fractional ns/op regression")
 		update         = flag.Bool("update", false, "rewrite -baseline from this run instead of gating")
+		layers         = flag.String("layers", "", "fold repo-benchmark result lines into the row of this label in the -out ledger (see layers.go)")
 	)
 	flag.Parse()
 
@@ -199,6 +203,12 @@ func main() {
 		}
 		defer f.Close()
 		in = f
+	}
+	if *layers != "" {
+		if err := writeLayers(*outPath, *layers, in); err != nil {
+			fatal(err)
+		}
+		return
 	}
 	benches, err := parseBench(in)
 	if err != nil {

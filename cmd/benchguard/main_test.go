@@ -1,6 +1,10 @@
 package main
 
 import (
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -154,5 +158,47 @@ func TestCompareZeroAllocBaseline(t *testing.T) {
 	}
 	if bad := compare(clean, base, 0.10, 0.25); len(bad) != 0 {
 		t.Errorf("violations = %v, want none for a 0-alloc run", bad)
+	}
+}
+
+// The per-layer fold takes the median of each metric per workload over
+// repeated runs, merges the untraced and traced passes, drops metrics
+// that read 0 in every run, and replaces only the row of its own label.
+func TestLayersFoldAndUpsert(t *testing.T) {
+	in := `{"workload":"fleet_day","trace":0,"metrics":{"work_per_s":{"value":300},"op_ms_p50":{"value":90}}}
+{"correct":true,"metrics":{"work_per_s":{"value":300,"unit":"1/s"}}}
+{"workload":"fleet_day","trace":1,"metrics":{"netsim.step_ms_p50":{"value":40},"phy.new_ms":{"value":0}}}
+{"workload":"fleet_day","trace":0,"metrics":{"work_per_s":{"value":100},"op_ms_p50":{"value":110}}}
+{"workload":"fleet_day","trace":0,"metrics":{"work_per_s":{"value":200},"op_ms_p50":{"value":100}}}
+{"workload":"link_clean","trace":0,"metrics":{"work_per_s":{"value":7},"host_mem_mb":{"value":0}}}
+{"workload":"link_clean","trace":0,"metrics":{"work_per_s":{"value":9},"host_mem_mb":{"value":0}}}
+`
+	path := filepath.Join(t.TempDir(), "layers.json")
+	if err := os.WriteFile(path, []byte(`[{"label":"before","runs":1,"workloads":{"fleet_day":{"work_per_s":1}}},{"label":"after","runs":9,"workloads":{}}]`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeLayers(path, "after", strings.NewReader(in)); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows []layerRow
+	if err := json.Unmarshal(data, &rows); err != nil {
+		t.Fatal(err)
+	}
+	want := []layerRow{
+		{Label: "before", Runs: 1, Workloads: map[string]map[string]float64{"fleet_day": {"work_per_s": 1}}},
+		{Label: "after", Runs: 3, Workloads: map[string]map[string]float64{
+			"fleet_day":  {"work_per_s": 200, "op_ms_p50": 100, "netsim.step_ms_p50": 40},
+			"link_clean": {"work_per_s": 8},
+		}},
+	}
+	if !reflect.DeepEqual(rows, want) {
+		t.Fatalf("ledger after the fold:\n got %+v\nwant %+v", rows, want)
+	}
+	if err := writeLayers(path, "x", strings.NewReader("PASS\n")); err == nil {
+		t.Error("input without a result line must be an error")
 	}
 }

@@ -56,6 +56,9 @@ type Fleet struct {
 	hosts         []int
 	flowRNG       *rand.Rand
 	flowsInjected uint64
+	// Running totals of the background flows' outcomes, drained from fsim
+	// at every barrier so that it retains no record past the epoch.
+	flowsCompleted, flowsStalled uint64
 
 	retired    map[int]LinkInfo
 	retiredIDs []int // admission order, for pruning
@@ -84,6 +87,11 @@ type Snapshot struct {
 	Admission   AdmissionStats `json:"admission"`
 	Pool        PoolStats      `json:"pool"`
 	ActiveFlows int            `json:"active_flows"`
+
+	// Background flows that finished, and that lost their last route,
+	// since the fleet started.
+	FlowsCompleted uint64 `json:"flows_completed"`
+	FlowsStalled   uint64 `json:"flows_stalled"`
 
 	// LogDropped counts lines refused since the event log hit Config.MaxLog.
 	LogDropped uint64 `json:"event_log_dropped"`
@@ -419,6 +427,13 @@ func (f *Fleet) stepLocked() {
 		}
 	}
 	f.fsim.Step(epochSimLen)
+	for _, r := range f.fsim.DrainRecords() {
+		if r.Stalled {
+			f.flowsStalled++
+		} else {
+			f.flowsCompleted++
+		}
+	}
 
 	// Epoch summary line: the fleet-level determinism witness.
 	counts := f.stateCountsLocked()
@@ -485,6 +500,9 @@ func (f *Fleet) publishSnapshot(overloaded bool) {
 		ActiveFlows:  f.fsim.ActiveFlows(),
 		ScrapeBudget: f.cfg.Budgets.ScrapePerEpoch,
 		LogDropped:   f.log.Dropped(),
+
+		FlowsCompleted: f.flowsCompleted,
+		FlowsStalled:   f.flowsStalled,
 	})
 }
 

@@ -396,6 +396,39 @@ func TestEventLogCapIsVisible(t *testing.T) {
 	}
 }
 
+// TestFlowRecordsDrainedEveryEpoch: the daemon's flow simulator must not
+// keep a record per background flow forever. Every barrier drains it into
+// the running totals, so after 5,000 epochs at 16 flows per epoch there
+// is nothing left to drain and the totals account for every flow.
+// (1024 host links make 32 pods: enough core capacity that the offered
+// load is sustainable and the active set stays small, as in the soak;
+// testConfig's two pods are overloaded 2:1 by it.)
+func TestFlowRecordsDrainedEveryEpoch(t *testing.T) {
+	cfg := testConfig(1)
+	cfg.Budgets.MaxLinks = 1024
+	cfg.Budgets.FlowsPerEpoch = 16
+	cfg.MaxLog = 16
+	f, err := New(cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for e := 0; e < 5000; e++ {
+		f.Step()
+	}
+	if n := len(f.fsim.DrainRecords()); n != 0 {
+		t.Fatalf("the flow simulator retained %d records past the barrier", n)
+	}
+	snap := f.Snapshot()
+	if snap.FlowsCompleted < 70000 || snap.ActiveFlows > 1000 {
+		t.Fatalf("%d background flows completed in 5000 epochs and %d are in flight; the load is not sustained",
+			snap.FlowsCompleted, snap.ActiveFlows)
+	}
+	if got := snap.FlowsCompleted + snap.FlowsStalled + uint64(snap.ActiveFlows); got != f.flowsInjected {
+		t.Fatalf("completed %d + stalled %d + active %d = %d flows, injected %d",
+			snap.FlowsCompleted, snap.FlowsStalled, snap.ActiveFlows, got, f.flowsInjected)
+	}
+}
+
 // TestFleetTelemetry checks the collector wiring end to end: per-state
 // gauges, admission counters, and per-link gauges that appear at
 // admission and vanish at retirement.

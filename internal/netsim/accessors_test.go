@@ -51,3 +51,15 @@ func TestActiveFlows(t *testing.T) {
 		t.Error("flows remain after completion")
 	}
 }
+
+// activeSlots is the tests' view of a shard's live non-proxy flows (what
+// the active map used to hold), in slot order.
+func (s *shard) activeSlots() []*flowSlot {
+	var out []*flowSlot
+	for i := range s.g.flows.v {
+		if f := &s.g.flows.v[i]; s.g.flows.used[i] && !f.proxy {
+			out = append(out, f)
+		}
+	}
+	return out
+}

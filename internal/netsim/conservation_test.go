@@ -29,8 +29,8 @@ func TestFlowSimCapacityConservation(t *testing.T) {
 	check := func(when string) {
 		t.Helper()
 		sumRates := make([]float64, len(fs.g.capacity))
-		for _, f := range fs.active {
-			for _, l := range f.Path {
+		for _, f := range fs.activeSlots() {
+			for _, l := range f.links() {
 				sumRates[l] += f.rate
 			}
 		}
@@ -39,9 +39,9 @@ func TestFlowSimCapacityConservation(t *testing.T) {
 				t.Fatalf("%s: link %d oversubscribed: %.3g bps allocated on %.3g bps capacity", when, l, sum, cap)
 			}
 		}
-		for id, f := range fs.active {
+		for _, f := range fs.activeSlots() {
 			saturated := false
-			for _, l := range f.Path {
+			for _, l := range f.links() {
 				if sumRates[l] >= fs.g.capacity[l]*(1-1e-9)-1 {
 					saturated = true
 					break
@@ -49,7 +49,7 @@ func TestFlowSimCapacityConservation(t *testing.T) {
 			}
 			if !saturated {
 				t.Fatalf("%s: flow %d (rate %.3g) has no saturated link on its path — allocation is not max-min",
-					when, id, f.rate)
+					when, f.ID, f.rate)
 			}
 		}
 	}

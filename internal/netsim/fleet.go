@@ -25,52 +25,33 @@ func NewFleet(pods, leaves, spines, hostsPerLeaf int, linkRate float64) (*Topolo
 	}
 	t := &Topology{K: 0}
 
-	addNode := func(kind NodeKind, pod int) int {
-		id := len(t.Nodes)
-		t.Nodes = append(t.Nodes, Node{ID: id, Kind: kind, Pod: pod})
-		return id
-	}
-	addLink := func(a, b int, tier Tier) {
-		id := len(t.Links)
-		t.Links = append(t.Links, Link{
-			ID: id, A: a, B: b, Tier: tier,
-			LengthM: tier.TypicalLengthM(), RateBps: linkRate,
-		})
-	}
-
 	cores := make([]int, 0, spines)
 	for c := 0; c < spines; c++ {
-		cores = append(cores, addNode(NodeCore, -1))
+		cores = append(cores, t.addNode(NodeCore, -1))
 	}
 	for p := 0; p < pods; p++ {
 		leafIDs := make([]int, 0, leaves)
 		for l := 0; l < leaves; l++ {
-			leafIDs = append(leafIDs, addNode(NodeEdge, p))
+			leafIDs = append(leafIDs, t.addNode(NodeEdge, p))
 		}
 		spineIDs := make([]int, 0, spines)
 		for s := 0; s < spines; s++ {
-			spineIDs = append(spineIDs, addNode(NodeAgg, p))
+			spineIDs = append(spineIDs, t.addNode(NodeAgg, p))
 		}
 		for _, leaf := range leafIDs {
 			for h := 0; h < hostsPerLeaf; h++ {
-				host := addNode(NodeHost, p)
-				t.hosts = append(t.hosts, host)
-				addLink(host, leaf, TierHostToR)
+				t.addLink(t.addNode(NodeHost, p), leaf, TierHostToR, linkRate)
 			}
 			for _, s := range spineIDs {
-				addLink(leaf, s, TierToRAgg)
+				t.addLink(leaf, s, TierToRAgg, linkRate)
 			}
 		}
 		for i, s := range spineIDs {
-			addLink(s, cores[i], TierAggCore)
+			t.addLink(s, cores[i], TierAggCore, linkRate)
 		}
 	}
 
-	t.adj = make([][]int, len(t.Nodes))
-	for _, l := range t.Links {
-		t.adj[l.A] = append(t.adj[l.A], l.ID)
-		t.adj[l.B] = append(t.adj[l.B], l.ID)
-	}
+	t.index()
 	return t, nil
 }
 

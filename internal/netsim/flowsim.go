@@ -9,12 +9,13 @@ import (
 	"mosaic/internal/sim"
 )
 
-// Flow is one transfer in the fluid flow model.
-type Flow struct {
+// flow is one transfer in the fluid flow model: the value that is
+// admitted into a slab slot, and that travels on when a reroute removes
+// it from one slot and re-admits it into another.
+type flow struct {
 	ID       int
 	Src, Dst int
 	SizeBits float64
-	Path     []int // link IDs
 	Hash     uint64
 
 	// Weight scales the flow's share under weighted max-min fairness: a
@@ -29,15 +30,15 @@ type Flow struct {
 	lastTouch sim.Time
 
 	// ver is the version of the flow's one valid completion-heap entry.
-	// It lives here, not on the engine's per-flow record, so a flow that
-	// is rerouted and re-admitted keeps counting up and can never match
-	// an entry queued for its old path.
+	// It lives here, not on the slot, so a flow that is rerouted and
+	// re-admitted keeps counting up and can never match an entry queued
+	// for its old path — even when it lands in the slot it just left.
 	ver uint32
 }
 
 // weight returns the flow's effective max-min weight (zero value = 1, so
-// Flow literals without an explicit weight behave like weight-1 flows).
-func (f *Flow) weight() float64 {
+// flow literals without an explicit weight behave like weight-1 flows).
+func (f *flow) weight() float64 {
 	if f.Weight <= 0 || f.Weight != f.Weight {
 		return 1
 	}
@@ -45,7 +46,7 @@ func (f *Flow) weight() float64 {
 }
 
 // record closes the flow out at end, completed or stalled.
-func (f *Flow) record(end sim.Time, stalled bool) FlowRecord {
+func (f *flow) record(end sim.Time, stalled bool) FlowRecord {
 	return FlowRecord{ID: f.ID, SizeBits: f.SizeBits, Start: f.start, End: end, Stalled: stalled}
 }
 
@@ -70,25 +71,32 @@ var (
 	// errDeadPath is routeAvoidingDead's verdict on one ECMP attempt; a
 	// sentinel, so up to 64 discarded retries format nothing.
 	errDeadPath = errors.New("netsim: path through dead link")
+	// errFlowIDs refuses the flow whose ID would not fit a flowKey.
+	errFlowIDs = errors.New("netsim: flow IDs exhausted")
 )
 
 // routeFlow is the one admission check both drivers share: it validates
-// a flow request and returns its live ECMP path.
-func routeFlow(t *Topology, capacity []float64, src, dst int, sizeBits float64, hash uint64) ([]int, error) {
+// a flow request (id is the ID it would get) and returns its live ECMP
+// path, appended to buf.
+func routeFlow(t *Topology, capacity []float64, buf []int, id, src, dst int, sizeBits float64, hash uint64) ([]int, error) {
 	if !(sizeBits > 0) || math.IsInf(sizeBits, 1) {
 		return nil, errFlowSize
 	}
 	if src == dst {
 		return nil, errSelfFlow
 	}
-	return routeAvoidingDead(t, capacity, src, dst, hash)
+	if uint64(id) > maxFlowID {
+		return nil, errFlowIDs
+	}
+	return routeAvoidingDead(t, capacity, buf, src, dst, hash)
 }
 
-// routeAvoidingDead retries ECMP hashes until the path avoids dead links.
-func routeAvoidingDead(t *Topology, capacity []float64, src, dst int, hash uint64) ([]int, error) {
+// routeAvoidingDead retries ECMP hashes until the path (appended to buf)
+// avoids dead links.
+func routeAvoidingDead(t *Topology, capacity []float64, buf []int, src, dst int, hash uint64) ([]int, error) {
 	var lastErr error
 	for attempt := uint64(0); attempt < 64; attempt++ {
-		path, err := t.Path(src, dst, hash+attempt*0x9e3779b9)
+		path, err := t.Path(buf, src, dst, hash+attempt*0x9e3779b9)
 		if err != nil {
 			lastErr = err
 			continue
@@ -167,7 +175,7 @@ func nominalCapacity(t *Topology) []float64 {
 }
 
 // ActiveFlows returns the number of in-flight flows.
-func (fs *FlowSim) ActiveFlows() int { return len(fs.active) }
+func (fs *FlowSim) ActiveFlows() int { return fs.active }
 
 // Records returns completed/stalled flow records.
 func (fs *FlowSim) Records() []FlowRecord { return fs.records }
@@ -185,17 +193,17 @@ func (fs *FlowSim) StartFlow(src, dst int, sizeBits float64, hash uint64) (int, 
 // (weight <= 0 or NaN is treated as 1 — see Flow.weight — so plain
 // flows are unaffected).
 func (fs *FlowSim) StartFlowWeighted(src, dst int, sizeBits float64, hash uint64, weight float64) (int, error) {
-	path, err := routeFlow(fs.Topo, fs.g.capacity, src, dst, sizeBits, hash)
+	var buf [maxPath]int
+	path, err := routeFlow(fs.Topo, fs.g.capacity, buf[:0], fs.nextID, src, dst, sizeBits, hash)
 	if err != nil {
 		return 0, err
 	}
 	id, now := fs.nextID, fs.Engine.Now()
 	fs.nextID++
-	fs.admit(&incFlow{Flow: Flow{
-		ID: id, Src: src, Dst: dst, SizeBits: sizeBits,
-		Path: path, Hash: hash, Weight: weight,
+	fs.admit(flow{
+		ID: id, Src: src, Dst: dst, SizeBits: sizeBits, Hash: hash, Weight: weight,
 		remaining: sizeBits, start: now, lastTouch: now,
-	}})
+	}, path)
 	fs.flush()
 	return id, nil
 }
@@ -240,16 +248,16 @@ func (fs *FlowSim) RestoreLink(linkID int) { fs.SetLinkCapacityFraction(linkID, 
 func (fs *FlowSim) rerouteThrough(linkID int) {
 	now := fs.Engine.Now()
 	fs.g.now = now
-	for _, f := range fs.crossing(linkID) {
-		fs.g.settle(f)
-		fs.remove(f)
-		path, err := routeAvoidingDead(fs.Topo, fs.g.capacity, f.Src, f.Dst, f.Hash+1)
+	for _, k := range fs.crossing(linkID) {
+		fs.g.settle(&fs.g.flows.v[handle(k)])
+		fl := fs.remove(handle(k))
+		var buf [maxPath]int
+		path, err := routeAvoidingDead(fs.Topo, fs.g.capacity, buf[:0], fl.Src, fl.Dst, fl.Hash+1)
 		if err != nil {
-			fs.records = append(fs.records, f.record(now, true))
+			fs.records = append(fs.records, fl.record(now, true))
 			continue
 		}
-		f.Path = path
-		fs.admit(f)
+		fs.admit(fl, path)
 	}
 }
 
@@ -264,17 +272,17 @@ func (fs *FlowSim) flush() {
 	fs.g.now = now
 	fs.refresh(fs.g.flush(false), now)
 
-	next, at := fs.nextDue()
+	next, ok := fs.nextDue()
 	if fs.pending != nil {
-		if next != nil && fs.pendingAt == at {
+		if ok && fs.pendingAt == next.at {
 			return
 		}
 		fs.pending()
 		fs.pending = nil
 	}
-	if next != nil {
-		fs.pendingAt = at
-		fs.pending = fs.Engine.Schedule(at, fs.onCompletion)
+	if ok {
+		fs.pendingAt = next.at
+		fs.pending = fs.Engine.Schedule(next.at, fs.onCompletion)
 	}
 }
 
@@ -284,8 +292,8 @@ func (fs *FlowSim) flush() {
 func (fs *FlowSim) onCompletion() {
 	fs.pending = nil
 	now := fs.Engine.Now()
-	if f, _ := fs.popDue(now); f != nil {
-		fs.complete(f, now)
+	if c, ok := fs.popDue(now); ok {
+		fs.complete(c.h, now)
 	}
 	fs.flush()
 }
@@ -301,9 +309,15 @@ type FlowState struct {
 
 // FlowStates returns the active flows sorted by ID.
 func (fs *FlowSim) FlowStates() []FlowState {
-	out := make([]FlowState, 0, len(fs.active))
-	for _, f := range fs.active {
-		out = append(out, FlowState{ID: f.ID, Path: f.Path, Weight: f.weight(), Rate: f.rate})
+	out := make([]FlowState, 0, fs.active)
+	for i := range fs.g.flows.v {
+		if f := &fs.g.flows.v[i]; fs.g.flows.used[i] {
+			path := make([]int, f.n)
+			for j, l := range f.links() {
+				path[j] = int(l)
+			}
+			out = append(out, FlowState{ID: f.ID, Path: path, Weight: f.weight(), Rate: f.rate})
+		}
 	}
 	slices.SortFunc(out, func(a, b FlowState) int { return a.ID - b.ID })
 	return out

@@ -47,8 +47,8 @@ func incTraceCase(t *testing.T, seed int64, size int) {
 		t.Helper()
 		// Conservation + saturation from the engine's internal state.
 		sumRates := make([]float64, len(fs.g.capacity))
-		for _, f := range fs.active {
-			for _, l := range f.Path {
+		for _, f := range fs.activeSlots() {
+			for _, l := range f.links() {
 				sumRates[l] += f.rate
 			}
 		}
@@ -57,19 +57,19 @@ func incTraceCase(t *testing.T, seed int64, size int) {
 				t.Fatalf("step %d: link %d oversubscribed: %.6g on %.6g", step, l, sum, cap)
 			}
 		}
-		for id, f := range fs.active {
+		for _, f := range fs.activeSlots() {
 			if f.rate <= 0 {
 				continue
 			}
 			saturated := false
-			for _, l := range f.Path {
+			for _, l := range f.links() {
 				if sumRates[l] >= fs.g.capacity[l]*(1-1e-9)-1 {
 					saturated = true
 					break
 				}
 			}
 			if !saturated {
-				t.Fatalf("step %d: flow %d (rate %.6g) has no saturated link — not max-min", step, id, f.rate)
+				t.Fatalf("step %d: flow %d (rate %.6g) has no saturated link — not max-min", step, f.ID, f.rate)
 			}
 		}
 		// Bitwise equivalence with the global reference.
@@ -171,7 +171,8 @@ func TestCompletionHeapProperties(t *testing.T) {
 	for seed := int64(0); seed < 50; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		var h completionHeap
-		var model []completion // the queued entries, kept sorted
+		var model []completion   // the queued entries, kept sorted
+		var flows slab[flowSlot] // flow id sits in slot id
 		popMatches := func() {
 			t.Helper()
 			if got := h.pop(); got != model[0] {
@@ -181,7 +182,7 @@ func TestCompletionHeapProperties(t *testing.T) {
 		}
 		for id := 0; id < 300; id++ {
 			// Eight distinct times, so most entries tie on `at`.
-			c := completion{at: sim.Time(rng.Intn(8)), id: id, ver: uint32(rng.Intn(3))}
+			c := completion{at: sim.Time(rng.Intn(8)), id: id, ver: uint32(rng.Intn(3)), h: flows.put(flowSlot{})}
 			h.push(c)
 			model = append(model, c)
 			slices.SortFunc(model, byTimeThenID)
@@ -190,17 +191,25 @@ func TestCompletionHeapProperties(t *testing.T) {
 			}
 		}
 
-		// compact on a copy: a third of the flows stay active at the
-		// queued version, a third moved on to a later one, a third left.
-		s := shard{active: make(map[int]*incFlow), h: slices.Clone(h)}
+		// compact on a copy: a quarter of the flows stay active at the
+		// queued version, a quarter moved on to a later one, a quarter
+		// left, and a quarter left with their slot since taken by another
+		// flow at the same version.
+		s := shard{g: &flowGraph{flows: flows}, h: slices.Clone(h)}
 		var live []completion
 		for _, c := range model {
-			switch rng.Intn(3) {
+			slot := &s.g.flows.v[c.h]
+			switch rng.Intn(4) {
 			case 0:
-				s.active[c.id] = &incFlow{Flow: Flow{ver: c.ver}}
+				*slot = flowSlot{flow: flow{ID: c.id, ver: c.ver}}
 				live = append(live, c)
 			case 1:
-				s.active[c.id] = &incFlow{Flow: Flow{ver: c.ver + 1}}
+				*slot = flowSlot{flow: flow{ID: c.id, ver: c.ver + 1}}
+			case 2:
+				*slot = flowSlot{flow: flow{ID: c.id, ver: c.ver}}
+				s.g.flows.drop(c.h)
+			case 3:
+				*slot = flowSlot{flow: flow{ID: c.id + 1000, ver: c.ver}}
 			}
 		}
 		s.compact()
@@ -306,10 +315,7 @@ func TestFleetRerouteKeepsStaleCompletionsStale(t *testing.T) {
 		t.Fatal(err)
 	}
 	fs.Step(1)
-	var uplink int
-	for _, f := range fs.shards[0].active {
-		uplink = f.Path[1]
-	}
+	uplink := int(fs.shards[0].activeSlots()[0].path[1])
 	// Kill A's leaf uplink and start B, which never finishes: both now
 	// share the surviving spine, so A's 900 Gb drain at 50G until t=19.
 	fs.SetLinkFraction(uplink, 0)
@@ -379,7 +385,7 @@ func TestFleetSimConservation(t *testing.T) {
 			sh := fs.shards[fs.shardOf[l]]
 			var sum float64
 			for _, ref := range sh.g.linkFlows[l] {
-				sum += ref.f.rate
+				sum += sh.g.flows.v[ref.h].rate
 			}
 			if cap := fs.capacity[l]; sum > cap*(1+1e-9)+1 {
 				t.Fatalf("epoch %d: link %d oversubscribed: %.6g on %.6g", epoch, l, sum, cap)

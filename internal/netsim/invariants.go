@@ -47,7 +47,7 @@ func (fs *FleetSim) CheckInvariants() error {
 	for _, sh := range fs.shards {
 		for l, refs := range sh.g.linkFlows {
 			for _, ref := range refs {
-				sum[l] += ref.f.rate
+				sum[l] += sh.g.flows.v[ref.h].rate
 			}
 		}
 	}
@@ -60,16 +60,20 @@ func (fs *FleetSim) CheckInvariants() error {
 		return sum[l] >= fs.capacity[l]*(1-1e-9)-1
 	}
 	for _, sh := range fs.shards {
-		for id, f := range sh.active {
+		for i := range sh.g.flows.v {
+			f := &sh.g.flows.v[i]
+			if !sh.g.flows.used[i] || f.proxy {
+				continue
+			}
 			ok := false
-			for _, l := range f.Path {
-				if saturated(l) {
+			for _, l := range f.links() {
+				if saturated(int(l)) {
 					ok = true
 					break
 				}
 			}
 			if !ok {
-				return fmt.Errorf("netsim: flow %d (rate %.6g) has no saturated link on its path — allocation is not max-min", id, f.rate)
+				return fmt.Errorf("netsim: flow %d (rate %.6g) has no saturated link on its path — allocation is not max-min", f.ID, f.rate)
 			}
 		}
 	}

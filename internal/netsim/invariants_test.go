@@ -59,7 +59,7 @@ func TestFleetSimCheckInvariants(t *testing.T) {
 	// checker must report oversubscription (or a broken max-min if the
 	// inflated rate still fits under capacity).
 	for _, sh := range fs.shards {
-		for _, f := range sh.active {
+		for _, f := range sh.activeSlots() {
 			f.rate *= 1e6
 			f.rate += 2 * 100e9
 			if err := fs.CheckInvariants(); err == nil {

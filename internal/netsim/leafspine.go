@@ -19,39 +19,20 @@ func NewLeafSpine(leaves, spines, hostsPerLeaf int, linkRate float64) (*Topology
 	}
 	t := &Topology{K: 0}
 
-	addNode := func(kind NodeKind, pod int) int {
-		id := len(t.Nodes)
-		t.Nodes = append(t.Nodes, Node{ID: id, Kind: kind, Pod: pod})
-		return id
-	}
-	addLink := func(a, b int, tier Tier) {
-		id := len(t.Links)
-		t.Links = append(t.Links, Link{
-			ID: id, A: a, B: b, Tier: tier,
-			LengthM: tier.TypicalLengthM(), RateBps: linkRate,
-		})
-	}
-
 	spineIDs := make([]int, 0, spines)
 	for s := 0; s < spines; s++ {
-		spineIDs = append(spineIDs, addNode(NodeAgg, -1))
+		spineIDs = append(spineIDs, t.addNode(NodeAgg, -1))
 	}
 	for l := 0; l < leaves; l++ {
-		leaf := addNode(NodeEdge, l)
+		leaf := t.addNode(NodeEdge, l)
 		for h := 0; h < hostsPerLeaf; h++ {
-			host := addNode(NodeHost, l)
-			t.hosts = append(t.hosts, host)
-			addLink(host, leaf, TierHostToR)
+			t.addLink(t.addNode(NodeHost, l), leaf, TierHostToR, linkRate)
 		}
 		for _, s := range spineIDs {
-			addLink(leaf, s, TierToRAgg)
+			t.addLink(leaf, s, TierToRAgg, linkRate)
 		}
 	}
 
-	t.adj = make([][]int, len(t.Nodes))
-	for _, l := range t.Links {
-		t.adj[l.A] = append(t.adj[l.A], l.ID)
-		t.adj[l.B] = append(t.adj[l.B], l.ID)
-	}
+	t.index()
 	return t, nil
 }

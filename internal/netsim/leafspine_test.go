@@ -40,12 +40,12 @@ func TestLeafSpinePaths(t *testing.T) {
 	}
 	h := topo.Hosts()
 	// Same leaf: 2 hops.
-	p, err := topo.Path(h[0], h[1], 0)
+	p, err := topo.Path(nil, h[0], h[1], 0)
 	if err != nil || len(p) != 2 {
 		t.Errorf("same-leaf path = %v, %v", p, err)
 	}
 	// Cross-leaf: 4 hops through a spine.
-	p, err = topo.Path(h[0], h[20], 0)
+	p, err = topo.Path(nil, h[0], h[20], 0)
 	if err != nil || len(p) != 4 {
 		t.Errorf("cross-leaf path = %v, %v", p, err)
 	}
@@ -68,7 +68,7 @@ func TestLeafSpineECMPAcrossSpines(t *testing.T) {
 	h := topo.Hosts()
 	spines := map[int]bool{}
 	for hash := uint64(0); hash < 32; hash++ {
-		p, err := topo.Path(h[0], h[20], hash)
+		p, err := topo.Path(nil, h[0], h[20], hash)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,10 +92,7 @@ func TestLeafSpineFlowsAndFailover(t *testing.T) {
 	}
 	// Kill the spine uplink the flow is on; it must reroute to the other
 	// spine and complete.
-	var used int
-	for _, f := range fs.active {
-		used = f.Path[1]
-	}
+	used := int(fs.activeSlots()[0].path[1])
 	eng.Schedule(0.1, func() { fs.FailLink(used) })
 	eng.Run()
 	recs := fs.Records()

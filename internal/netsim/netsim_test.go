@@ -68,7 +68,7 @@ func TestPathsValid(t *testing.T) {
 	hosts := topo.Hosts()
 	for hash := uint64(0); hash < 8; hash++ {
 		for _, dst := range []int{1, 5, 15} {
-			path, err := topo.Path(hosts[0], hosts[dst], hash)
+			path, err := topo.Path(nil, hosts[0], hosts[dst], hash)
 			if err != nil {
 				t.Fatalf("path to host %d: %v", dst, err)
 			}
@@ -92,22 +92,22 @@ func TestPathLengths(t *testing.T) {
 	topo := mustTree(t, 4)
 	h := topo.Hosts()
 	// Same edge switch: 2 hops.
-	p, err := topo.Path(h[0], h[1], 0)
+	p, err := topo.Path(nil, h[0], h[1], 0)
 	if err != nil || len(p) != 2 {
 		t.Errorf("same-edge path = %v, %v", p, err)
 	}
 	// Same pod, different edge: 4 hops.
-	p, err = topo.Path(h[0], h[2], 0)
+	p, err = topo.Path(nil, h[0], h[2], 0)
 	if err != nil || len(p) != 4 {
 		t.Errorf("same-pod path = %v, %v", p, err)
 	}
 	// Cross-pod: 6 hops.
-	p, err = topo.Path(h[0], h[15], 0)
+	p, err = topo.Path(nil, h[0], h[15], 0)
 	if err != nil || len(p) != 6 {
 		t.Errorf("cross-pod path = %v, %v", p, err)
 	}
 	// Same host: empty.
-	p, err = topo.Path(h[0], h[0], 0)
+	p, err = topo.Path(nil, h[0], h[0], 0)
 	if err != nil || len(p) != 0 {
 		t.Errorf("self path = %v, %v", p, err)
 	}
@@ -115,11 +115,11 @@ func TestPathLengths(t *testing.T) {
 
 func TestPathErrors(t *testing.T) {
 	topo := mustTree(t, 4)
-	if _, err := topo.Path(-1, 0, 0); err == nil {
+	if _, err := topo.Path(nil, -1, 0, 0); err == nil {
 		t.Error("negative node accepted")
 	}
 	// Node 0 is a core switch, not a host.
-	if _, err := topo.Path(0, topo.Hosts()[0], 0); err == nil {
+	if _, err := topo.Path(nil, 0, topo.Hosts()[0], 0); err == nil {
 		t.Error("non-host endpoint accepted")
 	}
 }
@@ -129,7 +129,7 @@ func TestECMPSpreads(t *testing.T) {
 	h := topo.Hosts()
 	seen := map[int]bool{}
 	for hash := uint64(0); hash < 64; hash++ {
-		p, err := topo.Path(h[0], h[len(h)-1], hash)
+		p, err := topo.Path(nil, h[0], h[len(h)-1], hash)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -358,10 +358,7 @@ func TestRerouteAroundFailedCoreLink(t *testing.T) {
 	fs.StartFlow(h[0], h[15], 800e9*1.0, 0)
 	// Kill the agg uplink the flow is using (path index 1) mid-flight:
 	// ECMP has alternatives, so the flow must reroute and finish.
-	var usedLink int
-	for _, f := range fs.active {
-		usedLink = f.Path[1]
-	}
+	usedLink := int(fs.activeSlots()[0].path[1])
 	eng.Schedule(0.1, func() { fs.FailLink(usedLink) })
 	eng.Run()
 	recs := fs.Records()

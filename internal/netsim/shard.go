@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"strings"
@@ -52,8 +53,9 @@ type FleetSim struct {
 	capacity []float64 // shared; written only at barriers
 	nextID   int
 
-	shards []*fleetShard
-	cross  map[int]*crossFlow
+	shards    []*fleetShard
+	cross     slab[crossFlow]
+	crossKeys []uint64 // Step scratch: the live cross flows as flowKeys, ascending ID
 
 	records []FlowRecord // stalls + cross completions (shard records merged on demand)
 	log     eventlog.Log // one line per epoch, capped at eventlog.DefaultMax
@@ -75,18 +77,18 @@ type FleetSim struct {
 // pod's local flows, plus the per-epoch re-rate bookkeeping.
 type fleetShard struct {
 	shard
-	reRated []*incFlow // flows re-rated this epoch (phase A ∪ phase C)
+	reRated []handle // flows re-rated this epoch (phase A ∪ phase C)
 	seenGen uint64
 	done    int // completions this epoch
 }
 
-// crossFlow is the fleet-level master record of a two-shard flow (Path
-// is the full route); each involved shard holds a proxy restricted to
-// its own links.
+// crossFlow is the fleet-level master record of a two-shard flow, a
+// pointer-free slot of FleetSim.cross; each of its two shards holds a
+// proxy restricted to its own links.
 type crossFlow struct {
-	Flow
-	proxies []*incFlow // ascending shard order
-	shards  []int
+	flow
+	shard [2]int    // ascending
+	proxy [2]handle // proxy[i] is a slot of shard[i]'s graph
 }
 
 // NewFleetSim builds the sharded engine over a fleet topology.
@@ -98,7 +100,6 @@ func NewFleetSim(t *Topology, workers int) *FleetSim {
 		shardOf:  LinkShards(t),
 		pool:     par.New(workers),
 		capacity: nominalCapacity(t),
-		cross:    make(map[int]*crossFlow),
 	}
 	for range NumPods(t) {
 		fs.shards = append(fs.shards, &fleetShard{shard: newShard(t, fs.capacity)})
@@ -111,15 +112,15 @@ func (fs *FleetSim) Now() sim.Time { return fs.now }
 
 // ActiveFlows returns the number of in-flight flows (local + cross).
 func (fs *FleetSim) ActiveFlows() int {
-	n := len(fs.cross)
+	n := fs.cross.live()
 	for _, s := range fs.shards {
-		n += len(s.active)
+		n += s.active
 	}
 	return n
 }
 
 // CrossFlows returns the number of in-flight cross-shard flows.
-func (fs *FleetSim) CrossFlows() int { return len(fs.cross) }
+func (fs *FleetSim) CrossFlows() int { return fs.cross.live() }
 
 // Waterfills sums component waterfill passes across shards.
 func (fs *FleetSim) Waterfills() uint64 {
@@ -148,20 +149,54 @@ func (fs *FleetSim) EventLog() []string { return fs.log.Lines() }
 // Records merges all shard-local and fleet-level records, ordered by
 // (End, ID) — a deterministic global completion order.
 func (fs *FleetSim) Records() []FlowRecord {
-	var out []FlowRecord
-	out = append(out, fs.records...)
+	lists := make([][]FlowRecord, 0, 1+len(fs.shards))
+	lists = append(lists, fs.records)
 	for _, s := range fs.shards {
-		out = append(out, s.records...)
+		lists = append(lists, s.records)
 	}
-	slices.SortFunc(out, func(a, b FlowRecord) int {
-		if a.End != b.End {
-			if a.End < b.End {
-				return -1
-			}
-			return 1
+	return mergeRecords(lists)
+}
+
+// DrainRecords returns what Records would and forgets it, keeping the
+// record buffers for reuse: a caller that steps one FleetSim for as long
+// as it lives (mosaicfleetd) drains every epoch and so retains nothing.
+func (fs *FleetSim) DrainRecords() []FlowRecord {
+	out := fs.Records()
+	fs.records = fs.records[:0]
+	for _, s := range fs.shards {
+		s.records = s.records[:0]
+	}
+	return out
+}
+
+func compareRecords(a, b FlowRecord) int { return cmp.Or(cmp.Compare(a.End, b.End), a.ID-b.ID) }
+
+// mergeRecords k-way merges the lists into one pre-sized (End, ID)-ordered
+// list. A shard's list arrives ordered (its heap drains in (time, ID)
+// order and epochs ascend), so local completions — nine records in ten —
+// are never sorted again; the fleet list (stalls, cross completions) is in
+// flow-ID order, and any list found out of order is sorted in place first.
+// The minimum is a scan over the list heads, measured at the 12 pods of a
+// fleet day; past ~18 lists a full sort compares less (DESIGN.md).
+func mergeRecords(lists [][]FlowRecord) []FlowRecord {
+	total := 0
+	for _, l := range lists {
+		if !slices.IsSortedFunc(l, compareRecords) {
+			slices.SortFunc(l, compareRecords)
 		}
-		return a.ID - b.ID
-	})
+		total += len(l)
+	}
+	out := make([]FlowRecord, 0, total)
+	for len(out) < total {
+		best := -1
+		for i, l := range lists {
+			if len(l) > 0 && (best < 0 || compareRecords(l[0], lists[best][0]) < 0) {
+				best = i
+			}
+		}
+		out = append(out, lists[best][0])
+		lists[best] = lists[best][1:]
+	}
 	return out
 }
 
@@ -170,59 +205,56 @@ func (fs *FleetSim) Records() []FlowRecord {
 // shard, flows spanning two pods become a cross flow with one proxy per
 // shard. Weight is 1 (fleet traffic is best-effort).
 func (fs *FleetSim) Inject(src, dst int, sizeBits float64, hash uint64) (int, error) {
-	path, err := routeFlow(fs.Topo, fs.capacity, src, dst, sizeBits, hash)
+	var buf [maxPath]int
+	path, err := routeFlow(fs.Topo, fs.capacity, buf[:0], fs.nextID, src, dst, sizeBits, hash)
 	if err != nil {
 		return 0, err
 	}
 	id := fs.nextID
 	fs.nextID++
-	fs.admit(Flow{
-		ID: id, Src: src, Dst: dst, SizeBits: sizeBits,
-		Path: path, Hash: hash, Weight: 1,
+	fs.admit(flow{
+		ID: id, Src: src, Dst: dst, SizeBits: sizeBits, Hash: hash, Weight: 1,
 		remaining: sizeBits, start: fs.now,
-	})
+	}, path)
 	fs.arrivals++
 	return id, nil
 }
 
-// admit places a routed flow (new or rerouted) into its shard(s).
-func (fs *FleetSim) admit(fl Flow) {
+// admit places a flow (new or rerouted) into the shard(s) of its route.
+func (fs *FleetSim) admit(fl flow, route []int) {
 	fl.rate, fl.lastTouch = 0, fs.now
-	var shardSet []int
-	for _, l := range fl.Path {
-		if s := fs.shardOf[l]; !slices.Contains(shardSet, s) {
-			shardSet = append(shardSet, s)
-		}
+	lo, hi := fs.shardOf[route[0]], fs.shardOf[route[0]]
+	for _, l := range route[1:] {
+		lo, hi = min(lo, fs.shardOf[l]), max(hi, fs.shardOf[l])
 	}
-	slices.Sort(shardSet)
-
-	if len(shardSet) == 1 {
-		fs.shards[shardSet[0]].admit(&incFlow{Flow: fl})
+	if lo == hi {
+		fs.shards[lo].admit(fl, route)
 		return
 	}
 
-	cf := &crossFlow{Flow: fl, shards: shardSet}
-	for _, s := range shardSet {
-		p := &incFlow{Flow: fl, proxy: true}
-		p.Path = make([]int, 0, len(fl.Path))
-		for _, l := range fl.Path {
-			if fs.shardOf[l] == s {
-				p.Path = append(p.Path, l)
-			}
-		}
-		fs.shards[s].g.addFlow(p)
-		cf.proxies = append(cf.proxies, p)
+	ch := fs.cross.put(crossFlow{flow: fl, shard: [2]int{lo, hi}})
+	links := 0
+	for i, s := range [2]int{lo, hi} {
+		p := flowSlot{flow: fl, proxy: true, master: ch}
+		p.setPath(route, fs.shardOf, s)
+		links += int(p.n)
+		fs.cross.v[ch].proxy[i] = fs.shards[s].g.addFlow(p)
 	}
-	fs.cross[fl.ID] = cf
+	if links != len(route) {
+		panic("netsim: route spans more than two shards")
+	}
 	fs.crossArrivals++
 }
 
-// retire unindexes a cross flow's proxies and forgets it.
-func (fs *FleetSim) retire(cf *crossFlow) {
-	for i, s := range cf.shards {
-		fs.shards[s].g.removeFlow(cf.proxies[i])
+// retire unindexes a cross flow's proxies, frees its slot and returns
+// the flow value.
+func (fs *FleetSim) retire(ch handle) flow {
+	cf := &fs.cross.v[ch]
+	for i, h := range cf.proxy {
+		fs.shards[cf.shard[i]].g.removeFlow(h)
 	}
-	delete(fs.cross, cf.ID)
+	fs.cross.drop(ch)
+	return cf.flow
 }
 
 // SetLinkFraction scales a link to frac of nominal at the barrier, with
@@ -241,24 +273,22 @@ func (fs *FleetSim) SetLinkFraction(linkID int, frac float64) {
 	// Re-admit (possibly changing local/cross classification) or stall
 	// every flow crossing the dead link.
 	sh.g.now = fs.now
-	for _, f := range sh.crossing(linkID) {
-		fl := &f.Flow
-		if f.proxy {
-			cf := fs.cross[f.ID]
-			fs.retire(cf)
-			fl = &cf.Flow
+	for _, k := range sh.crossing(linkID) {
+		var fl flow
+		if f := &sh.g.flows.v[handle(k)]; f.proxy {
+			fl = fs.retire(f.master)
 		} else {
 			sh.g.settle(f)
-			sh.remove(f)
+			fl = sh.remove(handle(k))
 		}
-		path, err := routeAvoidingDead(fs.Topo, fs.capacity, fl.Src, fl.Dst, fl.Hash+1)
+		var buf [maxPath]int
+		path, err := routeAvoidingDead(fs.Topo, fs.capacity, buf[:0], fl.Src, fl.Dst, fl.Hash+1)
 		if err != nil {
 			fs.records = append(fs.records, fl.record(fs.now, true))
 			fs.stalls++
 			continue
 		}
-		fl.Path = path
-		fs.admit(*fl)
+		fs.admit(fl, path)
 	}
 }
 
@@ -276,26 +306,24 @@ func (fs *FleetSim) Step(epochLen sim.Time) {
 	})
 
 	// Phase B: pin every cross flow at the min of its shards' offers.
-	crossIDs := make([]int, 0, len(fs.cross))
-	for id := range fs.cross {
-		crossIDs = append(crossIDs, id)
-	}
-	slices.Sort(crossIDs)
-	for _, id := range crossIDs {
-		cf := fs.cross[id]
-		final := cf.proxies[0].offer
-		for _, p := range cf.proxies[1:] {
-			if p.offer < final {
-				final = p.offer
-			}
+	fs.crossKeys = fs.crossKeys[:0]
+	for ch := range fs.cross.v {
+		if fs.cross.used[ch] {
+			fs.crossKeys = append(fs.crossKeys, flowKey(fs.cross.v[ch].ID, handle(ch)))
 		}
-		cf.rate = final
-		for i, p := range cf.proxies {
+	}
+	slices.Sort(fs.crossKeys)
+	for _, k := range fs.crossKeys {
+		cf := &fs.cross.v[handle(k)]
+		g := [2]*flowGraph{fs.shards[cf.shard[0]].g, fs.shards[cf.shard[1]].g}
+		cf.rate = min(g[0].flows.v[cf.proxy[0]].offer, g[1].flows.v[cf.proxy[1]].offer)
+		for i, h := range cf.proxy {
+			p := &g[i].flows.v[h]
 			p.pinned = true
-			if p.rate != final {
-				p.rate = final
-				for _, l := range p.Path {
-					fs.shards[cf.shards[i]].g.markDirty(l)
+			if p.rate != cf.rate {
+				p.rate = cf.rate
+				for _, l := range p.links() {
+					g[i].markDirty(int(l))
 				}
 			}
 		}
@@ -317,15 +345,15 @@ func (fs *FleetSim) Step(epochLen sim.Time) {
 	// inside this epoch is recorded at its exact finish time and its
 	// proxies leave their shards (capacity returns at the next barrier).
 	crossDone := 0
-	for _, id := range crossIDs {
-		cf, ok := fs.cross[id]
-		if !ok || cf.rate <= 0 {
+	for _, k := range fs.crossKeys {
+		cf := &fs.cross.v[handle(k)]
+		if cf.rate <= 0 {
 			continue
 		}
 		at := fs.now + sim.Time(cf.remaining/cf.rate)
 		if at <= epochEnd {
 			fs.records = append(fs.records, cf.record(at, false))
-			fs.retire(cf)
+			fs.retire(handle(k))
 			crossDone++
 			continue
 		}
@@ -338,8 +366,8 @@ func (fs *FleetSim) Step(epochLen sim.Time) {
 		sh.refresh(sh.reRated, fs.now)
 		sh.reRated = sh.reRated[:0]
 		sh.done = 0
-		for f, at := sh.popDue(epochEnd); f != nil; f, at = sh.popDue(epochEnd) {
-			sh.complete(f, at)
+		for c, ok := sh.popDue(epochEnd); ok; c, ok = sh.popDue(epochEnd) {
+			sh.complete(c.h, c.at)
 			sh.done++
 		}
 	})
@@ -358,7 +386,7 @@ func (fs *FleetSim) Step(epochLen sim.Time) {
 	fs.log.Addf(
 		"epoch=%d t=%.3f arrivals=%d cross_arrivals=%d stalls=%d done=%d cross_done=%d per_shard=[%s] active=%d cross=%d cap_sum=%.6e",
 		fs.epochIdx, float64(fs.now), fs.arrivals, fs.crossArrivals, fs.stalls,
-		done, crossDone, strings.Join(perShard, ","), fs.ActiveFlows(), len(fs.cross), capSum)
+		done, crossDone, strings.Join(perShard, ","), fs.ActiveFlows(), fs.cross.live(), capSum)
 	fs.epochIdx++
 	fs.arrivals, fs.crossArrivals, fs.stalls = 0, 0, 0
 	fs.now = epochEnd
@@ -366,13 +394,14 @@ func (fs *FleetSim) Step(epochLen sim.Time) {
 
 // noteReRated merges a flush's touched flows into the epoch's refresh
 // set exactly once per flow (seen markers survive across phases A/C).
-func (sh *fleetShard) noteReRated(touched []*incFlow) {
-	for _, f := range touched {
+func (sh *fleetShard) noteReRated(touched []handle) {
+	for _, h := range touched {
+		f := &sh.g.flows.v[h]
 		if f.proxy || f.seen == sh.seenGen {
 			continue
 		}
 		f.seen = sh.seenGen
-		sh.reRated = append(sh.reRated, f)
+		sh.reRated = append(sh.reRated, h)
 	}
 }
 

@@ -1,0 +1,274 @@
+package netsim
+
+import (
+	"errors"
+	"math/rand"
+	"slices"
+	"strings"
+	"testing"
+
+	"mosaic/internal/sim"
+)
+
+// Handle lifetime: a completion entry names a slot, and a freed slot is
+// reused LIFO — by the next flow admitted, or by the same flow coming
+// back on a new path. The entry must read as stale in every case, which
+// takes both the id and the ver comparison: a slab that resets ver on
+// re-admission (or trusts the slot alone) completes the wrong flow, or
+// the right flow at its old path's finish time.
+func TestCompletionStaleAfterSlotReuse(t *testing.T) {
+	topo, err := NewLeafSpine(2, 2, 2, 100e9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newShard(topo, nominalCapacity(topo))
+	h := topo.Hosts()
+	admit := func(fl flow, hash uint64) handle {
+		t.Helper()
+		route, err := topo.Path(nil, fl.Src, fl.Dst, hash)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s.admit(fl, route)
+	}
+	entry := func(hd handle) completion {
+		s.refresh(s.g.flush(false), 0)
+		f := &s.g.flows.v[hd]
+		return completion{id: f.ID, ver: f.ver, h: hd}
+	}
+
+	a := flow{ID: 1, Src: h[0], Dst: h[2], SizeBits: 1e9, remaining: 1e9}
+	ha := admit(a, 0)
+	old := entry(ha)
+	if !s.live(old) {
+		t.Fatal("a freshly refreshed entry must be live")
+	}
+
+	// Freed: the slot is on the free list.
+	a = s.remove(ha)
+	if s.live(old) {
+		t.Fatal("entry still live after its flow was removed")
+	}
+
+	// Reused by another flow.
+	hb := admit(flow{ID: 2, Src: h[1], Dst: h[3], SizeBits: 1e9, remaining: 1e9}, 0)
+	if hb != ha {
+		t.Fatalf("free list is not LIFO: flow 2 got slot %d, want %d", hb, ha)
+	}
+	if entry(hb); s.live(old) {
+		t.Fatal("flow 1's entry reads as live for flow 2 in the reused slot")
+	}
+	s.remove(hb)
+
+	// Reused by the same flow, rerouted: as many re-rates on the new path
+	// as the old one saw must not bring the old entry back to life.
+	if hr := admit(a, 1); hr != ha {
+		t.Fatalf("free list is not LIFO: rerouted flow 1 got slot %d, want %d", hr, ha)
+	}
+	fresh := entry(ha)
+	if s.live(old) {
+		t.Fatalf("stale entry (ver %d) matches the re-admitted flow (ver %d)", old.ver, fresh.ver)
+	}
+	if !s.live(fresh) || fresh.ver <= old.ver {
+		t.Fatalf("re-admitted flow's entry: live=%v ver %d, want live and above %d", s.live(fresh), fresh.ver, old.ver)
+	}
+}
+
+// A route that does not fit the slot's inline path is refused loudly,
+// never truncated.
+func TestSetPathRejectsOverlongRoute(t *testing.T) {
+	var slot flowSlot
+	slot.setPath([]int{1, 2, 3, 4, 5, 6}, nil, 0)
+	if got := slot.links(); !slices.Equal(got, []int32{1, 2, 3, 4, 5, 6}) {
+		t.Fatalf("six-link route stored as %v", got)
+	}
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "inline path") {
+			t.Fatalf("seven-link route: recovered %q, want the inline-path panic", msg)
+		}
+	}()
+	slot.setPath([]int{1, 2, 3, 4, 5, 6, 7}, nil, 0)
+}
+
+// Flow IDs up to the sort key's 32 bits order correctly; the first ID
+// past them is refused by both drivers rather than wrapped into the key
+// (a key built from a truncated ID would sort flow 2^32 as flow 0).
+func TestFlowIDBeyondSortKeyRejected(t *testing.T) {
+	if flowKey(maxFlowID, 0) <= flowKey(maxFlowID-1, ^handle(0)) {
+		t.Fatal("flowKey does not order the two largest IDs")
+	}
+	topo, err := NewFleet(2, 2, 1, 2, 100e9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := topo.Hosts()
+
+	fleet := NewFleetSim(topo, 1)
+	fleet.nextID = maxFlowID
+	if id, err := fleet.Inject(h[0], h[1], 1e9, 0); err != nil || id != maxFlowID {
+		t.Fatalf("last representable ID: got (%d, %v)", id, err)
+	}
+	if _, err := fleet.Inject(h[0], h[1], 1e9, 0); !errors.Is(err, errFlowIDs) {
+		t.Fatalf("FleetSim admitted flow ID %d: err = %v", maxFlowID+1, err)
+	}
+	fleet.Step(1)
+	if recs := fleet.Records(); len(recs) != 1 || recs[0].ID != maxFlowID {
+		t.Fatalf("the last representable flow did not complete under its own ID: %+v", recs)
+	}
+
+	fs := NewFlowSim(topo, sim.NewEngine(1))
+	fs.nextID = maxFlowID + 1
+	if _, err := fs.StartFlow(h[0], h[1], 1e9, 0); !errors.Is(err, errFlowIDs) {
+		t.Fatalf("FlowSim admitted flow ID %d: err = %v", maxFlowID+1, err)
+	}
+	if fs.ActiveFlows() != 0 || fs.nextID != maxFlowID+1 {
+		t.Fatal("a refused flow left state behind")
+	}
+}
+
+// The k-way merge is the old full (End, ID) sort: on randomized shard
+// lists with exact End ties across lists, barrier stalls sharing one
+// instant, an empty list, and a fleet list in flow-ID rather than End
+// order.
+func TestRecordsMergeEqualsSort(t *testing.T) {
+	for seed := int64(0); seed < 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var lists [][]FlowRecord
+		var all []FlowRecord
+		id := 0
+		next := func(end sim.Time, stalled bool) FlowRecord {
+			id++
+			return FlowRecord{ID: id, SizeBits: 1, End: end, Stalled: stalled}
+		}
+		// Fleet list: stalls at a few barrier instants and cross
+		// completions at arbitrary times, appended in flow-ID order.
+		var fleet []FlowRecord
+		for i := rng.Intn(40); i > 0; i-- {
+			if rng.Intn(2) == 0 {
+				fleet = append(fleet, next(sim.Time(rng.Intn(4)), true))
+			} else {
+				fleet = append(fleet, next(sim.Time(rng.Intn(16))/4, false))
+			}
+		}
+		lists = append(lists, fleet, nil)
+		// Shard lists: (End, ID)-ordered, End drawn from a small grid so
+		// ties across lists are the rule.
+		for s := 1 + rng.Intn(5); s > 0; s-- {
+			var l []FlowRecord
+			for i := rng.Intn(60); i > 0; i-- {
+				l = append(l, next(sim.Time(rng.Intn(16))/4, false))
+			}
+			slices.SortFunc(l, compareRecords)
+			lists = append(lists, l)
+		}
+		for _, l := range lists {
+			all = append(all, l...)
+		}
+		want := slices.Clone(all)
+		slices.SortFunc(want, compareRecords)
+		if got := mergeRecords(lists); !slices.Equal(got, want) {
+			t.Fatalf("seed %d: merge of %d lists differs from the full sort", seed, len(lists))
+		}
+	}
+}
+
+// steadyFleet is a two-pod fleet holding `locals` long-lived local flows,
+// warmed with the churn that epoch() repeats: k short flows in (a few of
+// them cross-pod), about k out.
+func steadyFleet(t *testing.T, locals int) (fs *FleetSim, epoch func()) {
+	t.Helper()
+	topo, err := NewFleet(2, 4, 2, 8, 100e9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs = NewFleetSim(topo, 1)
+	h := topo.Hosts()
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < locals; i++ {
+		src := rng.Intn(32)
+		if _, err := fs.Inject(h[src], h[(src+1+rng.Intn(31))%32], 1e18, rng.Uint64()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	epoch = func() {
+		for i := 0; i < 16; i++ {
+			src, dst := rng.Intn(32), 32+rng.Intn(32)
+			if i%4 != 0 {
+				dst = (src + 1 + rng.Intn(31)) % 32
+			}
+			if _, err := fs.Inject(h[src], h[dst], 1e6, rng.Uint64()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		fs.Step(1)
+	}
+	for i := 0; i < 50; i++ {
+		epoch()
+	}
+	fs.DrainRecords()
+	return fs, epoch
+}
+
+// A warmed constant-population epoch allocates only what its log line
+// and its barrier closures cost: nothing per injected flow, nothing per
+// completion, and nothing that scales with the local flows being
+// re-rated — the slab, the link indices, the heap and the scratch lists
+// have all reached their working size.
+func TestFleetSimSteadyEpochAllocs(t *testing.T) {
+	var allocs [2]float64
+	for i, locals := range []int{200, 4000} {
+		fs, epoch := steadyFleet(t, locals)
+		allocs[i] = testing.AllocsPerRun(40, func() {
+			epoch()
+			fs.DrainRecords()
+		})
+		if fs.ActiveFlows() < locals || fs.ActiveFlows() > locals+64 {
+			t.Fatalf("%d locals: population drifted to %d, the epoch is not steady", locals, fs.ActiveFlows())
+		}
+		if rated := fs.RatedFlows(); rated < uint64(40*locals) {
+			t.Fatalf("%d locals: only %d rate assignments; the epochs re-rated nothing", locals, rated)
+		}
+	}
+	t.Logf("allocs per steady epoch: %.1f at 200 locals, %.1f at 4000", allocs[0], allocs[1])
+	if allocs[0] > 48 {
+		t.Errorf("steady epoch allocates %.1f times, want at most the log line and closures (48)", allocs[0])
+	}
+	if allocs[1] > allocs[0]+4 {
+		t.Errorf("allocations grow with the local population: %.1f at 200 flows, %.1f at 4000", allocs[0], allocs[1])
+	}
+}
+
+// DrainRecords hands over exactly what Records would and leaves nothing
+// behind, so a FleetSim stepped forever retains no more than an epoch's
+// records.
+func TestFleetSimDrainRecords(t *testing.T) {
+	fs, epoch := steadyFleet(t, 50)
+	retained := func() int {
+		n := len(fs.records)
+		for _, sh := range fs.shards {
+			n += len(sh.records)
+		}
+		return n
+	}
+	epoch()
+	epoch()
+	want := slices.Clone(fs.Records())
+	if len(want) == 0 {
+		t.Fatal("two epochs completed nothing; the scenario is too weak")
+	}
+	if got := fs.DrainRecords(); !slices.Equal(got, want) {
+		t.Fatalf("drain returned %d records, Records had %d", len(got), len(want))
+	}
+	if n := retained(); n != 0 || len(fs.Records()) != 0 {
+		t.Fatalf("%d records retained after a drain", n)
+	}
+	peak := 0
+	for e := 0; e < 5000; e++ {
+		epoch()
+		peak = max(peak, retained())
+		fs.DrainRecords()
+	}
+	if peak == 0 || peak > 64 {
+		t.Fatalf("a drained FleetSim held up to %d records across 5000 epochs, want (0, 64]", peak)
+	}
+}

@@ -112,6 +112,9 @@ type Topology struct {
 	Links []Link
 	// adjacency: node -> link IDs
 	adj [][]int
+	// up[node]: the node's links to the next tier up — the ECMP choices of
+	// Path, built once so that routing a flow allocates nothing.
+	up [][]int
 	// hostIDs in order
 	hosts []int
 }
@@ -129,62 +132,78 @@ func NewFatTree(k int, linkRate float64) (*Topology, error) {
 	t := &Topology{K: k}
 	half := k / 2
 
-	addNode := func(kind NodeKind, pod int) int {
-		id := len(t.Nodes)
-		t.Nodes = append(t.Nodes, Node{ID: id, Kind: kind, Pod: pod})
-		return id
-	}
-	addLink := func(a, b int, tier Tier) {
-		id := len(t.Links)
-		t.Links = append(t.Links, Link{
-			ID: id, A: a, B: b, Tier: tier,
-			LengthM: tier.TypicalLengthM(), RateBps: linkRate,
-		})
-	}
-
 	// Core switches: half*half.
 	cores := make([]int, 0, half*half)
 	for i := 0; i < half*half; i++ {
-		cores = append(cores, addNode(NodeCore, -1))
+		cores = append(cores, t.addNode(NodeCore, -1))
 	}
 	// Pods.
 	for p := 0; p < k; p++ {
 		edges := make([]int, 0, half)
 		aggs := make([]int, 0, half)
 		for i := 0; i < half; i++ {
-			edges = append(edges, addNode(NodeEdge, p))
+			edges = append(edges, t.addNode(NodeEdge, p))
 		}
 		for i := 0; i < half; i++ {
-			aggs = append(aggs, addNode(NodeAgg, p))
+			aggs = append(aggs, t.addNode(NodeAgg, p))
 		}
 		// Hosts: each edge switch serves k/2 hosts.
 		for _, e := range edges {
 			for h := 0; h < half; h++ {
-				host := addNode(NodeHost, p)
-				t.hosts = append(t.hosts, host)
-				addLink(host, e, TierHostToR)
+				t.addLink(t.addNode(NodeHost, p), e, TierHostToR, linkRate)
 			}
 		}
 		// Edge <-> Agg full bipartite within pod.
 		for _, e := range edges {
 			for _, a := range aggs {
-				addLink(e, a, TierToRAgg)
+				t.addLink(e, a, TierToRAgg, linkRate)
 			}
 		}
 		// Agg <-> Core: agg switch i connects to cores [i*half, (i+1)*half).
 		for i, a := range aggs {
 			for j := 0; j < half; j++ {
-				addLink(a, cores[i*half+j], TierAggCore)
+				t.addLink(a, cores[i*half+j], TierAggCore, linkRate)
 			}
 		}
 	}
 
+	t.index()
+	return t, nil
+}
+
+func (t *Topology) addNode(kind NodeKind, pod int) int {
+	id := len(t.Nodes)
+	t.Nodes = append(t.Nodes, Node{ID: id, Kind: kind, Pod: pod})
+	if kind == NodeHost {
+		t.hosts = append(t.hosts, id)
+	}
+	return id
+}
+
+func (t *Topology) addLink(a, b int, tier Tier, rate float64) {
+	t.Links = append(t.Links, Link{
+		ID: len(t.Links), A: a, B: b, Tier: tier,
+		LengthM: tier.TypicalLengthM(), RateBps: rate,
+	})
+}
+
+// index builds the adjacency and up-link tables once every node and link
+// is in place.
+func (t *Topology) index() {
 	t.adj = make([][]int, len(t.Nodes))
+	t.up = make([][]int, len(t.Nodes))
 	for _, l := range t.Links {
 		t.adj[l.A] = append(t.adj[l.A], l.ID)
 		t.adj[l.B] = append(t.adj[l.B], l.ID)
 	}
-	return t, nil
+	for n, links := range t.adj {
+		for _, lid := range links {
+			// Node kinds are declared bottom-up: the next tier is Kind+1.
+			if t.Nodes[t.peer(t.Links[lid], n)].Kind == t.Nodes[n].Kind+1 {
+				t.up[n] = append(t.up[n], lid)
+			}
+		}
+	}
 }
 
 // Hosts returns the host node IDs.
@@ -214,9 +233,11 @@ func (t *Topology) peer(l Link, n int) int {
 }
 
 // Path computes the canonical fat-tree up/down route between two hosts,
-// using `hash` to pick among the ECMP choices at each up hop. It returns
-// the link IDs in order. Same-host requests return an empty path.
-func (t *Topology) Path(src, dst int, hash uint64) ([]int, error) {
+// using `hash` to pick among the ECMP choices at each up hop. It appends
+// the link IDs in order to buf (nil is fine; a buffer of six holds any
+// route) and returns the extended slice. Same-host requests append
+// nothing.
+func (t *Topology) Path(buf []int, src, dst int, hash uint64) ([]int, error) {
 	if src < 0 || src >= len(t.Nodes) || dst < 0 || dst >= len(t.Nodes) {
 		return nil, errors.New("netsim: node out of range")
 	}
@@ -224,7 +245,7 @@ func (t *Topology) Path(src, dst int, hash uint64) ([]int, error) {
 		return nil, errors.New("netsim: paths are host-to-host")
 	}
 	if src == dst {
-		return nil, nil
+		return buf, nil
 	}
 	// Host -> edge.
 	upLinks := t.adj[src]
@@ -238,11 +259,11 @@ func (t *Topology) Path(src, dst int, hash uint64) ([]int, error) {
 	edgeDst := t.peer(ld, dst)
 
 	if edgeSrc == edgeDst {
-		return []int{l0.ID, ld.ID}, nil
+		return append(buf, l0.ID, ld.ID), nil
 	}
 
 	// Collect the up options at the edge: links to agg/spine switches.
-	aggLinks := t.upLinks(edgeSrc, NodeAgg)
+	aggLinks := t.up[edgeSrc]
 	if len(aggLinks) == 0 {
 		return nil, errors.New("netsim: edge has no agg uplinks")
 	}
@@ -254,7 +275,7 @@ func (t *Topology) Path(src, dst int, hash uint64) ([]int, error) {
 	for _, lid := range t.adj[agg] {
 		l := t.Links[lid]
 		if t.peer(l, agg) == edgeDst {
-			return []int{l0.ID, la, lid, ld.ID}, nil
+			return append(buf, l0.ID, la, lid, ld.ID), nil
 		}
 	}
 	if t.Nodes[edgeSrc].Pod == t.Nodes[edgeDst].Pod {
@@ -262,7 +283,7 @@ func (t *Topology) Path(src, dst int, hash uint64) ([]int, error) {
 	}
 
 	// Cross-pod: continue up to the core: edge -> agg -> core -> agg' -> edge'.
-	coreLinks := t.upLinks(agg, NodeCore)
+	coreLinks := t.up[agg]
 	if len(coreLinks) == 0 {
 		return nil, errors.New("netsim: agg has no core uplinks")
 	}
@@ -285,20 +306,8 @@ func (t *Topology) Path(src, dst int, hash uint64) ([]int, error) {
 	for _, lid := range t.adj[aggDown] {
 		l := t.Links[lid]
 		if t.peer(l, aggDown) == edgeDst {
-			return []int{l0.ID, la, lc, laDown, lid, ld.ID}, nil
+			return append(buf, l0.ID, la, lc, laDown, lid, ld.ID), nil
 		}
 	}
 	return nil, errors.New("netsim: cross-pod path broken")
-}
-
-// upLinks returns links from node to peers of the given kind.
-func (t *Topology) upLinks(node int, kind NodeKind) []int {
-	var out []int
-	for _, lid := range t.adj[node] {
-		l := t.Links[lid]
-		if t.Nodes[t.peer(l, node)].Kind == kind {
-			out = append(out, lid)
-		}
-	}
-	return out
 }
