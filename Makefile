@@ -13,12 +13,19 @@ FUZZ_TARGETS = internal/phy:FuzzFramerDecodeStream internal/phy:FuzzHammingFECDe
 	internal/phy:FuzzRSLiteDecode internal/phy:FuzzParseFramesNeverPanics \
 	internal/mac:FuzzMACDeframe internal/scenario:FuzzScenarioSpec
 
-.PHONY: check vet substrate build test race determinism staticcheck bench bench-mac bench-e24 bench-check bench-layers coverage fuzz-smoke verify-deep soak-fleetd scenario-conformance loc
+.PHONY: check vet substrate audit build test race determinism staticcheck bench bench-mac bench-e24 bench-check bench-layers coverage fuzz-smoke verify-deep soak-fleetd scenario-conformance loc
 
-check: vet substrate staticcheck build test race determinism
+check: vet substrate audit staticcheck build test race determinism
 
 vet:
 	$(GO) vet ./...
+
+# The typed half of the dead-weight audit (audit_typed_test.go): go/types
+# over the whole tree, seconds rather than milliseconds, so it sits behind
+# a build tag and runs here instead of in `go test ./...`. The syntactic
+# half (audit_test.go) is tier-1.
+audit:
+	$(GO) test -tags audit -run TestTypedAudit -count=1 .
 
 # staticcheck is advisory locally (skipped when the binary is absent —
 # the repo must build with only the Go toolchain installed); CI's lint
@@ -42,11 +49,11 @@ staticcheck:
 # transition-hook closure, only the supervisor formats the remap line,
 # and the Poisson gap is drawn only inside internal/netsim
 # (FlowSim.OfferPoisson). Capacity renegotiation is a plain Bridge.Sync
-# call at that boundary, and links are stepped, never scheduled: no
-# zero-delay event anywhere, no sim import in fleetd/link.go, and a
-# sim.Engine named only by the event-driven flow simulator and what
-# co-simulates on it (internal/sim, netsim, diffcheck, experiments,
-# cmd/dcsweep, examples/datacenter). The MAC collector lives beside
+# call at that boundary, and nothing is scheduled — links, sessions and
+# flows are all stepped with the caller holding the clock: no sim import
+# in fleetd/link.go, no sim.Engine/NewEngine/Canceler identifier and no
+# .Schedule( or .After( call anywhere, no container/heap in internal/sim,
+# no BeginBatch/CommitBatch. The MAC collector lives beside
 # mac.Stats, so internal/telemetry declares no
 # MACStats/MACVCStats/MACCollector mirror. Flows are pointer-free slab
 # records addressed by handle: non-test internal/netsim names no
@@ -67,11 +74,9 @@ substrate:
 		done; \
 		$(SUBSTRATE_SRC) -exec grep -nE '\.FailedChannels\(|handled[A-Za-z]*[ :=]+(make\()?map\[' {} + ; \
 		$(SUBSTRATE_SRC) ! -path $(SUPERVISOR) -exec grep -nF 'SetTransitionHook(func' {} + ; \
-		$(SUBSTRATE_SRC) -exec grep -nF 'After(0' {} + ; \
 		grep -HnF '"mosaic/internal/sim"' internal/fleetd/link.go ; \
-		$(SUBSTRATE_SRC) ! -path 'internal/sim/*' ! -path 'internal/netsim/*' ! -path 'internal/diffcheck/*' \
-			! -path 'internal/experiments/*' ! -path cmd/dcsweep/main.go ! -path examples/datacenter/main.go \
-			-exec grep -nE 'sim\.(New)?Engine' {} + ; \
+		$(SUBSTRATE_SRC) -exec grep -nE '\bsim\.((New)?Engine|Canceler)\b|\.(Schedule|After)\(|\b(Begin|Commit)Batch\b' {} + ; \
+		grep -HnE '\b((New)?Engine|Canceler)\b|"container/heap"' internal/sim/*.go ; \
 		$(SUBSTRATE_SRC) -path 'internal/telemetry/*' -exec grep -nE '^type (MACStats|MACVCStats|MACCollector)\b' {} + ; \
 		$(SUBSTRATE_SRC) ! -path $(SUPERVISOR) -exec grep -nF '"sf=%d remap %v"' {} + ; \
 		$(SUBSTRATE_SRC) ! -path 'internal/netsim/*' -exec grep -nF '.NextGapSec(' {} + ; \
@@ -81,10 +86,10 @@ substrate:
 			[ "$$(grep -cF "$$pat" $(SUPERVISOR))" -eq 1 ] || echo "$(SUPERVISOR): want exactly one $$pat"; \
 		done; } ); \
 	if [ -n "$$bad" ]; then \
-		echo "substrate: FAIL — use internal/par for fan-out, internal/eventlog for log digests, faultinject.Supervisor for the superframe boundary, a plain Bridge.Sync after its sparing step for renegotiation, a step loop (not a sim.Engine) to drive a link, internal/mac for MAC metrics, slab handles and integer sort keys (not flow pointers) in internal/netsim:"; \
+		echo "substrate: FAIL — use internal/par for fan-out, internal/eventlog for log digests, faultinject.Supervisor for the superframe boundary, a plain Bridge.Sync after its sparing step for renegotiation, a step loop with the caller holding the clock (no scheduler: FlowSim.RunUntil, Session.Step, FleetSim.Step) to drive anything, internal/mac for MAC metrics, slab handles and integer sort keys (not flow pointers) in internal/netsim:"; \
 		echo "$$bad"; exit 1; \
 	fi; \
-	echo "substrate: OK — goroutines only in internal/par, sha256 only in internal/eventlog, sparing/hook/remap line only in the link supervisor, links stepped (no zero-delay event, sim.Engine only under the flow simulator), no MAC stats mirror in telemetry, netsim flows pointer-free"
+	echo "substrate: OK — goroutines only in internal/par, sha256 only in internal/eventlog, sparing/hook/remap line only in the link supervisor, nothing scheduled (no sim.Engine, no Schedule/After call, no batch mode), no MAC stats mirror in telemetry, netsim flows pointer-free"
 
 build:
 	$(GO) build ./...

@@ -510,10 +510,10 @@ func BenchmarkFleetSimEpochSteady(b *testing.B) {
 			}
 		}
 	}
-	epoch := func() int {
+	epoch := func() {
 		inject(512, 1e6)
 		fs.Step(1)
-		return len(fs.DrainRecords())
+		fs.DropRecords()
 	}
 	for i := 0; i < 20000; i += 10 {
 		inject(10, 1e18)
@@ -522,15 +522,16 @@ func BenchmarkFleetSimEpochSteady(b *testing.B) {
 		epoch()
 	}
 	base := fs.ActiveFlows()
+	doneBefore, _ := fs.FlowTotals()
 
 	b.ReportAllocs()
 	b.ResetTimer()
-	done := 0
 	for i := 0; i < b.N; i++ {
-		done += epoch()
+		epoch()
 	}
 	b.StopTimer()
-	if done < 500*b.N || fs.ActiveFlows() > base+512 {
+	doneAfter, _ := fs.FlowTotals()
+	if done := int(doneAfter - doneBefore); done < 500*b.N || fs.ActiveFlows() > base+512 {
 		b.Fatalf("not steady: %d completions in %d epochs, population %d -> %d", done, b.N, base, fs.ActiveFlows())
 	}
 }

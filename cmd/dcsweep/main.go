@@ -77,22 +77,20 @@ func runScenario(k int, rate, load float64, nflows int, seed int64, frac float64
 	if err != nil {
 		return netsim.FCTStats{}, err
 	}
-	eng := sim.NewEngine(seed)
-	fs := netsim.NewFlowSim(topo, eng)
+	fs := netsim.NewFlowSim(topo)
 	dist := workload.WebSearch()
 	arr := workload.NewPoissonForLoad(load, topo.NumHosts(), rate, dist.MeanBits())
-	rng := eng.RNG("workload")
+	rng := sim.RNG(seed, "workload")
 
 	fs.OfferPoisson(nflows, dist, arr, rng)
 	if frac >= 0 {
 		// Mid-run fault on an access link (no ECMP diversity there).
 		faultAt := sim.Time(0.15 * float64(nflows) / arr.RatePerSec)
 		victim := topo.LinksByTier()[netsim.TierHostToR][0]
-		eng.Schedule(faultAt, func() {
-			fs.SetLinkCapacityFraction(victim, frac)
-		})
+		fs.RunUntil(faultAt)
+		fs.SetLinkCapacityFraction(victim, frac)
 	}
-	eng.Run()
+	fs.Run()
 	return netsim.Stats(fs.Records()), nil
 }
 

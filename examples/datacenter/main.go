@@ -53,11 +53,10 @@ func run(frac float64) netsim.FCTStats {
 	if err != nil {
 		log.Fatal(err)
 	}
-	eng := sim.NewEngine(3)
-	fs := netsim.NewFlowSim(topo, eng)
+	fs := netsim.NewFlowSim(topo)
 	dist := workload.WebSearch()
 	arr := workload.NewPoissonForLoad(0.4, topo.NumHosts(), 800e9, dist.MeanBits())
-	rng := eng.RNG("flows")
+	rng := sim.RNG(3, "flows")
 
 	const nflows = 2000
 	fs.OfferPoisson(nflows, dist, arr, rng)
@@ -67,10 +66,9 @@ func run(frac float64) netsim.FCTStats {
 		// link-down has no ECMP to hide behind.
 		faultAt := sim.Time(0.15 * nflows / arr.RatePerSec)
 		victim := topo.LinksByTier()[netsim.TierHostToR][0]
-		eng.Schedule(faultAt, func() {
-			fs.SetLinkCapacityFraction(victim, frac)
-		})
+		fs.RunUntil(faultAt)
+		fs.SetLinkCapacityFraction(victim, frac)
 	}
-	eng.Run()
+	fs.Run()
 	return netsim.Stats(fs.Records())
 }

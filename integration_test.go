@@ -228,28 +228,27 @@ func TestEndToEndNetworkStory(t *testing.T) {
 		t.Fatalf("degenerate analysis: %+v", rep)
 	}
 
-	eng := sim.NewEngine(13)
-	fs := netsim.NewFlowSim(topo, eng)
+	fs := netsim.NewFlowSim(topo)
 	hosts := topo.Hosts()
 	dist := workload.WebSearch()
-	rng := eng.RNG("story")
+	rng := sim.RNG(13, "story")
+	victim := topo.LinksByTier()[netsim.TierToRAgg][3]
 	for i := 0; i < 500; i++ {
 		src := hosts[rng.Intn(len(hosts))]
 		dst := hosts[rng.Intn(len(hosts))]
 		for dst == src {
 			dst = hosts[rng.Intn(len(hosts))]
 		}
-		at := sim.Time(float64(i) * 1e-6)
-		eng.Schedule(at, func() {
-			if _, err := fs.StartFlow(src, dst, dist.SampleBits(rng), rng.Uint64()); err != nil {
-				t.Error(err)
-			}
-		})
+		fs.RunUntil(sim.Time(float64(i) * 1e-6))
+		if _, err := fs.StartFlow(src, dst, dist.SampleBits(rng), rng.Uint64()); err != nil {
+			t.Error(err)
+		}
+		if i == 250 {
+			// Degrade one fabric link Mosaic-style partway through.
+			fs.SetLinkCapacityFraction(victim, 0.96)
+		}
 	}
-	// Degrade one fabric link Mosaic-style partway through.
-	victim := topo.LinksByTier()[netsim.TierToRAgg][3]
-	eng.Schedule(250e-6, func() { fs.SetLinkCapacityFraction(victim, 0.96) })
-	eng.Run()
+	fs.Run()
 
 	st := netsim.Stats(fs.Records())
 	if st.Count != 500 || st.Stalled != 0 {

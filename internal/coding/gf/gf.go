@@ -161,14 +161,6 @@ func (f *Field) Pow(a, n int) int {
 	return int(f.exp[e])
 }
 
-// Log returns log_alpha(a). It panics if a is zero.
-func (f *Field) Log(a int) int {
-	if a == 0 {
-		panic("gf: log of zero")
-	}
-	return int(f.log[a])
-}
-
 // PolyEval evaluates the polynomial p (p[i] = coefficient of x^i) at x
 // using Horner's rule.
 func (f *Field) PolyEval(p []int, x int) int {

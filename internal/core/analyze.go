@@ -173,16 +173,6 @@ func (d Design) Reliability(years float64) (effective reliability.FIT, survival 
 		sys.SurvivalProb(hours)
 }
 
-// Availability returns steady-state availability with channel repair at
-// the given MTTR (hours). Repair here means replacing the cable/module.
-func (d Design) Availability(mttrHours float64) (float64, error) {
-	r := reliability.RepairableSystem{
-		SparedSystem: reliability.MosaicSystem(d.DataChannels(), d.Spares),
-		MTTRHours:    mttrHours,
-	}
-	return r.Availability()
-}
-
 // BuildPHY instantiates the bit-true PHY link with per-channel BERs drawn
 // from the analog evaluation (same seed => same channel population). Only
 // Dead/BER feed the PHY, so the margin-free evaluation suffices — the

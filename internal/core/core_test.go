@@ -10,6 +10,7 @@ import (
 	"mosaic/internal/fiber"
 	"mosaic/internal/phy"
 	"mosaic/internal/power"
+	"mosaic/internal/reliability"
 )
 
 func TestDefaultDesignValid(t *testing.T) {
@@ -188,15 +189,22 @@ func TestReliabilityHeadline(t *testing.T) {
 }
 
 func TestAvailability(t *testing.T) {
+	// Steady-state availability with channel repair (replacing the
+	// cable/module) at a 24 h MTTR.
 	d := Design800G()
-	a, err := d.Availability(24)
+	r := reliability.RepairableSystem{
+		SparedSystem: reliability.MosaicSystem(d.DataChannels(), d.Spares),
+		MTTRHours:    24,
+	}
+	a, err := r.Availability()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a < 0.9999999 {
 		t.Errorf("availability = %v", a)
 	}
-	if _, err := d.Availability(0); err == nil {
+	r.MTTRHours = 0
+	if _, err := r.Availability(); err == nil {
 		t.Error("zero MTTR accepted")
 	}
 }

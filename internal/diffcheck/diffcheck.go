@@ -119,9 +119,6 @@ type Report struct {
 	Diverged   int           `json:"diverged"`
 }
 
-// OK reports whether the run found no divergence.
-func (r Report) OK() bool { return r.Diverged == 0 }
-
 // First returns the first divergence in pipeline-stage order, or nil.
 func (r Report) First() *Divergence {
 	for i := range r.Stages {

@@ -11,7 +11,7 @@ import (
 // on every `go test ./...` without the cost of the deep run.
 func TestDiffQuick(t *testing.T) {
 	rep := Run(Options{Seed: 1, Cases: 4, Size: 4, Workers: []int{1, 2}})
-	if !rep.OK() {
+	if rep.Diverged != 0 {
 		t.Fatalf("differential smoke diverged: %s", rep.First())
 	}
 	if rep.TotalCases == 0 {
@@ -47,7 +47,7 @@ func TestDiffDeep(t *testing.T) {
 	rep := Run(Options{Seed: seed, Cases: cases, Workers: []int{1, 2, 0}})
 	t.Logf("deep differential run: %d cases across %d stages, %d divergences",
 		rep.TotalCases, len(rep.Stages), rep.Diverged)
-	if rep.OK() {
+	if rep.Diverged == 0 {
 		return
 	}
 	if out := os.Getenv("MOSAIC_DIFF_OUT"); out != "" {

@@ -11,8 +11,8 @@ import (
 
 // diffFlowSimInc drives the incremental flow engine (FlowSim: per-link
 // flow indices, dirty-set component waterfill, completion heap) through a
-// randomized trace of arrivals, link kills/restores, capacity fractions,
-// batched bursts, and time advances, and after every mutation compares
+// randomized trace of arrivals, link kills/restores, capacity fractions
+// and time advances, and after every mutation compares
 // every active flow's rate bit-for-bit against refmodel.MaxMinRates — the
 // always-global progressive-filling twin. Exact equality (not epsilon) is
 // the contract: the component-restricted waterfill performs the same
@@ -41,11 +41,9 @@ func diffFlowSimInc(seed int64, caseIdx, size, workers int) string {
 		return ""
 	}
 
-	eng := sim.NewEngine(caseSeed(seed, caseIdx))
-	fs := netsim.NewFlowSim(topo, eng)
+	fs := netsim.NewFlowSim(topo)
 
 	steps := 6 * size
-	inBatch := false
 	for s := 0; s < steps; s++ {
 		switch op := rng.Intn(100); {
 		case op < 45: // arrival, sometimes weighted
@@ -60,35 +58,16 @@ func diffFlowSimInc(seed int64, caseIdx, size, workers int) string {
 			}
 			_, _ = fs.StartFlowWeighted(src, dst, (0.1+rng.Float64())*1e9, rng.Uint64(), w)
 		case op < 60: // advance time, let completions fire
-			if !inBatch {
-				eng.RunUntil(eng.Now() + sim.Time(rng.Float64()*0.02))
-			}
+			fs.RunUntil(fs.Now() + sim.Time(rng.Float64()*0.02))
 		case op < 72: // kill a link
 			fs.FailLink(rng.Intn(len(topo.Links)))
 		case op < 84: // restore a link
 			fs.RestoreLink(rng.Intn(len(topo.Links)))
-		case op < 94: // degrade a link
+		default: // degrade a link
 			fs.SetLinkCapacityFraction(rng.Intn(len(topo.Links)), rng.Float64())
-		default: // toggle batch mode (burst application)
-			if inBatch {
-				fs.CommitBatch()
-				inBatch = false
-			} else {
-				fs.BeginBatch()
-				inBatch = true
-			}
-		}
-		if inBatch {
-			continue // rates are intentionally stale inside a batch
 		}
 		if detail := compareIncToRef(fs); detail != "" {
 			return fmt.Sprintf("step %d: %s", s, detail)
-		}
-	}
-	if inBatch {
-		fs.CommitBatch()
-		if detail := compareIncToRef(fs); detail != "" {
-			return fmt.Sprintf("final commit: %s", detail)
 		}
 	}
 	return ""

@@ -41,9 +41,6 @@ func (l *Log) Addf(format string, args ...any) {
 // log: callers that outlive the next Addf or Reset must copy it.
 func (l *Log) Lines() []string { return l.lines }
 
-// Len is the number of retained lines.
-func (l *Log) Len() int { return len(l.lines) }
-
 // Dropped is the number of lines refused since the log hit its cap.
 func (l *Log) Dropped() uint64 { return l.dropped }
 
@@ -53,9 +50,6 @@ func (l *Log) Reset() {
 	l.lines = l.lines[:0]
 	l.dropped = 0
 }
-
-// Digest hashes the log; see the package-level Digest.
-func (l *Log) Digest(trailer ...string) string { return Digest(l.lines, trailer...) }
 
 // Digest is the golden-sha construction every determinism witness uses:
 // hex of the first 8 bytes of sha256 over the "\n"-joined lines, each

@@ -32,14 +32,14 @@ func TestDigestMatchesLegacyExpressions(t *testing.T) {
 				l.Addf("%s", line)
 			}
 			bare := sha256.Sum256([]byte(strings.Join(tc.lines, "\n")))
-			if got, want := l.Digest(), fmt.Sprintf("%x", bare[:8]); got != want {
+			if got, want := Digest(l.Lines()), fmt.Sprintf("%x", bare[:8]); got != want {
 				t.Errorf("Digest() = %s, legacy expression gives %s", got, want)
 			}
 			trailed := sha256.Sum256([]byte(strings.Join(tc.lines, "\n") + "\n" + summary))
-			if got, want := l.Digest(summary), fmt.Sprintf("%x", trailed[:8]); got != want {
+			if got, want := Digest(l.Lines(), summary), fmt.Sprintf("%x", trailed[:8]); got != want {
 				t.Errorf("Digest(summary) = %s, legacy expression gives %s", got, want)
 			}
-			if l.Digest(summary) != Digest(tc.lines, summary) {
+			if Digest(l.Lines(), summary) != Digest(tc.lines, summary) {
 				t.Error("method and package-level Digest disagree")
 			}
 		})
@@ -51,19 +51,19 @@ func TestCapCountsDrops(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		l.Addf("line %d", i)
 	}
-	if l.Len() != 3 || l.Dropped() != 2 {
-		t.Fatalf("Len=%d Dropped=%d, want 3 and 2", l.Len(), l.Dropped())
+	if len(l.Lines()) != 3 || l.Dropped() != 2 {
+		t.Fatalf("Len=%d Dropped=%d, want 3 and 2", len(l.Lines()), l.Dropped())
 	}
 	if got := strings.Join(l.Lines(), "|"); got != "line 0|line 1|line 2" {
 		t.Errorf("retained %q: the cap must keep the oldest lines", got)
 	}
 
 	l.Reset()
-	if l.Len() != 0 || l.Dropped() != 0 {
-		t.Fatalf("after Reset: Len=%d Dropped=%d", l.Len(), l.Dropped())
+	if len(l.Lines()) != 0 || l.Dropped() != 0 {
+		t.Fatalf("after Reset: Len=%d Dropped=%d", len(l.Lines()), l.Dropped())
 	}
 	l.Addf("again")
-	if l.Len() != 1 || l.Lines()[0] != "again" {
+	if len(l.Lines()) != 1 || l.Lines()[0] != "again" {
 		t.Errorf("after Reset+Addf: %q", l.Lines())
 	}
 }
@@ -74,8 +74,8 @@ func TestZeroAndNonPositiveMaxUseDefault(t *testing.T) {
 		for i := 0; i < DefaultMax+2; i++ {
 			l.Addf("x")
 		}
-		if l.Len() != DefaultMax || l.Dropped() != 2 {
-			t.Errorf("Len=%d Dropped=%d, want %d and 2", l.Len(), l.Dropped(), DefaultMax)
+		if len(l.Lines()) != DefaultMax || l.Dropped() != 2 {
+			t.Errorf("Len=%d Dropped=%d, want %d and 2", len(l.Lines()), l.Dropped(), DefaultMax)
 		}
 	}
 }

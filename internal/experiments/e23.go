@@ -106,19 +106,19 @@ func e23WithWorkers(seed int64, workers int) (Table, error) {
 
 // runE23Scenario runs one scenario: the shared fat-tree workload plus,
 // for the MAC modes, a live Mosaic session whose forward link is the
-// access victim. The session is stepped from the flow engine, one
-// superframe per interval, so its boundaries interleave with the flow
-// events; capacity changes reach the flow sim only via the bridge.
+// access victim. The flow simulator is advanced to each superframe
+// boundary and the session stepped there, one superframe per interval,
+// so its boundaries interleave with the flow events; capacity changes
+// reach the flow sim only via the bridge.
 func runE23Scenario(seed int64, workers int, mode e23Mode) (netsim.FCTStats, *mac.Result, []netsim.FlowRecord, error) {
 	topo, err := netsim.NewFatTree(8, 800e9)
 	if err != nil {
 		return netsim.FCTStats{}, nil, nil, err
 	}
-	eng := sim.NewEngine(seed)
-	fs := netsim.NewFlowSim(topo, eng)
+	fs := netsim.NewFlowSim(topo)
 	dist := workload.WebSearch()
 	arr := workload.NewPoissonForLoad(0.4, topo.NumHosts(), 800e9, dist.MeanBits())
-	rng := eng.RNG("workload")
+	rng := sim.RNG(seed, "workload")
 
 	const nflows = 3000
 	unroutable := fs.OfferPoisson(nflows, dist, arr, rng)
@@ -131,7 +131,8 @@ func runE23Scenario(seed int64, workers int, mode e23Mode) (netsim.FCTStats, *ma
 	var sess *mac.Session
 	switch mode {
 	case e23Down:
-		eng.Schedule(25*interval, func() { fs.FailLink(victim) })
+		fs.RunUntil(25 * interval)
+		fs.FailLink(victim)
 	case e23Clean, e23Aging:
 		var sched faultinject.Schedule
 		if mode == e23Aging {
@@ -167,16 +168,15 @@ func runE23Scenario(seed int64, workers int, mode e23Mode) (netsim.FCTStats, *ma
 		if err != nil {
 			return netsim.FCTStats{}, nil, nil, err
 		}
-		var step func()
-		step = func() {
-			if sess.Step() {
-				eng.After(interval, step)
+		for t := interval; ; t += interval {
+			fs.RunUntil(t)
+			if !sess.Step() {
+				break
 			}
 		}
-		eng.After(interval, step)
 	}
 
-	eng.Run()
+	fs.Run()
 	recs := fs.Records()
 	st := netsim.Stats(recs)
 	st.Stalled += *unroutable

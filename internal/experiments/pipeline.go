@@ -188,22 +188,21 @@ func runFaultScenario(seed int64, tier netsim.Tier, mode faultMode) (netsim.FCTS
 	if err != nil {
 		return netsim.FCTStats{}, err
 	}
-	eng := sim.NewEngine(seed)
-	fs := netsim.NewFlowSim(topo, eng)
+	fs := netsim.NewFlowSim(topo)
 	dist := workload.WebSearch()
 	arr := workload.NewPoissonForLoad(0.4, topo.NumHosts(), 800e9, dist.MeanBits())
-	rng := eng.RNG("workload")
+	rng := sim.RNG(seed, "workload")
 
 	// Inject 3000 flows with Poisson arrivals.
 	const nflows = 3000
 	unroutable := fs.OfferPoisson(nflows, dist, arr, rng)
 
 	if mode != faultNone {
-		faultAt := sim.Time(0.15 * nflows / arr.RatePerSec)
 		victim := topo.LinksByTier()[tier][0]
+		fs.RunUntil(sim.Time(0.15 * nflows / arr.RatePerSec))
 		switch mode {
 		case faultLinkDown:
-			eng.Schedule(faultAt, func() { fs.FailLink(victim) })
+			fs.FailLink(victim)
 		case faultMosaicBridge:
 			// A Mosaic endpoint on the victim link: 100 lanes plus 4
 			// spares, bridged into the flow sim. Killing 8 channels
@@ -222,15 +221,13 @@ func runFaultScenario(seed int64, tier netsim.Tier, mode faultMode) (netsim.FCTS
 				return netsim.FCTStats{}, err
 			}
 			bridge := mac.NewBridge(link, fs, victim)
-			eng.Schedule(faultAt, func() {
-				for ch := 0; ch < 8; ch++ {
-					link.FailChannel(ch)
-				}
-				bridge.Sync()
-			})
+			for ch := 0; ch < 8; ch++ {
+				link.FailChannel(ch)
+			}
+			bridge.Sync()
 		}
 	}
-	eng.Run()
+	fs.Run()
 	st := netsim.Stats(fs.Records())
 	st.Stalled += *unroutable
 	return st, nil

@@ -22,15 +22,17 @@ type SurvivalConfig struct {
 	Superframes int
 	Trials      int
 	Seed        int64
-
-	// Traffic per superframe; the defaults (8 x 120 B) give every lane of
-	// a <=20-lane link at least one stripe unit per superframe, which the
-	// monitor needs to detect a dead channel. Zero values take defaults.
-	FramesPerSF int
-	FrameLen    int
-	UnitLen     int // stripe unit; default 63 (small, so thin traffic covers all lanes)
 	Workers     int // phy worker cap; results are identical at any value
 }
+
+// The study's traffic: 8 x 120 B per superframe over 63-byte stripe units
+// gives every lane of a <=20-lane link at least one unit per superframe,
+// which the monitor needs to detect a dead channel.
+const (
+	survivalFramesPerSF = 8
+	survivalFrameLen    = 120
+	survivalUnitLen     = 63
+)
 
 // SurvivalResult compares the pipeline-measured survival fraction with
 // the closed-form binomial k-of-n prediction.
@@ -79,18 +81,6 @@ func SurvivalStudy(cfg SurvivalConfig) (SurvivalResult, error) {
 	if cfg.HazardPerSF <= 0 || cfg.HazardPerSF >= 1 || cfg.Superframes <= 0 {
 		return SurvivalResult{}, errors.New("faultinject: need 0 < hazard < 1 and superframes > 0")
 	}
-	framesPerSF := cfg.FramesPerSF
-	if framesPerSF == 0 {
-		framesPerSF = 8
-	}
-	frameLen := cfg.FrameLen
-	if frameLen == 0 {
-		frameLen = 120
-	}
-	unitLen := cfg.UnitLen
-	if unitLen == 0 {
-		unitLen = 63
-	}
 
 	res := SurvivalResult{Trials: cfg.Trials, MeanFirstDrop: -1}
 	var remaps, firstDropSum int
@@ -100,7 +90,7 @@ func SurvivalStudy(cfg SurvivalConfig) (SurvivalResult, error) {
 			Lanes:             cfg.Lanes,
 			Spares:            cfg.Spares,
 			FEC:               phy.NoFEC{},
-			UnitLen:           unitLen,
+			UnitLen:           survivalUnitLen,
 			PerChannelBitRate: 2e9,
 			Seed:              trialSeed,
 			Workers:           cfg.Workers,
@@ -118,8 +108,8 @@ func SurvivalStudy(cfg SurvivalConfig) (SurvivalResult, error) {
 			Link:        link,
 			Schedule:    sched,
 			Superframes: cfg.Superframes + cfg.Spares + 2,
-			FramesPerSF: framesPerSF,
-			FrameLen:    frameLen,
+			FramesPerSF: survivalFramesPerSF,
+			FrameLen:    survivalFrameLen,
 			Seed:        trialSeed + 2,
 			MaxLog:      1, // counters only; the logs of 100s of trials are noise
 		})

@@ -278,43 +278,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	results := make([]outcome, 0, len(ops))
 	for _, op := range ops {
-		var out outcome
-		switch op.Action {
-		case "create":
-			n := op.Count
-			if n <= 0 {
-				n = 1
-			}
-			ids, err := s.fleet.Create(n, op.Design)
-			out.IDs = ids
-			out.OK = err == nil
-			if err != nil {
-				out.Error = err.Error()
-			}
-		case "degrade":
-			k := op.Kill
-			if k <= 0 {
-				k = 1
-			}
-			err := s.fleet.Degrade(op.Link, k)
-			out.OK = err == nil
-			if err != nil {
-				out.Error = err.Error()
-			}
-		case "renegotiate":
-			err := s.fleet.Renegotiate(op.Link)
-			out.OK = err == nil
-			if err != nil {
-				out.Error = err.Error()
-			}
-		case "retire":
-			err := s.fleet.Retire(op.Link)
-			out.OK = err == nil
-			if err != nil {
-				out.Error = err.Error()
-			}
-		default:
-			out.Error = "unknown action " + op.Action
+		ids, err := s.fleet.Apply(op)
+		out := outcome{OK: err == nil, IDs: ids}
+		if err != nil {
+			out.Error = err.Error()
 		}
 		results = append(results, out)
 	}

@@ -56,9 +56,6 @@ type Fleet struct {
 	hosts         []int
 	flowRNG       *rand.Rand
 	flowsInjected uint64
-	// Running totals of the background flows' outcomes, drained from fsim
-	// at every barrier so that it retains no record past the epoch.
-	flowsCompleted, flowsStalled uint64
 
 	retired    map[int]LinkInfo
 	retiredIDs []int // admission order, for pruning
@@ -427,13 +424,7 @@ func (f *Fleet) stepLocked() {
 		}
 	}
 	f.fsim.Step(epochSimLen)
-	for _, r := range f.fsim.DrainRecords() {
-		if r.Stalled {
-			f.flowsStalled++
-		} else {
-			f.flowsCompleted++
-		}
-	}
+	f.fsim.DropRecords() // the snapshot reads the simulator's totals; nothing reads a record
 
 	// Epoch summary line: the fleet-level determinism witness.
 	counts := f.stateCountsLocked()
@@ -488,6 +479,7 @@ func (f *Fleet) publishSnapshot(overloaded bool) {
 	for s, n := range counts {
 		states[State(s).String()] = n
 	}
+	completed, stalled := f.fsim.FlowTotals()
 	f.snap.Store(&Snapshot{
 		Epoch:        f.epoch,
 		States:       states,
@@ -501,8 +493,8 @@ func (f *Fleet) publishSnapshot(overloaded bool) {
 		ScrapeBudget: f.cfg.Budgets.ScrapePerEpoch,
 		LogDropped:   f.log.Dropped(),
 
-		FlowsCompleted: f.flowsCompleted,
-		FlowsStalled:   f.flowsStalled,
+		FlowsCompleted: completed,
+		FlowsStalled:   stalled,
 	})
 }
 

@@ -397,9 +397,10 @@ func TestEventLogCapIsVisible(t *testing.T) {
 }
 
 // TestFlowRecordsDrainedEveryEpoch: the daemon's flow simulator must not
-// keep a record per background flow forever. Every barrier drains it into
-// the running totals, so after 5,000 epochs at 16 flows per epoch there
-// is nothing left to drain and the totals account for every flow.
+// keep a record per background flow forever. Every barrier drops its
+// records (the simulator keeps the running totals itself), so after 5,000
+// epochs at 16 flows per epoch nothing is retained and the totals account
+// for every flow.
 // (1024 host links make 32 pods: enough core capacity that the offered
 // load is sustainable and the active set stays small, as in the soak;
 // testConfig's two pods are overloaded 2:1 by it.)
@@ -415,7 +416,7 @@ func TestFlowRecordsDrainedEveryEpoch(t *testing.T) {
 	for e := 0; e < 5000; e++ {
 		f.Step()
 	}
-	if n := len(f.fsim.DrainRecords()); n != 0 {
+	if n := len(f.fsim.Records()); n != 0 {
 		t.Fatalf("the flow simulator retained %d records past the barrier", n)
 	}
 	snap := f.Snapshot()

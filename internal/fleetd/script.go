@@ -38,75 +38,60 @@ func DecodeScript(r io.Reader) (Script, error) {
 	return s, nil
 }
 
-// Apply executes one op against the fleet. Shed admissions and
-// lifecycle conflicts are not errors at the script level — they are
-// recorded in the event log exactly as the API would record them — so
-// only a malformed op fails the replay.
-func (f *Fleet) Apply(op Op) error {
+// Apply executes one link op against the fleet and returns its raw
+// outcome: the IDs a create admitted and the error the operation
+// returned. It is the one action switch — the batch endpoint renders the
+// outcome per op, Run decides which errors fail a replay.
+func (f *Fleet) Apply(op Op) ([]int, error) {
 	switch op.Action {
 	case "create":
-		n := op.Count
-		if n <= 0 {
-			n = 1
-		}
-		if _, err := f.Create(n, op.Design); err != nil {
-			var shed *ShedError
-			if !errors.As(err, &shed) {
-				return err
-			}
-		}
+		return f.Create(max(op.Count, 1), op.Design)
 	case "degrade":
-		k := op.Kill
-		if k <= 0 {
-			k = 1
-		}
-		if err := f.Degrade(op.Link, k); err != nil && !isLifecycleErr(err) {
-			return err
-		}
+		return nil, f.Degrade(op.Link, max(op.Kill, 1))
 	case "renegotiate":
-		if err := f.Renegotiate(op.Link); err != nil && !isLifecycleErr(err) {
-			return err
-		}
+		return nil, f.Renegotiate(op.Link)
 	case "retire":
-		if err := f.Retire(op.Link); err != nil && !isLifecycleErr(err) {
-			return err
-		}
-	case "reload-budgets":
-		if op.Budgets == nil {
-			return fmt.Errorf("fleetd: reload-budgets op needs budgets")
-		}
-		f.mu.Lock()
-		cfg := f.cfg
-		f.mu.Unlock()
-		cfg.Budgets = *op.Budgets
-		if err := f.Reload(cfg); err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("fleetd: unknown script action %q", op.Action)
+		return nil, f.Retire(op.Link)
 	}
-	return nil
+	return nil, errors.New("unknown action " + op.Action)
 }
 
 // Run replays a script over the given number of epochs: at each epoch
-// boundary the due ops apply in order, then the fleet steps once.
+// boundary the due ops apply in order, then the fleet steps once. Shed
+// admissions and lifecycle refusals (illegal edge, unknown link) are not
+// errors at the script level — they are recorded in the event log exactly
+// as the API would record them — so only a malformed op fails the replay.
+// reload-budgets exists only here: over HTTP a reload has its own
+// endpoint.
 func (f *Fleet) Run(script Script, epochs int) error {
 	next := 0
 	for e := 0; e < epochs; e++ {
-		for next < len(script) && script[next].Epoch <= e {
-			if err := f.Apply(script[next]); err != nil {
+		for ; next < len(script) && script[next].Epoch <= e; next++ {
+			op := script[next]
+			var err error
+			if op.Action == "reload-budgets" {
+				err = f.reloadBudgets(op.Budgets)
+			} else {
+				_, err = f.Apply(op)
+			}
+			var shed *ShedError
+			var te *TransitionError
+			if err != nil && !errors.As(err, &shed) && !errors.Is(err, ErrUnknownLink) && !errors.As(err, &te) {
 				return fmt.Errorf("op %d (epoch %d): %w", next, e, err)
 			}
-			next++
 		}
 		f.Step()
 	}
 	return nil
 }
 
-// isLifecycleErr reports whether the error is an expected runtime
-// refusal (illegal edge or unknown link) rather than a malformed op.
-func isLifecycleErr(err error) bool {
-	var te *TransitionError
-	return errors.Is(err, ErrUnknownLink) || errors.As(err, &te)
+func (f *Fleet) reloadBudgets(b *Budgets) error {
+	if b == nil {
+		return errors.New("fleetd: reload-budgets op needs budgets")
+	}
+	f.mu.Lock()
+	cfg := f.cfg
+	f.mu.Unlock()
+	cfg.Budgets = *b
+	return f.Reload(cfg)
 }

@@ -44,8 +44,8 @@ func TestLifecycleLegalEdges(t *testing.T) {
 		if ml.state != e.to {
 			t.Errorf("transition %s -> %s left state %s", e.from, e.to, ml.state)
 		}
-		if ml.events.Len() != 1 {
-			t.Errorf("transition %s -> %s logged %d events, want 1", e.from, e.to, ml.events.Len())
+		if len(ml.events.Lines()) != 1 {
+			t.Errorf("transition %s -> %s logged %d events, want 1", e.from, e.to, len(ml.events.Lines()))
 		}
 	}
 }
@@ -80,7 +80,7 @@ func TestLifecycleIllegalEdges(t *testing.T) {
 			if ml.state != from {
 				t.Errorf("rejected transition %s -> %s moved state to %s", from, to, ml.state)
 			}
-			if ml.events.Len() != 0 {
+			if len(ml.events.Lines()) != 0 {
 				t.Errorf("rejected transition %s -> %s logged events", from, to)
 			}
 		}

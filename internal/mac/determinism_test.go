@@ -93,21 +93,15 @@ func TestSessionDeterminismAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-// A co-simulation (E23) steps the session from its own event engine, one
-// Step per Interval; that must be the same session Run produces — the
-// same log bytes, "renegotiate t=" labels included (the session's clock
-// and the engine's accumulate the same sums), and the same Result.
+// A co-simulation (E23) steps the session itself, one Step per Interval
+// between advances of its flow simulator; that must be the same session
+// Run produces — the same log bytes, "renegotiate t=" labels included
+// (they come from the session's own clock, whoever calls Step), and the
+// same Result.
 func TestSessionStepEqualsRun(t *testing.T) {
-	fromEngine := func(s *Session) *Result {
-		eng := sim.NewEngine(1)
-		var step func()
-		step = func() {
-			if s.Step() {
-				eng.After(goldenInterval, step)
-			}
+	byHand := func(s *Session) *Result {
+		for s.Step() {
 		}
-		eng.After(goldenInterval, step)
-		eng.Run()
 		if s.Step() {
 			t.Error("Step after the last superframe reported more work")
 		}
@@ -115,7 +109,7 @@ func TestSessionStepEqualsRun(t *testing.T) {
 	}
 	for _, w := range []int{1, runtime.GOMAXPROCS(0)} {
 		t.Run(fmt.Sprintf("workers=%d", w), func(t *testing.T) {
-			stepSHA, stepped, _ := driveGoldenSession(t, w, nil, fromEngine)
+			stepSHA, stepped, _ := driveGoldenSession(t, w, nil, byHand)
 			runSHA, ran, _ := runGoldenSession(t, w, nil)
 			if stepSHA != runSHA || stepSHA != goldenSessionSHA {
 				t.Errorf("stepped sha %s, Run sha %s, golden %s", stepSHA, runSHA, goldenSessionSHA)

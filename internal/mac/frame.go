@@ -94,14 +94,6 @@ type Frame struct {
 	Payload []byte
 }
 
-// Version returns the frame header version (1 or 2) encoded in flags.
-func (f Frame) Version() int {
-	if f.Flags&FlagV2 != 0 {
-		return 2
-	}
-	return 1
-}
-
 // AppendFrame appends one encoded v1 MAC frame to dst and returns the
 // extended slice. It never allocates when dst has capacity. The payload
 // must be shorter than 65536 bytes (the length field is u16).

@@ -42,7 +42,7 @@ func FuzzMACDeframe(f *testing.F) {
 			// must reproduce a byte range of the input exactly — the
 			// deframer never invents frames.
 			var enc []byte
-			if fr.Version() == 2 {
+			if fr.Flags&FlagV2 != 0 {
 				enc = AppendFrameVC(nil, fr.Flags, fr.VC, fr.Seq, fr.Ack, fr.Payload)
 			} else {
 				if fr.VC != 0 {
@@ -80,7 +80,7 @@ func FuzzMACDeframe(f *testing.F) {
 		// resync skips, and one consumed magic byte per reject event.
 		var framed uint64
 		for _, fr := range frames1 {
-			if fr.Version() == 2 {
+			if fr.Flags&FlagV2 != 0 {
 				framed += uint64(len(fr.Payload)) + OverheadV2
 			} else {
 				framed += uint64(len(fr.Payload)) + Overhead

@@ -27,8 +27,9 @@ const DefaultPHYFrameLen = 243
 // links. Tick moves one superframe in each direction: A's payload is
 // chunked into PHY frames, pushed through fwd, and the surviving chunks
 // are deframed by B (and symmetrically B over rev to A). Chunk slices
-// are headers into the payload buffer, so a tick allocates nothing on
-// the MAC side.
+// are headers into the payload buffer and each direction's delivered
+// frames land in its own recycled phy.ExchangeBuf (Accept copies what it
+// keeps), so a warmed tick allocates nothing.
 type Pair struct {
 	A, B     *Endpoint
 	fwd, rev *phy.Link
@@ -36,8 +37,10 @@ type Pair struct {
 	phyFrameLen int
 	chunksF     [][]byte
 	chunksR     [][]byte
+	bufF, bufR  phy.ExchangeBuf
 
-	// FwdStats/RevStats hold the PHY ExchangeStats of the latest Tick.
+	// FwdStats/RevStats hold the PHY ExchangeStats of the latest Tick;
+	// their PerChannel maps are recycled by the next one.
 	FwdStats, RevStats phy.ExchangeStats
 }
 
@@ -96,7 +99,7 @@ func chunk(payload []byte, size int, dst [][]byte) [][]byte {
 // Tick runs one superframe in both directions.
 func (p *Pair) Tick() error {
 	p.chunksF = chunk(p.A.BuildSuperframe(), p.phyFrameLen, p.chunksF)
-	delivered, st, err := p.fwd.Exchange(p.chunksF)
+	delivered, st, err := p.fwd.ExchangeInto(&p.bufF, p.chunksF)
 	if err != nil {
 		return fmt.Errorf("mac: forward exchange: %w", err)
 	}
@@ -104,7 +107,7 @@ func (p *Pair) Tick() error {
 	p.B.Accept(delivered)
 
 	p.chunksR = chunk(p.B.BuildSuperframe(), p.phyFrameLen, p.chunksR)
-	delivered, st, err = p.rev.Exchange(p.chunksR)
+	delivered, st, err = p.rev.ExchangeInto(&p.bufR, p.chunksR)
 	if err != nil {
 		return fmt.Errorf("mac: reverse exchange: %w", err)
 	}

@@ -122,3 +122,54 @@ func TestPairRoundsBudgetToPHYFrames(t *testing.T) {
 		t.Fatalf("budget = %d, want 300 (rounded to PHY frames)", got)
 	}
 }
+
+// A warmed Tick allocates nothing, PHY side included: the delivered
+// chunks live in the pair's recycled phy.ExchangeBuf until Accept has
+// copied them. This is every fleetd link tick and every session
+// superframe.
+func TestPairTickSteadyStateAllocs(t *testing.T) {
+	for _, arq := range []ARQKind{ARQGoBackN, ARQSelectiveRepeat} {
+		t.Run(string(arq), func(t *testing.T) {
+			var links [2]*phy.Link
+			for i := range links {
+				cfg := phy.DefaultConfig() // the 100-lane link
+				cfg.Seed = int64(7 + i)
+				link, err := phy.New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				links[i] = link
+			}
+			delivered := 0
+			pair, err := NewPair(links[0], links[1], PairConfig{
+				Endpoint: Config{Window: 64, RetxTimeout: 2, MaxPayload: 1500, PayloadBudget: 8 * (1500 + Overhead), ARQ: arq},
+			}, nil, func([]byte) { delivered++ })
+			if err != nil {
+				t.Fatal(err)
+			}
+			payload := make([]byte, 1500)
+			tick := func() {
+				for k := 0; k < 8; k++ {
+					if err := pair.A.Send(payload); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := pair.Tick(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// Warm past two window rotations: the SR engine grows its
+			// per-slot pools lazily.
+			for i := 0; i < 32; i++ {
+				tick()
+			}
+			delivered = 0
+			if allocs := testing.AllocsPerRun(50, tick); allocs != 0 {
+				t.Errorf("a warmed Tick allocates %.1f times, want 0", allocs)
+			}
+			if delivered != 51*8 {
+				t.Errorf("delivered %d packets over 51 ticks, want %d", delivered, 51*8)
+			}
+		})
+	}
+}

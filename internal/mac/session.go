@@ -49,9 +49,6 @@ type SessionConfig struct {
 	// pushed at tick boundaries. Write-only: enabling it cannot change
 	// the event log.
 	Metrics *telemetry.Registry
-
-	// MaxLog caps the event log (0 = eventlog.DefaultMax).
-	MaxLog int
 }
 
 // Session is an in-flight MAC run, stepped one superframe at a time:
@@ -141,7 +138,7 @@ func NewSession(cfg SessionConfig) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Session{cfg: cfg, pair: pair, log: eventlog.Log{Max: cfg.MaxLog}}
+	s := &Session{cfg: cfg, pair: pair}
 
 	// Fixed client traffic, regenerated from the seed (the same packets
 	// every tick, like the soak harness). The pool covers the steady

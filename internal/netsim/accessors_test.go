@@ -2,8 +2,6 @@ package netsim
 
 import (
 	"testing"
-
-	"mosaic/internal/sim"
 )
 
 func TestLinksByTier(t *testing.T) {
@@ -34,20 +32,19 @@ func TestNeighbors(t *testing.T) {
 
 func TestActiveFlows(t *testing.T) {
 	topo := mustTree(t, 4)
-	eng := sim.NewEngine(1)
-	fs := NewFlowSim(topo, eng)
+	fs := NewFlowSim(topo)
 	h := topo.Hosts()
-	if fs.ActiveFlows() != 0 {
+	if fs.active != 0 {
 		t.Error("fresh sim has flows")
 	}
 	if _, err := fs.StartFlow(h[0], h[1], 1e9, 0); err != nil {
 		t.Fatal(err)
 	}
-	if fs.ActiveFlows() != 1 {
-		t.Errorf("active = %d", fs.ActiveFlows())
+	if fs.active != 1 {
+		t.Errorf("active = %d", fs.active)
 	}
-	eng.Run()
-	if fs.ActiveFlows() != 0 {
+	fs.Run()
+	if fs.active != 0 {
 		t.Error("flows remain after completion")
 	}
 }

@@ -7,34 +7,45 @@ import (
 	"mosaic/internal/sim"
 )
 
-// OfferPoisson drives n open-loop arrivals into fs from time 0: each one
-// picks a uniform src != dst host pair, a size from dist and an ECMP hash
-// from rng, starts the flow, then draws the gap to its successor from
-// arr. One arrival is scheduled at a time, so rng's draw order is the
-// arrival order and interleaves deterministically with whatever else the
-// engine runs. The returned counter is the number of arrivals that found
-// no live route (an endpoint stranded by a dead access link); it is
-// final once the engine has drained.
+// poissonSource is a simulator's open-loop source as plain data: how many
+// arrivals are left, when the next is due, and what draws it.
+type poissonSource struct {
+	left       int
+	at         sim.Time
+	dist       workload.SizeDist
+	arr        workload.PoissonArrivals
+	rng        *rand.Rand
+	hosts      []int
+	unroutable int
+}
+
+// OfferPoisson arms n open-loop arrivals on fs, the first due now: each
+// one picks a uniform src != dst host pair, a size from dist and an ECMP
+// hash from rng, starts the flow, then draws the gap to its successor
+// from arr. Only the next arrival is ever pending, so rng's draw order is
+// the arrival order whatever the caller does between advances. The
+// returned counter is the number of arrivals that found no live route (an
+// endpoint stranded by a dead access link); it is final once Run has
+// returned. A simulator has one source: a second call panics.
 func (fs *FlowSim) OfferPoisson(n int, dist workload.SizeDist, arr workload.PoissonArrivals, rng *rand.Rand) *int {
-	hosts := fs.Topo.Hosts()
-	unroutable := new(int)
-	var schedule func(i int, at sim.Time)
-	schedule = func(i int, at sim.Time) {
-		if i >= n {
-			return
-		}
-		fs.Engine.Schedule(at, func() {
-			src := hosts[rng.Intn(len(hosts))]
-			dst := hosts[rng.Intn(len(hosts))]
-			for dst == src {
-				dst = hosts[rng.Intn(len(hosts))]
-			}
-			if _, err := fs.StartFlow(src, dst, dist.SampleBits(rng), rng.Uint64()); err != nil {
-				*unroutable++
-			}
-			schedule(i+1, at+sim.Time(arr.NextGapSec(rng)))
-		})
+	if fs.src != nil {
+		panic("netsim: OfferPoisson called twice on one FlowSim; it drives a single open-loop source")
 	}
-	schedule(0, 0)
-	return unroutable
+	fs.src = &poissonSource{left: n, at: fs.now, dist: dist, arr: arr, rng: rng, hosts: fs.Topo.Hosts()}
+	return &fs.src.unroutable
+}
+
+// arrive fires the pending arrival at fs.now and draws the next one.
+func (fs *FlowSim) arrive() {
+	s := fs.src
+	src := s.hosts[s.rng.Intn(len(s.hosts))]
+	dst := s.hosts[s.rng.Intn(len(s.hosts))]
+	for dst == src {
+		dst = s.hosts[s.rng.Intn(len(s.hosts))]
+	}
+	if _, err := fs.StartFlow(src, dst, s.dist.SampleBits(s.rng), s.rng.Uint64()); err != nil {
+		s.unroutable++
+	}
+	s.left--
+	s.at += sim.Time(s.arr.NextGapSec(s.rng))
 }

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -21,8 +22,7 @@ func TestFlowSimCapacityConservation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	engine := sim.NewEngine(42)
-	fs := NewFlowSim(topo, engine)
+	fs := NewFlowSim(topo)
 	rng := rand.New(rand.NewSource(43))
 	hosts := topo.Hosts()
 
@@ -68,7 +68,7 @@ func TestFlowSimCapacityConservation(t *testing.T) {
 	}
 
 	// Phase 2: let some flows complete, checking at each event.
-	for i := 0; i < 30 && engine.Step(); i++ {
+	for i := 0; i < 30 && fs.fireNext(sim.Time(math.Inf(1))); i++ {
 		check("after completion")
 	}
 
@@ -84,8 +84,8 @@ func TestFlowSimCapacityConservation(t *testing.T) {
 
 	// Drain: every flow must eventually finish once capacity is restored,
 	// and no record may show a negative completion time.
-	engine.Run()
-	if n := fs.ActiveFlows(); n != 0 {
+	fs.Run()
+	if n := fs.active; n != 0 {
 		t.Fatalf("%d flows still active after drain", n)
 	}
 	for _, r := range fs.Records() {

@@ -3,8 +3,6 @@ package netsim
 import (
 	"slices"
 	"testing"
-
-	"mosaic/internal/sim"
 )
 
 // Regression: a link kill that strands several flows must append their
@@ -18,8 +16,7 @@ func TestRerouteStalledRecordOrderDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		engine := sim.NewEngine(1)
-		fs := NewFlowSim(topo, engine)
+		fs := NewFlowSim(topo)
 		hosts := topo.Hosts()
 		// Four flows into h0; its single access link is their only route.
 		for _, src := range []int{hosts[4], hosts[5], hosts[6], hosts[1]} {
@@ -53,8 +50,7 @@ func TestCompletionTieBreakDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		engine := sim.NewEngine(1)
-		fs := NewFlowSim(topo, engine)
+		fs := NewFlowSim(topo)
 		hosts := topo.Hosts()
 		// h0→h1 stays on leaf 0, h2→h3 on leaf 1: fully disjoint links,
 		// identical sizes, identical completion times.
@@ -64,7 +60,7 @@ func TestCompletionTieBreakDeterministic(t *testing.T) {
 		if _, err := fs.StartFlow(hosts[2], hosts[3], 1e9, 3); err != nil {
 			t.Fatal(err)
 		}
-		engine.Run()
+		fs.Run()
 		recs := fs.Records()
 		if len(recs) != 2 {
 			t.Fatalf("iter %d: want 2 records, got %d", iter, len(recs))
@@ -87,7 +83,7 @@ func TestSetLinkCapacityFractionNoOpSkipsRecompute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs := NewFlowSim(topo, sim.NewEngine(1))
+	fs := NewFlowSim(topo)
 	hosts := topo.Hosts()
 	if _, err := fs.StartFlow(hosts[0], hosts[2], 1e12, 5); err != nil {
 		t.Fatal(err)
@@ -102,19 +98,19 @@ func TestSetLinkCapacityFractionNoOpSkipsRecompute(t *testing.T) {
 		}
 	}
 
-	base := fs.Waterfills()
+	base := fs.g.waterfills
 	fs.RestoreLink(used) // already at full capacity
 	fs.RestoreLink(used)
-	if got := fs.Waterfills(); got != base {
+	if got := fs.g.waterfills; got != base {
 		t.Fatalf("no-op RestoreLink recomputed: %d -> %d", base, got)
 	}
 
 	fs.SetLinkCapacityFraction(used, 0.5)
-	if got := fs.Waterfills(); got != base+1 {
+	if got := fs.g.waterfills; got != base+1 {
 		t.Fatalf("real change should recompute once: %d -> %d", base, got)
 	}
 	fs.SetLinkCapacityFraction(used, 0.5) // same fraction again
-	if got := fs.Waterfills(); got != base+1 {
+	if got := fs.g.waterfills; got != base+1 {
 		t.Fatalf("repeated fraction recomputed: %d", got)
 	}
 
@@ -123,18 +119,18 @@ func TestSetLinkCapacityFractionNoOpSkipsRecompute(t *testing.T) {
 	if got := fs.g.capacity[idle]; got != topo.Links[idle].RateBps*0.5 {
 		t.Fatalf("flow-less link capacity = %g, want half of nominal", got)
 	}
-	if got := fs.Waterfills(); got != base+1 {
+	if got := fs.g.waterfills; got != base+1 {
 		t.Fatalf("capacity change on a flow-less link waterfilled: %d -> %d", base+1, got)
 	}
 
 	// A second kill of a dead link is a no-op too.
 	fs.FailLink(used)
-	n := fs.Waterfills()
+	n := fs.g.waterfills
 	if n == base+1 {
 		t.Fatal("killing the flow's link should reroute and recompute")
 	}
 	fs.FailLink(used)
-	if got := fs.Waterfills(); got != n {
+	if got := fs.g.waterfills; got != n {
 		t.Fatalf("second FailLink recomputed: %d -> %d", n, got)
 	}
 }

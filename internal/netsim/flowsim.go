@@ -145,25 +145,25 @@ func setLinkFraction(t *Topology, capacity []float64, linkID int, frac float64) 
 }
 
 // FlowSim is an exactly max-min fair fluid flow simulator over a
-// Topology: one shard driven by a discrete-event engine. Each arrival,
-// completion or capacity change re-waterfills only the affected
-// component, and the single pending engine event always points at the
-// completion heap's first live entry.
+// Topology: one shard that owns its clock. Its whole pending state is the
+// completion heap plus one arrival cursor; RunUntil and Run fire them in
+// time order, and each arrival, completion or capacity change
+// re-waterfills only the affected component. The caller holds the clock:
+// whatever else happens at time t (a fault, a link's superframe boundary)
+// is a plain call between RunUntil(t) and the next advance.
 type FlowSim struct {
-	Topo   *Topology
-	Engine *sim.Engine
+	Topo *Topology
 
 	shard
-	nextID    int
-	pending   sim.Canceler
-	pendingAt sim.Time
-	batch     bool
+	now    sim.Time
+	nextID int
+	src    *poissonSource // the one open-loop source; nil until OfferPoisson
 }
 
 // NewFlowSim builds a simulator over the topology with each link at its
-// nominal rate.
-func NewFlowSim(t *Topology, engine *sim.Engine) *FlowSim {
-	return &FlowSim{Topo: t, Engine: engine, shard: newShard(t, nominalCapacity(t))}
+// nominal rate and the clock at zero.
+func NewFlowSim(t *Topology) *FlowSim {
+	return &FlowSim{Topo: t, shard: newShard(t, nominalCapacity(t))}
 }
 
 func nominalCapacity(t *Topology) []float64 {
@@ -174,14 +174,8 @@ func nominalCapacity(t *Topology) []float64 {
 	return capacity
 }
 
-// ActiveFlows returns the number of in-flight flows.
-func (fs *FlowSim) ActiveFlows() int { return fs.active }
-
 // Records returns completed/stalled flow records.
 func (fs *FlowSim) Records() []FlowRecord { return fs.records }
-
-// Waterfills returns how many component waterfill passes have run.
-func (fs *FlowSim) Waterfills() uint64 { return fs.g.waterfills }
 
 // StartFlow injects a weight-1 flow now. It picks the ECMP path from the
 // hash and returns the flow ID.
@@ -198,7 +192,7 @@ func (fs *FlowSim) StartFlowWeighted(src, dst int, sizeBits float64, hash uint64
 	if err != nil {
 		return 0, err
 	}
-	id, now := fs.nextID, fs.Engine.Now()
+	id, now := fs.nextID, fs.now
 	fs.nextID++
 	fs.admit(flow{
 		ID: id, Src: src, Dst: dst, SizeBits: sizeBits, Hash: hash, Weight: weight,
@@ -206,19 +200,6 @@ func (fs *FlowSim) StartFlowWeighted(src, dst int, sizeBits float64, hash uint64
 	}, path)
 	fs.flush()
 	return id, nil
-}
-
-// BeginBatch suspends rate recomputation: arrivals and capacity changes
-// accumulate in the dirty set and a single CommitBatch waterfills each
-// affected component once. Use it to apply a burst of simultaneous
-// events (a correlated failure, a fleet epoch) at O(components) instead
-// of O(events × components).
-func (fs *FlowSim) BeginBatch() { fs.batch = true }
-
-// CommitBatch ends a batch and recomputes the dirtied components.
-func (fs *FlowSim) CommitBatch() {
-	fs.batch = false
-	fs.flush()
 }
 
 // SetLinkCapacityFraction scales a link to frac of its nominal rate
@@ -246,7 +227,7 @@ func (fs *FlowSim) RestoreLink(linkID int) { fs.SetLinkCapacityFraction(linkID, 
 // rerouteThrough re-paths all active flows crossing the (now dead) link.
 // Flows with no remaining live path are recorded as stalled and dropped.
 func (fs *FlowSim) rerouteThrough(linkID int) {
-	now := fs.Engine.Now()
+	now := fs.now
 	fs.g.now = now
 	for _, k := range fs.crossing(linkID) {
 		fs.g.settle(&fs.g.flows.v[handle(k)])
@@ -261,41 +242,57 @@ func (fs *FlowSim) rerouteThrough(linkID int) {
 	}
 }
 
-// flush recomputes dirty components (unless batching), refreshes the
-// completion entries of every re-rated flow, and points the single
-// pending engine event at the earliest live completion.
+// flush recomputes the dirty components and refreshes the completion
+// entries of every re-rated flow.
 func (fs *FlowSim) flush() {
-	if fs.batch {
-		return
-	}
-	now := fs.Engine.Now()
-	fs.g.now = now
-	fs.refresh(fs.g.flush(false), now)
+	fs.g.now = fs.now
+	fs.refresh(fs.g.flush(false), fs.now)
+}
 
-	next, ok := fs.nextDue()
-	if fs.pending != nil {
-		if ok && fs.pendingAt == next.at {
-			return
-		}
-		fs.pending()
-		fs.pending = nil
+// Now returns the simulator's clock: the instant of the last event fired,
+// or the deadline of the last RunUntil if that is later.
+func (fs *FlowSim) Now() sim.Time { return fs.now }
+
+// RunUntil fires every arrival and completion due at t <= deadline, in
+// time order, then sets the clock to the deadline (unless it is already
+// past it). Inclusive, so that what the caller does at the deadline — a
+// fault, a session step — sees everything that happened up to and at that
+// instant.
+func (fs *FlowSim) RunUntil(deadline sim.Time) {
+	for fs.fireNext(deadline) {
 	}
-	if ok {
-		fs.pendingAt = next.at
-		fs.pending = fs.Engine.Schedule(next.at, fs.onCompletion)
+	fs.now = max(fs.now, deadline)
+}
+
+// Run fires events until none is pending; the clock stays at the last one.
+func (fs *FlowSim) Run() {
+	for fs.fireNext(sim.Time(math.Inf(1))) {
 	}
 }
 
-// onCompletion completes the (single) flow at the heap head, then
-// recomputes its component and reschedules. A simultaneous second
-// completion fires as its own engine event, in flow-ID order.
-func (fs *FlowSim) onCompletion() {
-	fs.pending = nil
-	now := fs.Engine.Now()
-	if c, ok := fs.popDue(now); ok {
-		fs.complete(c.h, now)
+// fireNext fires the earlier of the next arrival and the first live
+// completion if it is due by limit, and reports whether it did. At one
+// instant a completion goes before an arrival (the arriving flow sees the
+// capacity the finished one freed), and two completions go in flow-ID
+// order (the heap's order).
+func (fs *FlowSim) fireNext(limit sim.Time) bool {
+	c, due := fs.nextDue()
+	if s := fs.src; s != nil && s.left > 0 && !(due && c.at <= s.at) {
+		if s.at > limit {
+			return false
+		}
+		fs.now = s.at
+		fs.arrive()
+		return true
 	}
+	if !due || c.at > limit {
+		return false
+	}
+	fs.now = c.at
+	fs.h.pop()
+	fs.complete(c.h, c.at)
 	fs.flush()
+	return true
 }
 
 // FlowState is a read-only view of one active flow's allocation, the

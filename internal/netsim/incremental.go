@@ -11,9 +11,9 @@ import (
 // This file is the one flow-engine core: the dirty-set max-min allocator
 // (flowGraph, its flows pointer-free records in a slab addressed by
 // uint32 handles) and the shard built on it (records, typed completion
-// heap). The two drivers — the event-driven FlowSim in flowsim.go and the
-// epoch-barrier FleetSim in shard.go — own no allocation or completion
-// logic of their own. An arrival, completion or capacity change
+// heap). The two drivers — the exact FlowSim in flowsim.go, stepped event
+// by event, and the epoch-barrier FleetSim in shard.go — own no allocation
+// or completion logic of their own. An arrival, completion or capacity change
 // re-waterfills only the connected component of links/flows it can have
 // affected, never the whole network.
 //
@@ -437,8 +437,8 @@ func (h completionHeap) down(i int) {
 
 // shard is the state both drivers run on: one flowGraph, the count of
 // flows active on it, their records, and the completion heap. FlowSim is
-// one shard advanced by sim.Engine events; FleetSim is one shard per pod
-// advanced by its epoch barrier.
+// one shard advanced event by event (RunUntil); FleetSim is one shard per
+// pod advanced by its epoch barrier.
 type shard struct {
 	g       *flowGraph
 	active  int // live non-proxy flows

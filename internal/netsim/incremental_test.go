@@ -40,8 +40,7 @@ func incTraceCase(t *testing.T, seed int64, size int) {
 		t.Fatal(err)
 	}
 	hosts := topo.Hosts()
-	engine := sim.NewEngine(seed)
-	fs := NewFlowSim(topo, engine)
+	fs := NewFlowSim(topo)
 
 	check := func(step int) {
 		t.Helper()
@@ -102,7 +101,7 @@ func incTraceCase(t *testing.T, seed int64, size int) {
 			}
 			_, _ = fs.StartFlowWeighted(src, dst, (0.1+rng.Float64())*1e9, rng.Uint64(), w)
 		case op < 62:
-			engine.RunUntil(engine.Now() + sim.Time(rng.Float64()*0.02))
+			fs.RunUntil(fs.Now() + sim.Time(rng.Float64()*0.02))
 		case op < 74:
 			fs.FailLink(rng.Intn(len(topo.Links)))
 		case op < 86:
@@ -117,8 +116,8 @@ func incTraceCase(t *testing.T, seed int64, size int) {
 	for l := range topo.Links {
 		fs.RestoreLink(l)
 	}
-	engine.Run()
-	if n := fs.ActiveFlows(); n != 0 {
+	fs.Run()
+	if n := fs.active; n != 0 {
 		t.Fatalf("%d flows still active after drain", n)
 	}
 	for _, r := range fs.Records() {
@@ -322,7 +321,7 @@ func TestFleetRerouteKeepsStaleCompletionsStale(t *testing.T) {
 	if _, err := fs.Inject(h[1], h[3], 1e15, 0); err != nil {
 		t.Fatal(err)
 	}
-	for fs.Now() < 25 {
+	for fs.now < 25 {
 		fs.Step(1)
 	}
 	for _, r := range fs.Records() {

@@ -2,8 +2,6 @@ package netsim
 
 import (
 	"testing"
-
-	"mosaic/internal/sim"
 )
 
 func TestLeafSpineShape(t *testing.T) {
@@ -84,8 +82,7 @@ func TestLeafSpineFlowsAndFailover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := sim.NewEngine(1)
-	fs := NewFlowSim(topo, eng)
+	fs := NewFlowSim(topo)
 	h := topo.Hosts()
 	if _, err := fs.StartFlow(h[0], h[12], 800e9*0.5, 0); err != nil {
 		t.Fatal(err)
@@ -93,8 +90,9 @@ func TestLeafSpineFlowsAndFailover(t *testing.T) {
 	// Kill the spine uplink the flow is on; it must reroute to the other
 	// spine and complete.
 	used := int(fs.activeSlots()[0].path[1])
-	eng.Schedule(0.1, func() { fs.FailLink(used) })
-	eng.Run()
+	fs.RunUntil(0.1)
+	fs.FailLink(used)
+	fs.Run()
 	recs := fs.Records()
 	if len(recs) != 1 || recs[0].Stalled {
 		t.Fatalf("flow did not survive spine failure: %+v", recs)

@@ -240,14 +240,13 @@ func TestAnalyzeErrors(t *testing.T) {
 
 func TestSingleFlowGetsLineRate(t *testing.T) {
 	topo := mustTree(t, 4)
-	eng := sim.NewEngine(1)
-	fs := NewFlowSim(topo, eng)
+	fs := NewFlowSim(topo)
 	h := topo.Hosts()
 	size := 800e9 * 0.5 // half a second at line rate
 	if _, err := fs.StartFlow(h[0], h[15], size, 0); err != nil {
 		t.Fatal(err)
 	}
-	eng.Run()
+	fs.Run()
 	recs := fs.Records()
 	if len(recs) != 1 {
 		t.Fatalf("records = %d", len(recs))
@@ -259,8 +258,7 @@ func TestSingleFlowGetsLineRate(t *testing.T) {
 
 func TestTwoFlowsShareBottleneck(t *testing.T) {
 	topo := mustTree(t, 4)
-	eng := sim.NewEngine(1)
-	fs := NewFlowSim(topo, eng)
+	fs := NewFlowSim(topo)
 	h := topo.Hosts()
 	// Two flows into the same destination host: its access link is the
 	// bottleneck; each gets half.
@@ -271,7 +269,7 @@ func TestTwoFlowsShareBottleneck(t *testing.T) {
 	if _, err := fs.StartFlow(h[1], h[15], size, 1); err != nil {
 		t.Fatal(err)
 	}
-	eng.Run()
+	fs.Run()
 	recs := fs.Records()
 	if len(recs) != 2 {
 		t.Fatalf("records = %d", len(recs))
@@ -286,14 +284,13 @@ func TestTwoFlowsShareBottleneck(t *testing.T) {
 
 func TestFlowCompletionFreesCapacity(t *testing.T) {
 	topo := mustTree(t, 4)
-	eng := sim.NewEngine(1)
-	fs := NewFlowSim(topo, eng)
+	fs := NewFlowSim(topo)
 	h := topo.Hosts()
 	// A short and a long flow to the same host: after the short one ends,
 	// the long one speeds up. Long = 1s of line rate, short = 0.25s.
 	fs.StartFlow(h[0], h[15], 800e9*1.0, 0)
 	fs.StartFlow(h[1], h[15], 800e9*0.25, 1)
-	eng.Run()
+	fs.Run()
 	recs := fs.Records()
 	if len(recs) != 2 {
 		t.Fatalf("records = %d", len(recs))
@@ -319,22 +316,22 @@ func TestFlowCompletionFreesCapacity(t *testing.T) {
 func TestGracefulDegradationVsLinkDown(t *testing.T) {
 	// E12's core contrast on one access link: degrade to 96% vs kill.
 	topoA := mustTree(t, 4)
-	engA := sim.NewEngine(1)
-	fsA := NewFlowSim(topoA, engA)
+	fsA := NewFlowSim(topoA)
 	h := topoA.Hosts()
 	accessLink := topoA.adj[h[0]][0]
 	fsA.StartFlow(h[0], h[15], 800e9*1.0, 0)
 	// Degrade the access link to 96% shortly after start.
-	engA.Schedule(0.1, func() { fsA.SetLinkCapacityFraction(accessLink, 0.96) })
-	engA.Run()
+	fsA.RunUntil(0.1)
+	fsA.SetLinkCapacityFraction(accessLink, 0.96)
+	fsA.Run()
 	recA := fsA.Records()[0]
 
 	topoB := mustTree(t, 4)
-	engB := sim.NewEngine(1)
-	fsB := NewFlowSim(topoB, engB)
+	fsB := NewFlowSim(topoB)
 	fsB.StartFlow(h[0], h[15], 800e9*1.0, 0)
-	engB.Schedule(0.1, func() { fsB.FailLink(accessLink) })
-	engB.Run()
+	fsB.RunUntil(0.1)
+	fsB.FailLink(accessLink)
+	fsB.Run()
 	recB := fsB.Records()[0]
 
 	if recA.Stalled {
@@ -352,15 +349,15 @@ func TestGracefulDegradationVsLinkDown(t *testing.T) {
 
 func TestRerouteAroundFailedCoreLink(t *testing.T) {
 	topo := mustTree(t, 4)
-	eng := sim.NewEngine(1)
-	fs := NewFlowSim(topo, eng)
+	fs := NewFlowSim(topo)
 	h := topo.Hosts()
 	fs.StartFlow(h[0], h[15], 800e9*1.0, 0)
 	// Kill the agg uplink the flow is using (path index 1) mid-flight:
 	// ECMP has alternatives, so the flow must reroute and finish.
 	usedLink := int(fs.activeSlots()[0].path[1])
-	eng.Schedule(0.1, func() { fs.FailLink(usedLink) })
-	eng.Run()
+	fs.RunUntil(0.1)
+	fs.FailLink(usedLink)
+	fs.Run()
 	recs := fs.Records()
 	if len(recs) != 1 || recs[0].Stalled {
 		t.Fatalf("flow did not survive core-link failure: %+v", recs)
@@ -372,8 +369,7 @@ func TestRerouteAroundFailedCoreLink(t *testing.T) {
 
 func TestRestoreLink(t *testing.T) {
 	topo := mustTree(t, 4)
-	eng := sim.NewEngine(1)
-	fs := NewFlowSim(topo, eng)
+	fs := NewFlowSim(topo)
 	lid := 0
 	fs.SetLinkCapacityFraction(lid, 0.5)
 	if fs.g.capacity[lid] != topo.Links[lid].RateBps*0.5 {
@@ -413,7 +409,7 @@ func TestSetLinkCapacityFractionBounds(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			fs := NewFlowSim(topo, sim.NewEngine(1))
+			fs := NewFlowSim(topo)
 			fs.SetLinkCapacityFraction(0, tc.frac)
 			if got := fs.g.capacity[0]; got != tc.want {
 				t.Errorf("frac=%v: capacity = %g, want %g", tc.frac, got, tc.want)
@@ -447,13 +443,12 @@ func TestStartFlowValidation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			eng := sim.NewEngine(1)
-			fs := NewFlowSim(topo, eng)
+			fs := NewFlowSim(topo)
 			if _, err := fs.StartFlow(tc.src, tc.dst, tc.size, 0); !errors.Is(err, tc.want) {
 				t.Errorf("FlowSim.StartFlow: err = %v, want %v", err, tc.want)
 			}
-			eng.Run()
-			if n := fs.ActiveFlows(); n != 0 {
+			fs.Run()
+			if n := fs.active; n != 0 {
 				t.Errorf("FlowSim leaked %d active flows", n)
 			}
 
@@ -508,14 +503,13 @@ func TestTierStrings(t *testing.T) {
 // counted unroutable (here, hosts stranded behind a dead access link).
 func TestOfferPoissonCountsUnroutableArrivals(t *testing.T) {
 	topo := mustTree(t, 4)
-	eng := sim.NewEngine(1)
-	fs := NewFlowSim(topo, eng)
+	fs := NewFlowSim(topo)
 	fs.FailLink(topo.adj[topo.Hosts()[0]][0])
 	dist := workload.Fixed{Bits: 1e6}
 	arr := workload.NewPoissonForLoad(0.3, topo.NumHosts(), 800e9, dist.MeanBits())
 	const n = 400
-	unroutable := fs.OfferPoisson(n, dist, arr, eng.RNG("workload"))
-	eng.Run()
+	unroutable := fs.OfferPoisson(n, dist, arr, sim.RNG(1, "workload"))
+	fs.Run()
 	if *unroutable == 0 || *unroutable+len(fs.Records()) != n {
 		t.Fatalf("%d unroutable + %d recorded, want %d arrivals with some stranded",
 			*unroutable, len(fs.Records()), n)

@@ -60,6 +60,9 @@ type FleetSim struct {
 	records []FlowRecord // stalls + cross completions (shard records merged on demand)
 	log     eventlog.Log // one line per epoch, capped at eventlog.DefaultMax
 
+	// Flows that left the simulator in finished epochs (FlowTotals).
+	completed, stalled uint64
+
 	// Per-epoch counters (reset each Step).
 	epochIdx      int
 	arrivals      int
@@ -106,9 +109,6 @@ func NewFleetSim(t *Topology, workers int) *FleetSim {
 	}
 	return fs
 }
-
-// Now returns the current barrier time.
-func (fs *FleetSim) Now() sim.Time { return fs.now }
 
 // ActiveFlows returns the number of in-flight flows (local + cross).
 func (fs *FleetSim) ActiveFlows() int {
@@ -157,16 +157,21 @@ func (fs *FleetSim) Records() []FlowRecord {
 	return mergeRecords(lists)
 }
 
-// DrainRecords returns what Records would and forgets it, keeping the
-// record buffers for reuse: a caller that steps one FleetSim for as long
-// as it lives (mosaicfleetd) drains every epoch and so retains nothing.
-func (fs *FleetSim) DrainRecords() []FlowRecord {
-	out := fs.Records()
+// FlowTotals returns how many flows have completed and how many have
+// stalled since the simulator was built: what counting Records() gives
+// when no record was ever dropped.
+func (fs *FleetSim) FlowTotals() (completed, stalled uint64) {
+	return fs.completed, fs.stalled + uint64(fs.stalls)
+}
+
+// DropRecords forgets the records, keeping their buffers for reuse: a
+// caller that steps one FleetSim for as long as it lives and only counts
+// outcomes (mosaicfleetd) drops every epoch and so retains nothing.
+func (fs *FleetSim) DropRecords() {
 	fs.records = fs.records[:0]
 	for _, s := range fs.shards {
 		s.records = s.records[:0]
 	}
-	return out
 }
 
 func compareRecords(a, b FlowRecord) int { return cmp.Or(cmp.Compare(a.End, b.End), a.ID-b.ID) }
@@ -388,6 +393,8 @@ func (fs *FleetSim) Step(epochLen sim.Time) {
 		fs.epochIdx, float64(fs.now), fs.arrivals, fs.crossArrivals, fs.stalls,
 		done, crossDone, strings.Join(perShard, ","), fs.ActiveFlows(), fs.cross.live(), capSum)
 	fs.epochIdx++
+	fs.completed += uint64(done + crossDone)
+	fs.stalled += uint64(fs.stalls)
 	fs.arrivals, fs.crossArrivals, fs.stalls = 0, 0, 0
 	fs.now = epochEnd
 }

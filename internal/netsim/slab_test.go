@@ -116,12 +116,12 @@ func TestFlowIDBeyondSortKeyRejected(t *testing.T) {
 		t.Fatalf("the last representable flow did not complete under its own ID: %+v", recs)
 	}
 
-	fs := NewFlowSim(topo, sim.NewEngine(1))
+	fs := NewFlowSim(topo)
 	fs.nextID = maxFlowID + 1
 	if _, err := fs.StartFlow(h[0], h[1], 1e9, 0); !errors.Is(err, errFlowIDs) {
 		t.Fatalf("FlowSim admitted flow ID %d: err = %v", maxFlowID+1, err)
 	}
-	if fs.ActiveFlows() != 0 || fs.nextID != maxFlowID+1 {
+	if fs.active != 0 || fs.nextID != maxFlowID+1 {
 		t.Fatal("a refused flow left state behind")
 	}
 }
@@ -205,7 +205,7 @@ func steadyFleet(t *testing.T, locals int) (fs *FleetSim, epoch func()) {
 	for i := 0; i < 50; i++ {
 		epoch()
 	}
-	fs.DrainRecords()
+	fs.DropRecords()
 	return fs, epoch
 }
 
@@ -220,7 +220,7 @@ func TestFleetSimSteadyEpochAllocs(t *testing.T) {
 		fs, epoch := steadyFleet(t, locals)
 		allocs[i] = testing.AllocsPerRun(40, func() {
 			epoch()
-			fs.DrainRecords()
+			fs.DropRecords()
 		})
 		if fs.ActiveFlows() < locals || fs.ActiveFlows() > locals+64 {
 			t.Fatalf("%d locals: population drifted to %d, the epoch is not steady", locals, fs.ActiveFlows())
@@ -238,9 +238,11 @@ func TestFleetSimSteadyEpochAllocs(t *testing.T) {
 	}
 }
 
-// DrainRecords hands over exactly what Records would and leaves nothing
-// behind, so a FleetSim stepped forever retains no more than an epoch's
-// records.
+// FlowTotals counts exactly what counting Records() would — at every
+// instant, a stall between two barriers included — and DropRecords leaves
+// nothing behind, so a FleetSim stepped forever by a caller that only
+// counts retains no more than an epoch's records. (The name predates
+// DrainRecords' removal; the test floor pins it.)
 func TestFleetSimDrainRecords(t *testing.T) {
 	fs, epoch := steadyFleet(t, 50)
 	retained := func() int {
@@ -250,25 +252,54 @@ func TestFleetSimDrainRecords(t *testing.T) {
 		}
 		return n
 	}
+	// steadyFleet dropped its warm-up records: count from here.
+	wantDone, wantStalled := fs.FlowTotals()
+	countRecords := func() {
+		t.Helper()
+		for _, r := range fs.Records() {
+			if r.Stalled {
+				wantStalled++
+			} else {
+				wantDone++
+			}
+		}
+		if done, stalled := fs.FlowTotals(); done != wantDone || stalled != wantStalled {
+			t.Fatalf("FlowTotals = %d completed, %d stalled; counting Records gives %d, %d", done, stalled, wantDone, wantStalled)
+		}
+	}
+	base := wantDone
 	epoch()
 	epoch()
-	want := slices.Clone(fs.Records())
-	if len(want) == 0 {
+	countRecords()
+	if wantDone == base {
 		t.Fatal("two epochs completed nothing; the scenario is too weak")
 	}
-	if got := fs.DrainRecords(); !slices.Equal(got, want) {
-		t.Fatalf("drain returned %d records, Records had %d", len(got), len(want))
-	}
+	fs.DropRecords()
 	if n := retained(); n != 0 || len(fs.Records()) != 0 {
-		t.Fatalf("%d records retained after a drain", n)
+		t.Fatalf("%d records retained after a drop", n)
+	}
+	if done, stalled := fs.FlowTotals(); done != wantDone || stalled != wantStalled {
+		t.Fatalf("dropping the records moved the totals to %d, %d", done, stalled)
 	}
 	peak := 0
 	for e := 0; e < 5000; e++ {
 		epoch()
 		peak = max(peak, retained())
-		fs.DrainRecords()
+		countRecords()
+		fs.DropRecords()
 	}
 	if peak == 0 || peak > 64 {
-		t.Fatalf("a drained FleetSim held up to %d records across 5000 epochs, want (0, 64]", peak)
+		t.Fatalf("a dropped FleetSim held up to %d records across 5000 epochs, want (0, 64]", peak)
 	}
+
+	// Killing a host's access link strands its long-lived flows: the
+	// stalls count at once, and again the same after the barrier.
+	fs.SetLinkFraction(fs.Topo.LinksByTier()[TierHostToR][0], 0)
+	countRecords()
+	if wantStalled == 0 {
+		t.Fatal("the access-link kill stalled nothing; the scenario is too weak")
+	}
+	fs.DropRecords()
+	fs.Step(1)
+	countRecords()
 }

@@ -6,8 +6,9 @@
 //
 // The flow simulator is one incremental engine (incremental.go: a
 // dirty-set weighted max-min allocator and the shard built on it) behind
-// two drivers: FlowSim advances one shard from a discrete-event engine,
-// FleetSim advances one shard per pod from an epoch barrier.
+// two stepped drivers: FlowSim advances one shard event by event and owns
+// its clock (RunUntil), FleetSim advances one shard per pod from an epoch
+// barrier (Step). Nothing is scheduled; the caller holds the clock.
 //
 // It exists to answer the paper's system-level question: what changes when
 // the 2 m copper / power-hungry optics dichotomy is replaced by a 50 m,

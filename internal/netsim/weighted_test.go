@@ -3,8 +3,6 @@ package netsim
 import (
 	"math"
 	"testing"
-
-	"mosaic/internal/sim"
 )
 
 // Two same-path flows with weights 2:1 must split the bottleneck 2:1
@@ -12,8 +10,7 @@ import (
 // 1.5·S/C, the light one (promoted to full rate afterwards) at 2·S/C.
 func TestWeightedMaxMinSharing(t *testing.T) {
 	topo := mustTree(t, 4)
-	eng := sim.NewEngine(1)
-	fs := NewFlowSim(topo, eng)
+	fs := NewFlowSim(topo)
 	h := topo.Hosts()
 
 	const C = 800e9
@@ -26,7 +23,7 @@ func TestWeightedMaxMinSharing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.Run()
+	fs.Run()
 
 	fct := map[int]float64{}
 	for _, r := range fs.Records() {
@@ -47,8 +44,7 @@ func TestWeightedMaxMinSharing(t *testing.T) {
 // classic max-min: both flows finish together at 2·S/C.
 func TestWeightedReducesToClassicMaxMin(t *testing.T) {
 	topo := mustTree(t, 4)
-	eng := sim.NewEngine(1)
-	fs := NewFlowSim(topo, eng)
+	fs := NewFlowSim(topo)
 	h := topo.Hosts()
 
 	const C = 800e9
@@ -58,7 +54,7 @@ func TestWeightedReducesToClassicMaxMin(t *testing.T) {
 	if _, err := fs.StartFlowWeighted(h[0], h[1], C, 0, 1); err != nil {
 		t.Fatal(err)
 	}
-	eng.Run()
+	fs.Run()
 	for _, r := range fs.Records() {
 		if got := float64(r.FCT()); math.Abs(got-2.0) > 1e-9 {
 			t.Errorf("flow %d FCT = %v, want 2.0", r.ID, got)
@@ -71,8 +67,7 @@ func TestWeightedReducesToClassicMaxMin(t *testing.T) {
 func TestWeightSanitized(t *testing.T) {
 	for _, w := range []float64{0, -3, math.NaN()} {
 		topo := mustTree(t, 4)
-		eng := sim.NewEngine(1)
-		fs := NewFlowSim(topo, eng)
+		fs := NewFlowSim(topo)
 		h := topo.Hosts()
 		const C = 800e9
 		if _, err := fs.StartFlowWeighted(h[0], h[1], C, 0, w); err != nil {
@@ -81,7 +76,7 @@ func TestWeightSanitized(t *testing.T) {
 		if _, err := fs.StartFlowWeighted(h[0], h[1], C, 0, 1); err != nil {
 			t.Fatal(err)
 		}
-		eng.Run()
+		fs.Run()
 		for _, r := range fs.Records() {
 			if got := float64(r.FCT()); math.Abs(got-2.0) > 1e-9 {
 				t.Errorf("weight %v: flow %d FCT = %v, want 2.0 (even split)", w, r.ID, got)

@@ -107,9 +107,6 @@ func arqWeight(class uint8) int {
 	return arqClassWeights[class]
 }
 
-// Send queues one packet on VC 0 (copied).
-func (e *ARQEndpoint) Send(payload []byte) error { return e.SendVC(0, payload) }
-
 // SendVC queues one packet on a virtual channel (copied).
 func (e *ARQEndpoint) SendVC(vc int, payload []byte) error {
 	if vc < 0 || vc >= len(e.vcs) {

@@ -144,9 +144,6 @@ func NewFramer(fec FECRef, payloadLen int) *Framer {
 // WireLen returns the on-the-wire frame size.
 func (f *Framer) WireLen() int { return 2 + f.encLen }
 
-// PayloadLen returns the fixed payload size.
-func (f *Framer) PayloadLen() int { return f.payloadLen }
-
 // EncodeFrame serialises one channel frame to fresh wire bytes.
 func (f *Framer) EncodeFrame(lane int, seq uint32, payload []byte) []byte {
 	if len(payload) != f.payloadLen {

@@ -21,7 +21,6 @@ type PipelineConfig struct {
 	Lanes   int
 	UnitLen int // stripe unit bytes; multiple of BlockLen
 	FEC     FECRef
-	Seed    uint64 // scrambler seed; zero selects ScramblerSeed
 }
 
 // Transmit pushes one lane's wire bytes through its physical channel and
@@ -61,10 +60,6 @@ func ExchangeRef(cfg PipelineConfig, laneToPhysical []int, tx Transmit, frames [
 	if fec == nil {
 		fec = NoFECRef{}
 	}
-	seed := cfg.Seed
-	if seed == 0 {
-		seed = ScramblerSeed
-	}
 	if tx == nil {
 		tx = func(_ int, wire []byte) []byte { return append([]byte(nil), wire...) }
 	}
@@ -94,7 +89,7 @@ func ExchangeRef(cfg PipelineConfig, laneToPhysical []int, tx Transmit, frames [
 	}
 
 	// --- Scramble (fresh output slice, bit at a time) ---
-	scrambled := NewScrambler(seed).Scramble(stream)
+	scrambled := NewScrambler(ScramblerSeed).Scramble(stream)
 
 	// --- Stripe into explicit unit records ---
 	totalUnits := len(scrambled) / cfg.UnitLen
@@ -142,7 +137,7 @@ func ExchangeRef(cfg PipelineConfig, laneToPhysical []int, tx Transmit, frames [
 
 	// --- Destripe (zero-filled gaps), descramble, parse ---
 	rxStream := Destripe(received, totalUnits, cfg.UnitLen)
-	plain := NewDescrambler(seed).Descramble(rxStream)
+	plain := NewDescrambler(ScramblerSeed).Descramble(rxStream)
 	delivered := parseRefFrames(plain, &st)
 	st.FramesDelivered = len(delivered)
 	st.FramesLost = st.FramesIn - st.FramesDelivered - st.FramesCorrupted

@@ -6,7 +6,6 @@ import (
 
 	"mosaic/internal/eventlog"
 	"mosaic/internal/netsim"
-	"mosaic/internal/telemetry"
 )
 
 // Options tunes one scenario run.
@@ -17,9 +16,6 @@ type Options struct {
 	// CheckInvariants asserts netsim flow conservation and max-min at
 	// every epoch's resolved point; a violation fails the run.
 	CheckInvariants bool
-	// Metrics, when non-nil, receives per-scenario counters
-	// (mosaic_scenario_* families, labelled by scenario).
-	Metrics *telemetry.Registry
 }
 
 // FaultCount pairs an environment's actually-injected event count with
@@ -199,19 +195,5 @@ func Run(spec Spec, opts Options) (*Result, error) {
 
 	res.EventLog = append(log.Lines(), fs.EventLog()...)
 	res.LogSHA = eventlog.Digest(res.EventLog)
-
-	if reg := opts.Metrics; reg != nil {
-		reg.Help("mosaic_scenario_runs_total", "Completed scenario runs by scenario name.")
-		reg.Help("mosaic_scenario_flows_total", "Flows injected by scenario runs.")
-		reg.Help("mosaic_scenario_unroutable_total", "Unroutable injections during scenario runs.")
-		reg.Help("mosaic_scenario_env_events_total", "Environment fault events injected, by scenario and environment.")
-		reg.Counter("mosaic_scenario_runs_total", "scenario", spec.Name).Inc()
-		reg.Counter("mosaic_scenario_flows_total", "scenario", spec.Name).Add(uint64(res.Flows))
-		reg.Counter("mosaic_scenario_unroutable_total", "scenario", spec.Name).Add(uint64(res.Unroutable))
-		for _, fc := range res.Faults {
-			reg.Counter("mosaic_scenario_env_events_total",
-				"scenario", spec.Name, "env", fc.Name).Add(uint64(fc.Count))
-		}
-	}
 	return res, nil
 }

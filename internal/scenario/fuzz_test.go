@@ -1,7 +1,7 @@
 package scenario
 
 import (
-	"strings"
+	"encoding/json"
 	"testing"
 )
 
@@ -9,15 +9,15 @@ import (
 // bytes: it must never panic, and anything it accepts must satisfy the
 // schema's own contracts — re-validate cleanly, resolve both component
 // lists (no surviving refs, cycles, or out-of-range parameters), stay
-// inside the work bounds, and round-trip through Encode.
+// inside the work bounds, and round-trip through its JSON encoding.
 func FuzzScenarioSpec(f *testing.F) {
 	f.Add([]byte(validSpecJSON))
 	for _, e := range Library() {
-		var b strings.Builder
-		if err := e.Spec.Encode(&b); err != nil {
+		b, err := json.Marshal(e.Spec)
+		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add([]byte(b.String()))
+		f.Add(b)
 	}
 	// Seeds for the classes the fuzzer hunts: malformed composition,
 	// out-of-range rates, cyclic references.
@@ -53,11 +53,11 @@ func FuzzScenarioSpec(f *testing.F) {
 		if s.Epochs > MaxEpochs || s.Topology.Links() > 50000 {
 			t.Fatalf("accepted spec exceeds work bounds: epochs=%d links=%d", s.Epochs, s.Topology.Links())
 		}
-		var b strings.Builder
-		if err := s.Encode(&b); err != nil {
+		b, err := json.Marshal(s)
+		if err != nil {
 			t.Fatalf("accepted spec fails to encode: %v", err)
 		}
-		if _, err := Parse([]byte(b.String())); err != nil {
+		if _, err := Parse(b); err != nil {
 			t.Fatalf("accepted spec fails round-trip: %v", err)
 		}
 	})

@@ -489,10 +489,3 @@ func Decode(r io.Reader) (Spec, error) {
 
 // Parse parses a JSON spec from bytes.
 func Parse(data []byte) (Spec, error) { return Decode(strings.NewReader(string(data))) }
-
-// Encode writes the spec as indented JSON.
-func (s Spec) Encode(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s)
-}

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -203,11 +204,11 @@ func TestLibrarySpecsValidate(t *testing.T) {
 		}
 		seen[e.ID], seen[e.Spec.Name] = true, true
 
-		var b strings.Builder
-		if err := e.Spec.Encode(&b); err != nil {
+		b, err := json.Marshal(e.Spec)
+		if err != nil {
 			t.Fatal(err)
 		}
-		back, err := Parse([]byte(b.String()))
+		back, err := Parse(b)
 		if err != nil {
 			t.Errorf("%s: round-trip: %v", e.ID, err)
 		}

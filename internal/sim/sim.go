@@ -1,16 +1,13 @@
-// Package sim is a deterministic discrete-event simulation engine: a
-// monotonic virtual clock, a binary-heap event queue with stable FIFO
-// ordering for simultaneous events, and named deterministic RNG streams so
-// that adding a new source of randomness never perturbs existing ones.
+// Package sim is what every simulator here shares and nothing more: the
+// simulated-time type and named deterministic RNG streams, so that adding
+// a new source of randomness never perturbs existing ones.
 //
-// It underpins the network-level experiments (the event-driven flow
-// simulator and the co-simulations on top of it). Links are not scheduled
-// on it: every link harness is stepped superframe by superframe and only
-// borrows Time for its clock.
+// There is no scheduler. Links are stepped superframe by superframe,
+// fleets epoch by epoch, and the exact flow simulator by
+// netsim.FlowSim.RunUntil; each owns its clock as a plain Time.
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"hash/fnv"
 	"math"
@@ -39,127 +36,11 @@ func (t Time) String() string {
 	}
 }
 
-// Event is a scheduled callback.
-type event struct {
-	at       Time
-	seq      uint64 // tie-break: FIFO among simultaneous events
-	fn       func()
-	canceled *bool
-}
-
-type eventQueue []*event
-
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
-	}
-	return q[i].seq < q[j].seq
-}
-func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x any)   { *q = append(*q, x.(*event)) }
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return e
-}
-
-// Engine is a single-threaded discrete-event simulator. Not safe for
-// concurrent use — determinism is the point.
-type Engine struct {
-	now   Time
-	queue eventQueue
-	seq   uint64
-	seed  int64
-	rngs  map[string]*rand.Rand
-}
-
-// NewEngine returns an engine whose named RNG streams derive from seed.
-func NewEngine(seed int64) *Engine {
-	return &Engine{seed: seed, rngs: make(map[string]*rand.Rand)}
-}
-
-// Now returns the current simulation time.
-func (e *Engine) Now() Time { return e.now }
-
-// Canceler cancels a scheduled event when called. Calling it after the
-// event has fired is a harmless no-op.
-type Canceler func()
-
-// Schedule runs fn at absolute time at. Scheduling in the past panics —
-// that is always a model bug.
-func (e *Engine) Schedule(at Time, fn func()) Canceler {
-	if at < e.now {
-		panic(fmt.Sprintf("sim: scheduling at %v before now %v", at, e.now))
-	}
-	canceled := new(bool)
-	ev := &event{at: at, seq: e.seq, fn: fn, canceled: canceled}
-	e.seq++
-	heap.Push(&e.queue, ev)
-	return func() { *canceled = true }
-}
-
-// After runs fn after delay d from now.
-func (e *Engine) After(d Time, fn func()) Canceler {
-	if d < 0 {
-		panic("sim: negative delay")
-	}
-	return e.Schedule(e.now+d, fn)
-}
-
-// Step executes the next event. It returns false when the queue is empty.
-func (e *Engine) Step() bool {
-	for len(e.queue) > 0 {
-		ev := heap.Pop(&e.queue).(*event)
-		if *ev.canceled {
-			continue
-		}
-		e.now = ev.at
-		ev.fn()
-		return true
-	}
-	return false
-}
-
-// Run executes events until the queue is empty.
-func (e *Engine) Run() {
-	for e.Step() {
-	}
-}
-
-// RunUntil executes events with time <= deadline; the clock then advances
-// to the deadline (if it hasn't passed it already).
-func (e *Engine) RunUntil(deadline Time) {
-	for len(e.queue) > 0 {
-		// Peek.
-		next := e.queue[0]
-		if *next.canceled {
-			heap.Pop(&e.queue)
-			continue
-		}
-		if next.at > deadline {
-			break
-		}
-		e.Step()
-	}
-	if e.now < deadline {
-		e.now = deadline
-	}
-}
-
-// RNG returns the deterministic random stream for the given name, creating
-// it on first use. Streams with different names are independent; the same
-// name always yields the same sequence for a given engine seed.
-func (e *Engine) RNG(name string) *rand.Rand {
-	if r, ok := e.rngs[name]; ok {
-		return r
-	}
+// RNG returns the deterministic random stream of the given name under
+// seed. Streams with different names are independent; the same (seed,
+// name) always yields the same sequence.
+func RNG(seed int64, name string) *rand.Rand {
 	h := fnv.New64a()
 	_, _ = h.Write([]byte(name))
-	r := rand.New(rand.NewSource(e.seed ^ int64(h.Sum64())))
-	e.rngs[name] = r
-	return r
+	return rand.New(rand.NewSource(seed ^ int64(h.Sum64())))
 }

