@@ -13,7 +13,7 @@ FUZZ_TARGETS = internal/phy:FuzzFramerDecodeStream internal/phy:FuzzHammingFECDe
 	internal/phy:FuzzRSLiteDecode internal/phy:FuzzParseFramesNeverPanics \
 	internal/mac:FuzzMACDeframe internal/scenario:FuzzScenarioSpec
 
-.PHONY: check vet substrate audit build test race determinism staticcheck bench bench-mac bench-e24 bench-check bench-layers coverage fuzz-smoke verify-deep soak-fleetd scenario-conformance loc
+.PHONY: check vet substrate audit build test race determinism staticcheck bench bench-check bench-layers coverage fuzz-smoke verify-deep soak-fleetd scenario-conformance loc
 
 check: vet substrate audit staticcheck build test race determinism
 
@@ -53,9 +53,15 @@ staticcheck:
 # flows are all stepped with the caller holding the clock: no sim import
 # in fleetd/link.go, no sim.Engine/NewEngine/Canceler identifier and no
 # .Schedule( or .After( call anywhere, no container/heap in internal/sim,
-# no BeginBatch/CommitBatch. The MAC collector lives beside
-# mac.Stats, so internal/telemetry declares no
-# MACStats/MACVCStats/MACCollector mirror. Flows are pointer-free slab
+# no BeginBatch/CommitBatch. There is one stats mirror: a cumulative stat
+# becomes a counter by the growth-since-last-sync line in
+# internal/telemetry/mirror.go and nowhere else (no other
+# `.Add(now - prev)`, no syncDelta helper), every other collector is a row
+# table beside the struct it reads — so internal/telemetry names no
+# mosaic_fleetd_/mosaic_mac_ series and declares no
+# MACStats/MACVCStats/MACCollector or Fleet*Collector type — and capacity
+# leaves a mac.Bridge one way, Fraction() (no CapacitySink,
+# no DiscardCapacity). Flows are pointer-free slab
 # records addressed by handle: non-test internal/netsim names no
 # *incFlow, keeps no map[int]*T flow table, sorts flows only as integer
 # (ID, handle) keys (no slices.SortFunc comparator over flows), and
@@ -63,6 +69,7 @@ staticcheck:
 # `var out []int`).
 SUBSTRATE_SRC = find internal cmd examples -name '*.go' ! -name '*_test.go'
 SUPERVISOR = internal/faultinject/supervisor.go
+MIRROR = internal/telemetry/mirror.go
 substrate:
 	@bad=$$( { $(SUBSTRATE_SRC) ! -path 'internal/par/*' \
 			! -path internal/telemetry/httpx/httpx.go ! -path cmd/mosaicfleetd/main.go \
@@ -77,7 +84,10 @@ substrate:
 		grep -HnF '"mosaic/internal/sim"' internal/fleetd/link.go ; \
 		$(SUBSTRATE_SRC) -exec grep -nE '\bsim\.((New)?Engine|Canceler)\b|\.(Schedule|After)\(|\b(Begin|Commit)Batch\b' {} + ; \
 		grep -HnE '\b((New)?Engine|Canceler)\b|"container/heap"' internal/sim/*.go ; \
-		$(SUBSTRATE_SRC) -path 'internal/telemetry/*' -exec grep -nE '^type (MACStats|MACVCStats|MACCollector)\b' {} + ; \
+		$(SUBSTRATE_SRC) -path 'internal/telemetry/*' -exec grep -nE '^type (MACStats|MACVCStats|MACCollector|Fleet[A-Za-z]*Collector)\b|"mosaic_(fleetd|mac)_' {} + ; \
+		$(SUBSTRATE_SRC) ! -path $(MIRROR) -exec grep -nE '\.Add\([^()]* - |syncDelta\(' {} + ; \
+		[ "$$(grep -cE '\.Add\([^()]* - ' $(MIRROR))" -eq 1 ] || echo "$(MIRROR): want exactly one delta-advance line"; \
+		grep -rnE --include='*.go' 'CapacitySink|DiscardCapacity' . ; \
 		$(SUBSTRATE_SRC) ! -path $(SUPERVISOR) -exec grep -nF '"sf=%d remap %v"' {} + ; \
 		$(SUBSTRATE_SRC) ! -path 'internal/netsim/*' -exec grep -nF '.NextGapSec(' {} + ; \
 		$(SUBSTRATE_SRC) -path 'internal/netsim/*' -exec grep -nE '\*incFlow|map\[int\]\*|SortFunc\(.*func\(a, b \*?(flow|flowSlot|handle)\)' {} + ; \
@@ -86,10 +96,10 @@ substrate:
 			[ "$$(grep -cF "$$pat" $(SUPERVISOR))" -eq 1 ] || echo "$(SUPERVISOR): want exactly one $$pat"; \
 		done; } ); \
 	if [ -n "$$bad" ]; then \
-		echo "substrate: FAIL — use internal/par for fan-out, internal/eventlog for log digests, faultinject.Supervisor for the superframe boundary, a plain Bridge.Sync after its sparing step for renegotiation, a step loop with the caller holding the clock (no scheduler: FlowSim.RunUntil, Session.Step, FleetSim.Step) to drive anything, internal/mac for MAC metrics, slab handles and integer sort keys (not flow pointers) in internal/netsim:"; \
+		echo "substrate: FAIL — use internal/par for fan-out, internal/eventlog for log digests, faultinject.Supervisor for the superframe boundary, a plain Bridge.Sync after its sparing step for renegotiation, a step loop with the caller holding the clock (no scheduler: FlowSim.RunUntil, Session.Step, FleetSim.Step) to drive anything, a telemetry.Row table beside the stats struct (internal/mac for MAC series, internal/fleetd for fleet series; telemetry.Mirror does the delta) for metrics, Bridge.Fraction() to hand capacity to a flow simulator, slab handles and integer sort keys (not flow pointers) in internal/netsim:"; \
 		echo "$$bad"; exit 1; \
 	fi; \
-	echo "substrate: OK — goroutines only in internal/par, sha256 only in internal/eventlog, sparing/hook/remap line only in the link supervisor, nothing scheduled (no sim.Engine, no Schedule/After call, no batch mode), no MAC stats mirror in telemetry, netsim flows pointer-free"
+	echo "substrate: OK — goroutines only in internal/par, sha256 only in internal/eventlog, sparing/hook/remap line only in the link supervisor, nothing scheduled (no sim.Engine, no Schedule/After call, no batch mode), one stats mirror (no hand-written delta sync, no MAC or fleet collector in telemetry), capacity leaves a bridge through Fraction() only, netsim flows pointer-free"
 
 build:
 	$(GO) build ./...
@@ -140,19 +150,6 @@ bench:
 	$(GO) test -bench 'BenchmarkE24FleetFlows$$' -benchmem -benchtime 1x -count=$(BENCH_COUNT) -run '^$$' -timeout 30m . && \
 	$(GO) test -bench 'BenchmarkFleetSimEpochSteady$$' -benchmem -benchtime 200x -count=$(BENCH_COUNT) -run '^$$' . && \
 	$(GO) test -bench 'BenchmarkFleetdAdmit$$' -benchmem -benchtime 500x -count=$(BENCH_COUNT) -run '^$$' .
-
-# Standalone MAC framing benchmark at a stable iteration count; the JSON
-# record (no gating here — bench-check gates) lands in BENCH_MAC.json.
-bench-mac:
-	$(GO) test -bench 'BenchmarkMACFrameRoundTrip$$|BenchmarkMACFrameRoundTripSR$$' -benchmem -benchtime 100000x -run '^$$' . | \
-		$(GO) run ./cmd/benchguard -out BENCH_MAC.json
-
-# Standalone fleet-scale flow-engine benchmark (E24: ~700k flows over
-# 1752 links through the flow engine's sharded driver); the JSON record
-# lands in BENCH_E24.json (no gating here — bench-check gates).
-bench-e24:
-	$(GO) test -bench 'BenchmarkE24FleetFlows$$' -benchmem -benchtime 1x -run '^$$' -timeout 30m . | \
-		$(GO) run ./cmd/benchguard -out BENCH_E24.json
 
 # CI bench-regression gate: run the baselined benchmarks, keep the raw
 # `go test -bench` text in BENCH_RAW.txt (so a regression can be diagnosed

@@ -46,15 +46,11 @@ var auditAllow = map[string]string{
 // names, and option fields read but never set. What the syntactic scan
 // also flags is listed once, above.
 var typedAuditAllow = map[string]string{
-	"internal/fleetd.Fleet.Run":                  "replays a recorded op script epoch by epoch; caller-to-be and only caller today as for DecodeScript above (ROADMAP 4(a))",
-	"internal/netsim/workload.Fixed":             "test fixture: the deterministic size distribution of netsim's arrival-order and RunUntil tests",
-	"internal/netsim/workload.Pareto":            "never constructed outside its five floor-pinned tests (TestPareto*), which this PR may not remove; delete the type with them",
-	"internal/channel.Copper.Validate":           "test oracle: TestCopperCatalog holds the cable catalog to it; no non-test code builds a Copper outside the catalog",
-	"internal/photonics.Laser.Validate":          "test oracle: TestLaserCatalogValid holds the laser catalog to it; no non-test code builds a Laser outside the catalog",
-	"internal/photonics.Laser.Bandwidth":         "no caller (the only laser experiment reads power penalties, not bandwidth); kept only because floor-pinned TestLaserBandwidthAndString exists to call it; delete the two together",
-	"internal/photonics.Photodiode.Photocurrent": "no caller (the link budget works from Responsivity directly); kept only because floor-pinned TestPhotocurrent exists to call it; delete the two together",
-	"internal/phy.Framer.OverheadFraction":       "no caller (the tables report FEC.Overhead and measured wire bytes); kept only because floor-pinned TestFramerOverheadFraction exists to call it; delete the two together",
-	"internal/power.Budget.Component":            "test observer: the power and core tests read one named component of a budget through it",
+	"internal/fleetd.Fleet.Run":         "replays a recorded op script epoch by epoch; caller-to-be and only caller today as for DecodeScript above (ROADMAP 4(a))",
+	"internal/netsim/workload.Fixed":    "test fixture: the deterministic size distribution of netsim's arrival-order and RunUntil tests",
+	"internal/channel.Copper.Validate":  "test oracle: TestCopperCatalog holds the cable catalog to it; no non-test code builds a Copper outside the catalog",
+	"internal/photonics.Laser.Validate": "test oracle: TestLaserCatalogValid holds the laser catalog to it; no non-test code builds a Laser outside the catalog",
+	"internal/power.Budget.Component":   "test observer: the power and core tests read one named component of a budget through it",
 }
 
 // stdlibCalled names the methods the standard library calls through its

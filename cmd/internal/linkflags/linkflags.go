@@ -202,7 +202,7 @@ func (s *Soak) Round(l Links, sched faultinject.Schedule, reg *telemetry.Registr
 		VCPackets:    vcPackets,
 		PacketLen:    s.FrameLen,
 		Seed:         s.Seed,
-		Bridge:       mac.NewBridge(l.Fwd, mac.DiscardCapacity{}, 0),
+		Bridge:       mac.NewBridge(l.Fwd),
 		Metrics:      reg,
 	})
 	if err != nil {

@@ -13,7 +13,6 @@
 //	mosaicbench -list           # list experiments grouped by kind (runs nothing)
 //	mosaicbench -seed 7         # change the simulation seed
 //	mosaicbench -par 4          # generate experiments concurrently
-//	mosaicbench -soak           # fault-injection soak with a live event log
 //	mosaicbench -metrics m.prom # also write a telemetry snapshot (.json = JSON)
 //	mosaicbench -diff           # differential verification vs the reference models
 //
@@ -28,10 +27,9 @@
 // printed in registry order, and a fixed seed produces identical tables at
 // any parallelism.
 //
-// -soak runs the default fault-injection scenario (a kill, an aging
-// channel, a burst episode, and a correlated neighborhood failure) on the
-// prototype link and prints the event log — the narrative companion to
-// the E22 statistics; see cmd/linksoak for the fully scriptable harness.
+// The narrative companion to the E22 statistics — the default
+// fault-injection scenario on the prototype link with its live event log
+// — is bare cmd/linksoak.
 package main
 
 import (
@@ -43,8 +41,6 @@ import (
 
 	"mosaic/internal/diffcheck"
 	"mosaic/internal/experiments"
-	"mosaic/internal/faultinject"
-	"mosaic/internal/phy"
 	"mosaic/internal/telemetry"
 )
 
@@ -55,7 +51,6 @@ func main() {
 		listFlag = flag.Bool("list", false, "list experiment IDs and exit")
 		csvFlag  = flag.Bool("csv", false, "emit CSV instead of aligned tables")
 		parFlag  = flag.Int("par", 1, "run up to N experiment generators concurrently")
-		soakFlag = flag.Bool("soak", false, "run the default fault-injection soak scenario and exit")
 		metrFlag = flag.String("metrics", "", "write a telemetry snapshot to this file after the run (.json suffix = JSON, else Prometheus text)")
 
 		diffFlag    = flag.Bool("diff", false, "run differential verification against the reference models and exit")
@@ -75,29 +70,11 @@ func main() {
 		return
 	}
 
-	// Telemetry is write-only: tables and soak logs are byte-identical
-	// with or without it (pinned by the determinism tests).
+	// Telemetry is write-only: tables are byte-identical with or without
+	// it (pinned by the determinism tests).
 	var reg *telemetry.Registry
 	if *metrFlag != "" {
 		reg = telemetry.NewRegistry()
-	}
-	writeMetrics := func() {
-		if reg == nil {
-			return
-		}
-		if err := telemetry.WriteFile(reg, *metrFlag); err != nil {
-			fmt.Fprintf(os.Stderr, "mosaicbench: %v\n", err)
-			os.Exit(1)
-		}
-	}
-
-	if *soakFlag {
-		if err := runSoak(*seedFlag, reg); err != nil {
-			fmt.Fprintf(os.Stderr, "mosaicbench: %v\n", err)
-			os.Exit(1)
-		}
-		writeMetrics()
-		return
 	}
 
 	if *listFlag {
@@ -142,7 +119,12 @@ func main() {
 			r.Table.Fprint(os.Stdout)
 		}
 	}
-	writeMetrics()
+	if reg != nil {
+		if err := telemetry.WriteFile(reg, *metrFlag); err != nil {
+			fmt.Fprintf(os.Stderr, "mosaicbench: %v\n", err)
+			os.Exit(1)
+		}
+	}
 }
 
 // runDiff executes the differential verification harness and prints a
@@ -190,47 +172,5 @@ func runDiff(seed int64, cases int, workersCSV, stagesCSV, out string) error {
 	if d := rep.First(); d != nil {
 		return fmt.Errorf("differential divergence: %s", d)
 	}
-	return nil
-}
-
-// runSoak drives the paper's prototype configuration (100 channels + 4
-// spares) through the default fault-injection scenario with proactive
-// maintenance enabled, printing the event log and summary.
-func runSoak(seed int64, reg *telemetry.Registry) error {
-	const superframes = 120
-	cfg := phy.DefaultConfig()
-	cfg.Seed = seed
-	link, err := phy.New(cfg)
-	if err != nil {
-		return err
-	}
-	sched, err := faultinject.DefaultScenario(cfg.Lanes+cfg.Spares, superframes)
-	if err != nil {
-		return err
-	}
-	fmt.Println("== fault-injection soak: 100+4 channel prototype, default scenario ==")
-	for _, e := range sched.Events {
-		fmt.Printf("scheduled: %v\n", e)
-	}
-	res, err := faultinject.Run(faultinject.Config{
-		Link:          link,
-		Schedule:      sched,
-		Superframes:   superframes,
-		FramesPerSF:   24,
-		FrameLen:      1500,
-		Seed:          seed,
-		Policy:        phy.DefaultMaintenancePolicy(),
-		MaintainEvery: 10,
-		Metrics:       reg,
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Println()
-	for _, line := range res.Log {
-		fmt.Println(line)
-	}
-	fmt.Println()
-	fmt.Println(res.Summary())
 	return nil
 }

@@ -152,7 +152,7 @@ func runE23Scenario(seed int64, workers int, mode e23Mode) (netsim.FCTStats, *ma
 		if err != nil {
 			return netsim.FCTStats{}, nil, nil, err
 		}
-		bridge := mac.NewBridge(fwd, fs, victim)
+		bridge := mac.NewBridge(fwd)
 		sess, err = mac.NewSession(mac.SessionConfig{
 			Fwd:          fwd,
 			Rev:          rev,
@@ -170,7 +170,9 @@ func runE23Scenario(seed int64, workers int, mode e23Mode) (netsim.FCTStats, *ma
 		}
 		for t := interval; ; t += interval {
 			fs.RunUntil(t)
-			if !sess.Step() {
+			more := sess.Step()
+			fs.SetLinkCapacityFraction(victim, bridge.Fraction()) // a no-op unless the step renegotiated
+			if !more {
 				break
 			}
 		}

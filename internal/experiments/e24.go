@@ -248,7 +248,7 @@ func e24BringUpSamples(seed int64, workers int, aging *faultinject.FleetAging, l
 			PacketsPerSF: 4,
 			PacketLen:    150,
 			Seed:         seed + 600 + int64(i),
-			Bridge:       mac.NewBridge(fwd, mac.DiscardCapacity{}, 0),
+			Bridge:       mac.NewBridge(fwd),
 		})
 		if err != nil {
 			return nil, err

@@ -207,8 +207,8 @@ func runFaultScenario(seed int64, tier netsim.Tier, mode faultMode) (netsim.FCTS
 			// A Mosaic endpoint on the victim link: 100 lanes plus 4
 			// spares, bridged into the flow sim. Killing 8 channels
 			// exhausts sparing and degrades the lane count to 96; one
-			// Sync after the burst republishes capacity 0.96 (post-remap,
-			// one renegotiation for all eight).
+			// Sync after the burst renegotiates capacity to 0.96
+			// (post-remap, one renegotiation for all eight).
 			link, err := phy.New(phy.Config{
 				Lanes:             100,
 				Spares:            4,
@@ -220,11 +220,12 @@ func runFaultScenario(seed int64, tier netsim.Tier, mode faultMode) (netsim.FCTS
 			if err != nil {
 				return netsim.FCTStats{}, err
 			}
-			bridge := mac.NewBridge(link, fs, victim)
+			bridge := mac.NewBridge(link)
 			for ch := 0; ch < 8; ch++ {
 				link.FailChannel(ch)
 			}
 			bridge.Sync()
+			fs.SetLinkCapacityFraction(victim, bridge.Fraction())
 		}
 	}
 	fs.Run()

@@ -114,6 +114,7 @@ func Run(cfg Config) (*Result, error) {
 	var m *soakMetrics
 	if cfg.Metrics != nil {
 		m = newSoakMetrics(cfg.Metrics)
+		m.milestones.Sync(res)
 	}
 	sup.OnInject = func(e Event) {
 		log.Addf("inject %v", e)
@@ -159,9 +160,7 @@ func Run(cfg Config) (*Result, error) {
 		if m != nil {
 			m.superframes.Inc()
 			m.remaps.Add(uint64(remaps))
-			m.firstDrop.SetInt(int64(res.FirstDropSF))
-			m.degraded.SetInt(int64(res.DegradedSF))
-			m.exhausted.SetInt(int64(res.SpareExhaustSF))
+			m.milestones.Sync(res)
 		}
 	}
 
@@ -183,29 +182,29 @@ func Run(cfg Config) (*Result, error) {
 // kind, remaps, maintenance actions, milestone superframes), next to the
 // per-link set the supervisor's collector owns.
 type soakMetrics struct {
-	inject                         map[Kind]*telemetry.Counter
-	remaps, maintain, superframes  *telemetry.Counter
-	firstDrop, degraded, exhausted *telemetry.Gauge
+	inject                        map[Kind]*telemetry.Counter
+	remaps, maintain, superframes *telemetry.Counter
+	milestones                    *telemetry.Mirror[Result]
+}
+
+var milestoneRows = []telemetry.Row[Result]{
+	{Name: "mosaic_soak_first_drop_superframe", Help: "superframe of the first lost/corrupted frame (-1 = never)", Level: func(r *Result) float64 { return float64(r.FirstDropSF) }},
+	{Name: "mosaic_soak_degraded_superframe", Level: func(r *Result) float64 { return float64(r.DegradedSF) }},
+	{Name: "mosaic_soak_spare_exhaust_superframe", Level: func(r *Result) float64 { return float64(r.SpareExhaustSF) }},
 }
 
 func newSoakMetrics(reg *telemetry.Registry) *soakMetrics {
 	reg.Help("mosaic_soak_injections_total", "fault events injected, by kind")
-	reg.Help("mosaic_soak_first_drop_superframe", "superframe of the first lost/corrupted frame (-1 = never)")
 	m := &soakMetrics{
 		inject:      make(map[Kind]*telemetry.Counter, 4),
 		remaps:      reg.Counter("mosaic_soak_remaps_total"),
 		maintain:    reg.Counter("mosaic_soak_maintenance_actions_total"),
 		superframes: reg.Counter("mosaic_soak_superframes_total"),
-		firstDrop:   reg.Gauge("mosaic_soak_first_drop_superframe"),
-		degraded:    reg.Gauge("mosaic_soak_degraded_superframe"),
-		exhausted:   reg.Gauge("mosaic_soak_spare_exhaust_superframe"),
+		milestones:  telemetry.NewMirror(reg, milestoneRows),
 	}
 	for _, k := range []Kind{KindKill, KindAging, KindBurst, KindCorrelated} {
 		m.inject[k] = reg.Counter("mosaic_soak_injections_total", "kind", string(k))
 	}
-	m.firstDrop.SetInt(-1)
-	m.degraded.SetInt(-1)
-	m.exhausted.SetInt(-1)
 	return m
 }
 

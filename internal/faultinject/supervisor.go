@@ -76,8 +76,8 @@ type burst struct {
 // monitor's transition hook (whatever was installed keeps firing, first;
 // Close puts it back) and writes the canonical lines into log. With a
 // non-nil metrics registry it also attaches the per-link/per-channel
-// telemetry.LinkCollector, fed from the hook and from End. Telemetry is
-// write-only: it cannot change the log. Load a schedule before the first
+// telemetry.LinkCollector, fed from End. Telemetry is write-only: it
+// cannot change the log. Load a schedule before the first
 // Begin; an unloaded supervisor injects nothing.
 func Supervise(link *phy.Link, log *eventlog.Log, metrics *telemetry.Registry) *Supervisor {
 	s := &Supervisor{
@@ -96,9 +96,6 @@ func Supervise(link *phy.Link, log *eventlog.Log, metrics *telemetry.Registry) *
 			s.prev(physical, from, to)
 		}
 		s.log.Addf("sf=%d transition ch=%d %v->%v", s.sf, physical, from, to)
-		if s.col != nil {
-			s.col.OnTransition(physical, from, to)
-		}
 	})
 	return s
 }

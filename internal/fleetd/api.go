@@ -3,6 +3,7 @@ package fleetd
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"strconv"
 	"sync/atomic"
@@ -28,7 +29,8 @@ import (
 //
 // Error mapping: shed operations return 429 (with the reason and the
 // shed counters bumped), illegal lifecycle edges 409, unknown links
-// 404, malformed requests 400.
+// 404, a body over maxBodyBytes 413, malformed requests (a batch over
+// maxBatchOps included) 400.
 type Server struct {
 	fleet *Fleet
 	reg   *telemetry.Registry
@@ -42,6 +44,14 @@ type Server struct {
 	scrapeEpoch atomic.Uint64
 	scrapes     atomic.Int64
 }
+
+// Request limits. Constants, not budgets: they bound what one request can
+// make the server buffer, and how long one batch can hold the epoch loop
+// off the fleet lock, whatever the operator configured.
+const (
+	maxBodyBytes = 1 << 20
+	maxBatchOps  = 4096
+)
 
 // NewServer wires a server for the fleet. reg must be the registry the
 // fleet publishes into.
@@ -61,7 +71,11 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/links/batch", s.handleBatch)
 	mux.HandleFunc("POST /reload", s.handleReload)
 	mux.HandleFunc("GET /v1/fleet", s.handleFleet)
-	return s.scrapeGate(mux)
+	gated := s.scrapeGate(mux)
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes) // reading past it fails the decode: 413
+		gated.ServeHTTP(w, r)
+	})
 }
 
 // scrapeGate sheds /metrics traffic beyond the per-epoch budget with
@@ -116,8 +130,11 @@ func (s *Server) healthz(w http.ResponseWriter, _ *http.Request) {
 func writeErr(w http.ResponseWriter, err error) {
 	var shed *ShedError
 	var edge *TransitionError
+	var tooBig *http.MaxBytesError
 	code := http.StatusBadRequest
 	switch {
+	case errors.As(err, &tooBig):
+		code = http.StatusRequestEntityTooLarge
 	case errors.As(err, &shed):
 		code = http.StatusTooManyRequests
 	case errors.As(err, &edge):
@@ -271,6 +288,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
+	if len(ops) > maxBatchOps {
+		writeErr(w, fmt.Errorf("fleetd: batch of %d ops exceeds the limit of %d", len(ops), maxBatchOps))
+		return
+	}
 	type outcome struct {
 		OK    bool   `json:"ok"`
 		IDs   []int  `json:"ids,omitempty"`
@@ -328,7 +349,7 @@ func decodeBody(r *http.Request, v any) error {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		return errors.New("fleetd: bad request body: " + err.Error())
+		return fmt.Errorf("fleetd: bad request body: %w", err)
 	}
 	return nil
 }

@@ -323,3 +323,70 @@ func TestAPIBadRequests(t *testing.T) {
 		t.Fatalf("invalid design create = %d, want 400", code)
 	}
 }
+
+// post sends a raw body and returns the status.
+func (h *apiHarness) post(path, body string) int {
+	h.t.Helper()
+	resp, err := http.Post(h.ts.URL+path, "application/json", strings.NewReader(body))
+	if err != nil {
+		h.t.Fatalf("POST %s: %v", path, err)
+	}
+	resp.Body.Close()
+	return resp.StatusCode
+}
+
+// TestAPIBodyLimit: a request body past maxBodyBytes is refused with 413
+// on every decoding endpoint instead of being read to its end. The
+// padding is leading whitespace, so each body is valid JSON and only its
+// size is wrong.
+func TestAPIBodyLimit(t *testing.T) {
+	h := newAPIHarness(t, testConfig(1))
+	pad := strings.Repeat(" ", maxBodyBytes)
+	cfg, err := json.Marshal(testConfig(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for path, body := range map[string]string{
+		"/v1/links":           `{"count": 1}`,
+		"/v1/links/batch":     `[{"action": "create"}]`,
+		"/v1/links/0/degrade": `{"kill": 1}`,
+		"/reload":             string(cfg),
+	} {
+		if code := h.post(path, pad+body); code != http.StatusRequestEntityTooLarge {
+			t.Errorf("POST %s with a %d-byte body = %d, want 413", path, len(pad)+len(body), code)
+		}
+	}
+	if adm := h.fleet.Admission(); adm.Admitted != 0 {
+		t.Errorf("an oversize request admitted %d links", adm.Admitted)
+	}
+	// The same bodies inside the limit go through.
+	if code := h.post("/v1/links", pad[:1000]+`{"count": 1}`); code != http.StatusCreated {
+		t.Errorf("padded create inside the limit = %d, want 201", code)
+	}
+	if code := h.post("/reload", string(cfg)); code != http.StatusOK {
+		t.Errorf("reload inside the limit = %d, want 200", code)
+	}
+}
+
+// TestAPIBatchLimit: a batch over maxBatchOps is refused whole — 400, no
+// op applied — while one at the limit runs.
+func TestAPIBatchLimit(t *testing.T) {
+	h := newAPIHarness(t, testConfig(1))
+	batch := func(n int) string {
+		return "[" + strings.TrimSuffix(strings.Repeat(`{"action":"retire","link":9},`, n), ",") + "]"
+	}
+	logBefore, admBefore := h.fleet.EventLog(), h.fleet.Admission()
+	long := `[{"action":"create"},` + batch(maxBatchOps)[1:]
+	if code := h.post("/v1/links/batch", long); code != http.StatusBadRequest {
+		t.Fatalf("batch of %d ops = %d, want 400", maxBatchOps+1, code)
+	}
+	if got := h.fleet.EventLog(); len(got) != len(logBefore) {
+		t.Errorf("refused batch wrote %d log lines", len(got)-len(logBefore))
+	}
+	if got := h.fleet.Admission(); got != admBefore {
+		t.Errorf("refused batch moved admission: %+v -> %+v", admBefore, got)
+	}
+	if code := h.post("/v1/links/batch", batch(maxBatchOps)); code != http.StatusOK {
+		t.Errorf("batch of exactly %d ops = %d, want 200", maxBatchOps, code)
+	}
+}

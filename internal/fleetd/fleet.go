@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math/rand"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -47,8 +48,9 @@ type Fleet struct {
 	lastSheds uint64 // adm.Sheds() at the previous barrier (overload detection)
 	draining  bool
 
-	epoch uint64
-	log   eventlog.Log
+	epoch  uint64
+	counts [NumStates]int // links per lifecycle state at the last barrier
+	log    eventlog.Log
 
 	topo          *netsim.Topology
 	fsim          *netsim.FleetSim
@@ -60,9 +62,9 @@ type Fleet struct {
 	retired    map[int]LinkInfo
 	retiredIDs []int // admission order, for pruning
 
-	reg      *telemetry.Registry
-	col      *telemetry.FleetCollector
-	linkCols map[int]*telemetry.FleetLinkCollector
+	reg         *telemetry.Registry
+	metrics     *telemetry.Mirror[Fleet]               // nil without a registry
+	linkMetrics map[int]*telemetry.Mirror[managedLink] // the links inside the DetailLinks budget
 
 	// snap is the lock-free health view: /healthz and load-shedding
 	// decisions read it without taking the fleet lock (a scrape must
@@ -107,15 +109,15 @@ func New(cfg Config, reg *telemetry.Registry) (*Fleet, error) {
 		return nil, err
 	}
 	f := &Fleet{
-		cfg:      cfg,
-		pool:     par.New(cfg.Workers),
-		links:    make(map[int]*managedLink),
-		bucket:   newTokenBucket(cfg.Budgets.AdmitPerEpoch, cfg.Budgets.AdmitBurst),
-		log:      eventlog.Log{Max: cfg.MaxLog},
-		retired:  make(map[int]LinkInfo),
-		reg:      reg,
-		linkCols: make(map[int]*telemetry.FleetLinkCollector),
-		flowRNG:  rand.New(rand.NewSource(cfg.Seed + 0x5eed)),
+		cfg:         cfg,
+		pool:        par.New(cfg.Workers),
+		links:       make(map[int]*managedLink),
+		bucket:      newTokenBucket(cfg.Budgets.AdmitPerEpoch, cfg.Budgets.AdmitBurst),
+		log:         eventlog.Log{Max: cfg.MaxLog},
+		retired:     make(map[int]LinkInfo),
+		reg:         reg,
+		linkMetrics: make(map[int]*telemetry.Mirror[managedLink]),
+		flowRNG:     rand.New(rand.NewSource(cfg.Seed + 0x5eed)),
 	}
 	if f.log.Max <= 0 {
 		f.log.Max = 200000
@@ -141,15 +143,10 @@ func New(cfg Config, reg *telemetry.Registry) (*Fleet, error) {
 	heap.Init(&f.freeTopo)
 
 	if reg != nil {
-		f.col = telemetry.NewFleetCollector(reg, StateNames(), shedReasonNames())
+		f.metrics = telemetry.NewMirror(reg, fleetRows)
 	}
 	f.publishSnapshot(false)
 	return f, nil
-}
-
-func shedReasonNames() []string {
-	return []string{string(ShedRate), string(ShedLinks), string(ShedTopology),
-		string(ShedScrape), string(ShedDraining)}
 }
 
 // countShed books a shed under its reason counter and logs it.
@@ -240,7 +237,7 @@ func (f *Fleet) Create(n int, d *LinkDesign) ([]int, error) {
 		f.adm.Admitted++
 		f.log.Addf("epoch=%d op=create link=%d topo=%d lanes=%d", f.epoch, id, topoID, design.Lanes)
 		if f.reg != nil && (f.cfg.Budgets.DetailLinks < 0 || id < f.cfg.Budgets.DetailLinks) {
-			f.linkCols[id] = telemetry.NewFleetLinkCollector(f.reg, id)
+			f.linkMetrics[id] = telemetry.NewMirror(f.reg, linkRows, "link", strconv.Itoa(id))
 		}
 		ids = append(ids, id)
 	}
@@ -427,21 +424,32 @@ func (f *Fleet) stepLocked() {
 	f.fsim.DropRecords() // the snapshot reads the simulator's totals; nothing reads a record
 
 	// Epoch summary line: the fleet-level determinism witness.
-	counts := f.stateCountsLocked()
+	f.counts = [NumStates]int{}
+	for _, ml := range f.links {
+		f.counts[ml.state]++
+	}
 	f.log.Addf("epoch=%d summary live=%d serving=%d degraded=%d draining=%d retired=%d flows=%d",
 		f.epoch, len(f.links),
-		counts[StateServing], counts[StateDegraded], counts[StateDraining],
+		f.counts[StateServing], f.counts[StateDegraded], f.counts[StateDraining],
 		f.adm.Retired, f.fsim.ActiveFlows())
 
 	f.epoch++
 	f.publishSnapshot(f.adm.Sheds() > f.lastSheds)
 	f.lastSheds = f.adm.Sheds()
-	f.syncTelemetryLocked(counts)
+
+	// Telemetry last: the fleet and every detailed link as this barrier
+	// leaves them.
+	if f.metrics != nil {
+		f.metrics.Sync(f)
+		for id, m := range f.linkMetrics {
+			m.Sync(f.links[id])
+		}
+	}
 }
 
 // retireLocked finalizes a retired link: record the tombstone, free the
 // topology slot (restored to full width for its next tenant), detach
-// the per-link collector, and drop the link.
+// the per-link series, and drop the link.
 func (f *Fleet) retireLocked(ml *managedLink) {
 	f.adm.Retired++
 	f.retired[ml.id] = ml.info()
@@ -452,9 +460,9 @@ func (f *Fleet) retireLocked(ml *managedLink) {
 	}
 	f.fsim.SetLinkFraction(ml.topoID, 1)
 	heap.Push(&f.freeTopo, ml.topoID)
-	if col, ok := f.linkCols[ml.id]; ok {
-		col.Detach()
-		delete(f.linkCols, ml.id)
+	if m, ok := f.linkMetrics[ml.id]; ok {
+		m.Detach()
+		delete(f.linkMetrics, ml.id)
 	}
 	delete(f.links, ml.id)
 	for i, id := range f.order {
@@ -465,18 +473,9 @@ func (f *Fleet) retireLocked(ml *managedLink) {
 	}
 }
 
-func (f *Fleet) stateCountsLocked() [NumStates]int {
-	var counts [NumStates]int
-	for _, ml := range f.links {
-		counts[ml.state]++
-	}
-	return counts
-}
-
 func (f *Fleet) publishSnapshot(overloaded bool) {
-	counts := f.stateCountsLocked()
 	states := make(map[string]int, NumStates)
-	for s, n := range counts {
+	for s, n := range f.counts {
 		states[State(s).String()] = n
 	}
 	completed, stalled := f.fsim.FlowTotals()
@@ -496,28 +495,6 @@ func (f *Fleet) publishSnapshot(overloaded bool) {
 		FlowsCompleted: completed,
 		FlowsStalled:   stalled,
 	})
-}
-
-func (f *Fleet) syncTelemetryLocked(counts [NumStates]int) {
-	if f.col == nil {
-		return
-	}
-	var stateCounts [NumStates]int64
-	for i, n := range counts {
-		stateCounts[i] = int64(n)
-	}
-	f.col.SyncStates(stateCounts[:])
-	ps := f.pool.Stats()
-	f.col.SyncPool(ps.Workers, ps.Tasks, ps.Steals, ps.Rounds, ps.Depth)
-	f.col.SyncAdmission(f.adm.Admitted, f.adm.Retired, []uint64{
-		f.adm.ShedRate, f.adm.ShedLinks, f.adm.ShedTopology,
-		f.adm.ShedScrape, f.adm.ShedDraining,
-	})
-	f.col.SyncFleet(f.epoch, uint64(f.fsim.ActiveFlows()), f.flowsInjected, uint64(len(f.links)))
-	for id, col := range f.linkCols {
-		ml := f.links[id]
-		col.Sync(int(ml.state), ml.lanes(), ml.fraction(), ml.queued, ml.delivered, ml.retx)
-	}
 }
 
 // Snapshot returns the latest lock-free fleet summary.

@@ -436,7 +436,8 @@ func TestFlowRecordsDrainedEveryEpoch(t *testing.T) {
 func TestFleetTelemetry(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	cfg := testConfig(1)
-	cfg.Budgets.DetailLinks = 1 // link 0 detailed, link 1 not
+	cfg.Budgets.DetailLinks = 1    // link 0 detailed, link 1 not
+	cfg.Budgets.FlowsPerEpoch = 16 // a standing backlog on two pods: every host link carries flows
 	f, err := New(cfg, reg)
 	if err != nil {
 		t.Fatal(err)
@@ -478,6 +479,27 @@ func TestFleetTelemetry(t *testing.T) {
 	}
 	if !strings.Contains(b.String(), "mosaic_fleetd_retired_total 1") {
 		t.Error("retired counter not synced")
+	}
+
+	// The flow totals are two more rows of the same table. Killing every
+	// channel of link 1 takes its host link down in the flow simulator,
+	// so flows through that host lose their last route.
+	for lanes := cfg.Design.Lanes; lanes > 0; lanes = f.links[1].lanes() { // spares step in once
+		if err := f.Degrade(1, lanes); err != nil {
+			t.Fatal(err)
+		}
+		f.Step()
+	}
+	stepUntil(t, f, func() bool { return f.Snapshot().FlowsStalled > 0 }, 20, "a stalled flow")
+	snap := f.Snapshot() // what GET /v1/fleet serves
+	if snap.FlowsCompleted == 0 {
+		t.Error("no background flow completed")
+	}
+	if got := reg.Counter("mosaic_fleetd_flows_completed_total").Value(); got != snap.FlowsCompleted {
+		t.Errorf("flows_completed_total %d, /v1/fleet says %d", got, snap.FlowsCompleted)
+	}
+	if got := reg.Counter("mosaic_fleetd_flows_stalled_total").Value(); got != snap.FlowsStalled {
+		t.Errorf("flows_stalled_total %d, /v1/fleet says %d", got, snap.FlowsStalled)
 	}
 }
 

@@ -30,10 +30,9 @@ type managedLink struct {
 	pair     *mac.Pair
 	sup      *faultinject.Supervisor
 	round    int // fault-schedule round (sf / Horizon)
-	// bridge's sink is mac.DiscardCapacity: its syncs run inside the
-	// pooled step, so the fleet reads Fraction() and republishes it into
-	// the shared FleetSim sequentially at the barrier (ascending link ID
-	// — race-free and worker-count invariant).
+	// bridge syncs inside the pooled step; the fleet reads Fraction()
+	// and hands it to the shared FleetSim sequentially at the barrier
+	// (ascending link ID — race-free and worker-count invariant).
 	bridge *mac.Bridge
 
 	contract int // lanes the link last negotiated to serve at
@@ -123,7 +122,7 @@ func (m *managedLink) construct() error {
 	m.sup.OnInject = func(e faultinject.Event) {
 		m.events.Addf("sf=%d inject %v", m.sf, e)
 	}
-	m.bridge = mac.NewBridge(m.fwd, mac.DiscardCapacity{}, m.topoID)
+	m.bridge = mac.NewBridge(m.fwd)
 	m.bridge.OnRenegotiate = func(lanes int, frac float64) {
 		m.events.Addf("sf=%d bridge lanes=%d frac=%.4f", m.sf, lanes, frac)
 	}

@@ -17,7 +17,12 @@
 //   - The shell (Server + cmd/mosaicfleetd) drives Step from a wall-clock
 //     ticker, translates HTTP/JSON requests into operations, sheds load
 //     with 429s when budgets are exceeded, hot-reloads configuration on
-//     SIGHUP / POST /reload, and drains gracefully on SIGTERM.
+//     SIGHUP / POST /reload, and drains gracefully on SIGTERM. It bounds
+//     what one request can cost (body size, batch length) with constants.
+//
+// Telemetry is two row tables (metrics.go) — the fleet's and a managed
+// link's — pushed through telemetry.Mirror last thing at the barrier; a
+// scrape reads the registry's atomics and never takes the fleet lock.
 package fleetd
 
 import "fmt"
@@ -62,20 +67,12 @@ var stateNames = [NumStates]string{
 }
 
 // String returns the lifecycle stage's wire name (used in the event log,
-// the JSON API, and the per-state telemetry gauges).
+// the JSON API, and the per-state telemetry gauges' state label).
 func (s State) String() string {
 	if int(s) < NumStates {
 		return stateNames[s]
 	}
 	return fmt.Sprintf("state(%d)", uint8(s))
-}
-
-// StateNames lists every lifecycle stage in declaration order — the
-// index is the State value. Telemetry registers one gauge per name.
-func StateNames() []string {
-	out := make([]string, NumStates)
-	copy(out, stateNames[:])
-	return out
 }
 
 // legalEdges is the full transition relation. Anything not listed is

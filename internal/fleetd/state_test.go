@@ -88,11 +88,7 @@ func TestLifecycleIllegalEdges(t *testing.T) {
 }
 
 func TestStateNamesRoundTrip(t *testing.T) {
-	names := StateNames()
-	if len(names) != NumStates {
-		t.Fatalf("StateNames has %d entries, want %d", len(names), NumStates)
-	}
-	for i, name := range names {
+	for i, name := range stateNames {
 		if got := State(i).String(); got != name {
 			t.Errorf("State(%d).String() = %q, want %q", i, got, name)
 		}

@@ -7,19 +7,20 @@ import (
 	"mosaic/internal/phy"
 )
 
-// recordingSink captures every capacity publication.
-type recordingSink struct {
-	calls []struct {
-		link int
-		frac float64
-	}
+// polledBridge is a flow-simulator owner's view of a bridge: it reads
+// Fraction after every Sync and records each value that moved — the
+// writes a FlowSim would act on.
+type polledBridge struct {
+	*Bridge
+	fracs []float64
 }
 
-func (r *recordingSink) SetLinkCapacityFraction(link int, frac float64) {
-	r.calls = append(r.calls, struct {
-		link int
-		frac float64
-	}{link, frac})
+func (p *polledBridge) Sync() {
+	before := p.Fraction()
+	p.Bridge.Sync()
+	if f := p.Fraction(); f != before {
+		p.fracs = append(p.fracs, f)
+	}
 }
 
 func bridgeLink(t *testing.T, lanes, spares int) *phy.Link {
@@ -42,8 +43,7 @@ func bridgeLink(t *testing.T, lanes, spares int) *phy.Link {
 // run out, each lane loss publishes exactly one shrinking fraction.
 func TestBridgeSparesAbsorbThenDegrade(t *testing.T) {
 	link := bridgeLink(t, 10, 2)
-	sink := &recordingSink{}
-	b := NewBridge(link, sink, 7)
+	b := &polledBridge{Bridge: NewBridge(link)}
 
 	fail := func(ch int) {
 		link.FailChannel(ch)
@@ -52,8 +52,8 @@ func TestBridgeSparesAbsorbThenDegrade(t *testing.T) {
 
 	fail(0)
 	fail(1)
-	if len(sink.calls) != 0 {
-		t.Fatalf("spare-absorbed failures published capacity: %+v", sink.calls)
+	if len(b.fracs) != 0 {
+		t.Fatalf("spare-absorbed failures published capacity: %+v", b.fracs)
 	}
 	if b.Fraction() != 1 || b.Renegotiations() != 0 {
 		t.Fatalf("fraction=%v renegs=%d, want 1/0", b.Fraction(), b.Renegotiations())
@@ -61,11 +61,11 @@ func TestBridgeSparesAbsorbThenDegrade(t *testing.T) {
 
 	fail(2) // spares exhausted: 9/10 lanes
 	fail(3) // 8/10
-	if len(sink.calls) != 2 {
-		t.Fatalf("published %d times, want 2: %+v", len(sink.calls), sink.calls)
+	if len(b.fracs) != 2 {
+		t.Fatalf("published %d times, want 2: %+v", len(b.fracs), b.fracs)
 	}
-	if sink.calls[0].link != 7 || sink.calls[0].frac != 0.9 || sink.calls[1].frac != 0.8 {
-		t.Fatalf("wrong publications: %+v", sink.calls)
+	if b.fracs[0] != 0.9 || b.fracs[1] != 0.8 {
+		t.Fatalf("wrong publications: %+v", b.fracs)
 	}
 	if b.Renegotiations() != 2 {
 		t.Fatalf("renegotiations = %d, want 2", b.Renegotiations())
@@ -76,8 +76,7 @@ func TestBridgeSparesAbsorbThenDegrade(t *testing.T) {
 // renegotiation at the settled fraction.
 func TestBridgeCoalescesSimultaneousFailures(t *testing.T) {
 	link := bridgeLink(t, 10, 0)
-	sink := &recordingSink{}
-	b := NewBridge(link, sink, 0)
+	b := &polledBridge{Bridge: NewBridge(link)}
 
 	b.Sync()
 	link.FailChannel(0)
@@ -85,11 +84,11 @@ func TestBridgeCoalescesSimultaneousFailures(t *testing.T) {
 	link.FailChannel(2)
 	b.Sync()
 
-	if len(sink.calls) != 1 || b.Renegotiations() != 1 {
-		t.Fatalf("published %d times, want 1 coalesced: %+v", len(sink.calls), sink.calls)
+	if len(b.fracs) != 1 || b.Renegotiations() != 1 {
+		t.Fatalf("published %d times, want 1 coalesced: %+v", len(b.fracs), b.fracs)
 	}
-	if sink.calls[0].frac != 0.7 {
-		t.Fatalf("coalesced fraction = %v, want 0.7", sink.calls[0].frac)
+	if b.fracs[0] != 0.7 {
+		t.Fatalf("coalesced fraction = %v, want 0.7", b.fracs[0])
 	}
 }
 
@@ -101,7 +100,7 @@ func TestBridgeLeavesExistingHook(t *testing.T) {
 	var hookCalls int
 	link.Monitor().SetTransitionHook(func(int, phy.ChannelState, phy.ChannelState) { hookCalls++ })
 	before := reflect.ValueOf(link.Monitor().TransitionHook()).Pointer()
-	b := NewBridge(link, &recordingSink{}, 0)
+	b := NewBridge(link)
 
 	link.FailChannel(0)
 	b.Sync()
@@ -120,15 +119,14 @@ func TestBridgeLeavesExistingHook(t *testing.T) {
 // it runs on every superframe of every link.
 func TestBridgeIdleSyncIsFree(t *testing.T) {
 	link := bridgeLink(t, 10, 0)
-	sink := &recordingSink{}
-	b := NewBridge(link, sink, 0)
+	b := &polledBridge{Bridge: NewBridge(link)}
 	link.FailChannel(0)
 	b.Sync()
 
 	if allocs := testing.AllocsPerRun(100, b.Sync); allocs != 0 {
 		t.Errorf("idle Sync allocates %v times per call, want 0", allocs)
 	}
-	if len(sink.calls) != 1 || b.Renegotiations() != 1 || b.Fraction() != 0.9 {
-		t.Fatalf("idle Syncs published: %+v (renegs=%d frac=%v)", sink.calls, b.Renegotiations(), b.Fraction())
+	if len(b.fracs) != 1 || b.Renegotiations() != 1 || b.Fraction() != 0.9 {
+		t.Fatalf("idle Syncs published: %+v (renegs=%d frac=%v)", b.fracs, b.Renegotiations(), b.Fraction())
 	}
 }

@@ -29,18 +29,17 @@ const goldenInterval = sim.Time(1e-5)
 
 // runGoldenSession executes the pinned scenario with Run. reg may be nil;
 // the golden hash must not depend on it (telemetry is write-only).
-func runGoldenSession(t *testing.T, workers int, reg *telemetry.Registry) (string, *Result, *recordingSink) {
+func runGoldenSession(t *testing.T, workers int, reg *telemetry.Registry) (string, *Result, *Bridge) {
 	t.Helper()
 	return driveGoldenSession(t, workers, reg, (*Session).Run)
 }
 
 // driveGoldenSession builds the pinned scenario and hands it to drive.
-func driveGoldenSession(t *testing.T, workers int, reg *telemetry.Registry, drive func(*Session) *Result) (string, *Result, *recordingSink) {
+func driveGoldenSession(t *testing.T, workers int, reg *telemetry.Registry, drive func(*Session) *Result) (string, *Result, *Bridge) {
 	t.Helper()
 	fwd := testLink(t, 11, workers)
 	rev := testLink(t, 12, workers)
-	sink := &recordingSink{}
-	bridge := NewBridge(fwd, sink, 3)
+	bridge := NewBridge(fwd)
 	sess, err := NewSession(SessionConfig{
 		Fwd:  fwd,
 		Rev:  rev,
@@ -63,13 +62,13 @@ func driveGoldenSession(t *testing.T, workers int, reg *telemetry.Registry, driv
 		t.Fatal(err)
 	}
 	res := drive(sess)
-	return eventlog.Digest(res.Log, res.Summary()), res, sink
+	return eventlog.Digest(res.Log, res.Summary()), res, bridge
 }
 
 func TestSessionDeterminismAcrossWorkerCounts(t *testing.T) {
 	for _, w := range []int{1, 2, 3, 4, runtime.NumCPU(), 0} {
 		t.Run(fmt.Sprintf("workers=%d", w), func(t *testing.T) {
-			sha, res, sink := runGoldenSession(t, w, nil)
+			sha, res, bridge := runGoldenSession(t, w, nil)
 			if sha != goldenSessionSHA {
 				t.Errorf("event log hash = %s, want %s; log:\n%s\n%s",
 					sha, goldenSessionSHA, strings.Join(res.Log, "\n"), res.Summary())
@@ -85,9 +84,9 @@ func TestSessionDeterminismAcrossWorkerCounts(t *testing.T) {
 			if res.A.Retransmits == 0 {
 				t.Errorf("aging scenario produced no retransmissions: %+v", res.A)
 			}
-			if res.Renegotiations == 0 || len(sink.calls) == 0 {
-				t.Errorf("spare exhaustion never renegotiated (%d, %d sink calls)",
-					res.Renegotiations, len(sink.calls))
+			if res.Renegotiations == 0 || bridge.Renegotiations() != res.Renegotiations || bridge.Fraction() >= 1 {
+				t.Errorf("spare exhaustion never renegotiated (result %d; bridge %d, fraction %v)",
+					res.Renegotiations, bridge.Renegotiations(), bridge.Fraction())
 			}
 		})
 	}
@@ -163,7 +162,7 @@ func TestSessionOnReusedLinksRemapsNothing(t *testing.T) {
 			Pair:     PairConfig{PHYFrameLen: 120},
 			Schedule: sched, Superframes: 10, Interval: 1e-5,
 			PacketsPerSF: 4, PacketLen: 150, Seed: 21,
-			Bridge: NewBridge(fwd, DiscardCapacity{}, 0),
+			Bridge: NewBridge(fwd),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -191,7 +190,7 @@ func shedSession(t *testing.T, fwd, rev *phy.Link, sched faultinject.Schedule, r
 		Fwd: fwd, Rev: rev,
 		Schedule: sched, Superframes: 4, Interval: 1e-5,
 		PacketsPerSF: 2, PacketLen: 100, Seed: 21,
-		Bridge:  NewBridge(fwd, DiscardCapacity{}, 0),
+		Bridge:  NewBridge(fwd),
 		Metrics: reg,
 	})
 	if err != nil {
@@ -223,7 +222,7 @@ func TestSessionTelemetrySeesFinalSuperframeRenegotiation(t *testing.T) {
 }
 
 // The bridge's 1.0 is the configured width, not the width it was built
-// on: a second session (new bridge, fresh sink) on a pair whose first
+// on: a second session (new bridge) on a pair whose first
 // session shed a lane reports the worn fraction, published once.
 func TestSessionOnWornLinkReportsRealFraction(t *testing.T) {
 	fwd, rev := bridgeLink(t, 10, 0), bridgeLink(t, 10, 0)

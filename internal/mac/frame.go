@@ -16,11 +16,12 @@
 //     every data frame. Residual post-FEC corruption (the ~1e-12 tail
 //     the PHY cannot fix) is repaired here, invisibly to the client.
 //
-//   - Capacity renegotiation: Bridge subscribes to phy.Monitor
-//     transition hooks and republishes the link's degraded capacity into
-//     netsim.FlowSim when sparing consumes lanes, so the fluid flow
-//     simulator sees graceful width degradation instead of hand-wired
-//     capacity edits.
+//   - Capacity renegotiation: Bridge turns the lanes sparing has left a
+//     link into the capacity fraction its flow-simulator link should run
+//     at — synced by whoever drives the link at the superframe boundary,
+//     read through Fraction() by whoever owns the simulator — so the
+//     fluid flow simulator sees graceful width degradation instead of
+//     hand-wired capacity edits.
 //
 // Everything is deterministic: framing and retry state advance only at
 // superframe boundaries, and the PHY guarantees worker-count-independent

@@ -60,12 +60,30 @@ func TestMACCollectorSync(t *testing.T) {
 		t.Fatalf("endpoint b data_tx %d, want 1", got)
 	}
 
-	c.syncBridge(2, 0.5)
-	c.syncBridge(5, 1.0)
+	c.bridge.Sync(&Bridge{renegotiations: 2, lastFrac: 0.5})
+	c.bridge.Sync(&Bridge{renegotiations: 5, lastFrac: 1.0})
 	if got := r.Counter("mosaic_mac_renegotiations_total").Value(); got != 5 {
 		t.Fatalf("renegotiations %d, want 5", got)
 	}
 	if got := r.Gauge("mosaic_mac_capacity_fraction").Value(); got != 1.0 {
 		t.Fatalf("capacity fraction %v, want 1", got)
+	}
+}
+
+// A tick's worth of pushes — endpoint, VC and bridge tables — allocates
+// nothing once the labeled mirrors exist.
+func TestMACCollectorSyncAllocs(t *testing.T) {
+	c := newCollector(telemetry.NewRegistry())
+	b := &Bridge{lastFrac: 0.5, renegotiations: 1}
+	s, vc := Stats{DataTx: 20, Retransmits: 5}, VCStats{DataTx: 20, Class: 1}
+	push := func() {
+		s.DataTx++
+		c.sync("a", s)
+		c.syncVC("a", 2, vc)
+		c.bridge.Sync(b)
+	}
+	push()
+	if allocs := testing.AllocsPerRun(100, push); allocs != 0 {
+		t.Errorf("MAC telemetry push allocates %v times per tick, want 0", allocs)
 	}
 }

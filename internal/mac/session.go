@@ -247,8 +247,8 @@ func (s *Session) Step() bool {
 		s.sup.Close()
 	}
 
-	// The boundary's last step: republish the post-remap width. It runs
-	// after the milestones and the increment, so a renegotiate line
+	// The boundary's last step: renegotiate to the post-remap width. It
+	// runs after the milestones and the increment, so a renegotiate line
 	// closes its superframe's block and names the superframe about to
 	// start; and before the push, so telemetry sees this tick's width.
 	if s.cfg.Bridge != nil {
@@ -265,7 +265,7 @@ func (s *Session) Step() bool {
 			s.col.syncVC("b", vc, s.pair.B.VCSnapshot(vc))
 		}
 		if s.cfg.Bridge != nil {
-			s.col.syncBridge(s.cfg.Bridge.Renegotiations(), s.cfg.Bridge.Fraction())
+			s.col.bridge.Sync(s.cfg.Bridge)
 		}
 	}
 	return more

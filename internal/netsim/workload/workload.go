@@ -1,8 +1,8 @@
 // Package workload generates datacenter traffic for the flow simulator:
 // Poisson arrivals with flow sizes drawn from empirical datacenter
 // distributions (web-search and data-mining style CDFs from the DCTCP/
-// pFabric literature), plus simple fixed and Pareto generators for
-// controlled experiments.
+// pFabric literature), plus a fixed-size generator for controlled
+// experiments.
 package workload
 
 import (
@@ -30,42 +30,6 @@ func (f Fixed) SampleBits(*rand.Rand) float64 { return f.Bits }
 
 // MeanBits implements SizeDist.
 func (f Fixed) MeanBits() float64 { return f.Bits }
-
-// Pareto is a bounded Pareto distribution (heavy tail).
-type Pareto struct {
-	Alpha   float64
-	MinBits float64
-	MaxBits float64
-}
-
-// Name implements SizeDist.
-func (p Pareto) Name() string { return "pareto" }
-
-// SampleBits implements SizeDist.
-func (p Pareto) SampleBits(rng *rand.Rand) float64 {
-	if p.Alpha <= 0 || p.MinBits <= 0 || p.MaxBits <= p.MinBits {
-		return p.MinBits
-	}
-	u := rng.Float64()
-	l, h := math.Pow(p.MinBits, p.Alpha), math.Pow(p.MaxBits, p.Alpha)
-	return math.Pow(-(u*h-u*l-h)/(h*l), -1/p.Alpha)
-}
-
-// MeanBits implements SizeDist.
-func (p Pareto) MeanBits() float64 {
-	if p.Alpha == 1 {
-		return p.MinBits * math.Log(p.MaxBits/p.MinBits) /
-			(1 - p.MinBits/p.MaxBits)
-	}
-	a := p.Alpha
-	num := a * (math.Pow(p.MinBits, a)*math.Pow(p.MaxBits, 1-a) - p.MinBits) // approximate
-	den := (1 - a) * (1 - math.Pow(p.MinBits/p.MaxBits, a))
-	m := num / den
-	if m < p.MinBits {
-		m = p.MinBits
-	}
-	return m
-}
 
 // Empirical is a piecewise CDF over flow sizes.
 type Empirical struct {

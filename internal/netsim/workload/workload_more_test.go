@@ -65,29 +65,6 @@ func TestEmpiricalFirstBucket(t *testing.T) {
 	}
 }
 
-func TestParetoMeanFormula(t *testing.T) {
-	// Sampled mean should approximate the analytic mean for alpha > 1.
-	p := Pareto{Alpha: 1.5, MinBits: 1e4, MaxBits: 1e8}
-	rng := rand.New(rand.NewSource(13))
-	var sum float64
-	const n = 200000
-	for i := 0; i < n; i++ {
-		sum += p.SampleBits(rng)
-	}
-	mean := sum / n
-	analytic := p.MeanBits()
-	if analytic <= 0 || math.Abs(mean-analytic)/analytic > 0.5 {
-		t.Errorf("sampled mean %v vs analytic %v", mean, analytic)
-	}
-}
-
-func TestParetoAlphaOneMean(t *testing.T) {
-	p := Pareto{Alpha: 1, MinBits: 1e3, MaxBits: 1e6}
-	if m := p.MeanBits(); m <= p.MinBits || m >= p.MaxBits {
-		t.Errorf("alpha=1 mean = %v outside support", m)
-	}
-}
-
 func TestPoissonGapQuick(t *testing.T) {
 	p := PoissonArrivals{RatePerSec: 1e6}
 	rng := rand.New(rand.NewSource(15))
@@ -101,8 +78,7 @@ func TestPoissonGapQuick(t *testing.T) {
 }
 
 func TestSampleBitsAlwaysPositiveQuick(t *testing.T) {
-	dists := []SizeDist{WebSearch(),
-		Fixed{Bits: 100}, Pareto{Alpha: 1.3, MinBits: 10, MaxBits: 1e6}}
+	dists := []SizeDist{WebSearch(), Fixed{Bits: 100}}
 	rng := rand.New(rand.NewSource(16))
 	prop := func(uint8) bool {
 		for _, d := range dists {

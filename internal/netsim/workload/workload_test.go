@@ -14,46 +14,6 @@ func TestFixed(t *testing.T) {
 	}
 }
 
-func TestParetoBounds(t *testing.T) {
-	p := Pareto{Alpha: 1.2, MinBits: 1e3, MaxBits: 1e9}
-	rng := rand.New(rand.NewSource(2))
-	for i := 0; i < 10000; i++ {
-		s := p.SampleBits(rng)
-		if s < p.MinBits*0.999 || s > p.MaxBits*1.001 {
-			t.Fatalf("sample %v outside bounds", s)
-		}
-	}
-}
-
-func TestParetoHeavyTail(t *testing.T) {
-	p := Pareto{Alpha: 1.2, MinBits: 1e3, MaxBits: 1e9}
-	rng := rand.New(rand.NewSource(3))
-	var small, large int
-	for i := 0; i < 20000; i++ {
-		s := p.SampleBits(rng)
-		if s < 1e4 {
-			small++
-		}
-		if s > 1e6 {
-			large++
-		}
-	}
-	if small < 10000 {
-		t.Errorf("most samples should be small: %d", small)
-	}
-	if large == 0 {
-		t.Error("the tail should produce some huge flows")
-	}
-}
-
-func TestParetoDegenerate(t *testing.T) {
-	p := Pareto{Alpha: 0, MinBits: 5, MaxBits: 1}
-	rng := rand.New(rand.NewSource(4))
-	if p.SampleBits(rng) != 5 {
-		t.Error("degenerate Pareto should return MinBits")
-	}
-}
-
 func TestEmpiricalValidation(t *testing.T) {
 	if _, err := NewEmpirical("x", nil, nil); err == nil {
 		t.Error("empty CDF accepted")

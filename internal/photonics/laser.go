@@ -116,9 +116,5 @@ func (l Laser) CurrentForPower(p float64) (float64, error) {
 	return i, nil
 }
 
-// Bandwidth returns the modulation bandwidth (Hz). For lasers this is
-// essentially bias-independent in our operating range.
-func (l Laser) Bandwidth(float64) float64 { return l.BandwidthHz }
-
 // String identifies the device.
 func (l Laser) String() string { return l.Name }

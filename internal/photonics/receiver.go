@@ -77,15 +77,6 @@ func (p Photodiode) Responsivity(lambda float64) float64 {
 	return eta * units.ElectronCharge / units.PhotonEnergy(lambda)
 }
 
-// Photocurrent returns the signal current (A) for incident optical power
-// (W) at the given wavelength, including dark current.
-func (p Photodiode) Photocurrent(powerW, lambda float64) float64 {
-	if powerW < 0 {
-		powerW = 0
-	}
-	return p.Responsivity(lambda)*powerW + p.DarkCurrentA
-}
-
 // TIA models a transimpedance amplifier front end.
 type TIA struct {
 	Name          string

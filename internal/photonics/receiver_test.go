@@ -52,18 +52,6 @@ func TestSiPDAtBlue(t *testing.T) {
 	}
 }
 
-func TestPhotocurrent(t *testing.T) {
-	pd := SiPD()
-	i := pd.Photocurrent(10e-6, 430e-9)
-	want := pd.Responsivity(430e-9)*10e-6 + pd.DarkCurrentA
-	if !units.ApproxEqual(i, want, 1e-12) {
-		t.Errorf("photocurrent = %v, want %v", i, want)
-	}
-	if got := pd.Photocurrent(-5, 430e-9); got != pd.DarkCurrentA {
-		t.Errorf("negative power should clamp to dark current, got %v", got)
-	}
-}
-
 func TestTIAValidation(t *testing.T) {
 	for _, a := range []TIA{SimpleTIA()} {
 		if err := a.Validate(); err != nil {

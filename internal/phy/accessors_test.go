@@ -31,15 +31,6 @@ func TestNoFECDecodeTruncated(t *testing.T) {
 	}
 }
 
-func TestFramerOverheadFraction(t *testing.T) {
-	f := NewFramer(NoFEC{}, 243)
-	// wire = 2 + (243+10) = 255; overhead = 12/243.
-	want := float64(f.WireLen()-243) / 243
-	if got := f.OverheadFraction(); got != want {
-		t.Errorf("overhead = %v, want %v", got, want)
-	}
-}
-
 func TestConventionalConfigShape(t *testing.T) {
 	cfg := ConventionalConfig()
 	link, err := New(cfg)

@@ -55,11 +55,6 @@ func (f *Framer) PayloadLen() int { return f.payloadLen }
 // WireLen returns the on-the-wire size of one frame.
 func (f *Framer) WireLen() int { return 2 + f.encLen }
 
-// OverheadFraction returns (wire-payload)/payload.
-func (f *Framer) OverheadFraction() float64 {
-	return float64(f.WireLen()-f.payloadLen) / float64(f.payloadLen)
-}
-
 // ChannelFrame is one decoded channel frame.
 type ChannelFrame struct {
 	Lane        int

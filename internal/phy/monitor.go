@@ -218,9 +218,8 @@ func (m *Monitor) Snapshot() []ChannelHealth {
 }
 
 // SnapshotInto copies every channel's health into dst, reusing its
-// capacity (dst may be nil). Telemetry collectors call this once per
-// superframe; reusing the buffer keeps the observation path
-// allocation-free in steady state.
+// capacity (dst may be nil), so a periodic reader stays allocation-free
+// in steady state.
 func (m *Monitor) SnapshotInto(dst []ChannelHealth) []ChannelHealth {
 	return append(dst[:0], m.channels...)
 }

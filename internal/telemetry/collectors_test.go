@@ -88,28 +88,72 @@ func TestLinkCollector(t *testing.T) {
 	}
 }
 
-// TestLinkCollectorOnTransition covers both the pre-registered transition
-// pairs and the on-demand fallback for pairs outside the known machine.
+// TestLinkCollectorOnTransition drives every transition pair the
+// monitor's state machine can produce and checks each lands in its
+// from/to counter at the next Sync — counted from attach time, not from
+// the monitor's birth.
 func TestLinkCollectorOnTransition(t *testing.T) {
 	link := newTestLink(t)
+	mon := link.Monitor()
+	noisy := func(ch int) { mon.Observe(ch, 10, 10, 50, 1000) } // estimated BER 0.05: degraded
+	noisy(2)                                                    // history the collector must not replay
+
 	r := NewRegistry()
 	c := NewLinkCollector(r, link)
-
-	c.OnTransition(0, phy.Healthy, phy.Degraded)
-	c.OnTransition(1, phy.Healthy, phy.Degraded)
-	c.OnTransition(0, phy.Degraded, phy.Failed)
-	want := r.Counter("mosaic_monitor_transitions_total",
-		"from", phy.Healthy.String(), "to", phy.Degraded.String())
-	if want.Value() != 2 {
-		t.Fatalf("healthy->degraded transitions %d, want 2", want.Value())
+	transitions := func(from, to phy.ChannelState) uint64 {
+		return r.Counter("mosaic_monitor_transitions_total", "from", from.String(), "to", to.String()).Value()
 	}
-	// A pair the state machine cannot produce today still lands in a
-	// counter rather than vanishing.
-	c.OnTransition(0, phy.Failed, phy.Healthy)
-	odd := r.Counter("mosaic_monitor_transitions_total",
-		"from", phy.Failed.String(), "to", phy.Healthy.String())
-	if odd.Value() != 1 {
-		t.Fatalf("unknown transition pair counted %d, want 1", odd.Value())
+	if got := transitions(phy.Healthy, phy.Degraded); got != 0 {
+		t.Fatalf("attach replayed %d pre-attach transitions", got)
+	}
+
+	noisy(0)
+	noisy(1)
+	mon.MarkFailed(0)
+	if got := transitions(phy.Healthy, phy.Degraded); got != 0 {
+		t.Fatalf("transitions reached the registry before Sync: %d", got)
+	}
+	c.Sync()
+	if got := transitions(phy.Healthy, phy.Degraded); got != 2 {
+		t.Fatalf("healthy->degraded transitions %d, want 2", got)
+	}
+	if got := transitions(phy.Degraded, phy.Failed); got != 1 {
+		t.Fatalf("degraded->failed transitions %d, want 1", got)
+	}
+
+	mon.Observe(1, 10, 10, 0, 1e12) // a long clean window: channel 1 recovers
+	c.Sync()
+	mon.MarkFailed(1)
+	c.Sync()
+	c.Sync() // nothing moved: adds nothing
+	for _, tc := range []struct {
+		from, to phy.ChannelState
+		want     uint64
+	}{
+		{phy.Healthy, phy.Degraded, 2},
+		{phy.Degraded, phy.Healthy, 1},
+		{phy.Degraded, phy.Failed, 1},
+		{phy.Healthy, phy.Failed, 1},
+	} {
+		if got := transitions(tc.from, tc.to); got != tc.want {
+			t.Errorf("%v->%v transitions %d, want %d", tc.from, tc.to, got, tc.want)
+		}
+	}
+	if got := r.Gauge("mosaic_channel_state", "channel", "1").Value(); got != float64(phy.Failed) {
+		t.Errorf("channel 1 state gauge %v, want failed", got)
+	}
+}
+
+// A per-superframe Sync of the link and channel tables allocates nothing.
+func TestLinkCollectorSyncAllocs(t *testing.T) {
+	link := newTestLink(t)
+	c := NewLinkCollector(NewRegistry(), link)
+	_, st, err := link.Exchange([][]byte{[]byte("hello mosaic")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { c.ObserveExchange(st); c.Sync() }); allocs != 0 {
+		t.Errorf("ObserveExchange+Sync allocates %v times per superframe, want 0", allocs)
 	}
 }
 
@@ -180,19 +224,6 @@ func TestHistogramBucketEdges(t *testing.T) {
 	// Re-registering with different buckets returns the existing histogram.
 	if got := r.Histogram("mosaic_test_hist", []float64{100}); got != h {
 		t.Fatal("histogram identity not stable across re-registration")
-	}
-}
-
-func TestGaugeSetBool(t *testing.T) {
-	r := NewRegistry()
-	g := r.Gauge("mosaic_test_bool")
-	g.SetBool(true)
-	if g.Value() != 1 {
-		t.Fatalf("SetBool(true) stored %v", g.Value())
-	}
-	g.SetBool(false)
-	if g.Value() != 0 {
-		t.Fatalf("SetBool(false) stored %v", g.Value())
 	}
 }
 

@@ -6,190 +6,122 @@ import (
 	"mosaic/internal/phy"
 )
 
-// LinkCollector bridges one phy.Link into a Registry: per-exchange frame
-// and FEC counters, per-channel health (BER estimates, loss, state) from
-// the monitor's snapshot, and state-transition counters fed by the
-// monitor's transition hook.
-//
-// The collector is push-based to preserve both determinism and race
-// safety: the goroutine driving the link calls ObserveExchange/Sync at
-// superframe boundaries (where injections and remaps already happen), so
-// the link itself is never touched from a scrape. Scrapes read only the
-// registry's atomics. All per-channel metric handles are created up
-// front, so the per-superframe path performs no allocation beyond the
-// reused snapshot buffer.
-type LinkCollector struct {
+// linkView is what the link-level rows read: the running sum of every
+// observed Exchange, and the link for its accessors and its monitor's
+// transition counts.
+type linkView struct {
+	sum  phy.ExchangeStats
 	link *phy.Link
-	reg  *Registry
+}
 
-	framesIn        *Counter
-	framesDelivered *Counter
-	framesLost      *Counter
-	framesCorrupted *Counter
-	unitsLost       *Counter
-	unitsTotal      *Counter
-	corrections     *Counter
-	wireBytes       *Counter
-	payloadBytes    *Counter
+var linkRows = []Row[linkView]{
+	{Name: "mosaic_link_frames_in_total", Help: "frames offered to the link per Exchange", Count: func(v *linkView) uint64 { return uint64(v.sum.FramesIn) }},
+	{Name: "mosaic_link_frames_delivered_total", Help: "frames recovered intact by the far end", Count: func(v *linkView) uint64 { return uint64(v.sum.FramesDelivered) }},
+	{Name: "mosaic_link_frames_lost_total", Help: "frames missing entirely", Count: func(v *linkView) uint64 { return uint64(v.sum.FramesLost) }},
+	{Name: "mosaic_link_frames_corrupted_total", Help: "frames delivered damaged (FCS failure)", Count: func(v *linkView) uint64 { return uint64(v.sum.FramesCorrupted) }},
+	{Name: "mosaic_link_units_lost_total", Count: func(v *linkView) uint64 { return uint64(v.sum.UnitsLost) }},
+	{Name: "mosaic_link_units_total", Count: func(v *linkView) uint64 { return uint64(v.sum.UnitsTotal) }},
+	{Name: "mosaic_link_fec_corrections_total", Help: "bit errors corrected by per-channel FEC", Count: func(v *linkView) uint64 { return uint64(v.sum.Corrections) }},
+	{Name: "mosaic_link_wire_bytes_total", Count: func(v *linkView) uint64 { return uint64(v.sum.WireBytes) }},
+	{Name: "mosaic_link_payload_bytes_total", Count: func(v *linkView) uint64 { return uint64(v.sum.PayloadBytes) }},
+	{Name: "mosaic_link_superframes", Help: "completed Exchange rounds", Level: func(v *linkView) float64 { return float64(v.link.Superframes()) }},
+	{Name: "mosaic_link_lanes_active", Help: "logical lanes currently carrying traffic", Level: func(v *linkView) float64 { return float64(v.link.Mapper().NumLanes()) }},
+	{Name: "mosaic_link_spares_left", Help: "spare physical channels remaining", Level: func(v *linkView) float64 { return float64(v.link.Mapper().SparesLeft()) }},
+	{Name: "mosaic_link_aggregate_rate_bps", Level: func(v *linkView) float64 { return v.link.AggregateRate() }},
+	{Name: "mosaic_monitor_transitions_total", Help: "channel health state transitions", Labels: []string{"from", "healthy", "to", "degraded"}, Count: func(v *linkView) uint64 { return v.link.Monitor().Transitions().HealthyToDegraded }},
+	{Name: "mosaic_monitor_transitions_total", Labels: []string{"from", "degraded", "to", "healthy"}, Count: func(v *linkView) uint64 { return v.link.Monitor().Transitions().DegradedToHealthy }},
+	{Name: "mosaic_monitor_transitions_total", Labels: []string{"from", "degraded", "to", "failed"}, Count: func(v *linkView) uint64 { return v.link.Monitor().Transitions().DegradedToFailed }},
+	{Name: "mosaic_monitor_transitions_total", Labels: []string{"from", "healthy", "to", "failed"}, Count: func(v *linkView) uint64 { return v.link.Monitor().Transitions().HealthyToFailed }},
+}
 
-	superframes   *Gauge
-	lanesActive   *Gauge
-	lanesStart    int
-	sparesLeft    *Gauge
-	aggregateRate *Gauge
+// channelView is one physical channel's monitor health plus whether its
+// transmitter has been killed.
+type channelView struct {
+	phy.ChannelHealth
+	dead bool
+}
 
-	chFramesOK    []*Counter
-	chFramesLost  []*Counter
-	chCorrections []*Counter
-	chBits        []*Counter
-	chBER         []*Gauge
-	chBERValid    []*Gauge
-	chLossRatio   []*Gauge
-	chState       []*Gauge
-	chDead        []*Gauge
+var channelRows = []Row[channelView]{
+	{Name: "mosaic_channel_frames_ok_total", Count: func(v *channelView) uint64 { return v.FramesOK }},
+	{Name: "mosaic_channel_frames_lost_total", Count: func(v *channelView) uint64 { return v.FramesLost }},
+	{Name: "mosaic_channel_fec_corrections_total", Count: func(v *channelView) uint64 { return v.Corrections }},
+	{Name: "mosaic_channel_bits_observed_total", Count: func(v *channelView) uint64 { return v.BitsObserved }},
+	{Name: "mosaic_channel_ber_estimate", Help: "estimated pre-FEC BER from FEC corrections (0 with ber_valid 0 = no data, not perfect)", Level: func(v *channelView) float64 { return v.EstimatedBER() }},
+	{Name: "mosaic_channel_ber_valid", Help: "1 when the BER estimate is backed by decoded bits", Level: func(v *channelView) float64 { return level(v.HasBERData()) }},
+	{Name: "mosaic_channel_loss_ratio", Help: "lifetime fraction of expected frames that never arrived", Level: func(v *channelView) float64 { return v.LossRatio() }},
+	{Name: "mosaic_channel_state", Help: "monitor classification: 0 healthy, 1 degraded, 2 failed", Level: func(v *channelView) float64 { return float64(v.State) }},
+	{Name: "mosaic_channel_dead", Help: "1 when the transmitter has been killed", Level: func(v *channelView) float64 { return level(v.dead) }},
+}
 
-	transitions map[[2]phy.ChannelState]*Counter
+func level(b bool) float64 {
+	if b {
+		return 1
+	}
+	return 0
+}
 
-	prev []phy.ChannelHealth // monitor cumulative values at last Sync
-	snap []phy.ChannelHealth // reusable snapshot buffer
+// LinkCollector mirrors one phy.Link into a Registry: per-exchange frame
+// and FEC counters, lane/spare gauges, the monitor's transition counts
+// and per-channel health (BER estimate, loss, state, dead bit).
+//
+// It is push-based to preserve both determinism and race safety: the
+// goroutine driving the link calls ObserveExchange/Sync at superframe
+// boundaries (where injections and remaps already happen), so the link
+// itself is never touched from a scrape.
+type LinkCollector struct {
+	view     linkView
+	link     *Mirror[linkView]
+	ch       channelView // reused, so Sync allocates nothing
+	channels []*Mirror[channelView]
 }
 
 // NewLinkCollector registers link's metrics in r and returns the
-// collector. Per-channel counters count from attach time: the monitor's
-// current cumulative values become the baseline, so attaching mid-life
-// does not replay history into the registry.
+// collector. Monitor-derived counters count from attach time: the
+// monitor's current cumulative values become the baseline, so attaching
+// mid-life does not replay history into the registry.
 func NewLinkCollector(r *Registry, link *phy.Link) *LinkCollector {
-	c := &LinkCollector{link: link, reg: r}
-
-	r.Help("mosaic_link_frames_in_total", "frames offered to the link per Exchange")
-	r.Help("mosaic_link_frames_delivered_total", "frames recovered intact by the far end")
-	r.Help("mosaic_link_frames_lost_total", "frames missing entirely")
-	r.Help("mosaic_link_frames_corrupted_total", "frames delivered damaged (FCS failure)")
-	r.Help("mosaic_link_fec_corrections_total", "bit errors corrected by per-channel FEC")
-	r.Help("mosaic_link_superframes", "completed Exchange rounds")
-	r.Help("mosaic_link_lanes_active", "logical lanes currently carrying traffic")
-	r.Help("mosaic_link_spares_left", "spare physical channels remaining")
-	r.Help("mosaic_channel_ber_estimate", "estimated pre-FEC BER from FEC corrections (0 with ber_valid 0 = no data, not perfect)")
-	r.Help("mosaic_channel_ber_valid", "1 when the BER estimate is backed by decoded bits")
-	r.Help("mosaic_channel_loss_ratio", "lifetime fraction of expected frames that never arrived")
-	r.Help("mosaic_channel_state", "monitor classification: 0 healthy, 1 degraded, 2 failed")
-	r.Help("mosaic_channel_dead", "1 when the transmitter has been killed")
-	r.Help("mosaic_monitor_transitions_total", "channel health state transitions")
-
-	c.framesIn = r.Counter("mosaic_link_frames_in_total")
-	c.framesDelivered = r.Counter("mosaic_link_frames_delivered_total")
-	c.framesLost = r.Counter("mosaic_link_frames_lost_total")
-	c.framesCorrupted = r.Counter("mosaic_link_frames_corrupted_total")
-	c.unitsLost = r.Counter("mosaic_link_units_lost_total")
-	c.unitsTotal = r.Counter("mosaic_link_units_total")
-	c.corrections = r.Counter("mosaic_link_fec_corrections_total")
-	c.wireBytes = r.Counter("mosaic_link_wire_bytes_total")
-	c.payloadBytes = r.Counter("mosaic_link_payload_bytes_total")
-
-	c.superframes = r.Gauge("mosaic_link_superframes")
-	c.lanesActive = r.Gauge("mosaic_link_lanes_active")
-	c.sparesLeft = r.Gauge("mosaic_link_spares_left")
-	c.aggregateRate = r.Gauge("mosaic_link_aggregate_rate_bps")
-	c.lanesStart = link.Mapper().NumLanes()
-
-	n := link.Config().Lanes + link.Config().Spares
-	c.chFramesOK = make([]*Counter, n)
-	c.chFramesLost = make([]*Counter, n)
-	c.chCorrections = make([]*Counter, n)
-	c.chBits = make([]*Counter, n)
-	c.chBER = make([]*Gauge, n)
-	c.chBERValid = make([]*Gauge, n)
-	c.chLossRatio = make([]*Gauge, n)
-	c.chState = make([]*Gauge, n)
-	c.chDead = make([]*Gauge, n)
-	for i := 0; i < n; i++ {
-		ch := strconv.Itoa(i)
-		c.chFramesOK[i] = r.Counter("mosaic_channel_frames_ok_total", "channel", ch)
-		c.chFramesLost[i] = r.Counter("mosaic_channel_frames_lost_total", "channel", ch)
-		c.chCorrections[i] = r.Counter("mosaic_channel_fec_corrections_total", "channel", ch)
-		c.chBits[i] = r.Counter("mosaic_channel_bits_observed_total", "channel", ch)
-		c.chBER[i] = r.Gauge("mosaic_channel_ber_estimate", "channel", ch)
-		c.chBERValid[i] = r.Gauge("mosaic_channel_ber_valid", "channel", ch)
-		c.chLossRatio[i] = r.Gauge("mosaic_channel_loss_ratio", "channel", ch)
-		c.chState[i] = r.Gauge("mosaic_channel_state", "channel", ch)
-		c.chDead[i] = r.Gauge("mosaic_channel_dead", "channel", ch)
+	c := &LinkCollector{view: linkView{link: link}, link: NewMirror(r, linkRows)}
+	c.channels = make([]*Mirror[channelView], link.Config().Lanes+link.Config().Spares)
+	for i := range c.channels {
+		c.channels[i] = NewMirror(r, channelRows, "channel", strconv.Itoa(i))
 	}
-
-	// Pre-create the transition counters for every (from, to) pair the
-	// state machine can produce, so OnTransition stays allocation-free.
-	c.transitions = make(map[[2]phy.ChannelState]*Counter)
-	for _, pair := range [][2]phy.ChannelState{
-		{phy.Healthy, phy.Degraded},
-		{phy.Degraded, phy.Healthy},
-		{phy.Degraded, phy.Failed},
-		{phy.Healthy, phy.Failed},
-	} {
-		c.transitions[pair] = r.Counter("mosaic_monitor_transitions_total",
-			"from", pair[0].String(), "to", pair[1].String())
+	c.link.Baseline(&c.view)
+	for i, m := range c.channels {
+		m.Baseline(c.channel(i))
 	}
-
-	// Baseline: count deltas from now on, not the monitor's whole history.
-	c.prev = link.Monitor().Snapshot()
 	c.Sync()
 	return c
 }
 
-// ObserveExchange folds one Exchange's aggregate statistics. Call it from
-// the goroutine driving the link, once per superframe.
+// ObserveExchange folds one Exchange's aggregate statistics; the next
+// Sync publishes them. Call it from the goroutine driving the link, once
+// per superframe.
 func (c *LinkCollector) ObserveExchange(st phy.ExchangeStats) {
-	c.framesIn.Add(uint64(st.FramesIn))
-	c.framesDelivered.Add(uint64(st.FramesDelivered))
-	c.framesLost.Add(uint64(st.FramesLost))
-	c.framesCorrupted.Add(uint64(st.FramesCorrupted))
-	c.unitsLost.Add(uint64(st.UnitsLost))
-	c.unitsTotal.Add(uint64(st.UnitsTotal))
-	c.corrections.Add(uint64(st.Corrections))
-	c.wireBytes.Add(uint64(st.WireBytes))
-	c.payloadBytes.Add(uint64(st.PayloadBytes))
+	sum := &c.view.sum
+	sum.FramesIn += st.FramesIn
+	sum.FramesDelivered += st.FramesDelivered
+	sum.FramesLost += st.FramesLost
+	sum.FramesCorrupted += st.FramesCorrupted
+	sum.UnitsLost += st.UnitsLost
+	sum.UnitsTotal += st.UnitsTotal
+	sum.Corrections += st.Corrections
+	sum.WireBytes += st.WireBytes
+	sum.PayloadBytes += st.PayloadBytes
 }
 
-// Sync refreshes the gauges and per-channel counters from the link's
-// accessors and the monitor snapshot. Call it from the goroutine driving
-// the link (typically right after ObserveExchange); it must not run
-// concurrently with Exchange.
+// Sync publishes the link and every channel as they stand. Call it from
+// the goroutine driving the link (typically right after
+// ObserveExchange); it must not run concurrently with Exchange.
 func (c *LinkCollector) Sync() {
-	link := c.link
-	c.superframes.SetInt(int64(link.Superframes()))
-	c.lanesActive.SetInt(int64(link.Mapper().NumLanes()))
-	c.sparesLeft.SetInt(int64(link.Mapper().SparesLeft()))
-	c.aggregateRate.Set(link.AggregateRate())
-
-	c.snap = link.Monitor().SnapshotInto(c.snap)
-	for i, h := range c.snap {
-		if i >= len(c.chBER) {
-			break
-		}
-		if i < len(c.prev) {
-			p := c.prev[i]
-			c.chFramesOK[i].Add(h.FramesOK - p.FramesOK)
-			c.chFramesLost[i].Add(h.FramesLost - p.FramesLost)
-			c.chCorrections[i].Add(h.Corrections - p.Corrections)
-			c.chBits[i].Add(h.BitsObserved - p.BitsObserved)
-		}
-		c.chBER[i].Set(h.EstimatedBER())
-		c.chBERValid[i].SetBool(h.HasBERData())
-		c.chLossRatio[i].Set(h.LossRatio())
-		c.chState[i].SetInt(int64(h.State))
-		c.chDead[i].SetBool(link.ChannelDead(h.Physical))
+	c.link.Sync(&c.view)
+	for i, m := range c.channels {
+		m.Sync(c.channel(i))
 	}
-	c.prev = append(c.prev[:0], c.snap...)
 }
 
-// OnTransition is a phy.Monitor transition hook feeding the transition
-// counters. Chain it from an existing hook or register it directly with
-// Monitor.SetTransitionHook.
-func (c *LinkCollector) OnTransition(physical int, from, to phy.ChannelState) {
-	if ctr, ok := c.transitions[[2]phy.ChannelState{from, to}]; ok {
-		ctr.Inc()
-		return
-	}
-	// A pair outside the known state machine (future states): register on
-	// demand rather than dropping it.
-	c.reg.Counter("mosaic_monitor_transitions_total",
-		"from", from.String(), "to", to.String()).Inc()
+// channel reads physical channel i into the reusable view.
+func (c *LinkCollector) channel(i int) *channelView {
+	l := c.view.link
+	c.ch = channelView{l.Monitor().Health(i), l.ChannelDead(i)}
+	return &c.ch
 }

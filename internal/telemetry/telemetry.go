@@ -1,8 +1,12 @@
 // Package telemetry is the observability layer of the Mosaic reproduction:
 // a small, deterministic metrics registry with counters, gauges, and
 // fixed-bucket histograms, plus Prometheus-style text exposition and a
-// JSON snapshot (expose.go) and an HTTP mux with /metrics, /healthz and
-// pprof hooks (http.go).
+// JSON snapshot (expose.go), an HTTP mux with /metrics, /healthz and
+// pprof hooks (httpx), and the one mechanism that publishes a stats
+// struct into the registry: Mirror over a table of Rows (mirror.go). Every
+// collector in the repo is such a table beside the struct it reads — the
+// PHY link and channel rows here (link.go), the MAC rows in internal/mac,
+// the fleet rows in internal/fleetd — so adding a series is adding a row.
 //
 // Design constraints, in order:
 //
@@ -19,6 +23,11 @@
 //     telemetry cannot perturb an experiment table or a soak event log.
 //     Exposition output is itself deterministic for a given set of values
 //     (metrics sort by name, then label signature).
+//
+// The mirror enforces the same three: handles up front and an
+// allocation-free Sync, pushed by the goroutine that owns the source at a
+// boundary where it is consistent (a scrape reads atomics, never the
+// source), and nothing read back.
 //
 // The registry deliberately implements the subset of the Prometheus data
 // model the repo needs — no external dependencies, no global default
@@ -316,18 +325,6 @@ type Gauge struct {
 
 // Set stores v.
 func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// SetInt stores an integer value.
-func (g *Gauge) SetInt(v int64) { g.Set(float64(v)) }
-
-// SetBool stores 1 for true, 0 for false.
-func (g *Gauge) SetBool(v bool) {
-	if v {
-		g.Set(1)
-	} else {
-		g.Set(0)
-	}
-}
 
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }

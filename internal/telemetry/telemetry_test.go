@@ -53,13 +53,9 @@ func TestCounterGaugeValues(t *testing.T) {
 	if g.Value() != 1.5 {
 		t.Errorf("gauge = %g, want 1.5", g.Value())
 	}
-	g.SetBool(true)
-	if g.Value() != 1 {
-		t.Errorf("gauge bool = %g, want 1", g.Value())
-	}
-	g.SetInt(-7)
+	g.Set(-7)
 	if g.Value() != -7 {
-		t.Errorf("gauge int = %g, want -7", g.Value())
+		t.Errorf("gauge = %g, want -7", g.Value())
 	}
 }
 
@@ -222,4 +218,58 @@ func TestConcurrentHammer(t *testing.T) {
 	if total != writers*iters {
 		t.Errorf("counted %d increments, want %d", total, writers*iters)
 	}
+}
+
+func TestUnregister(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("jobs_total", "queue", "a").Add(3)
+	r.Counter("jobs_total", "queue", "b").Add(5)
+	g := r.Gauge("depth")
+	g.Set(9)
+	r.Histogram("latency", []float64{1, 2})
+
+	if !r.Unregister("jobs_total", "queue", "a") {
+		t.Fatal("Unregister known counter = false")
+	}
+	out := promString(r)
+	if strings.Contains(out, `queue="a"`) {
+		t.Error("unregistered series still exposed")
+	}
+	if !strings.Contains(out, `jobs_total{queue="b"} 5`) {
+		t.Error("sibling series vanished with it")
+	}
+
+	// Label order must not matter — identity is the sorted label set.
+	r.Counter("multi", "x", "1", "y", "2")
+	if !r.Unregister("multi", "y", "2", "x", "1") {
+		t.Error("Unregister with reordered labels = false")
+	}
+
+	if !r.Unregister("depth") || !r.Unregister("latency") {
+		t.Error("Unregister gauge/histogram = false")
+	}
+	if r.Unregister("depth") {
+		t.Error("second Unregister = true")
+	}
+	if r.Unregister("never_registered") {
+		t.Error("Unregister of unknown metric = true")
+	}
+
+	// The detached handle keeps working, invisibly.
+	g.Set(11)
+	if g.Value() != 11 {
+		t.Error("detached handle stopped working")
+	}
+	if strings.Contains(promString(r), "depth") {
+		t.Error("detached gauge reappeared")
+	}
+
+	// The family kind survives detachment: re-registering under another
+	// type must still panic.
+	defer func() {
+		if recover() == nil {
+			t.Error("re-registering a detached family as another kind did not panic")
+		}
+	}()
+	r.Gauge("jobs_total")
 }
