@@ -66,10 +66,17 @@ staticcheck:
 # *incFlow, keeps no map[int]*T flow table, sorts flows only as integer
 # (ID, handle) keys (no slices.SortFunc comparator over flows), and
 # Topology.Path routes from up-link lists built once (no per-route
-# `var out []int`).
+# `var out []int`). A fleet epoch never sorts and never queues: a link's
+# flows sit in an ID-ordered index, so internal/netsim names no
+# compFlows, noteReRated or reRated list, incremental.go (the flush path)
+# calls slices.Sort exactly once — the integer-key repair of an index a
+# reroute broke — and slices.SortFunc never, and the completion heap
+# (completionHeap, its compact, a popDue) appears in flowsim.go only:
+# FleetSim reads an epoch's completions off its slabs.
 SUBSTRATE_SRC = find internal cmd examples -name '*.go' ! -name '*_test.go'
 SUPERVISOR = internal/faultinject/supervisor.go
 MIRROR = internal/telemetry/mirror.go
+FLUSH = internal/netsim/incremental.go
 substrate:
 	@bad=$$( { $(SUBSTRATE_SRC) ! -path 'internal/par/*' \
 			! -path internal/telemetry/httpx/httpx.go ! -path cmd/mosaicfleetd/main.go \
@@ -92,14 +99,18 @@ substrate:
 		$(SUBSTRATE_SRC) ! -path 'internal/netsim/*' -exec grep -nF '.NextGapSec(' {} + ; \
 		$(SUBSTRATE_SRC) -path 'internal/netsim/*' -exec grep -nE '\*incFlow|map\[int\]\*|SortFunc\(.*func\(a, b \*?(flow|flowSlot|handle)\)' {} + ; \
 		grep -HnF 'var out []int' internal/netsim/topology.go ; \
+		$(SUBSTRATE_SRC) -path 'internal/netsim/*' -exec grep -nE 'compFlows|noteReRated|reRated' {} + ; \
+		$(SUBSTRATE_SRC) -path 'internal/netsim/*' ! -name flowsim.go -exec grep -nE 'completionHeap|popDue|\.compact\(' {} + ; \
+		grep -Hn 'slices\.Sort' $(FLUSH) | grep -vF 'slices.Sort(keys)' ; \
+		[ "$$(grep -cF 'slices.Sort(keys)' $(FLUSH))" -eq 1 ] || echo "$(FLUSH): want exactly one slices.Sort(keys), the index repair"; \
 		for pat in 'SetTransitionHook(func' '"sf=%d remap %v"'; do \
 			[ "$$(grep -cF "$$pat" $(SUPERVISOR))" -eq 1 ] || echo "$(SUPERVISOR): want exactly one $$pat"; \
 		done; } ); \
 	if [ -n "$$bad" ]; then \
-		echo "substrate: FAIL — use internal/par for fan-out, internal/eventlog for log digests, faultinject.Supervisor for the superframe boundary, a plain Bridge.Sync after its sparing step for renegotiation, a step loop with the caller holding the clock (no scheduler: FlowSim.RunUntil, Session.Step, FleetSim.Step) to drive anything, a telemetry.Row table beside the stats struct (internal/mac for MAC series, internal/fleetd for fleet series; telemetry.Mirror does the delta) for metrics, Bridge.Fraction() to hand capacity to a flow simulator, slab handles and integer sort keys (not flow pointers) in internal/netsim:"; \
+		echo "substrate: FAIL — use internal/par for fan-out, internal/eventlog for log digests, faultinject.Supervisor for the superframe boundary, a plain Bridge.Sync after its sparing step for renegotiation, a step loop with the caller holding the clock (no scheduler: FlowSim.RunUntil, Session.Step, FleetSim.Step) to drive anything, a telemetry.Row table beside the stats struct (internal/mac for MAC series, internal/fleetd for fleet series; telemetry.Mirror does the delta) for metrics, Bridge.Fraction() to hand capacity to a flow simulator, slab handles, integer sort keys (not flow pointers) and ID-ordered link indices (no per-flush sort, no heap under FleetSim) in internal/netsim:"; \
 		echo "$$bad"; exit 1; \
 	fi; \
-	echo "substrate: OK — goroutines only in internal/par, sha256 only in internal/eventlog, sparing/hook/remap line only in the link supervisor, nothing scheduled (no sim.Engine, no Schedule/After call, no batch mode), one stats mirror (no hand-written delta sync, no MAC or fleet collector in telemetry), capacity leaves a bridge through Fraction() only, netsim flows pointer-free"
+	echo "substrate: OK — goroutines only in internal/par, sha256 only in internal/eventlog, sparing/hook/remap line only in the link supervisor, nothing scheduled (no sim.Engine, no Schedule/After call, no batch mode), one stats mirror (no hand-written delta sync, no MAC or fleet collector in telemetry), capacity leaves a bridge through Fraction() only, netsim flows pointer-free, a fleet epoch sorts nothing and queues nothing"
 
 build:
 	$(GO) build ./...
@@ -173,7 +184,11 @@ bench-check:
 # claims a gain commits a "before" row measured on its parent tree — run
 # the same loop in a checkout of the parent and pipe it through this
 # tree's `benchguard -layers before` — beside the "after" row this target
-# writes. ~2 min per run on this tree.
+# writes. The fold then prints metric | before | after | ratio per
+# workload and fails if a count (a metric all three runs agree on exactly;
+# runtime.* and driver.* excepted) differs from the "before" row: a change
+# that was only to make the simulator faster must leave what it simulated
+# alone. ~2 min per run on this tree.
 bench-layers:
 	@for i in 1 2 3; do $(GO) run ./benchmark -all -trace 1 -rounds 8 || exit 1; done | \
 		$(GO) run ./cmd/benchguard -layers after -out BENCH_LAYERS.json

@@ -484,10 +484,10 @@ func BenchmarkMACFrameRoundTripSR(b *testing.B) {
 // 20,000 long-lived flows, with 512 short flows arriving and completing
 // every epoch (a tenth of either kind cross-pod), so each Step re-rates
 // the whole backlog and drains about as many flows as were injected. The
-// slab, link indices, heaps and scratch lists are at their working size
-// after the warm-up, so allocs/op is the epoch's fixed cost (log line,
-// barrier closures, the drained records) and must not scale with the
-// population. Pinned in ci/bench_baseline.json via make bench-check.
+// slab, link indices, due lists and scratch buffers are at their working
+// size after the warm-up, so allocs/op is the epoch's fixed cost (log
+// line, barrier closures) and must not scale with the population. Pinned
+// in ci/bench_baseline.json via make bench-check.
 func BenchmarkFleetSimEpochSteady(b *testing.B) {
 	const pods, hostsPerPod = 12, 80
 	topo, err := netsim.NewFleet(pods, 10, 6, 8, 100e9)

@@ -22,7 +22,9 @@
 // intentional change with -update.
 //
 // With -layers LABEL it instead folds the repo benchmark's result lines
-// into one row of the per-layer ledger (layers.go, make bench-layers).
+// into one row of the per-layer ledger (layers.go, make bench-layers) and,
+// unless LABEL is "before", diffs the row against the ledger's before row:
+// a table per workload, exit 1 if a count moved.
 package main
 
 import (
@@ -191,7 +193,7 @@ func main() {
 		maxRegress     = flag.Float64("max-regress", 0.10, "allowed fractional allocs/op regression")
 		maxTimeRegress = flag.Float64("max-time-regress", 0.25, "allowed fractional ns/op regression")
 		update         = flag.Bool("update", false, "rewrite -baseline from this run instead of gating")
-		layers         = flag.String("layers", "", "fold repo-benchmark result lines into the row of this label in the -out ledger (see layers.go)")
+		layers         = flag.String("layers", "", "fold repo-benchmark result lines into the row of this label in the -out ledger and diff it against the before row (see layers.go)")
 	)
 	flag.Parse()
 

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -200,5 +201,39 @@ func TestLayersFoldAndUpsert(t *testing.T) {
 	}
 	if err := writeLayers(path, "x", strings.NewReader("PASS\n")); err == nil {
 		t.Error("input without a result line must be an error")
+	}
+}
+
+// TestLayersDiffGatesCounts: a fold under a label other than "before" is
+// diffed against the before row. A metric whose fresh runs all agree is a
+// count and must equal that row; timings, host-side runtime.* counts and a
+// metric seen once are shown, never gated.
+func TestLayersDiffGatesCounts(t *testing.T) {
+	before := `[{"label":"before","runs":3,"workloads":{"fleet_day":{"work_per_s":400,"netsim.rated_per_flow":8.5,"netsim.peak_cross_flows":7,"runtime.gc_cycles":80}}}]`
+	run := func(rated, peak string) error {
+		t.Helper()
+		path := filepath.Join(t.TempDir(), "layers.json")
+		if err := os.WriteFile(path, []byte(before), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		line := `{"workload":"fleet_day","metrics":{"work_per_s":{"value":%d},"netsim.rated_per_flow":{"value":` + rated + `},"netsim.peak_cross_flows":{"value":` + peak + `},"runtime.gc_cycles":{"value":70}}}` + "\n"
+		return writeLayers(path, "after", strings.NewReader(fmt.Sprintf(line, 500)+fmt.Sprintf(line, 520)))
+	}
+	if err := run("8.5", "7"); err != nil {
+		t.Fatalf("counts that did not move: %v", err)
+	}
+	err := run("8.25", "7")
+	if err == nil || !strings.Contains(err.Error(), "fleet_day netsim.rated_per_flow: 8.5 before, 8.25 after") || strings.Contains(err.Error(), "gc_cycles") {
+		t.Fatalf("a moved count must fail the fold, and only it: %v", err)
+	}
+	if err := run("8.5", "0"); err == nil || !strings.Contains(err.Error(), "netsim.peak_cross_flows: 7 before, 0 after") {
+		t.Fatalf("a count that went idle must fail the fold: %v", err)
+	}
+
+	var table strings.Builder
+	moved := diffLayers(&table, map[string]map[string]float64{"w": {"a": 2, "b": 3}},
+		map[string]map[string]float64{"w": {"a": 2, "b": 6}}, map[string]bool{"w a": true})
+	if len(moved) != 0 || !strings.Contains(table.String(), "count") || !strings.Contains(table.String(), "2.000") {
+		t.Fatalf("table of an unmoved count and a doubled timing:\n%s%v", table.String(), moved)
 	}
 }

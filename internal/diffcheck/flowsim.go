@@ -9,10 +9,11 @@ import (
 	"mosaic/internal/sim"
 )
 
-// diffFlowSimInc drives the incremental flow engine (FlowSim: per-link
-// flow indices, dirty-set component waterfill, completion heap) through a
-// randomized trace of arrivals, link kills/restores, capacity fractions
-// and time advances, and after every mutation compares
+// diffFlowSimInc drives the incremental flow engine (FlowSim: ID-ordered
+// per-link flow indices, dirty-set component waterfill, completion heap)
+// through a randomized trace of arrivals, link kills/restores, capacity
+// fractions and time advances, closed by a kill → restore → kill on one
+// link, and after every mutation compares
 // every active flow's rate bit-for-bit against refmodel.MaxMinRates — the
 // always-global progressive-filling twin. Exact equality (not epsilon) is
 // the contract: the component-restricted waterfill performs the same
@@ -68,6 +69,24 @@ func diffFlowSimInc(seed int64, caseIdx, size, workers int) string {
 		}
 		if detail := compareIncToRef(fs); detail != "" {
 			return fmt.Sprintf("step %d: %s", s, detail)
+		}
+	}
+
+	// Kill → restore → kill on one link: each kill re-admits old IDs onto
+	// links whose indices already hold younger flows, and the restore lets
+	// new arrivals back onto the victim before it dies again.
+	victim := rng.Intn(len(topo.Links))
+	for i, frac := range []float64{0, 1, 0} {
+		fs.SetLinkCapacityFraction(victim, frac)
+		detail := compareIncToRef(fs)
+		for range size {
+			_, _ = fs.StartFlow(hosts[rng.Intn(len(hosts))], hosts[rng.Intn(len(hosts))], (0.1+rng.Float64())*1e9, rng.Uint64())
+		}
+		if detail == "" {
+			detail = compareIncToRef(fs)
+		}
+		if detail != "" {
+			return fmt.Sprintf("kill/restore/kill step %d on link %d: %s", i, victim, detail)
 		}
 	}
 	return ""

@@ -46,11 +46,13 @@ type Server struct {
 }
 
 // Request limits. Constants, not budgets: they bound what one request can
-// make the server buffer, and how long one batch can hold the epoch loop
-// off the fleet lock, whatever the operator configured.
+// make the server buffer, how long one batch can hold the epoch loop off
+// the fleet lock, and how long a reloaded flows_per_epoch can keep an
+// epoch inside it, whatever the operator configured.
 const (
-	maxBodyBytes = 1 << 20
-	maxBatchOps  = 4096
+	maxBodyBytes     = 1 << 20
+	maxBatchOps      = 4096
+	maxFlowsPerEpoch = 1 << 16
 )
 
 // NewServer wires a server for the fleet. reg must be the registry the

@@ -292,6 +292,37 @@ func TestAPIReload(t *testing.T) {
 	}
 }
 
+// TestReloadRejectsUnboundedFlows: flows_per_epoch is the length of a loop
+// the epoch runs under the fleet lock, so a reload past maxFlowsPerEpoch is
+// a 400 that applies nothing, and the fleet goes on stepping.
+func TestReloadRejectsUnboundedFlows(t *testing.T) {
+	h := newAPIHarness(t, testConfig(1))
+	budgets := func() Budgets {
+		h.fleet.mu.Lock()
+		defer h.fleet.mu.Unlock()
+		return h.fleet.cfg.Budgets
+	}
+	before := budgets()
+	cfg := testConfig(1)
+	cfg.Budgets.MaxLinks++ // would show if any of the body were applied
+	cfg.Budgets.FlowsPerEpoch = 1_000_000_000_000
+	if code, body := h.do("POST", "/reload", cfg); code != http.StatusBadRequest {
+		t.Fatalf("reload with flows_per_epoch=1e12 = %d %s, want 400", code, body)
+	}
+	if got := budgets(); got != before {
+		t.Fatalf("a refused reload changed the budgets: %+v, were %+v", got, before)
+	}
+	epoch := h.fleet.Epoch()
+	h.fleet.Step()
+	if code, _ := h.do("GET", "/healthz", nil); h.fleet.Epoch() != epoch+1 || code != http.StatusOK {
+		t.Fatalf("fleet did not step after the refused reload: epoch %d -> %d, healthz %d", epoch, h.fleet.Epoch(), code)
+	}
+	cfg.Budgets.FlowsPerEpoch = maxFlowsPerEpoch
+	if code, body := h.do("POST", "/reload", cfg); code != http.StatusOK {
+		t.Fatalf("reload at the limit = %d %s, want 200", code, body)
+	}
+}
+
 func TestAPIBadRequests(t *testing.T) {
 	h := newAPIHarness(t, testConfig(1))
 	for _, tc := range []struct {

@@ -119,7 +119,7 @@ type Budgets struct {
 
 	// FlowsPerEpoch background flows are injected into the fleet-wide
 	// flow simulator each epoch, so bridge capacity publications act on
-	// live traffic. 0 disables injection.
+	// live traffic. 0 disables injection; at most maxFlowsPerEpoch.
 	FlowsPerEpoch int `json:"flows_per_epoch"`
 }
 
@@ -165,6 +165,9 @@ func (c *Config) Validate() error {
 	if c.Budgets.StepBudget < 0 || c.Budgets.ScrapePerEpoch < 0 ||
 		c.Budgets.FlowsPerEpoch < 0 {
 		return errors.New("fleetd: budgets must be >= 0")
+	}
+	if c.Budgets.FlowsPerEpoch > maxFlowsPerEpoch {
+		return fmt.Errorf("fleetd: budgets.flows_per_epoch %d exceeds the limit of %d", c.Budgets.FlowsPerEpoch, maxFlowsPerEpoch)
 	}
 	if c.Budgets.DetailLinks < -1 {
 		return errors.New("fleetd: budgets.detail_links must be >= -1")

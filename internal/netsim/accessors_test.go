@@ -60,3 +60,15 @@ func (s *shard) activeSlots() []*flowSlot {
 	}
 	return out
 }
+
+// indexed is the tests' view of a link's flow index: its live entries, in
+// index order (tombstones skipped).
+func (g *flowGraph) indexed(l int) []*flowSlot {
+	var out []*flowSlot
+	for _, ref := range g.linkFlows[l].refs {
+		if ref.pi >= 0 {
+			out = append(out, &g.flows.v[ref.h])
+		}
+	}
+	return out
+}

@@ -145,7 +145,7 @@ func setLinkFraction(t *Topology, capacity []float64, linkID int, frac float64) 
 }
 
 // FlowSim is an exactly max-min fair fluid flow simulator over a
-// Topology: one shard that owns its clock. Its whole pending state is the
+// Topology: one shard that owns its clock. Its whole pending state is its
 // completion heap plus one arrival cursor; RunUntil and Run fire them in
 // time order, and each arrival, completion or capacity change
 // re-waterfills only the affected component. The caller holds the clock:
@@ -155,6 +155,7 @@ type FlowSim struct {
 	Topo *Topology
 
 	shard
+	h      completionHeap
 	now    sim.Time
 	nextID int
 	src    *poissonSource // the one open-loop source; nil until OfferPoisson
@@ -229,9 +230,9 @@ func (fs *FlowSim) RestoreLink(linkID int) { fs.SetLinkCapacityFraction(linkID, 
 func (fs *FlowSim) rerouteThrough(linkID int) {
 	now := fs.now
 	fs.g.now = now
-	for _, k := range fs.crossing(linkID) {
-		fs.g.settle(&fs.g.flows.v[handle(k)])
-		fl := fs.remove(handle(k))
+	for _, h := range fs.crossing(linkID) {
+		fs.g.settle(&fs.g.flows.v[h])
+		fl := fs.remove(h)
 		var buf [maxPath]int
 		path, err := routeAvoidingDead(fs.Topo, fs.g.capacity, buf[:0], fl.Src, fl.Dst, fl.Hash+1)
 		if err != nil {
@@ -242,11 +243,21 @@ func (fs *FlowSim) rerouteThrough(linkID int) {
 	}
 }
 
-// flush recomputes the dirty components and refreshes the completion
-// entries of every re-rated flow.
+// flush recomputes the dirty components and replaces the completion
+// entry of every re-rated flow, then compacts the heap once stale entries
+// outnumber live ones 4:1.
 func (fs *FlowSim) flush() {
 	fs.g.now = fs.now
-	fs.refresh(fs.g.flush(false), fs.now)
+	for _, h := range fs.g.flush(false) {
+		f := &fs.g.flows.v[h]
+		f.ver++
+		if f.rate > 0 {
+			fs.h.push(completion{at: fs.now + sim.Time(f.remaining/f.rate), id: f.ID, ver: f.ver, h: h})
+		}
+	}
+	if len(fs.h) > 4*fs.active+64 {
+		fs.compact()
+	}
 }
 
 // Now returns the simulator's clock: the instant of the last event fired,
@@ -293,6 +304,104 @@ func (fs *FlowSim) fireNext(limit sim.Time) bool {
 	fs.complete(c.h, c.at)
 	fs.flush()
 	return true
+}
+
+// completion is a flow's finish time at its current rate. Ordering is
+// (time, flow ID): two flows finishing at the same instant always complete
+// in ID order, never slot order. FleetSim computes an epoch's due ones
+// afresh at every barrier; FlowSim queues them, so there an entry is
+// lazily invalidated: it fires only if slot h still holds flow id at
+// version ver (any rate change or removal bumps ver; each new rate pushes
+// a fresh entry). The slot alone proves nothing — a freed slot is reused
+// LIFO, by another flow or by the same flow re-admitted on a new path — so
+// id and ver are both compared.
+type completion struct {
+	at  sim.Time
+	id  int
+	ver uint32
+	h   handle
+}
+
+func (c completion) before(o completion) bool {
+	if c.at != o.at {
+		return c.at < o.at
+	}
+	return c.id < o.id
+}
+
+// completionHeap is a binary min-heap of completions, typed so a push or
+// pop never boxes its entry through an interface.
+type completionHeap []completion
+
+func (h *completionHeap) push(c completion) {
+	s := append(*h, c)
+	*h = s
+	for j := len(s) - 1; j > 0; {
+		p := (j - 1) / 2
+		if !s[j].before(s[p]) {
+			break
+		}
+		s[j], s[p] = s[p], s[j]
+		j = p
+	}
+}
+
+func (h *completionHeap) pop() completion {
+	s := *h
+	top, n := s[0], len(s)-1
+	s[0] = s[n]
+	*h = s[:n]
+	s[:n].down(0)
+	return top
+}
+
+func (h completionHeap) down(i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if r := c + 1; r < len(h) && h[r].before(h[c]) {
+			c = r
+		}
+		if !h[c].before(h[i]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+}
+
+// live reports whether a heap entry still names the flow in its slot.
+func (fs *FlowSim) live(c completion) bool {
+	f := &fs.g.flows.v[c.h]
+	return fs.g.flows.used[c.h] && f.ID == c.id && f.ver == c.ver
+}
+
+// compact rebuilds the heap from its live entries.
+func (fs *FlowSim) compact() {
+	keep := fs.h[:0]
+	for _, c := range fs.h {
+		if fs.live(c) {
+			keep = append(keep, c)
+		}
+	}
+	fs.h = keep
+	for i := len(keep)/2 - 1; i >= 0; i-- {
+		keep.down(i)
+	}
+}
+
+// nextDue drops stale heads and returns the earliest live completion;
+// false when none is queued.
+func (fs *FlowSim) nextDue() (completion, bool) {
+	for len(fs.h) > 0 {
+		if fs.live(fs.h[0]) {
+			return fs.h[0], true
+		}
+		fs.h.pop()
+	}
+	return completion{}, false
 }
 
 // FlowState is a read-only view of one active flow's allocation, the

@@ -10,20 +10,25 @@ import (
 
 // This file is the one flow-engine core: the dirty-set max-min allocator
 // (flowGraph, its flows pointer-free records in a slab addressed by
-// uint32 handles) and the shard built on it (records, typed completion
-// heap). The two drivers — the exact FlowSim in flowsim.go, stepped event
-// by event, and the epoch-barrier FleetSim in shard.go — own no allocation
-// or completion logic of their own. An arrival, completion or capacity change
-// re-waterfills only the connected component of links/flows it can have
-// affected, never the whole network.
+// uint32 handles, each link's flows an ID-ordered index) and the shard
+// built on it (active count, records). The two drivers — the exact
+// FlowSim in flowsim.go, stepped event by event off a completion heap,
+// and the epoch-barrier FleetSim in shard.go, which finds an epoch's
+// completions by scanning its slabs — own no allocation logic of their
+// own. An arrival, completion or capacity change re-waterfills only the
+// connected component of links/flows it can have affected, never the
+// whole network.
 //
 // Exactness: weighted max-min by progressive filling decomposes over
 // connected components of the flow/link sharing graph — flows in
 // disjoint components never contend for a link, so re-filling only the
-// dirtied component yields the same allocation as a global fill. With
-// links scanned in ascending index order and flows frozen in ascending
-// ID order on both sides, the floating-point operation sequence per
-// component is identical too, so the incremental rates equal
+// dirtied component yields the same allocation as a global fill. Every
+// float accumulator is per link (remaining capacity, unfrozen weight),
+// and each sees its flows in ascending ID order on both sides — here by
+// walking the link's index, in the reference by walking the sorted flow
+// list — while the bottleneck is the lowest-numbered link at the minimum
+// fair share on both sides, so the floating-point operation sequence per
+// accumulator is identical and the incremental rates equal
 // refmodel.MaxMinRates bit for bit (pinned by the flowsim_inc diffcheck
 // stage and the deep property suite).
 
@@ -73,11 +78,24 @@ const maxFlowID = math.MaxUint32
 func flowKey(id int, h handle) uint64 { return uint64(id)<<32 | uint64(h) }
 
 // linkRef is one entry in a link's flow index: the flow's slot plus the
-// index of this link within the flow's path, so a swap-delete can repair
-// the moved entry's back-position in O(1).
+// index of this link within the flow's path, so a squeeze can repair the
+// moved entry's back-position in O(1). pi < 0 marks a tombstone.
 type linkRef struct {
 	h  handle
 	pi int32
+}
+
+// linkIndex lists the flows crossing one link in ascending flow-ID order.
+// IDs are handed out in admission order, so an arrival appends; a removal
+// leaves a tombstone, squeezed out once tombstones outnumber live entries.
+// Only a re-admitted old ID (a reroute) can land out of order: that sets
+// unsorted, and the next walk that needs the order (gatherComponent,
+// shard.crossing) repairs it first.
+type linkIndex struct {
+	refs     []linkRef
+	dead     int // tombstones in refs
+	maxID    int // largest flow ID ever appended
+	unsorted bool
 }
 
 // flowSlot is a flow in a graph's slab: the flow value plus the engine's
@@ -89,7 +107,6 @@ type flowSlot struct {
 	path [maxPath]int32 // link IDs
 	pos  [maxPath]int32 // pos[i] = index of this flow in linkFlows[path[i]]
 	mark uint64         // component-gather epoch marker
-	seen uint64         // fleet per-epoch re-rated dedup marker
 
 	// Fleet-shard fields: a cross-shard flow is represented inside each
 	// shard by a proxy restricted to that shard's sub-path (master is its
@@ -104,7 +121,7 @@ type flowSlot struct {
 	offer  float64
 
 	// filled marks a flow frozen (or pinned) within the current
-	// waterfill, so the crossing scan over a bottleneck's link index can
+	// waterfill, so the freeze walk over a bottleneck's link index can
 	// skip it without consulting a side table.
 	filled bool
 }
@@ -136,7 +153,7 @@ type flowGraph struct {
 	now      sim.Time
 
 	flows     slab[flowSlot]
-	linkFlows [][]linkRef
+	linkFlows []linkIndex
 
 	dirty   []int
 	dirtyIn []bool
@@ -148,9 +165,8 @@ type flowGraph struct {
 	linkMark  []uint64
 	epoch     uint64
 	compLinks []int32
-	compFlows []uint64 // flowKeys
 	touched   []handle // flows re-rated by the last flush
-	cross     []uint64 // per-round crossing-set scratch (flowKeys)
+	keys      []uint64 // reorder scratch (flowKeys)
 
 	waterfills uint64 // component waterfill passes run
 	rated      uint64 // flow-rate assignments performed
@@ -160,7 +176,7 @@ func newFlowGraph(t *Topology, capacity []float64) *flowGraph {
 	n := len(t.Links)
 	return &flowGraph{
 		capacity:  capacity,
-		linkFlows: make([][]linkRef, n),
+		linkFlows: make([]linkIndex, n),
 		dirtyIn:   make([]bool, n),
 		remCap:    make([]float64, n),
 		weightOn:  make([]float64, n),
@@ -176,34 +192,79 @@ func (g *flowGraph) markDirty(l int) {
 	}
 }
 
-// addFlow takes a slot for the flow, indexes it on every link of its
-// path and dirties them.
+// addFlow takes a slot for the flow, appends it to the index of every
+// link of its path and dirties them.
 func (g *flowGraph) addFlow(s flowSlot) handle {
 	h := g.flows.put(s)
 	f := &g.flows.v[h]
 	for i, l := range f.links() {
-		f.pos[i] = int32(len(g.linkFlows[l]))
-		g.linkFlows[l] = append(g.linkFlows[l], linkRef{h: h, pi: int32(i)})
+		idx := &g.linkFlows[l]
+		if f.ID < idx.maxID {
+			idx.unsorted = true
+		} else {
+			idx.maxID = f.ID
+		}
+		f.pos[i] = int32(len(idx.refs))
+		idx.refs = append(idx.refs, linkRef{h: h, pi: int32(i)})
 		g.markDirty(int(l))
 	}
 	return h
 }
 
-// removeFlow unindexes the flow (O(pathlen) swap-deletes), dirties its
-// links, frees its slot and returns the flow value.
+// removeFlow tombstones the flow's index entries (O(pathlen), amortised
+// over the squeezes), dirties its links, frees its slot and returns the
+// flow value.
 func (g *flowGraph) removeFlow(h handle) flow {
 	f := &g.flows.v[h]
 	for i, l := range f.links() {
-		s := g.linkFlows[l]
-		p, last := f.pos[i], len(s)-1
-		moved := s[last]
-		s[p] = moved
-		g.flows.v[moved.h].pos[moved.pi] = p
-		g.linkFlows[l] = s[:last]
+		idx := &g.linkFlows[l]
+		idx.refs[f.pos[i]].pi = -1
+		if idx.dead++; 2*idx.dead > len(idx.refs) {
+			g.squeeze(idx)
+		}
 		g.markDirty(int(l))
 	}
 	g.flows.drop(h)
 	return f.flow
+}
+
+// squeeze drops an index's tombstones in place, keeping the order of the
+// live entries and repairing their back-positions.
+func (g *flowGraph) squeeze(idx *linkIndex) {
+	live := idx.refs[:0]
+	for _, ref := range idx.refs {
+		if ref.pi >= 0 {
+			g.flows.v[ref.h].pos[ref.pi] = int32(len(live))
+			live = append(live, ref)
+		}
+	}
+	idx.refs, idx.dead = live, 0
+}
+
+// ordered returns link l's index with its live entries in ascending ID
+// order, first rebuilding an index a re-admitted flow broke from one
+// integer sort of its (ID, handle) keys.
+func (g *flowGraph) ordered(l int32) []linkRef {
+	idx := &g.linkFlows[l]
+	if !idx.unsorted {
+		return idx.refs
+	}
+	keys := g.keys[:0]
+	for _, ref := range idx.refs {
+		if ref.pi >= 0 {
+			keys = append(keys, flowKey(g.flows.v[ref.h].ID, ref.h))
+		}
+	}
+	slices.Sort(keys)
+	idx.refs, idx.dead, idx.unsorted = idx.refs[:len(keys)], 0, false
+	for j, k := range keys {
+		f := &g.flows.v[handle(k)]
+		pi := slices.Index(f.links(), l)
+		f.pos[pi] = int32(j)
+		idx.refs[j] = linkRef{h: handle(k), pi: int32(pi)}
+	}
+	g.keys = keys
+	return idx.refs
 }
 
 // settle progresses a flow's remaining bits to g.now.
@@ -219,10 +280,10 @@ func (g *flowGraph) settle(f *flowSlot) {
 }
 
 // flush re-waterfills every connected component reachable from the
-// dirty links and returns the flows whose rates were reassigned (the
-// caller refreshes their completion entries). Links and flows outside
-// the dirty components keep their rates: no flow there shares a link
-// with a dirtied flow, so its max-min allocation cannot have changed.
+// dirty links and returns the flows whose rates were reassigned (FlowSim
+// refreshes their completion entries). Links and flows outside the dirty
+// components keep their rates: no flow there shares a link with a
+// dirtied flow, so its max-min allocation cannot have changed.
 func (g *flowGraph) flush(unpinProxies bool) []handle {
 	g.touched = g.touched[:0]
 	if len(g.dirty) == 0 {
@@ -236,101 +297,87 @@ func (g *flowGraph) flush(unpinProxies bool) []handle {
 		if g.linkMark[seed] == g.epoch {
 			continue // already swept into an earlier component this flush
 		}
-		g.gatherComponent(seed)
-		g.waterfillComponent(unpinProxies)
+		if flows, left := g.gatherComponent(seed, unpinProxies); flows > 0 {
+			g.waterfills++
+			g.rated += uint64(left)
+			g.fill(left)
+		}
 	}
 	g.dirty = g.dirty[:0]
 	return g.touched
 }
 
 // gatherComponent BFSes the link/flow sharing graph from seed into
-// compLinks/compFlows (both reset first).
-func (g *flowGraph) gatherComponent(seed int) {
-	g.compLinks = g.compLinks[:0]
-	g.compFlows = g.compFlows[:0]
+// compLinks and, in the same walk, runs the waterfill's first pass: each
+// reached link's index is walked once in ascending ID order, which
+// settles and resets every flow at its first incidence and, at every
+// (link, flow) incidence, subtracts a pinned proxy's fixed demand from
+// the link's remaining capacity or puts an unfrozen flow's weight on it.
+// Pinned proxies contribute that demand instead of participating in the
+// fill; with unpinProxies set, proxies join the fill as ordinary flows
+// and their resulting rate is recorded as the shard's offer. It returns
+// the number of flows in the component and how many of them are to fill.
+func (g *flowGraph) gatherComponent(seed int, unpinProxies bool) (n, left int) {
 	g.linkMark[seed] = g.epoch
-	g.compLinks = append(g.compLinks, int32(seed))
+	g.compLinks = append(g.compLinks[:0], int32(seed))
+	flows := g.flows.v
 	for qi := 0; qi < len(g.compLinks); qi++ {
-		for _, ref := range g.linkFlows[g.compLinks[qi]] {
-			f := &g.flows.v[ref.h]
-			if f.mark == g.epoch {
+		l := g.compLinks[qi]
+		remCap, weightOn := g.capacity[l], 0.0
+		for _, ref := range g.ordered(l) {
+			if ref.pi < 0 {
 				continue
 			}
-			f.mark = g.epoch
-			g.compFlows = append(g.compFlows, flowKey(f.ID, ref.h))
-			for _, fl := range f.links() {
-				if g.linkMark[fl] != g.epoch {
-					g.linkMark[fl] = g.epoch
-					g.compLinks = append(g.compLinks, fl)
+			f := &flows[ref.h]
+			if f.mark != g.epoch {
+				f.mark = g.epoch
+				n++
+				if f.proxy && unpinProxies {
+					f.pinned = false
+				}
+				if !f.proxy {
+					g.settle(f)
+				}
+				if f.filled = f.pinned; !f.pinned {
+					f.rate = 0
+					left++
+					g.touched = append(g.touched, ref.h)
+				}
+				for _, fl := range f.links() {
+					if g.linkMark[fl] != g.epoch {
+						g.linkMark[fl] = g.epoch
+						g.compLinks = append(g.compLinks, fl)
+					}
 				}
 			}
+			if f.pinned {
+				if remCap -= f.rate; remCap < 0 {
+					remCap = 0
+				}
+			} else {
+				weightOn += f.weight()
+			}
 		}
+		g.remCap[l], g.weightOn[l] = remCap, weightOn
 	}
+	return n, left
 }
 
-// waterfillComponent runs progressive-filling weighted max-min fairness
-// restricted to the gathered component, with the same deterministic
-// ordering as refmodel.MaxMinRates: links scanned ascending, flows
-// frozen ascending by ID. Pinned proxies contribute a fixed demand
-// (capacity subtracted up front) instead of participating in the fill;
-// with unpinProxies set, proxies join the fill as ordinary flows and
-// their resulting rate is recorded as the shard's offer.
-func (g *flowGraph) waterfillComponent(unpinProxies bool) {
-	if len(g.compFlows) == 0 {
-		return
-	}
-	g.waterfills++
-	slices.Sort(g.compFlows)
-	links, flows := g.compLinks, g.flows.v
-	slices.Sort(links)
-	for _, l := range links {
-		g.remCap[l] = g.capacity[l]
-		g.weightOn[l] = 0
-	}
-
-	// First pass, ascending ID: settle participants, subtract pinned
-	// demand, put the weight of every unfrozen flow on its links.
-	left := 0
-	for _, k := range g.compFlows {
-		f := &flows[handle(k)]
-		if f.proxy && unpinProxies {
-			f.pinned = false
-		}
-		if !f.proxy {
-			g.settle(f)
-		}
-		if f.pinned {
-			f.filled = true
-			for _, l := range f.links() {
-				g.remCap[l] -= f.rate
-				if g.remCap[l] < 0 {
-					g.remCap[l] = 0
-				}
-			}
-			continue
-		}
-		f.rate, f.filled = 0, false
-		left++
-		g.touched = append(g.touched, handle(k))
-		for _, l := range f.links() {
-			g.weightOn[l] += f.weight()
-		}
-	}
-	g.rated += uint64(left)
-
-	// Progressive filling. The crossing set of each bottleneck comes
-	// from the per-link flow index — O(crossing) per round instead of a
-	// scan of every unfrozen flow — sorted by ID so the freeze order
-	// (and therefore every float operation) matches the global reference
-	// bit for bit.
+// fill runs progressive-filling weighted max-min fairness over the
+// gathered component's `left` unfrozen flows, with the same deterministic
+// ordering as refmodel.MaxMinRates: the bottleneck is the lowest-numbered
+// link at the minimum fair share, and its unfrozen flows are frozen by
+// walking its index, ascending by ID — O(crossing) per round, no sort.
+func (g *flowGraph) fill(left int) {
+	flows := g.flows.v
 	for left > 0 {
 		bottleneck := int32(-1)
 		best := math.Inf(1)
-		for _, l := range links {
+		for _, l := range g.compLinks {
 			if g.weightOn[l] <= 0 {
 				continue
 			}
-			if fair := g.remCap[l] / g.weightOn[l]; fair < best {
+			if fair := g.remCap[l] / g.weightOn[l]; fair < best || fair == best && l < bottleneck {
 				best = fair
 				bottleneck = l
 			}
@@ -338,27 +385,18 @@ func (g *flowGraph) waterfillComponent(unpinProxies bool) {
 		if bottleneck < 0 {
 			break
 		}
-		cross := g.cross[:0]
-		for _, ref := range g.linkFlows[bottleneck] {
-			if f := &flows[ref.h]; !f.filled {
-				cross = append(cross, flowKey(f.ID, ref.h))
+		froze := false
+		for _, ref := range g.linkFlows[bottleneck].refs {
+			f := &flows[ref.h]
+			if ref.pi < 0 || f.filled {
+				continue
 			}
-		}
-		g.cross = cross
-		if len(cross) == 0 {
-			// Only floating-point weight residue on the bottleneck:
-			// retire it and keep filling the rest of the component.
-			g.weightOn[bottleneck] = 0
-			continue
-		}
-		slices.Sort(cross)
-		for _, k := range cross {
-			f := &flows[handle(k)]
 			f.rate = best * f.weight()
 			if f.proxy {
 				f.offer = f.rate
 			}
 			f.filled = true
+			froze = true
 			left--
 			for _, l := range f.links() {
 				g.remCap[l] -= f.rate
@@ -368,82 +406,22 @@ func (g *flowGraph) waterfillComponent(unpinProxies bool) {
 				g.weightOn[l] -= f.weight()
 			}
 		}
-	}
-}
-
-// completion is a lazily-invalidated completion-heap entry: it fires
-// only if slot h still holds flow id at version ver (any rate change or
-// removal bumps ver; each new rate pushes a fresh entry). The slot alone
-// proves nothing — a freed slot is reused LIFO, by another flow or by the
-// same flow re-admitted on a new path — so id and ver are both compared.
-// Ordering is (time, flow ID): two flows finishing at the same instant
-// always complete in ID order, never slot order.
-type completion struct {
-	at  sim.Time
-	id  int
-	ver uint32
-	h   handle
-}
-
-func (c completion) before(o completion) bool {
-	if c.at != o.at {
-		return c.at < o.at
-	}
-	return c.id < o.id
-}
-
-// completionHeap is a binary min-heap of completions, typed so a push or
-// pop never boxes its entry through an interface.
-type completionHeap []completion
-
-func (h *completionHeap) push(c completion) {
-	s := append(*h, c)
-	*h = s
-	for j := len(s) - 1; j > 0; {
-		p := (j - 1) / 2
-		if !s[j].before(s[p]) {
-			break
+		if !froze {
+			// Only floating-point weight residue on the bottleneck:
+			// retire it and keep filling the rest of the component.
+			g.weightOn[bottleneck] = 0
 		}
-		s[j], s[p] = s[p], s[j]
-		j = p
-	}
-}
-
-func (h *completionHeap) pop() completion {
-	s := *h
-	top, n := s[0], len(s)-1
-	s[0] = s[n]
-	*h = s[:n]
-	s[:n].down(0)
-	return top
-}
-
-func (h completionHeap) down(i int) {
-	for {
-		c := 2*i + 1
-		if c >= len(h) {
-			return
-		}
-		if r := c + 1; r < len(h) && h[r].before(h[c]) {
-			c = r
-		}
-		if !h[c].before(h[i]) {
-			return
-		}
-		h[i], h[c] = h[c], h[i]
-		i = c
 	}
 }
 
 // shard is the state both drivers run on: one flowGraph, the count of
-// flows active on it, their records, and the completion heap. FlowSim is
-// one shard advanced event by event (RunUntil); FleetSim is one shard per
-// pod advanced by its epoch barrier.
+// flows active on it and their records. FlowSim is one shard advanced
+// event by event (RunUntil) off its completion heap; FleetSim is one shard
+// per pod advanced by its epoch barrier.
 type shard struct {
 	g       *flowGraph
 	active  int // live non-proxy flows
 	records []FlowRecord
-	h       completionHeap
 }
 
 func newShard(t *Topology, capacity []float64) shard {
@@ -458,8 +436,8 @@ func (s *shard) admit(fl flow, route []int) handle {
 	return s.g.addFlow(slot)
 }
 
-// remove deactivates a flow, invalidating any queued completion, and
-// returns its value: ver travels with it into a re-admission.
+// remove deactivates a flow, invalidating any completion FlowSim queued
+// for it, and returns its value: ver travels with it into a re-admission.
 func (s *shard) remove(h handle) flow {
 	s.g.flows.v[h].ver++
 	s.active--
@@ -472,75 +450,17 @@ func (s *shard) complete(h handle, at sim.Time) {
 	s.records = append(s.records, fl.record(at, false))
 }
 
-// crossing returns the flowKeys of the flows indexed on a link in
-// ascending ID order — the order every reroute processes them in, so the
-// records a link kill appends never depend on index or slot order. The
-// slice is a copy: the caller removes flows from the index while walking
-// it.
-func (s *shard) crossing(linkID int) []uint64 {
-	refs := s.g.linkFlows[linkID]
-	out := make([]uint64, len(refs))
-	for i, ref := range refs {
-		out[i] = flowKey(s.g.flows.v[ref.h].ID, ref.h)
+// crossing returns the flows indexed on a link in ascending ID order —
+// the order every reroute processes them in, so the records a link kill
+// appends never depend on slot order. The slice is a copy: the caller
+// removes flows from the index while walking it.
+func (s *shard) crossing(linkID int) []handle {
+	refs := s.g.ordered(int32(linkID))
+	out := make([]handle, 0, len(refs))
+	for _, ref := range refs {
+		if ref.pi >= 0 {
+			out = append(out, ref.h)
+		}
 	}
-	slices.Sort(out)
 	return out
-}
-
-// refresh replaces the completion entry of every re-rated flow, then
-// compacts the heap once stale entries outnumber live ones 4:1.
-func (s *shard) refresh(touched []handle, now sim.Time) {
-	for _, h := range touched {
-		f := &s.g.flows.v[h]
-		f.ver++
-		if f.rate > 0 {
-			s.h.push(completion{at: now + sim.Time(f.remaining/f.rate), id: f.ID, ver: f.ver, h: h})
-		}
-	}
-	if len(s.h) > 4*s.active+64 {
-		s.compact()
-	}
-}
-
-// live reports whether a heap entry still names the flow in its slot.
-func (s *shard) live(c completion) bool {
-	f := &s.g.flows.v[c.h]
-	return s.g.flows.used[c.h] && f.ID == c.id && f.ver == c.ver
-}
-
-// compact rebuilds the heap from its live entries.
-func (s *shard) compact() {
-	keep := s.h[:0]
-	for _, c := range s.h {
-		if s.live(c) {
-			keep = append(keep, c)
-		}
-	}
-	s.h = keep
-	for i := len(keep)/2 - 1; i >= 0; i-- {
-		keep.down(i)
-	}
-}
-
-// nextDue drops stale heads and returns the earliest live completion;
-// false when none is queued.
-func (s *shard) nextDue() (completion, bool) {
-	for len(s.h) > 0 {
-		if s.live(s.h[0]) {
-			return s.h[0], true
-		}
-		s.h.pop()
-	}
-	return completion{}, false
-}
-
-// popDue dequeues the earliest live completion if it is due by limit;
-// false when nothing is.
-func (s *shard) popDue(limit sim.Time) (completion, bool) {
-	c, ok := s.nextDue()
-	if !ok || c.at > limit {
-		return completion{}, false
-	}
-	s.h.pop()
-	return c, true
 }

@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"mosaic/internal/eventlog"
-	"mosaic/internal/refmodel"
 	"mosaic/internal/sim"
 )
 
@@ -72,18 +71,7 @@ func incTraceCase(t *testing.T, seed int64, size int) {
 			}
 		}
 		// Bitwise equivalence with the global reference.
-		states := fs.FlowStates()
-		flows := make([]refmodel.RefFlow, len(states))
-		for i, st := range states {
-			flows[i] = refmodel.RefFlow{ID: st.ID, Path: st.Path, Weight: st.Weight}
-		}
-		want := refmodel.MaxMinRates(fs.Capacities(), flows)
-		for _, st := range states {
-			if st.Rate != want[st.ID] {
-				t.Fatalf("step %d: flow %d incremental rate %.17g != refmodel %.17g",
-					step, st.ID, st.Rate, want[st.ID])
-			}
-		}
+		checkRatesEqualReference(t, fs.Capacities(), fs.FlowStates(), fmt.Sprintf("step %d", step))
 	}
 
 	steps := 8 * size
@@ -194,7 +182,7 @@ func TestCompletionHeapProperties(t *testing.T) {
 		// queued version, a quarter moved on to a later one, a quarter
 		// left, and a quarter left with their slot since taken by another
 		// flow at the same version.
-		s := shard{g: &flowGraph{flows: flows}, h: slices.Clone(h)}
+		s := FlowSim{shard: shard{g: &flowGraph{flows: flows}}, h: slices.Clone(h)}
 		var live []completion
 		for _, c := range model {
 			slot := &s.g.flows.v[c.h]
@@ -383,8 +371,8 @@ func TestFleetSimConservation(t *testing.T) {
 		for l := range topo.Links {
 			sh := fs.shards[fs.shardOf[l]]
 			var sum float64
-			for _, ref := range sh.g.linkFlows[l] {
-				sum += sh.g.flows.v[ref.h].rate
+			for _, f := range sh.g.indexed(l) {
+				sum += f.rate
 			}
 			if cap := fs.capacity[l]; sum > cap*(1+1e-9)+1 {
 				t.Fatalf("epoch %d: link %d oversubscribed: %.6g on %.6g", epoch, l, sum, cap)

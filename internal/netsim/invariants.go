@@ -12,7 +12,7 @@ import "fmt"
 // SetResolvedHook installs fn to run inside every Step, at the one
 // sequential point where the epoch's rates are fully resolved: after
 // phase C's corrective waterfill, before cross completions retire
-// proxies and the shard heaps drain. At that instant every dirty
+// proxies and the shards complete their due flows. At that instant every dirty
 // component has been re-filled, so conservation and per-shard max-min
 // hold exactly — the natural place to call CheckInvariants. nil removes
 // the hook.
@@ -45,9 +45,11 @@ func (fs *FleetSim) CheckInvariants() error {
 	// restricted to that shard's links).
 	sum := make([]float64, len(fs.capacity))
 	for _, sh := range fs.shards {
-		for l, refs := range sh.g.linkFlows {
-			for _, ref := range refs {
-				sum[l] += sh.g.flows.v[ref.h].rate
+		for l, idx := range sh.g.linkFlows {
+			for _, ref := range idx.refs {
+				if ref.pi >= 0 {
+					sum[l] += sh.g.flows.v[ref.h].rate
+				}
 			}
 		}
 	}

@@ -2,9 +2,8 @@ package netsim
 
 import (
 	"cmp"
-	"fmt"
 	"slices"
-	"strings"
+	"strconv"
 
 	"mosaic/internal/eventlog"
 	"mosaic/internal/par"
@@ -29,8 +28,9 @@ import (
 //	phase C (parallel)    — affected components re-waterfill with the
 //	                        pinned proxies as fixed demand, returning the
 //	                        slack to local flows
-//	epoch run (parallel)  — each shard drains its completion heap up to
-//	                        the epoch end at the frozen rates; cross
+//	epoch run (parallel)  — each shard scans its slab for the flows that
+//	                        finish by the epoch end at the frozen rates
+//	                        and completes them in (time, ID) order; cross
 //	                        completions were resolved at the barrier
 //
 // Every sequential step iterates in ascending flow-ID / link-ID / shard
@@ -57,8 +57,9 @@ type FleetSim struct {
 	cross     slab[crossFlow]
 	crossKeys []uint64 // Step scratch: the live cross flows as flowKeys, ascending ID
 
-	records []FlowRecord // stalls + cross completions (shard records merged on demand)
-	log     eventlog.Log // one line per epoch, capped at eventlog.DefaultMax
+	records  []FlowRecord // stalls + cross completions (shard records merged on demand)
+	log      eventlog.Log // one line per epoch, capped at eventlog.DefaultMax
+	perShard []byte       // Step scratch: the log line's per_shard list
 
 	// Flows that left the simulator in finished epochs (FlowTotals).
 	completed, stalled uint64
@@ -77,12 +78,10 @@ type FleetSim struct {
 
 // fleetShard is one pod's slice of the fleet: a shard over the shared
 // capacity vector (only its pod's links are ever indexed) holding the
-// pod's local flows, plus the per-epoch re-rate bookkeeping.
+// pod's local flows, plus the completions of the epoch in progress.
 type fleetShard struct {
 	shard
-	reRated []handle // flows re-rated this epoch (phase A ∪ phase C)
-	seenGen uint64
-	done    int // completions this epoch
+	due []completion
 }
 
 // crossFlow is the fleet-level master record of a two-shard flow, a
@@ -278,13 +277,13 @@ func (fs *FleetSim) SetLinkFraction(linkID int, frac float64) {
 	// Re-admit (possibly changing local/cross classification) or stall
 	// every flow crossing the dead link.
 	sh.g.now = fs.now
-	for _, k := range sh.crossing(linkID) {
+	for _, h := range sh.crossing(linkID) {
 		var fl flow
-		if f := &sh.g.flows.v[handle(k)]; f.proxy {
+		if f := &sh.g.flows.v[h]; f.proxy {
 			fl = fs.retire(f.master)
 		} else {
 			sh.g.settle(f)
-			fl = sh.remove(handle(k))
+			fl = sh.remove(h)
 		}
 		var buf [maxPath]int
 		path, err := routeAvoidingDead(fs.Topo, fs.capacity, buf[:0], fl.Src, fl.Dst, fl.Hash+1)
@@ -305,9 +304,8 @@ func (fs *FleetSim) Step(epochLen sim.Time) {
 
 	// Phase A: shard-local waterfill of dirty components; proxies bid.
 	fs.runShards(func(sh *fleetShard) {
-		sh.seenGen++
 		sh.g.now = fs.now
-		sh.noteReRated(sh.g.flush(true))
+		sh.g.flush(true)
 	})
 
 	// Phase B: pin every cross flow at the min of its shards' offers.
@@ -335,10 +333,7 @@ func (fs *FleetSim) Step(epochLen sim.Time) {
 	}
 
 	// Phase C: re-waterfill around the pinned proxies (slack to locals).
-	fs.runShards(func(sh *fleetShard) {
-		sh.g.now = fs.now
-		sh.noteReRated(sh.g.flush(false))
-	})
+	fs.runShards(func(sh *fleetShard) { sh.g.flush(false) })
 
 	// Rates are now globally consistent: every dirty component has been
 	// re-filled and the pinned proxies carry their barrier rates.
@@ -365,24 +360,37 @@ func (fs *FleetSim) Step(epochLen sim.Time) {
 		cf.remaining -= cf.rate * float64(epochLen)
 	}
 
-	// Epoch run: refresh completion entries for re-rated local flows,
-	// then drain each shard's heap to the epoch end at frozen rates.
+	// Epoch run: rates are frozen until the next barrier and a flow's
+	// remaining/rate/lastTouch are written only when it is re-rated, so
+	// its finish time can be read off the slab at any later barrier; one
+	// scan finds the flows due by the epoch end, and only those are
+	// sorted, by (time, ID).
 	fs.runShards(func(sh *fleetShard) {
-		sh.refresh(sh.reRated, fs.now)
-		sh.reRated = sh.reRated[:0]
-		sh.done = 0
-		for c, ok := sh.popDue(epochEnd); ok; c, ok = sh.popDue(epochEnd) {
+		sh.due = sh.due[:0]
+		for h := range sh.g.flows.v {
+			f := &sh.g.flows.v[h]
+			if !sh.g.flows.used[h] || f.proxy || !(f.rate > 0) {
+				continue
+			}
+			if at := f.lastTouch + sim.Time(f.remaining/f.rate); at <= epochEnd {
+				sh.due = append(sh.due, completion{at: at, id: f.ID, h: handle(h)})
+			}
+		}
+		slices.SortFunc(sh.due, func(a, b completion) int { return cmp.Or(cmp.Compare(a.at, b.at), a.id-b.id) })
+		for _, c := range sh.due {
 			sh.complete(c.h, c.at)
-			sh.done++
 		}
 	})
 
 	// Epilogue: one deterministic log line per epoch.
 	done := 0
-	var perShard []string
-	for _, sh := range fs.shards {
-		done += sh.done
-		perShard = append(perShard, fmt.Sprintf("%d", sh.done))
+	fs.perShard = fs.perShard[:0]
+	for i, sh := range fs.shards {
+		done += len(sh.due)
+		if i > 0 {
+			fs.perShard = append(fs.perShard, ',')
+		}
+		fs.perShard = strconv.AppendInt(fs.perShard, int64(len(sh.due)), 10)
 	}
 	var capSum float64
 	for _, c := range fs.capacity {
@@ -391,25 +399,12 @@ func (fs *FleetSim) Step(epochLen sim.Time) {
 	fs.log.Addf(
 		"epoch=%d t=%.3f arrivals=%d cross_arrivals=%d stalls=%d done=%d cross_done=%d per_shard=[%s] active=%d cross=%d cap_sum=%.6e",
 		fs.epochIdx, float64(fs.now), fs.arrivals, fs.crossArrivals, fs.stalls,
-		done, crossDone, strings.Join(perShard, ","), fs.ActiveFlows(), fs.cross.live(), capSum)
+		done, crossDone, fs.perShard, fs.ActiveFlows(), fs.cross.live(), capSum)
 	fs.epochIdx++
 	fs.completed += uint64(done + crossDone)
 	fs.stalled += uint64(fs.stalls)
 	fs.arrivals, fs.crossArrivals, fs.stalls = 0, 0, 0
 	fs.now = epochEnd
-}
-
-// noteReRated merges a flush's touched flows into the epoch's refresh
-// set exactly once per flow (seen markers survive across phases A/C).
-func (sh *fleetShard) noteReRated(touched []handle) {
-	for _, h := range touched {
-		f := &sh.g.flows.v[h]
-		if f.proxy || f.seen == sh.seenGen {
-			continue
-		}
-		f.seen = sh.seenGen
-		sh.reRated = append(sh.reRated, h)
-	}
 }
 
 // runShards executes fn once per shard on the fleet's pool. Shards share

@@ -21,7 +21,7 @@ func TestCompletionStaleAfterSlotReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := newShard(topo, nominalCapacity(topo))
+	s := NewFlowSim(topo)
 	h := topo.Hosts()
 	admit := func(fl flow, hash uint64) handle {
 		t.Helper()
@@ -32,7 +32,7 @@ func TestCompletionStaleAfterSlotReuse(t *testing.T) {
 		return s.admit(fl, route)
 	}
 	entry := func(hd handle) completion {
-		s.refresh(s.g.flush(false), 0)
+		s.flush()
 		f := &s.g.flows.v[hd]
 		return completion{id: f.ID, ver: f.ver, h: hd}
 	}
@@ -212,8 +212,9 @@ func steadyFleet(t *testing.T, locals int) (fs *FleetSim, epoch func()) {
 // A warmed constant-population epoch allocates only what its log line
 // and its barrier closures cost: nothing per injected flow, nothing per
 // completion, and nothing that scales with the local flows being
-// re-rated — the slab, the link indices, the heap and the scratch lists
-// have all reached their working size.
+// re-rated — the slab, the link indices, the due lists and the scratch
+// buffers (the log line's per_shard list among them) have all reached their
+// working size.
 func TestFleetSimSteadyEpochAllocs(t *testing.T) {
 	var allocs [2]float64
 	for i, locals := range []int{200, 4000} {
@@ -230,8 +231,8 @@ func TestFleetSimSteadyEpochAllocs(t *testing.T) {
 		}
 	}
 	t.Logf("allocs per steady epoch: %.1f at 200 locals, %.1f at 4000", allocs[0], allocs[1])
-	if allocs[0] > 48 {
-		t.Errorf("steady epoch allocates %.1f times, want at most the log line and closures (48)", allocs[0])
+	if allocs[0] > 12 {
+		t.Errorf("steady epoch allocates %.1f times, want at most the log line and closures (12)", allocs[0])
 	}
 	if allocs[1] > allocs[0]+4 {
 		t.Errorf("allocations grow with the local population: %.1f at 200 flows, %.1f at 4000", allocs[0], allocs[1])
