@@ -72,7 +72,14 @@ staticcheck:
 # calls slices.Sort exactly once — the integer-key repair of an index a
 # reroute broke — and slices.SortFunc never, and the completion heap
 # (completionHeap, its compact, a popDue) appears in flowsim.go only:
-# FleetSim reads an epoch's completions off its slabs.
+# FleetSim reads an epoch's completions off its slabs. A link exchange
+# works on bytes with tables that fit in L1: non-test internal/phy names
+# no linecode.Block, DecodeBlock, AppendFrameBlocks, AppendExtract or
+# dataExtractor (the encode and parse stages go between frame bytes and
+# stream bytes through linecode.AppendFrame/AppendIdle/Classify, and
+# ScanStream has one decode path), and non-test internal/coding/rs names
+# no contrib (the encoder's tables are eight 2 KB slices, not a row per
+# data position).
 SUBSTRATE_SRC = find internal cmd examples -name '*.go' ! -name '*_test.go'
 SUPERVISOR = internal/faultinject/supervisor.go
 MIRROR = internal/telemetry/mirror.go
@@ -103,14 +110,16 @@ substrate:
 		$(SUBSTRATE_SRC) -path 'internal/netsim/*' ! -name flowsim.go -exec grep -nE 'completionHeap|popDue|\.compact\(' {} + ; \
 		grep -Hn 'slices\.Sort' $(FLUSH) | grep -vF 'slices.Sort(keys)' ; \
 		[ "$$(grep -cF 'slices.Sort(keys)' $(FLUSH))" -eq 1 ] || echo "$(FLUSH): want exactly one slices.Sort(keys), the index repair"; \
+		$(SUBSTRATE_SRC) -path 'internal/phy/*' -exec grep -nE 'linecode\.Block\b|DecodeBlock|AppendFrameBlocks|AppendExtract|dataExtractor' {} + ; \
+		$(SUBSTRATE_SRC) -path 'internal/coding/rs/*' -exec grep -nw 'contrib' {} + ; \
 		for pat in 'SetTransitionHook(func' '"sf=%d remap %v"'; do \
 			[ "$$(grep -cF "$$pat" $(SUPERVISOR))" -eq 1 ] || echo "$(SUPERVISOR): want exactly one $$pat"; \
 		done; } ); \
 	if [ -n "$$bad" ]; then \
-		echo "substrate: FAIL — use internal/par for fan-out, internal/eventlog for log digests, faultinject.Supervisor for the superframe boundary, a plain Bridge.Sync after its sparing step for renegotiation, a step loop with the caller holding the clock (no scheduler: FlowSim.RunUntil, Session.Step, FleetSim.Step) to drive anything, a telemetry.Row table beside the stats struct (internal/mac for MAC series, internal/fleetd for fleet series; telemetry.Mirror does the delta) for metrics, Bridge.Fraction() to hand capacity to a flow simulator, slab handles, integer sort keys (not flow pointers) and ID-ordered link indices (no per-flush sort, no heap under FleetSim) in internal/netsim:"; \
+		echo "substrate: FAIL — use internal/par for fan-out, internal/eventlog for log digests, faultinject.Supervisor for the superframe boundary, a plain Bridge.Sync after its sparing step for renegotiation, a step loop with the caller holding the clock (no scheduler: FlowSim.RunUntil, Session.Step, FleetSim.Step) to drive anything, a telemetry.Row table beside the stats struct (internal/mac for MAC series, internal/fleetd for fleet series; telemetry.Mirror does the delta) for metrics, Bridge.Fraction() to hand capacity to a flow simulator, slab handles, integer sort keys (not flow pointers) and ID-ordered link indices (no per-flush sort, no heap under FleetSim) in internal/netsim, linecode.AppendFrame/AppendIdle/Classify on the byte stream (no linecode.Block staging, no extract-then-decode fork) in internal/phy and sliced tables (no per-position contrib rows) in internal/coding/rs:"; \
 		echo "$$bad"; exit 1; \
 	fi; \
-	echo "substrate: OK — goroutines only in internal/par, sha256 only in internal/eventlog, sparing/hook/remap line only in the link supervisor, nothing scheduled (no sim.Engine, no Schedule/After call, no batch mode), one stats mirror (no hand-written delta sync, no MAC or fleet collector in telemetry), capacity leaves a bridge through Fraction() only, netsim flows pointer-free, a fleet epoch sorts nothing and queues nothing"
+	echo "substrate: OK — goroutines only in internal/par, sha256 only in internal/eventlog, sparing/hook/remap line only in the link supervisor, nothing scheduled (no sim.Engine, no Schedule/After call, no batch mode), one stats mirror (no hand-written delta sync, no MAC or fleet collector in telemetry), capacity leaves a bridge through Fraction() only, netsim flows pointer-free, a fleet epoch sorts nothing and queues nothing, a link exchange stages no Blocks and forks no decode path, RS encode tables are sliced"
 
 build:
 	$(GO) build ./...
@@ -144,8 +153,8 @@ determinism:
 
 # Not part of check: the time-and-allocation benchmarks. E10 exercises
 # the whole pipeline (7 reach points, construction + exchange); the
-# steady-state Exchange and the MAC round trips are pinned
-# allocation-free; FleetSimEpochSteady pins the flow engine's epoch at a
+# steady-state Exchange — clean, and at BER 2e-4 where the RS decode
+# path runs — and the MAC round trips are pinned allocation-free; FleetSimEpochSteady pins the flow engine's epoch at a
 # constant population (its allocs/op must not scale with the flows held);
 # FleetdAdmit pins the cost of admitting one link into
 # a live fleet and stepping it through an epoch. Every benchmark runs -count=$(BENCH_COUNT) and
@@ -156,7 +165,7 @@ determinism:
 BENCH_COUNT ?= 5
 bench:
 	@$(GO) test -bench 'BenchmarkE10EndToEnd$$' -benchmem -benchtime 3x -count=$(BENCH_COUNT) -run '^$$' . && \
-	$(GO) test -bench 'BenchmarkExchangeSteadyState$$|BenchmarkMACFrameRoundTrip$$|BenchmarkMACFrameRoundTripSR$$' \
+	$(GO) test -bench 'BenchmarkExchangeSteadyState$$|BenchmarkExchangeNoisySteadyState$$|BenchmarkMACFrameRoundTrip$$|BenchmarkMACFrameRoundTripSR$$' \
 		-benchmem -benchtime 1000x -count=$(BENCH_COUNT) -run '^$$' . && \
 	$(GO) test -bench 'BenchmarkE24FleetFlows$$' -benchmem -benchtime 1x -count=$(BENCH_COUNT) -run '^$$' -timeout 30m . && \
 	$(GO) test -bench 'BenchmarkFleetSimEpochSteady$$' -benchmem -benchtime 200x -count=$(BENCH_COUNT) -run '^$$' . && \

@@ -332,31 +332,42 @@ func BenchmarkPipelineThroughput(b *testing.B) {
 // the pool dispatch) must be reused, so any steady-state allocation is a
 // regression (enforced by benchguard).
 func BenchmarkExchangeSteadyState(b *testing.B) {
-	link, err := phy.New(phy.DefaultConfig())
-	if err != nil {
-		b.Fatal(err)
+	if delivered := benchExchangeInto(b, 0); delivered != b.N*benchFrames {
+		b.Fatalf("clean link delivered %d/%d frames", delivered, b.N*benchFrames)
 	}
-	rng := rand.New(rand.NewSource(1))
-	frames := make([][]byte, 64)
-	total := 0
-	for i := range frames {
-		frames[i] = make([]byte, 1500)
-		rng.Read(frames[i])
-		total += 1500
-	}
-	var buf phy.ExchangeBuf
-	delivered := 0
-	// Warm the path: buffers grow to the traffic high-water mark on the
-	// first round; after that the arena is steady.
-	out, _, err := link.ExchangeInto(&buf, frames)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if len(out) != len(frames) {
-		b.Fatalf("clean link delivered %d/%d frames", len(out), len(frames))
-	}
+}
 
-	b.SetBytes(int64(total))
+// BenchmarkExchangeNoisySteadyState is the same link at BER 2e-4 on every
+// channel (the link_noisy_arq operating point): most channel frames carry
+// a dirty RS block, so this row gates the decode path — re-encode check,
+// parity-difference syndromes, Berlekamp-Massey/Chien/Forney, resync
+// after an overload — which the clean row never enters. Also 0 allocs/op.
+func BenchmarkExchangeNoisySteadyState(b *testing.B) {
+	benchExchangeInto(b, 2e-4)
+}
+
+// benchFrames × 1500 B is one benchmarked exchange.
+const benchFrames = 64
+
+// benchExchangeInto times ExchangeInto of benchFrames × 1500 B on the default
+// 100-lane link with every channel at ber, warmed by one round (buffers
+// grow to the traffic high-water mark on the first; after that the arena
+// is steady), and returns the frames delivered in the timed rounds.
+func benchExchangeInto(b *testing.B, ber float64) (delivered int) {
+	cfg := phy.DefaultConfig()
+	link, err := phy.New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for p := 0; p < cfg.Lanes+cfg.Spares; p++ {
+		link.SetChannelBER(p, ber)
+	}
+	frames := phy.SeededFrames(1, benchFrames, 1500)
+	var buf phy.ExchangeBuf
+	if _, _, err := link.ExchangeInto(&buf, frames); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(benchFrames * 1500)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -367,9 +378,7 @@ func BenchmarkExchangeSteadyState(b *testing.B) {
 		delivered += len(out)
 	}
 	b.StopTimer()
-	if delivered != b.N*len(frames) {
-		b.Fatalf("delivered %d/%d frames", delivered, b.N*len(frames))
-	}
+	return delivered
 }
 
 // BenchmarkFECSchemes compares per-channel FEC encode+decode speed.

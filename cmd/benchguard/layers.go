@@ -27,7 +27,9 @@ import (
 // what the simulation did (flows rated, waterfills, peaks, ratios of
 // counts) and for no timing; runtime.* and driver.* describe the host
 // process (GC cycles, heap peak), may repeat by luck and are a change's
-// to move, so they are shown but never gated.
+// to move, so they are shown but never gated — and neither is
+// telemetry.scrape_kb, the size of an exposition that prints host
+// counters too (pool steals), so a digit more or less of those moves it.
 
 // layerResult is the part of a benchmark result line the fold reads.
 type layerResult struct {
@@ -95,7 +97,7 @@ func diffLayers(w io.Writer, before, after map[string]map[string]float64, counts
 		for _, name := range sortedKeys(names) {
 			b, a := before[wl][name], after[wl][name]
 			note := ""
-			if counts[wl+" "+name] && !strings.HasPrefix(name, "runtime.") && !strings.HasPrefix(name, "driver.") {
+			if counts[wl+" "+name] && !strings.HasPrefix(name, "runtime.") && !strings.HasPrefix(name, "driver.") && name != "telemetry.scrape_kb" {
 				if note = "  count"; a != b {
 					note = "  count MOVED"
 					moved = append(moved, fmt.Sprintf("%s %s: %v before, %v after", wl, name, b, a))

@@ -206,24 +206,24 @@ func TestLayersFoldAndUpsert(t *testing.T) {
 
 // TestLayersDiffGatesCounts: a fold under a label other than "before" is
 // diffed against the before row. A metric whose fresh runs all agree is a
-// count and must equal that row; timings, host-side runtime.* counts and a
-// metric seen once are shown, never gated.
+// count and must equal that row; timings, host-side runtime.* counts, the
+// exposition size and a metric seen once are shown, never gated.
 func TestLayersDiffGatesCounts(t *testing.T) {
-	before := `[{"label":"before","runs":3,"workloads":{"fleet_day":{"work_per_s":400,"netsim.rated_per_flow":8.5,"netsim.peak_cross_flows":7,"runtime.gc_cycles":80}}}]`
+	before := `[{"label":"before","runs":3,"workloads":{"fleet_day":{"work_per_s":400,"netsim.rated_per_flow":8.5,"netsim.peak_cross_flows":7,"runtime.gc_cycles":80,"telemetry.scrape_kb":10.6185}}}]`
 	run := func(rated, peak string) error {
 		t.Helper()
 		path := filepath.Join(t.TempDir(), "layers.json")
 		if err := os.WriteFile(path, []byte(before), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		line := `{"workload":"fleet_day","metrics":{"work_per_s":{"value":%d},"netsim.rated_per_flow":{"value":` + rated + `},"netsim.peak_cross_flows":{"value":` + peak + `},"runtime.gc_cycles":{"value":70}}}` + "\n"
+		line := `{"workload":"fleet_day","metrics":{"work_per_s":{"value":%d},"netsim.rated_per_flow":{"value":` + rated + `},"netsim.peak_cross_flows":{"value":` + peak + `},"runtime.gc_cycles":{"value":70},"telemetry.scrape_kb":{"value":10.6195}}}` + "\n"
 		return writeLayers(path, "after", strings.NewReader(fmt.Sprintf(line, 500)+fmt.Sprintf(line, 520)))
 	}
 	if err := run("8.5", "7"); err != nil {
 		t.Fatalf("counts that did not move: %v", err)
 	}
 	err := run("8.25", "7")
-	if err == nil || !strings.Contains(err.Error(), "fleet_day netsim.rated_per_flow: 8.5 before, 8.25 after") || strings.Contains(err.Error(), "gc_cycles") {
+	if err == nil || !strings.Contains(err.Error(), "fleet_day netsim.rated_per_flow: 8.5 before, 8.25 after") || strings.Contains(err.Error(), "gc_cycles") || strings.Contains(err.Error(), "scrape_kb") {
 		t.Fatalf("a moved count must fail the fold, and only it: %v", err)
 	}
 	if err := run("8.5", "0"); err == nil || !strings.Contains(err.Error(), "netsim.peak_cross_flows: 7 before, 0 after") {

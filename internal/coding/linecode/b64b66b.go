@@ -1,8 +1,10 @@
 package linecode
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // 64b/66b block coding (IEEE 802.3 clause 49, simplified): each 66-bit
@@ -190,4 +192,62 @@ func AppendFrameBlocks(dst []Block, frame []byte) ([]Block, error) {
 		panic(err)
 	}
 	return append(dst, tb), nil
+}
+
+// The byte-stream view of the same code, which is what the PHY's encode
+// and parse stages run: on the serial stream a block is nine bytes, the
+// sync header in the first and the payload in the other eight, and
+// AppendFrame, AppendIdle and Classify go between frame bytes and those
+// nine bytes directly. They write and accept exactly the bytes Block's
+// Encode and DecodeBlock do, without a Block in between.
+
+// AppendFrame appends frame to the serial stream dst as one start block,
+// full data blocks and one terminate block, and returns the extended
+// slice: the bytes AppendFrameBlocks' blocks encode to.
+func AppendFrame(dst, frame []byte) ([]byte, error) {
+	if len(frame) < MinFrameLen {
+		return dst, fmt.Errorf("%w: frame of %d bytes below minimum %d", ErrBadFraming, len(frame), MinFrameLen)
+	}
+	n, need := len(dst), 9*(2+(len(frame)-MinFrameLen)/8)
+	dst = slices.Grow(dst, need)[:n+need]
+	out := dst[n:]
+	out[0], out[1] = SyncCtrl, typeStart
+	copy(out[2:9], frame)
+	frame, out = frame[MinFrameLen:], out[9:]
+	for ; len(frame) >= 8; frame, out = frame[8:], out[9:] {
+		out[0] = SyncData
+		binary.LittleEndian.PutUint64(out[1:9], binary.LittleEndian.Uint64(frame))
+	}
+	out[0], out[1] = SyncCtrl, termType[len(frame)]
+	clear(out[2+copy(out[2:9], frame) : 9])
+	return dst, nil
+}
+
+// AppendIdle appends one idle block to the serial stream dst.
+func AppendIdle(dst []byte) []byte {
+	return append(dst, SyncCtrl, typeIdle, 0, 0, 0, 0, 0, 0, 0)
+}
+
+// Classify reads a stream block's kind off its sync header and first
+// payload byte by DecodeBlock's rules: any payload under a data header is
+// data; under a control header the type byte names idle, start, or
+// terminate with termLen trailing data bytes. ok is false where
+// DecodeBlock errors (a bad sync header, an unknown control type).
+func Classify(sync, typ byte) (kind BlockKind, termLen int, ok bool) {
+	switch {
+	case sync == SyncData:
+		return KindData, 0, true
+	case sync != SyncCtrl:
+		return 0, 0, false
+	case typ == typeIdle:
+		return KindIdle, 0, true
+	case typ == typeStart:
+		return KindStart, 0, true
+	}
+	for n, tt := range termType {
+		if typ == tt {
+			return KindTerm, n, true
+		}
+	}
+	return 0, 0, false
 }

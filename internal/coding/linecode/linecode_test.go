@@ -300,3 +300,66 @@ func TestScramblerWordMatchesBitSerial(t *testing.T) {
 		}
 	}
 }
+
+// TestStreamEncoderMatchesBlocks pins the byte-stream encoder to the
+// Block API byte for byte: AppendFrame then AppendIdle must write what
+// AppendFrameBlocks + IdleBlock serialise to through Block.Encode, for
+// every frame length 7..264 (each TermLen 0-7 many times over) and a
+// 1500-byte frame with its FCS, onto a dst whose spare capacity holds
+// stale bytes (the terminate block's fill must be written, not assumed).
+func TestStreamEncoderMatchesBlocks(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	lengths := []int{1504}
+	for n := MinFrameLen; n <= 264; n++ {
+		lengths = append(lengths, n)
+	}
+	for _, n := range lengths {
+		frame := make([]byte, n)
+		rng.Read(frame)
+		blocks, err := AppendFrameBlocks(nil, frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := []byte{0xEE} // a prefix both must leave alone
+		for _, b := range append(blocks, IdleBlock()) {
+			sync, payload, err := b.Encode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = append(append(want, sync), payload[:]...)
+		}
+		dst := bytes.Repeat([]byte{0xEE}, len(want)+9)[:1]
+		got, err := AppendFrame(dst, frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got = AppendIdle(got); !bytes.Equal(got, want) {
+			t.Fatalf("n=%d (TermLen %d): stream\n %x\nblocks encode to\n %x", n, (n-MinFrameLen)%8, got, want)
+		}
+	}
+	dst := []byte{1, 2, 3}
+	if got, err := AppendFrame(dst, make([]byte, MinFrameLen-1)); err == nil || !bytes.Equal(got, dst) {
+		t.Errorf("sub-minimum frame: got %x, err %v; want dst back and ErrBadFraming", got, err)
+	}
+}
+
+// TestClassifyMatchesDecodeBlock pins the control-byte classifier to
+// DecodeBlock on every (sync, type) pair — both valid sync headers times
+// all 256 type bytes, plus every invalid sync value: same accept/reject,
+// same kind, same TermLen.
+func TestClassifyMatchesDecodeBlock(t *testing.T) {
+	for sync := 0; sync < 256; sync++ {
+		for typ := 0; typ < 256; typ++ {
+			payload := [8]byte{byte(typ), 1, 2, 3, 4, 5, 6, 7}
+			blk, err := DecodeBlock(byte(sync), payload)
+			kind, termLen, ok := Classify(byte(sync), byte(typ))
+			if ok != (err == nil) {
+				t.Fatalf("sync %#x type %#x: Classify ok=%v, DecodeBlock err=%v", sync, typ, ok, err)
+			}
+			if ok && (kind != blk.Kind || termLen != blk.TermLen) {
+				t.Fatalf("sync %#x type %#x: Classify (%v, %d), DecodeBlock (%v, %d)",
+					sync, typ, kind, termLen, blk.Kind, blk.TermLen)
+			}
+		}
+	}
+}

@@ -1,22 +1,31 @@
 package rs
 
-import "mosaic/internal/coding/gf"
+import (
+	"encoding/binary"
+
+	"mosaic/internal/coding/gf"
+)
 
 // Codec8 is the byte-domain fast path for short codes over GF(2^8) with
 // at most 8 parity symbols — the RS-lite class the PHY runs on every lane
 // of every superframe. It trades the general int-symbol API for three
 // table-driven kernels:
 //
-//   - Encode: the systematic parity is linear in the data, so the LFSR
-//     division register (np bytes, packed in one uint64) is precomputed
-//     per data position: contrib[i][v] is the final remainder of a
-//     message that is zero everywhere except byte value v at position i.
-//     Encoding is then one table load and one XOR per data byte with no
-//     loop-carried dependency — the loads pipeline, unlike the serial
-//     feedback register they replace.
-//   - Syndromes: Horner evaluation where the per-syndrome multiplier row
-//     of the 256×256 product table (gf.MulTable8) is hoisted out of the
-//     inner loop — one dependent load per received byte per syndrome.
+//   - Encode: the systematic parity is the LFSR division register (np
+//     bytes, packed in one uint64) after every data byte has been fed. The
+//     register update is GF(2)-linear in register and input, so eight
+//     steps collapse into eight lookups: slice[m][v] is what byte v leaves
+//     in the register m steps after it was fed, and a step XORs the
+//     register into the next eight data bytes and sums one entry of each
+//     table (slicing-by-8, as in table-driven CRCs). The tables are 16 KB
+//     for any k — they stay in L1 beside the stream they encode, which a
+//     table row per data position (k × 2 KB) did not.
+//   - Syndromes: a received block is a codeword (its data plus the parity
+//     re-encoded from that data) plus the np-byte difference between the
+//     received and re-encoded parity. Codewords evaluate to zero at every
+//     generator root, so S_j is that difference polynomial at
+//     alpha^(fcr+j): np² products against synPow instead of np Horner
+//     passes over all n bytes, and exactly the same values.
 //   - Decode: the same syndromes → Berlekamp-Massey → Chien → Forney
 //     decision procedure as Code.DecodeErasures (with no erasures), run
 //     over fixed-size stack arrays so a dirty block decodes without a
@@ -24,7 +33,7 @@ import "mosaic/internal/coding/gf"
 //
 // A Codec8 makes exactly the accept/reject decisions of the reference
 // path: same bounded-distance guard, same Chien root-count check, same
-// final syndrome verification. That equivalence is what the rs_vector
+// final codeword verification. That equivalence is what the rs_vector
 // diffcheck stage pins against the naive refmodel decoder.
 //
 // A Codec8 is immutable after construction and safe for concurrent use;
@@ -32,12 +41,11 @@ import "mosaic/internal/coding/gf"
 type Codec8 struct {
 	n, k, np, fcr int
 	mul           *[256][256]byte
-	genWord       [256]uint64   // genWord[fb] byte j = fb·gen[j]
-	contrib       [][256]uint64 // contrib[i][v]: parity of v at data position i
-	remMask       uint64        // low 8·np bits
-	synMul        [8]byte       // alpha^(fcr+j): Horner multiplier per syndrome
-	xinv          []byte        // xinv[i] = alpha^(-i), Chien probe per position
-	xmag          []byte        // xmag[i] = alpha(i)^(1-fcr), Forney magnitude factor
+	slice         [8][256]uint64 // slice[m][v]: register m steps after feeding v; slice[0][fb] byte j = fb·gen[j]
+	remMask       uint64         // low 8·np bits
+	synPow        [8][8]byte     // synPow[j][i] = alpha^((fcr+j)·i)
+	xinv          []byte         // xinv[i] = alpha^(-i), Chien probe per position
+	xmag          []byte         // xmag[i] = alpha(i)^(1-fcr), Forney magnitude factor
 	field         *gf.Field
 }
 
@@ -63,42 +71,30 @@ func newCodec8(c *Code) *Codec8 {
 	f := c.field
 	np := c.n - c.k
 	cd := &Codec8{
-		n:     c.n,
-		k:     c.k,
-		np:    np,
-		fcr:   c.fcr,
-		mul:   f.MulTable8(),
-		field: f,
-	}
-	if np == 8 {
-		cd.remMask = ^uint64(0)
-	} else {
-		cd.remMask = 1<<(8*np) - 1
+		n:       c.n,
+		k:       c.k,
+		np:      np,
+		fcr:     c.fcr,
+		mul:     f.MulTable8(),
+		remMask: ^uint64(0) >> (8 * uint(8-np)),
+		field:   f,
 	}
 	for fb := 0; fb < 256; fb++ {
 		var w uint64
 		for j := 0; j < np; j++ {
 			w |= uint64(cd.mul[fb][c.gen[j]]) << (8 * j)
 		}
-		cd.genWord[fb] = w
+		cd.slice[0][fb] = w
 	}
-	// contrib[i][v] = advance^i(genWord[v]): the remainder left by byte v
-	// at data position i (i advance steps follow its feed). The register
-	// update is GF(2)-linear in both the register and the input byte, so
-	// the final remainder is the XOR of per-byte contributions.
-	top := uint(8 * (np - 1))
-	cd.contrib = make([][256]uint64, c.k)
-	cd.contrib[0] = cd.genWord
-	for i := 1; i < c.k; i++ {
-		prev, cur := &cd.contrib[i-1], &cd.contrib[i]
+	for m := 1; m < 8; m++ {
 		for v := 0; v < 256; v++ {
-			rem := prev[v]
-			fb := byte(rem >> top)
-			cur[v] = ((rem << 8) & cd.remMask) ^ cd.genWord[fb]
+			cd.slice[m][v] = cd.advance(cd.slice[m-1][v])
 		}
 	}
 	for j := 0; j < np; j++ {
-		cd.synMul[j] = byte(f.Alpha(c.fcr + j))
+		for i := 0; i < np; i++ {
+			cd.synPow[j][i] = byte(f.Alpha((c.fcr + j) * i))
+		}
 	}
 	cd.xinv = make([]byte, c.n)
 	cd.xmag = make([]byte, c.n)
@@ -109,6 +105,49 @@ func newCodec8(c *Code) *Codec8 {
 	return cd
 }
 
+// advance is one LFSR step with a zero input byte.
+func (cd *Codec8) advance(rem uint64) uint64 {
+	fb := byte(rem >> (8 * uint(cd.np-1)))
+	return (rem<<8)&cd.remMask ^ cd.slice[0][fb]
+}
+
+// parityWord returns the packed parity register of the systematic
+// codeword for data: byte j is parity coefficient j. Data bytes are fed
+// highest index first, as the LFSR of Code.EncodeTo feeds them; missing
+// bytes up to k — and the zeros that fill a short top word up to eight —
+// are zeros fed into a zero register, which leave it zero.
+func (cd *Codec8) parityWord(data []byte) uint64 {
+	var rem uint64
+	i := len(data)
+	if r := i & 7; r != 0 {
+		var x uint64
+		for j, b := range data[i-r:] {
+			x |= uint64(b) << (8 * uint(j))
+		}
+		rem, i = cd.step8(x), i-r
+	}
+	// Aligned under the next eight data bytes, the register's np bytes
+	// meet exactly the bytes they would have been XORed into as feedback.
+	// (The &63 tells the compiler the shift is in range: no guard sequence
+	// on the loop's one dependent chain.)
+	up := 8 * uint(8-cd.np)
+	for ; i > 0; i -= 8 {
+		rem = cd.step8(binary.LittleEndian.Uint64(data[i-8:i]) ^ rem<<(up&63))
+	}
+	return rem
+}
+
+// step8 is eight LFSR steps at once on a zero register: byte 7 of x is
+// fed first and byte j with j steps still to follow it. The lookups are
+// summed as a tree, the four the previous register reaches (the high
+// bytes) last, so the chain from one step to the next stays short.
+func (cd *Codec8) step8(x uint64) uint64 {
+	return (cd.slice[0][byte(x)] ^ cd.slice[1][byte(x>>8)]) ^
+		(cd.slice[2][byte(x>>16)] ^ cd.slice[3][byte(x>>24)]) ^
+		((cd.slice[4][byte(x>>32)] ^ cd.slice[5][byte(x>>40)]) ^
+			(cd.slice[6][byte(x>>48)] ^ cd.slice[7][byte(x>>56)]))
+}
+
 // EncodeParity writes the np parity bytes of the systematic codeword for
 // data into parity (len ≥ np). data holds the leading data bytes; any
 // missing bytes up to k are treated as zero, matching the zero-padded
@@ -116,55 +155,38 @@ func newCodec8(c *Code) *Codec8 {
 // copy. Byte i of data is codeword coefficient np+i, parity[j] is
 // coefficient j — identical layout to Code.EncodeTo.
 func (cd *Codec8) EncodeParity(parity, data []byte) {
-	// Implicit zero padding at positions i ≥ len(data) contributes
-	// nothing (contrib[i][0] == 0), so only the present bytes are
-	// accumulated. The four independent accumulators let the table loads
-	// pipeline; XOR order is irrelevant.
-	var r0, r1, r2, r3 uint64
-	i := 0
-	for ; i+4 <= len(data); i += 4 {
-		r0 ^= cd.contrib[i][data[i]]
-		r1 ^= cd.contrib[i+1][data[i+1]]
-		r2 ^= cd.contrib[i+2][data[i+2]]
-		r3 ^= cd.contrib[i+3][data[i+3]]
-	}
-	for ; i < len(data); i++ {
-		r0 ^= cd.contrib[i][data[i]]
-	}
-	rem := r0 ^ r1 ^ r2 ^ r3
+	rem := cd.parityWord(data)
 	for j := 0; j < cd.np; j++ {
 		parity[j] = byte(rem >> (8 * uint(j)))
 	}
 }
 
-// Clean reports whether block (len n, coefficient order: parity first)
-// is a codeword, without modifying it. A systematic codeword's parity is
-// exactly the encoder's output for its data bytes, so one table-XOR
-// encode pass answers the question np times cheaper than the syndrome
-// check (which Decode still uses, since it needs the syndrome values).
-func (cd *Codec8) Clean(block []byte) bool {
-	var parity [maxParity8]byte
-	cd.EncodeParity(parity[:cd.np], block[cd.np:])
-	var diff byte
+// parityDiff returns received parity XOR re-encoded parity, packed like
+// parityWord: zero exactly when block is a codeword.
+func (cd *Codec8) parityDiff(block []byte) uint64 {
+	var recv uint64
 	for j := 0; j < cd.np; j++ {
-		diff |= parity[j] ^ block[j]
+		recv |= uint64(block[j]) << (8 * uint(j))
 	}
-	return diff == 0
+	return recv ^ cd.parityWord(block[cd.np:])
 }
 
-// syndromes fills syn and reports whether all are zero.
-func (cd *Codec8) syndromes(syn *[maxParity8]byte, block []byte) bool {
-	var dirty byte
-	for j := 0; j < cd.np; j++ {
-		row := &cd.mul[cd.synMul[j]]
-		var acc byte
-		for i := cd.n - 1; i >= 0; i-- {
-			acc = row[acc] ^ block[i]
+// Clean reports whether block (len n, coefficient order: parity first)
+// is a codeword, without modifying it: a systematic codeword's parity is
+// exactly the encoder's output for its data bytes.
+func (cd *Codec8) Clean(block []byte) bool { return cd.parityDiff(block) == 0 }
+
+// diffSyndromes evaluates the parity-difference polynomial (parityDiff's
+// packed word, byte i the coefficient of x^i) at the np generator roots:
+// the block's syndromes, since the codeword part contributes zero.
+func (cd *Codec8) diffSyndromes(diff uint64) (syn [maxParity8]byte) {
+	for i := 0; i < cd.np; i++ {
+		row := &cd.mul[byte(diff>>(8*uint(i)))]
+		for j := 0; j < cd.np; j++ {
+			syn[j] ^= row[cd.synPow[j][i]]
 		}
-		syn[j] = acc
-		dirty |= acc
 	}
-	return dirty == 0
+	return syn
 }
 
 // polyEval8 evaluates p[:plen] at x with Horner's rule over the table.
@@ -181,14 +203,15 @@ func (cd *Codec8) polyEval8(p *[2*maxParity8 + 2]byte, plen int, x byte) byte {
 // corrections. On an uncorrectable block it returns ErrTooManyErrors and
 // leaves block exactly as received. The decision procedure — including
 // the bounded-distance guard, the Chien root-count check, and the final
-// syndrome verification — matches Code.DecodeErasures(block, nil).
+// codeword verification — matches Code.DecodeErasures(block, nil).
 func (cd *Codec8) Decode(block []byte) (int, error) {
-	var syn [maxParity8]byte
-	if cd.syndromes(&syn, block) {
+	diff := cd.parityDiff(block)
+	if diff == 0 {
 		return 0, nil
 	}
 	mul := cd.mul
 	np := cd.np
+	syn := cd.diffSyndromes(diff)
 
 	// Berlekamp-Massey over fixed arrays; lengths mirror the reference
 	// polynomial slices exactly (trailing zeros included) so the
@@ -305,8 +328,7 @@ func (cd *Codec8) Decode(block []byte) (int, error) {
 	for pi := 0; pi < npos; pi++ {
 		block[positions[pi]] ^= mags[pi]
 	}
-	var check [maxParity8]byte
-	if !cd.syndromes(&check, block) {
+	if !cd.Clean(block) {
 		for pi := 0; pi < npos; pi++ {
 			block[positions[pi]] ^= mags[pi]
 		}

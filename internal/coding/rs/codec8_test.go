@@ -5,6 +5,9 @@ import (
 	"errors"
 	"math/rand"
 	"testing"
+	"unsafe"
+
+	"mosaic/internal/coding/gf"
 )
 
 // codec8Codes lists the GF(2^8) codes inside the fast-codec envelope
@@ -21,6 +24,11 @@ func codec8Codes(t *testing.T) []*Code {
 	}
 	return out
 }
+
+// wideCode fills the envelope's corners the PHY's codes leave open: all
+// eight parity bytes (the register fills its word, no alignment shift)
+// and a first consecutive root other than alpha^0.
+var wideCode = MustNew(gf.MustNew(8), 40, 32, 1)
 
 func TestCodec8Envelope(t *testing.T) {
 	for _, c := range codec8Codes(t) {
@@ -42,39 +50,96 @@ func TestCodec8Envelope(t *testing.T) {
 	}
 }
 
-// TestCodec8EncodeParityMatchesLFSR pins the contrib-table encoder
-// against the general LFSR encoder (Code.EncodeTo) on random data,
-// including short data slices whose implicit zero padding must
-// contribute nothing.
+// TestCodec8TablesFitL1 holds the codec's inline tables (the sliced
+// encode tables and synPow; the shared 64 KB product table hangs off a
+// pointer) to 24 KB for any k: the encoder runs beside the stream it
+// encodes in a 32-48 KB L1d.
+func TestCodec8TablesFitL1(t *testing.T) {
+	if sz := unsafe.Sizeof(Codec8{}); sz > 24<<10 {
+		t.Fatalf("Codec8 is %d bytes inline, want <= %d", sz, 24<<10)
+	}
+}
+
+// TestCodec8EncodeParityMatchesLFSR pins the sliced-table encoder
+// against the general LFSR encoder (Code.EncodeTo) at every data length
+// 1..k — each length%8 top word and each count of eight-byte steps —
+// where the implicit zero padding of a short slice must contribute
+// nothing.
 func TestCodec8EncodeParityMatchesLFSR(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for _, c := range codec8Codes(t) {
+	for _, c := range append(codec8Codes(t), wideCode) {
 		cd := c.Codec8()
 		n, k, np := c.N(), c.K(), c.Parity()
 		ref := make([]int, n)
 		data := make([]int, k)
 		parity := make([]byte, np)
-		for trial := 0; trial < 200; trial++ {
-			dlen := 1 + rng.Intn(k) // short slices exercise the padding
-			if trial%4 == 0 {
-				dlen = k
-			}
-			dataB := make([]byte, dlen)
-			rng.Read(dataB)
-			for i := range data {
-				data[i] = 0
-				if i < dlen {
-					data[i] = int(dataB[i])
+		for dlen := 1; dlen <= k; dlen++ {
+			for trial := 0; trial < 8; trial++ {
+				dataB := make([]byte, dlen)
+				rng.Read(dataB)
+				for i := range data {
+					data[i] = 0
+					if i < dlen {
+						data[i] = int(dataB[i])
+					}
+				}
+				if err := c.EncodeTo(ref, data); err != nil {
+					t.Fatalf("%v: EncodeTo: %v", c, err)
+				}
+				cd.EncodeParity(parity, dataB)
+				for j := 0; j < np; j++ {
+					if int(parity[j]) != ref[j] {
+						t.Fatalf("%v dlen %d trial %d: parity[%d] = %d, LFSR says %d",
+							c, dlen, trial, j, parity[j], ref[j])
+					}
 				}
 			}
-			if err := c.EncodeTo(ref, data); err != nil {
-				t.Fatalf("%v: EncodeTo: %v", c, err)
-			}
-			cd.EncodeParity(parity, dataB)
-			for j := 0; j < np; j++ {
-				if int(parity[j]) != ref[j] {
-					t.Fatalf("%v trial %d (dlen %d): parity[%d] = %d, LFSR says %d",
-						c, trial, dlen, j, parity[j], ref[j])
+		}
+	}
+}
+
+// hornerSyndromes is the definition diffSyndromes replaced: each
+// syndrome is the whole received block evaluated at alpha^(fcr+j) by
+// Horner's rule, one dependent product per byte.
+func hornerSyndromes(cd *Codec8, block []byte) (syn [maxParity8]byte) {
+	for j := 0; j < cd.np; j++ {
+		row := &cd.mul[byte(cd.field.Alpha(cd.fcr+j))]
+		var acc byte
+		for i := cd.n - 1; i >= 0; i-- {
+			acc = row[acc] ^ block[i]
+		}
+		syn[j] = acc
+	}
+	return syn
+}
+
+// TestCodec8DiffSyndromesMatchHorner checks that the syndromes taken
+// from the np-byte parity difference are the Horner syndromes of the
+// whole block, value for value, for 0..np+2 errors anywhere, errors
+// confined to the parity bytes, and errors confined to the data bytes.
+func TestCodec8DiffSyndromesMatchHorner(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	for _, c := range append(codec8Codes(t), wideCode) {
+		cd := c.Codec8()
+		n, np := c.N(), c.Parity()
+		regions := []struct {
+			name   string
+			lo, hi int
+		}{{"anywhere", 0, n}, {"parity", 0, np}, {"data", np, n}}
+		for _, reg := range regions {
+			for nerr := 0; nerr <= np+2 && nerr <= reg.hi-reg.lo; nerr++ {
+				for trial := 0; trial < 50; trial++ {
+					block := make([]byte, n)
+					rng.Read(block[np:])
+					cd.EncodeParity(block, block[np:])
+					for _, pos := range rng.Perm(reg.hi - reg.lo)[:nerr] {
+						block[reg.lo+pos] ^= byte(1 + rng.Intn(255))
+					}
+					got, want := cd.diffSyndromes(cd.parityDiff(block)), hornerSyndromes(cd, block)
+					if got != want {
+						t.Fatalf("%v, %d errors in %s: parity-difference syndromes %v, Horner %v",
+							c, nerr, reg.name, got, want)
+					}
 				}
 			}
 		}
@@ -114,7 +179,7 @@ func TestCodec8CleanIsCodewordTest(t *testing.T) {
 // correction counts, and accept/reject decisions.
 func TestCodec8DecodeMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	for _, c := range codec8Codes(t) {
+	for _, c := range append(codec8Codes(t), wideCode) {
 		cd := c.Codec8()
 		n, k := c.N(), c.K()
 		for trial := 0; trial < 300; trial++ {

@@ -12,8 +12,8 @@
 //	bsc_skip   — geometric skip-sampling channel vs bit-walking twin
 //	rs_encode  — LFSR RS encoder vs root-condition linear solve
 //	rs_decode  — BM/Chien/Forney decoder vs brute-force subset search
-//	rs_vector  — vectorized byte-stream RS (table-XOR encode, clean
-//	             shortcut, parity-verified extract) vs reference byte FEC
+//	rs_vector  — vectorized byte-stream RS (sliced-table encode, re-encode
+//	             clean check, parity-difference syndromes) vs reference byte FEC
 //	framer     — channel framer hunt/FEC/CRC vs field-by-field reference
 //	striper    — stripe index arithmetic vs explicit unit dealing
 //	mac_frame  — MAC deframer (v1 and v2 headers) vs naive scanner

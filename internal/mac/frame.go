@@ -159,12 +159,20 @@ func (d *Deframer) Deframe(buf []byte, emit func(Frame)) {
 	}
 	i := 0
 	for i+MinFrameLen <= len(buf) {
-		if buf[i] != Magic0 {
-			if buf[i] == IdleByte {
-				d.Stats.IdleBytes++
-			} else {
-				d.Stats.SkippedBytes++
+		if buf[i] == IdleByte {
+			// Idle fill is walked a run at a time: one add per run, not one
+			// store per byte. The tail loop below counts idle the same way,
+			// so a run may end anywhere up to the end of the buffer.
+			run := i + 1
+			for run < len(buf) && buf[run] == IdleByte {
+				run++
 			}
+			d.Stats.IdleBytes += uint64(run - i)
+			i = run
+			continue
+		}
+		if buf[i] != Magic0 {
+			d.Stats.SkippedBytes++
 			i++
 			continue
 		}

@@ -161,3 +161,47 @@ func TestDeframeIdleOnly(t *testing.T) {
 		t.Fatalf("idle bytes = %d, want 500", d.Stats.IdleBytes)
 	}
 }
+
+// TestDeframeIdleRunStats pins every DeframeStats field on buffers where
+// idle fill matters: all idle, ending mid-run, and idle runs interleaved
+// with valid, truncated and CRC-rejected frames (whose own zero bytes are
+// rescanned as idle). The expected values were computed by the per-byte
+// idle loop this deframer replaced; the run-at-a-time walk must reproduce
+// them, including idle bytes inside the last MinFrameLen-1 bytes, which
+// the tail loop counts.
+func TestDeframeIdleRunStats(t *testing.T) {
+	idle := func(n int) []byte { return bytes.Repeat([]byte{IdleByte}, n) }
+	payload := []byte{1, 0, 0, 2, 3, 0, 4, 5, 6, 7, 0, 0, 0, 8}
+	valid := AppendFrame(nil, FlagData, 3, 9, payload)
+	validV2 := AppendFrameVC(nil, FlagData|FlagAck, 2, 4, 10, payload[:5])
+	crcBad := append([]byte(nil), valid...)
+	crcBad[HeaderLen+3] ^= 0x40
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+
+	cases := []struct {
+		name string
+		buf  []byte
+		want DeframeStats
+	}{
+		{"all idle", idle(500), DeframeStats{IdleBytes: 500}},
+		{"all idle, shorter than a frame", idle(MinFrameLen - 1), DeframeStats{IdleBytes: 12}},
+		{"empty", nil, DeframeStats{}},
+		{"ends mid-run", cat(idle(17), valid, idle(5)), DeframeStats{Frames: 1, PayloadBytes: 14, IdleBytes: 22}},
+		{"run ends inside the tail", cat(idle(30), []byte{Magic0, Magic1, 0x07}, idle(4)), DeframeStats{IdleBytes: 34, SkippedBytes: 3}},
+		{"magic in the tail after a run", cat(idle(30), []byte{0x55}, idle(6), []byte{Magic0}, idle(2)), DeframeStats{IdleBytes: 38, SkippedBytes: 2}},
+		{"truncated frame after a run", cat(idle(9), valid, idle(40), valid[:len(valid)-6]), DeframeStats{Frames: 1, PayloadBytes: 14, IdleBytes: 57, SkippedBytes: 12, Truncated: 1}},
+		{"CRC reject between runs", cat(idle(3), crcBad, idle(21), validV2, idle(1)), DeframeStats{Frames: 1, PayloadBytes: 5, IdleBytes: 34, SkippedBytes: 17, CRCRejects: 1}},
+		{"all three interleaved", cat(idle(2), valid, idle(64), crcBad, idle(7), validV2, idle(13), validV2[:HeaderLenV2+2], idle(3)), DeframeStats{Frames: 2, PayloadBytes: 19, IdleBytes: 102, SkippedBytes: 24, CRCRejects: 1, Truncated: 1}},
+		{"no idle at all", cat(valid, validV2, valid), DeframeStats{Frames: 3, PayloadBytes: 33}},
+	}
+	for _, tc := range cases {
+		var d Deframer
+		frames := collect(t, &d, tc.buf)
+		if uint64(len(frames)) != d.Stats.Frames {
+			t.Errorf("%s: emitted %d frames, Stats.Frames %d", tc.name, len(frames), d.Stats.Frames)
+		}
+		if d.Stats != tc.want {
+			t.Errorf("%s:\n got  %#v\n want %#v", tc.name, d.Stats, tc.want)
+		}
+	}
+}

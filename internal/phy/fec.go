@@ -177,10 +177,11 @@ type RSFEC struct {
 	// fast is the byte-domain table-driven codec (rs.Codec8) for GF(2^8)
 	// codes with ≤8 parity symbols — the RS-lite class. When non-nil,
 	// AppendEncode/AppendDecode skip the int-symbol staging entirely:
-	// encode streams parity straight into dst via the packed-uint64 LFSR,
-	// decode syndrome-checks the wire bytes in place and only a dirty
-	// block is copied (to a stack buffer) for the allocation-free full
-	// decode. Larger codes (KP4/KR4 over GF(2^10)) keep the general path.
+	// encode streams parity straight into dst from the sliced tables,
+	// decode proves a block clean by re-encoding its parity from the wire
+	// bytes in place, and only a dirty block is copied (to a stack buffer)
+	// for the allocation-free full decode. Larger codes (KP4 over
+	// GF(2^10)) keep the general path.
 	fast *rs.Codec8
 	// scratch pools per-call symbol buffers so the concurrent per-lane
 	// workers share one allocation-free codec on the general path.
@@ -317,55 +318,6 @@ func (r *RSFEC) AppendEncode(dst, plain []byte) []byte {
 	}
 	r.scratch.Put(sc)
 	return dst
-}
-
-// dataExtractor is the optional FEC fast path used by the framer's scan:
-// AppendExtract pulls the systematic data bytes out of the encoded
-// stream, verifying as it goes that every block is a codeword (without
-// touching the stream). ok=true means the extraction IS the decode —
-// zero corrections, no overloads, bit-identical to what AppendDecode
-// would return for the same bytes. ok=false (any dirty block, or the
-// layout isn't extractable) means the caller must run the full
-// AppendDecode; dst then holds partial garbage to be discarded.
-type dataExtractor interface {
-	AppendExtract(dst, encoded []byte, plainLen int) ([]byte, bool)
-}
-
-// AppendExtract implements dataExtractor for byte-symbol systematic RS
-// codes: each block is parity-first, so the data bytes are copied
-// straight out; the block is proven clean by re-encoding its parity from
-// the data (a codeword's parity is exactly the encoder's output, so one
-// table-XOR encode pass replaces the np-pass syndrome check). Returns
-// ok=false outside the fast envelope, on a truncated stream, or on the
-// first dirty block.
-func (r *RSFEC) AppendExtract(dst, encoded []byte, plainLen int) ([]byte, bool) {
-	if r.fast == nil {
-		return dst, false
-	}
-	k, n := r.code.K(), r.code.N()
-	np := n - k
-	blocks := (plainLen + k - 1) / k
-	if len(encoded) < blocks*n {
-		return dst, false
-	}
-	start := len(dst)
-	var parity [8]byte
-	for b := 0; b < blocks; b++ {
-		block := encoded[b*n : (b+1)*n]
-		src := block[np:]
-		r.fast.EncodeParity(parity[:np], src)
-		for j := 0; j < np; j++ {
-			if parity[j] != block[j] {
-				return dst, false
-			}
-		}
-		take := k
-		if rem := start + plainLen - len(dst); take > rem {
-			take = rem
-		}
-		dst = append(dst, src[:take]...)
-	}
-	return dst, true
 }
 
 // Decode implements FEC.

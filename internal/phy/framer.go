@@ -29,24 +29,17 @@ type Framer struct {
 	payloadLen int
 	bodyLen    int // lane(2) + seq(4) + payload + crc(4)
 	encLen     int
-	// extract is the optional CRC-first decode shortcut (see
-	// dataExtractor); nil when the FEC doesn't support it.
-	extract func(dst, encoded []byte, plainLen int) ([]byte, bool)
 }
 
 // NewFramer returns a framer for the given FEC and per-frame payload size.
 func NewFramer(fec FEC, payloadLen int) *Framer {
 	body := 2 + 4 + payloadLen + 4
-	f := &Framer{
+	return &Framer{
 		fec:        fec,
 		payloadLen: payloadLen,
 		bodyLen:    body,
 		encLen:     fec.EncodedLen(body),
 	}
-	if ex, ok := fec.(dataExtractor); ok {
-		f.extract = ex.AppendExtract
-	}
-	return f
 }
 
 // PayloadLen returns the fixed per-frame payload size.
@@ -132,29 +125,6 @@ func (f *Framer) ScanStream(stream []byte, bodyScratch *[]byte, emit func(lane i
 			continue
 		}
 		enc := stream[i+2 : i+2+f.encLen]
-		// Extract shortcut: pull the systematic data out, with the
-		// extractor proving every block is a codeword as it copies. On
-		// ok the body is bit-identical to a full decode of the same
-		// bytes (zero corrections, no overloads), so only the CRC accept
-		// logic remains. Dirty frames (ok=false) — and the rare clean
-		// codeword whose body still fails the frame CRC — fall through
-		// to the real FEC decode below, which reproduces the reference
-		// decision sequence exactly.
-		if f.extract != nil {
-			b, ok := f.extract((*bodyScratch)[:0], enc, f.bodyLen)
-			if cap(b) > cap(*bodyScratch) {
-				*bodyScratch = b
-			}
-			if ok && len(b) == f.bodyLen &&
-				binary.BigEndian.Uint32(b[6+f.payloadLen:]) == crc32.ChecksumIEEE(b[:6+f.payloadLen]) {
-				emit(int(binary.BigEndian.Uint16(b[0:2])),
-					binary.BigEndian.Uint32(b[2:6]),
-					b[6:6+f.payloadLen], 0)
-				st.Frames++
-				i += f.WireLen()
-				continue
-			}
-		}
 		body, ncorr, fecErr := f.fec.AppendDecode((*bodyScratch)[:0], enc, f.bodyLen)
 		if cap(body) > cap(*bodyScratch) {
 			*bodyScratch = body

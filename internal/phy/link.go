@@ -382,11 +382,16 @@ func parseFrames(stream []byte, st *ExchangeStats, scratch *[]byte, emit func(fr
 	cur := (*scratch)[:0]
 	inFrame := false
 	for off := 0; off+9 <= len(stream); off += 9 {
-		sync := stream[off]
-		var payload [8]byte
-		copy(payload[:], stream[off+1:off+9])
-		blk, err := linecode.DecodeBlock(sync, payload)
-		if err != nil {
+		blk := stream[off : off+9] // sync header, then the 8 payload bytes
+		if blk[0] == linecode.SyncData {
+			// The common block, ahead of the control-type switch.
+			if inFrame {
+				cur = append(cur, blk[1:]...)
+			}
+			continue
+		}
+		kind, termLen, ok := linecode.Classify(blk[0], blk[1])
+		if !ok {
 			// Corrupted block: any frame in progress is damaged.
 			if inFrame {
 				st.FramesCorrupted++
@@ -395,22 +400,18 @@ func parseFrames(stream []byte, st *ExchangeStats, scratch *[]byte, emit func(fr
 			}
 			continue
 		}
-		switch blk.Kind {
+		switch kind {
 		case linecode.KindStart:
 			if inFrame {
 				st.FramesCorrupted++
 			}
-			cur = append(cur[:0], blk.Data[:7]...)
+			cur = append(cur[:0], blk[2:]...)
 			inFrame = true
-		case linecode.KindData:
-			if inFrame {
-				cur = append(cur, blk.Data[:]...)
-			}
 		case linecode.KindTerm:
 			if !inFrame {
 				continue
 			}
-			cur = append(cur, blk.Data[:blk.TermLen]...)
+			cur = append(cur, blk[2:2+termLen]...)
 			inFrame = false
 			if len(cur) < 4 {
 				st.FramesCorrupted++

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -250,6 +251,70 @@ func TestFramerMarkerCorruption(t *testing.T) {
 	frames, _ := f.DecodeStream(wire)
 	if len(frames) != 0 {
 		t.Fatal("frame with destroyed marker recovered")
+	}
+}
+
+// TestScanStreamOneDecodePath pins ScanStream's statistics on the two
+// frames the deleted "extract first, decode on a miss" fork existed for,
+// to the values that fork produced: a frame whose RS blocks are all
+// codewords but whose body fails the frame CRC (then: shortcut taken,
+// CRC miss, full decode, same CRC miss), and a frame with one dirty
+// block among clean ones (then: shortcut abandoned at the dirty block,
+// full decode from the top) — plus one with an uncorrectable block. Each
+// sits between two intact frames, so the resync after a reject and the
+// accept after it are both in the numbers.
+func TestScanStreamOneDecodePath(t *testing.T) {
+	fec := NewRSLite()
+	fr := NewFramer(fec, 243)
+	payload := func(b byte) []byte { return bytes.Repeat([]byte{b}, 243) }
+	frame := func(seq uint32) []byte { return fr.Encode(5, seq, payload(byte(0x30+seq))) }
+
+	// Block 1 of the middle frame gets a changed data byte and the parity
+	// that makes it a codeword again: the FEC sees nothing, the CRC does.
+	codewordBadCRC := frame(1)
+	blk := codewordBadCRC[2+68 : 2+2*68]
+	blk[4+20] ^= 0x5a
+	copy(blk, fec.Encode(blk[4:]))
+
+	oneDirty := frame(1)
+	oneDirty[2+2*68+31] ^= 0x01
+
+	overloaded := frame(1)
+	for i := 0; i < 3; i++ {
+		overloaded[2+3*68+9+i] ^= 0xff
+	}
+
+	cases := []struct {
+		name   string
+		middle []byte
+		want   DecodeStats
+		seqs   []uint32
+		ncorr  []int
+	}{
+		{"all codewords, CRC fails", codewordBadCRC,
+			DecodeStats{Frames: 2, CRCFailures: 1, SkippedBytes: 274}, []uint32{0, 2}, []int{0, 0}},
+		{"one dirty block", oneDirty,
+			DecodeStats{Frames: 3, Corrections: 1}, []uint32{0, 1, 2}, []int{0, 1, 0}},
+		{"one overloaded block", overloaded,
+			DecodeStats{Frames: 2, CRCFailures: 1, FECOverloads: 1, SkippedBytes: 274}, []uint32{0, 2}, []int{0, 0}},
+	}
+	for _, tc := range cases {
+		stream := bytes.Join([][]byte{frame(0), tc.middle, frame(2)}, nil)
+		var scratch []byte
+		var seqs []uint32
+		var ncorr []int
+		st := fr.ScanStream(stream, &scratch, func(lane int, seq uint32, p []byte, n int) {
+			if lane != 5 || !bytes.Equal(p, payload(byte(0x30+seq))) {
+				t.Errorf("%s: frame seq %d delivered with lane %d or a wrong payload", tc.name, seq, lane)
+			}
+			seqs, ncorr = append(seqs, seq), append(ncorr, n)
+		})
+		if st != tc.want {
+			t.Errorf("%s: stats %+v, want %+v", tc.name, st, tc.want)
+		}
+		if !slices.Equal(seqs, tc.seqs) || !slices.Equal(ncorr, tc.ncorr) {
+			t.Errorf("%s: delivered seqs %v with corrections %v, want %v with %v", tc.name, seqs, ncorr, tc.seqs, tc.ncorr)
+		}
 	}
 }
 

@@ -4,13 +4,14 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"slices"
 
 	"mosaic/internal/coding/linecode"
 )
 
 // The TX → channel → RX hot path is an explicit staged pipeline:
 //
-//	frame → encode (blocks → serial stream) → scramble → stripe →
+//	frame → encode (64b/66b serial stream) → scramble → stripe →
 //	per-lane transmit/decode → destripe → descramble → parse
 //
 // The serial stages run on the caller's goroutine and reuse buffers held
@@ -72,7 +73,6 @@ func (ls *laneState) init() {
 
 // linkScratch holds the reusable buffers of the serial stages.
 type linkScratch struct {
-	blocks   []linecode.Block
 	fcs      []byte // frame + FCS staging
 	stream   []byte // TX serial stream, scrambled in place
 	rxStream []byte // RX reassembled stream, descrambled in place
@@ -172,61 +172,33 @@ func (sc *linkScratch) rxStreamBuf(n int) []byte {
 	return s
 }
 
-// stageEncode converts user frames into the padded, serialized block
-// stream: per-frame FCS, 64b/66b blocks, inter-frame idles, and idle
-// padding to a whole number of stripe units.
+// stageEncode converts user frames into the padded serial block stream,
+// written as bytes: per-frame FCS, each frame's 64b/66b blocks, an
+// inter-frame idle, and idle padding to a whole number of stripe units so
+// the gearbox never has to invent fill bytes after scrambling.
 func (l *Link) stageEncode(frames [][]byte, st *ExchangeStats) ([]byte, error) {
 	sc := &l.scratch
-	// Size the block slice up front (start + data + term + idle per frame,
-	// plus worst-case unit padding) so the encode loop never regrows it —
-	// the append-doubling chain on a fresh link was a measurable slice of
-	// the whole exchange's allocations.
-	unitBlocks := l.cfg.UnitLen / 9
-	need := unitBlocks
+	// Size the stream up front (start + data + term + idle per frame, plus
+	// worst-case unit padding) so the encode loop never regrows it.
+	need := l.cfg.UnitLen
 	for _, f := range frames {
-		need += 3 + (len(f)+4)/8
+		need += 9 * (3 + (len(f)+4)/8)
 	}
-	if cap(sc.blocks) < need {
-		sc.blocks = make([]linecode.Block, 0, need)
-	}
-	blocks := sc.blocks[:0]
+	stream := slices.Grow(sc.stream[:0], need)
 	for _, f := range frames {
 		if len(f) < 3 {
-			sc.blocks = blocks
 			return nil, fmt.Errorf("phy: frame of %d bytes below minimum 3", len(f))
 		}
 		st.PayloadBytes += len(f)
-		withFCS := append(sc.fcs[:0], f...)
-		var fcs [4]byte
-		binary.BigEndian.PutUint32(fcs[:], crc32.ChecksumIEEE(f))
-		withFCS = append(withFCS, fcs[:]...)
-		sc.fcs = withFCS
+		sc.fcs = binary.BigEndian.AppendUint32(append(sc.fcs[:0], f...), crc32.ChecksumIEEE(f))
 		var err error
-		blocks, err = linecode.AppendFrameBlocks(blocks, withFCS)
-		if err != nil {
-			sc.blocks = blocks
+		if stream, err = linecode.AppendFrame(stream, sc.fcs); err != nil {
 			return nil, err
 		}
-		blocks = append(blocks, linecode.IdleBlock())
+		stream = linecode.AppendIdle(stream)
 	}
-	// Pad with idle blocks to a whole number of stripe units so the
-	// gearbox never has to invent fill bytes after scrambling.
-	for len(blocks)%unitBlocks != 0 {
-		blocks = append(blocks, linecode.IdleBlock())
-	}
-	sc.blocks = blocks
-
-	stream := sc.stream[:0]
-	if need := 9 * len(blocks); cap(stream) < need {
-		stream = make([]byte, 0, need)
-	}
-	for _, b := range blocks {
-		sync, payload, err := b.Encode()
-		if err != nil {
-			return nil, err
-		}
-		stream = append(stream, sync)
-		stream = append(stream, payload[:]...)
+	for len(stream)%l.cfg.UnitLen != 0 {
+		stream = linecode.AppendIdle(stream)
 	}
 	sc.stream = stream
 	return stream, nil
