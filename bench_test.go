@@ -23,6 +23,7 @@ import (
 	"mosaic/internal/fleetd"
 	"mosaic/internal/mac"
 	"mosaic/internal/netsim"
+	"mosaic/internal/par"
 	"mosaic/internal/phy"
 	"mosaic/internal/power"
 	"mosaic/internal/reliability"
@@ -381,6 +382,38 @@ func benchExchangeInto(b *testing.B, ber float64) (delivered int) {
 	return delivered
 }
 
+// BenchmarkPoolRoundWoken prices one par.Pool round in the shape of a
+// link exchange: Wake, ≈150 µs of serial work on the caller (the encode
+// and scramble stages), then a Run of 100 tasks of ≈2 µs each (the lanes)
+// on 2 workers — ≈350 µs of work, ≈250 µs of it parallel if the helper is
+// already up when the round is published. Pinned at 0 allocs/op.
+func BenchmarkPoolRoundWoken(b *testing.B) {
+	p := par.New(2)
+	var lanes [100]uint64
+	task := func(i int) { lanes[i] = xorshiftSpin(lanes[i]+1, 900) }
+	var serial uint64
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		p.Wake()
+		serial = xorshiftSpin(serial+1, 68000)
+		p.Run(len(lanes), task)
+	}
+	if serial == 0 {
+		b.Fatal("serial stage optimised away")
+	}
+}
+
+// xorshiftSpin runs n dependent xorshift steps: ≈2.2 ns each on the
+// 2-vCPU guest the baselines were measured on.
+func xorshiftSpin(x uint64, n int) uint64 {
+	for ; n > 0; n-- {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+	}
+	return x
+}
+
 // BenchmarkFECSchemes compares per-channel FEC encode+decode speed.
 func BenchmarkFECSchemes(b *testing.B) {
 	payload := make([]byte, 243)
@@ -494,9 +527,9 @@ func BenchmarkMACFrameRoundTripSR(b *testing.B) {
 // every epoch (a tenth of either kind cross-pod), so each Step re-rates
 // the whole backlog and drains about as many flows as were injected. The
 // slab, link indices, due lists and scratch buffers are at their working
-// size after the warm-up, so allocs/op is the epoch's fixed cost (log
-// line, barrier closures) and must not scale with the population. Pinned
-// in ci/bench_baseline.json via make bench-check.
+// size after the warm-up, so allocs/op is the epoch's fixed cost (its
+// log line) and must not scale with the population. Pinned in
+// ci/bench_baseline.json via make bench-check.
 func BenchmarkFleetSimEpochSteady(b *testing.B) {
 	const pods, hostsPerPod = 12, 80
 	topo, err := netsim.NewFleet(pods, 10, 6, 8, 100e9)

@@ -62,6 +62,12 @@ type Fleet struct {
 	retired    map[int]LinkInfo
 	retiredIDs []int // admission order, for pruning
 
+	// stepLocked's scratch, kept for reuse: the links stepped this epoch
+	// (ascending ID), the serving ones among them, and the pool task that
+	// steps runnable[i], bound once in New.
+	runnable, serving []*managedLink
+	stepTask          func(i int)
+
 	reg         *telemetry.Registry
 	metrics     *telemetry.Mirror[Fleet]               // nil without a registry
 	linkMetrics map[int]*telemetry.Mirror[managedLink] // the links inside the DetailLinks budget
@@ -122,6 +128,7 @@ func New(cfg Config, reg *telemetry.Registry) (*Fleet, error) {
 	if f.log.Max <= 0 {
 		f.log.Max = 200000
 	}
+	f.stepTask = func(i int) { f.runnable[i].step() }
 
 	// Fleet topology: enough host-ToR links for MaxLinks members, in
 	// pods of 4 leaves x 2 spines x 8 hosts (32 host links per pod).
@@ -353,8 +360,7 @@ func (f *Fleet) stepLocked() {
 	// Scheduling: lifecycle work (admission, bring-up, renegotiation,
 	// draining) always runs; serving/degraded links run MAC superframes
 	// under the step budget, rotated fairly by ascending link ID.
-	runnable := make([]*managedLink, 0, len(f.order))
-	serving := make([]*managedLink, 0, len(f.order))
+	runnable, serving := f.runnable[:0], f.serving[:0]
 	for _, id := range f.order {
 		ml := f.links[id]
 		switch ml.state {
@@ -385,7 +391,8 @@ func (f *Fleet) stepLocked() {
 
 	// Fan out. runnable is in ascending ID order (f.order is sorted),
 	// which is also the merge order below.
-	f.pool.Run(len(runnable), func(i int) { runnable[i].step() })
+	f.runnable, f.serving = runnable, serving
+	f.pool.Run(len(runnable), f.stepTask)
 
 	// Barrier: merge event buffers, publish bridge capacity fractions
 	// into the fleet-wide flow simulator, and collect retirees — all in
@@ -406,6 +413,8 @@ func (f *Fleet) stepLocked() {
 	for _, ml := range retirees {
 		f.retireLocked(ml)
 	}
+	clear(runnable) // the scratch must not keep a retired link's stack alive
+	clear(serving)
 
 	// Background traffic: seeded flow arrivals between random hosts, so
 	// capacity renegotiations act on live max-min shares.

@@ -33,6 +33,7 @@ var fleetRows = []telemetry.Row[Fleet]{
 	{Name: "mosaic_fleetd_pool_tasks_total", Help: "pool tasks executed", Count: func(f *Fleet) uint64 { return f.pool.Stats().Tasks }},
 	{Name: "mosaic_fleetd_pool_steals_total", Help: "pool tasks obtained by stealing", Count: func(f *Fleet) uint64 { return f.pool.Stats().Steals }},
 	{Name: "mosaic_fleetd_pool_rounds_total", Help: "pool barrier rounds run", Count: func(f *Fleet) uint64 { return f.pool.Stats().Rounds }},
+	{Name: "mosaic_fleetd_pool_late_total", Help: "pool helpers that arrived after their round closed", Count: func(f *Fleet) uint64 { return f.pool.Stats().Late }},
 }
 
 // linkRows is one managed link's gauge set, labelled link="<id>":

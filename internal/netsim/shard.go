@@ -74,6 +74,12 @@ type FleetSim struct {
 	// the epoch's rates are fully resolved (after phase C, before cross
 	// completions) — see SetResolvedHook.
 	onResolved func()
+
+	// The parallel phase in flight, the pool task that runs it on shard i
+	// (bound once in NewFleetSim) and the end of the epoch being stepped.
+	phase     func(*FleetSim, *fleetShard)
+	shardTask func(i int)
+	epochEnd  sim.Time
 }
 
 // fleetShard is one pod's slice of the fleet: a shard over the shared
@@ -106,6 +112,7 @@ func NewFleetSim(t *Topology, workers int) *FleetSim {
 	for range NumPods(t) {
 		fs.shards = append(fs.shards, &fleetShard{shard: newShard(t, fs.capacity)})
 	}
+	fs.shardTask = func(i int) { fs.phase(fs, fs.shards[i]) }
 	return fs
 }
 
@@ -301,9 +308,10 @@ func (fs *FleetSim) SetLinkFraction(linkID int, frac float64) {
 // completions at frozen rates in parallel.
 func (fs *FleetSim) Step(epochLen sim.Time) {
 	epochEnd := fs.now + epochLen
+	fs.epochEnd = epochEnd
 
 	// Phase A: shard-local waterfill of dirty components; proxies bid.
-	fs.runShards(func(sh *fleetShard) {
+	fs.runShards(func(fs *FleetSim, sh *fleetShard) {
 		sh.g.now = fs.now
 		sh.g.flush(true)
 	})
@@ -333,7 +341,7 @@ func (fs *FleetSim) Step(epochLen sim.Time) {
 	}
 
 	// Phase C: re-waterfill around the pinned proxies (slack to locals).
-	fs.runShards(func(sh *fleetShard) { sh.g.flush(false) })
+	fs.runShards(func(_ *FleetSim, sh *fleetShard) { sh.g.flush(false) })
 
 	// Rates are now globally consistent: every dirty component has been
 	// re-filled and the pinned proxies carry their barrier rates.
@@ -365,14 +373,14 @@ func (fs *FleetSim) Step(epochLen sim.Time) {
 	// its finish time can be read off the slab at any later barrier; one
 	// scan finds the flows due by the epoch end, and only those are
 	// sorted, by (time, ID).
-	fs.runShards(func(sh *fleetShard) {
+	fs.runShards(func(fs *FleetSim, sh *fleetShard) {
 		sh.due = sh.due[:0]
 		for h := range sh.g.flows.v {
 			f := &sh.g.flows.v[h]
 			if !sh.g.flows.used[h] || f.proxy || !(f.rate > 0) {
 				continue
 			}
-			if at := f.lastTouch + sim.Time(f.remaining/f.rate); at <= epochEnd {
+			if at := f.lastTouch + sim.Time(f.remaining/f.rate); at <= fs.epochEnd {
 				sh.due = append(sh.due, completion{at: at, id: f.ID, h: handle(h)})
 			}
 		}
@@ -407,8 +415,11 @@ func (fs *FleetSim) Step(epochLen sim.Time) {
 	fs.now = epochEnd
 }
 
-// runShards executes fn once per shard on the fleet's pool. Shards share
-// no mutable state during a phase, so the schedule cannot affect the result.
-func (fs *FleetSim) runShards(fn func(*fleetShard)) {
-	fs.pool.Run(len(fs.shards), func(i int) { fn(fs.shards[i]) })
+// runShards executes phase once per shard on the fleet's pool. Shards
+// share no mutable state during a phase, so the schedule cannot affect the
+// result. A phase is handed the FleetSim rather than capturing it, so the
+// literals in Step close over nothing and an epoch allocates no closure.
+func (fs *FleetSim) runShards(phase func(*FleetSim, *fleetShard)) {
+	fs.phase = phase
+	fs.pool.Run(len(fs.shards), fs.shardTask)
 }

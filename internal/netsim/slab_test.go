@@ -209,12 +209,16 @@ func steadyFleet(t *testing.T, locals int) (fs *FleetSim, epoch func()) {
 	return fs, epoch
 }
 
+// raceEnabled is set under -race (race_test.go).
+var raceEnabled bool
+
 // A warmed constant-population epoch allocates only what its log line
-// and its barrier closures cost: nothing per injected flow, nothing per
-// completion, and nothing that scales with the local flows being
-// re-rated — the slab, the link indices, the due lists and the scratch
-// buffers (the log line's per_shard list among them) have all reached their
-// working size.
+// costs (the rendered string and its boxed arguments; the phases and the
+// pool task are bound once in NewFleetSim): nothing per injected flow,
+// nothing per completion, and nothing that scales with the local flows
+// being re-rated — the slab, the link indices, the due lists and the
+// scratch buffers (the log line's per_shard list among them) have all
+// reached their working size.
 func TestFleetSimSteadyEpochAllocs(t *testing.T) {
 	var allocs [2]float64
 	for i, locals := range []int{200, 4000} {
@@ -231,8 +235,8 @@ func TestFleetSimSteadyEpochAllocs(t *testing.T) {
 		}
 	}
 	t.Logf("allocs per steady epoch: %.1f at 200 locals, %.1f at 4000", allocs[0], allocs[1])
-	if allocs[0] > 12 {
-		t.Errorf("steady epoch allocates %.1f times, want at most the log line and closures (12)", allocs[0])
+	if allocs[0] > 4 && !raceEnabled {
+		t.Errorf("steady epoch allocates %.1f times, want at most the log line (4)", allocs[0])
 	}
 	if allocs[1] > allocs[0]+4 {
 		t.Errorf("allocations grow with the local population: %.1f at 200 flows, %.1f at 4000", allocs[0], allocs[1])

@@ -12,28 +12,53 @@ package par
 
 import (
 	"runtime"
-	"sync"
 	"sync/atomic"
+	"time"
+)
+
+// waitBound is how long a goroutine yields its P before giving up on the
+// other side of a round: a helper waiting for its round to be published
+// exits, a caller waiting for its joined helpers parks. It is a constant
+// so that an idle Pool owns no goroutines half a millisecond after its
+// last Wake, and long enough to cover an idle vCPU picking up a helper
+// (70–90 µs on the 2-vCPU guest DESIGN.md measures).
+const waitBound = 500 * time.Microsecond
+
+// The round word: round id in the high 32 bits, the phase in the next
+// two, and the count of helpers that joined the round in the rest. Every
+// transition is one atomic store or CAS, so a helper's join and the
+// caller's close are totally ordered.
+const (
+	pending    = 1 << 30 // Wake armed the round; Run has not published it
+	open       = 2 << 30 // published: helpers may join
+	phaseMask  = 3 << 30 // phase 0 is closed: nobody may join
+	joinedMask = 1<<30 - 1
+	idShift    = 32
 )
 
 // Pool runs indexed tasks across a fixed number of workers. The caller
-// of Run is worker 0 and the helpers live only for that Run, so an idle
-// Pool owns no goroutines. One Run at a time per Pool; a task may Run on
-// a different Pool (registry → experiment → phy.Exchange nests so).
+// of Run is worker 0; helpers are launched by Wake or Run for one round
+// and exit with it, so an idle Pool owns no goroutines. One Run at a time
+// per Pool, and Wake from the same goroutine; a task may Run on a
+// different Pool (registry → experiment → phy.Exchange nests so).
 type Pool struct {
 	workers int
 
 	// Lifetime tasks executed, tasks stolen from another worker's range,
-	// barrier rounds run, and the size of the round in flight.
+	// barrier rounds run, helpers that found their round already closed,
+	// and the size of the round in flight.
 	tasks  atomic.Uint64
 	steals atomic.Uint64
 	rounds atomic.Uint64
+	late   atomic.Uint64
 	depth  atomic.Int64
 
-	fn      func(i int) // the round in flight
-	wg      sync.WaitGroup
-	queues  []queue
-	helpers []func() // helpers[w-1] runs worker w; built once so `go` allocates nothing
+	round  atomic.Uint64 // the round word
+	live   atomic.Int64  // helpers launched and not yet gone
+	done   chan struct{} // a token per joined helper done with its share; sized so no send blocks
+	help   func()        // the helper body, built once so `go` allocates nothing
+	fn     func(i int)   // the round in flight
+	queues []queue
 }
 
 // queue is one worker's share of a round: the half-open index range
@@ -51,13 +76,8 @@ func New(workers int) *Pool {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	p := &Pool{workers: workers, queues: make([]queue, workers)}
-	for w := 1; w < workers; w++ {
-		p.helpers = append(p.helpers, func() {
-			p.work(w)
-			p.wg.Done()
-		})
-	}
+	p := &Pool{workers: workers, queues: make([]queue, workers), done: make(chan struct{}, workers)}
+	p.help = p.helper
 	return p
 }
 
@@ -67,6 +87,7 @@ type Stats struct {
 	Tasks   uint64 `json:"tasks"`
 	Steals  uint64 `json:"steals"`
 	Rounds  uint64 `json:"rounds"`
+	Late    uint64 `json:"late"` // helpers that arrived after their round closed
 	Depth   int64  `json:"depth"`
 }
 
@@ -77,7 +98,30 @@ func (p *Pool) Stats() Stats {
 		Tasks:   p.tasks.Load(),
 		Steals:  p.steals.Load(),
 		Rounds:  p.rounds.Load(),
+		Late:    p.late.Load(),
 		Depth:   p.depth.Load(),
+	}
+}
+
+// Wake launches the next round's helpers ahead of Run, so the time an
+// idle CPU takes to pick one up overlaps the caller's serial work instead
+// of the round. Helpers that see no Run within waitBound exit. A nil Pool
+// ignores it.
+func (p *Pool) Wake() {
+	if p == nil {
+		return
+	}
+	if w := p.round.Load(); w&phaseMask != pending {
+		p.round.Store((w>>idShift+1)<<idShift | pending)
+	}
+	p.launch(p.workers - 1)
+}
+
+// launch starts helpers until want are alive.
+func (p *Pool) launch(want int) {
+	for p.live.Load() < int64(want) {
+		p.live.Add(1)
+		go p.help()
 	}
 }
 
@@ -96,22 +140,64 @@ func (p *Pool) Run(n int, fn func(i int)) {
 	p.depth.Store(int64(n))
 	p.fn = fn
 	// Deal [0,n) into contiguous per-worker ranges, the first n%workers of
-	// them one longer; with n < workers the first n workers get one task
-	// each and only they are started.
+	// them one longer; with n < workers only n-1 helpers are wanted.
 	per, extra := n/p.workers, n%p.workers
 	for w := range p.queues {
 		p.queues[w].next.Store(int64(w*per + min(w, extra)))
 		p.queues[w].hi = int64((w+1)*per + min(w+1, extra))
 	}
-	helpers := p.helpers[:min(p.workers, n)-1]
-	p.wg.Add(len(helpers))
-	for _, helper := range helpers {
-		go helper()
+	// Publish: a Woken round keeps its id, a cold one takes the next.
+	w := p.round.Load()
+	id := w >> idShift
+	if w&phaseMask != pending {
+		id++
 	}
+	p.round.Store(id<<idShift | open)
+	p.launch(min(p.workers, n) - 1)
 	p.work(0)
-	p.wg.Wait()
+
+	// Close (clear the open bit; a helper's join CAS on the open word now
+	// fails, so the joined count is final), then wait for the joined
+	// helpers only: yield while they finish, park once the bound passed.
+	w = p.round.Add(^uint64(open - 1))
+	for joined, start := w&joinedMask, time.Now(); joined > 0; joined-- {
+		for len(p.done) == 0 && time.Since(start) < waitBound {
+			runtime.Gosched()
+		}
+		<-p.done
+	}
 	p.fn = nil
 	p.depth.Store(0)
+}
+
+// helper waits, yielding its P, for a round to be published and joins it
+// with one CAS; it then works as worker 1, 2, … in join order and hands
+// its token back. A helper that finds the round closed, or no round
+// within waitBound, exits without reading fn or the ranges.
+func (p *Pool) helper() {
+	start := time.Now()
+	for {
+		w := p.round.Load()
+		switch w & phaseMask {
+		case open:
+			if !p.round.CompareAndSwap(w, w+1) {
+				continue
+			}
+			p.work(int(w&joinedMask) + 1)
+			p.live.Add(-1) // before the token: the next Wake sees this one gone
+			p.done <- struct{}{}
+			return
+		case pending:
+			if time.Since(start) < waitBound {
+				runtime.Gosched()
+				continue
+			}
+		default:
+			p.late.Add(1)
+		}
+		p.live.Add(-1)
+		return
+	}
 }
 
 // work is one worker's share of a round: drain its own range front to

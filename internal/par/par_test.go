@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // Every task must run exactly once, whatever the worker count or the
@@ -26,7 +27,7 @@ func TestPoolRunsEveryTaskOnce(t *testing.T) {
 			if n > 0 {
 				want.Tasks, want.Rounds = uint64(n), 1
 			}
-			st.Steals = 0 // schedule-dependent
+			st.Steals, st.Late = 0, 0 // schedule-dependent
 			if st != want {
 				t.Fatalf("workers=%d n=%d: stats %+v, want %+v", workers, n, st, want)
 			}
@@ -80,8 +81,8 @@ func TestPoolDefaultsToGOMAXPROCS(t *testing.T) {
 	}
 }
 
-// The steady-state Exchange path holds its task func and calls Run once
-// per superframe: that must not touch the heap.
+// The steady-state Exchange path holds its task func and calls Wake and
+// Run once per superframe: neither may touch the heap.
 func TestRunZeroAllocs(t *testing.T) {
 	var sink [100]int
 	held := func(i int) { sink[i]++ }
@@ -89,6 +90,9 @@ func TestRunZeroAllocs(t *testing.T) {
 		p := New(workers)
 		if avg := testing.AllocsPerRun(200, func() { p.Run(len(sink), held) }); avg != 0 {
 			t.Errorf("workers=%d: Run allocates %.1f times per call, want 0", workers, avg)
+		}
+		if avg := testing.AllocsPerRun(200, func() { p.Wake(); p.Run(len(sink), held) }); avg != 0 {
+			t.Errorf("workers=%d: Wake+Run allocates %.1f times per call, want 0", workers, avg)
 		}
 	}
 }
@@ -101,8 +105,11 @@ func TestRunNested(t *testing.T) {
 	outer := New(workers)
 	const outerN, innerN = 12, 50
 	var hits [outerN][innerN]atomic.Int32
+	outer.Wake()
 	outer.Run(outerN, func(i int) {
-		New(workers).Run(innerN, func(j int) { hits[i][j].Add(1) })
+		inner := New(workers)
+		inner.Wake()
+		inner.Run(innerN, func(j int) { hits[i][j].Add(1) })
 	})
 	for i := range hits {
 		for j := range hits[i] {
@@ -140,4 +147,100 @@ func TestRunManyPoolsConcurrently(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// Back-to-back rounds of every size, Woken or cold, must each run every
+// index exactly once with their own fn: a task tags its (round, index)
+// into a slot only that round owns, so a helper that ran an index of a
+// round it did not join — a late helper of round r running round r+1's
+// ranges with round r's fn, or the reverse — shows up as a slot written
+// twice or never.
+func TestRoundProtocolStress(t *testing.T) {
+	const rounds = 10000
+	for _, workers := range []int{2, 4} {
+		p := New(workers)
+		sizes := []int{0, 1, workers - 1, workers, 100}
+		slots := make([][]atomic.Uint64, rounds)
+		var twice atomic.Int64
+		wantTasks, wantRounds := 0, 0
+		for r := range slots {
+			n := sizes[r%len(sizes)]
+			slots[r] = make([]atomic.Uint64, n)
+			own := slots[r]
+			if r%3 != 0 {
+				p.Wake()
+			}
+			p.Run(n, func(i int) {
+				if i == n-1 {
+					runtime.Gosched() // the last range's owner is mid-task at the close
+				}
+				if !own[i].CompareAndSwap(0, uint64(r)<<32|uint64(i)+1) {
+					twice.Add(1)
+				}
+			})
+			for i := range own {
+				if own[i].Load() != uint64(r)<<32|uint64(i)+1 {
+					t.Fatalf("workers=%d round %d (n=%d): slot %d holds %#x after the barrier", workers, r, n, i, own[i].Load())
+				}
+			}
+			if n > 0 {
+				wantTasks, wantRounds = wantTasks+n, wantRounds+1
+			}
+		}
+		// A straggler writing into a finished round would land after its
+		// check above: look again once every helper is gone.
+		for deadline := time.Now().Add(time.Second); p.live.Load() != 0; {
+			if time.Now().After(deadline) {
+				t.Fatalf("workers=%d: %d helpers still live a second after the last round", workers, p.live.Load())
+			}
+			runtime.Gosched()
+		}
+		if n := twice.Load(); n != 0 {
+			t.Fatalf("workers=%d: %d tasks ran twice", workers, n)
+		}
+		for r := range slots {
+			for i := range slots[r] {
+				if slots[r][i].Load() != uint64(r)<<32|uint64(i)+1 {
+					t.Fatalf("workers=%d round %d: slot %d rewritten after its barrier", workers, r, i)
+				}
+			}
+		}
+		st := p.Stats()
+		if st.Tasks != uint64(wantTasks) || st.Rounds != uint64(wantRounds) || st.Depth != 0 {
+			t.Fatalf("workers=%d: stats %+v, want %d tasks in %d rounds", workers, st, wantTasks, wantRounds)
+		}
+	}
+}
+
+// A Wake that no Run follows leaves nothing behind: its helpers give up
+// within the bound, so the goroutine count returns to where it was, and
+// the Run that comes later still runs every task once.
+func TestWakeWithoutRun(t *testing.T) {
+	// A busy host can hold a spinning helper off its CPU past the bound,
+	// so one clean attempt of five passes; every attempt must drain.
+	const attempts = 5
+	for a := 0; a < attempts; a++ {
+		base := runtime.NumGoroutine()
+		p := New(4)
+		start := time.Now()
+		p.Wake()
+		for runtime.NumGoroutine() > base {
+			if time.Since(start) > time.Second {
+				t.Fatalf("Wake left %d goroutines behind for a second", runtime.NumGoroutine()-base)
+			}
+			time.Sleep(20 * time.Microsecond)
+		}
+		drained := time.Since(start)
+		hits := make([]atomic.Int32, 100)
+		p.Run(len(hits), func(i int) { hits[i].Add(1) })
+		for i := range hits {
+			if got := hits[i].Load(); got != 1 {
+				t.Fatalf("Run after an unused Wake: task %d ran %d times", i, got)
+			}
+		}
+		if drained <= 2*waitBound {
+			return
+		}
+	}
+	t.Fatalf("no attempt of %d returned to the baseline goroutine count within %v", attempts, 2*waitBound)
 }

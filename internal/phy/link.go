@@ -329,6 +329,9 @@ func (l *Link) ExchangeInto(buf *ExchangeBuf, frames [][]byte) ([][]byte, Exchan
 // the callback.
 func (l *Link) exchange(frames [][]byte, st *ExchangeStats, emit func(frame []byte)) error {
 	st.FramesIn = len(frames)
+	// Launch the lane helpers now: an idle CPU picks them up while the
+	// serial encode and scramble run, not at the start of the lane round.
+	l.pool.Wake()
 
 	// --- TX: frames -> blocks -> byte stream ---
 	stream, err := l.stageEncode(frames, st)
