@@ -66,13 +66,15 @@ staticcheck:
 # *incFlow, keeps no map[int]*T flow table, sorts flows only as integer
 # (ID, handle) keys (no slices.SortFunc comparator over flows), and
 # Topology.Path routes from up-link lists built once (no per-route
-# `var out []int`). A fleet epoch never sorts and never queues: a link's
-# flows sit in an ID-ordered index, so internal/netsim names no
-# compFlows, noteReRated or reRated list, incremental.go (the flush path)
+# `var out []int`). Neither FlowSim nor FleetSim sorts or queues to find
+# a completion: a link's flows sit in an ID-ordered index, so
+# internal/netsim names no compFlows, noteReRated or reRated list,
+# incremental.go (the flush path)
 # calls slices.Sort exactly once — the integer-key repair of an index a
-# reroute broke — and slices.SortFunc never, and the completion heap
-# (completionHeap, its compact, a popDue) appears in flowsim.go only:
-# FleetSim reads an epoch's completions off its slabs. A link exchange
+# reroute broke — and slices.SortFunc never; and both read finish
+# times off the slab, so non-test internal/netsim declares no heap or
+# queue type, imports no container/heap and keeps no per-flow version
+# counter (`ver`) to invalidate queued entries. A link exchange
 # works on bytes with tables that fit in L1: non-test internal/phy names
 # no linecode.Block, DecodeBlock, AppendFrameBlocks, AppendExtract or
 # dataExtractor (the encode and parse stages go between frame bytes and
@@ -109,7 +111,7 @@ substrate:
 		$(SUBSTRATE_SRC) -path 'internal/netsim/*' -exec grep -nE '\*incFlow|map\[int\]\*|SortFunc\(.*func\(a, b \*?(flow|flowSlot|handle)\)' {} + ; \
 		grep -HnF 'var out []int' internal/netsim/topology.go ; \
 		$(SUBSTRATE_SRC) -path 'internal/netsim/*' -exec grep -nE 'compFlows|noteReRated|reRated' {} + ; \
-		$(SUBSTRATE_SRC) -path 'internal/netsim/*' ! -name flowsim.go -exec grep -nE 'completionHeap|popDue|\.compact\(' {} + ; \
+		$(SUBSTRATE_SRC) -path 'internal/netsim/*' -exec grep -nE '^type [A-Za-z]*([Hh]eap|[Qq]ueue)\b|"container/heap"|\bver\b' {} + ; \
 		grep -Hn 'slices\.Sort' $(FLUSH) | grep -vF 'slices.Sort(keys)' ; \
 		[ "$$(grep -cF 'slices.Sort(keys)' $(FLUSH))" -eq 1 ] || echo "$(FLUSH): want exactly one slices.Sort(keys), the index repair"; \
 		$(SUBSTRATE_SRC) -path 'internal/phy/*' -exec grep -nE 'linecode\.Block\b|DecodeBlock|AppendFrameBlocks|AppendExtract|dataExtractor' {} + ; \
@@ -119,10 +121,10 @@ substrate:
 			[ "$$(grep -cF "$$pat" $(SUPERVISOR))" -eq 1 ] || echo "$(SUPERVISOR): want exactly one $$pat"; \
 		done; } ); \
 	if [ -n "$$bad" ]; then \
-		echo "substrate: FAIL — use internal/par for fan-out, internal/eventlog for log digests, faultinject.Supervisor for the superframe boundary, a plain Bridge.Sync after its sparing step for renegotiation, a step loop with the caller holding the clock (no scheduler: FlowSim.RunUntil, Session.Step, FleetSim.Step) to drive anything, a telemetry.Row table beside the stats struct (internal/mac for MAC series, internal/fleetd for fleet series; telemetry.Mirror does the delta) for metrics, Bridge.Fraction() to hand capacity to a flow simulator, slab handles, integer sort keys (not flow pointers) and ID-ordered link indices (no per-flush sort, no heap under FleetSim) in internal/netsim, linecode.AppendFrame/AppendIdle/Classify on the byte stream (no linecode.Block staging, no extract-then-decode fork) in internal/phy, sliced tables (no per-position contrib rows) in internal/coding/rs, and internal/par for any wait on another goroutine (no Gosched or atomic spin loop elsewhere):"; \
+		echo "substrate: FAIL — use internal/par for fan-out, internal/eventlog for log digests, faultinject.Supervisor for the superframe boundary, a plain Bridge.Sync after its sparing step for renegotiation, a step loop with the caller holding the clock (no scheduler: FlowSim.RunUntil, Session.Step, FleetSim.Step) to drive anything, a telemetry.Row table beside the stats struct (internal/mac for MAC series, internal/fleetd for fleet series; telemetry.Mirror does the delta) for metrics, Bridge.Fraction() to hand capacity to a flow simulator, slab handles, integer sort keys (not flow pointers), ID-ordered link indices (no per-flush sort) and finish times read off the slab (no heap, queue or version counter) in internal/netsim, linecode.AppendFrame/AppendIdle/Classify on the byte stream (no linecode.Block staging, no extract-then-decode fork) in internal/phy, sliced tables (no per-position contrib rows) in internal/coding/rs, and internal/par for any wait on another goroutine (no Gosched or atomic spin loop elsewhere):"; \
 		echo "$$bad"; exit 1; \
 	fi; \
-	echo "substrate: OK — goroutines only in internal/par, sha256 only in internal/eventlog, sparing/hook/remap line only in the link supervisor, nothing scheduled (no sim.Engine, no Schedule/After call, no batch mode), one stats mirror (no hand-written delta sync, no MAC or fleet collector in telemetry), capacity leaves a bridge through Fraction() only, netsim flows pointer-free, a fleet epoch sorts nothing and queues nothing, a link exchange stages no Blocks and forks no decode path, RS encode tables are sliced, Gosched and spin-waits only in internal/par"
+	echo "substrate: OK — goroutines only in internal/par, sha256 only in internal/eventlog, sparing/hook/remap line only in the link supervisor, nothing scheduled (no sim.Engine, no Schedule/After call, no batch mode), one stats mirror (no hand-written delta sync, no MAC or fleet collector in telemetry), capacity leaves a bridge through Fraction() only, netsim flows pointer-free, no flush sorts and no completion queue (no heap, no version counter in netsim), a link exchange stages no Blocks and forks no decode path, RS encode tables are sliced, Gosched and spin-waits only in internal/par"
 
 build:
 	$(GO) build ./...
@@ -158,7 +160,8 @@ determinism:
 # the whole pipeline (7 reach points, construction + exchange); the
 # steady-state Exchange — clean, and at BER 2e-4 where the RS decode
 # path runs — the MAC round trips and one woken par.Pool round in the
-# exchange's shape (PoolRoundWoken) are pinned allocation-free; FleetSimEpochSteady pins the flow engine's epoch at a
+# exchange's shape (PoolRoundWoken) are pinned allocation-free; E12Degradation gates FlowSim's event loop (five
+# 3,000-flow fat-tree runs); FleetSimEpochSteady pins the flow engine's epoch at a
 # constant population (its allocs/op must not scale with the flows held);
 # FleetdAdmit pins the cost of admitting one link into
 # a live fleet and stepping it through an epoch. Every benchmark runs -count=$(BENCH_COUNT) and
@@ -171,7 +174,7 @@ bench:
 	@$(GO) test -bench 'BenchmarkE10EndToEnd$$' -benchmem -benchtime 3x -count=$(BENCH_COUNT) -run '^$$' . && \
 	$(GO) test -bench 'BenchmarkExchangeSteadyState$$|BenchmarkExchangeNoisySteadyState$$|BenchmarkMACFrameRoundTrip$$|BenchmarkMACFrameRoundTripSR$$|BenchmarkPoolRoundWoken$$' \
 		-benchmem -benchtime 1000x -count=$(BENCH_COUNT) -run '^$$' . && \
-	$(GO) test -bench 'BenchmarkE24FleetFlows$$' -benchmem -benchtime 1x -count=$(BENCH_COUNT) -run '^$$' -timeout 30m . && \
+	$(GO) test -bench 'BenchmarkE12Degradation$$|BenchmarkE24FleetFlows$$' -benchmem -benchtime 1x -count=$(BENCH_COUNT) -run '^$$' -timeout 30m . && \
 	$(GO) test -bench 'BenchmarkFleetSimEpochSteady$$' -benchmem -benchtime 200x -count=$(BENCH_COUNT) -run '^$$' . && \
 	$(GO) test -bench 'BenchmarkFleetdAdmit$$' -benchmem -benchtime 500x -count=$(BENCH_COUNT) -run '^$$' .
 

@@ -203,7 +203,7 @@ func (cd *Codec8) polyEval8(p *[2*maxParity8 + 2]byte, plen int, x byte) byte {
 // corrections. On an uncorrectable block it returns ErrTooManyErrors and
 // leaves block exactly as received. The decision procedure — including
 // the bounded-distance guard, the Chien root-count check, and the final
-// codeword verification — matches Code.DecodeErasures(block, nil).
+// codeword verification — matches Code.DecodeTo.
 func (cd *Codec8) Decode(block []byte) (int, error) {
 	diff := cd.parityDiff(block)
 	if diff == 0 {

@@ -187,7 +187,7 @@ func TestCodec8DecodeMatchesReference(t *testing.T) {
 			for i := range data {
 				data[i] = rng.Intn(256)
 			}
-			cw, err := c.Encode(data)
+			cw, err := encode(c, data)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -196,7 +196,7 @@ func TestCodec8DecodeMatchesReference(t *testing.T) {
 			for _, pos := range rng.Perm(n)[:nerr] {
 				recv[pos] ^= 1 + rng.Intn(255)
 			}
-			refOut, refCorr, refErr := c.DecodeErasures(append([]int(nil), recv...), nil)
+			refOut, refCorr, refErr := decode(c, append([]int(nil), recv...))
 
 			blk := make([]byte, n)
 			for i, s := range recv {

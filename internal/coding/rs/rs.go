@@ -1,6 +1,8 @@
-// Package rs implements systematic Reed-Solomon codes over GF(2^m), with a
-// full hard-decision decoder (syndromes, Berlekamp-Massey, Chien search,
-// Forney algorithm) and erasure support.
+// Package rs implements systematic Reed-Solomon codes over GF(2^m): an
+// allocation-free LFSR encoder (EncodeTo) and a hard-decision
+// bounded-distance decoder (DecodeTo: syndromes, Berlekamp-Massey, Chien
+// search, Forney algorithm), plus the byte-domain fast codec Codec8 that
+// GF(2^8) codes run on the link's hot path.
 //
 // Two code families matter to this reproduction:
 //
@@ -35,9 +37,8 @@ type Code struct {
 }
 
 // New builds RS(n,k) over the given field with first consecutive root
-// alpha^fcr (0 is conventional). Requires 0 < k < n <= field.Order() and
-// n-k even for a pure error-correcting code (odd n-k is allowed; the spare
-// parity helps only with erasures).
+// alpha^fcr (0 is conventional). Requires 0 < k < n <= field.Order(); an
+// odd n-k is allowed, its spare parity symbol only detecting.
 func New(field *gf.Field, n, k, fcr int) (*Code, error) {
 	if field == nil {
 		return nil, errors.New("rs: nil field")
@@ -131,42 +132,11 @@ func (c *Code) String() string {
 	return fmt.Sprintf("RS(%d,%d)/%v", c.n, c.k, c.field)
 }
 
-// Encode appends n-k parity symbols to the k data symbols and returns the
-// n-symbol codeword (data first: systematic). Symbols must be in
-// [0, field.Size()).
-func (c *Code) Encode(data []int) ([]int, error) {
-	if len(data) != c.k {
-		return nil, fmt.Errorf("rs: encode needs %d symbols, got %d", c.k, len(data))
-	}
-	for _, s := range data {
-		if s < 0 || s >= c.field.Size() {
-			return nil, fmt.Errorf("rs: symbol %d out of range for %v", s, c.field)
-		}
-	}
-	// Systematic encoding: codeword = data·x^(n-k) + (data·x^(n-k) mod g).
-	// We do polynomial long division with the data in high-order positions.
-	np := c.n - c.k
-	rem := make([]int, np) // remainder register, rem[0] is lowest order
-	f := c.field
-	for i := c.k - 1; i >= 0; i-- {
-		// Feed data from the highest codeword power downward.
-		feedback := f.Add(data[i], rem[np-1])
-		for j := np - 1; j > 0; j-- {
-			rem[j] = f.Add(rem[j-1], f.Mul(feedback, c.gen[j]))
-		}
-		rem[0] = f.Mul(feedback, c.gen[0])
-	}
-	out := make([]int, c.n)
-	// Layout: out[0..np-1] = parity (low-order coefficients),
-	// out[np..n-1] = data. Callers see data via Data().
-	copy(out[:np], rem)
-	copy(out[np:], data)
-	return out, nil
-}
-
-// EncodeTo is Encode without allocation: it writes the n-symbol codeword
-// into out (which must have length n), using out's parity section as the
-// division register. data and out must not alias.
+// EncodeTo writes the systematic n-symbol codeword of the k data symbols
+// (each in [0, field.Size())) into out, which must have length n, without
+// allocating: out's parity section is the division register. The layout is
+// parity first (out[0..n-k-1], the low-order coefficients), then the data
+// — see Data. data and out must not alias.
 func (c *Code) EncodeTo(out, data []int) error {
 	if len(data) != c.k {
 		return fmt.Errorf("rs: encode needs %d symbols, got %d", c.k, len(data))
@@ -179,6 +149,8 @@ func (c *Code) EncodeTo(out, data []int) error {
 			return fmt.Errorf("rs: symbol %d out of range for %v", s, c.field)
 		}
 	}
+	// codeword = data·x^(n-k) + (data·x^(n-k) mod g): long division with
+	// the data fed from the highest codeword power downward.
 	np := c.n - c.k
 	f := c.field
 	rem := out[:np]
@@ -201,16 +173,9 @@ func (c *Code) Data(codeword []int) []int {
 	return codeword[c.n-c.k:]
 }
 
-// Syndromes computes the 2t syndromes of the received word. All-zero
-// syndromes mean the word is a codeword.
-func (c *Code) Syndromes(received []int) ([]int, bool) {
-	syn := make([]int, c.n-c.k)
-	clean := c.SyndromesInto(syn, received)
-	return syn, clean
-}
-
-// SyndromesInto is Syndromes without allocation: it fills syn (which must
-// have length n-k) and reports whether the word is clean.
+// SyndromesInto fills syn (which must have length n-k) with the syndromes
+// of the received word and reports whether they are all zero, i.e. the
+// word is a codeword.
 func (c *Code) SyndromesInto(syn, received []int) bool {
 	f := c.field
 	np := c.n - c.k
@@ -226,10 +191,12 @@ func (c *Code) SyndromesInto(syn, received []int) bool {
 	return clean
 }
 
-// DecodeTo corrects received into out (both length n) using synScratch
-// (length n-k) as syndrome scratch. The clean-word fast path — the common
-// case for a channel running at its design BER — performs no allocation;
-// corrupted words fall back to the full errors-and-erasures decoder.
+// DecodeTo corrects up to t symbol errors in received into out (both
+// length n, not aliased) using synScratch (length n-k) as syndrome
+// scratch, and returns the number of symbols corrected. received is not
+// modified. The clean-word fast path — the common case for a channel
+// running at its design BER — performs no allocation. An uncorrectable
+// word returns ErrTooManyErrors and leaves out unspecified.
 func (c *Code) DecodeTo(out, received, synScratch []int) (int, error) {
 	if len(received) != c.n || len(out) != c.n {
 		return 0, fmt.Errorf("rs: DecodeTo needs %d symbols", c.n)
@@ -237,152 +204,94 @@ func (c *Code) DecodeTo(out, received, synScratch []int) (int, error) {
 	if len(synScratch) != c.n-c.k {
 		return 0, fmt.Errorf("rs: DecodeTo needs %d syndrome scratch symbols", c.n-c.k)
 	}
+	copy(out, received)
 	if c.SyndromesInto(synScratch, received) {
-		copy(out, received)
 		return 0, nil
 	}
-	fixed, ncorr, err := c.DecodeErasures(received, nil)
-	if err != nil {
-		return 0, err
-	}
-	copy(out, fixed)
-	return ncorr, nil
+	return c.correct(out, synScratch)
 }
 
 // ErrTooManyErrors is returned when the decoder detects an uncorrectable
 // word (more than t symbol errors, or an inconsistent correction).
 var ErrTooManyErrors = errors.New("rs: too many errors to correct")
 
-// Decode corrects up to t symbol errors in place semantics: it returns the
-// corrected codeword (a fresh slice), the number of symbols corrected, and
-// an error if the word is uncorrectable. The input is not modified.
-func (c *Code) Decode(received []int) ([]int, int, error) {
-	return c.DecodeErasures(received, nil)
-}
-
-// DecodeErasures corrects errors and erasures. erasures lists known-bad
-// positions (0-based codeword indices, where index 0 is the lowest-order
-// parity symbol and n-1 the last data symbol). An RS code corrects e
-// erasures and v errors when 2v+e <= n-k.
-func (c *Code) DecodeErasures(received []int, erasures []int) ([]int, int, error) {
-	if len(received) != c.n {
-		return nil, 0, fmt.Errorf("rs: decode needs %d symbols, got %d", c.n, len(received))
-	}
+// correct fixes the errors in word, whose syndromes syn are not all zero,
+// in place, and returns how many symbols it changed. syn is overwritten.
+func (c *Code) correct(word, syn []int) (int, error) {
 	f := c.field
-	np := c.n - c.k
-	if len(erasures) > np {
-		return nil, 0, ErrTooManyErrors
-	}
-	for _, e := range erasures {
-		if e < 0 || e >= c.n {
-			return nil, 0, fmt.Errorf("rs: erasure position %d out of range", e)
-		}
-	}
-	syn, clean := c.Syndromes(received)
-	if clean {
-		out := make([]int, c.n)
-		copy(out, received)
-		return out, 0, nil
+	// Berlekamp-Massey on the syndromes for the error locator.
+	lambda := c.berlekampMassey(syn)
+	nerr := gf.PolyDeg(lambda)
+	// Bounded-distance guard: v errors are only correctable when
+	// 2v <= n-k. Without this check a beyond-budget received word can slip
+	// through Chien/Forney and the final syndrome verification as a
+	// "successful" correction to a codeword at distance greater than t — a
+	// miscorrection, not a decode.
+	if 2*nerr > c.n-c.k {
+		return 0, ErrTooManyErrors
 	}
 
-	// Erasure locator: Gamma(x) = prod (1 - x·alpha^pos).
-	gamma := []int{1}
-	for _, pos := range erasures {
-		gamma = f.PolyMul(gamma, []int{1, f.Alpha(pos)})
-	}
-	// Modified syndromes: Xi(x) = Gamma(x)·S(x) mod x^(n-k).
-	xi := f.PolyMul(gamma, syn)
-	if len(xi) > np {
-		xi = xi[:np]
-	} else {
-		pad := make([]int, np)
-		copy(pad, xi)
-		xi = pad
-	}
-
-	// Berlekamp-Massey on the modified syndromes for the error locator.
-	lambda := c.berlekampMassey(xi, len(erasures))
-	// Full locator Psi = Lambda·Gamma.
-	psi := f.PolyMul(lambda, gamma)
-	nerr := gf.PolyDeg(psi)
-	if nerr < 0 {
-		return nil, 0, ErrTooManyErrors
-	}
-	// Bounded-distance guard: v errors plus e erasures are only
-	// correctable when 2v+e <= n-k. Without this check a beyond-budget
-	// received word can slip through Chien/Forney and the final syndrome
-	// verification as a "successful" correction to a codeword at distance
-	// greater than t — a miscorrection, not a decode.
-	if v := nerr - len(erasures); v < 0 || 2*v+len(erasures) > np {
-		return nil, 0, ErrTooManyErrors
-	}
-
-	// Chien search: roots of Psi give error positions.
+	// Chien search: roots of Lambda give error positions.
 	positions := make([]int, 0, nerr)
 	for i := 0; i < c.n; i++ {
-		// Position i has locator X = alpha^i; Psi(X^{-1}) == 0.
-		if f.PolyEval(psi, f.Alpha(-i)) == 0 {
+		// Position i has locator X = alpha^i; Lambda(X^{-1}) == 0.
+		if f.PolyEval(lambda, f.Alpha(-i)) == 0 {
 			positions = append(positions, i)
 		}
 	}
 	if len(positions) != nerr {
-		return nil, 0, ErrTooManyErrors
+		return 0, ErrTooManyErrors
 	}
 
-	// Forney: error evaluator Omega(x) = S(x)·Psi(x) mod x^(n-k).
-	omega := f.PolyMul(syn, psi)
-	if len(omega) > np {
-		omega = omega[:np]
+	// Forney: error evaluator Omega(x) = S(x)·Lambda(x) mod x^(n-k).
+	omega := f.PolyMul(syn, lambda)
+	if len(omega) > len(syn) {
+		omega = omega[:len(syn)]
 	}
-	// Formal derivative of Psi (char 2: odd-power terms survive).
-	dpsi := make([]int, 0, len(psi))
-	for i := 1; i < len(psi); i += 2 {
-		// derivative coefficient for x^{i-1} is psi[i] (i odd).
-		for len(dpsi) < i {
-			dpsi = append(dpsi, 0)
+	// Formal derivative of Lambda (char 2: odd-power terms survive).
+	dlambda := make([]int, 0, len(lambda))
+	for i := 1; i < len(lambda); i += 2 {
+		// derivative coefficient for x^{i-1} is lambda[i] (i odd).
+		for len(dlambda) < i {
+			dlambda = append(dlambda, 0)
 		}
-		dpsi = append(dpsi, 0)
-		dpsi[i-1] = psi[i]
+		dlambda = append(dlambda, 0)
+		dlambda[i-1] = lambda[i]
 	}
 
-	out := make([]int, c.n)
-	copy(out, received)
 	for _, pos := range positions {
 		xinv := f.Alpha(-pos)
-		den := f.PolyEval(dpsi, xinv)
+		den := f.PolyEval(dlambda, xinv)
 		if den == 0 {
-			return nil, 0, ErrTooManyErrors
+			return 0, ErrTooManyErrors
 		}
 		num := f.PolyEval(omega, xinv)
-		// e = X^{1-fcr} · Omega(X^{-1}) / Psi'(X^{-1})
+		// e = X^{1-fcr} · Omega(X^{-1}) / Lambda'(X^{-1})
 		mag := f.Mul(f.Pow(f.Alpha(pos), 1-c.fcr), f.Div(num, den))
-		out[pos] = f.Add(out[pos], mag)
+		word[pos] = f.Add(word[pos], mag)
 	}
 
 	// Verify the correction really yields a codeword.
-	if _, ok := c.Syndromes(out); !ok {
-		return nil, 0, ErrTooManyErrors
+	if !c.SyndromesInto(syn, word) {
+		return 0, ErrTooManyErrors
 	}
-	return out, len(positions), nil
+	return len(positions), nil
 }
 
-// berlekampMassey runs the Berlekamp-Massey recursion over the (modified)
-// syndromes, starting from an effective erasure count, and returns the
-// error-locator polynomial Lambda.
-func (c *Code) berlekampMassey(syn []int, numErasures int) []int {
+// berlekampMassey runs the Berlekamp-Massey recursion over the syndromes
+// and returns the error-locator polynomial Lambda.
+func (c *Code) berlekampMassey(syn []int) []int {
 	f := c.field
 	lambda := []int{1}
 	b := []int{1}
 	l := 0
 	m := 1
 	bcoef := 1
-	for n := 0; n < len(syn)-numErasures; n++ {
-		// Discrepancy.
-		d := syn[n+numErasures]
+	for n := range syn {
+		// Discrepancy (l <= n, so every syn index is in range).
+		d := syn[n]
 		for i := 1; i <= l && i < len(lambda); i++ {
-			if n+numErasures-i >= 0 {
-				d = f.Add(d, f.Mul(lambda[i], syn[n+numErasures-i]))
-			}
+			d = f.Add(d, f.Mul(lambda[i], syn[n-i]))
 		}
 		if d == 0 {
 			m++

@@ -29,6 +29,24 @@ func corrupt(rng *rand.Rand, word []int, nerr, size int) []int {
 	return out
 }
 
+// encode and decode are the tests' allocating views of EncodeTo and
+// DecodeTo; isCodeword reports all-zero syndromes.
+func encode(c *Code, data []int) ([]int, error) {
+	out := make([]int, c.N())
+	if err := c.EncodeTo(out, data); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+func decode(c *Code, received []int) ([]int, int, error) {
+	out := make([]int, len(received))
+	n, err := c.DecodeTo(out, received, make([]int, c.Parity()))
+	return out, n, err
+}
+
+func isCodeword(c *Code, w []int) bool { return c.SyndromesInto(make([]int, c.Parity()), w) }
+
 func TestConstructors(t *testing.T) {
 	if KP4().T() != 15 || KP4().N() != 544 || KP4().K() != 514 {
 		t.Error("KP4 parameters wrong")
@@ -52,14 +70,14 @@ func TestEncodeProducesCodeword(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, c := range []*Code{MustNew(gf.MustNew(8), 20, 12, 0), KP4()} {
 		for i := 0; i < 20; i++ {
-			w, err := c.Encode(randData(rng, c))
+			w, err := encode(c, randData(rng, c))
 			if err != nil {
 				t.Fatal(err)
 			}
 			if len(w) != c.N() {
 				t.Fatalf("codeword length %d != n %d", len(w), c.N())
 			}
-			if _, clean := c.Syndromes(w); !clean {
+			if !isCodeword(c, w) {
 				t.Fatal("encoded word has nonzero syndromes")
 			}
 		}
@@ -70,7 +88,7 @@ func TestEncodeSystematic(t *testing.T) {
 	c := MustNew(gf.MustNew(8), 20, 12, 0)
 	rng := rand.New(rand.NewSource(2))
 	d := randData(rng, c)
-	w, err := c.Encode(d)
+	w, err := encode(c, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,12 +102,12 @@ func TestEncodeSystematic(t *testing.T) {
 
 func TestEncodeValidation(t *testing.T) {
 	c := MustNew(gf.MustNew(8), 20, 12, 0)
-	if _, err := c.Encode(make([]int, 5)); err == nil {
+	if _, err := encode(c, make([]int, 5)); err == nil {
 		t.Error("short data accepted")
 	}
 	bad := make([]int, 12)
 	bad[3] = 999
-	if _, err := c.Encode(bad); err == nil {
+	if _, err := encode(c, bad); err == nil {
 		t.Error("out-of-range symbol accepted")
 	}
 }
@@ -97,8 +115,8 @@ func TestEncodeValidation(t *testing.T) {
 func TestDecodeCleanWord(t *testing.T) {
 	c := MustNew(gf.MustNew(8), 20, 12, 0)
 	rng := rand.New(rand.NewSource(3))
-	w, _ := c.Encode(randData(rng, c))
-	got, n, err := c.Decode(w)
+	w, _ := encode(c, randData(rng, c))
+	got, n, err := decode(c, w)
 	if err != nil || n != 0 {
 		t.Fatalf("clean decode: n=%d err=%v", n, err)
 	}
@@ -119,10 +137,10 @@ func TestDecodeCorrectsUpToT(t *testing.T) {
 	for _, c := range codes {
 		for trial := 0; trial < 50; trial++ {
 			d := randData(rng, c)
-			w, _ := c.Encode(d)
+			w, _ := encode(c, d)
 			nerr := 1 + rng.Intn(c.T())
 			r := corrupt(rng, w, nerr, c.Field().Size())
-			got, n, err := c.Decode(r)
+			got, n, err := decode(c, r)
 			if err != nil {
 				t.Fatalf("%v: decode failed with %d errors: %v", c, nerr, err)
 			}
@@ -143,9 +161,9 @@ func TestDecodeKP4FullLoad(t *testing.T) {
 	c := KP4()
 	rng := rand.New(rand.NewSource(5))
 	d := randData(rng, c)
-	w, _ := c.Encode(d)
+	w, _ := encode(c, d)
 	r := corrupt(rng, w, c.T(), c.Field().Size()) // all 15 errors
-	got, n, err := c.Decode(r)
+	got, n, err := decode(c, r)
 	if err != nil || n != c.T() {
 		t.Fatalf("KP4 at full load: n=%d err=%v", n, err)
 	}
@@ -163,9 +181,9 @@ func TestDecodeDetectsOverload(t *testing.T) {
 	detected := 0
 	const trials = 100
 	for i := 0; i < trials; i++ {
-		w, _ := c.Encode(randData(rng, c))
+		w, _ := encode(c, randData(rng, c))
 		r := corrupt(rng, w, c.T()+3, c.Field().Size())
-		if _, _, err := c.Decode(r); err != nil {
+		if _, _, err := decode(c, r); err != nil {
 			detected++
 		}
 	}
@@ -176,85 +194,32 @@ func TestDecodeDetectsOverload(t *testing.T) {
 	}
 }
 
-func TestDecodeErasuresOnly(t *testing.T) {
-	c := MustNew(gf.MustNew(8), 20, 12, 0) // n-k = 8: up to 8 erasures
-	rng := rand.New(rand.NewSource(7))
-	d := randData(rng, c)
-	w, _ := c.Encode(d)
-	r := make([]int, len(w))
-	copy(r, w)
-	erasures := []int{1, 4, 9, 13, 17, 19, 0, 6}
-	for _, p := range erasures {
-		r[p] = rng.Intn(c.Field().Size())
-	}
-	got, _, err := c.DecodeErasures(r, erasures)
-	if err != nil {
-		t.Fatalf("erasure decode: %v", err)
-	}
-	data := c.Data(got)
-	for i := range d {
-		if data[i] != d[i] {
-			t.Fatal("erasure decode corrupted data")
-		}
-	}
-}
-
-func TestDecodeErrorsAndErasures(t *testing.T) {
-	c := MustNew(gf.MustNew(8), 24, 16, 0) // n-k=8: 2v+e<=8
-	rng := rand.New(rand.NewSource(8))
-	for trial := 0; trial < 30; trial++ {
-		d := randData(rng, c)
-		w, _ := c.Encode(d)
-		r := make([]int, len(w))
-		copy(r, w)
-		// 2 errors + 4 erasures: 2*2+4 = 8 = n-k, exactly at capacity.
-		perm := rng.Perm(c.N())
-		erasures := perm[:4]
-		errsAt := perm[4:6]
-		for _, p := range erasures {
-			r[p] = rng.Intn(c.Field().Size())
-		}
-		for _, p := range errsAt {
-			old := r[p]
-			for r[p] == old {
-				r[p] = rng.Intn(c.Field().Size())
-			}
-		}
-		got, _, err := c.DecodeErasures(r, erasures)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		data := c.Data(got)
-		for i := range d {
-			if data[i] != d[i] {
-				t.Fatalf("trial %d: data corrupted", trial)
-			}
-		}
-	}
-}
-
+// TestDecodeErasureValidation: DecodeTo refuses an out, a word or a
+// syndrome scratch of the wrong length. (The name is from when it also
+// checked the erasure decoder's arguments; that decoder is gone.)
 func TestDecodeErasureValidation(t *testing.T) {
 	c := MustNew(gf.MustNew(8), 20, 12, 0)
-	w, _ := c.Encode(make([]int, 12))
-	if _, _, err := c.DecodeErasures(w, []int{25}); err == nil {
-		t.Error("out-of-range erasure accepted")
+	w, _ := encode(c, make([]int, 12))
+	syn := make([]int, c.Parity())
+	if _, err := c.DecodeTo(make([]int, 3), w, syn); err == nil {
+		t.Error("short out accepted")
 	}
-	if _, _, err := c.DecodeErasures(w, make([]int, 9)); err == nil {
-		t.Error("too many erasures accepted")
-	}
-	if _, _, err := c.Decode(make([]int, 3)); err == nil {
+	if _, _, err := decode(c, make([]int, 3)); err == nil {
 		t.Error("short word accepted")
+	}
+	if _, err := c.DecodeTo(make([]int, c.N()), w, make([]int, c.Parity()+1)); err == nil {
+		t.Error("long syndrome scratch accepted")
 	}
 }
 
 func TestDecodeInputNotModified(t *testing.T) {
 	c := MustNew(gf.MustNew(8), 20, 12, 0)
 	rng := rand.New(rand.NewSource(9))
-	w, _ := c.Encode(randData(rng, c))
+	w, _ := encode(c, randData(rng, c))
 	r := corrupt(rng, w, 2, 256)
 	snapshot := make([]int, len(r))
 	copy(snapshot, r)
-	if _, _, err := c.Decode(r); err != nil {
+	if _, _, err := decode(c, r); err != nil {
 		t.Fatal(err)
 	}
 	for i := range r {
@@ -270,7 +235,7 @@ func TestRoundTripQuick(t *testing.T) {
 	prop := func(seed int64, rawN uint8) bool {
 		local := rand.New(rand.NewSource(seed))
 		d := randData(local, c)
-		w, err := c.Encode(d)
+		w, err := encode(c, d)
 		if err != nil {
 			return false
 		}
@@ -279,7 +244,7 @@ func TestRoundTripQuick(t *testing.T) {
 		if nerr > 0 {
 			r = corrupt(local, w, nerr, 256)
 		}
-		got, n, err := c.Decode(r)
+		got, n, err := decode(c, r)
 		if err != nil || n != nerr {
 			return false
 		}
@@ -311,9 +276,9 @@ func TestNonzeroFCR(t *testing.T) {
 	c := MustNew(gf.MustNew(8), 20, 12, 1) // fcr=1 variant
 	rng := rand.New(rand.NewSource(11))
 	d := randData(rng, c)
-	w, _ := c.Encode(d)
+	w, _ := encode(c, d)
 	r := corrupt(rng, w, 3, 256)
-	got, n, err := c.Decode(r)
+	got, n, err := decode(c, r)
 	if err != nil || n != 3 {
 		t.Fatalf("fcr=1 decode: n=%d err=%v", n, err)
 	}
@@ -337,7 +302,7 @@ func BenchmarkKP4Encode(b *testing.B) {
 	d := randData(rng, c)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.Encode(d); err != nil {
+		if _, err := encode(c, d); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -347,11 +312,11 @@ func BenchmarkKP4Encode(b *testing.B) {
 func BenchmarkKP4DecodeWorstCase(b *testing.B) {
 	c := KP4()
 	rng := rand.New(rand.NewSource(1))
-	w, _ := c.Encode(randData(rng, c))
+	w, _ := encode(c, randData(rng, c))
 	r := corrupt(rng, w, c.T(), c.Field().Size())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := c.Decode(r); err != nil {
+		if _, _, err := decode(c, r); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -361,11 +326,11 @@ func BenchmarkKP4DecodeWorstCase(b *testing.B) {
 func BenchmarkLiteDecode(b *testing.B) {
 	c, _ := Lite(68, 64)
 	rng := rand.New(rand.NewSource(1))
-	w, _ := c.Encode(randData(rng, c))
+	w, _ := encode(c, randData(rng, c))
 	r := corrupt(rng, w, c.T(), 256)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := c.Decode(r); err != nil {
+		if _, _, err := decode(c, r); err != nil {
 			b.Fatal(err)
 		}
 	}

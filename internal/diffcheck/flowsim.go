@@ -10,10 +10,10 @@ import (
 )
 
 // diffFlowSimInc drives the incremental flow engine (FlowSim: ID-ordered
-// per-link flow indices, dirty-set component waterfill, completion heap)
-// through a randomized trace of arrivals, link kills/restores, capacity
-// fractions and time advances, closed by a kill → restore → kill on one
-// link, and after every mutation compares
+// per-link flow indices, dirty-set component waterfill, finish times read
+// off the slab) through a randomized trace of arrivals, link
+// kills/restores, capacity fractions and time advances, closed by a kill
+// → restore → kill on one link, and after every mutation compares
 // every active flow's rate bit-for-bit against refmodel.MaxMinRates — the
 // always-global progressive-filling twin. Exact equality (not epsilon) is
 // the contract: the component-restricted waterfill performs the same
@@ -47,17 +47,13 @@ func diffFlowSimInc(seed int64, caseIdx, size, workers int) string {
 	steps := 6 * size
 	for s := 0; s < steps; s++ {
 		switch op := rng.Intn(100); {
-		case op < 45: // arrival, sometimes weighted
+		case op < 45: // arrival
 			src := hosts[rng.Intn(len(hosts))]
 			dst := hosts[rng.Intn(len(hosts))]
 			if src == dst {
 				continue
 			}
-			w := 1.0
-			if rng.Intn(4) == 0 {
-				w = 0.5 + rng.Float64()*3
-			}
-			_, _ = fs.StartFlowWeighted(src, dst, (0.1+rng.Float64())*1e9, rng.Uint64(), w)
+			_, _ = fs.StartFlow(src, dst, (0.1+rng.Float64())*1e9, rng.Uint64())
 		case op < 60: // advance time, let completions fire
 			fs.RunUntil(fs.Now() + sim.Time(rng.Float64()*0.02))
 		case op < 72: // kill a link
@@ -98,7 +94,7 @@ func compareIncToRef(fs *netsim.FlowSim) string {
 	states := fs.FlowStates()
 	flows := make([]refmodel.RefFlow, len(states))
 	for i, st := range states {
-		flows[i] = refmodel.RefFlow{ID: st.ID, Path: st.Path, Weight: st.Weight}
+		flows[i] = refmodel.RefFlow{ID: st.ID, Path: st.Path}
 	}
 	want := refmodel.MaxMinRates(fs.Capacities(), flows)
 	for _, st := range states {

@@ -94,15 +94,16 @@ func TestFECWaterfallMonotoneInDistance(t *testing.T) {
 				for i := range data {
 					data[i] = rng.Intn(256)
 				}
-				cw, err := code.Encode(data)
-				if err != nil {
+				cw := make([]int, nk.n)
+				if err := code.EncodeTo(cw, data); err != nil {
 					t.Fatal(err)
 				}
 				recv := append([]int(nil), cw...)
 				for _, pos := range rng.Perm(nk.n)[:e] {
 					recv[pos] ^= 1 + rng.Intn(255)
 				}
-				out, _, err := code.Decode(recv)
+				out := make([]int, nk.n)
+				_, err := code.DecodeTo(out, recv, make([]int, nk.n-nk.k))
 				ok := err == nil
 				if ok {
 					for i := range out {

@@ -54,8 +54,8 @@ func rsParams(rng *rand.Rand) (n, k int) {
 	}
 }
 
-// diffRSEncode checks the LFSR encoder against the linear-solve
-// reference on random data words.
+// diffRSEncode checks the LFSR encoder (EncodeTo, KP4's encode path)
+// against the linear-solve reference on random data words.
 func diffRSEncode(seed int64, caseIdx, size, _ int) string {
 	rng := rand.New(rand.NewSource(caseSeed(seed, caseIdx)))
 	n, k := rsParams(rng)
@@ -67,6 +67,7 @@ func diffRSEncode(seed int64, caseIdx, size, _ int) string {
 	if err != nil {
 		return "optimized construction: " + err.Error()
 	}
+	optCW := make([]int, n)
 	for trial := 0; trial < size; trial++ {
 		data := make([]int, k)
 		for i := range data {
@@ -76,8 +77,7 @@ func diffRSEncode(seed int64, caseIdx, size, _ int) string {
 		if err != nil {
 			return "reference encode: " + err.Error()
 		}
-		optCW, err := opt.Encode(data)
-		if err != nil {
+		if err := opt.EncodeTo(optCW, data); err != nil {
 			return "optimized encode: " + err.Error()
 		}
 		for i := range refCW {
@@ -90,9 +90,9 @@ func diffRSEncode(seed int64, caseIdx, size, _ int) string {
 	return ""
 }
 
-// diffRSDecode checks the algebraic decoder against brute-force
-// bounded-distance search across clean, correctable, and overloaded
-// words.
+// diffRSDecode checks the algebraic decoder (DecodeTo, KP4's decode
+// path) against brute-force bounded-distance search across clean,
+// correctable, and overloaded words.
 func diffRSDecode(seed int64, caseIdx, size, _ int) string {
 	rng := rand.New(rand.NewSource(caseSeed(seed, caseIdx)))
 	n, k := rsParams(rng)
@@ -104,13 +104,13 @@ func diffRSDecode(seed int64, caseIdx, size, _ int) string {
 	if err != nil {
 		return "optimized construction: " + err.Error()
 	}
+	cw, optOut, syn := make([]int, n), make([]int, n), make([]int, n-k)
 	for trial := 0; trial < size; trial++ {
 		data := make([]int, k)
 		for i := range data {
 			data[i] = rng.Intn(256)
 		}
-		cw, err := opt.Encode(data)
-		if err != nil {
+		if err := opt.EncodeTo(cw, data); err != nil {
 			return "optimized encode: " + err.Error()
 		}
 		recv := append([]int(nil), cw...)
@@ -119,7 +119,7 @@ func diffRSDecode(seed int64, caseIdx, size, _ int) string {
 			recv[pos] ^= 1 + rng.Intn(255)
 		}
 		refOut, refCorr, refOK := ref.Decode(append([]int(nil), recv...))
-		optOut, optCorr, optErr := opt.Decode(append([]int(nil), recv...))
+		optCorr, optErr := opt.DecodeTo(optOut, recv, syn)
 		if refOK != (optErr == nil) {
 			return fmt.Sprintf("RS(%d,%d) trial %d (%d errors): reference ok=%v but optimized err=%v",
 				n, k, trial, nerr, refOK, optErr)

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"mosaic/internal/eventlog"
+	"mosaic/internal/netsim/workload"
 	"mosaic/internal/sim"
 )
 
@@ -131,5 +132,43 @@ func TestFleetDrainMatchesQueuedFinish(t *testing.T) {
 	records, log := runDrainScenario()
 	if records != wantRecords || log != wantLog {
 		t.Fatalf("50-epoch fleet run: records digest %s, epoch-log sha %s; the queued drain gave %s, %s", records, log, wantRecords, wantLog)
+	}
+}
+
+// TestFlowSimRecordsMatchHeapDrain is FlowSim's twin of the test above:
+// E12's 3,000-flow websearch run on a k=8 fat-tree at load 0.4, with one
+// ToR-aggregation link killed (its flows reroute) and one aggregation-core
+// link degraded to 0.96 mid-run. Every record's ID, End bits and stall
+// flag must equal what FlowSim produced when it drained a completion heap.
+func TestFlowSimRecordsMatchHeapDrain(t *testing.T) {
+	topo, err := NewFatTree(8, 800e9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := NewFlowSim(topo)
+	dist := workload.WebSearch()
+	arr := workload.NewPoissonForLoad(0.4, topo.NumHosts(), 800e9, dist.MeanBits())
+	const nflows = 3000
+	unroutable := fs.OfferPoisson(nflows, dist, arr, sim.RNG(1, "workload"))
+	tiers := topo.LinksByTier()
+	fs.RunUntil(sim.Time(0.15 * nflows / arr.RatePerSec))
+	fs.FailLink(tiers[TierToRAgg][0])
+	fs.RunUntil(sim.Time(0.4 * nflows / arr.RatePerSec))
+	fs.SetLinkCapacityFraction(tiers[TierAggCore][0], 0.96)
+	fs.Run()
+
+	recs := fs.Records()
+	if len(recs)+*unroutable != nflows || fs.active != 0 {
+		t.Fatalf("%d records, %d unroutable, %d active: want all %d flows accounted for", len(recs), *unroutable, fs.active, nflows)
+	}
+	lines := make([]string, len(recs))
+	for i, r := range recs {
+		lines[i] = fmt.Sprintf("%d %x %t", r.ID, math.Float64bits(float64(r.End)), r.Stalled)
+	}
+	// Computed once on the parent tree, whose FlowSim drained a
+	// completion heap.
+	const want = "61bd0e3aed4f90c1"
+	if got := eventlog.Digest(lines); got != want {
+		t.Fatalf("records digest %s; the heap drain gave %s", got, want)
 	}
 }

@@ -18,31 +18,10 @@ type flow struct {
 	SizeBits float64
 	Hash     uint64
 
-	// Weight scales the flow's share under weighted max-min fairness: a
-	// weight-2 flow receives twice the rate of a weight-1 flow at the
-	// same bottleneck. StartFlow sets 1; priority traffic (e.g. a MAC
-	// virtual channel's QoS class) uses StartFlowWeighted.
-	Weight float64
-
 	remaining float64
 	rate      float64
 	start     sim.Time
 	lastTouch sim.Time
-
-	// ver is the version of the flow's one valid completion-heap entry.
-	// It lives here, not on the slot, so a flow that is rerouted and
-	// re-admitted keeps counting up and can never match an entry queued
-	// for its old path — even when it lands in the slot it just left.
-	ver uint32
-}
-
-// weight returns the flow's effective max-min weight (zero value = 1, so
-// flow literals without an explicit weight behave like weight-1 flows).
-func (f *flow) weight() float64 {
-	if f.Weight <= 0 || f.Weight != f.Weight {
-		return 1
-	}
-	return f.Weight
 }
 
 // record closes the flow out at end, completed or stalled.
@@ -145,9 +124,9 @@ func setLinkFraction(t *Topology, capacity []float64, linkID int, frac float64) 
 }
 
 // FlowSim is an exactly max-min fair fluid flow simulator over a
-// Topology: one shard that owns its clock. Its whole pending state is its
-// completion heap plus one arrival cursor; RunUntil and Run fire them in
-// time order, and each arrival, completion or capacity change
+// Topology: one shard that owns its clock. Its whole pending state is the
+// finish times on its slab plus one arrival cursor; RunUntil and Run fire
+// them in time order, and each arrival, completion or capacity change
 // re-waterfills only the affected component. The caller holds the clock:
 // whatever else happens at time t (a fault, a link's superframe boundary)
 // is a plain call between RunUntil(t) and the next advance.
@@ -155,7 +134,6 @@ type FlowSim struct {
 	Topo *Topology
 
 	shard
-	h      completionHeap
 	now    sim.Time
 	nextID int
 	src    *poissonSource // the one open-loop source; nil until OfferPoisson
@@ -178,16 +156,9 @@ func nominalCapacity(t *Topology) []float64 {
 // Records returns completed/stalled flow records.
 func (fs *FlowSim) Records() []FlowRecord { return fs.records }
 
-// StartFlow injects a weight-1 flow now. It picks the ECMP path from the
-// hash and returns the flow ID.
+// StartFlow injects a flow now. It picks the ECMP path from the hash and
+// returns the flow ID.
 func (fs *FlowSim) StartFlow(src, dst int, sizeBits float64, hash uint64) (int, error) {
-	return fs.StartFlowWeighted(src, dst, sizeBits, hash, 1)
-}
-
-// StartFlowWeighted injects a flow with a max-min scheduling weight
-// (weight <= 0 or NaN is treated as 1 — see Flow.weight — so plain
-// flows are unaffected).
-func (fs *FlowSim) StartFlowWeighted(src, dst int, sizeBits float64, hash uint64, weight float64) (int, error) {
 	var buf [maxPath]int
 	path, err := routeFlow(fs.Topo, fs.g.capacity, buf[:0], fs.nextID, src, dst, sizeBits, hash)
 	if err != nil {
@@ -196,7 +167,7 @@ func (fs *FlowSim) StartFlowWeighted(src, dst int, sizeBits float64, hash uint64
 	id, now := fs.nextID, fs.now
 	fs.nextID++
 	fs.admit(flow{
-		ID: id, Src: src, Dst: dst, SizeBits: sizeBits, Hash: hash, Weight: weight,
+		ID: id, Src: src, Dst: dst, SizeBits: sizeBits, Hash: hash,
 		remaining: sizeBits, start: now, lastTouch: now,
 	}, path)
 	fs.flush()
@@ -243,21 +214,10 @@ func (fs *FlowSim) rerouteThrough(linkID int) {
 	}
 }
 
-// flush recomputes the dirty components and replaces the completion
-// entry of every re-rated flow, then compacts the heap once stale entries
-// outnumber live ones 4:1.
+// flush recomputes the dirty components at the current instant.
 func (fs *FlowSim) flush() {
 	fs.g.now = fs.now
-	for _, h := range fs.g.flush(false) {
-		f := &fs.g.flows.v[h]
-		f.ver++
-		if f.rate > 0 {
-			fs.h.push(completion{at: fs.now + sim.Time(f.remaining/f.rate), id: f.ID, ver: f.ver, h: h})
-		}
-	}
-	if len(fs.h) > 4*fs.active+64 {
-		fs.compact()
-	}
+	fs.g.flush(false)
 }
 
 // Now returns the simulator's clock: the instant of the last event fired,
@@ -281,11 +241,10 @@ func (fs *FlowSim) Run() {
 	}
 }
 
-// fireNext fires the earlier of the next arrival and the first live
-// completion if it is due by limit, and reports whether it did. At one
-// instant a completion goes before an arrival (the arriving flow sees the
-// capacity the finished one freed), and two completions go in flow-ID
-// order (the heap's order).
+// fireNext fires the earlier of the next arrival and the first completion
+// if it is due by limit, and reports whether it did. At one instant a
+// completion goes before an arrival (the arriving flow sees the capacity
+// the finished one freed), and two completions go in flow-ID order.
 func (fs *FlowSim) fireNext(limit sim.Time) bool {
 	c, due := fs.nextDue()
 	if s := fs.src; s != nil && s.left > 0 && !(due && c.at <= s.at) {
@@ -300,117 +259,28 @@ func (fs *FlowSim) fireNext(limit sim.Time) bool {
 		return false
 	}
 	fs.now = c.at
-	fs.h.pop()
 	fs.complete(c.h, c.at)
 	fs.flush()
 	return true
 }
 
-// completion is a flow's finish time at its current rate. Ordering is
-// (time, flow ID): two flows finishing at the same instant always complete
-// in ID order, never slot order. FleetSim computes an epoch's due ones
-// afresh at every barrier; FlowSim queues them, so there an entry is
-// lazily invalidated: it fires only if slot h still holds flow id at
-// version ver (any rate change or removal bumps ver; each new rate pushes
-// a fresh entry). The slot alone proves nothing — a freed slot is reused
-// LIFO, by another flow or by the same flow re-admitted on a new path — so
-// id and ver are both compared.
-type completion struct {
-	at  sim.Time
-	id  int
-	ver uint32
-	h   handle
-}
-
-func (c completion) before(o completion) bool {
-	if c.at != o.at {
-		return c.at < o.at
-	}
-	return c.id < o.id
-}
-
-// completionHeap is a binary min-heap of completions, typed so a push or
-// pop never boxes its entry through an interface.
-type completionHeap []completion
-
-func (h *completionHeap) push(c completion) {
-	s := append(*h, c)
-	*h = s
-	for j := len(s) - 1; j > 0; {
-		p := (j - 1) / 2
-		if !s[j].before(s[p]) {
-			break
-		}
-		s[j], s[p] = s[p], s[j]
-		j = p
-	}
-}
-
-func (h *completionHeap) pop() completion {
-	s := *h
-	top, n := s[0], len(s)-1
-	s[0] = s[n]
-	*h = s[:n]
-	s[:n].down(0)
-	return top
-}
-
-func (h completionHeap) down(i int) {
-	for {
-		c := 2*i + 1
-		if c >= len(h) {
-			return
-		}
-		if r := c + 1; r < len(h) && h[r].before(h[c]) {
-			c = r
-		}
-		if !h[c].before(h[i]) {
-			return
-		}
-		h[i], h[c] = h[c], h[i]
-		i = c
-	}
-}
-
-// live reports whether a heap entry still names the flow in its slot.
-func (fs *FlowSim) live(c completion) bool {
-	f := &fs.g.flows.v[c.h]
-	return fs.g.flows.used[c.h] && f.ID == c.id && f.ver == c.ver
-}
-
-// compact rebuilds the heap from its live entries.
-func (fs *FlowSim) compact() {
-	keep := fs.h[:0]
-	for _, c := range fs.h {
-		if fs.live(c) {
-			keep = append(keep, c)
+// nextDue scans the slab for the earliest completion; false when no flow
+// is moving.
+func (fs *FlowSim) nextDue() (first completion, due bool) {
+	for h := range fs.g.flows.v {
+		if c, ok := fs.g.completion(handle(h)); ok && (!due || c.compare(first) < 0) {
+			first, due = c, true
 		}
 	}
-	fs.h = keep
-	for i := len(keep)/2 - 1; i >= 0; i-- {
-		keep.down(i)
-	}
-}
-
-// nextDue drops stale heads and returns the earliest live completion;
-// false when none is queued.
-func (fs *FlowSim) nextDue() (completion, bool) {
-	for len(fs.h) > 0 {
-		if fs.live(fs.h[0]) {
-			return fs.h[0], true
-		}
-		fs.h.pop()
-	}
-	return completion{}, false
+	return first, due
 }
 
 // FlowState is a read-only view of one active flow's allocation, the
 // exchange format for the differential and property harnesses.
 type FlowState struct {
-	ID     int
-	Path   []int
-	Weight float64
-	Rate   float64
+	ID   int
+	Path []int
+	Rate float64
 }
 
 // FlowStates returns the active flows sorted by ID.
@@ -422,7 +292,7 @@ func (fs *FlowSim) FlowStates() []FlowState {
 			for j, l := range f.links() {
 				path[j] = int(l)
 			}
-			out = append(out, FlowState{ID: f.ID, Path: path, Weight: f.weight(), Rate: f.rate})
+			out = append(out, FlowState{ID: f.ID, Path: path, Rate: f.rate})
 		}
 	}
 	slices.SortFunc(out, func(a, b FlowState) int { return a.ID - b.ID })

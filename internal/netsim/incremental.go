@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -10,27 +11,27 @@ import (
 
 // This file is the one flow-engine core: the dirty-set max-min allocator
 // (flowGraph, its flows pointer-free records in a slab addressed by
-// uint32 handles, each link's flows an ID-ordered index) and the shard
-// built on it (active count, records). The two drivers — the exact
-// FlowSim in flowsim.go, stepped event by event off a completion heap,
-// and the epoch-barrier FleetSim in shard.go, which finds an epoch's
-// completions by scanning its slabs — own no allocation logic of their
-// own. An arrival, completion or capacity change re-waterfills only the
-// connected component of links/flows it can have affected, never the
-// whole network.
+// uint32 handles, each link's flows an ID-ordered index), the finish time
+// FlowSim and FleetSim read off the slab, and the shard built on it
+// (active count, records). The two simulators — the exact FlowSim in
+// flowsim.go, which fires the earliest completion, and the epoch-barrier
+// FleetSim in shard.go, which fires those due by the epoch end — own no
+// allocation logic of their own. An arrival, completion or capacity
+// change re-waterfills only the connected component of links/flows it can
+// have affected, never the whole network.
 //
-// Exactness: weighted max-min by progressive filling decomposes over
-// connected components of the flow/link sharing graph — flows in
-// disjoint components never contend for a link, so re-filling only the
-// dirtied component yields the same allocation as a global fill. Every
-// float accumulator is per link (remaining capacity, unfrozen weight),
-// and each sees its flows in ascending ID order on both sides — here by
-// walking the link's index, in the reference by walking the sorted flow
-// list — while the bottleneck is the lowest-numbered link at the minimum
-// fair share on both sides, so the floating-point operation sequence per
-// accumulator is identical and the incremental rates equal
-// refmodel.MaxMinRates bit for bit (pinned by the flowsim_inc diffcheck
-// stage and the deep property suite).
+// Exactness: max-min by progressive filling decomposes over connected
+// components of the flow/link sharing graph — flows in disjoint
+// components never contend for a link, so re-filling only the dirtied
+// component yields the same allocation as a global fill. The one float
+// accumulator is per link (remaining capacity; the unfrozen flows on a
+// link are an integer count), and it sees its flows in ascending ID order
+// on both sides — here by walking the link's index, in the reference by
+// walking the sorted flow list — while the bottleneck is the
+// lowest-numbered link at the minimum fair share on both sides, so the
+// floating-point operation sequence per accumulator is identical and the
+// incremental rates equal refmodel.MaxMinRates bit for bit (pinned by the
+// flowsim_inc diffcheck stage and the deep property suite).
 
 // handle addresses one slot of a slab. Slots never move, so a handle
 // stays valid until its slot is dropped; dropped slots are reused LIFO.
@@ -161,11 +162,10 @@ type flowGraph struct {
 	// Waterfill scratch, persistent across flushes. linkMark/epoch and
 	// flowSlot.mark implement O(component) visited sets with no clearing.
 	remCap    []float64
-	weightOn  []float64
+	unfrozen  []int32 // flows on the link still to be filled
 	linkMark  []uint64
 	epoch     uint64
 	compLinks []int32
-	touched   []handle // flows re-rated by the last flush
 	keys      []uint64 // reorder scratch (flowKeys)
 
 	waterfills uint64 // component waterfill passes run
@@ -179,7 +179,7 @@ func newFlowGraph(t *Topology, capacity []float64) *flowGraph {
 		linkFlows: make([]linkIndex, n),
 		dirtyIn:   make([]bool, n),
 		remCap:    make([]float64, n),
-		weightOn:  make([]float64, n),
+		unfrozen:  make([]int32, n),
 		linkMark:  make([]uint64, n),
 	}
 }
@@ -279,15 +279,37 @@ func (g *flowGraph) settle(f *flowSlot) {
 	f.lastTouch = g.now
 }
 
+// completion is a flow's finish time at its current rate.
+type completion struct {
+	at sim.Time
+	id int
+	h  handle
+}
+
+// compare orders completions by (time, flow ID) for both simulators: two
+// flows finishing at the same instant always complete in ID order, never
+// slot order.
+func (c completion) compare(o completion) int { return cmp.Or(cmp.Compare(c.at, o.at), c.id-o.id) }
+
+// completion reads slot h's finish time off the slab; false for a free
+// slot, a proxy (its cross flow finishes at the barrier) or a flow that is
+// not moving. A flow's remaining, rate and lastTouch are written together,
+// when it is re-rated, so the finish time holds until the next re-rating.
+func (g *flowGraph) completion(h handle) (completion, bool) {
+	f := &g.flows.v[h]
+	if !g.flows.used[h] || f.proxy || !(f.rate > 0) {
+		return completion{}, false
+	}
+	return completion{at: f.lastTouch + sim.Time(f.remaining/f.rate), id: f.ID, h: h}, true
+}
+
 // flush re-waterfills every connected component reachable from the
-// dirty links and returns the flows whose rates were reassigned (FlowSim
-// refreshes their completion entries). Links and flows outside the dirty
-// components keep their rates: no flow there shares a link with a
-// dirtied flow, so its max-min allocation cannot have changed.
-func (g *flowGraph) flush(unpinProxies bool) []handle {
-	g.touched = g.touched[:0]
+// dirty links. Links and flows outside the dirty components keep their
+// rates: no flow there shares a link with a dirtied flow, so its max-min
+// allocation cannot have changed.
+func (g *flowGraph) flush(unpinProxies bool) {
 	if len(g.dirty) == 0 {
-		return g.touched
+		return
 	}
 	g.epoch++
 	for _, l := range g.dirty {
@@ -304,7 +326,6 @@ func (g *flowGraph) flush(unpinProxies bool) []handle {
 		}
 	}
 	g.dirty = g.dirty[:0]
-	return g.touched
 }
 
 // gatherComponent BFSes the link/flow sharing graph from seed into
@@ -312,7 +333,7 @@ func (g *flowGraph) flush(unpinProxies bool) []handle {
 // reached link's index is walked once in ascending ID order, which
 // settles and resets every flow at its first incidence and, at every
 // (link, flow) incidence, subtracts a pinned proxy's fixed demand from
-// the link's remaining capacity or puts an unfrozen flow's weight on it.
+// the link's remaining capacity or counts an unfrozen flow on it.
 // Pinned proxies contribute that demand instead of participating in the
 // fill; with unpinProxies set, proxies join the fill as ordinary flows
 // and their resulting rate is recorded as the shard's offer. It returns
@@ -323,7 +344,7 @@ func (g *flowGraph) gatherComponent(seed int, unpinProxies bool) (n, left int) {
 	flows := g.flows.v
 	for qi := 0; qi < len(g.compLinks); qi++ {
 		l := g.compLinks[qi]
-		remCap, weightOn := g.capacity[l], 0.0
+		remCap, unfrozen := g.capacity[l], int32(0)
 		for _, ref := range g.ordered(l) {
 			if ref.pi < 0 {
 				continue
@@ -341,7 +362,6 @@ func (g *flowGraph) gatherComponent(seed int, unpinProxies bool) (n, left int) {
 				if f.filled = f.pinned; !f.pinned {
 					f.rate = 0
 					left++
-					g.touched = append(g.touched, ref.h)
 				}
 				for _, fl := range f.links() {
 					if g.linkMark[fl] != g.epoch {
@@ -355,29 +375,30 @@ func (g *flowGraph) gatherComponent(seed int, unpinProxies bool) (n, left int) {
 					remCap = 0
 				}
 			} else {
-				weightOn += f.weight()
+				unfrozen++
 			}
 		}
-		g.remCap[l], g.weightOn[l] = remCap, weightOn
+		g.remCap[l], g.unfrozen[l] = remCap, unfrozen
 	}
 	return n, left
 }
 
-// fill runs progressive-filling weighted max-min fairness over the
-// gathered component's `left` unfrozen flows, with the same deterministic
-// ordering as refmodel.MaxMinRates: the bottleneck is the lowest-numbered
-// link at the minimum fair share, and its unfrozen flows are frozen by
-// walking its index, ascending by ID — O(crossing) per round, no sort.
+// fill runs progressive-filling max-min fairness over the gathered
+// component's `left` unfrozen flows, with the same deterministic ordering
+// as refmodel.MaxMinRates: the bottleneck is the lowest-numbered link at
+// the minimum fair share, and its unfrozen flows are frozen by walking its
+// index, ascending by ID — O(crossing) per round, no sort. A bottleneck's
+// count is positive, so every round freezes at least one flow.
 func (g *flowGraph) fill(left int) {
 	flows := g.flows.v
 	for left > 0 {
 		bottleneck := int32(-1)
 		best := math.Inf(1)
 		for _, l := range g.compLinks {
-			if g.weightOn[l] <= 0 {
+			if g.unfrozen[l] == 0 {
 				continue
 			}
-			if fair := g.remCap[l] / g.weightOn[l]; fair < best || fair == best && l < bottleneck {
+			if fair := g.remCap[l] / float64(g.unfrozen[l]); fair < best || fair == best && l < bottleneck {
 				best = fair
 				bottleneck = l
 			}
@@ -385,39 +406,32 @@ func (g *flowGraph) fill(left int) {
 		if bottleneck < 0 {
 			break
 		}
-		froze := false
 		for _, ref := range g.linkFlows[bottleneck].refs {
 			f := &flows[ref.h]
 			if ref.pi < 0 || f.filled {
 				continue
 			}
-			f.rate = best * f.weight()
+			f.rate = best
 			if f.proxy {
 				f.offer = f.rate
 			}
 			f.filled = true
-			froze = true
 			left--
 			for _, l := range f.links() {
 				g.remCap[l] -= f.rate
 				if g.remCap[l] < 0 {
 					g.remCap[l] = 0
 				}
-				g.weightOn[l] -= f.weight()
+				g.unfrozen[l]--
 			}
-		}
-		if !froze {
-			// Only floating-point weight residue on the bottleneck:
-			// retire it and keep filling the rest of the component.
-			g.weightOn[bottleneck] = 0
 		}
 	}
 }
 
 // shard is the state both drivers run on: one flowGraph, the count of
 // flows active on it and their records. FlowSim is one shard advanced
-// event by event (RunUntil) off its completion heap; FleetSim is one shard
-// per pod advanced by its epoch barrier.
+// event by event (RunUntil); FleetSim is one shard per pod advanced by its
+// epoch barrier.
 type shard struct {
 	g       *flowGraph
 	active  int // live non-proxy flows
@@ -436,10 +450,8 @@ func (s *shard) admit(fl flow, route []int) handle {
 	return s.g.addFlow(slot)
 }
 
-// remove deactivates a flow, invalidating any completion FlowSim queued
-// for it, and returns its value: ver travels with it into a re-admission.
+// remove deactivates a flow and returns its value.
 func (s *shard) remove(h handle) flow {
-	s.g.flows.v[h].ver++
 	s.active--
 	return s.g.removeFlow(h)
 }

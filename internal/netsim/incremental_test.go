@@ -1,7 +1,6 @@
 package netsim
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -83,11 +82,7 @@ func incTraceCase(t *testing.T, seed int64, size int) {
 			if src == dst {
 				continue
 			}
-			w := 1.0
-			if rng.Intn(4) == 0 {
-				w = 0.5 + rng.Float64()*3
-			}
-			_, _ = fs.StartFlowWeighted(src, dst, (0.1+rng.Float64())*1e9, rng.Uint64(), w)
+			_, _ = fs.StartFlow(src, dst, (0.1+rng.Float64())*1e9, rng.Uint64())
 		case op < 62:
 			fs.RunUntil(fs.Now() + sim.Time(rng.Float64()*0.02))
 		case op < 74:
@@ -140,80 +135,6 @@ func TestFlowSimDeepProperties(t *testing.T) {
 			t.Parallel()
 			incTraceCase(t, 0xDEE9+int64(c)*0x9E3779B1, 5+c%8)
 		})
-	}
-}
-
-// TestCompletionHeapProperties pins the typed completion heap against
-// sort: random (at, id, ver) pushes with exact-time ties, interleaved
-// with pops, always pop the (at, id) minimum of what is queued, and
-// compact keeps exactly the entries whose flow is still active at the
-// queued version.
-func TestCompletionHeapProperties(t *testing.T) {
-	byTimeThenID := func(a, b completion) int {
-		if a.at != b.at {
-			return cmp.Compare(a.at, b.at)
-		}
-		return a.id - b.id
-	}
-	for seed := int64(0); seed < 50; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		var h completionHeap
-		var model []completion   // the queued entries, kept sorted
-		var flows slab[flowSlot] // flow id sits in slot id
-		popMatches := func() {
-			t.Helper()
-			if got := h.pop(); got != model[0] {
-				t.Fatalf("seed %d: popped %+v, want %+v", seed, got, model[0])
-			}
-			model = model[1:]
-		}
-		for id := 0; id < 300; id++ {
-			// Eight distinct times, so most entries tie on `at`.
-			c := completion{at: sim.Time(rng.Intn(8)), id: id, ver: uint32(rng.Intn(3)), h: flows.put(flowSlot{})}
-			h.push(c)
-			model = append(model, c)
-			slices.SortFunc(model, byTimeThenID)
-			if rng.Intn(3) == 0 {
-				popMatches()
-			}
-		}
-
-		// compact on a copy: a quarter of the flows stay active at the
-		// queued version, a quarter moved on to a later one, a quarter
-		// left, and a quarter left with their slot since taken by another
-		// flow at the same version.
-		s := FlowSim{shard: shard{g: &flowGraph{flows: flows}}, h: slices.Clone(h)}
-		var live []completion
-		for _, c := range model {
-			slot := &s.g.flows.v[c.h]
-			switch rng.Intn(4) {
-			case 0:
-				*slot = flowSlot{flow: flow{ID: c.id, ver: c.ver}}
-				live = append(live, c)
-			case 1:
-				*slot = flowSlot{flow: flow{ID: c.id, ver: c.ver + 1}}
-			case 2:
-				*slot = flowSlot{flow: flow{ID: c.id, ver: c.ver}}
-				s.g.flows.drop(c.h)
-			case 3:
-				*slot = flowSlot{flow: flow{ID: c.id + 1000, ver: c.ver}}
-			}
-		}
-		s.compact()
-		var kept []completion
-		for len(s.h) > 0 {
-			kept = append(kept, s.h.pop())
-		}
-		if !slices.Equal(kept, live) {
-			t.Fatalf("seed %d: compact kept %d entries, want exactly the %d live ones in order", seed, len(kept), len(live))
-		}
-
-		for len(model) > 0 {
-			popMatches()
-		}
-		if len(h) != 0 {
-			t.Fatalf("seed %d: %d entries left after draining", seed, len(h))
-		}
 	}
 }
 

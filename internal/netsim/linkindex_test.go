@@ -52,12 +52,12 @@ func checkIndices(t *testing.T, g *flowGraph, flushed bool, when string) {
 }
 
 // checkRatesEqualReference asserts bitwise equality with the global
-// reference for a set of active flows (id → path, weight, rate).
+// reference for a set of active flows (id → path, rate).
 func checkRatesEqualReference(t *testing.T, capacity []float64, states []FlowState, when string) {
 	t.Helper()
 	flows := make([]refmodel.RefFlow, len(states))
 	for i, st := range states {
-		flows[i] = refmodel.RefFlow{ID: st.ID, Path: st.Path, Weight: st.Weight}
+		flows[i] = refmodel.RefFlow{ID: st.ID, Path: st.Path}
 	}
 	want := refmodel.MaxMinRates(capacity, flows)
 	for _, st := range states {
@@ -85,7 +85,7 @@ func TestLinkIndexOrderedUnderChurn(t *testing.T) {
 				switch op := rng.Intn(10); {
 				case op < 5:
 					src, dst := hosts[rng.Intn(len(hosts))], hosts[rng.Intn(len(hosts))]
-					_, _ = fs.StartFlowWeighted(src, dst, (0.1+rng.Float64())*1e9, rng.Uint64(), 0.5+rng.Float64()*2)
+					_, _ = fs.StartFlow(src, dst, (0.1+rng.Float64())*1e9, rng.Uint64())
 				case op < 7:
 					fs.RunUntil(fs.Now() + sim.Time(rng.Float64()*0.02))
 				case op < 9:
@@ -127,7 +127,7 @@ func TestLinkIndexOrderedUnderChurn(t *testing.T) {
 					for i, l := range f.links() {
 						path[i] = int(l)
 					}
-					states = append(states, FlowState{ID: f.ID, Path: path, Weight: f.weight(), Rate: f.rate})
+					states = append(states, FlowState{ID: f.ID, Path: path, Rate: f.rate})
 				}
 				checkRatesEqualReference(t, fs.capacity, states, "FleetSim resolved")
 			})

@@ -40,7 +40,7 @@ import (
 // discipline the PHY/MAC pipelines obey.
 //
 // The fleet model is deliberately weaker than FlowSim's: rates are
-// exact weighted max-min within a shard given the pinned cross rates,
+// exact max-min within a shard given the pinned cross rates,
 // but cross flows advance at the min of per-shard offers (a bounded-
 // staleness approximation refreshed whenever either side's component is
 // dirtied) and a completion only frees capacity at the next barrier.
@@ -183,7 +183,7 @@ func (fs *FleetSim) DropRecords() {
 func compareRecords(a, b FlowRecord) int { return cmp.Or(cmp.Compare(a.End, b.End), a.ID-b.ID) }
 
 // mergeRecords k-way merges the lists into one pre-sized (End, ID)-ordered
-// list. A shard's list arrives ordered (its heap drains in (time, ID)
+// list. A shard's list arrives ordered (each epoch completes in (time, ID)
 // order and epochs ascend), so local completions — nine records in ten —
 // are never sorted again; the fleet list (stalls, cross completions) is in
 // flow-ID order, and any list found out of order is sorted in place first.
@@ -214,7 +214,7 @@ func mergeRecords(lists [][]FlowRecord) []FlowRecord {
 // Inject starts a flow at the current barrier. The path is the live
 // ECMP route; flows whose links all sit in one pod are local to that
 // shard, flows spanning two pods become a cross flow with one proxy per
-// shard. Weight is 1 (fleet traffic is best-effort).
+// shard.
 func (fs *FleetSim) Inject(src, dst int, sizeBits float64, hash uint64) (int, error) {
 	var buf [maxPath]int
 	path, err := routeFlow(fs.Topo, fs.capacity, buf[:0], fs.nextID, src, dst, sizeBits, hash)
@@ -224,7 +224,7 @@ func (fs *FleetSim) Inject(src, dst int, sizeBits float64, hash uint64) (int, er
 	id := fs.nextID
 	fs.nextID++
 	fs.admit(flow{
-		ID: id, Src: src, Dst: dst, SizeBits: sizeBits, Hash: hash, Weight: 1,
+		ID: id, Src: src, Dst: dst, SizeBits: sizeBits, Hash: hash,
 		remaining: sizeBits, start: fs.now,
 	}, path)
 	fs.arrivals++
@@ -368,23 +368,17 @@ func (fs *FleetSim) Step(epochLen sim.Time) {
 		cf.remaining -= cf.rate * float64(epochLen)
 	}
 
-	// Epoch run: rates are frozen until the next barrier and a flow's
-	// remaining/rate/lastTouch are written only when it is re-rated, so
-	// its finish time can be read off the slab at any later barrier; one
-	// scan finds the flows due by the epoch end, and only those are
-	// sorted, by (time, ID).
+	// Epoch run: rates are frozen until the next barrier, so one scan of
+	// the finish times on the slab finds the flows due by the epoch end,
+	// and only those are sorted, by (time, ID).
 	fs.runShards(func(fs *FleetSim, sh *fleetShard) {
 		sh.due = sh.due[:0]
 		for h := range sh.g.flows.v {
-			f := &sh.g.flows.v[h]
-			if !sh.g.flows.used[h] || f.proxy || !(f.rate > 0) {
-				continue
-			}
-			if at := f.lastTouch + sim.Time(f.remaining/f.rate); at <= fs.epochEnd {
-				sh.due = append(sh.due, completion{at: at, id: f.ID, h: handle(h)})
+			if c, ok := sh.g.completion(handle(h)); ok && c.at <= fs.epochEnd {
+				sh.due = append(sh.due, c)
 			}
 		}
-		slices.SortFunc(sh.due, func(a, b completion) int { return cmp.Or(cmp.Compare(a.at, b.at), a.id-b.id) })
+		slices.SortFunc(sh.due, completion.compare)
 		for _, c := range sh.due {
 			sh.complete(c.h, c.at)
 		}

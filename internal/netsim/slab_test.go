@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"slices"
 	"strings"
@@ -10,12 +11,12 @@ import (
 	"mosaic/internal/sim"
 )
 
-// Handle lifetime: a completion entry names a slot, and a freed slot is
-// reused LIFO — by the next flow admitted, or by the same flow coming
-// back on a new path. The entry must read as stale in every case, which
-// takes both the id and the ver comparison: a slab that resets ver on
-// re-admission (or trusts the slot alone) completes the wrong flow, or
-// the right flow at its old path's finish time.
+// Slot reuse: a freed slot is reused LIFO — by the next flow admitted, or
+// by the same flow coming back on a new path. Flow 1 leaves its slot
+// mid-transfer, flow 2 takes the slot and finishes there, and flow 1 is
+// rerouted back into it before its old path's finish time. Each flow must
+// complete at the finish time of the path it is on: flow 2 never at flow
+// 1's, flow 1 never at its old path's.
 func TestCompletionStaleAfterSlotReuse(t *testing.T) {
 	topo, err := NewLeafSpine(2, 2, 2, 100e9)
 	if err != nil {
@@ -29,48 +30,48 @@ func TestCompletionStaleAfterSlotReuse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return s.admit(fl, route)
-	}
-	entry := func(hd handle) completion {
+		fl.lastTouch = s.now
+		hd := s.admit(fl, route)
 		s.flush()
-		f := &s.g.flows.v[hd]
-		return completion{id: f.ID, ver: f.ver, h: hd}
+		return hd
 	}
 
-	a := flow{ID: 1, Src: h[0], Dst: h[2], SizeBits: 1e9, remaining: 1e9}
-	ha := admit(a, 0)
-	old := entry(ha)
-	if !s.live(old) {
-		t.Fatal("a freshly refreshed entry must be live")
-	}
+	// Alone at 100G, flow 1's 1 Gb would finish at t=10 ms.
+	ha := admit(flow{ID: 1, Src: h[0], Dst: h[2], SizeBits: 1e9, remaining: 1e9}, 0)
+	oldPath := slices.Clone(s.g.flows.v[ha].links())
 
-	// Freed: the slot is on the free list.
-	a = s.remove(ha)
-	if s.live(old) {
-		t.Fatal("entry still live after its flow was removed")
-	}
+	// At 2 ms it leaves with 0.8 Gb to go, as a reroute takes it off.
+	s.RunUntil(0.002)
+	s.g.now = s.now
+	s.g.settle(&s.g.flows.v[ha])
+	one := s.remove(ha)
+	s.flush()
 
-	// Reused by another flow.
-	hb := admit(flow{ID: 2, Src: h[1], Dst: h[3], SizeBits: 1e9, remaining: 1e9}, 0)
-	if hb != ha {
+	// Flow 2 reuses the slot and finishes there, 2 ms later.
+	if hb := admit(flow{ID: 2, Src: h[1], Dst: h[3], SizeBits: 0.2e9, remaining: 0.2e9, start: s.now}, 0); hb != ha {
 		t.Fatalf("free list is not LIFO: flow 2 got slot %d, want %d", hb, ha)
 	}
-	if entry(hb); s.live(old) {
-		t.Fatal("flow 1's entry reads as live for flow 2 in the reused slot")
-	}
-	s.remove(hb)
+	s.RunUntil(0.005)
 
-	// Reused by the same flow, rerouted: as many re-rates on the new path
-	// as the old one saw must not bring the old entry back to life.
-	if hr := admit(a, 1); hr != ha {
+	// Flow 1 comes back into the same slot on the other spine at 5 ms and
+	// finishes its 0.8 Gb at 13 ms.
+	if hr := admit(one, 1); hr != ha {
 		t.Fatalf("free list is not LIFO: rerouted flow 1 got slot %d, want %d", hr, ha)
 	}
-	fresh := entry(ha)
-	if s.live(old) {
-		t.Fatalf("stale entry (ver %d) matches the re-admitted flow (ver %d)", old.ver, fresh.ver)
+	if slices.Equal(s.g.flows.v[ha].links(), oldPath) {
+		t.Fatal("hash 1 did not move flow 1 to a new path")
 	}
-	if !s.live(fresh) || fresh.ver <= old.ver {
-		t.Fatalf("re-admitted flow's entry: live=%v ver %d, want live and above %d", s.live(fresh), fresh.ver, old.ver)
+	s.Run()
+
+	want := map[int]float64{1: 0.013, 2: 0.004}
+	recs := s.Records()
+	if len(recs) != 2 {
+		t.Fatalf("want flows 1 and 2 recorded, got %+v", recs)
+	}
+	for _, r := range recs {
+		if r.Stalled || math.Abs(float64(r.End)-want[r.ID]) > 1e-12 {
+			t.Errorf("flow %d ended at %v (stalled %t), want %v", r.ID, r.End, r.Stalled, want[r.ID])
+		}
 	}
 }
 

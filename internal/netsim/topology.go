@@ -5,10 +5,11 @@
 // injection.
 //
 // The flow simulator is one incremental engine (incremental.go: a
-// dirty-set weighted max-min allocator and the shard built on it) behind
-// two stepped drivers: FlowSim advances one shard event by event and owns
-// its clock (RunUntil), FleetSim advances one shard per pod from an epoch
-// barrier (Step). Nothing is scheduled; the caller holds the clock.
+// dirty-set max-min allocator and the shard built on it) behind two
+// stepped simulators that read finish times off the same slab: FlowSim
+// advances one shard to its earliest completion and owns its clock
+// (RunUntil), FleetSim advances one shard per pod from an epoch barrier
+// (Step). Nothing is scheduled; the caller holds the clock.
 //
 // It exists to answer the paper's system-level question: what changes when
 // the 2 m copper / power-hungry optics dichotomy is replaced by a 50 m,

@@ -82,8 +82,8 @@ func TestRSEncodeAgainstOptimized(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := opt.Encode(data)
-			if err != nil {
+			want := make([]int, nk[0])
+			if err := opt.EncodeTo(want, data); err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(got, want) {
@@ -111,7 +111,8 @@ func TestRSDecodeAgainstOptimized(t *testing.T) {
 				recv[pos] ^= 1 + rng.Intn(255)
 			}
 			refOut, refCorr, refOK := ref.Decode(append([]int(nil), recv...))
-			optOut, optCorr, optErr := opt.Decode(append([]int(nil), recv...))
+			optOut := make([]int, nk[0])
+			optCorr, optErr := opt.DecodeTo(optOut, recv, make([]int, nk[0]-nk[1]))
 			if refOK != (optErr == nil) {
 				t.Fatalf("RS(%d,%d) %d errors: verdicts differ (ref ok=%v, opt err=%v)",
 					nk[0], nk[1], nerr, refOK, optErr)
