@@ -83,7 +83,12 @@ staticcheck:
 # no contrib (the encoder's tables are eight 2 KB slices, not a row per
 # data position). Waiting stays inside the runner: only internal/par
 # yields with runtime.Gosched or spins on an atomic in a loop condition
-# (a second one elsewhere is a second scheduler).
+# (a second one elsewhere is a second scheduler). A serving link keeps
+# its state, not its scratch: phy.Link declares no linkScratch or
+# probeScratch field (an exchange or probe borrows one for the call) and
+# mac.Pair no ExchangeBuf field (a Tick borrows its arena), and
+# newFlowGraph sizes its per-link arrays to its own link range, never to
+# the topology (no len(t.Links), no Topology argument).
 SUBSTRATE_SRC = find internal cmd examples -name '*.go' ! -name '*_test.go'
 SUPERVISOR = internal/faultinject/supervisor.go
 MIRROR = internal/telemetry/mirror.go
@@ -116,15 +121,18 @@ substrate:
 		[ "$$(grep -cF 'slices.Sort(keys)' $(FLUSH))" -eq 1 ] || echo "$(FLUSH): want exactly one slices.Sort(keys), the index repair"; \
 		$(SUBSTRATE_SRC) -path 'internal/phy/*' -exec grep -nE 'linecode\.Block\b|DecodeBlock|AppendFrameBlocks|AppendExtract|dataExtractor' {} + ; \
 		$(SUBSTRATE_SRC) -path 'internal/coding/rs/*' -exec grep -nw 'contrib' {} + ; \
+		$(SUBSTRATE_SRC) -path 'internal/phy/*' -exec awk '/^type Link struct/,/^}/ { if (/linkScratch|probeScratch/) print FILENAME ":" FNR ": " $$0 }' {} + ; \
+		$(SUBSTRATE_SRC) -path 'internal/mac/*' -exec awk '/^type Pair struct/,/^}/ { if (/ExchangeBuf/) print FILENAME ":" FNR ": " $$0 }' {} + ; \
+		$(SUBSTRATE_SRC) -path 'internal/netsim/*' -exec awk '/^func newFlowGraph\(/,/^}/ { if (/len\(t\.Links\)|Topology/) print FILENAME ":" FNR ": " $$0 }' {} + ; \
 		$(SUBSTRATE_SRC) ! -path 'internal/par/*' -exec grep -nE 'runtime\.Gosched|for [^{]*\.(Load|CompareAndSwap)\(' {} + ; \
 		for pat in 'SetTransitionHook(func' '"sf=%d remap %v"'; do \
 			[ "$$(grep -cF "$$pat" $(SUPERVISOR))" -eq 1 ] || echo "$(SUPERVISOR): want exactly one $$pat"; \
 		done; } ); \
 	if [ -n "$$bad" ]; then \
-		echo "substrate: FAIL — use internal/par for fan-out, internal/eventlog for log digests, faultinject.Supervisor for the superframe boundary, a plain Bridge.Sync after its sparing step for renegotiation, a step loop with the caller holding the clock (no scheduler: FlowSim.RunUntil, Session.Step, FleetSim.Step) to drive anything, a telemetry.Row table beside the stats struct (internal/mac for MAC series, internal/fleetd for fleet series; telemetry.Mirror does the delta) for metrics, Bridge.Fraction() to hand capacity to a flow simulator, slab handles, integer sort keys (not flow pointers), ID-ordered link indices (no per-flush sort) and finish times read off the slab (no heap, queue or version counter) in internal/netsim, linecode.AppendFrame/AppendIdle/Classify on the byte stream (no linecode.Block staging, no extract-then-decode fork) in internal/phy, sliced tables (no per-position contrib rows) in internal/coding/rs, and internal/par for any wait on another goroutine (no Gosched or atomic spin loop elsewhere):"; \
+		echo "substrate: FAIL — use internal/par for fan-out, internal/eventlog for log digests, faultinject.Supervisor for the superframe boundary, a plain Bridge.Sync after its sparing step for renegotiation, a step loop with the caller holding the clock (no scheduler: FlowSim.RunUntil, Session.Step, FleetSim.Step) to drive anything, a telemetry.Row table beside the stats struct (internal/mac for MAC series, internal/fleetd for fleet series; telemetry.Mirror does the delta) for metrics, Bridge.Fraction() to hand capacity to a flow simulator, slab handles, integer sort keys (not flow pointers), ID-ordered link indices (no per-flush sort) and finish times read off the slab (no heap, queue or version counter) in internal/netsim, linecode.AppendFrame/AppendIdle/Classify on the byte stream (no linecode.Block staging, no extract-then-decode fork) in internal/phy, sliced tables (no per-position contrib rows) in internal/coding/rs, internal/par for any wait on another goroutine (no Gosched or atomic spin loop elsewhere), and buffers borrowed for the call (no scratch field on phy.Link, no ExchangeBuf on mac.Pair) with flow graphs sized to their own link range (no len(t.Links) in newFlowGraph):"; \
 		echo "$$bad"; exit 1; \
 	fi; \
-	echo "substrate: OK — goroutines only in internal/par, sha256 only in internal/eventlog, sparing/hook/remap line only in the link supervisor, nothing scheduled (no sim.Engine, no Schedule/After call, no batch mode), one stats mirror (no hand-written delta sync, no MAC or fleet collector in telemetry), capacity leaves a bridge through Fraction() only, netsim flows pointer-free, no flush sorts and no completion queue (no heap, no version counter in netsim), a link exchange stages no Blocks and forks no decode path, RS encode tables are sliced, Gosched and spin-waits only in internal/par"
+	echo "substrate: OK — goroutines only in internal/par, sha256 only in internal/eventlog, sparing/hook/remap line only in the link supervisor, nothing scheduled (no sim.Engine, no Schedule/After call, no batch mode), one stats mirror (no hand-written delta sync, no MAC or fleet collector in telemetry), capacity leaves a bridge through Fraction() only, netsim flows pointer-free, no flush sorts and no completion queue (no heap, no version counter in netsim), a link exchange stages no Blocks and forks no decode path, RS encode tables are sliced, Gosched and spin-waits only in internal/par, a link and a pair hold no per-call scratch, flow graphs are pod-sized"
 
 build:
 	$(GO) build ./...
@@ -165,13 +173,16 @@ determinism:
 # constant population (its allocs/op must not scale with the flows held);
 # FleetdAdmit pins the cost of admitting one link into
 # a live fleet and stepping it through an epoch. Every benchmark runs -count=$(BENCH_COUNT) and
-# benchguard folds the repeats min-of-N (min ns/op, max allocs/op)
+# benchguard folds the repeats min-of-N (min ns/op and B/op, max allocs/op)
 # before gating, so scheduler noise cannot fail a healthy run. The fast
 # benchmarks get a larger -benchtime so their ns/op figure is a real
-# measurement rather than timer noise.
+# measurement rather than timer noise. E10 runs 100 ops a repeat: its
+# seven links borrow one exchange scratch, and each time sync.Pool misses
+# (about one op in five) a ≈ 2.4 MB scratch is rebuilt, so at 3 ops a
+# repeat its B/op read 2.1–4.5 MB and at 100 ops 2.3–2.7 MB.
 BENCH_COUNT ?= 5
 bench:
-	@$(GO) test -bench 'BenchmarkE10EndToEnd$$' -benchmem -benchtime 3x -count=$(BENCH_COUNT) -run '^$$' . && \
+	@$(GO) test -bench 'BenchmarkE10EndToEnd$$' -benchmem -benchtime 100x -count=$(BENCH_COUNT) -run '^$$' . && \
 	$(GO) test -bench 'BenchmarkExchangeSteadyState$$|BenchmarkExchangeNoisySteadyState$$|BenchmarkMACFrameRoundTrip$$|BenchmarkMACFrameRoundTripSR$$|BenchmarkPoolRoundWoken$$' \
 		-benchmem -benchtime 1000x -count=$(BENCH_COUNT) -run '^$$' . && \
 	$(GO) test -bench 'BenchmarkE12Degradation$$|BenchmarkE24FleetFlows$$' -benchmem -benchtime 1x -count=$(BENCH_COUNT) -run '^$$' -timeout 30m . && \
@@ -182,8 +193,8 @@ bench:
 # `go test -bench` text in BENCH_RAW.txt (so a regression can be diagnosed
 # from the individual -count repeats), record
 # the min-of-N aggregate in BENCH_E10.json, and fail if any baselined
-# benchmark regresses allocs/op >10% or ns/op >25% (a baseline of exactly
-# 0 allocs allows no allocations at all).
+# benchmark regresses allocs/op or (where pinned) B/op >10% or ns/op >25%
+# (a baseline of exactly 0 allocs allows no allocations at all).
 # After an intentional change re-pin and commit the run with it, so
 # `git log -p BENCH_*.json` is the performance history:
 #   make bench > BENCH_RAW.txt && go run ./cmd/benchguard -in BENCH_RAW.txt \

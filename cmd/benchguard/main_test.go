@@ -77,7 +77,7 @@ func TestCompare(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			bad := compare(c.current, base, 0.10, 0.25)
+			bad := compare(aggregate(c.current), base, 0.10, 0.25)
 			if len(bad) != c.wantBad {
 				t.Errorf("violations = %v, want %d", bad, c.wantBad)
 			}
@@ -99,7 +99,7 @@ func TestCompareTimeGate(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			bad := compare(c.current, base, 0.10, 0.25)
+			bad := compare(aggregate(c.current), base, 0.10, 0.25)
 			if len(bad) != c.wantBad {
 				t.Errorf("violations = %v, want %d", bad, c.wantBad)
 			}
@@ -108,14 +108,55 @@ func TestCompareTimeGate(t *testing.T) {
 	// A zero/negative ns/op baseline leaves time ungated.
 	ungated := []Bench{{Name: "BenchmarkE10EndToEnd", NsPerOp: 0, AllocsPerOp: 1000}}
 	cur := []Bench{{Name: "BenchmarkE10EndToEnd", NsPerOp: 9e12, AllocsPerOp: 1000}}
-	if bad := compare(cur, ungated, 0.10, 0.25); len(bad) != 0 {
+	if bad := compare(aggregate(cur), ungated, 0.10, 0.25); len(bad) != 0 {
 		t.Errorf("violations = %v, want none with ns baseline 0", bad)
+	}
+}
+
+// B/op is held to the same limit as allocs/op where the baseline pins it
+// beside a positive allocs/op. Bytes are held by the cleanest repeat, as
+// -update pins them: a repeat that rebuilt a borrowed buffer does not
+// fail the gate, a run whose every repeat grew does. Allocs are held by
+// the worst repeat, so one repeat over the limit fails. A row without
+// bytes, or pinned allocation-free, is not gated on them.
+func TestCompareBytesGate(t *testing.T) {
+	base := []Bench{
+		{Name: "BenchmarkFleetdAdmit", BytesPerOp: 20_000, AllocsPerOp: 180},
+		{Name: "BenchmarkUnpinned", AllocsPerOp: 10},
+		{Name: "BenchmarkAllocFree", BytesPerOp: 29, AllocsPerOp: 0},
+	}
+	type repeat struct{ bytes, allocs float64 } // FleetdAdmit's
+	cases := []struct {
+		name    string
+		repeats []repeat
+		want    string // the violation, "" for none
+	}{
+		{"within 10%", []repeat{{21_999, 190}, {21_000, 185}}, ""},
+		{"smaller", []repeat{{8_000, 100}}, ""},
+		{"one repeat rebuilt a buffer", []repeat{{20_000, 180}, {31_000, 181}, {20_100, 181}}, ""},
+		{"every repeat 11% more bytes", []repeat{{22_300, 180}, {22_200, 180}, {22_400, 181}}, "BenchmarkFleetdAdmit: B/op 22200"},
+		{"one repeat 11% more allocs", []repeat{{20_000, 180}, {20_000, 200}, {20_000, 181}}, "BenchmarkFleetdAdmit: allocs/op 200"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var repeats []Bench
+			for _, r := range c.repeats {
+				repeats = append(repeats,
+					Bench{Name: "BenchmarkFleetdAdmit", BytesPerOp: r.bytes, AllocsPerOp: r.allocs},
+					Bench{Name: "BenchmarkUnpinned", BytesPerOp: 1e9, AllocsPerOp: 10},
+					Bench{Name: "BenchmarkAllocFree", BytesPerOp: 900, AllocsPerOp: 0})
+			}
+			bad := compare(aggregate(repeats), base, 0.10, 0.25)
+			if c.want == "" && len(bad) != 0 || c.want != "" && (len(bad) != 1 || !strings.Contains(bad[0], c.want)) {
+				t.Errorf("violations = %v, want %q", bad, c.want)
+			}
+		})
 	}
 }
 
 func TestAggregateMinOfN(t *testing.T) {
 	in := []Bench{
-		{Name: "BenchmarkA", Iterations: 3, NsPerOp: 110, BytesPerOp: 64, AllocsPerOp: 2},
+		{Name: "BenchmarkA", Iterations: 3, NsPerOp: 110, BytesPerOp: 72, AllocsPerOp: 2},
 		{Name: "BenchmarkB", Iterations: 5, NsPerOp: 900, BytesPerOp: 10, AllocsPerOp: 1},
 		{Name: "BenchmarkA", Iterations: 3, NsPerOp: 100, BytesPerOp: 80, AllocsPerOp: 3},
 		{Name: "BenchmarkA", Iterations: 4, NsPerOp: 130, BytesPerOp: 64, AllocsPerOp: 2},
@@ -128,9 +169,9 @@ func TestAggregateMinOfN(t *testing.T) {
 	if a.Name != "BenchmarkA" || a.Iterations != 10 {
 		t.Errorf("A = %+v, want first-appearance order and summed iterations", a)
 	}
-	// min ns/op, max B/op, max allocs/op.
-	if a.NsPerOp != 100 || a.BytesPerOp != 80 || a.AllocsPerOp != 3 {
-		t.Errorf("A metrics = %+v, want min-ns/max-bytes/max-allocs", a)
+	// min ns/op, min B/op, max allocs/op.
+	if a.NsPerOp != 100 || a.BytesPerOp != 64 || a.AllocsPerOp != 3 {
+		t.Errorf("A metrics = %+v, want min-ns/min-bytes/max-allocs", a)
 	}
 	if out[1].Name != "BenchmarkB" || out[1].NsPerOp != 900 {
 		t.Errorf("B = %+v, want single record passed through", out[1])
@@ -145,11 +186,12 @@ func TestCompareZeroAllocBaseline(t *testing.T) {
 		{Name: "BenchmarkPinned", AllocsPerOp: 0},
 		{Name: "BenchmarkUngated", AllocsPerOp: -1},
 	}
-	cur := []Bench{
+	cur := []Bench{ // one repeat of the pinned row allocates
+		{Name: "BenchmarkPinned", AllocsPerOp: 0},
 		{Name: "BenchmarkPinned", AllocsPerOp: 1},
 		{Name: "BenchmarkUngated", AllocsPerOp: 999999},
 	}
-	bad := compare(cur, base, 0.10, 0.25)
+	bad := compare(aggregate(cur), base, 0.10, 0.25)
 	if len(bad) != 1 || !strings.Contains(bad[0], "BenchmarkPinned") {
 		t.Errorf("violations = %v, want exactly the pinned benchmark", bad)
 	}
@@ -157,7 +199,7 @@ func TestCompareZeroAllocBaseline(t *testing.T) {
 		{Name: "BenchmarkPinned", AllocsPerOp: 0},
 		{Name: "BenchmarkUngated", AllocsPerOp: 5},
 	}
-	if bad := compare(clean, base, 0.10, 0.25); len(bad) != 0 {
+	if bad := compare(aggregate(clean), base, 0.10, 0.25); len(bad) != 0 {
 		t.Errorf("violations = %v, want none for a 0-alloc run", bad)
 	}
 }

@@ -543,3 +543,56 @@ func TestStepBudgetRotor(t *testing.T) {
 		}
 	}
 }
+
+// TestFleetdRetainedBytesPerLink pins what a serving link keeps between
+// its ticks: the heap live after GC, per link, once a few hundred links
+// have been brought up and the StepBudget rotor has ticked each of them.
+// What a call needs only while it runs — the PHY exchange scratch, the
+// tick's delivered-frame arena, the Accept buffer — is borrowed for the
+// call and does not count; the link's protocol state, its channels and
+// its share of the flow engine's per-link arrays do.
+func TestFleetdRetainedBytesPerLink(t *testing.T) {
+	const links, budget = 256, 64
+	cfg := DefaultConfig()
+	cfg.Workers = 2
+	cfg.MaxLog = 16
+	cfg.Budgets.MaxLinks = links
+	cfg.Budgets.AdmitBurst = links
+	cfg.Budgets.StepBudget = budget
+	before := liveHeap()
+	f, err := New(cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Create(links, nil); err != nil {
+		t.Fatal(err)
+	}
+	stepUntil(t, f, func() bool { return f.Snapshot().States["serving"] == links }, 20, "all serving")
+	for range links/budget + 1 {
+		f.Step()
+	}
+	perLink := float64(liveHeap()-before) / links
+	if live := f.Snapshot().LiveLinks; live != links {
+		t.Fatalf("%d live links, want %d", live, links)
+	}
+	t.Logf("%.0f B retained per serving link", perLink)
+	// Measured 19.1–19.6 KB (the two endpoints' replay rings and send
+	// buffers are half of it); this bound is that plus 25 %. A link that
+	// owned its exchange scratch, tick arenas and Accept buffer, with every
+	// pod's flow graph sized to the whole topology, retained 56.4 KB here.
+	const bound = 24_400
+	if perLink > bound {
+		t.Errorf("%.0f B retained per serving link, above the %d B bound", perLink, bound)
+	}
+}
+
+// liveHeap is the heap in use after a collection. It collects twice: a
+// sync.Pool keeps its items through one collection, and a borrowed buffer
+// is not what any link holds.
+func liveHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}

@@ -1,6 +1,9 @@
 package mac
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // LLR defaults; see Config.
 const (
@@ -270,8 +273,9 @@ type vcState struct {
 // windows over a shared framing core, with the retransmission discipline
 // delegated to an ARQ policy. It is single-goroutine like the rest of
 // the simulator: the harness alternates BuildSuperframe (tx) and Accept
-// (rx) once per superframe. All buffers are reused across ticks — the
-// steady-state hot path performs no allocations.
+// (rx) once per superframe. Its buffers are reused across ticks, and the
+// one Accept needs only for its call is borrowed — the steady-state hot
+// path performs no allocations.
 type Endpoint struct {
 	cfg      Config
 	arq      arq
@@ -283,7 +287,6 @@ type Endpoint struct {
 	cursor int   // position in order, persists across superframes
 
 	txBuf []byte // superframe payload under construction
-	rxBuf []byte // concatenated PHY payloads for the deframer
 
 	deframer    Deframer
 	emit        func(Frame) // bound handleFrame, constructed once
@@ -475,16 +478,21 @@ func (e *Endpoint) appendFrame(out []byte, flags byte, vc int, seq, ack uint16, 
 	return AppendFrame(out, flags, seq, ack, payload)
 }
 
+// acceptBufs lends Accept the buffer it concatenates chunks into.
+var acceptBufs = sync.Pool{New: func() any { return new([]byte) }}
+
 // Accept ingests the PHY-delivered chunks of the peer's superframe (in
 // order; corrupted or lost chunks simply absent) and runs the deframer
 // over the concatenation. Valid frames update ack state and deliver
 // in-order payloads.
 func (e *Endpoint) Accept(chunks [][]byte) {
-	rx := e.rxBuf[:0]
+	buf := acceptBufs.Get().(*[]byte)
+	defer acceptBufs.Put(buf)
+	rx := (*buf)[:0]
 	for _, c := range chunks {
 		rx = append(rx, c...)
 	}
-	e.rxBuf = rx
+	*buf = rx
 	e.deframer.Deframe(rx, e.emit)
 	e.stats.Deframe = e.deframer.Stats
 	e.syncGauges()

@@ -2,6 +2,8 @@ package mac
 
 import (
 	"fmt"
+	"maps"
+	"sync"
 
 	"mosaic/internal/phy"
 )
@@ -27,9 +29,10 @@ const DefaultPHYFrameLen = 243
 // links. Tick moves one superframe in each direction: A's payload is
 // chunked into PHY frames, pushed through fwd, and the surviving chunks
 // are deframed by B (and symmetrically B over rev to A). Chunk slices
-// are headers into the payload buffer and each direction's delivered
-// frames land in its own recycled phy.ExchangeBuf (Accept copies what it
-// keeps), so a warmed tick allocates nothing.
+// are headers into the payload buffer and the delivered frames of both
+// directions land in one phy.ExchangeBuf borrowed for the Tick (Accept
+// copies what it keeps), so a Pair holds no arena between ticks and a
+// warmed tick allocates nothing.
 type Pair struct {
 	A, B     *Endpoint
 	fwd, rev *phy.Link
@@ -37,12 +40,16 @@ type Pair struct {
 	phyFrameLen int
 	chunksF     [][]byte
 	chunksR     [][]byte
-	bufF, bufR  phy.ExchangeBuf
 
 	// FwdStats/RevStats hold the PHY ExchangeStats of the latest Tick;
-	// their PerChannel maps are recycled by the next one.
+	// their PerChannel maps (perF, perR: copies out of the borrowed arena)
+	// are recycled by the next one.
 	FwdStats, RevStats phy.ExchangeStats
+	perF, perR         map[int]phy.DecodeStats
 }
+
+// tickBufs lends a Tick its delivered-frame arena.
+var tickBufs = sync.Pool{New: func() any { return new(phy.ExchangeBuf) }}
 
 // NewPair wires two endpoints over the given links. onDeliverA receives
 // packets arriving AT A (sent by B), onDeliverB those arriving at B.
@@ -98,20 +105,35 @@ func chunk(payload []byte, size int, dst [][]byte) [][]byte {
 
 // Tick runs one superframe in both directions.
 func (p *Pair) Tick() error {
+	buf := tickBufs.Get().(*phy.ExchangeBuf)
+	defer tickBufs.Put(buf)
+
 	p.chunksF = chunk(p.A.BuildSuperframe(), p.phyFrameLen, p.chunksF)
-	delivered, st, err := p.fwd.ExchangeInto(&p.bufF, p.chunksF)
+	delivered, st, err := p.fwd.ExchangeInto(buf, p.chunksF)
 	if err != nil {
 		return fmt.Errorf("mac: forward exchange: %w", err)
 	}
-	p.FwdStats = st
+	p.FwdStats = keepStats(&p.perF, st)
 	p.B.Accept(delivered)
 
 	p.chunksR = chunk(p.B.BuildSuperframe(), p.phyFrameLen, p.chunksR)
-	delivered, st, err = p.rev.ExchangeInto(&p.bufR, p.chunksR)
+	delivered, st, err = p.rev.ExchangeInto(buf, p.chunksR)
 	if err != nil {
 		return fmt.Errorf("mac: reverse exchange: %w", err)
 	}
-	p.RevStats = st
+	p.RevStats = keepStats(&p.perR, st)
 	p.A.Accept(delivered)
 	return nil
+}
+
+// keepStats returns st with its per-channel map copied into *keep, so
+// the stats outlive the borrowed arena until the next Tick.
+func keepStats(keep *map[int]phy.DecodeStats, st phy.ExchangeStats) phy.ExchangeStats {
+	if *keep == nil {
+		*keep = make(map[int]phy.DecodeStats, len(st.PerChannel))
+	}
+	clear(*keep)
+	maps.Copy(*keep, st.PerChannel)
+	st.PerChannel = *keep
+	return st
 }

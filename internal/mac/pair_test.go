@@ -123,10 +123,16 @@ func TestPairRoundsBudgetToPHYFrames(t *testing.T) {
 	}
 }
 
+// raceEnabled is set under -race (race_test.go).
+var raceEnabled bool
+
 // A warmed Tick allocates nothing, PHY side included: the delivered
-// chunks live in the pair's recycled phy.ExchangeBuf until Accept has
+// chunks live in the phy.ExchangeBuf the Tick borrowed until Accept has
 // copied them. This is every fleetd link tick and every session
-// superframe.
+// superframe. Under -race sync.Pool drops a quarter of what is put back,
+// so a Tick now and then rebuilds a borrowed buffer (tens of allocations
+// on average): there the cleanest of up to 50 single Ticks must allocate
+// nothing, which a per-Tick allocation still fails.
 func TestPairTickSteadyStateAllocs(t *testing.T) {
 	for _, arq := range []ARQKind{ARQGoBackN, ARQSelectiveRepeat} {
 		t.Run(string(arq), func(t *testing.T) {
@@ -140,7 +146,7 @@ func TestPairTickSteadyStateAllocs(t *testing.T) {
 				}
 				links[i] = link
 			}
-			delivered := 0
+			delivered, ticks := 0, 0
 			pair, err := NewPair(links[0], links[1], PairConfig{
 				Endpoint: Config{Window: 64, RetxTimeout: 2, MaxPayload: 1500, PayloadBudget: 8 * (1500 + Overhead), ARQ: arq},
 			}, nil, func([]byte) { delivered++ })
@@ -149,6 +155,7 @@ func TestPairTickSteadyStateAllocs(t *testing.T) {
 			}
 			payload := make([]byte, 1500)
 			tick := func() {
+				ticks++
 				for k := 0; k < 8; k++ {
 					if err := pair.A.Send(payload); err != nil {
 						t.Fatal(err)
@@ -163,12 +170,16 @@ func TestPairTickSteadyStateAllocs(t *testing.T) {
 			for i := 0; i < 32; i++ {
 				tick()
 			}
-			delivered = 0
-			if allocs := testing.AllocsPerRun(50, tick); allocs != 0 {
+			delivered, ticks = 0, 0
+			allocs := testing.AllocsPerRun(50, tick)
+			for i := 0; raceEnabled && allocs > 0 && i < 50; i++ {
+				allocs = min(allocs, testing.AllocsPerRun(1, tick))
+			}
+			if allocs != 0 {
 				t.Errorf("a warmed Tick allocates %.1f times, want 0", allocs)
 			}
-			if delivered != 51*8 {
-				t.Errorf("delivered %d packets over 51 ticks, want %d", delivered, 51*8)
+			if delivered != ticks*8 {
+				t.Errorf("delivered %d packets over %d ticks, want %d", delivered, ticks, ticks*8)
 			}
 		})
 	}

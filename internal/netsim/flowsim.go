@@ -129,7 +129,8 @@ func setLinkFraction(t *Topology, capacity []float64, linkID int, frac float64) 
 // them in time order, and each arrival, completion or capacity change
 // re-waterfills only the affected component. The caller holds the clock:
 // whatever else happens at time t (a fault, a link's superframe boundary)
-// is a plain call between RunUntil(t) and the next advance.
+// is a plain call between RunUntil(t) and the next advance. Its shard
+// spans every link from 0, so its local link numbers are global IDs.
 type FlowSim struct {
 	Topo *Topology
 
@@ -142,7 +143,7 @@ type FlowSim struct {
 // NewFlowSim builds a simulator over the topology with each link at its
 // nominal rate and the clock at zero.
 func NewFlowSim(t *Topology) *FlowSim {
-	return &FlowSim{Topo: t, shard: newShard(t, nominalCapacity(t))}
+	return &FlowSim{Topo: t, shard: newShard(nominalCapacity(t), 0)}
 }
 
 func nominalCapacity(t *Topology) []float64 {

@@ -129,17 +129,17 @@ type flowSlot struct {
 
 func (f *flowSlot) links() []int32 { return f.path[:f.n] }
 
-// setPath stores, inline, the links of route that shardOf assigns to
-// shard s (every link when shardOf is nil). A route longer than maxPath
-// comes from a topology this engine was not sized for: fail loudly, never
-// truncate.
-func (f *flowSlot) setPath(route []int, shardOf []int, s int) {
+// setPath stores, inline, the links of route inside g's link range, as
+// g's local numbers: every link of a local flow, a proxy's share of its
+// cross flow's route. A route longer than maxPath comes from a topology
+// this engine was not sized for: fail loudly, never truncate.
+func (f *flowSlot) setPath(route []int, g *flowGraph) {
 	if len(route) > maxPath {
 		panic(fmt.Sprintf("netsim: %d-link route exceeds the flow slot's %d-link inline path", len(route), maxPath))
 	}
 	f.n = 0
 	for _, l := range route {
-		if shardOf == nil || shardOf[l] == s {
+		if l -= g.base; l >= 0 && l < len(g.capacity) {
 			f.path[f.n] = int32(l)
 			f.n++
 		}
@@ -148,9 +148,13 @@ func (f *flowSlot) setPath(route []int, shardOf []int, s int) {
 
 // flowGraph is the incremental allocation core: the flow slab, per-link
 // flow indices, a dirty-link set, and a component-restricted waterfill
-// with reusable scratch.
+// with reusable scratch. It covers one run of topology links (a FleetSim
+// pod; all of them for FlowSim) numbered locally from 0, global ID = base
+// + local: arrays, paths and the dirty set are local, and a global ID is
+// converted only where a caller names a link.
 type flowGraph struct {
-	capacity []float64 // may be shared across shards; written only at barriers
+	capacity []float64 // the range's window of a capacity vector shared across shards; written only at barriers
+	base     int       // global ID of local link 0
 	now      sim.Time
 
 	flows     slab[flowSlot]
@@ -172,10 +176,12 @@ type flowGraph struct {
 	rated      uint64 // flow-rate assignments performed
 }
 
-func newFlowGraph(t *Topology, capacity []float64) *flowGraph {
-	n := len(t.Links)
+// newFlowGraph builds the graph of links base, base+1, … with capacity.
+func newFlowGraph(capacity []float64, base int) *flowGraph {
+	n := len(capacity)
 	return &flowGraph{
 		capacity:  capacity,
+		base:      base,
 		linkFlows: make([]linkIndex, n),
 		dirtyIn:   make([]bool, n),
 		remCap:    make([]float64, n),
@@ -438,14 +444,14 @@ type shard struct {
 	records []FlowRecord
 }
 
-func newShard(t *Topology, capacity []float64) shard {
-	return shard{g: newFlowGraph(t, capacity)}
+func newShard(capacity []float64, base int) shard {
+	return shard{g: newFlowGraph(capacity, base)}
 }
 
 // admit activates a flow on its route and dirties the path.
 func (s *shard) admit(fl flow, route []int) handle {
 	slot := flowSlot{flow: fl}
-	slot.setPath(route, nil, 0)
+	slot.setPath(route, s.g)
 	s.active++
 	return s.g.addFlow(slot)
 }
@@ -462,12 +468,12 @@ func (s *shard) complete(h handle, at sim.Time) {
 	s.records = append(s.records, fl.record(at, false))
 }
 
-// crossing returns the flows indexed on a link in ascending ID order —
-// the order every reroute processes them in, so the records a link kill
-// appends never depend on slot order. The slice is a copy: the caller
-// removes flows from the index while walking it.
+// crossing returns the flows indexed on a link (a global ID) in ascending
+// ID order — the order every reroute processes them in, so the records a
+// link kill appends never depend on slot order. The slice is a copy: the
+// caller removes flows from the index while walking it.
 func (s *shard) crossing(linkID int) []handle {
-	refs := s.g.ordered(int32(linkID))
+	refs := s.g.ordered(int32(linkID - s.g.base))
 	out := make([]handle, 0, len(refs))
 	for _, ref := range refs {
 		if ref.pi >= 0 {

@@ -7,6 +7,7 @@ import (
 	"os"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"mosaic/internal/eventlog"
@@ -292,7 +293,7 @@ func TestFleetSimConservation(t *testing.T) {
 		for l := range topo.Links {
 			sh := fs.shards[fs.shardOf[l]]
 			var sum float64
-			for _, f := range sh.g.indexed(l) {
+			for _, f := range sh.g.indexed(l - sh.g.base) {
 				sum += f.rate
 			}
 			if cap := fs.capacity[l]; sum > cap*(1+1e-9)+1 {
@@ -303,4 +304,57 @@ func TestFleetSimConservation(t *testing.T) {
 	if fs.ActiveFlows() == 0 {
 		t.Fatal("no active flows at end; scenario too weak")
 	}
+}
+
+// A fleet shard's graph covers exactly its pod's links — one run of IDs,
+// pod after pod, in both topology builders — so its per-link arrays are
+// pod-sized, and its capacity window aliases the fleet's vector (a
+// barrier write is seen by the shard). Interleaved pods are refused.
+func TestShardLinkRanges(t *testing.T) {
+	fleet, err := NewFleet(5, 4, 2, 8, 100e9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fat, err := NewFatTree(6, 100e9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, topo := range []*Topology{fleet, fat} {
+		fs := NewFleetSim(topo, 1)
+		covered := 0
+		for s, sh := range fs.shards {
+			g := sh.g
+			for l := range g.capacity {
+				if got := fs.shardOf[g.base+l]; got != s {
+					t.Fatalf("shard %d's local link %d is link %d of shard %d", s, l, g.base+l, got)
+				}
+			}
+			if len(g.linkFlows) != len(g.capacity) || len(g.linkMark) != len(g.capacity) {
+				t.Fatalf("shard %d: %d index headers and %d marks for %d links",
+					s, len(g.linkFlows), len(g.linkMark), len(g.capacity))
+			}
+			covered += len(g.capacity)
+		}
+		if covered != len(topo.Links) {
+			t.Fatalf("shards cover %d of %d links", covered, len(topo.Links))
+		}
+		last := len(topo.Links) - 1
+		fs.SetLinkFraction(last, 0.5)
+		if sh := fs.shards[fs.shardOf[last]]; sh.g.capacity[last-sh.g.base] != topo.Links[last].RateBps*0.5 {
+			t.Fatal("a barrier capacity write is not seen through the shard's window")
+		}
+	}
+	// Pod 0's second link numbered after pod 1's.
+	mixed := &Topology{}
+	e0, e1 := mixed.addNode(NodeEdge, 0), mixed.addNode(NodeEdge, 1)
+	mixed.addLink(mixed.addNode(NodeHost, 0), e0, TierHostToR, 1)
+	mixed.addLink(mixed.addNode(NodeHost, 1), e1, TierHostToR, 1)
+	mixed.addLink(mixed.addNode(NodeHost, 0), e0, TierHostToR, 1)
+	mixed.index()
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "pod after pod") {
+			t.Fatalf("interleaved pods: recovered %q, want the link-order panic", msg)
+		}
+	}()
+	NewFleetSim(mixed, 1)
 }

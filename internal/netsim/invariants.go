@@ -48,7 +48,7 @@ func (fs *FleetSim) CheckInvariants() error {
 		for l, idx := range sh.g.linkFlows {
 			for _, ref := range idx.refs {
 				if ref.pi >= 0 {
-					sum[l] += sh.g.flows.v[ref.h].rate
+					sum[sh.g.base+l] += sh.g.flows.v[ref.h].rate
 				}
 			}
 		}
@@ -69,7 +69,7 @@ func (fs *FleetSim) CheckInvariants() error {
 			}
 			ok := false
 			for _, l := range f.links() {
-				if saturated(int(l)) {
+				if saturated(sh.g.base + int(l)) {
 					ok = true
 					break
 				}

@@ -82,9 +82,10 @@ type FleetSim struct {
 	epochEnd  sim.Time
 }
 
-// fleetShard is one pod's slice of the fleet: a shard over the shared
-// capacity vector (only its pod's links are ever indexed) holding the
-// pod's local flows, plus the completions of the epoch in progress.
+// fleetShard is one pod's slice of the fleet: a shard over the pod's
+// link range (its window of the shared capacity vector, so every per-link
+// array is pod-sized) holding the pod's local flows, plus the completions
+// of the epoch in progress.
 type fleetShard struct {
 	shard
 	due []completion
@@ -109,8 +110,15 @@ func NewFleetSim(t *Topology, workers int) *FleetSim {
 		pool:     par.New(workers),
 		capacity: nominalCapacity(t),
 	}
-	for range NumPods(t) {
-		fs.shards = append(fs.shards, &fleetShard{shard: newShard(t, fs.capacity)})
+	// NewFleet and NewFatTree add the pods' links pod after pod, so pod s
+	// owns the one run of IDs [lo, hi) where shardOf steps to s and past it.
+	if !slices.IsSorted(fs.shardOf) {
+		panic("netsim: the topology does not number its links pod after pod")
+	}
+	for s := range NumPods(t) {
+		lo, _ := slices.BinarySearch(fs.shardOf, s)
+		hi, _ := slices.BinarySearch(fs.shardOf, s+1)
+		fs.shards = append(fs.shards, &fleetShard{shard: newShard(fs.capacity[lo:hi:hi], lo)})
 	}
 	fs.shardTask = func(i int) { fs.phase(fs, fs.shards[i]) }
 	return fs
@@ -246,10 +254,11 @@ func (fs *FleetSim) admit(fl flow, route []int) {
 	ch := fs.cross.put(crossFlow{flow: fl, shard: [2]int{lo, hi}})
 	links := 0
 	for i, s := range [2]int{lo, hi} {
+		g := fs.shards[s].g
 		p := flowSlot{flow: fl, proxy: true, master: ch}
-		p.setPath(route, fs.shardOf, s)
+		p.setPath(route, g)
 		links += int(p.n)
-		fs.cross.v[ch].proxy[i] = fs.shards[s].g.addFlow(p)
+		fs.cross.v[ch].proxy[i] = g.addFlow(p)
 	}
 	if links != len(route) {
 		panic("netsim: route spans more than two shards")
@@ -277,7 +286,7 @@ func (fs *FleetSim) SetLinkFraction(linkID int, frac float64) {
 		return
 	}
 	sh := fs.shards[fs.shardOf[linkID]]
-	sh.g.markDirty(linkID)
+	sh.g.markDirty(linkID - sh.g.base)
 	if !dead {
 		return
 	}

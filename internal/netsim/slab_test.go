@@ -79,7 +79,8 @@ func TestCompletionStaleAfterSlotReuse(t *testing.T) {
 // never truncated.
 func TestSetPathRejectsOverlongRoute(t *testing.T) {
 	var slot flowSlot
-	slot.setPath([]int{1, 2, 3, 4, 5, 6}, nil, 0)
+	g := newFlowGraph(make([]float64, 8), 0)
+	slot.setPath([]int{1, 2, 3, 4, 5, 6}, g)
 	if got := slot.links(); !slices.Equal(got, []int32{1, 2, 3, 4, 5, 6}) {
 		t.Fatalf("six-link route stored as %v", got)
 	}
@@ -88,7 +89,7 @@ func TestSetPathRejectsOverlongRoute(t *testing.T) {
 			t.Fatalf("seven-link route: recovered %q, want the inline-path panic", msg)
 		}
 	}()
-	slot.setPath([]int{1, 2, 3, 4, 5, 6, 7}, nil, 0)
+	slot.setPath([]int{1, 2, 3, 4, 5, 6, 7}, g)
 }
 
 // Flow IDs up to the sort key's 32 bits order correctly; the first ID

@@ -3,6 +3,7 @@ package phy
 import (
 	"fmt"
 	"sort"
+	"sync"
 )
 
 // Link bring-up: before carrying traffic, a Mosaic endpoint probes every
@@ -38,14 +39,16 @@ func (s LinkState) String() string {
 	}
 }
 
-// probeScratch holds ProbeChannel's reusable buffers. Bring-up is serial
-// (one probe at a time per link), so a single set suffices.
+// probeScratch holds ProbeChannel's buffers, borrowed from probePool for
+// one probe: a link probes only during bring-up, so it keeps none.
 type probeScratch struct {
 	payload []byte
 	wire    []byte
 	rx      []byte
 	body    []byte
 }
+
+var probePool = sync.Pool{New: func() any { return new(probeScratch) }}
 
 // ProbeChannel sends `count` probe frames over one physical channel and
 // returns how many came back intact and how many errors the FEC corrected.
@@ -56,7 +59,8 @@ func (l *Link) ProbeChannel(physical, count int) (ok, corrections int) {
 		return 0, 0
 	}
 	ch := &l.channels[physical]
-	ps := &l.probe
+	ps := probePool.Get().(*probeScratch)
+	defer probePool.Put(ps)
 	if cap(ps.payload) < l.framer.PayloadLen() {
 		ps.payload = make([]byte, l.framer.PayloadLen())
 	}

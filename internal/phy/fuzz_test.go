@@ -158,21 +158,19 @@ func FuzzParseFramesNeverPanics(f *testing.F) {
 	// with the Block-based reference parser on every stream.
 	f.Add(make([]byte, 90))
 	f.Add([]byte{0x01, 1, 2, 3, 4, 5, 6, 7, 8})
-	// A real encode-stage stream (every TermLen), then the same stream
-	// with a sync header, a start type, a terminate type and an FCS byte
-	// damaged, a terminate dropped, and a ragged end.
-	var st ExchangeStats
-	link, err := New(Config{Lanes: 4, UnitLen: 27})
-	if err != nil {
-		f.Fatal(err)
-	}
-	var frames [][]byte
+	// An encode-stage stream (every TermLen: frame + FCS, then an idle,
+	// as stageEncode writes them), then the same stream with a sync
+	// header, a start type, a terminate type and an FCS byte damaged, a
+	// terminate dropped, and a ragged end.
+	var stream []byte
 	for n := 3; n <= 40; n++ {
-		frames = append(frames, SeededFrames(int64(n), 1, n)...)
-	}
-	stream, err := link.stageEncode(frames, &st)
-	if err != nil {
-		f.Fatal(err)
+		fr := SeededFrames(int64(n), 1, n)[0]
+		var err error
+		stream, err = linecode.AppendFrame(stream, binary.BigEndian.AppendUint32(fr, crc32.ChecksumIEEE(fr)))
+		if err != nil {
+			f.Fatal(err)
+		}
+		stream = linecode.AppendIdle(stream)
 	}
 	f.Add(append([]byte(nil), stream...))
 	for _, hit := range []int{0, 1, 9 * 4, 9*7 + 1, 9*11 + 3, 9 * 20} {

@@ -72,17 +72,13 @@ type Link struct {
 	monitor  *Monitor
 	channels []BSC // indexed by physical channel; one contiguous slab
 
-	// Reusable pipeline state: the scrambler pair is Reset to the spec
-	// seed on every Exchange, and scratch holds the stage buffers.
+	// The scrambler pair is Reset to the spec seed on every Exchange. The
+	// stage buffers are not link state: each exchange borrows them.
 	scrambler   *linecode.Scrambler
 	descrambler *linecode.Descrambler
-	scratch     linkScratch
-	probe       probeScratch
 
 	// The per-lane stage fans out on pool (nil when Workers == 1: inline).
-	// laneFn is stageLaneIdx bound once, so Run stays off the heap.
-	pool   *par.Pool
-	laneFn func(lane int)
+	pool *par.Pool
 
 	superframes uint64 // completed Exchange rounds
 }
@@ -121,7 +117,6 @@ func New(cfg Config) (*Link, error) {
 	if cfg.Workers != 1 {
 		l.pool = par.New(cfg.Workers)
 	}
-	l.laneFn = l.stageLaneIdx
 	return l, nil
 }
 
@@ -276,8 +271,9 @@ type ExchangeBuf struct {
 // Frames must be at least 3 bytes (they gain a 4-byte FCS and must fill
 // the 7-byte start block).
 //
-// The pipeline is staged (see pipeline.go); all buffers are reused across
-// calls and the per-lane stage is one allocation-free par.Pool.Run, so the
+// The pipeline is staged (see pipeline.go); its buffers are a scratch
+// borrowed for the call and the per-lane stage is one allocation-free
+// par.Pool.Run, so the
 // steady state allocates only the returned frames and stats map. Callers
 // that consume the delivered frames before their next call should use
 // ExchangeInto, which recycles those too and allocates nothing at all.
@@ -325,16 +321,18 @@ func (l *Link) ExchangeInto(buf *ExchangeBuf, frames [][]byte) ([][]byte, Exchan
 }
 
 // exchange is the shared pipeline core: emit receives each delivered
-// frame as a slice into reused scratch, valid only for the duration of
-// the callback.
+// frame as a slice into the borrowed scratch, valid only for the duration
+// of the callback.
 func (l *Link) exchange(frames [][]byte, st *ExchangeStats, emit func(frame []byte)) error {
 	st.FramesIn = len(frames)
 	// Launch the lane helpers now: an idle CPU picks them up while the
 	// serial encode and scramble run, not at the start of the lane round.
 	l.pool.Wake()
+	sc := scratchPool.Get().(*linkScratch)
+	defer scratchPool.Put(sc)
 
 	// --- TX: frames -> blocks -> byte stream ---
-	stream, err := l.stageEncode(frames, st)
+	stream, err := l.stageEncode(sc, frames, st)
 	if err != nil {
 		return err
 	}
@@ -352,14 +350,13 @@ func (l *Link) exchange(frames [][]byte, st *ExchangeStats, emit func(frame []by
 	totalUnits := len(stream) / l.cfg.UnitLen
 	st.UnitsTotal = totalUnits
 	maxUnits := laneUnits(totalUnits, lanes, 0)
-	states := l.scratch.prepareLanes(lanes,
+	states := sc.prepareLanes(lanes,
 		maxUnits*l.framer.WireLen(), maxUnits, l.framer.bodyLen)
-	rxStream := l.scratch.rxStreamBuf(len(stream))
-	sc := &l.scratch
-	sc.curLanes, sc.curUnits = lanes, totalUnits
+	rxStream := sc.rxStreamBuf(len(stream))
+	sc.link, sc.curLanes, sc.curUnits = l, lanes, totalUnits
 	sc.curTx, sc.curRx = stream, rxStream
-	l.pool.Run(lanes, l.laneFn)
-	sc.curTx, sc.curRx = nil, nil
+	l.pool.Run(lanes, sc.laneFn)
+	sc.link, sc.curTx, sc.curRx = nil, nil, nil
 
 	// --- Destripe: fold lane results serially, in lane order ---
 	l.stageFold(states, st)
@@ -367,7 +364,7 @@ func (l *Link) exchange(frames [][]byte, st *ExchangeStats, emit func(frame []by
 	// --- Descramble & parse blocks back into frames ---
 	l.descrambler.Reset(scramblerSeed)
 	l.descrambler.Descramble(rxStream)
-	parseFrames(rxStream, st, &l.scratch.parse, emit)
+	parseFrames(rxStream, st, &sc.parse, emit)
 	st.FramesLost = st.FramesIn - st.FramesDelivered - st.FramesCorrupted
 	if st.FramesLost < 0 {
 		st.FramesLost = 0

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"slices"
+	"sync"
 
 	"mosaic/internal/coding/linecode"
 )
@@ -14,9 +15,10 @@ import (
 //	frame → encode (64b/66b serial stream) → scramble → stripe →
 //	per-lane transmit/decode → destripe → descramble → parse
 //
-// The serial stages run on the caller's goroutine and reuse buffers held
-// in linkScratch; the per-lane stage fans out over the link's par.Pool
-// (Config.Workers), each lane working exclusively on its own laneState.
+// The serial stages run on the caller's goroutine on buffers held in a
+// linkScratch borrowed for the exchange; the per-lane stage fans out over
+// the link's par.Pool (Config.Workers), each lane working exclusively on
+// its own laneState of that scratch.
 // Striping allocates nothing: the padded TX stream is already a whole
 // number of units, so unit (seq, lane) is the byte view
 // stream[(seq*lanes+lane)*unitLen:], and on the receive side the lanes
@@ -29,11 +31,12 @@ import (
 // numbers carried in channel frames, so per-channel skew cannot reorder
 // data.
 
-// laneState is one lane's persistent working set. A lane is touched by
-// exactly one pool worker per Exchange, so no locking is needed; buffers
-// grow to the high-water mark and are reused on every subsequent call.
-// States are held by pointer so the emit closure below can capture its
-// laneState once, at construction, and survive lane-count growth.
+// laneState is one lane's working set. A lane is touched by exactly one
+// pool worker per Exchange, so no locking is needed; buffers grow to the
+// high-water mark and are reused by every exchange that borrows the
+// scratch. States are held by pointer so the emit closure below can
+// capture its laneState once, at construction, and survive lane-count
+// growth.
 type laneState struct {
 	wire []byte // encoded channel frames (TX side)
 	rx   []byte // received bytes (skew prefix + noise applied)
@@ -71,7 +74,11 @@ func (ls *laneState) init() {
 	}
 }
 
-// linkScratch holds the reusable buffers of the serial stages.
+// linkScratch holds the buffers of one exchange, which borrows it from
+// scratchPool and hands it back on every exit: links hold as many as
+// they run exchanges at once, not one each. An exchange rewrites all it
+// reads (streams from empty, the reassembly buffer zeroed, every lane
+// reset by stageLane), so no output depends on which scratch was lent.
 type linkScratch struct {
 	fcs      []byte // frame + FCS staging
 	stream   []byte // TX serial stream, scrambled in place
@@ -79,14 +86,23 @@ type linkScratch struct {
 	parse    []byte // frame-in-progress buffer for the parse stage
 	lanes    []*laneState
 
-	// Arguments of the in-flight per-lane stage, read by the pool task
-	// function (see Link.stageLaneIdx): striping geometry plus
-	// the TX and RX streams.
+	// The per-lane stage in flight, read by laneFn (stageLaneIdx bound
+	// once per scratch, so Run stays off the heap): the link, the striping
+	// geometry, and the TX and RX streams.
+	link     *Link
 	curLanes int
 	curUnits int
 	curTx    []byte
 	curRx    []byte
+	laneFn   func(lane int)
 }
+
+// scratchPool lends exchange scratches, as RSFEC's pool lends symbol scratch.
+var scratchPool = sync.Pool{New: func() any {
+	sc := new(linkScratch)
+	sc.laneFn = sc.stageLaneIdx
+	return sc
+}}
 
 // rxSkewSlack is the extra capacity carved per lane for the RX buffer so
 // modest channel skew (a random prefix of junk bytes) doesn't force the
@@ -176,8 +192,7 @@ func (sc *linkScratch) rxStreamBuf(n int) []byte {
 // written as bytes: per-frame FCS, each frame's 64b/66b blocks, an
 // inter-frame idle, and idle padding to a whole number of stripe units so
 // the gearbox never has to invent fill bytes after scrambling.
-func (l *Link) stageEncode(frames [][]byte, st *ExchangeStats) ([]byte, error) {
-	sc := &l.scratch
+func (l *Link) stageEncode(sc *linkScratch, frames [][]byte, st *ExchangeStats) ([]byte, error) {
 	// Size the stream up front (start + data + term + idle per frame, plus
 	// worst-case unit padding) so the encode loop never regrows it.
 	need := l.cfg.UnitLen
@@ -218,12 +233,11 @@ func LaneUnits(totalUnits, lanes, lane int) int {
 }
 
 // stageLaneIdx is the task function the link hands its pool (bound once
-// at construction as Link.laneFn): it reads the in-flight Exchange's
-// striping arguments from linkScratch, so no per-call closure exists on
-// the hot path.
-func (l *Link) stageLaneIdx(lane int) {
-	sc := &l.scratch
-	l.stageLane(lane, sc.curLanes, sc.curUnits, sc.curTx, sc.curRx, sc.lanes[lane])
+// per scratch as linkScratch.laneFn): it reads the in-flight Exchange's
+// link and striping arguments from the scratch, so no per-call closure
+// exists on the hot path.
+func (sc *linkScratch) stageLaneIdx(lane int) {
+	sc.link.stageLane(lane, sc.curLanes, sc.curUnits, sc.curTx, sc.curRx, sc.lanes[lane])
 }
 
 // stageLane runs one lane end to end: frame each of its units, push the
