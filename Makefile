@@ -88,7 +88,9 @@ staticcheck:
 # probeScratch field (an exchange or probe borrows one for the call) and
 # mac.Pair no ExchangeBuf field (a Tick borrows its arena), and
 # newFlowGraph sizes its per-link arrays to its own link range, never to
-# the topology (no len(t.Links), no Topology argument).
+# the topology (no len(t.Links), no Topology argument). FleetSim.Step
+# walks the cross-key list it keeps across epochs and never rebuilds it
+# from the slab (no range fs.cross.v in Step).
 SUBSTRATE_SRC = find internal cmd examples -name '*.go' ! -name '*_test.go'
 SUPERVISOR = internal/faultinject/supervisor.go
 MIRROR = internal/telemetry/mirror.go
@@ -124,15 +126,16 @@ substrate:
 		$(SUBSTRATE_SRC) -path 'internal/phy/*' -exec awk '/^type Link struct/,/^}/ { if (/linkScratch|probeScratch/) print FILENAME ":" FNR ": " $$0 }' {} + ; \
 		$(SUBSTRATE_SRC) -path 'internal/mac/*' -exec awk '/^type Pair struct/,/^}/ { if (/ExchangeBuf/) print FILENAME ":" FNR ": " $$0 }' {} + ; \
 		$(SUBSTRATE_SRC) -path 'internal/netsim/*' -exec awk '/^func newFlowGraph\(/,/^}/ { if (/len\(t\.Links\)|Topology/) print FILENAME ":" FNR ": " $$0 }' {} + ; \
+		$(SUBSTRATE_SRC) -path 'internal/netsim/*' -exec awk '/^func \(fs \*FleetSim\) Step\(/,/^}/ { if (/range fs\.cross\.v/) print FILENAME ":" FNR ": " $$0 }' {} + ; \
 		$(SUBSTRATE_SRC) ! -path 'internal/par/*' -exec grep -nE 'runtime\.Gosched|for [^{]*\.(Load|CompareAndSwap)\(' {} + ; \
 		for pat in 'SetTransitionHook(func' '"sf=%d remap %v"'; do \
 			[ "$$(grep -cF "$$pat" $(SUPERVISOR))" -eq 1 ] || echo "$(SUPERVISOR): want exactly one $$pat"; \
 		done; } ); \
 	if [ -n "$$bad" ]; then \
-		echo "substrate: FAIL — use internal/par for fan-out, internal/eventlog for log digests, faultinject.Supervisor for the superframe boundary, a plain Bridge.Sync after its sparing step for renegotiation, a step loop with the caller holding the clock (no scheduler: FlowSim.RunUntil, Session.Step, FleetSim.Step) to drive anything, a telemetry.Row table beside the stats struct (internal/mac for MAC series, internal/fleetd for fleet series; telemetry.Mirror does the delta) for metrics, Bridge.Fraction() to hand capacity to a flow simulator, slab handles, integer sort keys (not flow pointers), ID-ordered link indices (no per-flush sort) and finish times read off the slab (no heap, queue or version counter) in internal/netsim, linecode.AppendFrame/AppendIdle/Classify on the byte stream (no linecode.Block staging, no extract-then-decode fork) in internal/phy, sliced tables (no per-position contrib rows) in internal/coding/rs, internal/par for any wait on another goroutine (no Gosched or atomic spin loop elsewhere), and buffers borrowed for the call (no scratch field on phy.Link, no ExchangeBuf on mac.Pair) with flow graphs sized to their own link range (no len(t.Links) in newFlowGraph):"; \
+		echo "substrate: FAIL — use internal/par for fan-out, internal/eventlog for log digests, faultinject.Supervisor for the superframe boundary, a plain Bridge.Sync after its sparing step for renegotiation, a step loop with the caller holding the clock (no scheduler: FlowSim.RunUntil, Session.Step, FleetSim.Step) to drive anything, a telemetry.Row table beside the stats struct (internal/mac for MAC series, internal/fleetd for fleet series; telemetry.Mirror does the delta) for metrics, Bridge.Fraction() to hand capacity to a flow simulator, slab handles, integer sort keys (not flow pointers), ID-ordered link indices (no per-flush sort) and finish times read off the slab (no heap, queue or version counter) in internal/netsim, linecode.AppendFrame/AppendIdle/Classify on the byte stream (no linecode.Block staging, no extract-then-decode fork) in internal/phy, sliced tables (no per-position contrib rows) in internal/coding/rs, internal/par for any wait on another goroutine (no Gosched or atomic spin loop elsewhere), and buffers borrowed for the call (no scratch field on phy.Link, no ExchangeBuf on mac.Pair) with flow graphs sized to their own link range (no len(t.Links) in newFlowGraph), and a cross-key list kept across epochs (no range fs.cross.v key rebuild in FleetSim.Step):"; \
 		echo "$$bad"; exit 1; \
 	fi; \
-	echo "substrate: OK — goroutines only in internal/par, sha256 only in internal/eventlog, sparing/hook/remap line only in the link supervisor, nothing scheduled (no sim.Engine, no Schedule/After call, no batch mode), one stats mirror (no hand-written delta sync, no MAC or fleet collector in telemetry), capacity leaves a bridge through Fraction() only, netsim flows pointer-free, no flush sorts and no completion queue (no heap, no version counter in netsim), a link exchange stages no Blocks and forks no decode path, RS encode tables are sliced, Gosched and spin-waits only in internal/par, a link and a pair hold no per-call scratch, flow graphs are pod-sized"
+	echo "substrate: OK — goroutines only in internal/par, sha256 only in internal/eventlog, sparing/hook/remap line only in the link supervisor, nothing scheduled (no sim.Engine, no Schedule/After call, no batch mode), one stats mirror (no hand-written delta sync, no MAC or fleet collector in telemetry), capacity leaves a bridge through Fraction() only, netsim flows pointer-free, no flush sorts and no completion queue (no heap, no version counter in netsim), a link exchange stages no Blocks and forks no decode path, RS encode tables are sliced, Gosched and spin-waits only in internal/par, a link and a pair hold no per-call scratch, flow graphs are pod-sized, phase B walks a kept cross-key list"
 
 build:
 	$(GO) build ./...
@@ -151,7 +154,10 @@ race:
 # the 50-iteration concurrent-admission invariance run), and the
 # scenario-library goldens: every registered scenario experiment
 # (E26/E27) renders a byte-identical table at 1 worker vs GOMAXPROCS,
-# and 50 shuffles of a spec's component arrays keep the event-log sha.
+# 50 shuffles of a spec's component arrays keep the event-log sha, and a
+# spec of every workload and environment kind keeps its log, windows and
+# fault counts at 1/2/3/8 workers (its epoch round draws the next epoch's
+# arrivals beside the barrier).
 # The soak and MAC-session golden shas (both harnesses cross every
 # superframe through the link supervisor) run at 1/2/3/4/NumCPU/all
 # PHY workers.
@@ -162,7 +168,7 @@ determinism:
 	$(GO) test -run 'TestFleetSimWorkerInvariance' -count=1 ./internal/netsim/
 	$(GO) test -run 'TestE24DeterministicAcrossWorkers|TestScenarioTablesDeterministicAcrossWorkers' -count=1 ./internal/experiments/
 	$(GO) test -run 'TestFleetdDeterministicAcrossWorkers|TestConcurrentAdmissionDeterministic' -count=1 ./internal/fleetd/
-	$(GO) test -run 'TestCompositionOrderInvariant50Iterations' -count=1 ./internal/scenario/
+	$(GO) test -run 'TestCompositionOrderInvariant50Iterations|TestRunDeterministicAcrossWorkers' -count=1 ./internal/scenario/
 
 # Not part of check: the time-and-allocation benchmarks. E10 exercises
 # the whole pipeline (7 reach points, construction + exchange); the
@@ -171,6 +177,8 @@ determinism:
 # exchange's shape (PoolRoundWoken) are pinned allocation-free; E12Degradation gates FlowSim's event loop (five
 # 3,000-flow fat-tree runs); FleetSimEpochSteady pins the flow engine's epoch at a
 # constant population (its allocs/op must not scale with the flows held);
+# ScenarioStorm prices 100 epochs of the repo benchmark's storm spec
+# through the scenario engine (epoch rounds plus FleetSim steps);
 # FleetdAdmit pins the cost of admitting one link into
 # a live fleet and stepping it through an epoch. Every benchmark runs -count=$(BENCH_COUNT) and
 # benchguard folds the repeats min-of-N (min ns/op and B/op, max allocs/op)
@@ -187,6 +195,7 @@ bench:
 		-benchmem -benchtime 1000x -count=$(BENCH_COUNT) -run '^$$' . && \
 	$(GO) test -bench 'BenchmarkE12Degradation$$|BenchmarkE24FleetFlows$$' -benchmem -benchtime 1x -count=$(BENCH_COUNT) -run '^$$' -timeout 30m . && \
 	$(GO) test -bench 'BenchmarkFleetSimEpochSteady$$' -benchmem -benchtime 200x -count=$(BENCH_COUNT) -run '^$$' . && \
+	$(GO) test -bench 'BenchmarkScenarioStorm$$' -benchmem -benchtime 10x -count=$(BENCH_COUNT) -run '^$$' . && \
 	$(GO) test -bench 'BenchmarkFleetdAdmit$$' -benchmem -benchtime 500x -count=$(BENCH_COUNT) -run '^$$' .
 
 # CI bench-regression gate: run the baselined benchmarks, keep the raw

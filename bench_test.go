@@ -27,6 +27,7 @@ import (
 	"mosaic/internal/phy"
 	"mosaic/internal/power"
 	"mosaic/internal/reliability"
+	"mosaic/internal/scenario"
 )
 
 // logTable renders a table into the bench log (visible with -v).
@@ -576,6 +577,44 @@ func BenchmarkFleetSimEpochSteady(b *testing.B) {
 	if done := int(doneAfter - doneBefore); done < 500*b.N || fs.ActiveFlows() > base+512 {
 		b.Fatalf("not steady: %d completions in %d epochs, population %d -> %d", done, b.N, base, fs.ActiveFlows())
 	}
+}
+
+// BenchmarkScenarioStorm prices one scenario run through the scenario
+// engine: the repo benchmark's storm shape (12 pods, 960 hosts; diurnal,
+// allreduce and storage traffic under radiation SEUs and bursts and
+// thermal cycling) for 100 epochs, so each op is 100 epoch rounds — the
+// environments and arrivals at the barrier beside the next epoch's draw —
+// and 100 FleetSim steps. The spec restates benchmark/workloads/storm.json
+// because benchmark/ is a main package and cannot be imported. Pinned in
+// ci/bench_baseline.json via make bench-check.
+func BenchmarkScenarioStorm(b *testing.B) {
+	spec := scenario.Spec{
+		Name: "storm", Seed: 1, Epochs: 100,
+		Topology: scenario.TopoSpec{Pods: 12, Leaves: 10, Spines: 6, HostsPerLeaf: 8, LinkRateBps: 100e9},
+		Workloads: []scenario.Component{
+			{Kind: scenario.KindDiurnal, PeakLoad: 0.6, MeanBits: 3e9},
+			{Kind: scenario.KindAllReduce, Groups: 8, GroupSize: 16, RoundsPerEpoch: 1, FlowBits: 2e9},
+			{Kind: scenario.KindStorage, WritesPerEpoch: 32, Fanout: 3, FlowBits: 4e9},
+		},
+		Environments: []scenario.Component{
+			{
+				Kind:    scenario.KindRadiation,
+				SEURate: 0.05, SEUFraction: 0.35,
+				BurstRate: 0.25, BurstSpan: 8, BurstEpochs: 3, BurstFraction: 0.5,
+			},
+			{Kind: scenario.KindThermal, BaseK: 300, SwingK: 60, PeriodEpochs: 40, MarginDB: 3},
+		},
+	}
+	b.ReportAllocs()
+	var flows int
+	for i := 0; i < b.N; i++ {
+		res, err := scenario.Run(spec, scenario.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		flows = res.Flows
+	}
+	b.ReportMetric(float64(flows), "flows")
 }
 
 // BenchmarkFleetdAdmit prices one fleet admission end to end: the

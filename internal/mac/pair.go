@@ -2,7 +2,6 @@ package mac
 
 import (
 	"fmt"
-	"maps"
 	"sync"
 
 	"mosaic/internal/phy"
@@ -41,11 +40,10 @@ type Pair struct {
 	chunksF     [][]byte
 	chunksR     [][]byte
 
-	// FwdStats/RevStats hold the PHY ExchangeStats of the latest Tick;
-	// their PerChannel maps (perF, perR: copies out of the borrowed arena)
-	// are recycled by the next one.
+	// FwdStats/RevStats hold the PHY ExchangeStats of the latest Tick,
+	// with PerChannel nil: the per-channel map lives in the borrowed arena
+	// and is gone when the Tick returns.
 	FwdStats, RevStats phy.ExchangeStats
-	perF, perR         map[int]phy.DecodeStats
 }
 
 // tickBufs lends a Tick its delivered-frame arena.
@@ -113,7 +111,8 @@ func (p *Pair) Tick() error {
 	if err != nil {
 		return fmt.Errorf("mac: forward exchange: %w", err)
 	}
-	p.FwdStats = keepStats(&p.perF, st)
+	p.FwdStats = st
+	p.FwdStats.PerChannel = nil
 	p.B.Accept(delivered)
 
 	p.chunksR = chunk(p.B.BuildSuperframe(), p.phyFrameLen, p.chunksR)
@@ -121,19 +120,8 @@ func (p *Pair) Tick() error {
 	if err != nil {
 		return fmt.Errorf("mac: reverse exchange: %w", err)
 	}
-	p.RevStats = keepStats(&p.perR, st)
+	p.RevStats = st
+	p.RevStats.PerChannel = nil
 	p.A.Accept(delivered)
 	return nil
-}
-
-// keepStats returns st with its per-channel map copied into *keep, so
-// the stats outlive the borrowed arena until the next Tick.
-func keepStats(keep *map[int]phy.DecodeStats, st phy.ExchangeStats) phy.ExchangeStats {
-	if *keep == nil {
-		*keep = make(map[int]phy.DecodeStats, len(st.PerChannel))
-	}
-	clear(*keep)
-	maps.Copy(*keep, st.PerChannel)
-	st.PerChannel = *keep
-	return st
 }

@@ -11,8 +11,8 @@ import "fmt"
 
 // SetResolvedHook installs fn to run inside every Step, at the one
 // sequential point where the epoch's rates are fully resolved: after
-// phase C's corrective waterfill, before cross completions retire
-// proxies and the shards complete their due flows. At that instant every dirty
+// phase C's corrective waterfill, before cross completions resolve and
+// the shards unindex their proxies and complete their due flows. At that instant every dirty
 // component has been re-filled, so conservation and per-shard max-min
 // hold exactly — the natural place to call CheckInvariants. nil removes
 // the hook.
@@ -31,9 +31,12 @@ func (fs *FleetSim) SetResolvedHook(fn func()) { fs.onResolved = fn }
 //     leaves the non-binding shard's links unsaturated (the documented
 //     bounded-staleness of the fleet model).
 //
+// It also checks the cross-key list phase B walks: exactly the live
+// cross flows, each once, in ascending ID.
+//
 // Tolerances match the package's conservation test: 1e-9 relative plus
 // 1 bps absolute, so float accumulation over a fleet cannot produce a
-// spurious failure. It returns nil when both properties hold.
+// spurious failure. It returns nil when all of these hold.
 //
 // Call it from a SetResolvedHook: between barriers (after Step returns)
 // completed flows have already freed capacity without a re-fill, so the
@@ -77,6 +80,18 @@ func (fs *FleetSim) CheckInvariants() error {
 			if !ok {
 				return fmt.Errorf("netsim: flow %d (rate %.6g) has no saturated link on its path — allocation is not max-min", f.ID, f.rate)
 			}
+		}
+	}
+	if len(fs.crossKeys) != fs.cross.live() {
+		return fmt.Errorf("netsim: %d cross keys for %d live cross flows", len(fs.crossKeys), fs.cross.live())
+	}
+	for i, k := range fs.crossKeys {
+		h, id := handle(k), int(k>>32)
+		if !fs.cross.used[h] || fs.cross.v[h].ID != id {
+			return fmt.Errorf("netsim: cross key %d names flow %d in slot %d, which does not hold it", i, id, h)
+		}
+		if i > 0 && id <= int(fs.crossKeys[i-1]>>32) {
+			return fmt.Errorf("netsim: cross key %d (flow %d) does not ascend past flow %d", i, id, fs.crossKeys[i-1]>>32)
 		}
 	}
 	return nil

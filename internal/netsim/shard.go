@@ -23,15 +23,18 @@ import (
 //	                        unpinned and their resulting rate is the
 //	                        shard's offer for that flow
 //	phase B (sequential)  — each cross flow's rate = min of its shard
-//	                        offers; proxies are pinned at that rate and
-//	                        shards whose allocation changed are re-dirtied
+//	                        offers, walked in ID order off a key list kept
+//	                        across epochs; proxies are pinned at that rate
+//	                        and shards whose allocation changed are
+//	                        re-dirtied
 //	phase C (parallel)    — affected components re-waterfill with the
 //	                        pinned proxies as fixed demand, returning the
 //	                        slack to local flows
-//	epoch run (parallel)  — each shard scans its slab for the flows that
-//	                        finish by the epoch end at the frozen rates
-//	                        and completes them in (time, ID) order; cross
-//	                        completions were resolved at the barrier
+//	epoch run (parallel)  — each shard unindexes the proxies of the cross
+//	                        flows that completed at the barrier, then scans
+//	                        its slab for the flows that finish by the epoch
+//	                        end at the frozen rates and completes them in
+//	                        (time, ID) order
 //
 // Every sequential step iterates in ascending flow-ID / link-ID / shard
 // order and every parallel step is shard-pure (a cross flow's two
@@ -53,11 +56,18 @@ type FleetSim struct {
 	capacity []float64 // shared; written only at barriers
 	nextID   int
 
-	shards    []*fleetShard
-	cross     slab[crossFlow]
-	crossKeys []uint64 // Step scratch: the live cross flows as flowKeys, ascending ID
+	shards []*fleetShard
+	cross  slab[crossFlow]
+	// The cross flows as flowKeys, kept across epochs: admission appends,
+	// and phase B drops the keys of retired flows and, when a reroute
+	// re-admitted an ID <= crossMax (the largest appended), sorts and
+	// dedups before walking them in ascending ID.
+	crossKeys   []uint64
+	crossMax    int
+	crossRepair bool
 
 	records  []FlowRecord // stalls + cross completions (shard records merged on demand)
+	sorted   int          // records[:sorted] is in (End, ID) order: each barrier sorts its own segment
 	log      eventlog.Log // one line per epoch, capped at eventlog.DefaultMax
 	perShard []byte       // Step scratch: the log line's per_shard list
 
@@ -85,10 +95,12 @@ type FleetSim struct {
 // fleetShard is one pod's slice of the fleet: a shard over the pod's
 // link range (its window of the shared capacity vector, so every per-link
 // array is pod-sized) holding the pod's local flows, plus the completions
-// of the epoch in progress.
+// of the epoch in progress and the proxies of the cross flows that
+// completed at its barrier, in cross-ID order, still to be unindexed.
 type fleetShard struct {
 	shard
-	due []completion
+	due  []completion
+	gone []handle
 }
 
 // crossFlow is the fleet-level master record of a two-shard flow, a
@@ -109,6 +121,7 @@ func NewFleetSim(t *Topology, workers int) *FleetSim {
 		shardOf:  LinkShards(t),
 		pool:     par.New(workers),
 		capacity: nominalCapacity(t),
+		crossMax: -1,
 	}
 	// NewFleet and NewFatTree add the pods' links pod after pod, so pod s
 	// owns the one run of IDs [lo, hi) where shardOf steps to s and past it.
@@ -182,7 +195,7 @@ func (fs *FleetSim) FlowTotals() (completed, stalled uint64) {
 // caller that steps one FleetSim for as long as it lives and only counts
 // outcomes (mosaicfleetd) drops every epoch and so retains nothing.
 func (fs *FleetSim) DropRecords() {
-	fs.records = fs.records[:0]
+	fs.records, fs.sorted = fs.records[:0], 0
 	for _, s := range fs.shards {
 		s.records = s.records[:0]
 	}
@@ -192,9 +205,10 @@ func compareRecords(a, b FlowRecord) int { return cmp.Or(cmp.Compare(a.End, b.En
 
 // mergeRecords k-way merges the lists into one pre-sized (End, ID)-ordered
 // list. A shard's list arrives ordered (each epoch completes in (time, ID)
-// order and epochs ascend), so local completions — nine records in ten —
-// are never sorted again; the fleet list (stalls, cross completions) is in
-// flow-ID order, and any list found out of order is sorted in place first.
+// order and epochs ascend), and so does the fleet list (stalls, cross
+// completions: each barrier sorts its own segment), so no record is sorted
+// again; a list still found out of order — stalls from a kill after the
+// last Step, or a tie at a barrier instant — is sorted in place first.
 // The minimum is a scan over the list heads, measured at the 12 pods of a
 // fleet day; past ~18 lists a full sort compares less (DESIGN.md).
 func mergeRecords(lists [][]FlowRecord) []FlowRecord {
@@ -252,6 +266,12 @@ func (fs *FleetSim) admit(fl flow, route []int) {
 	}
 
 	ch := fs.cross.put(crossFlow{flow: fl, shard: [2]int{lo, hi}})
+	if fl.ID <= fs.crossMax {
+		fs.crossRepair = true // a reroute: out of order, or beside its own stale key
+	} else {
+		fs.crossMax = fl.ID
+	}
+	fs.crossKeys = append(fs.crossKeys, flowKey(fl.ID, ch))
 	links := 0
 	for i, s := range [2]int{lo, hi} {
 		g := fs.shards[s].g
@@ -325,14 +345,21 @@ func (fs *FleetSim) Step(epochLen sim.Time) {
 		sh.g.flush(true)
 	})
 
-	// Phase B: pin every cross flow at the min of its shards' offers.
-	fs.crossKeys = fs.crossKeys[:0]
-	for ch := range fs.cross.v {
-		if fs.cross.used[ch] {
-			fs.crossKeys = append(fs.crossKeys, flowKey(fs.cross.v[ch].ID, handle(ch)))
+	// Phase B: pin every cross flow at the min of its shards' offers. A
+	// key is live while its slot holds its flow; a retired slot is free or
+	// holds a younger ID.
+	live := fs.crossKeys[:0]
+	for _, k := range fs.crossKeys {
+		if h := handle(k); fs.cross.used[h] && fs.cross.v[h].ID == int(k>>32) {
+			live = append(live, k)
 		}
 	}
-	slices.Sort(fs.crossKeys)
+	fs.crossKeys = live
+	if fs.crossRepair {
+		slices.Sort(fs.crossKeys)
+		fs.crossKeys = slices.Compact(fs.crossKeys)
+		fs.crossRepair = false
+	}
 	for _, k := range fs.crossKeys {
 		cf := &fs.cross.v[handle(k)]
 		g := [2]*flowGraph{fs.shards[cf.shard[0]].g, fs.shards[cf.shard[1]].g}
@@ -359,8 +386,9 @@ func (fs *FleetSim) Step(epochLen sim.Time) {
 	}
 
 	// Cross completions resolve at the barrier: a cross flow finishing
-	// inside this epoch is recorded at its exact finish time and its
-	// proxies leave their shards (capacity returns at the next barrier).
+	// inside this epoch is recorded at its exact finish time and frees its
+	// slot; its proxies leave their shards at the start of the epoch run
+	// (capacity returns at the next barrier).
 	crossDone := 0
 	for _, k := range fs.crossKeys {
 		cf := &fs.cross.v[handle(k)]
@@ -370,17 +398,31 @@ func (fs *FleetSim) Step(epochLen sim.Time) {
 		at := fs.now + sim.Time(cf.remaining/cf.rate)
 		if at <= epochEnd {
 			fs.records = append(fs.records, cf.record(at, false))
-			fs.retire(handle(k))
+			for i, h := range cf.proxy {
+				sh := fs.shards[cf.shard[i]]
+				sh.gone = append(sh.gone, h)
+			}
+			fs.cross.drop(handle(k))
 			crossDone++
 			continue
 		}
 		cf.remaining -= cf.rate * float64(epochLen)
 	}
+	// This barrier's stalls and cross completions, in (End, ID) order, so
+	// Records merges lists that are already ordered.
+	slices.SortFunc(fs.records[fs.sorted:], compareRecords)
+	fs.sorted = len(fs.records)
 
-	// Epoch run: rates are frozen until the next barrier, so one scan of
-	// the finish times on the slab finds the flows due by the epoch end,
-	// and only those are sorted, by (time, ID).
+	// Epoch run: the barrier's completed proxies leave in the order the
+	// barrier retired them, so slot reuse is as if it had removed them.
+	// Rates are frozen until the next barrier, so one scan of the finish
+	// times on the slab finds the flows due by the epoch end, and only
+	// those are sorted, by (time, ID).
 	fs.runShards(func(fs *FleetSim, sh *fleetShard) {
+		for _, h := range sh.gone {
+			sh.g.removeFlow(h)
+		}
+		sh.gone = sh.gone[:0]
 		sh.due = sh.due[:0]
 		for h := range sh.g.flows.v {
 			if c, ok := sh.g.completion(handle(h)); ok && c.at <= fs.epochEnd {

@@ -3,15 +3,18 @@ package scenario
 import (
 	"fmt"
 	"math"
+	"runtime"
 
 	"mosaic/internal/eventlog"
 	"mosaic/internal/netsim"
+	"mosaic/internal/par"
 )
 
 // Options tunes one scenario run.
 type Options struct {
-	// Workers is the fleet engine's parallelism (<=0 = GOMAXPROCS,
-	// 1 = sequential). The event log is byte-identical at any value.
+	// Workers is the parallelism of the fleet engine and of each epoch's
+	// two-task barrier round (<=0 = GOMAXPROCS, 1 = sequential). The event
+	// log is byte-identical at any value.
 	Workers int
 	// CheckInvariants asserts netsim flow conservation and max-min at
 	// every epoch's resolved point; a violation fails the run.
@@ -60,11 +63,14 @@ type Result struct {
 
 // Run executes a validated spec over a fresh fleet: each epoch the
 // environments fold their capacity fractions into a per-link
-// multiplier vector (published through SetLinkFraction), the workloads
-// inject their flows in canonical component order, and the sharded
-// engine steps one epoch. Determinism contract: everything outside
-// fs.Step is sequential, every RNG stream is content-seeded, so the
-// event log is byte-identical at any worker count.
+// multiplier vector (published through SetLinkFraction), the workloads'
+// arrivals are injected in canonical component order, and the sharded
+// engine steps one epoch. An epoch's barrier is one two-task pool round:
+// task 0 applies the environments and injects the batch drawn the epoch
+// before, task 1 draws the next epoch's batch. Determinism contract: the
+// barrier task and fs.Step are each sequential, and every RNG stream is
+// content-seeded and read by one task only (workload draws never read the
+// engine), so the event log is byte-identical at any worker count.
 func Run(spec Spec, opts Options) (*Result, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -129,13 +135,31 @@ func Run(spec Spec, opts Options) (*Result, error) {
 		win = WindowStat{Start: endEpoch}
 	}
 
+	draw := func(e int, out []arrival) []arrival {
+		out = out[:0]
+		for _, w := range workloads {
+			out = w.draw(e, len(hosts), out)
+		}
+		return out
+	}
 	mult := make([]float64, len(topo.Links))
 	eventCounts := make([]int, len(envs))
-	for e := 0; e < spec.Epochs; e++ {
+	// round is epoch e's pool round: task 0 is the barrier (environments,
+	// capacity writes, then the batch drawn last epoch), task 1 draws the
+	// next epoch's batch into the other buffer.
+	var e, flows, unroutable, envEvents int
+	batch, next := draw(0, nil), []arrival(nil)
+	round := func(task int) {
+		if task == 1 {
+			if e+1 < spec.Epochs {
+				next = draw(e+1, next)
+			}
+			return
+		}
 		for i := range mult {
 			mult[i] = 1
 		}
-		envEvents := 0
+		envEvents = 0
 		for i, env := range envs {
 			n := env.apply(e, mult, log.Addf)
 			eventCounts[i] += n
@@ -144,12 +168,23 @@ func Run(spec Spec, opts Options) (*Result, error) {
 		for l := range mult {
 			fs.SetLinkFraction(l, mult[l])
 		}
-		flows, unroutable := 0, 0
-		for _, w := range workloads {
-			f, u := w.inject(e, fs, hosts)
-			flows += f
-			unroutable += u
+		flows, unroutable = 0, 0
+		for _, a := range batch {
+			if _, err := fs.Inject(hosts[a.src], hosts[a.dst], a.bits, a.hash); err != nil {
+				unroutable++ // every link on the only viable route is dead
+			} else {
+				flows++
+			}
 		}
+	}
+	workers := opts.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	pool := par.New(min(workers, 2)) // a round has two tasks
+	for e = 0; e < spec.Epochs; e++ {
+		pool.Wake()
+		pool.Run(2, round)
 		fs.Step(1)
 		log.Addf("epoch=%d flows=%d unroutable=%d env_events=%d active=%d cross=%d",
 			e, flows, unroutable, envEvents, fs.ActiveFlows(), fs.CrossFlows())
@@ -162,6 +197,7 @@ func Run(spec Spec, opts Options) (*Result, error) {
 		if (e+1)%winLen == 0 || e == spec.Epochs-1 {
 			closeWindow(e + 1)
 		}
+		batch, next = next, batch
 	}
 	if invariantErr != nil {
 		return nil, fmt.Errorf("scenario %s: invariant violated at epoch %d: %w",

@@ -71,8 +71,7 @@ func newEnvRunner(r resolved, topo TopoSpec, epochs int) envRunner {
 		if n > links {
 			n = links
 		}
-		perm := rng.Perm(links)
-		chosen := append([]int(nil), perm[:n]...)
+		chosen := permHead(rng, links, n)
 		sort.Ints(chosen)
 		return &contaminationEnv{
 			id: r.name, epochs: epochs, at: r.comp.AtEpoch,

@@ -5,19 +5,27 @@ import (
 	"math"
 	"math/rand"
 
-	"mosaic/internal/netsim"
 	"mosaic/internal/netsim/workload"
 )
 
-// A workload generator injects flows into the fleet engine each epoch.
+// A workload generator draws the flows it offers the fleet each epoch.
 // Like environments, every runner draws from its own RNG stream seeded
-// from spec seed × component content, and runners execute in canonical
-// component order, so the injected flow sequence (IDs, sizes, hashes)
-// is independent of how the spec's arrays were ordered.
+// from spec seed × component content and never reads the engine, and
+// batches are injected in canonical component order, so the injected flow
+// sequence (IDs, sizes, hashes) is independent of how the spec's arrays
+// were ordered — and a runner may draw an epoch ahead of the engine.
 type workloadRunner interface {
-	name() string
-	// inject starts this epoch's flows and returns (injected, unroutable).
-	inject(e int, fs *netsim.FleetSim, hosts []int) (int, int)
+	// draw appends epoch e's arrivals over hosts hosts to out, in
+	// injection order.
+	draw(e, hosts int, out []arrival) []arrival
+}
+
+// arrival is one drawn flow: source and destination host indices, size
+// and ECMP hash.
+type arrival struct {
+	src, dst int
+	bits     float64
+	hash     uint64
 }
 
 // newWorkloadRunner builds the runner for a resolved workload component.
@@ -26,30 +34,30 @@ func newWorkloadRunner(r resolved, topo TopoSpec, epochs int) workloadRunner {
 	switch r.comp.Kind {
 	case KindAllReduce:
 		return &allreduceWL{
-			id: r.name, rng: rng,
+			rng:    rng,
 			groups: pickGroups(rng, topo.Hosts(), r.comp.Groups, r.comp.GroupSize),
 			rounds: r.comp.RoundsPerEpoch, bits: r.comp.FlowBits,
 		}
 	case KindAllToAll:
 		return &alltoallWL{
-			id: r.name, rng: rng,
+			rng:    rng,
 			groups: pickGroups(rng, topo.Hosts(), r.comp.Groups, r.comp.GroupSize),
 			period: r.comp.PeriodEpochs, bits: r.comp.FlowBits,
 		}
 	case KindIncast:
 		return &incastWL{
-			id: r.name, rng: rng,
+			rng:   rng,
 			fanIn: r.comp.FanIn, period: r.comp.PeriodEpochs, bits: r.comp.FlowBits,
 		}
 	case KindStorage:
 		return &storageWL{
-			id: r.name, rng: rng,
+			rng:    rng,
 			writes: r.comp.WritesPerEpoch, fanout: r.comp.Fanout, bits: r.comp.FlowBits,
 		}
 	case KindDiurnal:
 		dist := workload.WebSearch()
 		return &diurnalWL{
-			id: r.name, rng: rng, epochs: epochs,
+			rng: rng, epochs: epochs,
 			peak: r.comp.PeakLoad, scale: r.comp.MeanBits / dist.MeanBits(),
 			dist: dist, flash: r.comp.Flash,
 		}
@@ -61,7 +69,7 @@ func newWorkloadRunner(r resolved, topo TopoSpec, epochs int) workloadRunner {
 // consecutive chunks of `size` — fixed collective membership for the
 // whole run, the way training jobs pin their workers.
 func pickGroups(rng *rand.Rand, hosts, groups, size int) [][]int {
-	perm := rng.Perm(hosts)
+	perm := permHead(rng, hosts, groups*size)
 	out := make([][]int, 0, groups)
 	for g := 0; g < groups; g++ {
 		out = append(out, perm[g*size:(g+1)*size])
@@ -69,129 +77,111 @@ func pickGroups(rng *rand.Rand, hosts, groups, size int) [][]int {
 	return out
 }
 
-// injectFlow starts one flow, counting unroutable injections (every
-// link on the only viable route dead) rather than failing the run.
-func injectFlow(fs *netsim.FleetSim, hosts []int, src, dst int, bits float64, hash uint64) (int, int) {
-	if _, err := fs.Inject(hosts[src], hosts[dst], bits, hash); err != nil {
-		return 0, 1
+// permHead returns rng.Perm(n)[:k] and leaves rng where rng.Perm(n) would:
+// it makes the same n Intn(i+1) draws but keeps only positions < k. In
+// Perm's inside-out shuffle a value only ever moves to a higher position,
+// so nothing past k can come back into the head.
+func permHead(rng *rand.Rand, n, k int) []int {
+	head := make([]int, k)
+	for i := 0; i < n; i++ {
+		j := rng.Intn(i + 1)
+		if i < k {
+			head[i] = head[j]
+		}
+		if j < k {
+			head[j] = i
+		}
 	}
-	return 1, 0
+	return head
 }
 
 // allreduceWL emits ring all-reduce traffic: every epoch, rounds×
 // (per group) each member sends a chunk to its ring successor. Group
 // membership is fixed at construction.
 type allreduceWL struct {
-	id     string
 	rng    *rand.Rand
 	groups [][]int
 	rounds int
 	bits   float64
 }
 
-func (w *allreduceWL) name() string { return w.id }
-
-func (w *allreduceWL) inject(e int, fs *netsim.FleetSim, hosts []int) (int, int) {
-	flows, unroutable := 0, 0
+func (w *allreduceWL) draw(e, hosts int, out []arrival) []arrival {
 	for r := 0; r < w.rounds; r++ {
 		for _, g := range w.groups {
 			for i := range g {
-				f, u := injectFlow(fs, hosts, g[i], g[(i+1)%len(g)], w.bits, w.rng.Uint64())
-				flows += f
-				unroutable += u
+				out = append(out, arrival{g[i], g[(i+1)%len(g)], w.bits, w.rng.Uint64()})
 			}
 		}
 	}
-	return flows, unroutable
+	return out
 }
 
 // alltoallWL emits a full-mesh exchange inside each group every
 // `period` epochs: N(N-1) flows of bits/(N-1) each, the shuffle phase
 // of expert-parallel or reduce-scatter collectives.
 type alltoallWL struct {
-	id     string
 	rng    *rand.Rand
 	groups [][]int
 	period int
 	bits   float64
 }
 
-func (w *alltoallWL) name() string { return w.id }
-
-func (w *alltoallWL) inject(e int, fs *netsim.FleetSim, hosts []int) (int, int) {
+func (w *alltoallWL) draw(e, hosts int, out []arrival) []arrival {
 	if e%w.period != 0 {
-		return 0, 0
+		return out
 	}
-	flows, unroutable := 0, 0
 	for _, g := range w.groups {
 		per := w.bits / float64(len(g)-1)
 		for i := range g {
 			for j := range g {
-				if i == j {
-					continue
+				if i != j {
+					out = append(out, arrival{g[i], g[j], per, w.rng.Uint64()})
 				}
-				f, u := injectFlow(fs, hosts, g[i], g[j], per, w.rng.Uint64())
-				flows += f
-				unroutable += u
 			}
 		}
 	}
-	return flows, unroutable
+	return out
 }
 
 // incastWL emits a periodic fan-in burst: every `period` epochs, fanIn
 // distinct senders all target one receiver at once — the classic
 // partition-aggregate incast that stresses the receiver's edge link.
 type incastWL struct {
-	id     string
 	rng    *rand.Rand
 	fanIn  int
 	period int
 	bits   float64
 }
 
-func (w *incastWL) name() string { return w.id }
-
-func (w *incastWL) inject(e int, fs *netsim.FleetSim, hosts []int) (int, int) {
+func (w *incastWL) draw(e, hosts int, out []arrival) []arrival {
 	if e%w.period != 0 {
-		return 0, 0
+		return out
 	}
-	perm := w.rng.Perm(len(hosts))
-	target := perm[0]
-	flows, unroutable := 0, 0
-	for _, src := range perm[1 : w.fanIn+1] {
-		f, u := injectFlow(fs, hosts, src, target, w.bits, w.rng.Uint64())
-		flows += f
-		unroutable += u
+	perm := permHead(w.rng, hosts, w.fanIn+1)
+	for _, src := range perm[1:] {
+		out = append(out, arrival{src, perm[0], w.bits, w.rng.Uint64()})
 	}
-	return flows, unroutable
+	return out
 }
 
 // storageWL emits replication fan-out: each epoch, `writes` writes land
 // on random primaries and each primary pushes a copy to `fanout`
 // distinct replicas.
 type storageWL struct {
-	id     string
 	rng    *rand.Rand
 	writes int
 	fanout int
 	bits   float64
 }
 
-func (w *storageWL) name() string { return w.id }
-
-func (w *storageWL) inject(e int, fs *netsim.FleetSim, hosts []int) (int, int) {
-	flows, unroutable := 0, 0
+func (w *storageWL) draw(e, hosts int, out []arrival) []arrival {
 	for n := 0; n < w.writes; n++ {
-		perm := w.rng.Perm(len(hosts))
-		primary := perm[0]
-		for _, replica := range perm[1 : w.fanout+1] {
-			f, u := injectFlow(fs, hosts, primary, replica, w.bits, w.rng.Uint64())
-			flows += f
-			unroutable += u
+		perm := permHead(w.rng, hosts, w.fanout+1)
+		for _, replica := range perm[1:] {
+			out = append(out, arrival{perm[0], replica, w.bits, w.rng.Uint64()})
 		}
 	}
-	return flows, unroutable
+	return out
 }
 
 // diurnalWL emits user-facing load on a diurnal raised cosine: at epoch
@@ -199,7 +189,6 @@ func (w *storageWL) inject(e int, fs *netsim.FleetSim, hosts []int) (int, int) {
 // epoch, with WebSearch-distributed sizes rescaled to the requested
 // mean. An optional flash crowd multiplies the load inside its window.
 type diurnalWL struct {
-	id     string
 	rng    *rand.Rand
 	epochs int
 	peak   float64
@@ -208,25 +197,20 @@ type diurnalWL struct {
 	flash  *FlashSpec
 }
 
-func (w *diurnalWL) name() string { return w.id }
-
-func (w *diurnalWL) inject(e int, fs *netsim.FleetSim, hosts []int) (int, int) {
+func (w *diurnalWL) draw(e, hosts int, out []arrival) []arrival {
 	load := w.peak * (1 - math.Cos(2*math.Pi*float64(e)/float64(w.epochs))) / 2
 	if f := w.flash; f != nil && e >= f.AtEpoch && e < f.AtEpoch+f.Epochs {
 		load *= f.Mult
 	}
-	n := int(load * float64(len(hosts)))
-	flows, unroutable := 0, 0
+	n := int(load * float64(hosts))
 	for i := 0; i < n; i++ {
-		src := w.rng.Intn(len(hosts))
-		dst := w.rng.Intn(len(hosts) - 1)
+		src := w.rng.Intn(hosts)
+		dst := w.rng.Intn(hosts - 1)
 		if dst >= src {
 			dst++
 		}
 		bits := w.dist.SampleBits(w.rng) * w.scale
-		f, u := injectFlow(fs, hosts, src, dst, bits, w.rng.Uint64())
-		flows += f
-		unroutable += u
+		out = append(out, arrival{src, dst, bits, w.rng.Uint64()})
 	}
-	return flows, unroutable
+	return out
 }
