@@ -61,6 +61,22 @@ func (s *shard) activeSlots() []*flowSlot {
 	return out
 }
 
+// activeSlots is the tests' view of fleet shard s's live local flows, in
+// slot order: the barrier's pending arrivals are admitted first, as the
+// next capacity change or Step would, so a test may read the slab
+// between Inject and Step.
+func (fs *FleetSim) activeSlots(s int) []*flowSlot {
+	fs.admitAll()
+	return fs.shards[s].activeSlots()
+}
+
+// admitAll admits every shard's pending arrivals on the caller.
+func (fs *FleetSim) admitAll() {
+	for _, sh := range fs.shards {
+		fs.admitPending(sh)
+	}
+}
+
 // indexed is the tests' view of a link's flow index: its live entries, in
 // index order (tombstones skipped).
 func (g *flowGraph) indexed(l int) []*flowSlot {

@@ -46,12 +46,66 @@ func runDrainScenario() (records, log string) {
 		}
 		fs.Step(0.3)
 	}
+	return recordsDigest(fs), eventlog.Digest(fs.EventLog())
+}
+
+// recordsDigest hashes every record's bits, in Records order.
+func recordsDigest(fs *FleetSim) string {
 	var lines []string
 	for _, r := range fs.Records() {
 		lines = append(lines, fmt.Sprintf("%d %x %x %x %t", r.ID,
 			math.Float64bits(r.SizeBits), math.Float64bits(float64(r.Start)), math.Float64bits(float64(r.End)), r.Stalled))
 	}
-	return eventlog.Digest(lines, fmt.Sprint(len(lines))), eventlog.Digest(fs.EventLog())
+	return eventlog.Digest(lines, fmt.Sprint(len(lines)))
+}
+
+// runSameBarrierKillScenario is runDrainScenario with its capacity
+// changes landing between two halves of an epoch's arrivals: every epoch
+// injects 30 flows, kills a link on the last one's route (or degrades
+// one, or restores every link), then injects 30 more. The kill reroutes
+// or stalls flows that arrived at the same barrier, and the arrivals
+// after it route around the dead link.
+func runSameBarrierKillScenario() (records, log string) {
+	topo, err := NewFleet(3, 3, 2, 3, 100e9)
+	if err != nil {
+		panic(err)
+	}
+	fs := NewFleetSim(topo, 0)
+	rng := rand.New(rand.NewSource(2031))
+	hosts := topo.Hosts()
+	var last []int // the route the last arrival was offered first
+	inject := func(n int) {
+		for i := 0; i < n; i++ {
+			src, dst := hosts[rng.Intn(len(hosts))], hosts[rng.Intn(len(hosts))]
+			bits := (0.05 + rng.Float64()) * 4e9
+			if i%4 == 0 {
+				bits *= 25
+			}
+			hash := rng.Uint64()
+			if _, err := fs.Inject(src, dst, bits, hash); err == nil {
+				last, _ = topo.Path(last[:0], src, dst, hash)
+			}
+		}
+	}
+	for epoch := 0; epoch < 50; epoch++ {
+		for l := epoch % 7; l < len(topo.Links); l += 7 {
+			fs.SetLinkFraction(l, 1-0.01*float64(epoch%23))
+		}
+		inject(30)
+		switch epoch % 5 {
+		case 1, 3:
+			fs.SetLinkFraction(last[rng.Intn(len(last))], 0)
+		case 2:
+			fs.SetLinkFraction(last[0], 0.5)
+		case 4:
+			for l := range topo.Links {
+				fs.SetLinkFraction(l, 1)
+			}
+		}
+		inject(30)
+		fs.Step(0.3)
+	}
+	return recordsDigest(fs), eventlog.Digest(fs.EventLog())
 }
 
 // TestFleetDrainMatchesQueuedFinish pins the epoch drain, which reads
@@ -97,7 +151,7 @@ func TestFleetDrainMatchesQueuedFinish(t *testing.T) {
 	c, d := inject(0, 1, 777e9), inject(2, 3, 777e9)
 	admitted := fs.now
 	fs.Step(epochLen)
-	slots := fs.shards[0].activeSlots()
+	slots := fs.activeSlots(0)
 	if len(slots) != 2 || slots[0].ID != d || slots[1].ID != c {
 		t.Fatalf("want flow %d in the lower slot and flow %d in the higher", d, c)
 	}
@@ -132,6 +186,20 @@ func TestFleetDrainMatchesQueuedFinish(t *testing.T) {
 	records, log := runDrainScenario()
 	if records != wantRecords || log != wantLog {
 		t.Fatalf("50-epoch fleet run: records digest %s, epoch-log sha %s; the queued drain gave %s, %s", records, log, wantRecords, wantLog)
+	}
+}
+
+// TestKillBetweenInjectsMatchesImmediateAdmission pins a barrier whose
+// link kill falls between two of its arrivals to what FleetSim produced
+// when Inject admitted every flow into its shard on the spot: a kill
+// must see the arrivals before it as admitted flows, reroute or stall
+// them in ID order, and leave the arrivals after it their own routes.
+func TestKillBetweenInjectsMatchesImmediateAdmission(t *testing.T) {
+	// Computed once on the parent tree, whose Inject admitted at once.
+	const wantRecords, wantLog = "b62550d9c845f7fb", "7d3c0fa26ec9a531"
+	records, log := runSameBarrierKillScenario()
+	if records != wantRecords || log != wantLog {
+		t.Fatalf("50-epoch same-barrier kill run: records digest %s, epoch-log sha %s; immediate admission gave %s, %s", records, log, wantRecords, wantLog)
 	}
 }
 

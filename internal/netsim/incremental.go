@@ -133,17 +133,22 @@ func (f *flowSlot) links() []int32 { return f.path[:f.n] }
 // g's local numbers: every link of a local flow, a proxy's share of its
 // cross flow's route. A route longer than maxPath comes from a topology
 // this engine was not sized for: fail loudly, never truncate.
-func (f *flowSlot) setPath(route []int, g *flowGraph) {
+func (f *flowSlot) setPath(route []int, g *flowGraph) { f.n = g.localPath(&f.path, route) }
+
+// localPath writes the links of route inside g's link range, as local
+// numbers, to path and returns how many there are.
+func (g *flowGraph) localPath(path *[maxPath]int32, route []int) uint8 {
 	if len(route) > maxPath {
 		panic(fmt.Sprintf("netsim: %d-link route exceeds the flow slot's %d-link inline path", len(route), maxPath))
 	}
-	f.n = 0
+	n := uint8(0)
 	for _, l := range route {
 		if l -= g.base; l >= 0 && l < len(g.capacity) {
-			f.path[f.n] = int32(l)
-			f.n++
+			path[n] = int32(l)
+			n++
 		}
 	}
+	return n
 }
 
 // flowGraph is the incremental allocation core: the flow slab, per-link

@@ -224,7 +224,7 @@ func TestFleetRerouteKeepsStaleCompletionsStale(t *testing.T) {
 		t.Fatal(err)
 	}
 	fs.Step(1)
-	uplink := int(fs.shards[0].activeSlots()[0].path[1])
+	uplink := int(fs.activeSlots(0)[0].path[1])
 	// Kill A's leaf uplink and start B, which never finishes: both now
 	// share the surviving spine, so A's 900 Gb drain at 50G until t=19.
 	fs.SetLinkFraction(uplink, 0)

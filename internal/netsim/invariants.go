@@ -31,8 +31,10 @@ func (fs *FleetSim) SetResolvedHook(fn func()) { fs.onResolved = fn }
 //     leaves the non-binding shard's links unsaturated (the documented
 //     bounded-staleness of the fleet model).
 //
-// It also checks the cross-key list phase B walks: exactly the live
-// cross flows, each once, in ascending ID.
+// It also checks the bookkeeping: no arrival left pending past phase A,
+// each shard's active count equal to its live local flows, and the
+// cross-key list phase B walks holding exactly the live cross flows,
+// each once, in ascending ID.
 //
 // Tolerances match the package's conservation test: 1e-9 relative plus
 // 1 bps absolute, so float accumulation over a fleet cannot produce a
@@ -64,12 +66,17 @@ func (fs *FleetSim) CheckInvariants() error {
 	saturated := func(l int) bool {
 		return sum[l] >= fs.capacity[l]*(1-1e-9)-1
 	}
-	for _, sh := range fs.shards {
+	for s, sh := range fs.shards {
+		if len(sh.pending) > 0 {
+			return fmt.Errorf("netsim: shard %d still holds %d arrivals phase A did not admit", s, len(sh.pending))
+		}
+		locals := 0
 		for i := range sh.g.flows.v {
 			f := &sh.g.flows.v[i]
 			if !sh.g.flows.used[i] || f.proxy {
 				continue
 			}
+			locals++
 			ok := false
 			for _, l := range f.links() {
 				if saturated(sh.g.base + int(l)) {
@@ -80,6 +87,9 @@ func (fs *FleetSim) CheckInvariants() error {
 			if !ok {
 				return fmt.Errorf("netsim: flow %d (rate %.6g) has no saturated link on its path — allocation is not max-min", f.ID, f.rate)
 			}
+		}
+		if locals != sh.active {
+			return fmt.Errorf("netsim: shard %d counts %d active flows but holds %d local flows", s, sh.active, locals)
 		}
 	}
 	if len(fs.crossKeys) != fs.cross.live() {

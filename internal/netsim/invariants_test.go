@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -54,6 +55,16 @@ func TestFleetSimCheckInvariants(t *testing.T) {
 	if fs.CrossFlows() == 0 && fs.ActiveFlows() == 0 {
 		t.Fatal("run drained completely; invariants were never stressed")
 	}
+
+	// An arrival no phase A has admitted yet is outside the allocation the
+	// checker is meant to see.
+	if _, err := fs.Inject(hosts[0], hosts[1], 1e9, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "did not admit") {
+		t.Fatalf("checker let a pending arrival through: %v", err)
+	}
+	fs.admitAll()
 
 	// Sabotage: inflate one local flow's rate past its bottleneck and the
 	// checker must report oversubscription (or a broken max-min if the

@@ -122,7 +122,7 @@ func TestLinkIndexOrderedUnderChurn(t *testing.T) {
 					return
 				}
 				var states []FlowState
-				for _, f := range fs.shards[0].activeSlots() {
+				for _, f := range fs.activeSlots(0) {
 					path := make([]int, f.n)
 					for i, l := range f.links() {
 						path[i] = int(l)
@@ -167,7 +167,7 @@ func TestReroutedFlowLandsMidIndex(t *testing.T) {
 	h := topo.Hosts()
 	uplinkOf := func(id int) int {
 		t.Helper()
-		for _, f := range fs.shards[0].activeSlots() {
+		for _, f := range fs.activeSlots(0) {
 			if f.ID == id {
 				return int(f.path[1])
 			}

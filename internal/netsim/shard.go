@@ -18,10 +18,11 @@ import (
 // An epoch proceeds:
 //
 //	barrier (sequential)  — capacity changes, kills/reroutes, arrivals
-//	phase A (parallel)    — each shard re-waterfills its dirty
-//	                        components; cross-shard proxies participate
-//	                        unpinned and their resulting rate is the
-//	                        shard's offer for that flow
+//	                        routed and left pending on their shards
+//	phase A (parallel)    — each shard admits its arrivals and
+//	                        re-waterfills its dirty components; proxies
+//	                        participate unpinned and their resulting rate
+//	                        is the shard's offer for that flow
 //	phase B (sequential)  — each cross flow's rate = min of its shard
 //	                        offers, walked in ID order off a key list kept
 //	                        across epochs; proxies are pinned at that rate
@@ -92,15 +93,30 @@ type FleetSim struct {
 	epochEnd  sim.Time
 }
 
-// fleetShard is one pod's slice of the fleet: a shard over the pod's
-// link range (its window of the shared capacity vector, so every per-link
-// array is pod-sized) holding the pod's local flows, plus the completions
-// of the epoch in progress and the proxies of the cross flows that
+// fleetShard is one pod's slice of the fleet: a shard over the pod's link
+// range (its window of the shared capacity vector, so every per-link array
+// is pod-sized) holding the pod's local flows, plus the barrier's pending
+// arrivals, the epoch's completions and the proxies of the cross flows that
 // completed at its barrier, in cross-ID order, still to be unindexed.
 type fleetShard struct {
 	shard
-	due  []completion
-	gone []handle
+	pending []arrival
+	due     []completion
+	gone    []handle
+}
+
+// arrival is a routed flow awaiting admission: its inputs and its path in
+// the shard's local link numbers, 64 bytes to a flowSlot's 160. side < 0
+// marks a local flow, else the arrival is cross flow master's proxy[side].
+type arrival struct {
+	sizeBits float64
+	hash     uint64
+	id       uint32
+	src, dst int32
+	master   handle
+	side     int8
+	n        uint8
+	path     [maxPath]int32
 }
 
 // crossFlow is the fleet-level master record of a two-shard flow, a
@@ -233,10 +249,11 @@ func mergeRecords(lists [][]FlowRecord) []FlowRecord {
 	return out
 }
 
-// Inject starts a flow at the current barrier. The path is the live
-// ECMP route; flows whose links all sit in one pod are local to that
-// shard, flows spanning two pods become a cross flow with one proxy per
-// shard.
+// Inject starts a flow at the current barrier on the live ECMP route as
+// the capacity stands, so an unroutable flow fails here. A flow whose
+// links sit in one pod is local to that shard, one spanning two pods a
+// cross flow with a proxy per shard. Inject takes the ID (and a cross
+// slot and key) and leaves the flow pending on its shards for phase A.
 func (fs *FleetSim) Inject(src, dst int, sizeBits float64, hash uint64) (int, error) {
 	var buf [maxPath]int
 	path, err := routeFlow(fs.Topo, fs.capacity, buf[:0], fs.nextID, src, dst, sizeBits, hash)
@@ -245,26 +262,62 @@ func (fs *FleetSim) Inject(src, dst int, sizeBits float64, hash uint64) (int, er
 	}
 	id := fs.nextID
 	fs.nextID++
-	fs.admit(flow{
-		ID: id, Src: src, Dst: dst, SizeBits: sizeBits, Hash: hash,
-		remaining: sizeBits, start: fs.now,
-	}, path)
 	fs.arrivals++
+	a := arrival{sizeBits: sizeBits, hash: hash, id: uint32(id), src: int32(src), dst: int32(dst), side: -1}
+	lo, hi := fs.span(path)
+	if lo == hi {
+		fs.shards[lo].active++
+		fs.shards[lo].enqueue(a, path)
+		return id, nil
+	}
+	fl := flow{ID: id, Src: src, Dst: dst, SizeBits: sizeBits, Hash: hash,
+		remaining: sizeBits, start: fs.now, lastTouch: fs.now}
+	a.master = fs.takeCross(fl, lo, hi)
+	for i, s := range [2]int{lo, hi} {
+		a.side = int8(i)
+		fs.shards[s].enqueue(a, path)
+	}
 	return id, nil
 }
 
-// admit places a flow (new or rerouted) into the shard(s) of its route.
-func (fs *FleetSim) admit(fl flow, route []int) {
-	fl.rate, fl.lastTouch = 0, fs.now
-	lo, hi := fs.shardOf[route[0]], fs.shardOf[route[0]]
+func (s *fleetShard) enqueue(a arrival, route []int) {
+	a.n = s.g.localPath(&a.path, route)
+	s.pending = append(s.pending, a)
+}
+
+// admitPending admits the shard's pending arrivals in ID order, as Inject
+// once did on the spot: slab put, index appends and dirty marks, and a
+// proxy's handle into its side of its cross flow — shard-pure, so the
+// shards run it in parallel.
+func (fs *FleetSim) admitPending(sh *fleetShard) {
+	for i := range sh.pending {
+		a := &sh.pending[i]
+		fl := flow{ID: int(a.id), Src: int(a.src), Dst: int(a.dst), SizeBits: a.sizeBits, Hash: a.hash,
+			remaining: a.sizeBits, start: fs.now, lastTouch: fs.now}
+		h := sh.g.addFlow(flowSlot{flow: fl, n: a.n, path: a.path, proxy: a.side >= 0, master: a.master})
+		if a.side >= 0 {
+			fs.cross.v[a.master].proxy[a.side] = h
+		}
+	}
+	sh.pending = sh.pending[:0]
+}
+
+// span returns the lowest and highest shard of route's links.
+func (fs *FleetSim) span(route []int) (lo, hi int) {
+	lo, hi = fs.shardOf[route[0]], fs.shardOf[route[0]]
 	for _, l := range route[1:] {
 		lo, hi = min(lo, fs.shardOf[l]), max(hi, fs.shardOf[l])
 	}
-	if lo == hi {
-		fs.shards[lo].admit(fl, route)
-		return
+	for _, l := range route {
+		if s := fs.shardOf[l]; s != lo && s != hi {
+			panic("netsim: route spans more than two shards")
+		}
 	}
+	return lo, hi
+}
 
+// takeCross takes a cross slot and key; the proxy handles come at admission.
+func (fs *FleetSim) takeCross(fl flow, lo, hi int) handle {
 	ch := fs.cross.put(crossFlow{flow: fl, shard: [2]int{lo, hi}})
 	if fl.ID <= fs.crossMax {
 		fs.crossRepair = true // a reroute: out of order, or beside its own stale key
@@ -272,18 +325,25 @@ func (fs *FleetSim) admit(fl flow, route []int) {
 		fs.crossMax = fl.ID
 	}
 	fs.crossKeys = append(fs.crossKeys, flowKey(fl.ID, ch))
-	links := 0
+	fs.crossArrivals++
+	return ch
+}
+
+// admit places a rerouted flow into the shard(s) of its new route at once.
+func (fs *FleetSim) admit(fl flow, route []int) {
+	fl.rate, fl.lastTouch = 0, fs.now
+	lo, hi := fs.span(route)
+	if lo == hi {
+		fs.shards[lo].admit(fl, route)
+		return
+	}
+	ch := fs.takeCross(fl, lo, hi)
 	for i, s := range [2]int{lo, hi} {
 		g := fs.shards[s].g
 		p := flowSlot{flow: fl, proxy: true, master: ch}
 		p.setPath(route, g)
-		links += int(p.n)
 		fs.cross.v[ch].proxy[i] = g.addFlow(p)
 	}
-	if links != len(route) {
-		panic("netsim: route spans more than two shards")
-	}
-	fs.crossArrivals++
 }
 
 // retire unindexes a cross flow's proxies, frees its slot and returns
@@ -299,11 +359,15 @@ func (fs *FleetSim) retire(ch handle) flow {
 
 // SetLinkFraction scales a link to frac of nominal at the barrier, with
 // setLinkFraction's clamp and no-op semantics. frac=0 kills the link:
-// crossing flows reroute (in ascending flow-ID order) or stall.
+// crossing flows reroute (in ascending flow-ID order) or stall. A change
+// first admits the barrier's pending arrivals, as if at their Inject.
 func (fs *FleetSim) SetLinkFraction(linkID int, frac float64) {
 	changed, dead := setLinkFraction(fs.Topo, fs.capacity, linkID, frac)
 	if !changed {
 		return
+	}
+	for _, sh := range fs.shards {
+		fs.admitPending(sh)
 	}
 	sh := fs.shards[fs.shardOf[linkID]]
 	sh.g.markDirty(linkID - sh.g.base)
@@ -339,8 +403,10 @@ func (fs *FleetSim) Step(epochLen sim.Time) {
 	epochEnd := fs.now + epochLen
 	fs.epochEnd = epochEnd
 
-	// Phase A: shard-local waterfill of dirty components; proxies bid.
+	// Phase A: each shard admits its pending arrivals, then waterfills its
+	// dirty components; proxies bid.
 	fs.runShards(func(fs *FleetSim, sh *fleetShard) {
+		fs.admitPending(sh)
 		sh.g.now = fs.now
 		sh.g.flush(true)
 	})

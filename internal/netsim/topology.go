@@ -19,6 +19,7 @@ package netsim
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Tier labels where a link sits in the hierarchy.
@@ -112,11 +113,15 @@ type Topology struct {
 	K     int
 	Nodes []Node
 	Links []Link
-	// adjacency: node -> link IDs
-	adj [][]int
+	// adjacency: node -> link IDs, and far[node][i] the other end of
+	// adj[node][i], so a walk over a node's neighbours loads no Link.
+	adj, far [][]int
 	// up[node]: the node's links to the next tier up — the ECMP choices of
 	// Path, built once so that routing a flow allocates nothing.
 	up [][]int
+	// down[core][pod+1]: 1 + the core's first link to an aggregation
+	// switch of the pod, 0 if none (nil for a node that is not a core).
+	down [][]int
 	// hostIDs in order
 	hosts []int
 }
@@ -189,20 +194,30 @@ func (t *Topology) addLink(a, b int, tier Tier, rate float64) {
 	})
 }
 
-// index builds the adjacency and up-link tables once every node and link
-// is in place.
+// index builds the adjacency, far-end, up-link and down-link tables once
+// every node and link is in place. Each table keeps adjacency order, so
+// a lookup picks the link a first-match scan of adj would.
 func (t *Topology) index() {
-	t.adj = make([][]int, len(t.Nodes))
-	t.up = make([][]int, len(t.Nodes))
+	nodes := len(t.Nodes)
+	t.adj, t.far, t.up, t.down = make([][]int, nodes), make([][]int, nodes), make([][]int, nodes), make([][]int, nodes)
 	for _, l := range t.Links {
-		t.adj[l.A] = append(t.adj[l.A], l.ID)
-		t.adj[l.B] = append(t.adj[l.B], l.ID)
+		t.adj[l.A], t.far[l.A] = append(t.adj[l.A], l.ID), append(t.far[l.A], l.B)
+		t.adj[l.B], t.far[l.B] = append(t.adj[l.B], l.ID), append(t.far[l.B], l.A)
 	}
+	pods := NumPods(t)
 	for n, links := range t.adj {
-		for _, lid := range links {
+		kind := t.Nodes[n].Kind
+		if kind == NodeCore {
+			t.down[n] = make([]int, pods+1)
+		}
+		for i, lid := range links {
+			p := t.Nodes[t.far[n][i]]
 			// Node kinds are declared bottom-up: the next tier is Kind+1.
-			if t.Nodes[t.peer(t.Links[lid], n)].Kind == t.Nodes[n].Kind+1 {
+			if p.Kind == kind+1 {
 				t.up[n] = append(t.up[n], lid)
+			}
+			if kind == NodeCore && p.Kind == NodeAgg && t.down[n][p.Pod+1] == 0 {
+				t.down[n][p.Pod+1] = lid + 1
 			}
 		}
 	}
@@ -238,7 +253,8 @@ func (t *Topology) peer(l Link, n int) int {
 // using `hash` to pick among the ECMP choices at each up hop. It appends
 // the link IDs in order to buf (nil is fine; a buffer of six holds any
 // route) and returns the extended slice. Same-host requests append
-// nothing.
+// nothing. Every hop is a table lookup or a scan of one node's far ends
+// (index), never a walk over Link records.
 func (t *Topology) Path(buf []int, src, dst int, hash uint64) ([]int, error) {
 	if src < 0 || src >= len(t.Nodes) || dst < 0 || dst >= len(t.Nodes) {
 		return nil, errors.New("netsim: node out of range")
@@ -249,19 +265,15 @@ func (t *Topology) Path(buf []int, src, dst int, hash uint64) ([]int, error) {
 	if src == dst {
 		return buf, nil
 	}
-	// Host -> edge.
-	upLinks := t.adj[src]
-	if len(upLinks) == 0 {
+	// Host -> edge, and the destination's edge switch.
+	if len(t.adj[src]) == 0 {
 		return nil, errors.New("netsim: host has no uplink")
 	}
-	l0 := t.Links[upLinks[0]]
-	edgeSrc := t.peer(l0, src)
-	// Destination's edge switch.
-	ld := t.Links[t.adj[dst][0]]
-	edgeDst := t.peer(ld, dst)
+	l0, edgeSrc := t.adj[src][0], t.far[src][0]
+	ld, edgeDst := t.adj[dst][0], t.far[dst][0]
 
 	if edgeSrc == edgeDst {
-		return append(buf, l0.ID, ld.ID), nil
+		return append(buf, l0, ld), nil
 	}
 
 	// Collect the up options at the edge: links to agg/spine switches.
@@ -274,11 +286,8 @@ func (t *Topology) Path(buf []int, src, dst int, hash uint64) ([]int, error) {
 
 	// Two-hop route through a shared aggregation switch: always available
 	// within a fat-tree pod and between any two leaves of a leaf-spine.
-	for _, lid := range t.adj[agg] {
-		l := t.Links[lid]
-		if t.peer(l, agg) == edgeDst {
-			return append(buf, l0.ID, la, lid, ld.ID), nil
-		}
+	if i := slices.Index(t.far[agg], edgeDst); i >= 0 {
+		return append(buf, l0, la, t.adj[agg][i], ld), nil
 	}
 	if t.Nodes[edgeSrc].Pod == t.Nodes[edgeDst].Pod {
 		return nil, errors.New("netsim: intra-pod path broken")
@@ -292,24 +301,14 @@ func (t *Topology) Path(buf []int, src, dst int, hash uint64) ([]int, error) {
 	lc := coreLinks[int((hash/7)%uint64(len(coreLinks)))]
 	core := t.peer(t.Links[lc], agg)
 	// Core -> agg in destination pod (exactly one by construction).
-	var laDown, aggDown int = -1, -1
-	for _, lid := range t.adj[core] {
-		l := t.Links[lid]
-		p := t.peer(l, core)
-		if t.Nodes[p].Kind == NodeAgg && t.Nodes[p].Pod == t.Nodes[edgeDst].Pod {
-			laDown, aggDown = lid, p
-			break
-		}
-	}
+	laDown := t.down[core][t.Nodes[edgeDst].Pod+1] - 1
 	if laDown < 0 {
 		return nil, errors.New("netsim: core not connected to destination pod")
 	}
 	// Agg' -> edge'.
-	for _, lid := range t.adj[aggDown] {
-		l := t.Links[lid]
-		if t.peer(l, aggDown) == edgeDst {
-			return append(buf, l0.ID, la, lc, laDown, lid, ld.ID), nil
-		}
+	aggDown := t.peer(t.Links[laDown], core)
+	if i := slices.Index(t.far[aggDown], edgeDst); i >= 0 {
+		return append(buf, l0, la, lc, laDown, t.adj[aggDown][i], ld), nil
 	}
 	return nil, errors.New("netsim: cross-pod path broken")
 }
