@@ -423,8 +423,8 @@ func BenchmarkFECSchemes(b *testing.B) {
 		b.Run(fec.Name(), func(b *testing.B) {
 			b.SetBytes(int64(len(payload)))
 			for i := 0; i < b.N; i++ {
-				enc := fec.Encode(payload)
-				if _, _, err := fec.Decode(enc, len(payload)); err != nil {
+				enc := fec.AppendEncode(nil, payload)
+				if _, _, err := fec.AppendDecode(nil, enc, len(payload)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -481,7 +481,7 @@ func BenchmarkMACFrameRoundTripSR(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	rx, err := mac.NewEndpoint(cfg, func(p []byte) {
+	rx, err := mac.NewEndpoint(cfg, func(_ int, p []byte) {
 		if len(p) == 1500 {
 			delivered++
 		}
@@ -500,7 +500,7 @@ func BenchmarkMACFrameRoundTripSR(b *testing.B) {
 	// window rotation — so warm for 2×Window sends before declaring
 	// steady state (pinned allocation-free even at -benchtime 3x).
 	for i := 0; i < 2*cfg.Window; i++ {
-		if err := tx.Send(payload); err != nil {
+		if err := tx.SendVC(0, payload); err != nil {
 			b.Fatal(err)
 		}
 		tick()
@@ -511,7 +511,7 @@ func BenchmarkMACFrameRoundTripSR(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := tx.Send(payload); err != nil {
+		if err := tx.SendVC(0, payload); err != nil {
 			b.Fatal(err)
 		}
 		tick()

@@ -64,7 +64,7 @@ func diffMACARQ(rng *rand.Rand, cfg mac.Config, ticks int) string {
 		p  []byte
 	}
 	var optDelivered []rx
-	optA, err := mac.NewEndpointVC(cfg, func(vc int, p []byte) {
+	optA, err := mac.NewEndpoint(cfg, func(vc int, p []byte) {
 		optDelivered = append(optDelivered, rx{vc, append([]byte(nil), p...)})
 	})
 	if err != nil {

@@ -23,7 +23,7 @@ func diffMACLLR(seed int64, caseIdx, size, _ int) string {
 
 	cfg := mac.Config{Window: window, RetxTimeout: retx, MaxPayload: maxPayload, PayloadBudget: budget}
 	var optDelivered [][]byte
-	optA, err := mac.NewEndpoint(cfg, func(p []byte) {
+	optA, err := mac.NewEndpoint(cfg, func(_ int, p []byte) {
 		optDelivered = append(optDelivered, append([]byte(nil), p...))
 	})
 	if err != nil {
@@ -47,7 +47,7 @@ func diffMACLLR(seed int64, caseIdx, size, _ int) string {
 		if rng.Intn(3) == 0 {
 			p := make([]byte, 1+rng.Intn(maxPayload))
 			rng.Read(p)
-			if err := optB.Send(p); err != nil {
+			if err := optB.SendVC(0, p); err != nil {
 				return "optimized send: " + err.Error()
 			}
 			if err := refB.Send(p); err != nil {
@@ -203,7 +203,7 @@ func diffPipeline(seed int64, caseIdx, size, workers int) string {
 	}
 
 	tx := func(physical int, wire []byte) []byte {
-		return replicas[physical].Transmit(wire)
+		return replicas[physical].TransmitTo(nil, wire)
 	}
 
 	for x := 0; x < exchanges; x++ {

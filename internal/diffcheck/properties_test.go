@@ -224,23 +224,22 @@ func TestChannelFrameResyncLocality(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	const nFrames = 8
 	payloads := make([][]byte, nFrames)
-	var stream []byte
+	var stream, body []byte
 	for seq := 0; seq < nFrames; seq++ {
 		payloads[seq] = make([]byte, unitLen)
 		rng.Read(payloads[seq])
-		stream = append(stream, fr.Encode(1, uint32(seq), payloads[seq])...)
+		stream = fr.AppendFrame(stream, 1, uint32(seq), payloads[seq], &body)
 	}
 	for victim := 0; victim < nFrames; victim++ {
 		corrupted := append([]byte(nil), stream...)
 		corrupted[victim*fr.WireLen()] ^= 0xFF // kill the marker
-		frames, _ := fr.DecodeStream(corrupted)
 		seen := make(map[uint32]bool)
-		for _, f := range frames {
-			seen[f.Seq] = true
-			if !bytes.Equal(f.Payload, payloads[f.Seq]) {
-				t.Fatalf("victim %d: frame %d recovered with wrong payload", victim, f.Seq)
+		fr.ScanStream(corrupted, &body, func(_ int, seq uint32, payload []byte, _ int) {
+			seen[seq] = true
+			if !bytes.Equal(payload, payloads[seq]) {
+				t.Fatalf("victim %d: frame %d recovered with wrong payload", victim, seq)
 			}
-		}
+		})
 		for seq := 0; seq < nFrames; seq++ {
 			if seq != victim && !seen[uint32(seq)] {
 				t.Fatalf("victim %d: innocent frame %d was lost", victim, seq)

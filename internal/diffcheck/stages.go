@@ -159,12 +159,12 @@ func diffFramer(seed int64, caseIdx, size, _ int) string {
 		return fmt.Sprintf("wire length %d optimized, %d reference", opt.WireLen(), ref.WireLen())
 	}
 
-	var stream []byte
+	var stream, body []byte
 	for seq := 0; seq < 1+size; seq++ {
 		payload := make([]byte, unitLen)
 		rng.Read(payload)
 		lane := rng.Intn(64)
-		optWire := opt.Encode(lane, uint32(seq), payload)
+		optWire := opt.AppendFrame(nil, lane, uint32(seq), payload, &body)
 		refWire := ref.EncodeFrame(lane, uint32(seq), payload)
 		if i := firstDiff(optWire, refWire); i >= 0 {
 			return fmt.Sprintf("encoded frame seq %d differs at wire byte %d", seq, i)
@@ -180,7 +180,12 @@ func diffFramer(seed int64, caseIdx, size, _ int) string {
 		stream[rng.Intn(len(stream))] ^= byte(1 + rng.Intn(255))
 	}
 
-	optFrames, optStats := opt.DecodeStream(stream)
+	var optFrames []refmodel.ChannelFrame
+	optStats := opt.ScanStream(stream, &body, func(lane int, seq uint32, payload []byte, ncorr int) {
+		optFrames = append(optFrames, refmodel.ChannelFrame{
+			Lane: lane, Seq: seq, Payload: bytes.Clone(payload), Corrections: ncorr,
+		})
+	})
 	refFrames, refStats := ref.DecodeStream(stream)
 	if got := (refmodel.DecodeStats{
 		Frames:       optStats.Frames,
@@ -333,7 +338,7 @@ func diffBSCSkip(seed int64, caseIdx, size, _ int) string {
 	opt.Dead, ref.Dead = dead, dead
 
 	for round := 0; round < 2; round++ {
-		optOut := opt.Transmit(data)
+		optOut := opt.TransmitTo(nil, data)
 		refOut := ref.Transmit(data)
 		if len(optOut) != len(refOut) {
 			return fmt.Sprintf("round %d: output length %d optimized, %d reference", round, len(optOut), len(refOut))
@@ -370,7 +375,7 @@ func diffRSVector(seed int64, caseIdx, size, _ int) string {
 	plain := make([]byte, plainLen)
 	rng.Read(plain)
 
-	optEnc := opt.Encode(plain)
+	optEnc := opt.AppendEncode(nil, plain)
 	refEnc := ref.Encode(plain)
 	if i := firstDiff(optEnc, refEnc); i >= 0 {
 		return fmt.Sprintf("RS(%d,%d) plainLen %d: encoded byte %d is %02x optimized, %02x reference",
@@ -387,7 +392,7 @@ func diffRSVector(seed int64, caseIdx, size, _ int) string {
 			recv[b+pos] ^= byte(1 + rng.Intn(255))
 		}
 	}
-	optOut, optCorr, optErr := opt.Decode(recv, plainLen)
+	optOut, optCorr, optErr := opt.AppendDecode(nil, recv, plainLen)
 	refOut, refCorr, refStatus := ref.Decode(append([]byte(nil), recv...), plainLen)
 	if i := firstDiff(optOut, refOut); i >= 0 {
 		return fmt.Sprintf("RS(%d,%d) %d errors: decoded byte %d is %02x optimized, %02x reference",

@@ -47,12 +47,27 @@ type Server struct {
 
 // Request limits. Constants, not budgets: they bound what one request can
 // make the server buffer, how long one batch can hold the epoch loop off
-// the fleet lock, and how long a reloaded flows_per_epoch can keep an
-// epoch inside it, whatever the operator configured.
+// the fleet lock, how long a reloaded flows_per_epoch can keep an epoch
+// inside it, and how much one admitted link design makes a pooled step
+// build, whatever the operator configured. A step's scratch holds at
+// least one frame body — unit_len plus the framer's 10 header and CRC
+// bytes — per channel before any traffic, so that product is bounded
+// itself. Each channel also keeps its own scrambler, channel model and
+// monitor state, so the channel count is capped too, at forty times the
+// paper's 100-channel prototype (well inside the framer's u16 lane
+// field); the unit_len limit only keeps the product from overflowing.
+// Packets ride MAC frames with a u16 payload length; one superframe's
+// client traffic and one fault-schedule horizon are materialised per link.
 const (
-	maxBodyBytes     = 1 << 20
-	maxBatchOps      = 4096
-	maxFlowsPerEpoch = 1 << 16
+	maxBodyBytes         = 1 << 20
+	maxBatchOps          = 4096
+	maxFlowsPerEpoch     = 1 << 16
+	maxDesignChannels    = 1 << 12 // lanes + spares
+	maxDesignUnitLen     = 1 << 16
+	maxDesignFrameBodies = 1 << 20 // (lanes+spares) × (unit_len+10)
+	maxDesignPacketLen   = 1<<16 - 1
+	maxDesignSFBytes     = 1 << 20 // packets_per_sf × packet_len
+	maxDesignHorizon     = 1 << 16
 )
 
 // NewServer wires a server for the fleet. reg must be the registry the

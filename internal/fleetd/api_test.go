@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -419,5 +421,95 @@ func TestAPIBatchLimit(t *testing.T) {
 	}
 	if code := h.post("/v1/links/batch", batch(maxBatchOps)); code != http.StatusOK {
 		t.Errorf("batch of exactly %d ops = %d, want 200", maxBatchOps, code)
+	}
+}
+
+// raceEnabled is set under -race (race_test.go).
+var raceEnabled bool
+
+// TestAPIDesignLimits: a create whose design is over a size limit is
+// refused whole — 400, nothing admitted — before any pooled step could
+// build a link that size, while a design at every limit is admitted and
+// served within a measured allocation bound.
+func TestAPIDesignLimits(t *testing.T) {
+	h := newAPIHarness(t, testConfig(1))
+	over := map[string]func(d *LinkDesign){
+		"lanes":              func(d *LinkDesign) { d.Lanes = 2_000_000_000 },
+		"spares":             func(d *LinkDesign) { d.Spares = 2_000_000_000 },
+		"lanes+spares":       func(d *LinkDesign) { d.Lanes, d.Spares, d.UnitLen = maxDesignChannels-4, 5, 9 },
+		"spares overflowing": func(d *LinkDesign) { d.Spares = math.MaxInt },
+		"unit_len":           func(d *LinkDesign) { d.UnitLen = 9 * 1_000_000 },
+		"channels x unit_len": func(d *LinkDesign) {
+			d.UnitLen = maxDesignUnitLen / 9 * 9
+			d.Lanes = maxDesignFrameBodies/(d.UnitLen+10) - d.Spares + 1
+		},
+		"packet_len":             func(d *LinkDesign) { d.PacketLen, d.PacketsPerSF = maxDesignPacketLen+1, 1 },
+		"packets_per_sf":         func(d *LinkDesign) { d.PacketsPerSF = 2_000_000_000 },
+		"packets x len":          func(d *LinkDesign) { d.PacketLen, d.PacketsPerSF = 1024, maxDesignSFBytes/1024+1 },
+		"horizon":                func(d *LinkDesign) { d.Horizon = 2_000_000_000 },
+		"scenario-bound horizon": func(d *LinkDesign) { d.Scenario, d.Horizon = "flash-diurnal-thermal", maxDesignHorizon+1 },
+	}
+	admBefore := h.fleet.Admission()
+	for name, mutate := range over {
+		d := DefaultLinkDesign()
+		mutate(&d)
+		if code, body := h.do("POST", "/v1/links", createRequest{Count: 1, Design: &d}); code != http.StatusBadRequest {
+			t.Errorf("%s over its limit: create = %d %s, want 400", name, code, body)
+		}
+	}
+	if got := h.fleet.Admission(); got != admBefore {
+		t.Errorf("refused designs moved admission: %+v -> %+v", admBefore, got)
+	}
+	if n := h.fleet.Snapshot().LiveLinks; n != 0 {
+		t.Errorf("refused designs admitted %d links", n)
+	}
+
+	// At the limits: the widest design, with the longest units that
+	// width allows, and the longest units, each with a superframe of
+	// maximum-length packets. Both are admitted, and bringing one up and
+	// serving it allocates a bounded multiple of the frame-body and
+	// traffic limits, not gigabytes.
+	atLimit := map[string]func(d *LinkDesign){
+		"wide": func(d *LinkDesign) {
+			d.UnitLen = (maxDesignFrameBodies/maxDesignChannels - 10) / 9 * 9
+			d.Lanes, d.Spares = maxDesignChannels-4, 4
+		},
+		"long": func(d *LinkDesign) {
+			d.UnitLen = maxDesignUnitLen / 9 * 9
+			d.Lanes, d.Spares = maxDesignFrameBodies/(d.UnitLen+10)-2, 2
+		},
+	}
+	// Allocated, not retained: the total caps the peak. A plain build
+	// reads 45–100 MiB per design, a -race build up to about 170 MiB.
+	allocBound := uint64(128 * (maxDesignFrameBodies + maxDesignSFBytes))
+	if raceEnabled {
+		allocBound *= 2
+	}
+	for name, shape := range atLimit {
+		t.Run(name, func(t *testing.T) {
+			d := DefaultLinkDesign()
+			shape(&d)
+			d.PacketLen, d.PacketsPerSF = maxDesignPacketLen, maxDesignSFBytes/maxDesignPacketLen
+			d.Horizon = maxDesignHorizon
+			h := newAPIHarness(t, testConfig(1))
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			if code, body := h.do("POST", "/v1/links", createRequest{Count: 1, Design: &d}); code != http.StatusCreated {
+				t.Fatalf("design at every limit: create = %d %s, want 201", code, body)
+			}
+			for i := 0; i < 1+d.BringUpSF+2; i++ { // construct, bring-up, two served superframes
+				h.fleet.Step()
+			}
+			runtime.ReadMemStats(&after)
+			if info, _ := h.fleet.Inspect(0); info.SF != d.BringUpSF+2 || info.Err != "" {
+				t.Errorf("design at every limit did not serve: %+v", info)
+			}
+			got := after.TotalAlloc - before.TotalAlloc
+			t.Logf("%d lanes + %d spares × unit_len %d: %.1f MiB allocated", d.Lanes, d.Spares, d.UnitLen, float64(got)/(1<<20))
+			if got > allocBound {
+				t.Errorf("design at every limit allocated %d bytes to serve, want <= %d", got, allocBound)
+			}
+		})
 	}
 }

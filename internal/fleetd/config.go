@@ -26,9 +26,8 @@ type LinkDesign struct {
 	PacketLen    int `json:"packet_len"`     // client packet bytes per MAC send
 	PacketsPerSF int `json:"packets_per_sf"` // client packets queued per superframe
 
-	BringUpSF int `json:"bringup_sf"`  // superframes of bring-up before serving
-	DrainSF   int `json:"drain_sf"`    // max superframes spent draining
-	SFPerStep int `json:"sf_per_step"` // superframes advanced per pooled step
+	BringUpSF int `json:"bringup_sf"` // superframes of bring-up before serving
+	DrainSF   int `json:"drain_sf"`   // max superframes spent draining
 
 	// Hazard is the per-superframe per-channel kill probability of the
 	// link's generated fault schedule; Horizon is the schedule length in
@@ -51,12 +50,13 @@ func DefaultLinkDesign() LinkDesign {
 	return LinkDesign{
 		Lanes: 8, Spares: 2, FEC: "rslite", UnitLen: 243,
 		PacketLen: 243, PacketsPerSF: 2,
-		BringUpSF: 2, DrainSF: 8, SFPerStep: 1,
+		BringUpSF: 2, DrainSF: 8,
 		Hazard: 0.0002, Horizon: 512,
 	}
 }
 
-// Validate checks the design and fills the FEC lookup.
+// Validate checks the design against the request limits and fills the
+// FEC lookup.
 func (d *LinkDesign) Validate() error {
 	if d.Lanes <= 0 {
 		return errors.New("fleetd: design needs at least one lane")
@@ -64,8 +64,14 @@ func (d *LinkDesign) Validate() error {
 	if d.Spares < 0 {
 		return errors.New("fleetd: design spares must be >= 0")
 	}
-	if d.UnitLen <= 0 || d.UnitLen%9 != 0 {
-		return fmt.Errorf("fleetd: design unit_len %d must be a positive multiple of 9", d.UnitLen)
+	if d.Lanes > maxDesignChannels || d.Spares > maxDesignChannels-d.Lanes {
+		return fmt.Errorf("fleetd: design lanes+spares exceeds the limit of %d", maxDesignChannels)
+	}
+	if d.UnitLen <= 0 || d.UnitLen > maxDesignUnitLen || d.UnitLen%9 != 0 {
+		return fmt.Errorf("fleetd: design unit_len %d must be a positive multiple of 9 up to %d", d.UnitLen, maxDesignUnitLen)
+	}
+	if (d.Lanes+d.Spares)*(d.UnitLen+10) > maxDesignFrameBodies {
+		return fmt.Errorf("fleetd: design (lanes+spares) × (unit_len+10) exceeds the limit of %d bytes", maxDesignFrameBodies)
 	}
 	if _, err := phy.FECByName(d.FEC); err != nil {
 		return err
@@ -73,14 +79,20 @@ func (d *LinkDesign) Validate() error {
 	if d.PacketLen <= 0 || d.PacketsPerSF <= 0 {
 		return errors.New("fleetd: design needs packet_len > 0 and packets_per_sf > 0")
 	}
-	if d.BringUpSF <= 0 || d.DrainSF <= 0 || d.SFPerStep <= 0 {
-		return errors.New("fleetd: design needs bringup_sf, drain_sf, sf_per_step > 0")
+	if d.PacketLen > maxDesignPacketLen {
+		return fmt.Errorf("fleetd: design packet_len %d exceeds the MAC payload limit of %d", d.PacketLen, maxDesignPacketLen)
+	}
+	if d.PacketsPerSF > maxDesignSFBytes/d.PacketLen {
+		return fmt.Errorf("fleetd: design packets_per_sf × packet_len exceeds the limit of %d bytes", maxDesignSFBytes)
+	}
+	if d.BringUpSF <= 0 || d.DrainSF <= 0 {
+		return errors.New("fleetd: design needs bringup_sf, drain_sf > 0")
 	}
 	if d.Hazard < 0 || d.Hazard > 1 {
 		return errors.New("fleetd: design hazard must be in [0,1]")
 	}
-	if d.Horizon <= 0 {
-		return errors.New("fleetd: design horizon must be > 0")
+	if d.Horizon <= 0 || d.Horizon > maxDesignHorizon {
+		return fmt.Errorf("fleetd: design horizon %d must be in [1, %d]", d.Horizon, maxDesignHorizon)
 	}
 	if d.Scenario != "" {
 		if _, ok := scenario.Lookup(d.Scenario); !ok {

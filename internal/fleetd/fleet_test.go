@@ -531,15 +531,15 @@ func TestStepBudgetRotor(t *testing.T) {
 		info, _ := f.Inspect(id)
 		base[id] = info.SF
 	}
-	// Three epochs = exactly one serving step each, in rotation.
+	// Three epochs = exactly one serving step each, in rotation, and a
+	// step is one superframe.
 	f.Step()
 	f.Step()
 	f.Step()
 	for id := range base {
 		info, _ := f.Inspect(id)
-		if got := info.SF - base[id]; got != f.cfg.Design.SFPerStep {
-			t.Errorf("link %d advanced %d superframes over 3 epochs, want %d",
-				id, got, f.cfg.Design.SFPerStep)
+		if got := info.SF - base[id]; got != 1 {
+			t.Errorf("link %d advanced %d superframes over 3 epochs, want 1", id, got)
 		}
 	}
 }

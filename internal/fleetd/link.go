@@ -219,12 +219,10 @@ func (m *managedLink) step() {
 		_ = m.transition(StateBringUp, fmt.Sprintf("lanes=%d", m.design.Lanes))
 
 	case StateBringUp:
-		for i := 0; i < m.design.SFPerStep && m.state == StateBringUp; i++ {
-			m.tick(false)
-			if m.state == StateBringUp && m.sf >= m.design.BringUpSF {
-				_ = m.transition(StateServing,
-					fmt.Sprintf("sf=%d lanes=%d", m.sf, m.fwd.Mapper().NumLanes()))
-			}
+		m.tick(false)
+		if m.state == StateBringUp && m.sf >= m.design.BringUpSF {
+			_ = m.transition(StateServing,
+				fmt.Sprintf("sf=%d lanes=%d", m.sf, m.fwd.Mapper().NumLanes()))
 		}
 		m.checkDegraded()
 
@@ -232,9 +230,7 @@ func (m *managedLink) step() {
 		if !m.runServe {
 			return
 		}
-		for i := 0; i < m.design.SFPerStep && (m.state == StateServing || m.state == StateDegraded); i++ {
-			m.tick(false)
-		}
+		m.tick(false)
 		m.checkDegraded()
 
 	case StateRenegotiating:
@@ -249,13 +245,11 @@ func (m *managedLink) step() {
 			_ = m.transition(StateRetired, "sf=0")
 			return
 		}
-		for i := 0; i < m.design.SFPerStep && m.state == StateDraining; i++ {
-			m.tick(true)
-			m.drained++
-			if m.pair.A.Stats().InFlight == 0 || m.drained >= m.design.DrainSF {
-				_ = m.transition(StateRetired, fmt.Sprintf(
-					"sf=%d delivered=%d/%d retx=%d", m.sf, m.delivered, m.queued, m.retx))
-			}
+		m.tick(true)
+		m.drained++
+		if m.pair.A.Stats().InFlight == 0 || m.drained >= m.design.DrainSF {
+			_ = m.transition(StateRetired, fmt.Sprintf(
+				"sf=%d delivered=%d/%d retx=%d", m.sf, m.delivered, m.queued, m.retx))
 		}
 	}
 }

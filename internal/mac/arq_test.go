@@ -14,11 +14,11 @@ func srCfg() Config {
 // with no retransmissions, exactly like go-back-N.
 func TestSRInOrderDelivery(t *testing.T) {
 	var got []string
-	lb := newLoopbackDeliver(t, srCfg(), nil, func(p []byte) {
+	lb := newLoopbackDeliver(t, srCfg(), nil, func(_ int, p []byte) {
 		got = append(got, string(p))
 	})
 	for i := 0; i < 30; i++ {
-		if err := lb.a.Send([]byte(fmt.Sprintf("packet-%03d", i))); err != nil {
+		if err := lb.a.SendVC(0, []byte(fmt.Sprintf("packet-%03d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -43,7 +43,7 @@ func TestSRInOrderDelivery(t *testing.T) {
 // the receiver records Reordered, never Discarded.
 func TestSRRecoversWithoutDiscard(t *testing.T) {
 	var got []string
-	lb := newLoopbackDeliver(t, srCfg(), nil, func(p []byte) {
+	lb := newLoopbackDeliver(t, srCfg(), nil, func(_ int, p []byte) {
 		got = append(got, string(p))
 	})
 	sent := 0
@@ -51,7 +51,7 @@ func TestSRRecoversWithoutDiscard(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		if sent < 24 && i%2 == 0 {
 			for k := 0; k < 3; k++ {
-				if err := lb.a.Send([]byte(fmt.Sprintf("p%03d", sent))); err != nil {
+				if err := lb.a.SendVC(0, []byte(fmt.Sprintf("p%03d", sent))); err != nil {
 					t.Fatal(err)
 				}
 				sent++
@@ -83,7 +83,7 @@ func TestSRRecoversWithoutDiscard(t *testing.T) {
 // as a duplicate both times and deliver exactly once.
 func TestSRDuplicateRetransmits(t *testing.T) {
 	delivered := 0
-	b, err := NewEndpoint(srCfg(), func([]byte) { delivered++ })
+	b, err := NewEndpoint(srCfg(), func(int, []byte) { delivered++ })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestSRSequenceWraparoundAcrossReorderBoundary(t *testing.T) {
 		PayloadBudget: 33 * (8 + OverheadV2), ARQ: ARQSelectiveRepeat, ReorderWindow: 24}
 	delivered := uint64(0)
 	next := 0
-	lb := newLoopbackDeliver(t, cfg, nil, func(p []byte) {
+	lb := newLoopbackDeliver(t, cfg, nil, func(_ int, p []byte) {
 		if want := fmt.Sprintf("%08d", next); string(p) != want {
 			t.Fatalf("delivery %d = %q, want %q", delivered, p, want)
 		}
@@ -170,7 +170,7 @@ func TestSRSequenceWraparoundAcrossReorderBoundary(t *testing.T) {
 	sent, tick := 0, 0
 	for sent < total || lb.a.Stats().InFlight > 0 || lb.a.Stats().QueueDepth > 0 {
 		for k := 0; k < 40 && sent < total; k++ {
-			if err := lb.a.Send([]byte(fmt.Sprintf("%08d", sent))); err != nil {
+			if err := lb.a.SendVC(0, []byte(fmt.Sprintf("%08d", sent))); err != nil {
 				t.Fatal(err)
 			}
 			sent++
@@ -214,7 +214,7 @@ func TestSRWeightedSchedulingAndStarvationDrain(t *testing.T) {
 	if lb.a, err = NewEndpoint(cfg, nil); err != nil {
 		t.Fatal(err)
 	}
-	if lb.b, err = NewEndpointVC(cfg, func(vc int, _ []byte) { perVC[vc]++ }); err != nil {
+	if lb.b, err = NewEndpoint(cfg, func(vc int, _ []byte) { perVC[vc]++ }); err != nil {
 		t.Fatal(err)
 	}
 	load := [3]int{100, 60, 40}

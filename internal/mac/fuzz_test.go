@@ -127,7 +127,7 @@ func FuzzMACDeframe(f *testing.F) {
 		}
 		ep.Accept([][]byte{data})
 		_ = ep.BuildSuperframe()
-		sr, err := NewEndpointVC(Config{
+		sr, err := NewEndpoint(Config{
 			PayloadBudget: 4096, ARQ: ARQSelectiveRepeat,
 			VCs: 4, VCClass: []uint8{0, 1, 2, 0},
 		}, nil)

@@ -288,54 +288,32 @@ type Endpoint struct {
 
 	txBuf []byte // superframe payload under construction
 
-	deframer    Deframer
-	emit        func(Frame) // bound handleFrame, constructed once
-	onDeliver   func([]byte)
-	onDeliverVC func(vc int, payload []byte)
+	deframer  Deframer
+	emit      func(Frame) // bound handleFrame, constructed once
+	onDeliver func(vc int, payload []byte)
 
 	tick  uint64
 	stats Stats
 }
 
 // NewEndpoint builds an endpoint. onDeliver receives each in-order
-// packet payload exactly once (regardless of VC); the slice aliases
-// internal buffers and must not be retained. onDeliver may be nil
-// (delivery still counted).
-func NewEndpoint(cfg Config, onDeliver func([]byte)) (*Endpoint, error) {
-	e, err := newEndpoint(cfg)
-	if err != nil {
-		return nil, err
-	}
-	e.onDeliver = onDeliver
-	return e, nil
-}
-
-// NewEndpointVC builds an endpoint with a VC-aware delivery callback:
-// onDeliverVC receives each in-order payload once, tagged with the
-// virtual channel it arrived on. The payload aliasing rules match
-// NewEndpoint.
-func NewEndpointVC(cfg Config, onDeliverVC func(vc int, payload []byte)) (*Endpoint, error) {
-	e, err := newEndpoint(cfg)
-	if err != nil {
-		return nil, err
-	}
-	e.onDeliverVC = onDeliverVC
-	return e, nil
-}
-
-func newEndpoint(cfg Config) (*Endpoint, error) {
+// packet payload exactly once, tagged with the virtual channel it
+// arrived on; the slice aliases internal buffers and must not be
+// retained. onDeliver may be nil (delivery still counted).
+func NewEndpoint(cfg Config, onDeliver func(vc int, payload []byte)) (*Endpoint, error) {
 	full, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
 	}
 	e := &Endpoint{
-		cfg:      full,
-		arq:      arqFor(full.ARQ),
-		v2:       full.wireOverhead() == OverheadV2,
-		overhead: full.wireOverhead(),
-		vcs:      make([]vcState, full.VCs),
-		order:    buildServiceOrder(full.VCClass),
-		txBuf:    make([]byte, 0, full.PayloadBudget),
+		cfg:       full,
+		arq:       arqFor(full.ARQ),
+		v2:        full.wireOverhead() == OverheadV2,
+		overhead:  full.wireOverhead(),
+		vcs:       make([]vcState, full.VCs),
+		order:     buildServiceOrder(full.VCClass),
+		txBuf:     make([]byte, 0, full.PayloadBudget),
+		onDeliver: onDeliver,
 	}
 	for i := range e.vcs {
 		v := &e.vcs[i]
@@ -351,12 +329,8 @@ func newEndpoint(cfg Config) (*Endpoint, error) {
 	return e, nil
 }
 
-// Send queues one packet on VC 0 for reliable delivery. The payload is
-// copied.
-func (e *Endpoint) Send(payload []byte) error { return e.SendVC(0, payload) }
-
-// SendVC queues one packet on the given virtual channel. The payload is
-// copied.
+// SendVC queues one packet on the given virtual channel for reliable
+// delivery. The payload is copied.
 func (e *Endpoint) SendVC(vc int, payload []byte) error {
 	if vc < 0 || vc >= len(e.vcs) {
 		return fmt.Errorf("mac: VC %d outside [0, %d)", vc, len(e.vcs))
@@ -522,15 +496,12 @@ func (e *Endpoint) handleFrame(f Frame) {
 	e.arq.onData(e, vc, f)
 }
 
-// deliver hands one in-order payload to the client callbacks.
+// deliver hands one in-order payload to the client callback.
 func (e *Endpoint) deliver(vc int, payload []byte) {
 	e.stats.Delivered++
 	e.vcs[vc].stats.Delivered++
 	if e.onDeliver != nil {
-		e.onDeliver(payload)
-	}
-	if e.onDeliverVC != nil {
-		e.onDeliverVC(vc, payload)
+		e.onDeliver(vc, payload)
 	}
 }
 

@@ -26,7 +26,7 @@ func newLoopback(t *testing.T, cfg Config) *loopback {
 	return lb
 }
 
-func newLoopbackDeliver(t *testing.T, cfg Config, onA, onB func([]byte)) *loopback {
+func newLoopbackDeliver(t *testing.T, cfg Config, onA, onB func(int, []byte)) *loopback {
 	t.Helper()
 	lb := &loopback{}
 	var err error
@@ -62,14 +62,14 @@ func testCfg() Config {
 
 func TestLLRInOrderDelivery(t *testing.T) {
 	var got [][]byte
-	lb := newLoopbackDeliver(t, testCfg(), nil, func(p []byte) {
+	lb := newLoopbackDeliver(t, testCfg(), nil, func(_ int, p []byte) {
 		got = append(got, append([]byte(nil), p...))
 	})
 	var want [][]byte
 	for i := 0; i < 30; i++ {
 		p := []byte(fmt.Sprintf("packet-%03d", i))
 		want = append(want, p)
-		if err := lb.a.Send(p); err != nil {
+		if err := lb.a.SendVC(0, p); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -93,7 +93,7 @@ func TestLLRInOrderDelivery(t *testing.T) {
 // packet must still arrive exactly once, in order.
 func TestLLRRecoversFromLoss(t *testing.T) {
 	var got []string
-	lb := newLoopbackDeliver(t, testCfg(), nil, func(p []byte) {
+	lb := newLoopbackDeliver(t, testCfg(), nil, func(_ int, p []byte) {
 		got = append(got, string(p))
 	})
 	sent := 0
@@ -101,7 +101,7 @@ func TestLLRRecoversFromLoss(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		if sent < 24 && i%2 == 0 {
 			for k := 0; k < 3; k++ {
-				if err := lb.a.Send([]byte(fmt.Sprintf("p%03d", sent))); err != nil {
+				if err := lb.a.SendVC(0, []byte(fmt.Sprintf("p%03d", sent))); err != nil {
 					t.Fatal(err)
 				}
 				sent++
@@ -129,7 +129,7 @@ func TestLLRCreditStall(t *testing.T) {
 	cfg.Window = 4
 	lb := newLoopback(t, cfg)
 	for i := 0; i < 20; i++ {
-		if err := lb.a.Send([]byte("x")); err != nil {
+		if err := lb.a.SendVC(0, []byte("x")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -164,7 +164,7 @@ func TestLLRCreditStall(t *testing.T) {
 func TestLLRDuplicateSuppression(t *testing.T) {
 	cfg := testCfg()
 	delivered := 0
-	b, err := NewEndpoint(cfg, func([]byte) { delivered++ })
+	b, err := NewEndpoint(cfg, func(int, []byte) { delivered++ })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestLLRDuplicateSuppression(t *testing.T) {
 func TestLLROutOfOrderDrop(t *testing.T) {
 	cfg := testCfg()
 	delivered := 0
-	b, err := NewEndpoint(cfg, func([]byte) { delivered++ })
+	b, err := NewEndpoint(cfg, func(int, []byte) { delivered++ })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestLLRIgnoresImplausibleAck(t *testing.T) {
 	cfg := testCfg()
 	lb := newLoopback(t, cfg)
 	for i := 0; i < 4; i++ {
-		if err := lb.a.Send([]byte("y")); err != nil {
+		if err := lb.a.SendVC(0, []byte("y")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -243,7 +243,7 @@ func TestLLRIgnoresImplausibleAck(t *testing.T) {
 func TestLLRSendRejectsOversize(t *testing.T) {
 	cfg := testCfg()
 	lb := newLoopback(t, cfg)
-	if err := lb.a.Send(make([]byte, cfg.MaxPayload+1)); err == nil {
+	if err := lb.a.SendVC(0, make([]byte, cfg.MaxPayload+1)); err == nil {
 		t.Fatal("oversize packet accepted")
 	}
 }
@@ -266,12 +266,12 @@ func TestConfigValidation(t *testing.T) {
 func TestLLRSequenceWraparound(t *testing.T) {
 	cfg := Config{Window: 32, RetxTimeout: 2, MaxPayload: 4, PayloadBudget: 4096}
 	delivered := uint64(0)
-	lb := newLoopbackDeliver(t, cfg, nil, func([]byte) { delivered++ })
+	lb := newLoopbackDeliver(t, cfg, nil, func(int, []byte) { delivered++ })
 	const total = 140000 // > 2 * 65536
 	sent := 0
 	for sent < total || lb.a.Stats().InFlight > 0 || lb.a.Stats().QueueDepth > 0 {
 		for k := 0; k < 100 && sent < total; k++ {
-			if err := lb.a.Send([]byte{byte(sent)}); err != nil {
+			if err := lb.a.SendVC(0, []byte{byte(sent)}); err != nil {
 				t.Fatal(err)
 			}
 			sent++

@@ -71,11 +71,11 @@ func NewPair(fwd, rev *phy.Link, cfg PairConfig, onDeliverA, onDeliverB func([]b
 	if rem := ec.PayloadBudget % fl; rem != 0 {
 		ec.PayloadBudget += fl - rem
 	}
-	a, err := NewEndpoint(ec, onDeliverA)
+	a, err := NewEndpoint(ec, vcBlind(onDeliverA))
 	if err != nil {
 		return nil, err
 	}
-	b, err := NewEndpoint(ec, onDeliverB)
+	b, err := NewEndpoint(ec, vcBlind(onDeliverB))
 	if err != nil {
 		return nil, err
 	}
@@ -86,6 +86,14 @@ func NewPair(fwd, rev *phy.Link, cfg PairConfig, onDeliverA, onDeliverB func([]b
 		chunksF:     make([][]byte, nchunks),
 		chunksR:     make([][]byte, nchunks),
 	}, nil
+}
+
+// vcBlind adapts a delivery callback that ignores the VC to NewEndpoint's.
+func vcBlind(fn func([]byte)) func(int, []byte) {
+	if fn == nil {
+		return nil
+	}
+	return func(_ int, payload []byte) { fn(payload) }
 }
 
 // chunk splits payload into phyFrameLen-sized views stored in dst.

@@ -40,7 +40,7 @@ func TestPairDeliversOverPHY(t *testing.T) {
 	sent := 0
 	for tick := 0; tick < 20; tick++ {
 		for k := 0; k < 4 && sent < 50; k++ {
-			if err := pair.A.Send([]byte(fmt.Sprintf("pkt-%03d", sent))); err != nil {
+			if err := pair.A.SendVC(0, []byte(fmt.Sprintf("pkt-%03d", sent))); err != nil {
 				t.Fatal(err)
 			}
 			sent++
@@ -84,7 +84,7 @@ func TestPairRecoversOverLossyPHY(t *testing.T) {
 	sent := 0
 	for tick := 0; tick < 120; tick++ {
 		for k := 0; k < 6 && sent < 60; k++ {
-			if err := pair.A.Send(mkpkt(sent)); err != nil {
+			if err := pair.A.SendVC(0, mkpkt(sent)); err != nil {
 				t.Fatal(err)
 			}
 			sent++
@@ -157,7 +157,7 @@ func TestPairTickSteadyStateAllocs(t *testing.T) {
 			tick := func() {
 				ticks++
 				for k := 0; k < 8; k++ {
-					if err := pair.A.Send(payload); err != nil {
+					if err := pair.A.SendVC(0, payload); err != nil {
 						t.Fatal(err)
 					}
 				}

@@ -26,7 +26,7 @@ func TestFECMetadata(t *testing.T) {
 }
 
 func TestNoFECDecodeTruncated(t *testing.T) {
-	if _, _, err := (NoFEC{}).Decode([]byte{1, 2}, 5); err == nil {
+	if _, _, err := (NoFEC{}).AppendDecode(nil, []byte{1, 2}, 5); err == nil {
 		t.Error("truncated NoFEC stream accepted")
 	}
 }

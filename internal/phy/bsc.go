@@ -106,17 +106,10 @@ func (c *BSC) init(ber float64, seed int64) {
 	c.rng = seedChanRNG(seed)
 }
 
-// Transmit passes data through the channel and returns the received bytes
-// (a fresh slice): skew prefix, then data with bit errors applied. The
-// input is not modified.
-func (c *BSC) Transmit(data []byte) []byte {
-	return c.TransmitTo(nil, data)
-}
-
-// TransmitTo is Transmit into a reusable buffer: the received bytes are
-// appended to dst (usually dst[:0] of a per-lane scratch slice) and the
-// extended slice returned. The random draw sequence is identical to
-// Transmit, so a fixed seed produces identical bytes either way.
+// TransmitTo passes data through the channel and appends the received
+// bytes — skew prefix, then data with bit errors applied — to dst
+// (usually dst[:0] of a per-lane scratch slice), returning the extended
+// slice. The input is not modified.
 func (c *BSC) TransmitTo(dst, data []byte) []byte {
 	base := len(dst)
 	need := c.SkewBytes + len(data)

@@ -11,8 +11,8 @@ import (
 
 // FEC is the per-channel forward error correction applied to each channel
 // frame. Implementations segment the byte stream into code blocks
-// internally. Decode is given the expected plaintext length so padding can
-// be stripped deterministically.
+// internally. AppendDecode is given the expected plaintext length so
+// padding can be stripped deterministically.
 //
 // Implementations must be safe for concurrent use (the per-channel workers
 // run in parallel).
@@ -23,18 +23,14 @@ type FEC interface {
 	Overhead() float64
 	// EncodedLen returns the encoded size of a plaintext of n bytes.
 	EncodedLen(n int) int
-	// Encode returns the encoded bytes (fresh slice).
-	Encode(plain []byte) []byte
-	// Decode corrects errors and returns plainLen bytes plus the number of
-	// corrected symbol/bit errors. It returns an error when a block was
-	// uncorrectable (the returned bytes are then best-effort).
-	Decode(encoded []byte, plainLen int) ([]byte, int, error)
 	// AppendEncode appends the encoded bytes to dst and returns the
-	// extended slice; the allocation-aware hot path uses this so one
-	// per-lane wire buffer absorbs every frame.
+	// extended slice, so one per-lane wire buffer absorbs every frame.
 	AppendEncode(dst, plain []byte) []byte
-	// AppendDecode appends plainLen decoded bytes to dst; semantics
-	// otherwise match Decode.
+	// AppendDecode corrects errors, appends plainLen decoded bytes to dst
+	// and returns the extended slice plus the number of corrected
+	// symbol/bit errors. It returns an error when a block was
+	// uncorrectable (the appended bytes are then best-effort) or the
+	// encoded stream is too short (nothing is appended).
 	AppendDecode(dst, encoded []byte, plainLen int) ([]byte, int, error)
 }
 
@@ -54,19 +50,6 @@ func (NoFEC) Overhead() float64 { return 0 }
 
 // EncodedLen implements FEC.
 func (NoFEC) EncodedLen(n int) int { return n }
-
-// Encode implements FEC.
-func (NoFEC) Encode(plain []byte) []byte {
-	return append([]byte(nil), plain...)
-}
-
-// Decode implements FEC.
-func (NoFEC) Decode(encoded []byte, plainLen int) ([]byte, int, error) {
-	if plainLen > len(encoded) {
-		return nil, 0, fmt.Errorf("phy: NoFEC stream shorter (%d) than plaintext (%d)", len(encoded), plainLen)
-	}
-	return append([]byte(nil), encoded[:plainLen]...), 0, nil
-}
 
 // AppendEncode implements FEC.
 func (NoFEC) AppendEncode(dst, plain []byte) []byte {
@@ -100,12 +83,6 @@ func (HammingFEC) EncodedLen(n int) int {
 	return words * 9
 }
 
-// Encode implements FEC.
-func (h HammingFEC) Encode(plain []byte) []byte {
-	words := (len(plain) + 7) / 8
-	return h.AppendEncode(make([]byte, 0, words*9), plain)
-}
-
 // AppendEncode implements FEC.
 func (HammingFEC) AppendEncode(out, plain []byte) []byte {
 	words := (len(plain) + 7) / 8
@@ -124,11 +101,6 @@ func (HammingFEC) AppendEncode(out, plain []byte) []byte {
 		out = append(out, cw.Check)
 	}
 	return out
-}
-
-// Decode implements FEC.
-func (h HammingFEC) Decode(encoded []byte, plainLen int) ([]byte, int, error) {
-	return h.AppendDecode(make([]byte, 0, plainLen), encoded, plainLen)
 }
 
 // AppendDecode implements FEC.
@@ -260,11 +232,6 @@ func (r *RSFEC) getSym(src []byte) int {
 	return (int(src[0])<<8 | int(src[1])) & (r.code.Field().Size() - 1)
 }
 
-// Encode implements FEC.
-func (r *RSFEC) Encode(plain []byte) []byte {
-	return r.AppendEncode(nil, plain)
-}
-
 // AppendEncode implements FEC.
 func (r *RSFEC) AppendEncode(dst, plain []byte) []byte {
 	k, n := r.code.K(), r.code.N()
@@ -318,11 +285,6 @@ func (r *RSFEC) AppendEncode(dst, plain []byte) []byte {
 	}
 	r.scratch.Put(sc)
 	return dst
-}
-
-// Decode implements FEC.
-func (r *RSFEC) Decode(encoded []byte, plainLen int) ([]byte, int, error) {
-	return r.AppendDecode(make([]byte, 0, plainLen), encoded, plainLen)
 }
 
 // AppendDecode implements FEC.

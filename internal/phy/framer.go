@@ -48,20 +48,6 @@ func (f *Framer) PayloadLen() int { return f.payloadLen }
 // WireLen returns the on-the-wire size of one frame.
 func (f *Framer) WireLen() int { return 2 + f.encLen }
 
-// ChannelFrame is one decoded channel frame.
-type ChannelFrame struct {
-	Lane        int
-	Seq         uint32
-	Payload     []byte
-	Corrections int // FEC corrections inside this frame
-}
-
-// Encode serialises one frame to wire bytes.
-func (f *Framer) Encode(lane int, seq uint32, payload []byte) []byte {
-	var scratch []byte
-	return f.AppendFrame(make([]byte, 0, f.WireLen()), lane, seq, payload, &scratch)
-}
-
 // AppendFrame serialises one frame onto dst and returns the extended
 // slice. bodyScratch is a reusable buffer for the pre-FEC frame body
 // (grown as needed); pass the same pointer on every call from one worker
@@ -93,28 +79,12 @@ type DecodeStats struct {
 	SkippedBytes int // bytes discarded while hunting for alignment
 }
 
-// DecodeStream scans a channel's received byte stream, recovering every
-// frame it can. It hunts for the marker, FEC-decodes the fixed-size body,
-// verifies the CRC, and resynchronizes on failure.
-func (f *Framer) DecodeStream(stream []byte) ([]ChannelFrame, DecodeStats) {
-	var frames []ChannelFrame
-	var scratch []byte
-	st := f.ScanStream(stream, &scratch, func(lane int, seq uint32, payload []byte, ncorr int) {
-		frames = append(frames, ChannelFrame{
-			Lane:        lane,
-			Seq:         seq,
-			Payload:     append([]byte(nil), payload...),
-			Corrections: ncorr,
-		})
-	})
-	return frames, st
-}
-
-// ScanStream is the allocation-free core of DecodeStream: it hunts for the
-// marker, FEC-decodes the fixed-size body into bodyScratch (reused across
-// frames), verifies the CRC, and calls emit for every recovered frame.
-// The payload slice passed to emit aliases bodyScratch and is only valid
-// for the duration of the callback — copy it out if it must survive.
+// ScanStream scans a channel's received byte stream, recovering every
+// frame it can: it hunts for the marker, FEC-decodes the fixed-size body
+// into bodyScratch (reused across frames), verifies the CRC, calls emit
+// for every recovered frame and resynchronizes on failure. The payload
+// slice passed to emit aliases bodyScratch and is only valid for the
+// duration of the callback — copy it out if it must survive.
 func (f *Framer) ScanStream(stream []byte, bodyScratch *[]byte, emit func(lane int, seq uint32, payload []byte, ncorr int)) DecodeStats {
 	var st DecodeStats
 	i := 0

@@ -16,13 +16,13 @@ import (
 
 func FuzzFramerDecodeStream(f *testing.F) {
 	fr := NewFramer(NewRSLite(), 63)
-	good := fr.Encode(3, 9, make([]byte, 63))
+	good := fr.AppendFrame(nil, 3, 9, make([]byte, 63), new([]byte))
 	f.Add(good)
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{marker0, marker1}, 50))
 	f.Add(append(append([]byte{0xff, 0x00}, good...), 0xd5))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		frames, st := fr.DecodeStream(data)
+		frames, st := scanFrames(fr, data)
 		if st.Frames != len(frames) {
 			t.Fatalf("stats/frames mismatch: %d vs %d", st.Frames, len(frames))
 		}
@@ -35,14 +35,14 @@ func FuzzFramerDecodeStream(f *testing.F) {
 }
 
 func FuzzHammingFECDecode(f *testing.F) {
-	enc := HammingFEC{}.Encode(make([]byte, 64))
+	enc := HammingFEC{}.AppendEncode(nil, make([]byte, 64))
 	f.Add(enc, 64)
 	f.Add([]byte{}, 0)
 	f.Fuzz(func(t *testing.T, data []byte, plainLen int) {
 		if plainLen < 0 || plainLen > 4096 {
 			return
 		}
-		out, _, err := HammingFEC{}.Decode(data, plainLen)
+		out, _, err := HammingFEC{}.AppendDecode(nil, data, plainLen)
 		if err == nil && len(out) != plainLen {
 			// Truncated-stream errors are fine; success must honour length.
 			t.Fatalf("decode returned %d bytes for plainLen %d", len(out), plainLen)
@@ -53,7 +53,7 @@ func FuzzHammingFECDecode(f *testing.F) {
 func FuzzRSLiteDecode(f *testing.F) {
 	fec := NewRSLite()
 	ref := refmodel.NewRSLiteRef()
-	enc := fec.Encode(make([]byte, 64))
+	enc := fec.AppendEncode(nil, make([]byte, 64))
 	f.Add(enc)
 	damaged := append([]byte(nil), enc...)
 	damaged[3] ^= 0x40
@@ -65,7 +65,7 @@ func FuzzRSLiteDecode(f *testing.F) {
 	}
 	f.Add(overloaded)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		out, ncorr, err := fec.Decode(data, 64)
+		out, ncorr, err := fec.AppendDecode(nil, data, 64)
 		// Truncated-stream errors return best-effort bytes; a successful
 		// decode must honour the requested plaintext length exactly.
 		if err == nil && len(out) != 64 {
@@ -182,11 +182,10 @@ func FuzzParseFramesNeverPanics(f *testing.F) {
 	f.Add(append([]byte(nil), stream[:len(stream)/2+4]...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var st, refSt ExchangeStats
-		var scratch []byte
-		var frames, refFrames [][]byte
-		parseFrames(data, &st, &scratch, func(frame []byte) {
-			frames = append(frames, append([]byte(nil), frame...))
-		})
+		var buf ExchangeBuf
+		var refFrames [][]byte
+		parseFrames(data, &st, &buf)
+		frames := buf.frames
 		refParseFrames(data, &refSt, func(frame []byte) {
 			refFrames = append(refFrames, append([]byte(nil), frame...))
 		})

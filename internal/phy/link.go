@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math/rand"
+	"slices"
 
 	"mosaic/internal/coding/linecode"
 	"mosaic/internal/par"
@@ -263,37 +264,30 @@ type ExchangeBuf struct {
 	frames  [][]byte
 	payload []byte
 	perCh   map[int]DecodeStats
-	emit    func(frame []byte)
 }
 
 // Exchange sends user frames through the full TX → channels → RX pipeline
-// and returns the frames the far end recovered plus statistics.
-// Frames must be at least 3 bytes (they gain a 4-byte FCS and must fill
-// the 7-byte start block).
+// and returns the frames the far end recovered plus statistics. It is
+// ExchangeInto on a fresh arena, so the delivered frames and the
+// per-channel map belong to the caller. The frames share one payload
+// slab, so keeping any one of them keeps the whole slab (about 8/9 of
+// the received stream) alive. Callers that consume the delivered frames
+// before their next call should use ExchangeInto with one arena, which
+// then allocates nothing at all.
+func (l *Link) Exchange(frames [][]byte) ([][]byte, ExchangeStats, error) {
+	return l.ExchangeInto(new(ExchangeBuf), frames)
+}
+
+// ExchangeInto sends user frames through the full TX → channels → RX
+// pipeline with the output arena supplied by the caller: delivered frames
+// are sub-slices of buf's payload slab and stay valid only until buf's
+// next use. Frames must be at least 3 bytes (they gain a 4-byte FCS and
+// must fill the 7-byte start block).
 //
 // The pipeline is staged (see pipeline.go); its buffers are a scratch
 // borrowed for the call and the per-lane stage is one allocation-free
-// par.Pool.Run, so the
-// steady state allocates only the returned frames and stats map. Callers
-// that consume the delivered frames before their next call should use
-// ExchangeInto, which recycles those too and allocates nothing at all.
-func (l *Link) Exchange(frames [][]byte) ([][]byte, ExchangeStats, error) {
-	var st ExchangeStats
-	st.PerChannel = make(map[int]DecodeStats)
-	var out [][]byte
-	err := l.exchange(frames, &st, func(frame []byte) {
-		out = append(out, append([]byte(nil), frame...))
-	})
-	if err != nil {
-		return nil, st, err
-	}
-	return out, st, nil
-}
-
-// ExchangeInto is Exchange with the output arena supplied by the caller:
-// delivered frames are sub-slices of buf's payload slab and stay valid
-// only until buf's next use. After warm-up (buffers grown to the traffic
-// high-water mark) a round trip performs zero heap allocations.
+// par.Pool.Run, so after warm-up (buf grown to the traffic high-water
+// mark) a round trip performs zero heap allocations.
 func (l *Link) ExchangeInto(buf *ExchangeBuf, frames [][]byte) ([][]byte, ExchangeStats, error) {
 	var st ExchangeStats
 	if buf.perCh == nil {
@@ -301,29 +295,6 @@ func (l *Link) ExchangeInto(buf *ExchangeBuf, frames [][]byte) ([][]byte, Exchan
 	}
 	clear(buf.perCh)
 	st.PerChannel = buf.perCh
-	buf.frames = buf.frames[:0]
-	buf.payload = buf.payload[:0]
-	if buf.emit == nil {
-		buf.emit = func(frame []byte) {
-			start := len(buf.payload)
-			buf.payload = append(buf.payload, frame...)
-			end := len(buf.payload)
-			// Three-index slice: an append through a delivered frame can
-			// never scribble over the next one.
-			buf.frames = append(buf.frames, buf.payload[start:end:end])
-		}
-	}
-	err := l.exchange(frames, &st, buf.emit)
-	if err != nil {
-		return nil, st, err
-	}
-	return buf.frames, st, nil
-}
-
-// exchange is the shared pipeline core: emit receives each delivered
-// frame as a slice into the borrowed scratch, valid only for the duration
-// of the callback.
-func (l *Link) exchange(frames [][]byte, st *ExchangeStats, emit func(frame []byte)) error {
 	st.FramesIn = len(frames)
 	// Launch the lane helpers now: an idle CPU picks them up while the
 	// serial encode and scramble run, not at the start of the lane round.
@@ -332,9 +303,9 @@ func (l *Link) exchange(frames [][]byte, st *ExchangeStats, emit func(frame []by
 	defer scratchPool.Put(sc)
 
 	// --- TX: frames -> blocks -> byte stream ---
-	stream, err := l.stageEncode(sc, frames, st)
+	stream, err := l.stageEncode(sc, frames, &st)
 	if err != nil {
-		return err
+		return nil, st, err
 	}
 
 	// --- Scramble ---
@@ -344,12 +315,12 @@ func (l *Link) exchange(frames [][]byte, st *ExchangeStats, emit func(frame []by
 	// --- Stripe across active lanes + per-channel transmit/decode ---
 	lanes := l.mapper.NumLanes()
 	if lanes == 0 {
-		return errors.New("phy: link is down (no active lanes)")
+		return nil, st, errors.New("phy: link is down (no active lanes)")
 	}
 	// stageEncode pads to whole units, so the stream stripes exactly.
 	totalUnits := len(stream) / l.cfg.UnitLen
 	st.UnitsTotal = totalUnits
-	maxUnits := laneUnits(totalUnits, lanes, 0)
+	maxUnits := LaneUnits(totalUnits, lanes, 0)
 	states := sc.prepareLanes(lanes,
 		maxUnits*l.framer.WireLen(), maxUnits, l.framer.bodyLen)
 	rxStream := sc.rxStreamBuf(len(stream))
@@ -359,85 +330,74 @@ func (l *Link) exchange(frames [][]byte, st *ExchangeStats, emit func(frame []by
 	sc.link, sc.curTx, sc.curRx = nil, nil, nil
 
 	// --- Destripe: fold lane results serially, in lane order ---
-	l.stageFold(states, st)
+	l.stageFold(states, &st)
 
 	// --- Descramble & parse blocks back into frames ---
 	l.descrambler.Reset(scramblerSeed)
 	l.descrambler.Descramble(rxStream)
-	parseFrames(rxStream, st, &sc.parse, emit)
+	parseFrames(rxStream, &st, buf)
 	st.FramesLost = st.FramesIn - st.FramesDelivered - st.FramesCorrupted
 	if st.FramesLost < 0 {
 		st.FramesLost = 0
 	}
 	l.superframes++
-	return nil
+	return buf.frames, st, nil
 }
 
 // parseFrames walks the descrambled 9-byte block stream, reassembling
-// FCS-verified frames and resynchronizing after damage. scratch is the
-// reusable frame-in-progress buffer; every verified frame is handed to
-// emit as a slice into that buffer (copy it out to retain it) and counted
-// in st.FramesDelivered.
-func parseFrames(stream []byte, st *ExchangeStats, scratch *[]byte, emit func(frame []byte)) {
-	cur := (*scratch)[:0]
-	inFrame := false
+// FCS-verified frames into buf and resynchronizing after damage. Each
+// frame is built in place at the tail of buf.payload (a start block
+// carries seven bytes, so it always holds its four FCS bytes): damage
+// cuts it back off, and a verified frame drops its FCS and joins
+// buf.frames as a three-index slice, so an append through one delivered
+// frame can never scribble over the next.
+func parseFrames(stream []byte, st *ExchangeStats, buf *ExchangeBuf) {
+	buf.frames = slices.Grow(buf.frames[:0], st.FramesIn)
+	// Every 9-byte block yields at most 8 payload bytes, so the slab never
+	// regrows mid-parse.
+	p := slices.Grow(buf.payload[:0], len(stream)/9*8)
+	start := -1 // offset of the frame in progress in p; -1 between frames
 	for off := 0; off+9 <= len(stream); off += 9 {
 		blk := stream[off : off+9] // sync header, then the 8 payload bytes
 		if blk[0] == linecode.SyncData {
 			// The common block, ahead of the control-type switch.
-			if inFrame {
-				cur = append(cur, blk[1:]...)
+			if start >= 0 {
+				p = append(p, blk[1:]...)
 			}
 			continue
 		}
 		kind, termLen, ok := linecode.Classify(blk[0], blk[1])
-		if !ok {
-			// Corrupted block: any frame in progress is damaged.
-			if inFrame {
+		switch {
+		case !ok || kind == linecode.KindIdle:
+			// A corrupted block damages any frame in progress; an idle
+			// inside a frame means we lost the terminate.
+			if start >= 0 {
 				st.FramesCorrupted++
-				inFrame = false
-				cur = cur[:0]
+				p, start = p[:start], -1
 			}
-			continue
-		}
-		switch kind {
-		case linecode.KindStart:
-			if inFrame {
+		case kind == linecode.KindStart:
+			if start >= 0 {
 				st.FramesCorrupted++
+				p = p[:start]
 			}
-			cur = append(cur[:0], blk[2:]...)
-			inFrame = true
-		case linecode.KindTerm:
-			if !inFrame {
-				continue
-			}
-			cur = append(cur, blk[2:2+termLen]...)
-			inFrame = false
-			if len(cur) < 4 {
-				st.FramesCorrupted++
-				cur = cur[:0]
-				continue
-			}
-			body := cur[:len(cur)-4]
-			want := binary.BigEndian.Uint32(cur[len(cur)-4:])
-			if crc32.ChecksumIEEE(body) == want {
-				emit(body)
+			start = len(p)
+			p = append(p, blk[2:]...)
+		case kind == linecode.KindTerm && start >= 0:
+			p = append(p, blk[2:2+termLen]...)
+			end := len(p) - 4
+			if crc32.ChecksumIEEE(p[start:end]) == binary.BigEndian.Uint32(p[end:]) {
+				buf.frames = append(buf.frames, p[start:end:end])
+				p = p[:end]
 				st.FramesDelivered++
 			} else {
 				st.FramesCorrupted++
+				p = p[:start]
 			}
-			cur = cur[:0]
-		case linecode.KindIdle:
-			if inFrame {
-				// Idle inside a frame means we lost the terminate.
-				st.FramesCorrupted++
-				inFrame = false
-				cur = cur[:0]
-			}
+			start = -1
 		}
 	}
-	if inFrame {
+	if start >= 0 {
 		st.FramesCorrupted++
 	}
-	*scratch = cur[:0]
+	buf.payload = p
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 )
@@ -369,5 +370,87 @@ func TestSpareFailedRemapsEachFailedChannelOnce(t *testing.T) {
 	}
 	if n := l.SpareFailed(nil); n != 0 {
 		t.Fatalf("second pass spared %d channels, want 0", n)
+	}
+}
+
+// raceEnabled is set under -race (race_test.go).
+var raceEnabled bool
+
+// TestExchangeIntoArena drives twin links, one through Exchange and one
+// through ExchangeInto on a reused arena, over NoFEC lanes noisy enough
+// to lose units mid-frame. A lost unit descrambles to random block
+// headers, so now and then a frame in progress meets a garbage start,
+// terminate or idle block: at this seed the parse stage's restart,
+// FCS-failure and idle-in-frame branches all run beside clean
+// deliveries. Every round the twins must deliver the same frames and
+// stats; Exchange's frames belong to the caller and survive the next
+// round; an append through a delivered frame never reaches the next
+// one; and a warmed ExchangeInto allocates nothing.
+func TestExchangeIntoArena(t *testing.T) {
+	cfg := Config{Lanes: 16, FEC: NoFEC{}, UnitLen: 9, Workers: 1, Seed: 18}
+	owned, arena := mustLink(t, cfg), mustLink(t, cfg)
+	for p := 0; p < cfg.Lanes; p++ {
+		owned.SetChannelBER(p, 2e-3)
+		arena.SetChannelBER(p, 2e-3)
+	}
+	var buf ExchangeBuf
+	var prev, prevCopy [][]byte
+	delivered, corrupted := 0, 0
+	for r := 0; r < 4; r++ {
+		frames := SeededFrames(int64(r), 2500, 24+r%3)
+		want, wantSt, err := owned.Exchange(frames)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, gotSt, err := arena.ExchangeInto(&buf, frames)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(gotSt, wantSt) {
+			t.Fatalf("round %d: ExchangeInto stats %+v, Exchange %+v", r, gotSt, wantSt)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("round %d: ExchangeInto delivered %d frames, Exchange %d", r, len(got), len(want))
+		}
+		for i := range want {
+			if !bytes.Equal(got[i], want[i]) {
+				t.Fatalf("round %d: frame %d differs between ExchangeInto and Exchange", r, i)
+			}
+		}
+		for i := range prev {
+			if !bytes.Equal(prev[i], prevCopy[i]) {
+				t.Fatalf("round %d: Exchange frame %d of the round before changed", r, i)
+			}
+		}
+		for _, out := range [][][]byte{want, got} {
+			for i := 0; i+1 < len(out); i++ {
+				next := bytes.Clone(out[i+1])
+				_ = append(out[i], 0xee, 0xee, 0xee, 0xee)
+				if !bytes.Equal(out[i+1], next) {
+					t.Fatalf("round %d: appending to frame %d changed frame %d", r, i, i+1)
+				}
+			}
+		}
+		prev, prevCopy = want, make([][]byte, len(want))
+		for i := range want {
+			prevCopy[i] = bytes.Clone(want[i])
+		}
+		delivered += wantSt.FramesDelivered
+		corrupted += wantSt.FramesCorrupted
+	}
+	if delivered == 0 || corrupted == 0 {
+		t.Fatalf("want both delivered and corrupted frames: %d delivered, %d corrupted", delivered, corrupted)
+	}
+	if raceEnabled {
+		return // sync.Pool drops scratches at random under -race
+	}
+	frames := SeededFrames(9, 2500, 24)
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, _, err := arena.ExchangeInto(&buf, frames); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("warmed ExchangeInto allocates %.1f times per call, want 0", allocs)
 	}
 }

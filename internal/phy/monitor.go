@@ -214,14 +214,7 @@ func (m *Monitor) Health(physical int) ChannelHealth {
 
 // Snapshot returns a copy of all channels' health.
 func (m *Monitor) Snapshot() []ChannelHealth {
-	return m.SnapshotInto(nil)
-}
-
-// SnapshotInto copies every channel's health into dst, reusing its
-// capacity (dst may be nil), so a periodic reader stays allocation-free
-// in steady state.
-func (m *Monitor) SnapshotInto(dst []ChannelHealth) []ChannelHealth {
-	return append(dst[:0], m.channels...)
+	return append([]ChannelHealth(nil), m.channels...)
 }
 
 // FailedChannels lists physical channels currently in the failed state.

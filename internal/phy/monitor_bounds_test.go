@@ -131,21 +131,20 @@ func TestObserveClassifiesDeadViaLoss(t *testing.T) {
 	}
 }
 
-func TestSnapshotIntoReusesBuffer(t *testing.T) {
+// TestSnapshotIsACopy: a snapshot is the caller's — mutating it never
+// reaches the monitor's own health records.
+func TestSnapshotIsACopy(t *testing.T) {
 	m := NewMonitor(8, DefaultMonitorConfig())
-	buf := make([]ChannelHealth, 0, 8)
-	got := m.SnapshotInto(buf)
-	if len(got) != 8 {
-		t.Fatalf("len = %d, want 8", len(got))
+	m.Observe(3, 10, 9, 2, 1000)
+	want := m.Health(3)
+	snap := m.Snapshot()
+	if len(snap) != 8 || !reflect.DeepEqual(snap[3], want) {
+		t.Fatalf("snapshot %+v, want 8 channels with channel 3 = %+v", snap, want)
 	}
-	if &got[0] != &buf[:1][0] {
-		t.Error("SnapshotInto reallocated despite sufficient capacity")
+	for i := range snap {
+		snap[i] = ChannelHealth{Physical: -7, State: Failed}
 	}
-	if nil2 := m.SnapshotInto(nil); len(nil2) != 8 {
-		t.Errorf("SnapshotInto(nil) len = %d, want 8", len(nil2))
-	}
-	// Snapshot and SnapshotInto agree.
-	if !reflect.DeepEqual(m.Snapshot(), got) {
-		t.Error("Snapshot and SnapshotInto disagree")
+	if got := m.Health(3); !reflect.DeepEqual(got, want) {
+		t.Errorf("mutating the snapshot changed Health(3): %+v, want %+v", got, want)
 	}
 }

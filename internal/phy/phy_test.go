@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"mosaic/internal/refmodel"
 )
 
 // --- BSC ---
@@ -13,7 +15,7 @@ import (
 func TestBSCNoErrors(t *testing.T) {
 	c := NewBSC(0, 1)
 	data := []byte("hello wide and slow world")
-	got := c.Transmit(data)
+	got := c.TransmitTo(nil, data)
 	if !bytes.Equal(got, data) {
 		t.Fatal("error-free channel altered data")
 	}
@@ -23,9 +25,9 @@ func TestBSCDoesNotModifyInput(t *testing.T) {
 	c := NewBSC(0.1, 1)
 	data := make([]byte, 1000)
 	snapshot := append([]byte(nil), data...)
-	c.Transmit(data)
+	c.TransmitTo(nil, data)
 	if !bytes.Equal(data, snapshot) {
-		t.Fatal("Transmit modified its input")
+		t.Fatal("TransmitTo modified its input")
 	}
 }
 
@@ -34,7 +36,7 @@ func TestBSCErrorRate(t *testing.T) {
 	data := make([]byte, 1<<18) // 2 Mbit
 	flips := 0
 	for trial := 0; trial < 4; trial++ {
-		got := c.Transmit(data)
+		got := c.TransmitTo(nil, data)
 		for i := range data {
 			x := got[i] ^ data[i]
 			for ; x != 0; x &= x - 1 {
@@ -53,7 +55,7 @@ func TestBSCSkewPrefix(t *testing.T) {
 	c := NewBSC(0, 3)
 	c.SkewBytes = 17
 	data := []byte("payload")
-	got := c.Transmit(data)
+	got := c.TransmitTo(nil, data)
 	if len(got) != 17+len(data) {
 		t.Fatalf("length %d", len(got))
 	}
@@ -66,7 +68,7 @@ func TestBSCDead(t *testing.T) {
 	c := NewBSC(0, 4)
 	c.Dead = true
 	data := make([]byte, 1024)
-	got := c.Transmit(data)
+	got := c.TransmitTo(nil, data)
 	same := 0
 	for i := range data {
 		if got[i] == data[i] {
@@ -97,12 +99,12 @@ func TestBSCZeroBERConsumesNoDraws(t *testing.T) {
 	rand.New(rand.NewSource(13)).Read(data)
 
 	warm := NewBSC(0, 99)
-	if !bytes.Equal(warm.Transmit(data), data) {
+	if !bytes.Equal(warm.TransmitTo(nil, data), data) {
 		t.Fatal("clean channel altered data")
 	}
 	warm.BER = 0.01
 	fresh := NewBSC(0.01, 99)
-	if !bytes.Equal(warm.Transmit(data), fresh.Transmit(data)) {
+	if !bytes.Equal(warm.TransmitTo(nil, data), fresh.TransmitTo(nil, data)) {
 		t.Fatal("p=0 transmit consumed random draws")
 	}
 }
@@ -115,7 +117,7 @@ func TestBSCDegenerateFlipsAll(t *testing.T) {
 
 	c := NewBSC(0, 42)
 	c.BER = 1 // past the constructor clamp, exercising the public knob
-	got := c.Transmit(data)
+	got := c.TransmitTo(nil, data)
 	for i := range got {
 		if got[i] != data[i]^0xff {
 			t.Fatalf("byte %d: %02x, want all bits flipped (%02x)", i, got[i], data[i]^0xff)
@@ -123,7 +125,7 @@ func TestBSCDegenerateFlipsAll(t *testing.T) {
 	}
 	c.BER = 0.25
 	fresh := NewBSC(0.25, 42)
-	if !bytes.Equal(c.Transmit(data), fresh.Transmit(data)) {
+	if !bytes.Equal(c.TransmitTo(nil, data), fresh.TransmitTo(nil, data)) {
 		t.Fatal("p>=1 transmit consumed random draws")
 	}
 }
@@ -137,7 +139,7 @@ func TestBSCTinyBERGapOvershootsFrame(t *testing.T) {
 	rand.New(rand.NewSource(15)).Read(data)
 	c := NewBSC(1e-15, 7)
 	for round := 0; round < 8; round++ {
-		if !bytes.Equal(c.Transmit(data), data) {
+		if !bytes.Equal(c.TransmitTo(nil, data), data) {
 			t.Fatalf("round %d: tiny-p channel flipped a bit in a 64 KiB frame "+
 				"(probability ~5e-10 per round; a flip means the gap math broke)", round)
 		}
@@ -150,7 +152,7 @@ func TestBSCTinyBERGapOvershootsFrame(t *testing.T) {
 func TestBSCSkipSamplingMatchesBernoulliRate(t *testing.T) {
 	const p = 1e-3
 	data := make([]byte, 1<<20)
-	got := NewBSC(p, 21).Transmit(data)
+	got := NewBSC(p, 21).TransmitTo(nil, data)
 	flips := 0
 	for i := range got {
 		flips += popcount8(got[i] ^ data[i])
@@ -173,6 +175,17 @@ func popcount8(b byte) int {
 
 // --- Framer ---
 
+// scanFrames collects every frame ScanStream recovers from stream, its
+// payload copied out.
+func scanFrames(f *Framer, stream []byte) ([]refmodel.ChannelFrame, DecodeStats) {
+	var frames []refmodel.ChannelFrame
+	var body []byte
+	st := f.ScanStream(stream, &body, func(lane int, seq uint32, payload []byte, ncorr int) {
+		frames = append(frames, refmodel.ChannelFrame{Lane: lane, Seq: seq, Payload: bytes.Clone(payload), Corrections: ncorr})
+	})
+	return frames, st
+}
+
 func TestFramerRoundTrip(t *testing.T) {
 	for _, fec := range []FEC{NoFEC{}, HammingFEC{}, NewRSLite()} {
 		f := NewFramer(fec, 63)
@@ -180,8 +193,8 @@ func TestFramerRoundTrip(t *testing.T) {
 		for i := range payload {
 			payload[i] = byte(i * 3)
 		}
-		wire := f.Encode(5, 42, payload)
-		frames, st := f.DecodeStream(wire)
+		wire := f.AppendFrame(nil, 5, 42, payload, new([]byte))
+		frames, st := scanFrames(f, wire)
 		if len(frames) != 1 {
 			t.Fatalf("%s: got %d frames", fec.Name(), len(frames))
 		}
@@ -198,13 +211,13 @@ func TestFramerRoundTrip(t *testing.T) {
 func TestFramerHuntsThroughSkew(t *testing.T) {
 	f := NewFramer(HammingFEC{}, 63)
 	payload := make([]byte, 63)
-	wire := f.Encode(1, 7, payload)
+	wire := f.AppendFrame(nil, 1, 7, payload, new([]byte))
 	// Random garbage prefix, as a skewed channel would present.
 	rng := rand.New(rand.NewSource(7))
 	garbage := make([]byte, 200)
 	rng.Read(garbage)
 	stream := append(garbage, wire...)
-	frames, _ := f.DecodeStream(stream)
+	frames, _ := scanFrames(f, stream)
 	found := false
 	for _, fr := range frames {
 		if fr.Lane == 1 && fr.Seq == 7 {
@@ -219,9 +232,9 @@ func TestFramerHuntsThroughSkew(t *testing.T) {
 func TestFramerCorrectsWithFEC(t *testing.T) {
 	f := NewFramer(NewRSLite(), 63)
 	payload := make([]byte, 63)
-	wire := f.Encode(0, 0, payload)
+	wire := f.AppendFrame(nil, 0, 0, payload, new([]byte))
 	wire[10] ^= 0xff // corrupt one byte inside the FEC region
-	frames, st := f.DecodeStream(wire)
+	frames, st := scanFrames(f, wire)
 	if len(frames) != 1 {
 		t.Fatalf("FEC did not save the frame: %+v", st)
 	}
@@ -233,9 +246,9 @@ func TestFramerCorrectsWithFEC(t *testing.T) {
 func TestFramerDropsOnNoFECCorruption(t *testing.T) {
 	f := NewFramer(NoFEC{}, 63)
 	payload := make([]byte, 63)
-	wire := f.Encode(0, 0, payload)
+	wire := f.AppendFrame(nil, 0, 0, payload, new([]byte))
 	wire[10] ^= 0x01
-	frames, st := f.DecodeStream(wire)
+	frames, st := scanFrames(f, wire)
 	if len(frames) != 0 {
 		t.Fatal("corrupted unprotected frame accepted")
 	}
@@ -246,9 +259,9 @@ func TestFramerDropsOnNoFECCorruption(t *testing.T) {
 
 func TestFramerMarkerCorruption(t *testing.T) {
 	f := NewFramer(HammingFEC{}, 63)
-	wire := f.Encode(0, 0, make([]byte, 63))
+	wire := f.AppendFrame(nil, 0, 0, make([]byte, 63), new([]byte))
 	wire[0] ^= 0xff // destroy the marker
-	frames, _ := f.DecodeStream(wire)
+	frames, _ := scanFrames(f, wire)
 	if len(frames) != 0 {
 		t.Fatal("frame with destroyed marker recovered")
 	}
@@ -267,14 +280,14 @@ func TestScanStreamOneDecodePath(t *testing.T) {
 	fec := NewRSLite()
 	fr := NewFramer(fec, 243)
 	payload := func(b byte) []byte { return bytes.Repeat([]byte{b}, 243) }
-	frame := func(seq uint32) []byte { return fr.Encode(5, seq, payload(byte(0x30+seq))) }
+	frame := func(seq uint32) []byte { return fr.AppendFrame(nil, 5, seq, payload(byte(0x30+seq)), new([]byte)) }
 
 	// Block 1 of the middle frame gets a changed data byte and the parity
 	// that makes it a codeword again: the FEC sees nothing, the CRC does.
 	codewordBadCRC := frame(1)
 	blk := codewordBadCRC[2+68 : 2+2*68]
 	blk[4+20] ^= 0x5a
-	copy(blk, fec.Encode(blk[4:]))
+	copy(blk, fec.AppendEncode(nil, blk[4:]))
 
 	oneDirty := frame(1)
 	oneDirty[2+2*68+31] ^= 0x01
@@ -325,7 +338,7 @@ func TestFramerPayloadLenPanic(t *testing.T) {
 			t.Error("wrong payload length did not panic")
 		}
 	}()
-	f.Encode(0, 0, make([]byte, 10))
+	f.AppendFrame(nil, 0, 0, make([]byte, 10), new([]byte))
 }
 
 // --- Monitor ---

@@ -83,7 +83,6 @@ type linkScratch struct {
 	fcs      []byte // frame + FCS staging
 	stream   []byte // TX serial stream, scrambled in place
 	rxStream []byte // RX reassembled stream, descrambled in place
-	parse    []byte // frame-in-progress buffer for the parse stage
 	lanes    []*laneState
 
 	// The per-lane stage in flight, read by laneFn (stageLaneIdx bound
@@ -219,17 +218,12 @@ func (l *Link) stageEncode(sc *linkScratch, frames [][]byte, st *ExchangeStats) 
 	return stream, nil
 }
 
-// laneUnits returns how many stripe units land on a lane: units are dealt
+// LaneUnits returns how many stripe units land on a lane: units are dealt
 // round-robin, unit g to lane g mod lanes with sequence g div lanes.
-func laneUnits(totalUnits, lanes, lane int) int {
-	return (totalUnits - lane + lanes - 1) / lanes
-}
-
-// LaneUnits exposes the striper's unit-count arithmetic so differential
-// harnesses can compare it against a reference striper that materialises
-// the units.
+// Differential harnesses compare it against a reference striper that
+// materialises the units.
 func LaneUnits(totalUnits, lanes, lane int) int {
-	return laneUnits(totalUnits, lanes, lane)
+	return (totalUnits - lane + lanes - 1) / lanes
 }
 
 // stageLaneIdx is the task function the link hands its pool (bound once
@@ -249,7 +243,7 @@ func (l *Link) stageLane(lane, lanes, totalUnits int, txStream, rxStream []byte,
 	unitLen := l.cfg.UnitLen
 	physical := l.mapper.Physical(lane)
 	ch := &l.channels[physical]
-	expected := laneUnits(totalUnits, lanes, lane)
+	expected := LaneUnits(totalUnits, lanes, lane)
 	ls.physical = physical
 	ls.expected = expected
 	ls.good = 0

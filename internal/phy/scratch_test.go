@@ -8,7 +8,7 @@ import (
 	"mosaic/internal/par"
 )
 
-// Every error exit of exchange hands its scratch back. A failing call
+// Every error exit of ExchangeInto hands its scratch back. A failing call
 // that kept it would make each later call build a fresh one, so 100
 // failing calls must build (almost) none: under -race sync.Pool drops a
 // quarter of what it is handed, a kept scratch is all 100.

@@ -200,12 +200,12 @@ func TestFramerAgainstOptimized(t *testing.T) {
 		t.Fatalf("wire lengths differ: ref %d opt %d", ref.WireLen(), opt.WireLen())
 	}
 	rng := rand.New(rand.NewSource(7))
-	var stream []byte
+	var stream, body []byte
 	for seq := 0; seq < 6; seq++ {
 		payload := make([]byte, unitLen)
 		rng.Read(payload)
 		refWire := ref.EncodeFrame(3, uint32(seq), payload)
-		optWire := opt.Encode(3, uint32(seq), payload)
+		optWire := opt.AppendFrame(nil, 3, uint32(seq), payload, &body)
 		if !bytes.Equal(refWire, optWire) {
 			t.Fatalf("seq %d: wire frames differ", seq)
 		}
@@ -217,7 +217,12 @@ func TestFramerAgainstOptimized(t *testing.T) {
 		stream[rng.Intn(len(stream))] ^= byte(1 + rng.Intn(255))
 	}
 	refFrames, refStats := ref.DecodeStream(stream)
-	optFrames, optStats := opt.DecodeStream(stream)
+	var optFrames []refmodel.ChannelFrame
+	optStats := opt.ScanStream(stream, &body, func(lane int, seq uint32, payload []byte, ncorr int) {
+		optFrames = append(optFrames, refmodel.ChannelFrame{
+			Lane: lane, Seq: seq, Payload: bytes.Clone(payload), Corrections: ncorr,
+		})
+	})
 	if refStats != phy2ref(optStats) {
 		t.Fatalf("decode stats differ: ref %+v opt %+v", refStats, optStats)
 	}
@@ -305,7 +310,7 @@ func TestLLRAgainstOptimized(t *testing.T) {
 	const budget = 512
 	cfg := mac.Config{Window: 8, RetxTimeout: 3, MaxPayload: 128, PayloadBudget: budget}
 	var optDelivered [][]byte
-	optA, err := mac.NewEndpoint(cfg, func(p []byte) {
+	optA, err := mac.NewEndpoint(cfg, func(_ int, p []byte) {
 		optDelivered = append(optDelivered, append([]byte(nil), p...))
 	})
 	if err != nil {
@@ -330,7 +335,7 @@ func TestLLRAgainstOptimized(t *testing.T) {
 		if rng.Intn(3) == 0 {
 			p := make([]byte, 1+rng.Intn(100))
 			rng.Read(p)
-			if err := optB.Send(p); err != nil {
+			if err := optB.SendVC(0, p); err != nil {
 				t.Fatal(err)
 			}
 			if err := refB.Send(p); err != nil {
