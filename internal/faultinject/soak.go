@@ -103,24 +103,23 @@ func Run(cfg Config) (*Result, error) {
 
 	// The supervisor owns the schedule, the monitor hook, reactive sparing,
 	// the lane/spare milestones and the per-link telemetry feed; the soak
-	// adds its own event counters on top. All telemetry is fed from this
-	// goroutine at superframe boundaries, never from a scrape.
+	// series mirror a view of the Result on top. All telemetry is fed from
+	// this goroutine at superframe boundaries, never from a scrape.
 	sup := Supervise(link, &log, cfg.Metrics)
 	defer sup.Close()
 	sup.Load(cfg.Schedule, 0)
 	res.LanesStart = sup.LanesStart()
 	base := link.Monitor().Transitions()
 
-	var m *soakMetrics
+	view := soakView{Result: res, inject: make(map[Kind]uint64, 4)}
+	var m *telemetry.Mirror[soakView]
 	if cfg.Metrics != nil {
-		m = newSoakMetrics(cfg.Metrics)
-		m.milestones.Sync(res)
+		m = telemetry.NewMirror(cfg.Metrics, soakRows)
+		m.Sync(&view)
 	}
 	sup.OnInject = func(e Event) {
 		log.Addf("inject %v", e)
-		if m != nil {
-			m.inject[e.Kind].Inc()
-		}
+		view.inject[e.Kind]++
 	}
 
 	for sf := 0; sf < cfg.Superframes; sf++ {
@@ -141,26 +140,21 @@ func Run(cfg Config) (*Result, error) {
 			log.Addf("sf=%d first-drop delivered=%d/%d", sf, st.FramesDelivered, st.FramesIn)
 		}
 
-		remaps := sup.Spare()
-		res.Remaps += remaps
+		res.Remaps += sup.Spare()
 
 		// Periodic proactive maintenance.
 		if cfg.MaintainEvery > 0 && (sf+1)%cfg.MaintainEvery == 0 {
 			for _, a := range link.Maintain(cfg.Policy) {
 				res.MaintenanceActions++
 				log.Addf("sf=%d maintain %v", sf, a)
-				if m != nil {
-					m.maintain.Inc()
-				}
 			}
 		}
 
 		sup.End(st)
 		res.DegradedSF, res.SpareExhaustSF = sup.Milestones()
+		view.done++
 		if m != nil {
-			m.superframes.Inc()
-			m.remaps.Add(uint64(remaps))
-			m.milestones.Sync(res)
+			m.Sync(&view)
 		}
 	}
 
@@ -178,34 +172,25 @@ func Run(cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// soakMetrics is the soak-level event telemetry of a run (injections by
-// kind, remaps, maintenance actions, milestone superframes), next to the
-// per-link set the supervisor's collector owns.
-type soakMetrics struct {
-	inject                        map[Kind]*telemetry.Counter
-	remaps, maintain, superframes *telemetry.Counter
-	milestones                    *telemetry.Mirror[Result]
+// soakView is what the soak series read: the run's Result, the
+// superframes done so far, and the injections by kind.
+type soakView struct {
+	*Result
+	done   uint64
+	inject map[Kind]uint64
 }
 
-var milestoneRows = []telemetry.Row[Result]{
-	{Name: "mosaic_soak_first_drop_superframe", Help: "superframe of the first lost/corrupted frame (-1 = never)", Level: func(r *Result) float64 { return float64(r.FirstDropSF) }},
-	{Name: "mosaic_soak_degraded_superframe", Level: func(r *Result) float64 { return float64(r.DegradedSF) }},
-	{Name: "mosaic_soak_spare_exhaust_superframe", Level: func(r *Result) float64 { return float64(r.SpareExhaustSF) }},
-}
-
-func newSoakMetrics(reg *telemetry.Registry) *soakMetrics {
-	reg.Help("mosaic_soak_injections_total", "fault events injected, by kind")
-	m := &soakMetrics{
-		inject:      make(map[Kind]*telemetry.Counter, 4),
-		remaps:      reg.Counter("mosaic_soak_remaps_total"),
-		maintain:    reg.Counter("mosaic_soak_maintenance_actions_total"),
-		superframes: reg.Counter("mosaic_soak_superframes_total"),
-		milestones:  telemetry.NewMirror(reg, milestoneRows),
-	}
-	for _, k := range []Kind{KindKill, KindAging, KindBurst, KindCorrelated} {
-		m.inject[k] = reg.Counter("mosaic_soak_injections_total", "kind", string(k))
-	}
-	return m
+var soakRows = []telemetry.Row[soakView]{
+	{Name: "mosaic_soak_injections_total", Help: "fault events injected, by kind", Labels: []string{"kind", string(KindKill)}, Count: func(v *soakView) uint64 { return v.inject[KindKill] }},
+	{Name: "mosaic_soak_injections_total", Labels: []string{"kind", string(KindAging)}, Count: func(v *soakView) uint64 { return v.inject[KindAging] }},
+	{Name: "mosaic_soak_injections_total", Labels: []string{"kind", string(KindBurst)}, Count: func(v *soakView) uint64 { return v.inject[KindBurst] }},
+	{Name: "mosaic_soak_injections_total", Labels: []string{"kind", string(KindCorrelated)}, Count: func(v *soakView) uint64 { return v.inject[KindCorrelated] }},
+	{Name: "mosaic_soak_remaps_total", Count: func(v *soakView) uint64 { return uint64(v.Remaps) }},
+	{Name: "mosaic_soak_maintenance_actions_total", Count: func(v *soakView) uint64 { return uint64(v.MaintenanceActions) }},
+	{Name: "mosaic_soak_superframes_total", Count: func(v *soakView) uint64 { return v.done }},
+	{Name: "mosaic_soak_first_drop_superframe", Help: "superframe of the first lost/corrupted frame (-1 = never)", Level: func(v *soakView) float64 { return float64(v.FirstDropSF) }},
+	{Name: "mosaic_soak_degraded_superframe", Level: func(v *soakView) float64 { return float64(v.DegradedSF) }},
+	{Name: "mosaic_soak_spare_exhaust_superframe", Level: func(v *soakView) float64 { return float64(v.SpareExhaustSF) }},
 }
 
 // Summary renders the aggregate counters as a short multi-line report.

@@ -8,8 +8,10 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"mosaic/internal/telemetry"
 )
@@ -253,9 +255,61 @@ func TestAPIScrapeGate(t *testing.T) {
 		t.Fatalf("scrape sheds = %d, want 2", h.fleet.Admission().ShedScrape)
 	}
 
+	// A shed scrape never takes the fleet lock: it answers while an epoch
+	// (here, the test) holds it.
+	h.fleet.mu.Lock()
+	shed := make(chan int, 1)
+	go func() {
+		resp, err := http.Get(h.ts.URL + "/metrics")
+		if err != nil {
+			shed <- 0
+			return
+		}
+		resp.Body.Close()
+		shed <- resp.StatusCode
+	}()
+	select {
+	case code := <-shed:
+		h.fleet.mu.Unlock()
+		if code != http.StatusTooManyRequests {
+			t.Fatalf("scrape over budget under the fleet lock = %d, want 429", code)
+		}
+	case <-time.After(5 * time.Second):
+		h.fleet.mu.Unlock()
+		<-shed
+		t.Fatal("a shed scrape waited on the fleet lock")
+	}
+
 	h.fleet.Step()
+	if got := h.fleet.Admission().ShedScrape; got != 3 {
+		t.Fatalf("scrape sheds = %d, want 3", got)
+	}
+	if got := h.fleet.Snapshot().Admission.ShedScrape; got != 3 {
+		t.Fatalf("snapshot scrape sheds = %d, want 3", got)
+	}
+	if code, body := h.do("GET", "/healthz", nil); code != http.StatusServiceUnavailable || !strings.Contains(string(body), "overloaded") {
+		t.Fatalf("healthz after scrape sheds = %d %s", code, body)
+	}
+	// A scrape is not an op: the sheds leave the event log exactly as a
+	// fleet that was never scraped.
+	ref, err := New(cfg, telemetry.NewRegistry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref.Step()
+	if got, want := h.fleet.EventLog(), ref.EventLog(); !slices.Equal(got, want) {
+		t.Fatalf("scrape sheds changed the event log:\n%s\nwant\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+
 	if code, _ := h.do("GET", "/metrics", nil); code != http.StatusOK {
 		t.Fatal("scrape gate did not reset at the epoch")
+	}
+	var sb strings.Builder
+	if err := h.srv.reg.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if want := `mosaic_fleetd_shed_total{reason="scrape"} 3`; !strings.Contains(sb.String(), want) {
+		t.Fatalf("exposition lacks %q", want)
 	}
 }
 

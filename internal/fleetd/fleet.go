@@ -43,10 +43,11 @@ type Fleet struct {
 	nextID int
 	rotor  int // next link ID owed a serving step by the budget rotor
 
-	bucket    tokenBucket
-	adm       AdmissionStats
-	lastSheds uint64 // adm.Sheds() at the previous barrier (overload detection)
-	draining  bool
+	bucket      tokenBucket
+	adm         AdmissionStats // ShedScrape excepted: see scrapeSheds
+	scrapeSheds atomic.Uint64  // scrapes the HTTP gate shed; no lock, no log line
+	lastSheds   uint64         // admission().Sheds() at the previous barrier (overload detection)
+	draining    bool
 
 	epoch  uint64
 	counts [NumStates]int // links per lifecycle state at the last barrier
@@ -165,8 +166,6 @@ func (f *Fleet) countShed(op string, reason ShedReason) *ShedError {
 		f.adm.ShedLinks++
 	case ShedTopology:
 		f.adm.ShedTopology++
-	case ShedScrape:
-		f.adm.ShedScrape++
 	case ShedDraining:
 		f.adm.ShedDraining++
 	}
@@ -175,12 +174,17 @@ func (f *Fleet) countShed(op string, reason ShedReason) *ShedError {
 }
 
 // CountScrapeShed books a scrape shed (called by the HTTP layer when
-// the scrape budget gate fires; it lives on the fleet so the counter
-// and the event log agree).
-func (f *Fleet) CountScrapeShed() {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.countShed("scrape", ShedScrape)
+// the scrape budget gate fires). It takes no lock and logs nothing: a
+// scrape is not an op, so it must neither wait out an epoch nor put a
+// line in the event log that no op script can reproduce.
+func (f *Fleet) CountScrapeShed() { f.scrapeSheds.Add(1) }
+
+// admission returns the admission counters with the scrape sheds
+// folded in.
+func (f *Fleet) admission() AdmissionStats {
+	a := f.adm
+	a.ShedScrape = f.scrapeSheds.Load()
+	return a
 }
 
 // DesignOrDefault returns a copy of d, or of the fleet's default design
@@ -443,8 +447,9 @@ func (f *Fleet) stepLocked() {
 		f.adm.Retired, f.fsim.ActiveFlows())
 
 	f.epoch++
-	f.publishSnapshot(f.adm.Sheds() > f.lastSheds)
-	f.lastSheds = f.adm.Sheds()
+	sheds := f.admission().Sheds()
+	f.publishSnapshot(sheds > f.lastSheds)
+	f.lastSheds = sheds
 
 	// Telemetry last: the fleet and every detailed link as this barrier
 	// leaves them.
@@ -495,7 +500,7 @@ func (f *Fleet) publishSnapshot(overloaded bool) {
 		MaxLinks:     f.cfg.Budgets.MaxLinks,
 		Draining:     f.draining,
 		Overloaded:   overloaded,
-		Admission:    f.adm,
+		Admission:    f.admission(),
 		Pool:         f.pool.Stats(),
 		ActiveFlows:  f.fsim.ActiveFlows(),
 		ScrapeBudget: f.cfg.Budgets.ScrapePerEpoch,
@@ -568,7 +573,7 @@ func (f *Fleet) EventLog() []string {
 func (f *Fleet) Admission() AdmissionStats {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.adm
+	return f.admission()
 }
 
 // PoolStats returns the worker pool counters.

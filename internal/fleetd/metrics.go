@@ -20,7 +20,7 @@ var fleetRows = []telemetry.Row[Fleet]{
 	{Name: "mosaic_fleetd_shed_total", Help: "operations shed by the admission gate, by reason", Labels: []string{"reason", string(ShedRate)}, Count: func(f *Fleet) uint64 { return f.adm.ShedRate }},
 	{Name: "mosaic_fleetd_shed_total", Labels: []string{"reason", string(ShedLinks)}, Count: func(f *Fleet) uint64 { return f.adm.ShedLinks }},
 	{Name: "mosaic_fleetd_shed_total", Labels: []string{"reason", string(ShedTopology)}, Count: func(f *Fleet) uint64 { return f.adm.ShedTopology }},
-	{Name: "mosaic_fleetd_shed_total", Labels: []string{"reason", string(ShedScrape)}, Count: func(f *Fleet) uint64 { return f.adm.ShedScrape }},
+	{Name: "mosaic_fleetd_shed_total", Labels: []string{"reason", string(ShedScrape)}, Count: func(f *Fleet) uint64 { return f.scrapeSheds.Load() }},
 	{Name: "mosaic_fleetd_shed_total", Labels: []string{"reason", string(ShedDraining)}, Count: func(f *Fleet) uint64 { return f.adm.ShedDraining }},
 	{Name: "mosaic_fleetd_epoch", Help: "completed fleet epochs", Level: func(f *Fleet) float64 { return float64(f.epoch) }},
 	{Name: "mosaic_fleetd_links_live", Help: "live (non-retired) managed links", Level: func(f *Fleet) float64 { return float64(len(f.links)) }},

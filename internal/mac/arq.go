@@ -58,7 +58,6 @@ func (goBackN) appendRetx(e *Endpoint, vc int, out []byte, budget int) []byte {
 	if v.ringLen == 0 || e.tick-v.ring[v.head].sentTick < uint64(e.cfg.RetxTimeout) {
 		return out
 	}
-	e.stats.Timeouts++
 	v.stats.Timeouts++
 	for k := 0; k < v.ringLen; k++ {
 		slot := &v.ring[(v.head+k)%len(v.ring)]
@@ -67,7 +66,6 @@ func (goBackN) appendRetx(e *Endpoint, vc int, out []byte, budget int) []byte {
 		}
 		out = e.appendFrame(out, FlagData|FlagAck, vc, v.base+uint16(k), v.rxExpected, slot.buf)
 		slot.sentTick = e.tick
-		e.stats.Retransmits++
 		v.stats.Retransmits++
 		v.txPiggy = true
 	}
@@ -83,14 +81,12 @@ func (goBackN) onData(e *Endpoint, vc int, f Frame) {
 		v.ackDirty = true
 	case d < 0:
 		// Already delivered (the ack must have been lost); re-ack.
-		e.stats.Duplicates++
 		v.stats.Duplicates++
 		v.ackDirty = true
 	default:
 		// A gap: go-back-N receivers hold no reorder buffer, so frames
 		// ahead of the expected seq are discarded and re-acked; the
 		// sender times out and replays from the gap.
-		e.stats.Discarded++
 		v.stats.Discarded++
 		v.ackDirty = true
 	}
@@ -134,9 +130,7 @@ func (selectiveRepeat) appendRetx(e *Endpoint, vc int, out []byte, budget int) [
 		slot.sentTick = e.tick
 		// Selective repeat counts one timeout per refired slot (go-back-N
 		// counts one per whole-window replay event).
-		e.stats.Timeouts++
 		v.stats.Timeouts++
-		e.stats.Retransmits++
 		v.stats.Retransmits++
 		v.txPiggy = true
 	}
@@ -162,27 +156,23 @@ func (selectiveRepeat) onData(e *Endpoint, vc int, f Frame) {
 		}
 		v.ackDirty = true
 	case d < 0:
-		e.stats.Duplicates++
 		v.stats.Duplicates++
 		v.ackDirty = true
 	case d < r:
 		// Within the reorder window: park a copy for later drain.
 		slot := &v.reorder[(v.rhead+d)%r]
 		if slot.full {
-			e.stats.Duplicates++
 			v.stats.Duplicates++
 		} else {
 			slot.buf = append(slot.buf[:0], f.Payload...)
 			slot.full = true
 			v.rcount++
-			e.stats.Reordered++
 			v.stats.Reordered++
 		}
 		v.ackDirty = true
 	default:
 		// Beyond the bounded reorder buffer: drop; the sender's per-slot
 		// timer will refire it once the window has advanced.
-		e.stats.Discarded++
 		v.stats.Discarded++
 		v.ackDirty = true
 	}

@@ -180,7 +180,8 @@ func (c Config) Validate() error {
 
 // Stats is the endpoint's cumulative view, aggregated across all virtual
 // channels. Counters only grow; InFlight/QueueDepth/ReorderDepth are
-// point-in-time gauges. Per-VC breakdowns come from VCSnapshot.
+// point-in-time gauges. Per-VC breakdowns come from VCSnapshot, and every
+// field a VCStats also has is the sum of the VC snapshots.
 type Stats struct {
 	PacketsQueued uint64 // Send/SendVC calls accepted
 	DataTx        uint64 // data frames emitted (first transmissions)
@@ -293,7 +294,7 @@ type Endpoint struct {
 	onDeliver func(vc int, payload []byte)
 
 	tick  uint64
-	stats Stats
+	stats Stats // only the frame counters no VC keeps; Stats adds the rest
 }
 
 // NewEndpoint builds an endpoint. onDeliver receives each in-order
@@ -345,7 +346,6 @@ func (e *Endpoint) SendVC(vc int, payload []byte) error {
 		v.freeBuf = v.freeBuf[:n-1]
 	}
 	v.queue = append(v.queue, append(buf, payload...))
-	e.stats.PacketsQueued++
 	v.stats.PacketsQueued++
 	return nil
 }
@@ -393,7 +393,6 @@ func (e *Endpoint) BuildSuperframe() []byte {
 	for i := range e.vcs {
 		v := &e.vcs[i]
 		if len(v.queue) > 0 && v.ringLen == len(v.ring) {
-			e.stats.CreditStalls++
 			v.stats.CreditStalls++
 		}
 	}
@@ -411,7 +410,6 @@ func (e *Endpoint) BuildSuperframe() []byte {
 		out = append(out, idlePad[:n]...)
 	}
 
-	e.syncGauges()
 	e.txBuf = out
 	return out
 }
@@ -435,7 +433,6 @@ func (e *Endpoint) emitFresh(vc int, out *[]byte, budget int) bool {
 	v.ringLen++
 	*out = e.appendFrame(*out, FlagData|FlagAck, vc, v.nextSeq, v.rxExpected, slot.buf)
 	v.nextSeq++
-	e.stats.DataTx++
 	v.stats.DataTx++
 	v.txPiggy = true
 	v.freeBuf = append(v.freeBuf, p)
@@ -468,8 +465,6 @@ func (e *Endpoint) Accept(chunks [][]byte) {
 	}
 	*buf = rx
 	e.deframer.Deframe(rx, e.emit)
-	e.stats.Deframe = e.deframer.Stats
-	e.syncGauges()
 }
 
 func (e *Endpoint) handleFrame(f Frame) {
@@ -498,7 +493,6 @@ func (e *Endpoint) handleFrame(f Frame) {
 
 // deliver hands one in-order payload to the client callback.
 func (e *Endpoint) deliver(vc int, payload []byte) {
-	e.stats.Delivered++
 	e.vcs[vc].stats.Delivered++
 	if e.onDeliver != nil {
 		e.onDeliver(vc, payload)
@@ -542,29 +536,26 @@ func (e *Endpoint) handleSack(v *vcState, ack uint16, bm []byte) {
 	}
 }
 
-// syncGauges recomputes the aggregate and per-VC occupancy gauges.
-func (e *Endpoint) syncGauges() {
-	inFlight, depth, rdepth := 0, 0, 0
-	for i := range e.vcs {
-		v := &e.vcs[i]
-		inFlight += v.ringLen
-		depth += len(v.queue)
-		rdepth += v.rcount
-		v.stats.InFlight = v.ringLen
-		v.stats.QueueDepth = len(v.queue)
-		v.stats.ReorderDepth = v.rcount
-	}
-	e.stats.InFlight = inFlight
-	e.stats.QueueDepth = depth
-	e.stats.ReorderDepth = rdepth
-}
-
-// Stats returns a snapshot of the endpoint's aggregate counters and
-// gauges.
+// Stats returns the endpoint's aggregate view: its own frame counters,
+// its deframer's, and the sum of every VC snapshot, gauges included.
 func (e *Endpoint) Stats() Stats {
-	e.syncGauges()
 	s := e.stats
 	s.Deframe = e.deframer.Stats
+	for vc := range e.vcs {
+		v := e.VCSnapshot(vc)
+		s.PacketsQueued += v.PacketsQueued
+		s.DataTx += v.DataTx
+		s.Retransmits += v.Retransmits
+		s.Delivered += v.Delivered
+		s.Duplicates += v.Duplicates
+		s.Discarded += v.Discarded
+		s.Reordered += v.Reordered
+		s.CreditStalls += v.CreditStalls
+		s.Timeouts += v.Timeouts
+		s.InFlight += v.InFlight
+		s.QueueDepth += v.QueueDepth
+		s.ReorderDepth += v.ReorderDepth
+	}
 	return s
 }
 

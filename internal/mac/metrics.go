@@ -64,68 +64,64 @@ var bridgeRows = []telemetry.Row[Bridge]{
 	{Name: "mosaic_mac_capacity_fraction", Help: "capacity fraction last published by the MAC bridge", Level: (*Bridge).Fraction},
 }
 
-// endpointMirror is one labeled endpoint's mirror and the start of its
-// retx-rate window.
+// endpointMirror is one endpoint's mirror, the start of its retx-rate
+// window, and its VCs' mirrors.
 type endpointMirror struct {
 	*telemetry.Mirror[endpointView]
-	retx, dataTx uint64 // Stats.Retransmits / DataTx at the previous sync
+	retx, dataTx uint64       // Stats.Retransmits / DataTx at the previous sync
+	view         endpointView // reused, so a sync allocates nothing
+	vcs          []*telemetry.Mirror[VCStats]
 }
 
-type vcKey struct {
-	endpoint string
-	vc       int
-}
-
-// collector pushes MAC snapshots into a telemetry.Registry. Endpoint and
-// VC mirrors are created per label on first sync; all writes happen on
-// the caller's goroutine at superframe boundaries, scrapes read atomics.
+// collector pushes a session's MAC snapshots into a telemetry.Registry.
+// Every mirror is built with the session — its pair has two endpoints,
+// "a" and "b", and a fixed VC count; all writes happen on the caller's
+// goroutine at superframe boundaries, scrapes read atomics.
 type collector struct {
-	reg       *telemetry.Registry
-	endpoints map[string]*endpointMirror
-	vcs       map[vcKey]*telemetry.Mirror[VCStats]
-	bridge    *telemetry.Mirror[Bridge]
-
-	ep endpointView // reused views, so a sync allocates nothing
-	vc VCStats
+	eps    [2]endpointMirror // "a", "b"
+	bridge *telemetry.Mirror[Bridge]
+	vc     VCStats // reused view
 }
 
-func newCollector(reg *telemetry.Registry) *collector {
-	c := &collector{
-		reg:       reg,
-		endpoints: make(map[string]*endpointMirror),
-		vcs:       make(map[vcKey]*telemetry.Mirror[VCStats]),
-		bridge:    telemetry.NewMirror(reg, bridgeRows),
-	}
+func newCollector(reg *telemetry.Registry, p *Pair) *collector {
+	c := &collector{bridge: telemetry.NewMirror(reg, bridgeRows)}
 	c.bridge.Sync(&Bridge{lastFrac: 1}) // full width until a bridge says otherwise
+	eps := [2]*Endpoint{p.A, p.B}
+	for i, label := range [2]string{"a", "b"} {
+		m := &c.eps[i]
+		m.Mirror = telemetry.NewMirror(reg, endpointRows, "endpoint", label)
+		for vc := range eps[i].NumVCs() {
+			m.vcs = append(m.vcs, telemetry.NewMirror(reg, vcRows, "endpoint", label, "vc", strconv.Itoa(vc)))
+		}
+	}
 	return c
 }
 
-// sync publishes one endpoint snapshot; the retx-rate gauge reflects
-// only the window since the previous sync (0 when nothing was sent).
-func (c *collector) sync(label string, s Stats) {
-	ep, ok := c.endpoints[label]
-	if !ok {
-		ep = &endpointMirror{Mirror: telemetry.NewMirror(c.reg, endpointRows, "endpoint", label)}
-		c.endpoints[label] = ep
+// sync publishes both endpoints, their VCs and, when there is one, the
+// bridge.
+func (c *collector) sync(p *Pair, b *Bridge) {
+	for i, e := range [2]*Endpoint{p.A, p.B} {
+		m := &c.eps[i]
+		m.sync(e.Stats())
+		for vc, vm := range m.vcs {
+			c.vc = e.VCSnapshot(vc)
+			vm.Sync(&c.vc)
+		}
 	}
-	dRetx := s.Retransmits - ep.retx
-	dData := s.DataTx - ep.dataTx + dRetx
-	ep.retx, ep.dataTx = s.Retransmits, s.DataTx
-	c.ep = endpointView{Stats: s}
-	if dData > 0 {
-		c.ep.retxRate = float64(dRetx) / float64(dData)
+	if b != nil {
+		c.bridge.Sync(b)
 	}
-	ep.Sync(&c.ep)
 }
 
-// syncVC publishes one virtual channel's snapshot for a labeled endpoint.
-func (c *collector) syncVC(label string, vc int, s VCStats) {
-	key := vcKey{label, vc}
-	m, ok := c.vcs[key]
-	if !ok {
-		m = telemetry.NewMirror(c.reg, vcRows, "endpoint", label, "vc", strconv.Itoa(vc))
-		c.vcs[key] = m
+// sync publishes one endpoint snapshot; the retx-rate gauge reflects only
+// the window since the previous sync (0 when nothing was sent).
+func (m *endpointMirror) sync(s Stats) {
+	dRetx := s.Retransmits - m.retx
+	dData := s.DataTx - m.dataTx + dRetx
+	m.retx, m.dataTx = s.Retransmits, s.DataTx
+	m.view = endpointView{Stats: s}
+	if dData > 0 {
+		m.view.retxRate = float64(dRetx) / float64(dData)
 	}
-	c.vc = s
-	m.Sync(&c.vc)
+	m.Sync(&m.view)
 }

@@ -6,11 +6,42 @@ import (
 	"mosaic/internal/telemetry"
 )
 
+// collectorPair is a pair whose endpoints have vcs virtual channels, for
+// sizing a collector; the synthetic-Stats cases never tick it.
+func collectorPair(t *testing.T, vcs int) *Pair {
+	t.Helper()
+	p, err := NewPair(testLink(t, 1, 1), testLink(t, 2, 1), PairConfig{
+		Endpoint: Config{VCs: vcs, ARQ: ARQSelectiveRepeat, MaxPayload: 200, PayloadBudget: 3000},
+	}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 // TestMACCollectorSync checks delta folding, the windowed retx-rate math
-// (including the zero-denominator window), and bridge-level publication.
+// (including the zero-denominator window), the series built with the
+// session, and bridge-level publication.
 func TestMACCollectorSync(t *testing.T) {
 	r := telemetry.NewRegistry()
-	c := newCollector(r)
+	c := newCollector(r, collectorPair(t, 3))
+	a, b := &c.eps[0], &c.eps[1]
+
+	// Every endpoint and VC series exists before the first sync.
+	snap := r.Snapshot()
+	for _, id := range []string{
+		`mosaic_mac_retransmits_total{endpoint="a"}`,
+		`mosaic_mac_retransmits_total{endpoint="b"}`,
+		`mosaic_mac_vc_delivered_total{endpoint="a",vc="2"}`,
+		`mosaic_mac_vc_delivered_total{endpoint="b",vc="0"}`,
+	} {
+		if _, ok := snap.Counters[id]; !ok {
+			t.Fatalf("series %s not built with the session", id)
+		}
+	}
+	if _, ok := snap.Counters[`mosaic_mac_vc_delivered_total{endpoint="a",vc="3"}`]; ok {
+		t.Fatal("series for a VC the pair lacks")
+	}
 
 	s := Stats{
 		PacketsQueued: 10, DataTx: 20, Retransmits: 5, AcksTx: 2,
@@ -19,7 +50,7 @@ func TestMACCollectorSync(t *testing.T) {
 		InFlight: 4, QueueDepth: 6,
 		Deframe: DeframeStats{Frames: 40, CRCRejects: 2, HeaderRejects: 1, SkippedBytes: 7},
 	}
-	c.sync("a", s)
+	a.sync(s)
 	if got := r.Counter("mosaic_mac_retransmits_total", "endpoint", "a").Value(); got != 5 {
 		t.Fatalf("retransmits %d, want 5", got)
 	}
@@ -33,7 +64,7 @@ func TestMACCollectorSync(t *testing.T) {
 
 	// Second sync with identical cumulative stats: every delta is zero, so
 	// counters hold and the retx-rate window divides by nothing -> 0.
-	c.sync("a", s)
+	a.sync(s)
 	if got := r.Counter("mosaic_mac_retransmits_total", "endpoint", "a").Value(); got != 5 {
 		t.Fatalf("retransmits double-counted: %d", got)
 	}
@@ -46,7 +77,7 @@ func TestMACCollectorSync(t *testing.T) {
 	s2 := s
 	s2.DataTx += 10
 	s2.Delivered += 10
-	c.sync("a", s2)
+	a.sync(s2)
 	if got := r.Gauge("mosaic_mac_retx_rate", "endpoint", "a").Value(); got != 0 {
 		t.Fatalf("clean-window retx rate %v, want 0", got)
 	}
@@ -54,8 +85,8 @@ func TestMACCollectorSync(t *testing.T) {
 		t.Fatalf("data_tx %d, want 30", got)
 	}
 
-	// A second endpoint gets its own handle set.
-	c.sync("b", Stats{DataTx: 1})
+	// The second endpoint has its own handle set.
+	b.sync(Stats{DataTx: 1})
 	if got := r.Counter("mosaic_mac_data_frames_tx_total", "endpoint", "b").Value(); got != 1 {
 		t.Fatalf("endpoint b data_tx %d, want 1", got)
 	}
@@ -71,16 +102,19 @@ func TestMACCollectorSync(t *testing.T) {
 }
 
 // A tick's worth of pushes — endpoint, VC and bridge tables — allocates
-// nothing once the labeled mirrors exist.
+// nothing: the whole session sync, and the per-endpoint step on its own.
 func TestMACCollectorSyncAllocs(t *testing.T) {
-	c := newCollector(telemetry.NewRegistry())
+	p := collectorPair(t, 3)
+	c := newCollector(telemetry.NewRegistry(), p)
 	b := &Bridge{lastFrac: 0.5, renegotiations: 1}
-	s, vc := Stats{DataTx: 20, Retransmits: 5}, VCStats{DataTx: 20, Class: 1}
+	if err := p.A.SendVC(2, []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	s := Stats{DataTx: 20, Retransmits: 5}
 	push := func() {
+		c.sync(p, b)
 		s.DataTx++
-		c.sync("a", s)
-		c.syncVC("a", 2, vc)
-		c.bridge.Sync(b)
+		c.eps[0].sync(s)
 	}
 	push()
 	if allocs := testing.AllocsPerRun(100, push); allocs != 0 {

@@ -184,3 +184,82 @@ func TestPairTickSteadyStateAllocs(t *testing.T) {
 		})
 	}
 }
+
+// An endpoint's aggregate Stats are its own frame counters (pure acks
+// sent, data frames, acks and sacks received, unknown-VC frames), its
+// deframer's counters, and the field-by-field sum of its VC snapshots,
+// gauges included — after every tick of a lossy 3-VC selective-repeat
+// run that exercises every ARQ branch.
+func TestEndpointStatsSumVCs(t *testing.T) {
+	fwd := testLink(t, 7, 1)
+	rev := testLink(t, 8, 1)
+	for _, ch := range []int{1, 4, 9} {
+		fwd.SetChannelBER(ch, 4e-3)
+	}
+	for ch := 0; ch < 12; ch++ {
+		rev.SetChannelBER(ch, 2e-3)
+	}
+	pair, err := NewPair(fwd, rev, PairConfig{
+		PHYFrameLen: 120,
+		Endpoint: Config{
+			ARQ: ARQSelectiveRepeat, VCs: 3, VCClass: []uint8{0, 1, 2},
+			Window: 16, ReorderWindow: 4, RetxTimeout: 2,
+			MaxPayload: 200, PayloadBudget: 3000,
+		},
+	}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(tick int, name string, e *Endpoint) {
+		got := e.Stats()
+		want := Stats{
+			AcksTx: got.AcksTx, DataRx: got.DataRx, AcksRx: got.AcksRx,
+			SacksRx: got.SacksRx, UnknownVC: got.UnknownVC,
+			Deframe: e.deframer.Stats,
+		}
+		for vc := 0; vc < e.NumVCs(); vc++ {
+			v := e.VCSnapshot(vc)
+			want.PacketsQueued += v.PacketsQueued
+			want.DataTx += v.DataTx
+			want.Retransmits += v.Retransmits
+			want.Delivered += v.Delivered
+			want.Duplicates += v.Duplicates
+			want.Discarded += v.Discarded
+			want.Reordered += v.Reordered
+			want.CreditStalls += v.CreditStalls
+			want.Timeouts += v.Timeouts
+			want.InFlight += v.InFlight
+			want.QueueDepth += v.QueueDepth
+			want.ReorderDepth += v.ReorderDepth
+		}
+		if got != want {
+			t.Fatalf("tick %d endpoint %s: Stats()\n %+v\nwant endpoint counters + VC sum\n %+v", tick, name, got, want)
+		}
+	}
+	pkt := make([]byte, 200)
+	for tick := 0; tick < 80; tick++ {
+		for vc := 0; vc < 3; vc++ {
+			for k := 0; k < 3; k++ {
+				pkt[0], pkt[1] = byte(tick), byte(vc*3+k)
+				if err := pair.A.SendVC(vc, pkt); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if tick%2 == 0 {
+			if err := pair.B.SendVC(tick%3, pkt[:40]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := pair.Tick(); err != nil {
+			t.Fatal(err)
+		}
+		check(tick, "a", pair.A)
+		check(tick, "b", pair.B)
+	}
+	a, b := pair.A.Stats(), pair.B.Stats()
+	if a.Retransmits == 0 || b.Duplicates == 0 || b.Reordered == 0 || b.Discarded == 0 {
+		t.Fatalf("lossy run left an ARQ branch unexercised: a.Retransmits=%d b.Duplicates=%d b.Reordered=%d b.Discarded=%d",
+			a.Retransmits, b.Duplicates, b.Reordered, b.Discarded)
+	}
+}

@@ -146,7 +146,7 @@ func NewSession(cfg SessionConfig) (*Session, error) {
 	s.packets = phy.SeededFrames(cfg.Seed, perTick+burst, cfg.PacketLen)
 
 	if cfg.Metrics != nil {
-		s.col = newCollector(cfg.Metrics)
+		s.col = newCollector(cfg.Metrics, pair)
 	}
 
 	// The supervisor logs health transitions as they happen.
@@ -233,10 +233,10 @@ func (s *Session) Step() bool {
 	s.sup.Spare()
 
 	// Retransmission activity (the LLR doing its job) is log-worthy.
-	if retx := s.pair.A.Stats().Retransmits; retx > s.prevRetx {
+	if a := s.pair.A.Stats(); a.Retransmits > s.prevRetx {
 		s.log.Addf("sf=%d retx +%d (total=%d inflight=%d)",
-			s.sf, retx-s.prevRetx, retx, s.pair.A.Stats().InFlight)
-		s.prevRetx = retx
+			s.sf, a.Retransmits-s.prevRetx, a.Retransmits, a.InFlight)
+		s.prevRetx = a.Retransmits
 	}
 
 	s.sup.End(s.pair.FwdStats)
@@ -256,17 +256,7 @@ func (s *Session) Step() bool {
 	}
 
 	if s.col != nil {
-		s.col.sync("a", s.pair.A.Stats())
-		s.col.sync("b", s.pair.B.Stats())
-		for vc := 0; vc < s.pair.A.NumVCs(); vc++ {
-			s.col.syncVC("a", vc, s.pair.A.VCSnapshot(vc))
-		}
-		for vc := 0; vc < s.pair.B.NumVCs(); vc++ {
-			s.col.syncVC("b", vc, s.pair.B.VCSnapshot(vc))
-		}
-		if s.cfg.Bridge != nil {
-			s.col.bridge.Sync(s.cfg.Bridge)
-		}
+		s.col.sync(s.pair, s.cfg.Bridge)
 	}
 	return more
 }

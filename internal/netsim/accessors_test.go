@@ -25,7 +25,7 @@ func TestLinksByTier(t *testing.T) {
 func TestNeighbors(t *testing.T) {
 	topo := mustTree(t, 4)
 	h := topo.Hosts()[0]
-	if n := topo.neighbors(h); len(n) != 1 {
+	if n := topo.adj[h]; len(n) != 1 {
 		t.Errorf("host neighbors = %d, want 1", len(n))
 	}
 }

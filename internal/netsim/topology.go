@@ -238,9 +238,6 @@ func (t *Topology) LinksByTier() map[Tier][]int {
 	return out
 }
 
-// neighbors returns (link, peer) pairs for a node.
-func (t *Topology) neighbors(node int) []int { return t.adj[node] }
-
 // peer returns the other endpoint of link l relative to node n.
 func (t *Topology) peer(l Link, n int) int {
 	if l.A == n {

@@ -15,9 +15,9 @@ import (
 // (WritePrometheus) and to a JSON snapshot (Snapshot/WriteJSON). Both are
 // deterministic for a given set of metric values: families sort by name,
 // metrics within a family sort by their label signature, and JSON maps
-// marshal with sorted keys. Rendering takes the registry read lock only
-// while gathering handles; values are read atomically, so a scrape never
-// blocks the hot path.
+// marshal with sorted keys. Rendering walks the one metric index under
+// the registry read lock and reads values atomically, so a scrape waits
+// only on registration, never on the hot path.
 
 // HistogramValue is the JSON snapshot of one histogram.
 type HistogramValue struct {
@@ -41,43 +41,31 @@ type Snapshot struct {
 
 // Snapshot captures the current value of every metric.
 func (r *Registry) Snapshot() Snapshot {
-	r.mu.RLock()
-	counters := make([]*Counter, 0, len(r.counters))
-	for _, c := range r.counters {
-		counters = append(counters, c)
-	}
-	gauges := make([]*Gauge, 0, len(r.gauges))
-	for _, g := range r.gauges {
-		gauges = append(gauges, g)
-	}
-	hists := make([]*Histogram, 0, len(r.hists))
-	for _, h := range r.hists {
-		hists = append(hists, h)
-	}
-	r.mu.RUnlock()
-
 	s := Snapshot{
-		Counters:   make(map[string]uint64, len(counters)),
-		Gauges:     make(map[string]float64, len(gauges)),
-		Histograms: make(map[string]HistogramValue, len(hists)),
+		Counters:   make(map[string]uint64),
+		Gauges:     make(map[string]float64),
+		Histograms: make(map[string]HistogramValue),
 	}
-	for _, c := range counters {
-		s.Counters[c.id] = c.Value()
-	}
-	for _, g := range gauges {
-		s.Gauges[g.id] = g.Value()
-	}
-	for _, h := range hists {
-		hv := HistogramValue{
-			Count:  h.Count(),
-			Sum:    h.Sum(),
-			Uppers: append([]float64(nil), h.uppers...),
-			Counts: make([]uint64, len(h.counts)),
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	for _, m := range r.metrics {
+		switch m := m.(type) {
+		case *Counter:
+			s.Counters[m.id] = m.Value()
+		case *Gauge:
+			s.Gauges[m.id] = m.Value()
+		case *Histogram:
+			hv := HistogramValue{
+				Count:  m.Count(),
+				Sum:    m.Sum(),
+				Uppers: append([]float64(nil), m.uppers...),
+				Counts: make([]uint64, len(m.counts)),
+			}
+			for i := range m.counts {
+				hv.Counts[i] = m.counts[i].Load()
+			}
+			s.Histograms[m.id] = hv
 		}
-		for i := range h.counts {
-			hv.Counts[i] = h.counts[i].Load()
-		}
-		s.Histograms[h.id] = hv
 	}
 	return s
 }
@@ -120,17 +108,18 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		}
 		return f
 	}
-	for _, c := range r.counters {
-		f := get(c.name, kindCounter)
-		f.rows = append(f.rows, row{c.id, c.id + " " + strconv.FormatUint(c.Value(), 10)})
-	}
-	for _, g := range r.gauges {
-		f := get(g.name, kindGauge)
-		f.rows = append(f.rows, row{g.id, g.id + " " + formatFloat(g.Value())})
-	}
-	for _, h := range r.hists {
-		f := get(h.name, kindHistogram)
-		f.rows = append(f.rows, h.renderRows()...)
+	for _, m := range r.metrics {
+		switch m := m.(type) {
+		case *Counter:
+			f := get(m.name, kindCounter)
+			f.rows = append(f.rows, row{m.id, m.id + " " + strconv.FormatUint(m.Value(), 10)})
+		case *Gauge:
+			f := get(m.name, kindGauge)
+			f.rows = append(f.rows, row{m.id, m.id + " " + formatFloat(m.Value())})
+		case *Histogram:
+			f := get(m.name, kindHistogram)
+			f.rows = append(f.rows, m.renderRows()...)
+		}
 	}
 	r.mu.RUnlock()
 

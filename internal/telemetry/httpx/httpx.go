@@ -74,17 +74,6 @@ type Daemon struct {
 	// POST /reload route). Errors are logged, never fatal — a bad config
 	// must not take the daemon down.
 	Reload func() error
-
-	// Logf defaults to log.Printf.
-	Logf func(format string, args ...any)
-}
-
-func (d *Daemon) logf(format string, args ...any) {
-	if d.Logf != nil {
-		d.Logf(format, args...)
-		return
-	}
-	log.Printf(format, args...)
 }
 
 // ListenAndServe serves until a termination signal lands, then runs the
@@ -98,7 +87,7 @@ func (d *Daemon) ListenAndServe() error {
 	sigs := make(chan os.Signal, 2)
 	signal.Notify(sigs, syscall.SIGTERM, os.Interrupt, syscall.SIGHUP)
 	defer signal.Stop(sigs)
-	d.logf("httpx: serving on %s", ln.Addr())
+	log.Printf("httpx: serving on %s", ln.Addr())
 	return d.Serve(ln, sigs)
 }
 
@@ -122,13 +111,13 @@ func (d *Daemon) Serve(ln net.Listener, sigs <-chan os.Signal) error {
 					continue
 				}
 				if err := d.Reload(); err != nil {
-					d.logf("httpx: reload failed (serving continues): %v", err)
+					log.Printf("httpx: reload failed (serving continues): %v", err)
 				} else {
-					d.logf("httpx: reloaded")
+					log.Printf("httpx: reloaded")
 				}
 				continue
 			}
-			d.logf("httpx: %v received; draining (grace %v)", sig, grace)
+			log.Printf("httpx: %v received; draining (grace %v)", sig, grace)
 			ctx, cancel := context.WithTimeout(context.Background(), grace)
 			if d.Drain != nil {
 				d.Drain(ctx)
@@ -137,7 +126,7 @@ func (d *Daemon) Serve(ln net.Listener, sigs <-chan os.Signal) error {
 			cancel()
 			<-errc // Serve has returned http.ErrServerClosed
 			if err != nil {
-				d.logf("httpx: shutdown incomplete: %v", err)
+				log.Printf("httpx: shutdown incomplete: %v", err)
 			}
 			return err
 		}

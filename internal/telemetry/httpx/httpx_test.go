@@ -95,7 +95,6 @@ func TestDaemonGracefulShutdown(t *testing.T) {
 		Grace:   5 * time.Second,
 		Drain:   func(context.Context) { drains.Add(1) },
 		Reload:  func() error { reloads.Add(1); return nil },
-		Logf:    t.Logf,
 	}
 	sigs := make(chan os.Signal, 1)
 	done := make(chan error, 1)

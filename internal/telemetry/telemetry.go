@@ -76,22 +76,18 @@ func (k kind) String() string {
 // Registry holds a process's metrics. The zero value is not usable; call
 // NewRegistry. All methods are safe for concurrent use.
 type Registry struct {
-	mu       sync.RWMutex
-	counters map[string]*Counter
-	gauges   map[string]*Gauge
-	hists    map[string]*Histogram
-	kinds    map[string]kind   // family name -> kind
-	help     map[string]string // family name -> HELP text
+	mu      sync.RWMutex
+	metrics map[string]any    // metric identity -> *Counter, *Gauge or *Histogram
+	kinds   map[string]kind   // family name -> kind
+	help    map[string]string // family name -> HELP text
 }
 
 // NewRegistry creates an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
-		hists:    make(map[string]*Histogram),
-		kinds:    make(map[string]kind),
-		help:     make(map[string]string),
+		metrics: make(map[string]any),
+		kinds:   make(map[string]kind),
+		help:    make(map[string]string),
 	}
 }
 
@@ -177,50 +173,45 @@ func (r *Registry) checkKind(name string, k kind) {
 	r.kinds[name] = k
 }
 
+// lookup returns the metric of kind k with the given identity, creating
+// it with mk on first use. The family's kind is checked before the stored
+// handle is asserted, so reusing a name across types panics readably.
+func lookup[M any](r *Registry, k kind, name string, labels []string, mk func(id string) *M) *M {
+	validate(name, labels)
+	id := metricID(name, labels)
+	r.mu.RLock()
+	m, ok := r.metrics[id].(*M)
+	r.mu.RUnlock()
+	if ok {
+		return m
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.checkKind(name, k)
+	if have, ok := r.metrics[id]; ok {
+		return have.(*M)
+	}
+	m = mk(id)
+	r.metrics[id] = m
+	return m
+}
+
 // Counter returns the counter with the given family name and label pairs
 // (key, value, key, value, ...), creating it on first use. The returned
 // handle is shared: every call with the same identity returns the same
 // counter.
 func (r *Registry) Counter(name string, labels ...string) *Counter {
-	validate(name, labels)
-	id := metricID(name, labels)
-	r.mu.RLock()
-	c, ok := r.counters[id]
-	r.mu.RUnlock()
-	if ok {
-		return c
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if c, ok := r.counters[id]; ok {
-		return c
-	}
-	r.checkKind(name, kindCounter)
-	c = &Counter{name: name, id: id}
-	r.counters[id] = c
-	return c
+	return lookup(r, kindCounter, name, labels, func(id string) *Counter {
+		return &Counter{name: name, id: id}
+	})
 }
 
 // Gauge returns the gauge with the given identity, creating it on first
 // use.
 func (r *Registry) Gauge(name string, labels ...string) *Gauge {
-	validate(name, labels)
-	id := metricID(name, labels)
-	r.mu.RLock()
-	g, ok := r.gauges[id]
-	r.mu.RUnlock()
-	if ok {
-		return g
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if g, ok := r.gauges[id]; ok {
-		return g
-	}
-	r.checkKind(name, kindGauge)
-	g = &Gauge{name: name, id: id}
-	r.gauges[id] = g
-	return g
+	return lookup(r, kindGauge, name, labels, func(id string) *Gauge {
+		return &Gauge{name: name, id: id}
+	})
 }
 
 // Histogram returns the fixed-bucket histogram with the given identity,
@@ -228,38 +219,24 @@ func (r *Registry) Gauge(name string, labels ...string) *Gauge {
 // deduplicated; +Inf is implicit). Buckets are fixed at creation — later
 // calls with different buckets return the existing histogram unchanged.
 func (r *Registry) Histogram(name string, buckets []float64, labels ...string) *Histogram {
-	validate(name, labels)
-	id := metricID(name, labels)
-	r.mu.RLock()
-	h, ok := r.hists[id]
-	r.mu.RUnlock()
-	if ok {
-		return h
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if h, ok := r.hists[id]; ok {
-		return h
-	}
-	r.checkKind(name, kindHistogram)
-	uppers := make([]float64, 0, len(buckets))
-	for _, b := range buckets {
-		if math.IsNaN(b) || math.IsInf(b, 0) {
-			continue
+	return lookup(r, kindHistogram, name, labels, func(id string) *Histogram {
+		uppers := make([]float64, 0, len(buckets))
+		for _, b := range buckets {
+			if math.IsNaN(b) || math.IsInf(b, 0) {
+				continue
+			}
+			uppers = append(uppers, b)
 		}
-		uppers = append(uppers, b)
-	}
-	sort.Float64s(uppers)
-	uppers = dedupeSorted(uppers)
-	h = &Histogram{
-		name:   name,
-		id:     id,
-		labels: append([]string(nil), labels...),
-		uppers: uppers,
-		counts: make([]atomic.Uint64, len(uppers)+1), // last = +Inf overflow
-	}
-	r.hists[id] = h
-	return h
+		sort.Float64s(uppers)
+		uppers = dedupeSorted(uppers)
+		return &Histogram{
+			name:   name,
+			id:     id,
+			labels: append([]string(nil), labels...),
+			uppers: uppers,
+			counts: make([]atomic.Uint64, len(uppers)+1), // last = +Inf overflow
+		}
+	})
 }
 
 // Unregister removes the metric with the given identity from the
@@ -273,19 +250,9 @@ func (r *Registry) Unregister(name string, labels ...string) bool {
 	id := metricID(name, labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, ok := r.counters[id]; ok {
-		delete(r.counters, id)
-		return true
-	}
-	if _, ok := r.gauges[id]; ok {
-		delete(r.gauges, id)
-		return true
-	}
-	if _, ok := r.hists[id]; ok {
-		delete(r.hists, id)
-		return true
-	}
-	return false
+	_, ok := r.metrics[id]
+	delete(r.metrics, id)
+	return ok
 }
 
 func dedupeSorted(s []float64) []float64 {

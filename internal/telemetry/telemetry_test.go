@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"strings"
 	"sync"
@@ -168,7 +169,17 @@ func TestRegistrationPanics(t *testing.T) {
 	mustPanic("odd labels", func() { r.Counter("ok", "k") })
 	mustPanic("bad label key", func() { r.Counter("ok", "bad-key", "v") })
 	r.Counter("family")
-	mustPanic("kind collision", func() { r.Gauge("family") })
+	// Same identity, other type: the kind check names both kinds before
+	// any handle is type-asserted.
+	func() {
+		defer func() {
+			want := `metric "family" already registered as counter, requested gauge`
+			if msg := fmt.Sprint(recover()); !strings.Contains(msg, want) {
+				t.Errorf("kind collision panic = %q, want it to contain %q", msg, want)
+			}
+		}()
+		r.Gauge("family")
+	}()
 }
 
 // TestConcurrentHammer drives writers and scrapers concurrently; it exists
