@@ -31,7 +31,6 @@ import (
 // the reason it stays. An entry that stops matching (the identifier is
 // gone or gained a caller) fails the test as stale.
 var auditAllow = map[string]string{
-	"internal/fleetd.DecodeScript":            "replays a recorded op script; ROADMAP 4(a)'s kill -9 restart soak is its caller-to-be, the fleetd golden test its only one today",
 	"internal/reliability.MonteCarloSurvival": "reference model: the Monte-Carlo oracle diffcheck's property suite and the reliability tests hold the k-of-n closed form against",
 	"internal/phy.Monitor.FailedChannels":     "test observer of the monitor's failed set; make substrate forbids a non-test caller (phy.Link.SpareFailed walks the monitor in place)",
 	"internal/core.Design800G":                "test fixture: the 400-channel scale point of the core, config and root integration tests",
@@ -46,7 +45,7 @@ var auditAllow = map[string]string{
 // names, and option fields read but never set. What the syntactic scan
 // also flags is listed once, above.
 var typedAuditAllow = map[string]string{
-	"internal/fleetd.Fleet.Run":         "replays a recorded op script epoch by epoch; caller-to-be and only caller today as for DecodeScript above (ROADMAP 4(a))",
+	"internal/fleetd.Fleet.Run":         "replays a recorded op script epoch by epoch; ROADMAP 2's journal-replay restart is its caller-to-be, the fleetd golden test its only one today",
 	"internal/netsim/workload.Fixed":    "test fixture: the deterministic size distribution of netsim's arrival-order and RunUntil tests",
 	"internal/channel.Copper.Validate":  "test oracle: TestCopperCatalog holds the cable catalog to it; no non-test code builds a Copper outside the catalog",
 	"internal/photonics.Laser.Validate": "test oracle: TestLaserCatalogValid holds the laser catalog to it; no non-test code builds a Laser outside the catalog",

@@ -3,13 +3,13 @@
 // under seeded fault injection — on a shared work-stealing pool, behind
 // an admission-controlled HTTP/JSON API.
 //
-//	POST /v1/links                  admit links ({"count":N,"design":{...}})
+//	POST /v1/links                  admit links ({"count":N,"design":{...}}); 201 {"ids":[...]}
 //	GET  /v1/links?limit=N          list live links
 //	GET  /v1/links/{id}             inspect one link
-//	POST /v1/links/{id}/degrade     kill channels ({"kill":K})
-//	POST /v1/links/{id}/renegotiate commit a degraded width
-//	POST /v1/links/{id}/retire      drain and retire
-//	POST /v1/links/batch            batched operations
+//	POST /v1/links/{id}/degrade     kill channels ({"kill":K}); 200 {"link":id,"action":"degrade"}
+//	POST /v1/links/{id}/renegotiate commit a degraded width; 200 {"link":id,"action":"renegotiate"}
+//	POST /v1/links/{id}/retire      drain and retire; 200 {"link":id,"action":"retire"}
+//	POST /v1/links/batch            a JSON op script, applied in order; 200 with one {"ok":...} per op
 //	POST /reload                    hot-reload budgets/design (also SIGHUP)
 //	GET  /v1/fleet                  fleet snapshot
 //	GET  /healthz                   200; 503 while overloaded or draining
@@ -17,8 +17,10 @@
 //
 // The fleet advances in epochs on a wall-clock ticker; everything inside
 // an epoch is deterministic (fixed seed, worker-count-invariant event
-// log), so the same operation script replayed against internal/fleetd
-// reproduces the daemon's event log byte for byte.
+// log). Every route above but /reload, and the -links start-up
+// admission, is one fleetd.Op through Fleet.Apply, so the same operation
+// script replayed against internal/fleetd reproduces the daemon's event
+// log byte for byte.
 //
 // Admission is token-bucket gated and load-shedding: past the rate,
 // link, or topology budgets the API answers 429 and books the shed.
@@ -130,7 +132,7 @@ func main() {
 				return
 			case <-t.C:
 				if remaining > 0 {
-					ids, _ := fleet.Create(remaining, nil)
+					ids, _ := fleet.Apply(fleetd.Op{Action: "create", Count: remaining})
 					remaining -= len(ids)
 					if remaining == 0 {
 						log.Printf("mosaicfleetd: startup target reached (%d links admitted)", *links)
@@ -154,7 +156,7 @@ func main() {
 			} else {
 				adm := fleet.Admission()
 				log.Printf("mosaicfleetd: drained clean after %d epochs (admitted=%d retired=%d)",
-					fleet.Epoch(), adm.Admitted, adm.Retired)
+					fleet.Snapshot().Epoch, adm.Admitted, adm.Retired)
 			}
 		},
 	}

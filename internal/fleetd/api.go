@@ -22,15 +22,19 @@ import (
 //	POST /v1/links/{id}/degrade     {"kill":K}                   induce faults
 //	POST /v1/links/{id}/renegotiate                              commit degraded width
 //	POST /v1/links/{id}/retire                                   drain and retire
-//	POST /v1/links/batch            [{"action":...},...]         batched ops
+//	POST /v1/links/batch            [{"action":...},...]         a Script, applied in order
 //	POST /reload                    re-validate and swap budgets/design
 //	GET  /v1/fleet                  fleet snapshot (states, admission, pool)
 //	GET  /healthz                   200; 503 while overloaded or draining
 //
-// Error mapping: shed operations return 429 (with the reason and the
-// shed counters bumped), illegal lifecycle edges 409, unknown links
-// 404, a body over maxBodyBytes 413, malformed requests (a batch over
-// maxBatchOps included) 400.
+// Every mutating route but /reload is one Op through Fleet.Apply. A
+// create answers 201 {"ids":[...],"shed":reason}, a per-link op 200
+// {"link":id,"action":"<action>"}, a batch 200 with one
+// {"ok":...,"ids":[...],"error":...} per op, a reload 200
+// {"status":"reloaded"}. Errors: shed operations return 429 (with the
+// reason and the shed counters bumped), illegal lifecycle edges 409,
+// unknown links 404, a body over maxBodyBytes 413, malformed requests
+// (an empty batch body and a batch over maxBatchOps included) 400.
 type Server struct {
 	fleet *Fleet
 	reg   *telemetry.Registry
@@ -82,9 +86,9 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/links", s.handleCreate)
 	mux.HandleFunc("GET /v1/links", s.handleList)
 	mux.HandleFunc("GET /v1/links/{id}", s.handleInspect)
-	mux.HandleFunc("POST /v1/links/{id}/degrade", s.handleDegrade)
-	mux.HandleFunc("POST /v1/links/{id}/renegotiate", s.handleRenegotiate)
-	mux.HandleFunc("POST /v1/links/{id}/retire", s.handleRetire)
+	mux.HandleFunc("POST /v1/links/{id}/degrade", s.handleLinkOp("degrade"))
+	mux.HandleFunc("POST /v1/links/{id}/renegotiate", s.handleLinkOp("renegotiate"))
+	mux.HandleFunc("POST /v1/links/{id}/retire", s.handleLinkOp("retire"))
 	mux.HandleFunc("POST /v1/links/batch", s.handleBatch)
 	mux.HandleFunc("POST /reload", s.handleReload)
 	mux.HandleFunc("GET /v1/fleet", s.handleFleet)
@@ -191,15 +195,12 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	if req.Count == 0 {
-		req.Count = 1
-	}
 	if req.Scenario != "" {
 		d := s.fleet.DesignOrDefault(req.Design)
 		d.Scenario = req.Scenario
 		req.Design = &d
 	}
-	ids, err := s.fleet.Create(req.Count, req.Design)
+	ids, err := s.fleet.Apply(Op{Action: "create", Count: req.Count, Design: req.Design})
 	resp := createResponse{IDs: ids}
 	var shed *ShedError
 	if errors.As(err, &shed) {
@@ -250,58 +251,39 @@ func (s *Server) handleInspect(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, info)
 }
 
-func (s *Server) handleDegrade(w http.ResponseWriter, r *http.Request) {
-	id, ok := s.linkID(w, r)
-	if !ok {
-		return
+// handleLinkOp applies one per-link op from its route; only degrade
+// reads a body ({"kill":K}).
+func (s *Server) handleLinkOp(action string) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		id, ok := s.linkID(w, r)
+		if !ok {
+			return
+		}
+		op := Op{Action: action, Link: id}
+		if action == "degrade" {
+			var req struct {
+				Kill int `json:"kill"`
+			}
+			if err := decodeBody(r, &req); err != nil {
+				writeErr(w, err)
+				return
+			}
+			op.Kill = req.Kill
+		}
+		if _, err := s.fleet.Apply(op); err != nil {
+			writeErr(w, err)
+			return
+		}
+		writeJSON(w, http.StatusOK, map[string]any{"link": id, "action": action})
 	}
-	var req struct {
-		Kill int `json:"kill"`
-	}
-	if err := decodeBody(r, &req); err != nil {
-		writeErr(w, err)
-		return
-	}
-	if req.Kill == 0 {
-		req.Kill = 1
-	}
-	if err := s.fleet.Degrade(id, req.Kill); err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"link": id, "killed": req.Kill})
 }
 
-func (s *Server) handleRenegotiate(w http.ResponseWriter, r *http.Request) {
-	id, ok := s.linkID(w, r)
-	if !ok {
-		return
-	}
-	if err := s.fleet.Renegotiate(id); err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"link": id, "state": StateRenegotiating.String()})
-}
-
-func (s *Server) handleRetire(w http.ResponseWriter, r *http.Request) {
-	id, ok := s.linkID(w, r)
-	if !ok {
-		return
-	}
-	if err := s.fleet.Retire(id); err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"link": id, "state": StateDraining.String()})
-}
-
-// handleBatch applies a sequence of ops in order. Each op gets its own
-// outcome; the response is 200 with per-op results (an all-shed batch
-// still reports per-op, like partial admission does).
+// handleBatch applies a Script's ops in order, ignoring their epochs.
+// Each op gets its own outcome; the response is 200 with per-op results
+// (an all-shed batch still reports per-op, like partial admission does).
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var ops []Op
-	if err := decodeBody(r, &ops); err != nil {
+	ops, err := DecodeScript(r.Body)
+	if err != nil {
 		writeErr(w, err)
 		return
 	}

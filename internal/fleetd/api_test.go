@@ -2,7 +2,10 @@ package fleetd
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -190,6 +193,81 @@ func TestAPIBatch(t *testing.T) {
 	}
 }
 
+// TestAPIBatchRefusesNegativeCounts: a batch op with a negative count or
+// kill is refused like the single routes refuse it, instead of acting as
+// one; only a zero means the default.
+func TestAPIBatchRefusesNegativeCounts(t *testing.T) {
+	h := newAPIHarness(t, testConfig(1))
+	if code, body := h.do("POST", "/v1/links", nil); code != http.StatusCreated {
+		t.Fatalf("create = %d %s", code, body)
+	}
+	stepUntil(t, h.fleet, func() bool { return stateOf(t, h.fleet, 0) == StateServing }, 10, "serving")
+	logBefore, admBefore := h.fleet.EventLog(), h.fleet.Admission()
+	code, body := h.do("POST", "/v1/links/batch", []Op{
+		{Action: "create", Count: -3},
+		{Action: "degrade", Link: 0, Kill: -2},
+	})
+	var results []struct {
+		OK    bool   `json:"ok"`
+		Error string `json:"error"`
+	}
+	h.decode(body, &results)
+	if code != http.StatusOK || len(results) != 2 {
+		t.Fatalf("batch = %d %s", code, body)
+	}
+	for i, r := range results {
+		if r.OK || !strings.Contains(r.Error, "needs count > 0") {
+			t.Errorf("op %d with a negative count: %+v, want refused", i, r)
+		}
+	}
+	if got := h.fleet.Admission(); got != admBefore {
+		t.Errorf("refused ops moved admission: %+v -> %+v", admBefore, got)
+	}
+	if got := h.fleet.EventLog(); len(got) != len(logBefore) {
+		t.Errorf("refused ops wrote %d log lines: %q", len(got)-len(logBefore), got[len(logBefore):])
+	}
+}
+
+// TestAPIReplaysScenarioGolden drives the determinism witness's script
+// through the HTTP routes instead of Fleet.Run — creates, degrades,
+// renegotiations and retirements on their own routes, the budget reload
+// as a one-op batch — and requires the same golden event log: the
+// routes and a replayed script are one door.
+func TestAPIReplaysScenarioGolden(t *testing.T) {
+	for _, workers := range []int{1, 3} {
+		cfg := testConfig(workers)
+		cfg.Design.Hazard = 0.002 // as runScenario
+		h := newAPIHarness(t, cfg)
+		script := scenarioScript()
+		for e, next := 0, 0; e < 40; e++ {
+			for ; next < len(script) && script[next].Epoch <= e; next++ {
+				op := script[next]
+				switch op.Action {
+				case "create":
+					h.do("POST", "/v1/links", map[string]int{"count": op.Count})
+				case "degrade":
+					h.do("POST", fmt.Sprintf("/v1/links/%d/degrade", op.Link), map[string]int{"kill": op.Kill})
+				case "renegotiate", "retire":
+					h.do("POST", fmt.Sprintf("/v1/links/%d/%s", op.Link, op.Action), nil)
+				default:
+					code, body := h.do("POST", "/v1/links/batch", Script{op})
+					if code != http.StatusOK || !strings.HasPrefix(string(body), `[{"ok":true}`) {
+						t.Fatalf("%s as a batch = %d %s", op.Action, code, body)
+					}
+				}
+			}
+			h.fleet.Step()
+		}
+		log := h.fleet.EventLog()
+		sum := sha256.Sum256([]byte(strings.Join(log, "\n")))
+		if got := hex.EncodeToString(sum[:]); got != fleetScenarioGolden {
+			_, want := runScenario(t, workers)
+			t.Fatalf("%d workers: event log over HTTP sha = %s, golden = %s\nfirst diff: %s",
+				workers, got, fleetScenarioGolden, firstDiff(log, want))
+		}
+	}
+}
+
 // TestAPIAdmissionShedding: past the token bucket the API answers 429
 // and the shed counters advance; /healthz reports the overload window
 // at the next epoch and recovers after a quiet one.
@@ -331,7 +409,16 @@ func TestAPIReload(t *testing.T) {
 		t.Fatalf("MaxLinks after reload = %d", got)
 	}
 
-	// A reload that tries to change the seed is a 400.
+	// A reload that tries to change the seed or the event-log cap is a
+	// 400, and the cap stays where it was.
+	newCfg.MaxLog = 100
+	if code, body = h.do("POST", "/reload", newCfg); code != http.StatusBadRequest || !strings.Contains(string(body), "max_log") {
+		t.Fatalf("max_log-changing reload = %d %s, want 400", code, body)
+	}
+	if h.fleet.log.Max != 200000 || h.fleet.cfg.MaxLog != 0 {
+		t.Fatalf("refused reload moved the log cap: log.Max=%d cfg.MaxLog=%d", h.fleet.log.Max, h.fleet.cfg.MaxLog)
+	}
+	newCfg.MaxLog = 0
 	newCfg.Seed = 123
 	if code, _ = h.do("POST", "/reload", newCfg); code != http.StatusBadRequest {
 		t.Fatalf("seed-changing reload = %d, want 400", code)
@@ -368,10 +455,10 @@ func TestReloadRejectsUnboundedFlows(t *testing.T) {
 	if got := budgets(); got != before {
 		t.Fatalf("a refused reload changed the budgets: %+v, were %+v", got, before)
 	}
-	epoch := h.fleet.Epoch()
+	epoch := h.fleet.Snapshot().Epoch
 	h.fleet.Step()
-	if code, _ := h.do("GET", "/healthz", nil); h.fleet.Epoch() != epoch+1 || code != http.StatusOK {
-		t.Fatalf("fleet did not step after the refused reload: epoch %d -> %d, healthz %d", epoch, h.fleet.Epoch(), code)
+	if code, _ := h.do("GET", "/healthz", nil); h.fleet.Snapshot().Epoch != epoch+1 || code != http.StatusOK {
+		t.Fatalf("fleet did not step after the refused reload: epoch %d -> %d, healthz %d", epoch, h.fleet.Snapshot().Epoch, code)
 	}
 	cfg.Budgets.FlowsPerEpoch = maxFlowsPerEpoch
 	if code, body := h.do("POST", "/reload", cfg); code != http.StatusOK {
@@ -387,6 +474,7 @@ func TestAPIBadRequests(t *testing.T) {
 		{"POST", "/v1/links", `{"count": "many"}`},
 		{"POST", "/v1/links", `{"unknown_field": 1}`},
 		{"POST", "/v1/links/batch", `{"not": "an array"}`},
+		{"POST", "/v1/links/batch", ""},
 		{"GET", "/v1/links?limit=-3", ""},
 	} {
 		req, err := http.NewRequest(tc.method, h.ts.URL+tc.path, strings.NewReader(tc.body))

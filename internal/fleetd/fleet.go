@@ -1,10 +1,11 @@
 package fleetd
 
 import (
-	"container/heap"
+	"cmp"
 	"context"
 	"errors"
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -38,8 +39,7 @@ type Fleet struct {
 	cfg  Config
 	pool *par.Pool
 
-	links  map[int]*managedLink
-	order  []int // live link IDs, ascending (nextID is monotonic)
+	links  []*managedLink // the live links, ascending ID (nextID only grows, so an admission appends)
 	nextID int
 	rotor  int // next link ID owed a serving step by the budget rotor
 
@@ -55,7 +55,7 @@ type Fleet struct {
 
 	topo          *netsim.Topology
 	fsim          *netsim.FleetSim
-	freeTopo      intHeap // free host-link slots in the fleet topology
+	freeTopo      []int // free host-link slots in the fleet topology, ascending (lowest reused first)
 	hosts         []int
 	flowRNG       *rand.Rand
 	flowsInjected uint64
@@ -69,9 +69,8 @@ type Fleet struct {
 	runnable, serving []*managedLink
 	stepTask          func(i int)
 
-	reg         *telemetry.Registry
-	metrics     *telemetry.Mirror[Fleet]               // nil without a registry
-	linkMetrics map[int]*telemetry.Mirror[managedLink] // the links inside the DetailLinks budget
+	reg     *telemetry.Registry
+	metrics *telemetry.Mirror[Fleet] // nil without a registry
 
 	// snap is the lock-free health view: /healthz and load-shedding
 	// decisions read it without taking the fleet lock (a scrape must
@@ -116,15 +115,13 @@ func New(cfg Config, reg *telemetry.Registry) (*Fleet, error) {
 		return nil, err
 	}
 	f := &Fleet{
-		cfg:         cfg,
-		pool:        par.New(cfg.Workers),
-		links:       make(map[int]*managedLink),
-		bucket:      newTokenBucket(cfg.Budgets.AdmitPerEpoch, cfg.Budgets.AdmitBurst),
-		log:         eventlog.Log{Max: cfg.MaxLog},
-		retired:     make(map[int]LinkInfo),
-		reg:         reg,
-		linkMetrics: make(map[int]*telemetry.Mirror[managedLink]),
-		flowRNG:     rand.New(rand.NewSource(cfg.Seed + 0x5eed)),
+		cfg:     cfg,
+		pool:    par.New(cfg.Workers),
+		bucket:  newTokenBucket(cfg.Budgets.AdmitPerEpoch, cfg.Budgets.AdmitBurst),
+		log:     eventlog.Log{Max: cfg.MaxLog},
+		retired: make(map[int]LinkInfo),
+		reg:     reg,
+		flowRNG: rand.New(rand.NewSource(cfg.Seed + 0x5eed)),
 	}
 	if f.log.Max <= 0 {
 		f.log.Max = 200000
@@ -143,12 +140,11 @@ func New(cfg Config, reg *telemetry.Registry) (*Fleet, error) {
 	f.topo = topo
 	f.fsim = netsim.NewFleetSim(topo, cfg.Workers)
 	f.hosts = topo.Hosts()
-	for _, l := range topo.Links {
+	for _, l := range topo.Links { // ascending ID
 		if l.Tier == netsim.TierHostToR {
 			f.freeTopo = append(f.freeTopo, l.ID)
 		}
 	}
-	heap.Init(&f.freeTopo)
 
 	if reg != nil {
 		f.metrics = telemetry.NewMirror(reg, fleetRows)
@@ -208,7 +204,7 @@ func (f *Fleet) Create(n int, d *LinkDesign) ([]int, error) {
 	if n <= 0 {
 		return nil, errors.New("fleetd: create needs count > 0")
 	}
-	design := f.cfg.Design
+	var design LinkDesign
 	if d != nil {
 		design = *d
 		if err := design.Validate(); err != nil {
@@ -217,6 +213,9 @@ func (f *Fleet) Create(n int, d *LinkDesign) ([]int, error) {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	if d == nil {
+		design = f.cfg.Design // read under the lock: Reload writes it
+	}
 	var ids []int
 	var shed error
 	for i := 0; i < n; i++ {
@@ -238,35 +237,43 @@ func (f *Fleet) Create(n int, d *LinkDesign) ([]int, error) {
 		}
 		id := f.nextID
 		f.nextID++
-		topoID := heap.Pop(&f.freeTopo).(int)
+		topoID := f.freeTopo[0]
+		f.freeTopo = f.freeTopo[1:]
 		ml := &managedLink{
 			id: id, topoID: topoID, seed: linkSeed(f.cfg.Seed, id),
 			design: design, state: StateAdmitted,
 		}
-		f.links[id] = ml
-		f.order = append(f.order, id)
+		if f.reg != nil && (f.cfg.Budgets.DetailLinks < 0 || id < f.cfg.Budgets.DetailLinks) {
+			ml.metrics = telemetry.NewMirror(f.reg, linkRows, "link", strconv.Itoa(id))
+		}
+		f.links = append(f.links, ml)
 		f.adm.Admitted++
 		f.log.Addf("epoch=%d op=create link=%d topo=%d lanes=%d", f.epoch, id, topoID, design.Lanes)
-		if f.reg != nil && (f.cfg.Budgets.DetailLinks < 0 || id < f.cfg.Budgets.DetailLinks) {
-			f.linkMetrics[id] = telemetry.NewMirror(f.reg, linkRows, "link", strconv.Itoa(id))
-		}
 		ids = append(ids, id)
 	}
 	return ids, shed
 }
 
-// Degrade kills count channels on a link (deterministically: the
+// link returns the live link with the given ID, or nil.
+func (f *Fleet) link(id int) *managedLink {
+	if i, ok := slices.BinarySearchFunc(f.links, id, func(ml *managedLink, id int) int { return cmp.Compare(ml.id, id) }); ok {
+		return f.links[i]
+	}
+	return nil
+}
+
+// degrade kills count channels on a link (deterministically: the
 // lowest-numbered alive physicals), modeling an induced fault burst.
 // Legal while the link is carrying traffic (bring-up through
 // renegotiating).
-func (f *Fleet) Degrade(id, count int) error {
+func (f *Fleet) degrade(id, count int) error {
 	if count <= 0 {
 		return errors.New("fleetd: degrade needs count > 0")
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	ml, ok := f.links[id]
-	if !ok {
+	ml := f.link(id)
+	if ml == nil {
 		return ErrUnknownLink
 	}
 	switch ml.state {
@@ -291,14 +298,14 @@ func (f *Fleet) Degrade(id, count int) error {
 	return nil
 }
 
-// Renegotiate moves a degraded link into renegotiating; the next epoch
+// renegotiate moves a degraded link into renegotiating; the next epoch
 // commits the degraded width as its new contract and republishes
 // capacity into the flow simulator.
-func (f *Fleet) Renegotiate(id int) error {
+func (f *Fleet) renegotiate(id int) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	ml, ok := f.links[id]
-	if !ok {
+	ml := f.link(id)
+	if ml == nil {
 		return ErrUnknownLink
 	}
 	if err := ml.transition(StateRenegotiating, "op"); err != nil {
@@ -308,13 +315,13 @@ func (f *Fleet) Renegotiate(id int) error {
 	return nil
 }
 
-// Retire puts a link on the drain path; it exits through
+// retire puts a link on the drain path; it exits through
 // draining -> retired over the following epochs.
-func (f *Fleet) Retire(id int) error {
+func (f *Fleet) retire(id int) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	ml, ok := f.links[id]
-	if !ok {
+	ml := f.link(id)
+	if ml == nil {
 		return ErrUnknownLink
 	}
 	if err := ml.transition(StateDraining, "op"); err != nil {
@@ -325,19 +332,29 @@ func (f *Fleet) Retire(id int) error {
 }
 
 // Reload validates and swaps the admission budgets and the default link
-// design without touching serving links. Seed, workers, and the built
-// topology are immutable — a changed value there is rejected.
+// design without touching serving links. Seed, workers, the event-log
+// cap and the built topology are immutable — a changed value there is
+// rejected.
 func (f *Fleet) Reload(cfg Config) error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.reloadLocked(cfg)
+}
+
+// reloadLocked is Reload with the fleet lock held, so a reload-budgets
+// op reads, modifies and writes f.cfg under one hold.
+func (f *Fleet) reloadLocked(cfg Config) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	if cfg.Seed != f.cfg.Seed {
 		return errors.New("fleetd: reload cannot change seed")
 	}
 	if cfg.Workers != f.cfg.Workers {
 		return errors.New("fleetd: reload cannot change workers")
+	}
+	if cfg.MaxLog != f.cfg.MaxLog {
+		return errors.New("fleetd: reload cannot change max_log")
 	}
 	f.cfg.Budgets = cfg.Budgets
 	f.cfg.Design = cfg.Design
@@ -365,8 +382,7 @@ func (f *Fleet) stepLocked() {
 	// draining) always runs; serving/degraded links run MAC superframes
 	// under the step budget, rotated fairly by ascending link ID.
 	runnable, serving := f.runnable[:0], f.serving[:0]
-	for _, id := range f.order {
-		ml := f.links[id]
+	for _, ml := range f.links {
 		switch ml.state {
 		case StateAdmitted, StateBringUp, StateRenegotiating, StateDraining:
 			runnable = append(runnable, ml)
@@ -393,7 +409,7 @@ func (f *Fleet) stepLocked() {
 		}
 	}
 
-	// Fan out. runnable is in ascending ID order (f.order is sorted),
+	// Fan out. runnable is in ascending ID order (f.links is sorted),
 	// which is also the merge order below.
 	f.runnable, f.serving = runnable, serving
 	f.pool.Run(len(runnable), f.stepTask)
@@ -417,6 +433,7 @@ func (f *Fleet) stepLocked() {
 	for _, ml := range retirees {
 		f.retireLocked(ml)
 	}
+	f.links = slices.DeleteFunc(f.links, func(ml *managedLink) bool { return ml.state == StateRetired })
 	clear(runnable) // the scratch must not keep a retired link's stack alive
 	clear(serving)
 
@@ -455,15 +472,17 @@ func (f *Fleet) stepLocked() {
 	// leaves them.
 	if f.metrics != nil {
 		f.metrics.Sync(f)
-		for id, m := range f.linkMetrics {
-			m.Sync(f.links[id])
+		for _, ml := range f.links {
+			if ml.metrics != nil {
+				ml.metrics.Sync(ml)
+			}
 		}
 	}
 }
 
 // retireLocked finalizes a retired link: record the tombstone, free the
-// topology slot (restored to full width for its next tenant), detach
-// the per-link series, and drop the link.
+// topology slot (restored to full width for its next tenant) and detach
+// the per-link series. The barrier then drops it from f.links.
 func (f *Fleet) retireLocked(ml *managedLink) {
 	f.adm.Retired++
 	f.retired[ml.id] = ml.info()
@@ -473,17 +492,10 @@ func (f *Fleet) retireLocked(ml *managedLink) {
 		f.retiredIDs = f.retiredIDs[1:]
 	}
 	f.fsim.SetLinkFraction(ml.topoID, 1)
-	heap.Push(&f.freeTopo, ml.topoID)
-	if m, ok := f.linkMetrics[ml.id]; ok {
-		m.Detach()
-		delete(f.linkMetrics, ml.id)
-	}
-	delete(f.links, ml.id)
-	for i, id := range f.order {
-		if id == ml.id {
-			f.order = append(f.order[:i], f.order[i+1:]...)
-			break
-		}
+	i, _ := slices.BinarySearch(f.freeTopo, ml.topoID)
+	f.freeTopo = slices.Insert(f.freeTopo, i, ml.topoID)
+	if ml.metrics != nil {
+		ml.metrics.Detach()
 	}
 }
 
@@ -514,19 +526,12 @@ func (f *Fleet) publishSnapshot(overloaded bool) {
 // Snapshot returns the latest lock-free fleet summary.
 func (f *Fleet) Snapshot() *Snapshot { return f.snap.Load() }
 
-// Epoch returns the number of completed epochs.
-func (f *Fleet) Epoch() uint64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.epoch
-}
-
 // StateOf returns a link's lifecycle state (retired tombstones
 // included). The second result is false for unknown IDs.
 func (f *Fleet) StateOf(id int) (State, bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if ml, ok := f.links[id]; ok {
+	if ml := f.link(id); ml != nil {
 		return ml.state, true
 	}
 	if _, ok := f.retired[id]; ok {
@@ -539,7 +544,7 @@ func (f *Fleet) StateOf(id int) (State, bool) {
 func (f *Fleet) Inspect(id int) (LinkInfo, bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if ml, ok := f.links[id]; ok {
+	if ml := f.link(id); ml != nil {
 		return ml.info(), true
 	}
 	info, ok := f.retired[id]
@@ -551,13 +556,13 @@ func (f *Fleet) Inspect(id int) (LinkInfo, bool) {
 func (f *Fleet) List(limit int) []LinkInfo {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	n := len(f.order)
+	n := len(f.links)
 	if limit > 0 && limit < n {
 		n = limit
 	}
 	out := make([]LinkInfo, 0, n)
-	for _, id := range f.order[:n] {
-		out = append(out, f.links[id].info())
+	for _, ml := range f.links[:n] {
+		out = append(out, ml.info())
 	}
 	return out
 }
@@ -587,8 +592,7 @@ func (f *Fleet) Drain(ctx context.Context) int {
 	f.mu.Lock()
 	f.draining = true
 	f.log.Addf("epoch=%d op=drain links=%d", f.epoch, len(f.links))
-	for _, id := range f.order {
-		ml := f.links[id]
+	for _, ml := range f.links {
 		if ml.state != StateDraining && ml.state != StateRetired {
 			_ = ml.transition(StateDraining, "fleet-drain")
 		}
@@ -609,20 +613,4 @@ func (f *Fleet) Drain(ctx context.Context) int {
 		}
 		f.Step()
 	}
-}
-
-// intHeap is a plain min-heap of free topology slots, so slot reuse is
-// deterministic (lowest ID first) regardless of retirement order.
-type intHeap []int
-
-func (h intHeap) Len() int           { return len(h) }
-func (h intHeap) Less(i, j int) bool { return h[i] < h[j] }
-func (h intHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *intHeap) Push(x any)        { *h = append(*h, x.(int)) }
-func (h *intHeap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
 }

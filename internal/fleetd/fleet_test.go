@@ -23,7 +23,7 @@ func testConfig(workers int) Config {
 	cfg.Budgets.MaxLinks = 64
 	cfg.Budgets.StepBudget = 0 // step every serving link each epoch
 	cfg.Budgets.FlowsPerEpoch = 4
-	cfg.Design.Hazard = 0 // faults come from explicit Degrade ops
+	cfg.Design.Hazard = 0 // faults come from explicit degrade ops
 	return cfg
 }
 
@@ -73,8 +73,8 @@ func TestFleetLifecycleWalk(t *testing.T) {
 
 	// Kill more channels than the spare pool covers: the next serving
 	// epoch spares what it can, comes up short, and degrades.
-	if err := f.Degrade(id, f.cfg.Design.Spares+2); err != nil {
-		t.Fatalf("Degrade: %v", err)
+	if err := f.degrade(id, f.cfg.Design.Spares+2); err != nil {
+		t.Fatalf("degrade: %v", err)
 	}
 	stepUntil(t, f, func() bool { return stateOf(t, f, id) == StateDegraded }, 10, "degraded")
 	info, _ = f.Inspect(id)
@@ -103,8 +103,8 @@ func TestFleetLifecycleWalk(t *testing.T) {
 	}
 
 	// Renegotiate commits the degraded width as the new contract.
-	if err := f.Renegotiate(id); err != nil {
-		t.Fatalf("Renegotiate: %v", err)
+	if err := f.renegotiate(id); err != nil {
+		t.Fatalf("renegotiate: %v", err)
 	}
 	stepUntil(t, f, func() bool { return stateOf(t, f, id) == StateServing }, 10, "re-serving")
 	info, _ = f.Inspect(id)
@@ -115,12 +115,12 @@ func TestFleetLifecycleWalk(t *testing.T) {
 
 	// Renegotiating a healthy link is a lifecycle conflict.
 	var te *TransitionError
-	if err := f.Renegotiate(id); !errors.As(err, &te) {
-		t.Fatalf("Renegotiate while serving = %v, want *TransitionError", err)
+	if err := f.renegotiate(id); !errors.As(err, &te) {
+		t.Fatalf("renegotiate while serving = %v, want *TransitionError", err)
 	}
 
-	if err := f.Retire(id); err != nil {
-		t.Fatalf("Retire: %v", err)
+	if err := f.retire(id); err != nil {
+		t.Fatalf("retire: %v", err)
 	}
 	stepUntil(t, f, func() bool { return stateOf(t, f, id) == StateRetired }, 20, "retired")
 	info, ok := f.Inspect(id)
@@ -133,8 +133,8 @@ func TestFleetLifecycleWalk(t *testing.T) {
 	if n := len(f.List(0)); n != 0 {
 		t.Fatalf("%d live links after retirement", n)
 	}
-	if err := f.Retire(id); !errors.Is(err, ErrUnknownLink) {
-		t.Fatalf("Retire retired link = %v, want ErrUnknownLink", err)
+	if err := f.retire(id); !errors.Is(err, ErrUnknownLink) {
+		t.Fatalf("retire retired link = %v, want ErrUnknownLink", err)
 	}
 
 	// The freed topology slot is reused by the next admission.
@@ -223,6 +223,43 @@ func TestFleetReload(t *testing.T) {
 	var shed *ShedError
 	if _, err := f.Create(2, nil); !errors.As(err, &shed) {
 		t.Fatalf("create after tightening = %v, want shed", err)
+	}
+}
+
+// TestCreateRacesReload admits default-design links while another
+// goroutine reloads the default design: Create reads the default under
+// the fleet lock Reload writes it under, so -race (make race) stays
+// quiet. The goroutines overlap only over thousands of iterations.
+func TestCreateRacesReload(t *testing.T) {
+	const n = 5000
+	f, err := New(testConfig(1), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for range n {
+			f.Create(1, nil) // sheds past MaxLinks; the read of the default is the point
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		cfg := testConfig(1)
+		for i := range n {
+			cfg.Design.Lanes = 8 + i%8
+			if err := f.Reload(cfg); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	for _, info := range f.List(0) {
+		if info.Nominal < 8 || info.Nominal >= 16 {
+			t.Errorf("link %d admitted at %d lanes, a design no reload set", info.ID, info.Nominal)
+		}
 	}
 }
 
@@ -466,7 +503,7 @@ func TestFleetTelemetry(t *testing.T) {
 		t.Error("link 1 has per-link gauges beyond the DetailLinks budget")
 	}
 
-	if err := f.Retire(0); err != nil {
+	if err := f.retire(0); err != nil {
 		t.Fatal(err)
 	}
 	stepUntil(t, f, func() bool { return stateOf(t, f, 0) == StateRetired }, 20, "retired")
@@ -484,8 +521,8 @@ func TestFleetTelemetry(t *testing.T) {
 	// The flow totals are two more rows of the same table. Killing every
 	// channel of link 1 takes its host link down in the flow simulator,
 	// so flows through that host lose their last route.
-	for lanes := cfg.Design.Lanes; lanes > 0; lanes = f.links[1].lanes() { // spares step in once
-		if err := f.Degrade(1, lanes); err != nil {
+	for lanes := cfg.Design.Lanes; lanes > 0; lanes = f.link(1).lanes() { // spares step in once
+		if err := f.degrade(1, lanes); err != nil {
 			t.Fatal(err)
 		}
 		f.Step()

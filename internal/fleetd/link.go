@@ -9,6 +9,7 @@ import (
 	"mosaic/internal/mac"
 	"mosaic/internal/phy"
 	"mosaic/internal/scenario"
+	"mosaic/internal/telemetry"
 )
 
 // managedLink is one fleet member: a full-duplex PHY pair under a MAC
@@ -23,8 +24,9 @@ type managedLink struct {
 	seed   int64
 	design LinkDesign
 
-	state State
-	sf    int // superframes served (absolute, across schedule rounds)
+	state   State
+	sf      int                            // superframes served (absolute, across schedule rounds)
+	metrics *telemetry.Mirror[managedLink] // nil outside DetailLinks; beside state, which the barrier scans also read
 
 	fwd, rev *phy.Link
 	pair     *mac.Pair

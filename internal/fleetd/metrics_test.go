@@ -31,7 +31,7 @@ func TestFleetCollectorSync(t *testing.T) {
 	f.adm = AdmissionStats{Admitted: 12, Retired: 3, ShedRate: 4, ShedLinks: 1}
 	f.epoch, f.flowsInjected = 42, 17
 	for id := 0; id < 12; id++ {
-		f.links[id] = &managedLink{id: id}
+		f.links = append(f.links, &managedLink{id: id})
 	}
 	for i := 0; i < 9; i++ { // nine flows in flight, none stepped
 		if _, err := f.fsim.Inject(f.hosts[i], f.hosts[i+9], 1e9, uint64(i)); err != nil {

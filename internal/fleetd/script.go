@@ -1,6 +1,7 @@
 package fleetd
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -38,20 +39,31 @@ func DecodeScript(r io.Reader) (Script, error) {
 	return s, nil
 }
 
-// Apply executes one link op against the fleet and returns its raw
-// outcome: the IDs a create admitted and the error the operation
-// returned. It is the one action switch — the batch endpoint renders the
-// outcome per op, Run decides which errors fail a replay.
+// Apply executes one op against the fleet and returns its raw outcome:
+// the IDs a create admitted and the error the operation returned. It is
+// the one door every op-shaped mutation goes through — the HTTP routes,
+// a batch, a replayed Script and the daemon's start-up admission. A zero
+// count or kill means one; a negative one reaches the operation, which
+// refuses it.
 func (f *Fleet) Apply(op Op) ([]int, error) {
 	switch op.Action {
 	case "create":
-		return f.Create(max(op.Count, 1), op.Design)
+		return f.Create(cmp.Or(op.Count, 1), op.Design)
 	case "degrade":
-		return nil, f.Degrade(op.Link, max(op.Kill, 1))
+		return nil, f.degrade(op.Link, cmp.Or(op.Kill, 1))
 	case "renegotiate":
-		return nil, f.Renegotiate(op.Link)
+		return nil, f.renegotiate(op.Link)
 	case "retire":
-		return nil, f.Retire(op.Link)
+		return nil, f.retire(op.Link)
+	case "reload-budgets":
+		if op.Budgets == nil {
+			return nil, errors.New("fleetd: reload-budgets op needs budgets")
+		}
+		f.mu.Lock()
+		defer f.mu.Unlock()
+		cfg := f.cfg
+		cfg.Budgets = *op.Budgets
+		return nil, f.reloadLocked(cfg)
 	}
 	return nil, errors.New("unknown action " + op.Action)
 }
@@ -61,19 +73,11 @@ func (f *Fleet) Apply(op Op) ([]int, error) {
 // admissions and lifecycle refusals (illegal edge, unknown link) are not
 // errors at the script level — they are recorded in the event log exactly
 // as the API would record them — so only a malformed op fails the replay.
-// reload-budgets exists only here: over HTTP a reload has its own
-// endpoint.
 func (f *Fleet) Run(script Script, epochs int) error {
 	next := 0
 	for e := 0; e < epochs; e++ {
 		for ; next < len(script) && script[next].Epoch <= e; next++ {
-			op := script[next]
-			var err error
-			if op.Action == "reload-budgets" {
-				err = f.reloadBudgets(op.Budgets)
-			} else {
-				_, err = f.Apply(op)
-			}
+			_, err := f.Apply(script[next])
 			var shed *ShedError
 			var te *TransitionError
 			if err != nil && !errors.As(err, &shed) && !errors.Is(err, ErrUnknownLink) && !errors.As(err, &te) {
@@ -83,15 +87,4 @@ func (f *Fleet) Run(script Script, epochs int) error {
 		f.Step()
 	}
 	return nil
-}
-
-func (f *Fleet) reloadBudgets(b *Budgets) error {
-	if b == nil {
-		return errors.New("fleetd: reload-budgets op needs budgets")
-	}
-	f.mu.Lock()
-	cfg := f.cfg
-	f.mu.Unlock()
-	cfg.Budgets = *b
-	return f.Reload(cfg)
 }
