@@ -9,9 +9,27 @@
 GO ?= go
 FUZZTIME ?= 20s
 # pkg:target pairs — go test runs one fuzz target at a time, per package.
+# Every fuzz target in the tree, no more (TestFuzzTargetsListed): the
+# wire-facing decoders, the scenario parser, and the differential targets
+# that hold each optimized hot-path stage to its naive twin in
+# internal/refmodel.
 FUZZ_TARGETS = internal/phy:FuzzFramerDecodeStream internal/phy:FuzzHammingFECDecode \
-	internal/phy:FuzzRSLiteDecode internal/phy:FuzzParseFramesNeverPanics \
-	internal/mac:FuzzMACDeframe internal/scenario:FuzzScenarioSpec
+	internal/phy:FuzzParseFramesNeverPanics internal/scenario:FuzzScenarioSpec \
+	internal/refmodel:FuzzRSLiteDecode internal/refmodel:FuzzMACDeframe \
+	internal/refmodel:FuzzDiffScrambler internal/refmodel:FuzzDiffBSCSkip \
+	internal/refmodel:FuzzDiffRSEncode internal/refmodel:FuzzDiffRSDecode \
+	internal/refmodel:FuzzDiffRSVector internal/refmodel:FuzzDiffFramer \
+	internal/refmodel:FuzzDiffStriper internal/refmodel:FuzzDiffMACLLR \
+	internal/refmodel:FuzzDiffMACSR internal/refmodel:FuzzDiffMACVC \
+	internal/refmodel:FuzzDiffPipeline
+
+# fuzz_loop runs every FUZZ_TARGETS pair for -fuzztime $(1), with the
+# extra go test flags $(2).
+fuzz_loop = for t in $(FUZZ_TARGETS); do \
+		pkg=$${t%%:*}; fn=$${t\#\#*:}; \
+		echo "== fuzz $$pkg $$fn ($(strip $(1) $(2))) =="; \
+		$(GO) test $(2) -run '^$$' -fuzz "^$$fn$$" -fuzztime $(1) ./$$pkg/ || exit 1; \
+	done
 
 .PHONY: check vet substrate audit build test race determinism staticcheck bench bench-check bench-layers coverage fuzz-smoke verify-deep soak-fleetd scenario-conformance loc
 
@@ -264,19 +282,17 @@ coverage:
 		if (t + 0 < min + 0) { printf "coverage: FAIL — %.1f%% below minimum %d%%\n", t, min; exit 1 } \
 		printf "coverage: OK — %.1f%% >= %d%%\n", t, min }'
 
-# Deep differential verification: every optimized hot-path stage against
-# its naive reference model (internal/refmodel) over a large seeded
-# corpus, with the pipeline stage swept across worker counts, under the
-# race detector. Not part of check (several minutes); run it to certify a
-# perf-oriented change, or let CI's verify-deep job do it. A divergence
-# fails the run with a (stage, seed, case, size) repro and writes
-# DIVERGENCE.json for the CI artifact upload.
-DIFF_CASES ?= 200
-DIFF_SEED ?= 1
+# Deep differential verification: every fuzz target — each optimized
+# hot-path stage against its naive reference model (internal/refmodel),
+# the pipeline target across 1, 2 and GOMAXPROCS workers, and the
+# wire-facing decoders — runs 200 fuzzer inputs past its seed corpus
+# under the race detector, then the deep flow-engine trace suite. Not
+# part of check (minutes); run it to certify a perf-oriented change, or
+# let CI's verify-deep job do it. A failing input is written to the
+# package's testdata/fuzz/<target>/ (the CI artifact) and replays with
+# `go test -run '<target>/<file>' ./<pkg>/`.
 verify-deep:
-	MOSAIC_VERIFY_DEEP=1 MOSAIC_DIFF_CASES=$(DIFF_CASES) MOSAIC_DIFF_SEED=$(DIFF_SEED) \
-		MOSAIC_DIFF_OUT=DIVERGENCE.json \
-		$(GO) test -race -run TestDiffDeep -v -timeout 60m ./internal/diffcheck/
+	@$(call fuzz_loop,200x,-race)
 	MOSAIC_VERIFY_DEEP=1 $(GO) test -race -run TestFlowSimDeepProperties -timeout 60m ./internal/netsim/
 
 # The mosaicfleetd acceptance soak: >=2000 concurrent serving links
@@ -307,11 +323,7 @@ scenario-conformance:
 # CI fuzz smoke: each pkg:target pair gets a short budget (go test runs
 # one fuzz target at a time, so this is a loop, not a single invocation).
 fuzz-smoke:
-	@for t in $(FUZZ_TARGETS); do \
-		pkg=$${t%%:*}; fn=$${t##*:}; \
-		echo "== fuzz $$pkg $$fn ($(FUZZTIME)) =="; \
-		$(GO) test -run '^$$' -fuzz "^$$fn$$" -fuzztime $(FUZZTIME) ./$$pkg/ || exit 1; \
-	done
+	@$(call fuzz_loop,$(FUZZTIME))
 
 # The design-economy ledger: non-test Go lines (wc -l) per top-level
 # package and in total, with benchmark/ (the measuring harness, not the

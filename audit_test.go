@@ -31,7 +31,8 @@ import (
 // the reason it stays. An entry that stops matching (the identifier is
 // gone or gained a caller) fails the test as stale.
 var auditAllow = map[string]string{
-	"internal/reliability.MonteCarloSurvival": "reference model: the Monte-Carlo oracle diffcheck's property suite and the reliability tests hold the k-of-n closed form against",
+	"internal/reliability.MonteCarloSurvival": "reference model: the Monte-Carlo oracle refmodel's property suite and the reliability tests hold the k-of-n closed form against",
+	"internal/phy.Link.SetChannelSkew":        "test fixture: skews a channel in the phy tests and refmodel's pipeline fuzz target",
 	"internal/phy.Monitor.FailedChannels":     "test observer of the monitor's failed set; make substrate forbids a non-test caller (phy.Link.SpareFailed walks the monitor in place)",
 	"internal/core.Design800G":                "test fixture: the 400-channel scale point of the core, config and root integration tests",
 	"internal/units.ApproxEqual":              "test fixture: the relative-tolerance compare of seven packages' tests",

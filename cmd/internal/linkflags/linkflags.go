@@ -8,6 +8,7 @@ package linkflags
 import (
 	"errors"
 	"flag"
+	"fmt"
 	"math/rand"
 
 	"mosaic/internal/faultinject"
@@ -112,8 +113,12 @@ func AddSoak(fs *flag.FlagSet, superframes int, hazard float64) *Soak {
 	return s
 }
 
-// Resolve looks -fec and -arq up; call it after fs.Parse.
+// Resolve looks -fec and -arq up and refuses a -hazard that is not a
+// probability; call it after fs.Parse.
 func (s *Soak) Resolve() error {
+	if !(s.Hazard >= 0 && s.Hazard <= 1) {
+		return fmt.Errorf("-hazard %g must be in [0, 1]", s.Hazard)
+	}
 	if err := s.Link.Resolve(); err != nil {
 		return err
 	}

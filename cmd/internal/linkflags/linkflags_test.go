@@ -113,6 +113,24 @@ func TestFlagNamesAndDefaults(t *testing.T) {
 	}
 }
 
+// -hazard is a per-superframe probability: outside [0, 1] it is refused,
+// as fleetd refuses a design's hazard, while 1 (certain death) is kept.
+func TestResolveRefusesHazardOutsideUnit(t *testing.T) {
+	for _, h := range []string{"1.5", "-0.1", "NaN"} {
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		s := AddSoak(fs, 120, 0)
+		if err := fs.Parse([]string{"-hazard", h}); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Resolve(); err == nil {
+			t.Errorf("-hazard %s resolved", h)
+		}
+	}
+	if s := parseSoak(t, "-hazard", "1"); len(s.RandomKills(1).Events) != s.Channels() {
+		t.Error("-hazard 1 did not kill every channel")
+	}
+}
+
 // Both modes run through the same Round and report the same shape.
 func TestRoundBothModes(t *testing.T) {
 	for _, args := range [][]string{

@@ -14,14 +14,6 @@
 //	mosaicbench -seed 7         # change the simulation seed
 //	mosaicbench -par 4          # generate experiments concurrently
 //	mosaicbench -metrics m.prom # also write a telemetry snapshot (.json = JSON)
-//	mosaicbench -diff           # differential verification vs the reference models
-//
-// -diff runs the internal/diffcheck harness: every optimized hot-path
-// stage against its naive reference model over a seeded corpus, printing
-// a per-stage summary and exiting nonzero on the first divergence (with
-// the minimized three-number repro). -diff-cases, -diff-seed,
-// -diff-workers and -diff-stages shape the corpus; -diff-out writes the
-// JSON report artifact CI uploads on failure.
 //
 // With -par N the generators run on up to N goroutines; output is always
 // printed in registry order, and a fixed seed produces identical tables at
@@ -36,10 +28,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
 
-	"mosaic/internal/diffcheck"
 	"mosaic/internal/experiments"
 	"mosaic/internal/telemetry"
 )
@@ -52,23 +42,8 @@ func main() {
 		csvFlag  = flag.Bool("csv", false, "emit CSV instead of aligned tables")
 		parFlag  = flag.Int("par", 1, "run up to N experiment generators concurrently")
 		metrFlag = flag.String("metrics", "", "write a telemetry snapshot to this file after the run (.json suffix = JSON, else Prometheus text)")
-
-		diffFlag    = flag.Bool("diff", false, "run differential verification against the reference models and exit")
-		diffCases   = flag.Int("diff-cases", 50, "differential cases per stage")
-		diffSeed    = flag.Int64("diff-seed", 1, "differential corpus seed")
-		diffWorkers = flag.String("diff-workers", "1,2,0", "comma-separated pipeline worker counts (0 = GOMAXPROCS)")
-		diffStages  = flag.String("diff-stages", "", "comma-separated stage subset (default: all)")
-		diffOut     = flag.String("diff-out", "", "write the JSON differential report to this file")
 	)
 	flag.Parse()
-
-	if *diffFlag {
-		if err := runDiff(*diffSeed, *diffCases, *diffWorkers, *diffStages, *diffOut); err != nil {
-			fmt.Fprintf(os.Stderr, "mosaicbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	// Telemetry is write-only: tables are byte-identical with or without
 	// it (pinned by the determinism tests).
@@ -125,52 +100,4 @@ func main() {
 			os.Exit(1)
 		}
 	}
-}
-
-// runDiff executes the differential verification harness and prints a
-// per-stage summary. Any divergence is an error carrying the minimized
-// (stage, seed, case, size) repro; the optional JSON report is written in
-// both outcomes so CI can upload it as an artifact.
-func runDiff(seed int64, cases int, workersCSV, stagesCSV, out string) error {
-	var workers []int
-	for _, f := range strings.Split(workersCSV, ",") {
-		f = strings.TrimSpace(f)
-		if f == "" {
-			continue
-		}
-		w, err := strconv.Atoi(f)
-		if err != nil || w < 0 {
-			return fmt.Errorf("bad -diff-workers entry %q", f)
-		}
-		workers = append(workers, w)
-	}
-	var stages []string
-	if stagesCSV != "" {
-		for _, s := range strings.Split(stagesCSV, ",") {
-			if s = strings.TrimSpace(s); s != "" {
-				stages = append(stages, s)
-			}
-		}
-	}
-	rep := diffcheck.Run(diffcheck.Options{
-		Seed: seed, Cases: cases, Workers: workers, Stages: stages,
-	})
-	for _, st := range rep.Stages {
-		verdict := "ok"
-		if len(st.Divergences) > 0 {
-			verdict = fmt.Sprintf("DIVERGED (%d)", len(st.Divergences))
-		}
-		fmt.Printf("%-10s %5d cases  %s\n", st.Stage, st.Cases, verdict)
-	}
-	fmt.Printf("total: %d cases, %d divergences (seed %d)\n", rep.TotalCases, rep.Diverged, seed)
-	if out != "" {
-		if err := diffcheck.WriteJSON(out, rep); err != nil {
-			return err
-		}
-		fmt.Printf("report written to %s\n", out)
-	}
-	if d := rep.First(); d != nil {
-		return fmt.Errorf("differential divergence: %s", d)
-	}
-	return nil
 }

@@ -33,8 +33,8 @@ import (
 //
 // A Codec8 makes exactly the accept/reject decisions of the reference
 // path: same bounded-distance guard, same Chien root-count check, same
-// final codeword verification. That equivalence is what the rs_vector
-// diffcheck stage pins against the naive refmodel decoder.
+// final codeword verification. That equivalence is what refmodel's
+// FuzzDiffRSVector target pins against the naive reference decoder.
 //
 // A Codec8 is immutable after construction and safe for concurrent use;
 // all mutable state is the caller's block and the decoder's stack frame.

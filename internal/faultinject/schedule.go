@@ -171,10 +171,17 @@ func LoadFile(path string) (Schedule, error) {
 // exponential lifetimes in reliability.MonteCarloSurvival: after T
 // superframes a channel has failed with probability 1-(1-p)^T, so the
 // pipeline-level survival of a soak over such a schedule is directly
-// comparable to the k-of-n binomial closed form.
+// comparable to the k-of-n binomial closed form. A hazard of 1 or more
+// is the limit of that lifetime: every channel dies in superframe 0.
 func RandomKills(rng *rand.Rand, channels int, hazardPerSF float64, horizon int) Schedule {
 	s := Schedule{}
-	if hazardPerSF <= 0 || hazardPerSF >= 1 || channels <= 0 || horizon <= 0 {
+	if hazardPerSF <= 0 || channels <= 0 || horizon <= 0 {
+		return s
+	}
+	if hazardPerSF >= 1 {
+		for c := 0; c < channels; c++ {
+			s.Events = append(s.Events, Event{At: 0, Kind: KindKill, Channel: c})
+		}
 		return s
 	}
 	lnq := math.Log(1 - hazardPerSF)

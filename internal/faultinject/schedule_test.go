@@ -95,6 +95,20 @@ func TestRandomKillsDeterministicAndSorted(t *testing.T) {
 	}
 }
 
+// A hazard of 1 is certain death, not none: every channel is killed in
+// superframe 0.
+func TestRandomKillsCertainDeath(t *testing.T) {
+	s := RandomKills(rand.New(rand.NewSource(1)), 8, 1, 10)
+	if len(s.Events) != 8 {
+		t.Fatalf("hazard 1 on 8 channels scheduled %d kills, want 8", len(s.Events))
+	}
+	for c, e := range s.Events {
+		if e != (Event{At: 0, Kind: KindKill, Channel: c}) {
+			t.Fatalf("event %d is %v, want a kill of channel %d at superframe 0", c, e, c)
+		}
+	}
+}
+
 func TestRandomKillsRate(t *testing.T) {
 	// With hazard p over horizon T the expected kill fraction is
 	// 1-(1-p)^T; check the generator within a loose band.

@@ -75,7 +75,7 @@ func TestCompletionTieBreakDeterministic(t *testing.T) {
 }
 
 // Regression (perf): capacity writes that change nothing — repeated
-// RestoreLink, a Bridge re-sync publishing the fraction the link already
+// restores to 1, a Bridge re-sync publishing the fraction the link already
 // has, a second FailLink — must not waterfill anything, and neither must
 // a real change on a link no flow crosses.
 func TestSetLinkCapacityFractionNoOpSkipsRecompute(t *testing.T) {
@@ -88,7 +88,7 @@ func TestSetLinkCapacityFractionNoOpSkipsRecompute(t *testing.T) {
 	if _, err := fs.StartFlow(hosts[0], hosts[2], 1e12, 5); err != nil {
 		t.Fatal(err)
 	}
-	path := fs.FlowStates()[0].Path
+	path := refFlows(fs.activeSlots())[0].Path
 	used := path[1] // the leaf uplink the flow crosses
 	idle := -1      // a link it does not
 	for l := range topo.Links {
@@ -99,10 +99,10 @@ func TestSetLinkCapacityFractionNoOpSkipsRecompute(t *testing.T) {
 	}
 
 	base := fs.g.waterfills
-	fs.RestoreLink(used) // already at full capacity
-	fs.RestoreLink(used)
+	fs.SetLinkCapacityFraction(used, 1) // already at full capacity
+	fs.SetLinkCapacityFraction(used, 1)
 	if got := fs.g.waterfills; got != base {
-		t.Fatalf("no-op RestoreLink recomputed: %d -> %d", base, got)
+		t.Fatalf("no-op restore to 1 recomputed: %d -> %d", base, got)
 	}
 
 	fs.SetLinkCapacityFraction(used, 0.5)

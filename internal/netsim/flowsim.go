@@ -99,8 +99,8 @@ func routeAvoidingDead(t *Topology, capacity []float64, buf []int, src, dst int,
 // scales a link to frac of its nominal rate, clamped to [0, 1]: a
 // degraded link can never exceed nominal, and NaN is link-down rather
 // than poison for the waterfill. changed is false for an unknown link
-// and for a write that leaves the capacity as it was (repeated
-// RestoreLink, a Bridge re-sync republishing its fraction, a second
+// and for a write that leaves the capacity as it was (a repeated
+// restore to 1, a Bridge re-sync republishing its fraction, a second
 // FailLink) — nothing about the allocation can change, so the caller
 // does no work at all. dead reports that the link just went to zero and
 // its crossing flows must be rerouted; no flow is routed over a dead
@@ -194,9 +194,6 @@ func (fs *FlowSim) SetLinkCapacityFraction(linkID int, frac float64) {
 // FailLink kills a link entirely (optics-style link-down) and reroutes.
 func (fs *FlowSim) FailLink(linkID int) { fs.SetLinkCapacityFraction(linkID, 0) }
 
-// RestoreLink returns a link to full capacity.
-func (fs *FlowSim) RestoreLink(linkID int) { fs.SetLinkCapacityFraction(linkID, 1) }
-
 // rerouteThrough re-paths all active flows crossing the (now dead) link.
 // Flows with no remaining live path are recorded as stalled and dropped.
 func (fs *FlowSim) rerouteThrough(linkID int) {
@@ -220,10 +217,6 @@ func (fs *FlowSim) flush() {
 	fs.g.now = fs.now
 	fs.g.flush(false)
 }
-
-// Now returns the simulator's clock: the instant of the last event fired,
-// or the deadline of the last RunUntil if that is later.
-func (fs *FlowSim) Now() sim.Time { return fs.now }
 
 // RunUntil fires every arrival and completion due at t <= deadline, in
 // time order, then sets the clock to the deadline (unless it is already
@@ -275,33 +268,6 @@ func (fs *FlowSim) nextDue() (first completion, due bool) {
 	}
 	return first, due
 }
-
-// FlowState is a read-only view of one active flow's allocation, the
-// exchange format for the differential and property harnesses.
-type FlowState struct {
-	ID   int
-	Path []int
-	Rate float64
-}
-
-// FlowStates returns the active flows sorted by ID.
-func (fs *FlowSim) FlowStates() []FlowState {
-	out := make([]FlowState, 0, fs.active)
-	for i := range fs.g.flows.v {
-		if f := &fs.g.flows.v[i]; fs.g.flows.used[i] {
-			path := make([]int, f.n)
-			for j, l := range f.links() {
-				path[j] = int(l)
-			}
-			out = append(out, FlowState{ID: f.ID, Path: path, Rate: f.rate})
-		}
-	}
-	slices.SortFunc(out, func(a, b FlowState) int { return a.ID - b.ID })
-	return out
-}
-
-// Capacities returns a copy of the current per-link capacities.
-func (fs *FlowSim) Capacities() []float64 { return slices.Clone(fs.g.capacity) }
 
 // FCTStats summarises completion times.
 type FCTStats struct {

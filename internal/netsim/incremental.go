@@ -30,8 +30,9 @@ import (
 // walking the sorted flow list — while the bottleneck is the
 // lowest-numbered link at the minimum fair share on both sides, so the
 // floating-point operation sequence per accumulator is identical and the
-// incremental rates equal refmodel.MaxMinRates bit for bit (pinned by the
-// flowsim_inc diffcheck stage and the deep property suite).
+// incremental rates equal the global reference fill bit for bit (pinned
+// against MaxMinRates in maxmin_test.go by the trace property suite,
+// TestIncFlowSimProperties and, deeper, TestFlowSimDeepProperties).
 
 // handle addresses one slot of a slab. Slots never move, so a handle
 // stays valid until its slot is dropped; dropped slots are reused LIFO.
@@ -396,9 +397,10 @@ func (g *flowGraph) gatherComponent(seed int, unpinProxies bool) (n, left int) {
 
 // fill runs progressive-filling max-min fairness over the gathered
 // component's `left` unfrozen flows, with the same deterministic ordering
-// as refmodel.MaxMinRates: the bottleneck is the lowest-numbered link at
-// the minimum fair share, and its unfrozen flows are frozen by walking its
-// index, ascending by ID — O(crossing) per round, no sort. A bottleneck's
+// as the global reference fill (MaxMinRates, maxmin_test.go): the
+// bottleneck is the lowest-numbered link at the minimum fair share, and
+// its unfrozen flows are frozen by walking its index, ascending by ID —
+// O(crossing) per round, no sort. A bottleneck's
 // count is positive, so every round freezes at least one flow.
 func (g *flowGraph) fill(left int) {
 	flows := g.flows.v

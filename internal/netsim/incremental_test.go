@@ -15,14 +15,17 @@ import (
 )
 
 // incTraceCase drives FlowSim through one randomized trace of
-// arrivals, kills, restores, degrades and time advances, verifying after
-// every mutation:
+// arrivals, kills, restores, degrades and time advances, closed by a
+// kill → restore → kill on one link, verifying after every mutation:
 //
 //  1. Conservation: per-link allocated rate ≤ capacity.
 //  2. Max-min saturation: every positive-rate flow crosses a saturated
 //     link.
-//  3. Bitwise equivalence with refmodel.MaxMinRates, the always-global
-//     progressive-filling twin.
+//  3. Bitwise equivalence with MaxMinRates, the always-global
+//     progressive-filling twin (maxmin_test.go). Exact equality, not an
+//     epsilon: the component-restricted waterfill performs the same float
+//     operations in the same order as a global fill restricted to that
+//     component, so any difference is a real bug, not rounding.
 func incTraceCase(t *testing.T, seed int64, size int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -71,7 +74,7 @@ func incTraceCase(t *testing.T, seed int64, size int) {
 			}
 		}
 		// Bitwise equivalence with the global reference.
-		checkRatesEqualReference(t, fs.Capacities(), fs.FlowStates(), fmt.Sprintf("step %d", step))
+		checkRatesEqualReference(t, fs.g.capacity, refFlows(fs.activeSlots()), fmt.Sprintf("step %d", step))
 	}
 
 	steps := 8 * size
@@ -85,20 +88,33 @@ func incTraceCase(t *testing.T, seed int64, size int) {
 			}
 			_, _ = fs.StartFlow(src, dst, (0.1+rng.Float64())*1e9, rng.Uint64())
 		case op < 62:
-			fs.RunUntil(fs.Now() + sim.Time(rng.Float64()*0.02))
+			fs.RunUntil(fs.now + sim.Time(rng.Float64()*0.02))
 		case op < 74:
 			fs.FailLink(rng.Intn(len(topo.Links)))
 		case op < 86:
-			fs.RestoreLink(rng.Intn(len(topo.Links)))
+			fs.SetLinkCapacityFraction(rng.Intn(len(topo.Links)), 1)
 		default:
 			fs.SetLinkCapacityFraction(rng.Intn(len(topo.Links)), rng.Float64())
 		}
 		check(s)
 	}
 
+	// Kill → restore → kill on one link: each kill re-admits old IDs onto
+	// links whose indices already hold younger flows, and the restore lets
+	// new arrivals back onto the victim before it dies again.
+	victim := rng.Intn(len(topo.Links))
+	for i, frac := range []float64{0, 1, 0} {
+		fs.SetLinkCapacityFraction(victim, frac)
+		check(steps + 2*i)
+		for range size {
+			_, _ = fs.StartFlow(hosts[rng.Intn(len(hosts))], hosts[rng.Intn(len(hosts))], (0.1+rng.Float64())*1e9, rng.Uint64())
+		}
+		check(steps + 2*i + 1)
+	}
+
 	// Restore everything and drain: all flows must finish.
 	for l := range topo.Links {
-		fs.RestoreLink(l)
+		fs.SetLinkCapacityFraction(l, 1)
 	}
 	fs.Run()
 	if n := fs.active; n != 0 {

@@ -5,7 +5,6 @@ import (
 	"slices"
 	"testing"
 
-	"mosaic/internal/refmodel"
 	"mosaic/internal/sim"
 )
 
@@ -53,16 +52,12 @@ func checkIndices(t *testing.T, g *flowGraph, flushed bool, when string) {
 
 // checkRatesEqualReference asserts bitwise equality with the global
 // reference for a set of active flows (id → path, rate).
-func checkRatesEqualReference(t *testing.T, capacity []float64, states []FlowState, when string) {
+func checkRatesEqualReference(t *testing.T, capacity []float64, flows []RefFlow, when string) {
 	t.Helper()
-	flows := make([]refmodel.RefFlow, len(states))
-	for i, st := range states {
-		flows[i] = refmodel.RefFlow{ID: st.ID, Path: st.Path}
-	}
-	want := refmodel.MaxMinRates(capacity, flows)
-	for _, st := range states {
+	want := MaxMinRates(capacity, flows)
+	for _, st := range flows {
 		if st.Rate != want[st.ID] {
-			t.Fatalf("%s: flow %d rate %.17g != refmodel %.17g", when, st.ID, st.Rate, want[st.ID])
+			t.Fatalf("%s: flow %d rate %.17g != reference %.17g", when, st.ID, st.Rate, want[st.ID])
 		}
 	}
 }
@@ -70,7 +65,7 @@ func checkRatesEqualReference(t *testing.T, capacity []float64, states []FlowSta
 // TestLinkIndexOrderedUnderChurn drives both drivers through seeded
 // random admit / complete / kill-and-reroute / restore sequences and
 // holds the link indices to their invariants after every flush, with the
-// rates they feed bit-equal to refmodel.MaxMinRates.
+// rates they feed bit-equal to MaxMinRates.
 func TestLinkIndexOrderedUnderChurn(t *testing.T) {
 	t.Run("FlowSim", func(t *testing.T) {
 		for seed := int64(0); seed < 8; seed++ {
@@ -87,14 +82,14 @@ func TestLinkIndexOrderedUnderChurn(t *testing.T) {
 					src, dst := hosts[rng.Intn(len(hosts))], hosts[rng.Intn(len(hosts))]
 					_, _ = fs.StartFlow(src, dst, (0.1+rng.Float64())*1e9, rng.Uint64())
 				case op < 7:
-					fs.RunUntil(fs.Now() + sim.Time(rng.Float64()*0.02))
+					fs.RunUntil(fs.now + sim.Time(rng.Float64()*0.02))
 				case op < 9:
 					fs.FailLink(rng.Intn(len(topo.Links)))
 				default:
-					fs.RestoreLink(rng.Intn(len(topo.Links)))
+					fs.SetLinkCapacityFraction(rng.Intn(len(topo.Links)), 1)
 				}
 				checkIndices(t, fs.g, true, "FlowSim")
-				checkRatesEqualReference(t, fs.Capacities(), fs.FlowStates(), "FlowSim")
+				checkRatesEqualReference(t, fs.g.capacity, refFlows(fs.activeSlots()), "FlowSim")
 			}
 		}
 	})
@@ -121,15 +116,7 @@ func TestLinkIndexOrderedUnderChurn(t *testing.T) {
 				if pods > 1 {
 					return
 				}
-				var states []FlowState
-				for _, f := range fs.activeSlots(0) {
-					path := make([]int, f.n)
-					for i, l := range f.links() {
-						path[i] = int(l)
-					}
-					states = append(states, FlowState{ID: f.ID, Path: path, Rate: f.rate})
-				}
-				checkRatesEqualReference(t, fs.capacity, states, "FleetSim resolved")
+				checkRatesEqualReference(t, fs.capacity, refFlows(fs.activeSlots(0)), "FleetSim resolved")
 			})
 			for epoch := 0; epoch < 60; epoch++ {
 				for i := rng.Intn(12); i > 0; i-- {

@@ -375,7 +375,7 @@ func TestRestoreLink(t *testing.T) {
 	if fs.g.capacity[lid] != topo.Links[lid].RateBps*0.5 {
 		t.Error("capacity not scaled")
 	}
-	fs.RestoreLink(lid)
+	fs.SetLinkCapacityFraction(lid, 1)
 	if fs.g.capacity[lid] != topo.Links[lid].RateBps {
 		t.Error("capacity not restored")
 	}

@@ -99,8 +99,8 @@ func TestRunUntilFiresInTimeOrder(t *testing.T) {
 			if !reflect.DeepEqual(got, c.want) {
 				t.Errorf("fired %v, want %v", got, c.want)
 			}
-			if fs.Now() != c.wantNow {
-				t.Errorf("clock = %v, want %v", fs.Now(), c.wantNow)
+			if fs.now != c.wantNow {
+				t.Errorf("clock = %v, want %v", fs.now, c.wantNow)
 			}
 		})
 	}
@@ -118,8 +118,8 @@ func TestRunUntilEqualsOneRun(t *testing.T) {
 		unroutable := fs.OfferPoisson(nflows, dist, arr, sim.RNG(5, "workload"))
 		faultAt := sim.Time(0.3 * nflows / arr.RatePerSec)
 		advance := func(to sim.Time) {
-			for chop != nil && fs.Now() < to {
-				fs.RunUntil(min(to, fs.Now()+sim.Time(chop.Float64())*faultAt/7))
+			for chop != nil && fs.now < to {
+				fs.RunUntil(min(to, fs.now+sim.Time(chop.Float64())*faultAt/7))
 			}
 		}
 		advance(faultAt)

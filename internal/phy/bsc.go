@@ -18,7 +18,7 @@ import "math"
 // and the algorithm is pinned by this repo rather than by the Go runtime,
 // so the channel noise byte streams are part of the simulation spec — the
 // naive twin in internal/refmodel re-implements the same two algorithms
-// independently and the bsc_skip diffcheck stage holds the two in lockstep.
+// independently and its FuzzDiffBSCSkip target holds the two in lockstep.
 type chanRNG struct {
 	s [4]uint64
 }

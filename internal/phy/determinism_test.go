@@ -18,9 +18,9 @@ import (
 // xoshiro256++ stream with geometric skip-sampling — the draw sequence
 // changed, the channel model did not. default-clean consumes no random
 // draws and is untouched, and the re-pinned values were certified by a
-// clean verify-deep run (the pipeline diffcheck stage replays the same
-// noise through the naive reference pipeline byte-for-byte, swept across
-// worker counts).
+// clean verify-deep run (refmodel's FuzzDiffPipeline target replays the
+// same noise through the naive reference pipeline byte-for-byte, swept
+// across worker counts).
 
 type goldenCase struct {
 	name    string

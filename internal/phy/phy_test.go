@@ -6,8 +6,6 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
-
-	"mosaic/internal/refmodel"
 )
 
 // --- BSC ---
@@ -175,13 +173,21 @@ func popcount8(b byte) int {
 
 // --- Framer ---
 
+// scannedFrame is one frame ScanStream recovered.
+type scannedFrame struct {
+	Lane        int
+	Seq         uint32
+	Payload     []byte
+	Corrections int
+}
+
 // scanFrames collects every frame ScanStream recovers from stream, its
 // payload copied out.
-func scanFrames(f *Framer, stream []byte) ([]refmodel.ChannelFrame, DecodeStats) {
-	var frames []refmodel.ChannelFrame
+func scanFrames(f *Framer, stream []byte) ([]scannedFrame, DecodeStats) {
+	var frames []scannedFrame
 	var body []byte
 	st := f.ScanStream(stream, &body, func(lane int, seq uint32, payload []byte, ncorr int) {
-		frames = append(frames, refmodel.ChannelFrame{Lane: lane, Seq: seq, Payload: bytes.Clone(payload), Corrections: ncorr})
+		frames = append(frames, scannedFrame{Lane: lane, Seq: seq, Payload: bytes.Clone(payload), Corrections: ncorr})
 	})
 	return frames, st
 }

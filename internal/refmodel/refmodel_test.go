@@ -16,9 +16,9 @@ import (
 )
 
 // The reference models must agree with the optimized implementations on
-// everything the differential harness compares. These tests pin the
-// agreement at the unit level so a diffcheck divergence always points at
-// a genuine behavioural change, not at reference drift.
+// everything the differential fuzz targets compare. These tests pin the
+// agreement at the unit level so a FuzzDiff failure always points at a
+// genuine behavioural change, not at reference drift.
 
 func TestGFAgainstTableField(t *testing.T) {
 	f := gf.MustNew(8)
@@ -279,16 +279,7 @@ func TestMACDeframeAgainstOptimized(t *testing.T) {
 		f.Payload = append([]byte(nil), f.Payload...)
 		optFrames = append(optFrames, f)
 	})
-	optStats := d.Stats
-	if refStats != (refmodel.MACDeframeStats{
-		Frames:        optStats.Frames,
-		PayloadBytes:  optStats.PayloadBytes,
-		IdleBytes:     optStats.IdleBytes,
-		SkippedBytes:  optStats.SkippedBytes,
-		HeaderRejects: optStats.HeaderRejects,
-		CRCRejects:    optStats.CRCRejects,
-		Truncated:     optStats.Truncated,
-	}) {
+	if optStats := d.Stats; refStats != deframe2ref(optStats) {
 		t.Fatalf("deframe stats differ: ref %+v opt %+v", refStats, optStats)
 	}
 	if len(refFrames) != len(optFrames) {
@@ -408,15 +399,19 @@ func mac2ref(s mac.Stats) refmodel.MACStats {
 		InFlight:      s.InFlight,
 		QueueDepth:    s.QueueDepth,
 		ReorderDepth:  s.ReorderDepth,
-		Deframe: refmodel.MACDeframeStats{
-			Frames:        s.Deframe.Frames,
-			PayloadBytes:  s.Deframe.PayloadBytes,
-			IdleBytes:     s.Deframe.IdleBytes,
-			SkippedBytes:  s.Deframe.SkippedBytes,
-			HeaderRejects: s.Deframe.HeaderRejects,
-			CRCRejects:    s.Deframe.CRCRejects,
-			Truncated:     s.Deframe.Truncated,
-		},
+		Deframe:       deframe2ref(s.Deframe),
+	}
+}
+
+func deframe2ref(s mac.DeframeStats) refmodel.MACDeframeStats {
+	return refmodel.MACDeframeStats{
+		Frames:        s.Frames,
+		PayloadBytes:  s.PayloadBytes,
+		IdleBytes:     s.IdleBytes,
+		SkippedBytes:  s.SkippedBytes,
+		HeaderRejects: s.HeaderRejects,
+		CRCRejects:    s.CRCRejects,
+		Truncated:     s.Truncated,
 	}
 }
 
@@ -457,19 +452,7 @@ func TestExchangeRefAgainstLinkNoiseless(t *testing.T) {
 			t.Fatalf("delivered frame %d differs", i)
 		}
 	}
-	if optStats.FramesDelivered != refStats.FramesDelivered ||
-		optStats.FramesLost != refStats.FramesLost ||
-		optStats.FramesCorrupted != refStats.FramesCorrupted ||
-		optStats.UnitsTotal != refStats.UnitsTotal ||
-		optStats.UnitsLost != refStats.UnitsLost ||
-		optStats.Corrections != refStats.Corrections ||
-		optStats.WireBytes != refStats.WireBytes ||
-		optStats.PayloadBytes != refStats.PayloadBytes {
-		t.Fatalf("exchange stats differ:\nopt %+v\nref %+v", optStats, refStats)
-	}
-	for ch, st := range optStats.PerChannel {
-		if refStats.PerChannel[ch] != phy2ref(st) {
-			t.Fatalf("channel %d stats differ: opt %+v ref %+v", ch, st, refStats.PerChannel[ch])
-		}
+	if d := exchangeStatsDiff(optStats, refStats); d != "" {
+		t.Fatal(d)
 	}
 }
