@@ -57,9 +57,10 @@ staticcheck:
 
 # One execution substrate, one event log, one superframe boundary, one
 # clock per link: non-test Go under internal/, cmd/ and examples/ writes
-# `go func` or holds a sync.WaitGroup only in internal/par, and hashes
-# with sha256 only in internal/eventlog. The allow-list is one server
-# goroutine in each of httpx and mosaicfleetd, and E23's copper
+# a `go` statement (`go func` or `go f(`) or holds a sync.WaitGroup only
+# in internal/par, and hashes with sha256 only in internal/eventlog. The
+# allow-list is one goroutine in each of httpx (the server),
+# mosaicfleetd (the epoch ticker) and linksoak (the served soak), and E23's copper
 # stall-record hash (records, not a line log). The link supervisor is
 # the single owner of the reactive-sparing boundary: nothing calls
 # Monitor.FailedChannels or keeps a `handled` map (phy.Link.SpareFailed
@@ -128,14 +129,15 @@ SUBSTRATE_SRC = find internal cmd examples -name '*.go' ! -name '*_test.go'
 SUPERVISOR = internal/faultinject/supervisor.go
 MIRROR = internal/telemetry/mirror.go
 FLUSH = internal/netsim/incremental.go
+GOROUTINE = '\bgo (func|[A-Za-z_][A-Za-z0-9_.]*\()|sync\.WaitGroup'
 substrate:
 	@bad=$$( { $(SUBSTRATE_SRC) ! -path 'internal/par/*' \
-			! -path internal/telemetry/httpx/httpx.go ! -path cmd/mosaicfleetd/main.go \
-			-exec grep -nE 'go func|sync\.WaitGroup' {} + ; \
+			! -path internal/telemetry/httpx/httpx.go ! -path cmd/mosaicfleetd/main.go ! -path cmd/linksoak/main.go \
+			-exec grep -nE $(GOROUTINE) {} + ; \
 		$(SUBSTRATE_SRC) ! -path 'internal/eventlog/*' ! -path internal/experiments/e23.go \
 			-exec grep -nF 'sha256.Sum256(' {} + ; \
-		for f in internal/telemetry/httpx/httpx.go cmd/mosaicfleetd/main.go; do \
-			[ "$$(grep -cE 'go func|sync\.WaitGroup' $$f)" -le 1 ] || echo "$$f: more than its one server goroutine"; \
+		for f in internal/telemetry/httpx/httpx.go cmd/mosaicfleetd/main.go cmd/linksoak/main.go; do \
+			[ "$$(grep -cE $(GOROUTINE) $$f)" -le 1 ] || echo "$$f: more than its one goroutine"; \
 		done; \
 		$(SUBSTRATE_SRC) -exec grep -nE '\.FailedChannels\(|handled[A-Za-z]*[ :=]+(make\()?map\[' {} + ; \
 		$(SUBSTRATE_SRC) ! -path $(SUPERVISOR) -exec grep -nF 'SetTransitionHook(func' {} + ; \

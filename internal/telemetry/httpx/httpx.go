@@ -1,5 +1,5 @@
 // Package httpx is the shared HTTP shell for the repo's daemons
-// (linkmetricsd, mosaicfleetd): the standard operational mux and a
+// (linksoak -serve, mosaicfleetd): the standard operational mux and a
 // signal-aware server lifecycle with graceful drain.
 //
 // NewMux wires a registry (and an optional health handler) into a
