@@ -56,7 +56,7 @@ staticcheck:
 	fi
 
 # One execution substrate, one event log, one superframe boundary, one
-# clock per link: non-test Go under internal/, cmd/ and examples/ writes
+# clock per link: non-test Go under internal/ and cmd/ writes
 # a `go` statement (`go func` or `go f(`) or holds a sync.WaitGroup only
 # in internal/par, and hashes with sha256 only in internal/eventlog. The
 # allow-list is one goroutine in each of httpx (the server),
@@ -125,7 +125,7 @@ staticcheck:
 # There is one door into the fleet: no non-test code imports
 # container/heap, and fleetd's HTTP routes apply an Op through
 # Fleet.Apply (api.go calls no s.fleet.Create/Degrade/Renegotiate/Retire).
-SUBSTRATE_SRC = find internal cmd examples -name '*.go' ! -name '*_test.go'
+SUBSTRATE_SRC = find internal cmd -name '*.go' ! -name '*_test.go'
 SUPERVISOR = internal/faultinject/supervisor.go
 MIRROR = internal/telemetry/mirror.go
 FLUSH = internal/netsim/incremental.go

@@ -11,6 +11,10 @@
 //	linksim -length 45 -eye                  # render the eye diagram
 //	linksim -sweep                           # reach sweep table
 //	linksim -config design.json -run         # load a JSON design
+//
+// Each mode refuses the flags it would ignore: -run and -eye under
+// -sweep, and the design flags (-length -offset -channels -chanrate
+// -spares -fec) under -config.
 package main
 
 import (
@@ -18,6 +22,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"slices"
 
 	"mosaic/cmd/internal/linkflags"
 	"mosaic/internal/channel"
@@ -27,58 +32,100 @@ import (
 	"mosaic/internal/units"
 )
 
-func main() {
-	link := linkflags.AddLink(flag.CommandLine)
-	macf := linkflags.AddMAC(flag.CommandLine)
-	var (
-		lengthM  = flag.Float64("length", 2, "fiber length in metres")
-		offsetM  = flag.Float64("offset", 0, "lateral misalignment in metres (e.g. 10e-6)")
-		channels = flag.Int("channels", 100, "data channels")
-		chanRate = flag.Float64("chanrate", 2e9, "per-channel rate in bit/s")
-		run      = flag.Bool("run", false, "also run bit-true traffic through the link")
-		frames   = flag.Int("frames", 200, "frames to exchange with -run")
-		sweep    = flag.Bool("sweep", false, "print a reach sweep instead")
-		eye      = flag.Bool("eye", false, "render the channel eye diagram")
-		cfgPath  = flag.String("config", "", "JSON design config (overrides other design flags)")
-		par      = flag.Int("par", 0, "PHY lane workers for -run (0 = all cores, 1 = serial; same results either way)")
-	)
-	flag.Parse()
-	if err := link.Resolve(); err != nil {
-		fatal(err)
+// cli is linksim's command line: the shared link and MAC blocks, the
+// design flags and what to print.
+type cli struct {
+	link *linkflags.Link
+	mac  *linkflags.MAC
+
+	lengthM, offsetM, chanRate float64
+	channels, frames, par      int
+	run, sweep, eye            bool
+	cfgPath                    string
+}
+
+// addFlags registers linksim's flags on fs.
+func addFlags(fs *flag.FlagSet) *cli {
+	c := &cli{link: linkflags.AddLink(fs), mac: linkflags.AddMAC(fs)}
+	fs.Float64Var(&c.lengthM, "length", 2, "fiber length in metres")
+	fs.Float64Var(&c.offsetM, "offset", 0, "lateral misalignment in metres (e.g. 10e-6)")
+	fs.IntVar(&c.channels, "channels", 100, "data channels")
+	fs.Float64Var(&c.chanRate, "chanrate", 2e9, "per-channel rate in bit/s")
+	fs.BoolVar(&c.run, "run", false, "also run bit-true traffic through the link")
+	fs.IntVar(&c.frames, "frames", 200, "frames to exchange with -run")
+	fs.BoolVar(&c.sweep, "sweep", false, "print a reach sweep instead")
+	fs.BoolVar(&c.eye, "eye", false, "render the channel eye diagram")
+	fs.StringVar(&c.cfgPath, "config", "", "JSON design config (in place of the design flags -length -offset -channels -chanrate -spares -fec, which it refuses)")
+	fs.IntVar(&c.par, "par", 0, "PHY lane workers for -run (0 = all cores, 1 = serial; same results either way)")
+	return c
+}
+
+// ignores names the mode that would ignore flag name, or "": -sweep
+// prints the reach table in place of the exchange and the eye, and
+// -config takes the whole design from its file.
+func (c *cli) ignores(name string) string {
+	switch {
+	case c.sweep && (name == "run" || name == "eye"):
+		return "-sweep"
+	case c.cfgPath != "" && slices.Contains([]string{"length", "offset", "channels", "chanrate", "spares", "fec"}, name):
+		return "-config"
 	}
-	if err := macf.Resolve(); err != nil {
+	return ""
+}
+
+// resolve refuses a flag set on fs that the selected mode ignores, and
+// looks -fec and -arq up; call it after fs.Parse.
+func (c *cli) resolve(fs *flag.FlagSet) (err error) {
+	fs.Visit(func(f *flag.Flag) {
+		if mode := c.ignores(f.Name); err == nil && mode != "" {
+			err = fmt.Errorf("-%s does not apply to %s", f.Name, mode)
+		}
+	})
+	if err != nil {
+		return err
+	}
+	if err := c.link.Resolve(); err != nil {
+		return err
+	}
+	return c.mac.Resolve()
+}
+
+func main() {
+	c := addFlags(flag.CommandLine)
+	flag.Parse()
+	if err := c.resolve(flag.CommandLine); err != nil {
 		fatal(err)
 	}
 
 	var d core.Design
-	if *cfgPath != "" {
+	if c.cfgPath != "" {
 		var err error
-		d, err = core.LoadDesign(*cfgPath)
+		d, err = core.LoadDesign(c.cfgPath)
 		if err != nil {
 			fatal(err)
 		}
 	} else {
 		d = core.DefaultDesign()
-		d.LengthM = *lengthM
-		d.LateralOffsetM = *offsetM
-		d.AggregateRate = float64(*channels) * *chanRate
-		d.ChannelRate = *chanRate
-		d.Spares = link.Spares
-		d.Seed = link.Seed
-		if *channels > 150 {
+		d.LengthM = c.lengthM
+		d.LateralOffsetM = c.offsetM
+		d.AggregateRate = float64(c.channels) * c.chanRate
+		d.ChannelRate = c.chanRate
+		d.Spares = c.link.Spares
+		d.Seed = c.link.Seed
+		if c.channels > 150 {
 			// Denser grid for big arrays (the 800G-class packing).
 			d.ChannelPitchM = 25e-6
 			d.SpotDiameterM = 20e-6
 		}
-		d.FEC = link.FEC
+		d.FEC = c.link.FEC
 		if err := d.Validate(); err != nil {
 			fatal(err)
 		}
 	}
-	d.Workers = *par
-	report(d, link.Seed, *eye, *run, *frames, *sweep)
-	if macf.Enabled {
-		macDemo(d, link.Seed, *frames, macf)
+	d.Workers = c.par
+	report(d, c.link.Seed, c.eye, c.run, c.frames, c.sweep)
+	if c.mac.Enabled {
+		macDemo(d, c.link.Seed, c.frames, c.mac)
 	}
 }
 
