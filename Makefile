@@ -273,12 +273,13 @@ bench-layers:
 		$(GO) run ./cmd/benchguard -layers after -out BENCH_LAYERS.json
 
 # Coverage gate for the packages the vectorized kernels, the fault
-# machinery and the one worker pool live in: the PHY, the coding stack,
-# faultinject and par must stay at or above $(COVER_MIN)% statement
-# coverage combined. COVER.out is uploaded as a CI artifact.
+# machinery, the one worker pool and the ARQ core live in: the PHY, the
+# coding stack, faultinject, par and the MAC must stay at or above
+# $(COVER_MIN)% statement coverage combined. COVER.out is uploaded as a
+# CI artifact.
 COVER_MIN ?= 85
 coverage:
-	$(GO) test -coverprofile=COVER.out -covermode=atomic ./internal/phy/... ./internal/coding/... ./internal/faultinject/... ./internal/par/...
+	$(GO) test -coverprofile=COVER.out -covermode=atomic ./internal/phy/... ./internal/coding/... ./internal/faultinject/... ./internal/par/... ./internal/mac/...
 	@total=$$($(GO) tool cover -func=COVER.out | awk '/^total:/ { gsub(/%/, "", $$3); print $$3 }'); \
 	awk -v t=$$total -v min=$(COVER_MIN) 'BEGIN { \
 		if (t + 0 < min + 0) { printf "coverage: FAIL — %.1f%% below minimum %d%%\n", t, min; exit 1 } \

@@ -495,11 +495,11 @@ func BenchmarkMACFrameRoundTripSR(b *testing.B) {
 		rx.Accept([][]byte{tx.BuildSuperframe()})
 		tx.Accept([][]byte{rx.BuildSuperframe()})
 	}
-	// Warm the path: the SR engine grows its per-slot pools lazily, one
-	// buffer per fresh sequence slot, until the free list covers a full
-	// window rotation — so warm for 2×Window sends before declaring
-	// steady state (pinned allocation-free even at -benchtime 3x).
-	for i := 0; i < 2*cfg.Window; i++ {
+	// Warm the path: the first ticks grow the in-flight list and the
+	// free list to the one packet a tick keeps in flight and fill the
+	// borrowed Accept buffer; from then on every payload buffer is
+	// recycled (pinned allocation-free even at -benchtime 3x).
+	for i := 0; i < 4; i++ {
 		if err := tx.SendVC(0, payload); err != nil {
 			b.Fatal(err)
 		}

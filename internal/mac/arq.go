@@ -20,9 +20,7 @@ const (
 // ARQByName parses a protocol name ("gbn" or "sr"; "" selects go-back-N).
 func ARQByName(name string) (ARQKind, error) {
 	switch ARQKind(name) {
-	case "":
-		return ARQGoBackN, nil
-	case ARQGoBackN:
+	case "", ARQGoBackN:
 		return ARQGoBackN, nil
 	case ARQSelectiveRepeat:
 		return ARQSelectiveRepeat, nil
@@ -31,7 +29,7 @@ func ARQByName(name string) (ARQKind, error) {
 }
 
 // arq is the retransmission policy plugged into the shared framing and
-// credit core: it decides which replay-ring slots refire, how received
+// credit core: it decides which in-flight entries refire, how received
 // data frames advance the receive state, and what a pure-ack frame
 // carries. Implementations are stateless singletons — all protocol state
 // lives in the Endpoint's per-VC vcState.
@@ -55,12 +53,12 @@ func (goBackN) kind() ARQKind { return ARQGoBackN }
 
 func (goBackN) appendRetx(e *Endpoint, vc int, out []byte, budget int) []byte {
 	v := &e.vcs[vc]
-	if v.ringLen == 0 || e.tick-v.ring[v.head].sentTick < uint64(e.cfg.RetxTimeout) {
+	if len(v.inflight) == 0 || e.tick-v.inflight[0].sentTick < uint64(e.cfg.RetxTimeout) {
 		return out
 	}
 	v.stats.Timeouts++
-	for k := 0; k < v.ringLen; k++ {
-		slot := &v.ring[(v.head+k)%len(v.ring)]
+	for k := range v.inflight {
+		slot := &v.inflight[k]
 		if len(out)+e.overhead+len(slot.buf) > budget {
 			break
 		}
@@ -118,8 +116,8 @@ func (selectiveRepeat) kind() ARQKind { return ARQSelectiveRepeat }
 
 func (selectiveRepeat) appendRetx(e *Endpoint, vc int, out []byte, budget int) []byte {
 	v := &e.vcs[vc]
-	for k := 0; k < v.ringLen; k++ {
-		slot := &v.ring[(v.head+k)%len(v.ring)]
+	for k := range v.inflight {
+		slot := &v.inflight[k]
 		if slot.acked || e.tick-slot.sentTick < uint64(e.cfg.RetxTimeout) {
 			continue
 		}
@@ -145,12 +143,15 @@ func (selectiveRepeat) onData(e *Endpoint, vc int, f Frame) {
 		e.deliver(vc, f.Payload)
 		v.rxExpected++
 		v.rhead = (v.rhead + 1) % r
-		// Drain contiguously buffered frames behind the filled gap.
+		// Drain contiguously buffered frames behind the filled gap; each
+		// parked copy goes back to the free list once delivered.
 		for v.rcount > 0 && v.reorder[v.rhead].full {
 			slot := &v.reorder[v.rhead]
-			slot.full = false
+			buf := slot.buf
+			*slot = rxSlot{}
 			v.rcount--
-			e.deliver(vc, slot.buf)
+			e.deliver(vc, buf)
+			v.freeBuf = append(v.freeBuf, buf)
 			v.rxExpected++
 			v.rhead = (v.rhead + 1) % r
 		}
@@ -164,7 +165,7 @@ func (selectiveRepeat) onData(e *Endpoint, vc int, f Frame) {
 		if slot.full {
 			v.stats.Duplicates++
 		} else {
-			slot.buf = append(slot.buf[:0], f.Payload...)
+			slot.buf = v.copyBuf(f.Payload)
 			slot.full = true
 			v.rcount++
 			v.stats.Reordered++

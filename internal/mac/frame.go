@@ -12,7 +12,7 @@
 //     superframe.
 //
 //   - Link-level retry (LLR): a go-back-N window with 16-bit sequence
-//     numbers, a bounded replay ring, and cumulative acks piggybacked on
+//     numbers, a bounded in-flight list, and cumulative acks piggybacked on
 //     every data frame. Residual post-FEC corruption (the ~1e-12 tail
 //     the PHY cannot fix) is repaired here, invisibly to the client.
 //

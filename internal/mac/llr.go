@@ -13,10 +13,10 @@ const (
 
 // Config parameterizes one LLR endpoint.
 type Config struct {
-	// Window is the per-VC send window: each virtual channel's replay
-	// ring holds at most this many unacked frames (0 = DefaultWindow).
-	// When a VC's ring is full, its sends stall (counted as credit
-	// stalls) until acks drain it.
+	// Window is the per-VC send window: each virtual channel holds at
+	// most this many unacked frames in flight (0 = DefaultWindow). When a
+	// VC's window is full, its sends stall (counted as credit stalls)
+	// until acks drain it.
 	Window int
 
 	// RetxTimeout is how many superframes an unacked frame waits before
@@ -76,10 +76,7 @@ func (c *Config) withDefaults() (Config, error) {
 	if out.ReorderWindow == 0 {
 		out.ReorderWindow = out.Window
 	}
-	if err := out.Validate(); err != nil {
-		return out, err
-	}
-	return out, nil
+	return out, out.Validate()
 }
 
 // SizeFor derives the fields c leaves unset for a client offering perTick
@@ -198,7 +195,7 @@ type Stats struct {
 	CreditStalls  uint64 // superframes where queued data waited on a full window
 	Timeouts      uint64 // retransmit timeouts fired
 
-	InFlight     int // unacked frames across all replay rings
+	InFlight     int // unacked frames across all in-flight lists
 	QueueDepth   int // packets waiting to enter a window
 	ReorderDepth int // frames parked in SR reorder buffers
 
@@ -224,10 +221,10 @@ type VCStats struct {
 	ReorderDepth int
 }
 
-// txSlot is one replay-ring entry: an unacked payload copy, the
-// superframe tick it was last (re)transmitted at, and — under selective
-// repeat — whether a sack bitmap already covered it (skip on retx; the
-// slot is only released by the cumulative ack).
+// txSlot is one in-flight entry: an unacked payload it owns until the
+// cumulative ack frees it, the superframe tick it was last (re)sent at,
+// and — under selective repeat — whether a sack bitmap already covered
+// it (skip on retx; only the cumulative ack releases the entry).
 type txSlot struct {
 	buf      []byte
 	sentTick uint64
@@ -235,7 +232,8 @@ type txSlot struct {
 }
 
 // rxSlot is one reorder-ring entry on the SR receive side: a buffered
-// out-of-order payload waiting for the gap before it to fill.
+// out-of-order payload waiting for the gap before it to fill, taken from
+// the VC's free list when parked and returned to it when drained.
 type rxSlot struct {
 	buf  []byte
 	full bool
@@ -246,15 +244,14 @@ type rxSlot struct {
 type vcState struct {
 	class uint8
 
-	// Transmit side.
-	queue   [][]byte // packets waiting for window credit (owned copies)
-	freeBuf [][]byte // retired packet buffers, reused by SendVC
-	ring    []txSlot // replay ring; slot k holds seq base+k
-	head    int      // ring index of seq `base`
-	ringLen int      // occupied slots
-	base    uint16   // oldest unacked sequence number
-	nextSeq uint16   // next fresh sequence number (= base+ringLen)
-	txPiggy bool     // a data frame piggybacked this VC's ack this tick
+	// Transmit side. A payload buffer is in exactly one place: the
+	// queue, an in-flight entry, a reorder slot, or the free list.
+	queue    [][]byte // packets waiting for window credit (owned copies)
+	freeBuf  [][]byte // retired payload buffers, reused by SendVC and parking
+	inflight []txSlot // unacked frames; entry k holds seq base+k
+	base     uint16   // oldest unacked sequence number
+	nextSeq  uint16   // next fresh sequence number (= base+len(inflight))
+	txPiggy  bool     // a data frame piggybacked this VC's ack this tick
 
 	// Receive side.
 	rxExpected uint16 // next in-order sequence number
@@ -320,7 +317,6 @@ func NewEndpoint(cfg Config, onDeliver func(vc int, payload []byte)) (*Endpoint,
 		v := &e.vcs[i]
 		v.class = full.VCClass[i]
 		v.stats.Class = v.class
-		v.ring = make([]txSlot, full.Window)
 		if full.ARQ == ARQSelectiveRepeat {
 			v.reorder = make([]rxSlot, full.ReorderWindow)
 		}
@@ -340,14 +336,19 @@ func (e *Endpoint) SendVC(vc int, payload []byte) error {
 		return fmt.Errorf("mac: packet %dB exceeds MaxPayload %d", len(payload), e.cfg.MaxPayload)
 	}
 	v := &e.vcs[vc]
+	v.queue = append(v.queue, v.copyBuf(payload))
+	v.stats.PacketsQueued++
+	return nil
+}
+
+// copyBuf copies p into a buffer from v's free list, or a new one.
+func (v *vcState) copyBuf(p []byte) []byte {
 	var buf []byte
 	if n := len(v.freeBuf); n > 0 {
 		buf = v.freeBuf[n-1][:0]
 		v.freeBuf = v.freeBuf[:n-1]
 	}
-	v.queue = append(v.queue, append(buf, payload...))
-	v.stats.PacketsQueued++
-	return nil
+	return append(buf, p...)
 }
 
 // idlePad is the shared idle-fill source; appended in chunks so filling
@@ -392,7 +393,7 @@ func (e *Endpoint) BuildSuperframe() []byte {
 	}
 	for i := range e.vcs {
 		v := &e.vcs[i]
-		if len(v.queue) > 0 && v.ringLen == len(v.ring) {
+		if len(v.queue) > 0 && len(v.inflight) == e.cfg.Window {
 			v.stats.CreditStalls++
 		}
 	}
@@ -403,11 +404,7 @@ func (e *Endpoint) BuildSuperframe() []byte {
 
 	// Idle fill to the fixed budget.
 	for len(out) < budget {
-		n := budget - len(out)
-		if n > len(idlePad) {
-			n = len(idlePad)
-		}
-		out = append(out, idlePad[:n]...)
+		out = append(out, idlePad[:min(budget-len(out), len(idlePad))]...)
 	}
 
 	e.txBuf = out
@@ -419,25 +416,21 @@ func (e *Endpoint) BuildSuperframe() []byte {
 // would overflow the superframe budget.
 func (e *Endpoint) emitFresh(vc int, out *[]byte, budget int) bool {
 	v := &e.vcs[vc]
-	if len(v.queue) == 0 || v.ringLen == len(v.ring) {
+	if len(v.queue) == 0 || len(v.inflight) == e.cfg.Window {
 		return false
 	}
 	p := v.queue[0]
 	if len(*out)+e.overhead+len(p) > budget {
 		return false
 	}
-	slot := &v.ring[(v.head+v.ringLen)%len(v.ring)]
-	slot.buf = append(slot.buf[:0], p...)
-	slot.sentTick = e.tick
-	slot.acked = false
-	v.ringLen++
-	*out = e.appendFrame(*out, FlagData|FlagAck, vc, v.nextSeq, v.rxExpected, slot.buf)
+	v.inflight = append(v.inflight, txSlot{buf: p, sentTick: e.tick})
+	*out = e.appendFrame(*out, FlagData|FlagAck, vc, v.nextSeq, v.rxExpected, p)
 	v.nextSeq++
 	v.stats.DataTx++
 	v.txPiggy = true
-	v.freeBuf = append(v.freeBuf, p)
-	copy(v.queue, v.queue[1:])
-	v.queue = v.queue[:len(v.queue)-1]
+	n := copy(v.queue, v.queue[1:])
+	v.queue[n] = nil
+	v.queue = v.queue[:n]
 	return true
 }
 
@@ -500,23 +493,28 @@ func (e *Endpoint) deliver(vc int, payload []byte) {
 }
 
 // handleAck applies a cumulative ack to one VC: the peer's next expected
-// sequence number releases every replay slot strictly before it. Stale
-// or implausible acks (outside the in-flight range — possible only via
-// an undetected CRC collision) are ignored.
+// sequence number releases every in-flight entry strictly before it, and
+// their payloads go back to the free list. Stale or implausible acks
+// (outside the in-flight range — possible only via an undetected CRC
+// collision) are ignored.
 func (e *Endpoint) handleAck(v *vcState, ack uint16) {
 	adv := int(int16(ack - v.base))
-	if adv < 0 || adv > v.ringLen {
+	if adv < 0 || adv > len(v.inflight) {
 		return
 	}
 	e.stats.AcksRx++
-	v.head = (v.head + adv) % len(v.ring)
-	v.ringLen -= adv
+	for _, s := range v.inflight[:adv] {
+		v.freeBuf = append(v.freeBuf, s.buf)
+	}
+	n := copy(v.inflight, v.inflight[adv:])
+	clear(v.inflight[n:])
+	v.inflight = v.inflight[:n]
 	v.base = ack
 }
 
 // handleSack applies a selective-ack frame: the cumulative ack first
 // (releasing the contiguous prefix), then every set bitmap bit marks its
-// in-flight slot acked so selective repeat skips it on retransmit. Bits
+// in-flight entry acked so selective repeat skips it on retransmit. Bits
 // outside the current in-flight range are ignored; a receiver only sets
 // a bit for a frame it holds, so marking is safe even from a stale
 // bitmap.
@@ -529,10 +527,10 @@ func (e *Endpoint) handleSack(v *vcState, ack uint16, bm []byte) {
 		}
 		// Bit k covers seq ack+1+k; locate it relative to our base.
 		d := int(int16(ack + 1 + uint16(k) - v.base))
-		if d < 0 || d >= v.ringLen {
+		if d < 0 || d >= len(v.inflight) {
 			continue
 		}
-		v.ring[(v.head+d)%len(v.ring)].acked = true
+		v.inflight[d].acked = true
 	}
 }
 
@@ -566,7 +564,7 @@ func (e *Endpoint) NumVCs() int { return len(e.vcs) }
 func (e *Endpoint) VCSnapshot(vc int) VCStats {
 	v := &e.vcs[vc]
 	s := v.stats
-	s.InFlight = v.ringLen
+	s.InFlight = len(v.inflight)
 	s.QueueDepth = len(v.queue)
 	s.ReorderDepth = v.rcount
 	return s

@@ -3,6 +3,7 @@ package mac
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"testing"
 )
 
@@ -220,7 +221,7 @@ func TestLLROutOfOrderDrop(t *testing.T) {
 }
 
 // Garbage acks far outside the window must be ignored, not corrupt the
-// replay ring.
+// in-flight list.
 func TestLLRIgnoresImplausibleAck(t *testing.T) {
 	cfg := testCfg()
 	lb := newLoopback(t, cfg)
@@ -318,4 +319,108 @@ func TestRoundRobinVCs(t *testing.T) {
 	if classes, perVC := RoundRobinVCs(0, 10); classes != nil || perVC != nil {
 		t.Fatalf("0 VCs: classes %v perVC %v", classes, perVC)
 	}
+}
+
+// An endpoint keeps only what is in flight. A lossy stretch that fills
+// every window (frames lost inside superframes, both ways, so acks and
+// retransmissions die too and SR parks survivors) and a clean stretch
+// that drains it must leave no payload in any in-flight entry or reorder
+// slot, and no more buffers on a VC's free list than that VC ever held
+// at once — queued, in flight or parked. Every packet arrives once, in
+// order and intact, which an acked buffer reused while still in flight
+// would break.
+func TestEndpointKeepsOnlyInFlight(t *testing.T) {
+	for _, arq := range []ARQKind{ARQGoBackN, ARQSelectiveRepeat} {
+		for _, vcs := range []int{1, 3} {
+			t.Run(fmt.Sprintf("%s/%dvc", arq, vcs), func(t *testing.T) {
+				classes, _ := RoundRobinVCs(vcs, 0)
+				cfg := Config{Window: 16, RetxTimeout: 2, MaxPayload: 64,
+					PayloadBudget: 2048, ARQ: arq, VCs: vcs, VCClass: classes}
+				next := make([]int, vcs) // next packet index B expects per VC
+				var lb *loopback
+				peak := [2][]int{make([]int, vcs), make([]int, vcs)} // per endpoint and VC
+				held := func() {
+					for i, e := range []*Endpoint{lb.a, lb.b} {
+						for vc := range e.vcs {
+							v := &e.vcs[vc]
+							peak[i][vc] = max(peak[i][vc], len(v.queue)+len(v.inflight)+v.rcount)
+						}
+					}
+				}
+				lb = newLoopbackDeliver(t, cfg, nil, func(vc int, p []byte) {
+					held() // a drain is about to return parked buffers
+					if want := packet(vc, next[vc]); !bytes.Equal(p, want) {
+						t.Fatalf("vc %d packet %d = %q, want %q", vc, next[vc], p, want)
+					}
+					next[vc]++
+				})
+				rng := rand.New(rand.NewSource(int64(len(arq) * vcs)))
+				lossy := func(sf []byte) [][]byte {
+					var chunks [][]byte
+					for off := 0; off < len(sf); off += 100 {
+						if rng.Intn(5) > 0 {
+							chunks = append(chunks, sf[off:min(off+100, len(sf))])
+						}
+					}
+					return chunks
+				}
+				sent := make([]int, vcs)
+				for tick := 0; tick < 60; tick++ {
+					for vc := range sent {
+						for k := 0; k < 4; k++ {
+							if err := lb.a.SendVC(vc, packet(vc, sent[vc])); err != nil {
+								t.Fatal(err)
+							}
+							sent[vc]++
+						}
+					}
+					held()
+					lb.b.Accept(lossy(lb.a.BuildSuperframe()))
+					held()
+					lb.a.Accept(lossy(lb.b.BuildSuperframe()))
+				}
+				a, b := lb.a.Stats(), lb.b.Stats()
+				if a.CreditStalls == 0 || a.Retransmits == 0 || (arq == ARQSelectiveRepeat && b.Reordered == 0) {
+					t.Fatalf("lossy stretch never filled a window or parked a frame: a=%+v b=%+v", a, b)
+				}
+				for tick := 0; tick < 200 && (lb.a.Stats().InFlight > 0 || lb.a.Stats().QueueDepth > 0); tick++ {
+					lb.tick(false, false)
+					held()
+				}
+				for i, e := range []*Endpoint{lb.a, lb.b} {
+					for vc := range e.vcs {
+						v := &e.vcs[vc]
+						for _, s := range v.inflight[:cap(v.inflight)] {
+							if s.buf != nil {
+								t.Errorf("vc %d: drained in-flight list still holds a %d B payload", vc, len(s.buf))
+							}
+						}
+						for _, s := range v.reorder {
+							if s.buf != nil || s.full {
+								t.Errorf("vc %d: drained reorder ring still holds a %d B payload", vc, len(s.buf))
+							}
+						}
+						if len(v.freeBuf) > peak[i][vc] {
+							t.Errorf("vc %d: %d free buffers, above the %d packets ever held at once", vc, len(v.freeBuf), peak[i][vc])
+						}
+					}
+				}
+				a, b = lb.a.Stats(), lb.b.Stats()
+				if a.InFlight != 0 || a.QueueDepth != 0 || b.ReorderDepth != 0 || b.Delivered != a.PacketsQueued {
+					t.Fatalf("clean stretch left the link undrained: delivered %d of %d; a=%+v b=%+v", b.Delivered, a.PacketsQueued, a, b)
+				}
+			})
+		}
+	}
+}
+
+// packet is the i-th test packet on vc: its index, then filler to a
+// length that varies with i, so a buffer reused at the wrong length or
+// with stale bytes shows.
+func packet(vc, i int) []byte {
+	p := []byte(fmt.Sprintf("vc%d-%05d:", vc, i))
+	for len(p) < 12+i%50 {
+		p = append(p, byte(vc+i+len(p)))
+	}
+	return p
 }
