@@ -125,11 +125,19 @@ staticcheck:
 # There is one door into the fleet: no non-test code imports
 # container/heap, and fleetd's HTTP routes apply an Op through
 # Fleet.Apply (api.go calls no s.fleet.Create/Degrade/Renegotiate/Retire).
+# The flow engine's digests hold on every GOARCH: compiled for arm64 with
+# -S, internal/netsim (with what it inlines) fuses no multiply into an add
+# or subtract — an explicit float64(...) rounds each product first —
+# except in invariants.go, whose two tolerance comparisons
+# (cap*(1+1e-9)+1 and capacity*(1-1e-9)-1) only bound CheckInvariants'
+# verdict and reach no digest; and the compile must print its assembly,
+# so a failed build cannot pass.
 SUBSTRATE_SRC = find internal cmd -name '*.go' ! -name '*_test.go'
 SUPERVISOR = internal/faultinject/supervisor.go
 MIRROR = internal/telemetry/mirror.go
 FLUSH = internal/netsim/incremental.go
 GOROUTINE = '\bgo (func|[A-Za-z_][A-Za-z0-9_.]*\()|sync\.WaitGroup'
+FUSED = '\bF(N)?M(ADD|SUB)[SD]\b'
 substrate:
 	@bad=$$( { $(SUBSTRATE_SRC) ! -path 'internal/par/*' \
 			! -path internal/telemetry/httpx/httpx.go ! -path cmd/mosaicfleetd/main.go ! -path cmd/linksoak/main.go \
@@ -173,12 +181,15 @@ substrate:
 		grep -HnE 's\.fleet\.(Create|Degrade|Renegotiate|Retire)\(' internal/fleetd/api.go ; \
 		for pat in 'SetTransitionHook(func' '"sf=%d remap %v"'; do \
 			[ "$$(grep -cF "$$pat" $(SUPERVISOR))" -eq 1 ] || echo "$(SUPERVISOR): want exactly one $$pat"; \
-		done; } ); \
+		done; \
+		asm=$$(GOARCH=arm64 $(GO) build -gcflags=-S ./internal/netsim 2>&1); \
+		echo "$$asm" | grep -q '^mosaic/internal/netsim\..* STEXT' || echo "internal/netsim: the arm64 -S compile printed no assembly"; \
+		echo "$$asm" | grep -E $(FUSED) | grep -vF 'internal/netsim/invariants.go:'; } ); \
 	if [ -n "$$bad" ]; then \
-		echo "substrate: FAIL — use internal/par for fan-out, internal/eventlog for log digests, faultinject.Supervisor for the superframe boundary, a plain Bridge.Sync after its sparing step for renegotiation, a step loop with the caller holding the clock (no scheduler: FlowSim.RunUntil, Session.Step, FleetSim.Step) to drive anything, a telemetry.Row table beside the stats struct (internal/mac for MAC series, internal/fleetd for fleet series; telemetry.Mirror does the delta) for metrics, Bridge.Fraction() to hand capacity to a flow simulator, slab handles, integer sort keys (not flow pointers), ID-ordered link indices (no per-flush sort) and finish times read off the slab (no heap, queue or version counter) in internal/netsim, linecode.AppendFrame/AppendIdle/Classify on the byte stream (no linecode.Block staging, no extract-then-decode fork) in internal/phy, sliced tables (no per-position contrib rows) in internal/coding/rs, internal/par for any wait on another goroutine (no Gosched or atomic spin loop elsewhere), and buffers borrowed for the call (no scratch field on phy.Link, no ExchangeBuf on mac.Pair) with flow graphs sized to their own link range (no len(t.Links) in newFlowGraph), and a cross-key list kept across epochs (no range fs.cross.v key rebuild in FleetSim.Step), and arrivals admitted by their shards in phase A (no admit or addFlow call in FleetSim.Inject), and one face per link-stack operation in internal/phy and internal/mac (no DecodeStream, SnapshotInto, NewEndpointVC, Send, Transmit or FEC Encode/Decode twin, no emit callback in the exchange), and one owner per count (an endpoint's aggregate Stats sum its VC counters, no e.stats twin of a VC counter and no syncGauges in internal/mac; one metric index in the telemetry registry, no counters/gauges/hists map; the soak series a row table over the Result, no soakMetrics), and one door into the fleet (no container/heap import outside tests; the HTTP routes in internal/fleetd/api.go apply an Op through Fleet.Apply, never Create/Degrade/Renegotiate/Retire):"; \
+		echo "substrate: FAIL — use internal/par for fan-out, internal/eventlog for log digests, faultinject.Supervisor for the superframe boundary, a plain Bridge.Sync after its sparing step for renegotiation, a step loop with the caller holding the clock (no scheduler: FlowSim.RunUntil, Session.Step, FleetSim.Step) to drive anything, a telemetry.Row table beside the stats struct (internal/mac for MAC series, internal/fleetd for fleet series; telemetry.Mirror does the delta) for metrics, Bridge.Fraction() to hand capacity to a flow simulator, slab handles, integer sort keys (not flow pointers), ID-ordered link indices (no per-flush sort) and finish times read off the slab (no heap, queue or version counter) in internal/netsim, linecode.AppendFrame/AppendIdle/Classify on the byte stream (no linecode.Block staging, no extract-then-decode fork) in internal/phy, sliced tables (no per-position contrib rows) in internal/coding/rs, internal/par for any wait on another goroutine (no Gosched or atomic spin loop elsewhere), and buffers borrowed for the call (no scratch field on phy.Link, no ExchangeBuf on mac.Pair) with flow graphs sized to their own link range (no len(t.Links) in newFlowGraph), and a cross-key list kept across epochs (no range fs.cross.v key rebuild in FleetSim.Step), and arrivals admitted by their shards in phase A (no admit or addFlow call in FleetSim.Inject), and one face per link-stack operation in internal/phy and internal/mac (no DecodeStream, SnapshotInto, NewEndpointVC, Send, Transmit or FEC Encode/Decode twin, no emit callback in the exchange), and one owner per count (an endpoint's aggregate Stats sum its VC counters, no e.stats twin of a VC counter and no syncGauges in internal/mac; one metric index in the telemetry registry, no counters/gauges/hists map; the soak series a row table over the Result, no soakMetrics), and one door into the fleet (no container/heap import outside tests; the HTTP routes in internal/fleetd/api.go apply an Op through Fleet.Apply, never Create/Degrade/Renegotiate/Retire), and no fused multiply-add on arm64 in internal/netsim outside invariants.go (round the product with float64(...)):"; \
 		echo "$$bad"; exit 1; \
 	fi; \
-	echo "substrate: OK — goroutines only in internal/par, sha256 only in internal/eventlog, sparing/hook/remap line only in the link supervisor, nothing scheduled (no sim.Engine, no Schedule/After call, no batch mode), one stats mirror (no hand-written delta sync, no MAC or fleet collector in telemetry), capacity leaves a bridge through Fraction() only, netsim flows pointer-free, no flush sorts and no completion queue (no heap, no version counter in netsim), a link exchange stages no Blocks and forks no decode path, RS encode tables are sliced, Gosched and spin-waits only in internal/par, a link and a pair hold no per-call scratch, flow graphs are pod-sized, phase B walks a kept cross-key list, Inject admits nothing, phy and mac keep one face per operation, every count has one owner (no endpoint twin of a VC counter, one registry index, no soakMetrics), one door into the fleet (no container/heap, the API's routes go through Fleet.Apply)"
+	echo "substrate: OK — goroutines only in internal/par, sha256 only in internal/eventlog, sparing/hook/remap line only in the link supervisor, nothing scheduled (no sim.Engine, no Schedule/After call, no batch mode), one stats mirror (no hand-written delta sync, no MAC or fleet collector in telemetry), capacity leaves a bridge through Fraction() only, netsim flows pointer-free, no flush sorts and no completion queue (no heap, no version counter in netsim), a link exchange stages no Blocks and forks no decode path, RS encode tables are sliced, Gosched and spin-waits only in internal/par, a link and a pair hold no per-call scratch, flow graphs are pod-sized, phase B walks a kept cross-key list, Inject admits nothing, phy and mac keep one face per operation, every count has one owner (no endpoint twin of a VC counter, one registry index, no soakMetrics), one door into the fleet (no container/heap, the API's routes go through Fleet.Apply), netsim fuses no FMA on arm64"
 
 build:
 	$(GO) build ./...
@@ -273,13 +284,13 @@ bench-layers:
 		$(GO) run ./cmd/benchguard -layers after -out BENCH_LAYERS.json
 
 # Coverage gate for the packages the vectorized kernels, the fault
-# machinery, the one worker pool and the ARQ core live in: the PHY, the
-# coding stack, faultinject, par and the MAC must stay at or above
-# $(COVER_MIN)% statement coverage combined. COVER.out is uploaded as a
-# CI artifact.
+# machinery, the one worker pool, the ARQ core and the flow engine live
+# in: the PHY, the coding stack, faultinject, par, the MAC and netsim must
+# stay at or above $(COVER_MIN)% statement coverage combined. COVER.out is
+# uploaded as a CI artifact.
 COVER_MIN ?= 85
 coverage:
-	$(GO) test -coverprofile=COVER.out -covermode=atomic ./internal/phy/... ./internal/coding/... ./internal/faultinject/... ./internal/par/... ./internal/mac/...
+	$(GO) test -coverprofile=COVER.out -covermode=atomic ./internal/phy/... ./internal/coding/... ./internal/faultinject/... ./internal/par/... ./internal/mac/... ./internal/netsim/...
 	@total=$$($(GO) tool cover -func=COVER.out | awk '/^total:/ { gsub(/%/, "", $$3); print $$3 }'); \
 	awk -v t=$$total -v min=$(COVER_MIN) 'BEGIN { \
 		if (t + 0 < min + 0) { printf "coverage: FAIL — %.1f%% below minimum %d%%\n", t, min; exit 1 } \

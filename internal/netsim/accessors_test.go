@@ -49,13 +49,22 @@ func TestActiveFlows(t *testing.T) {
 	}
 }
 
+// slotView is the tests' view of one slot: both halves, in place, so a
+// test reads f.ID and f.rate alike and may write through either.
+type slotView struct {
+	*flowHot
+	*flowSlot
+}
+
+func (g *flowGraph) view(h handle) slotView { return slotView{&g.flows.hot[h], &g.flows.v[h]} }
+
 // activeSlots is the tests' view of a shard's live non-proxy flows (what
 // the active map used to hold), in slot order.
-func (s *shard) activeSlots() []*flowSlot {
-	var out []*flowSlot
-	for i := range s.g.flows.v {
-		if f := &s.g.flows.v[i]; s.g.flows.used[i] && !f.proxy {
-			out = append(out, f)
+func (s *shard) activeSlots() []slotView {
+	var out []slotView
+	for i := range s.g.flows.hot {
+		if s.g.flows.used[i] && !s.g.flows.hot[i].proxy {
+			out = append(out, s.g.view(handle(i)))
 		}
 	}
 	return out
@@ -65,7 +74,7 @@ func (s *shard) activeSlots() []*flowSlot {
 // slot order: the barrier's pending arrivals are admitted first, as the
 // next capacity change or Step would, so a test may read the slab
 // between Inject and Step.
-func (fs *FleetSim) activeSlots(s int) []*flowSlot {
+func (fs *FleetSim) activeSlots(s int) []slotView {
 	fs.admitAll()
 	return fs.shards[s].activeSlots()
 }
@@ -79,11 +88,11 @@ func (fs *FleetSim) admitAll() {
 
 // indexed is the tests' view of a link's flow index: its live entries, in
 // index order (tombstones skipped).
-func (g *flowGraph) indexed(l int) []*flowSlot {
-	var out []*flowSlot
+func (g *flowGraph) indexed(l int) []slotView {
+	var out []slotView
 	for _, ref := range g.linkFlows[l].refs {
 		if ref.pi >= 0 {
-			out = append(out, &g.flows.v[ref.h])
+			out = append(out, g.view(ref.h))
 		}
 	}
 	return out

@@ -13,19 +13,24 @@ import (
 // admitted into a slab slot, and that travels on when a reroute removes
 // it from one slot and re-admits it into another.
 type flow struct {
+	ident
+	remaining float64
+	rate      float64
+	lastTouch sim.Time
+}
+
+// ident is what a flow is, fixed when it starts and carried unchanged
+// through every reroute: the cold half of its slot.
+type ident struct {
 	ID       int
 	Src, Dst int
 	SizeBits float64
 	Hash     uint64
-
-	remaining float64
-	rate      float64
-	start     sim.Time
-	lastTouch sim.Time
+	start    sim.Time
 }
 
 // record closes the flow out at end, completed or stalled.
-func (f *flow) record(end sim.Time, stalled bool) FlowRecord {
+func (f *ident) record(end sim.Time, stalled bool) FlowRecord {
 	return FlowRecord{ID: f.ID, SizeBits: f.SizeBits, Start: f.start, End: end, Stalled: stalled}
 }
 
@@ -168,8 +173,8 @@ func (fs *FlowSim) StartFlow(src, dst int, sizeBits float64, hash uint64) (int, 
 	id, now := fs.nextID, fs.now
 	fs.nextID++
 	fs.admit(flow{
-		ID: id, Src: src, Dst: dst, SizeBits: sizeBits, Hash: hash,
-		remaining: sizeBits, start: now, lastTouch: now,
+		ident:     ident{ID: id, Src: src, Dst: dst, SizeBits: sizeBits, Hash: hash, start: now},
+		remaining: sizeBits, lastTouch: now,
 	}, path)
 	fs.flush()
 	return id, nil
@@ -200,7 +205,7 @@ func (fs *FlowSim) rerouteThrough(linkID int) {
 	now := fs.now
 	fs.g.now = now
 	for _, h := range fs.crossing(linkID) {
-		fs.g.settle(&fs.g.flows.v[h])
+		fs.g.settle(&fs.g.flows.hot[h])
 		fl := fs.remove(h)
 		var buf [maxPath]int
 		path, err := routeAvoidingDead(fs.Topo, fs.g.capacity, buf[:0], fl.Src, fl.Dst, fl.Hash+1)
@@ -261,9 +266,11 @@ func (fs *FlowSim) fireNext(limit sim.Time) bool {
 // nextDue scans the slab for the earliest completion; false when no flow
 // is moving.
 func (fs *FlowSim) nextDue() (first completion, due bool) {
-	for h := range fs.g.flows.v {
-		if c, ok := fs.g.completion(handle(h)); ok && (!due || c.compare(first) < 0) {
-			first, due = c, true
+	for h := range fs.g.flows.hot {
+		if at, ok := fs.g.finish(handle(h)); ok && (!due || at <= first.at) {
+			if c := (completion{at, fs.g.flows.v[h].ID, handle(h)}); !due || c.compare(first) < 0 {
+				first, due = c, true
+			}
 		}
 	}
 	return first, due

@@ -66,6 +66,24 @@ func (s *slab[T]) drop(h handle) {
 // live returns the number of slots in use.
 func (s *slab[T]) live() int { return len(s.v) - len(s.free) }
 
+// flowSlab holds a graph's flows in two halves under one handle, put and
+// dropped together: hot[h], what the waterfill and the finish-time scans
+// read, in a dense array of its own, and v[h], the rest.
+type flowSlab struct {
+	slab[flowSlot]
+	hot []flowHot
+}
+
+func (s *flowSlab) put(f flowHot, c flowSlot) handle {
+	h := s.slab.put(c)
+	if int(h) < len(s.hot) {
+		s.hot[h] = f
+	} else {
+		s.hot = append(s.hot, f)
+	}
+	return h
+}
+
 // maxPath is the inline capacity of a flow's path: the longest route any
 // topology here produces (host-edge-agg-core-agg-edge-host).
 const maxPath = 6
@@ -100,27 +118,23 @@ type linkIndex struct {
 	unsorted bool
 }
 
-// flowSlot is a flow in a graph's slab: the flow value plus the engine's
-// bookkeeping, which starts from zero at every admission. It holds no
-// pointer — path and back-positions are inline.
-type flowSlot struct {
-	flow
-	n    uint8          // links in path
-	path [maxPath]int32 // link IDs
-	pos  [maxPath]int32 // pos[i] = index of this flow in linkFlows[path[i]]
-	mark uint64         // component-gather epoch marker
+// flowHot is the hot half of a flow's slot: progress, path and the
+// engine's bookkeeping, which starts from zero at every admission. It is
+// one 64-byte cache line (TestFlowSlotLayout) and holds no pointer.
+type flowHot struct {
+	remaining float64
+	rate      float64
+	lastTouch sim.Time
+	mark      uint64         // component-gather epoch marker
+	path      [maxPath]int32 // link IDs
+	n         uint8          // links in path
 
-	// Fleet-shard fields: a cross-shard flow is represented inside each
-	// shard by a proxy restricted to that shard's sub-path (master is its
-	// slot in FleetSim.cross). A pinned proxy's rate is fixed by the epoch
-	// barrier (the min of the shard offers); the waterfill subtracts it
-	// from capacity instead of assigning it. offer is the rate the last
-	// unpinned waterfill gave the proxy — the shard's current bid for the
-	// cross flow.
+	// A cross-shard flow is represented inside each shard by a proxy
+	// restricted to that shard's sub-path. A pinned proxy's rate is fixed
+	// by the epoch barrier (the min of the shard offers); the waterfill
+	// subtracts it from capacity instead of assigning it.
 	proxy  bool
 	pinned bool
-	master handle
-	offer  float64
 
 	// filled marks a flow frozen (or pinned) within the current
 	// waterfill, so the freeze walk over a bottleneck's link index can
@@ -128,13 +142,24 @@ type flowSlot struct {
 	filled bool
 }
 
-func (f *flowSlot) links() []int32 { return f.path[:f.n] }
+// flowSlot is the cold half of a flow's slot: its identity, its
+// back-positions in the link indices, and a proxy's cross slot (master,
+// in FleetSim.cross) and offer — the rate the last unpinned waterfill gave
+// the proxy, the shard's current bid for the cross flow.
+type flowSlot struct {
+	ident
+	pos    [maxPath]int32 // pos[i] = index of this flow in linkFlows[path[i]]
+	master handle
+	offer  float64
+}
+
+func (f *flowHot) links() []int32 { return f.path[:f.n] }
 
 // setPath stores, inline, the links of route inside g's link range, as
 // g's local numbers: every link of a local flow, a proxy's share of its
 // cross flow's route. A route longer than maxPath comes from a topology
 // this engine was not sized for: fail loudly, never truncate.
-func (f *flowSlot) setPath(route []int, g *flowGraph) { f.n = g.localPath(&f.path, route) }
+func (f *flowHot) setPath(route []int, g *flowGraph) { f.n = g.localPath(&f.path, route) }
 
 // localPath writes the links of route inside g's link range, as local
 // numbers, to path and returns how many there are.
@@ -163,14 +188,14 @@ type flowGraph struct {
 	base     int       // global ID of local link 0
 	now      sim.Time
 
-	flows     slab[flowSlot]
+	flows     flowSlab
 	linkFlows []linkIndex
 
 	dirty   []int
 	dirtyIn []bool
 
 	// Waterfill scratch, persistent across flushes. linkMark/epoch and
-	// flowSlot.mark implement O(component) visited sets with no clearing.
+	// flowHot.mark implement O(component) visited sets with no clearing.
 	remCap    []float64
 	unfrozen  []int32 // flows on the link still to be filled
 	linkMark  []uint64
@@ -204,19 +229,19 @@ func (g *flowGraph) markDirty(l int) {
 	}
 }
 
-// addFlow takes a slot for the flow, appends it to the index of every
-// link of its path and dirties them.
-func (g *flowGraph) addFlow(s flowSlot) handle {
-	h := g.flows.put(s)
-	f := &g.flows.v[h]
+// addFlow takes a slot for the flow's two halves, appends it to the index
+// of every link of its path and dirties them.
+func (g *flowGraph) addFlow(f flowHot, c flowSlot) handle {
+	h := g.flows.put(f, c)
+	pos := &g.flows.v[h].pos
 	for i, l := range f.links() {
 		idx := &g.linkFlows[l]
-		if f.ID < idx.maxID {
+		if c.ID < idx.maxID {
 			idx.unsorted = true
 		} else {
-			idx.maxID = f.ID
+			idx.maxID = c.ID
 		}
-		f.pos[i] = int32(len(idx.refs))
+		pos[i] = int32(len(idx.refs))
 		idx.refs = append(idx.refs, linkRef{h: h, pi: int32(i)})
 		g.markDirty(int(l))
 	}
@@ -227,17 +252,17 @@ func (g *flowGraph) addFlow(s flowSlot) handle {
 // over the squeezes), dirties its links, frees its slot and returns the
 // flow value.
 func (g *flowGraph) removeFlow(h handle) flow {
-	f := &g.flows.v[h]
+	f, c := &g.flows.hot[h], &g.flows.v[h]
 	for i, l := range f.links() {
 		idx := &g.linkFlows[l]
-		idx.refs[f.pos[i]].pi = -1
+		idx.refs[c.pos[i]].pi = -1
 		if idx.dead++; 2*idx.dead > len(idx.refs) {
 			g.squeeze(idx)
 		}
 		g.markDirty(int(l))
 	}
 	g.flows.drop(h)
-	return f.flow
+	return flow{ident: c.ident, remaining: f.remaining, rate: f.rate, lastTouch: f.lastTouch}
 }
 
 // squeeze drops an index's tombstones in place, keeping the order of the
@@ -270,20 +295,20 @@ func (g *flowGraph) ordered(l int32) []linkRef {
 	slices.Sort(keys)
 	idx.refs, idx.dead, idx.unsorted = idx.refs[:len(keys)], 0, false
 	for j, k := range keys {
-		f := &g.flows.v[handle(k)]
-		pi := slices.Index(f.links(), l)
-		f.pos[pi] = int32(j)
+		pi := slices.Index(g.flows.hot[handle(k)].links(), l)
+		g.flows.v[handle(k)].pos[pi] = int32(j)
 		idx.refs[j] = linkRef{h: handle(k), pi: int32(pi)}
 	}
 	g.keys = keys
 	return idx.refs
 }
 
-// settle progresses a flow's remaining bits to g.now.
-func (g *flowGraph) settle(f *flowSlot) {
+// settle progresses a flow's remaining bits to g.now, the product rounded
+// first so that no GOARCH fuses it into an FMA (make substrate).
+func (g *flowGraph) settle(f *flowHot) {
 	elapsed := float64(g.now - f.lastTouch)
 	if elapsed > 0 && f.rate > 0 {
-		f.remaining -= f.rate * elapsed
+		f.remaining -= float64(f.rate * elapsed)
 		if f.remaining < 0 {
 			f.remaining = 0
 		}
@@ -303,16 +328,17 @@ type completion struct {
 // slot order.
 func (c completion) compare(o completion) int { return cmp.Or(cmp.Compare(c.at, o.at), c.id-o.id) }
 
-// completion reads slot h's finish time off the slab; false for a free
-// slot, a proxy (its cross flow finishes at the barrier) or a flow that is
-// not moving. A flow's remaining, rate and lastTouch are written together,
-// when it is re-rated, so the finish time holds until the next re-rating.
-func (g *flowGraph) completion(h handle) (completion, bool) {
-	f := &g.flows.v[h]
+// finish reads slot h's finish time off its hot half (a caller reads the
+// cold ID only for a flow it may fire); false for a free slot, a proxy
+// (its cross flow finishes at the barrier) or a flow that is not moving.
+// A flow's remaining, rate and lastTouch are written together, when it is
+// re-rated, so the finish time holds until the next re-rating.
+func (g *flowGraph) finish(h handle) (sim.Time, bool) {
+	f := &g.flows.hot[h]
 	if !g.flows.used[h] || f.proxy || !(f.rate > 0) {
-		return completion{}, false
+		return 0, false
 	}
-	return completion{at: f.lastTouch + sim.Time(f.remaining/f.rate), id: f.ID, h: h}, true
+	return f.lastTouch + sim.Time(f.remaining/f.rate), true
 }
 
 // flush re-waterfills every connected component reachable from the
@@ -353,7 +379,7 @@ func (g *flowGraph) flush(unpinProxies bool) {
 func (g *flowGraph) gatherComponent(seed int, unpinProxies bool) (n, left int) {
 	g.linkMark[seed] = g.epoch
 	g.compLinks = append(g.compLinks[:0], int32(seed))
-	flows := g.flows.v
+	flows := g.flows.hot
 	for qi := 0; qi < len(g.compLinks); qi++ {
 		l := g.compLinks[qi]
 		remCap, unfrozen := g.capacity[l], int32(0)
@@ -403,7 +429,7 @@ func (g *flowGraph) gatherComponent(seed int, unpinProxies bool) (n, left int) {
 // O(crossing) per round, no sort. A bottleneck's
 // count is positive, so every round freezes at least one flow.
 func (g *flowGraph) fill(left int) {
-	flows := g.flows.v
+	flows := g.flows.hot
 	for left > 0 {
 		bottleneck := int32(-1)
 		best := math.Inf(1)
@@ -426,7 +452,7 @@ func (g *flowGraph) fill(left int) {
 			}
 			f.rate = best
 			if f.proxy {
-				f.offer = f.rate
+				g.flows.v[ref.h].offer = best
 			}
 			f.filled = true
 			left--
@@ -457,10 +483,10 @@ func newShard(capacity []float64, base int) shard {
 
 // admit activates a flow on its route and dirties the path.
 func (s *shard) admit(fl flow, route []int) handle {
-	slot := flowSlot{flow: fl}
-	slot.setPath(route, s.g)
+	f := flowHot{remaining: fl.remaining, rate: fl.rate, lastTouch: fl.lastTouch}
+	f.setPath(route, s.g)
 	s.active++
-	return s.g.addFlow(slot)
+	return s.g.addFlow(f, flowSlot{ident: fl.ident})
 }
 
 // remove deactivates a flow and returns its value.

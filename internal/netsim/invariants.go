@@ -53,7 +53,7 @@ func (fs *FleetSim) CheckInvariants() error {
 		for l, idx := range sh.g.linkFlows {
 			for _, ref := range idx.refs {
 				if ref.pi >= 0 {
-					sum[sh.g.base+l] += sh.g.flows.v[ref.h].rate
+					sum[sh.g.base+l] += sh.g.flows.hot[ref.h].rate
 				}
 			}
 		}
@@ -71,8 +71,8 @@ func (fs *FleetSim) CheckInvariants() error {
 			return fmt.Errorf("netsim: shard %d still holds %d arrivals phase A did not admit", s, len(sh.pending))
 		}
 		locals := 0
-		for i := range sh.g.flows.v {
-			f := &sh.g.flows.v[i]
+		for i := range sh.g.flows.hot {
+			f := &sh.g.flows.hot[i]
 			if !sh.g.flows.used[i] || f.proxy {
 				continue
 			}
@@ -85,7 +85,7 @@ func (fs *FleetSim) CheckInvariants() error {
 				}
 			}
 			if !ok {
-				return fmt.Errorf("netsim: flow %d (rate %.6g) has no saturated link on its path — allocation is not max-min", f.ID, f.rate)
+				return fmt.Errorf("netsim: flow %d (rate %.6g) has no saturated link on its path — allocation is not max-min", sh.g.flows.v[i].ID, f.rate)
 			}
 		}
 		if locals != sh.active {

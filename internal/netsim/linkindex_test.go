@@ -12,9 +12,15 @@ import (
 // back-position names its own entry, live entries ascend by flow ID on
 // every index whose unsorted bit is clear (after a flush: on every index,
 // no bit may be left set), tombstones are counted right and never exceed
-// the live entries by more than one.
+// the live entries by more than one. It also holds the slab's two halves
+// to one flow per handle: both arrays span the same slots, and a live
+// slot's hot path and cold back-positions name the same index entries,
+// its hot progress lies within its cold size and after its cold start.
 func checkIndices(t *testing.T, g *flowGraph, flushed bool, when string) {
 	t.Helper()
+	if len(g.flows.hot) != len(g.flows.v) || len(g.flows.used) != len(g.flows.v) {
+		t.Fatalf("%s: %d hot halves, %d cold, %d used bits", when, len(g.flows.hot), len(g.flows.v), len(g.flows.used))
+	}
 	for l := range g.linkFlows {
 		idx := &g.linkFlows[l]
 		if flushed && idx.unsorted {
@@ -26,7 +32,7 @@ func checkIndices(t *testing.T, g *flowGraph, flushed bool, when string) {
 				dead++
 				continue
 			}
-			f := &g.flows.v[ref.h]
+			f := g.view(ref.h)
 			if !g.flows.used[ref.h] || int(f.path[ref.pi]) != l || int(f.pos[ref.pi]) != p {
 				t.Fatalf("%s: link %d entry %d (slot %d, path index %d) is not its flow's back-position", when, l, p, ref.h, ref.pi)
 			}
@@ -40,11 +46,14 @@ func checkIndices(t *testing.T, g *flowGraph, flushed bool, when string) {
 		}
 	}
 	for h := range g.flows.v {
-		if f := &g.flows.v[h]; g.flows.used[h] {
+		if f := g.view(handle(h)); g.flows.used[h] {
 			for i, l := range f.links() {
 				if ref := g.linkFlows[l].refs[f.pos[i]]; ref.h != handle(h) || int(ref.pi) != i {
 					t.Fatalf("%s: flow %d is not at its back-position on link %d", when, f.ID, l)
 				}
+			}
+			if !(f.remaining >= 0 && f.remaining <= f.SizeBits) || f.lastTouch < f.start {
+				t.Fatalf("%s: slot %d holds flow %d (%g bits from %v) but %g bits left at %v", when, h, f.ID, f.SizeBits, f.start, f.remaining, f.lastTouch)
 			}
 		}
 	}

@@ -90,7 +90,7 @@ func MaxMinRates(capacity []float64, flows []RefFlow) map[int]float64 {
 }
 
 // refFlows reads the flows in slots off the slab, with their rates.
-func refFlows(slots []*flowSlot) []RefFlow {
+func refFlows(slots []slotView) []RefFlow {
 	out := make([]RefFlow, 0, len(slots))
 	for _, f := range slots {
 		path := make([]int, f.n)

@@ -106,8 +106,9 @@ type fleetShard struct {
 }
 
 // arrival is a routed flow awaiting admission: its inputs and its path in
-// the shard's local link numbers, 64 bytes to a flowSlot's 160. side < 0
-// marks a local flow, else the arrival is cross flow master's proxy[side].
+// the shard's local link numbers, 64 bytes to a slot's 64 hot and 88
+// cold. side < 0 marks a local flow, else the arrival is cross flow
+// master's proxy[side].
 type arrival struct {
 	sizeBits float64
 	hash     uint64
@@ -270,8 +271,8 @@ func (fs *FleetSim) Inject(src, dst int, sizeBits float64, hash uint64) (int, er
 		fs.shards[lo].enqueue(a, path)
 		return id, nil
 	}
-	fl := flow{ID: id, Src: src, Dst: dst, SizeBits: sizeBits, Hash: hash,
-		remaining: sizeBits, start: fs.now, lastTouch: fs.now}
+	fl := flow{ident: ident{ID: id, Src: src, Dst: dst, SizeBits: sizeBits, Hash: hash, start: fs.now},
+		remaining: sizeBits, lastTouch: fs.now}
 	a.master = fs.takeCross(fl, lo, hi)
 	for i, s := range [2]int{lo, hi} {
 		a.side = int8(i)
@@ -292,9 +293,9 @@ func (s *fleetShard) enqueue(a arrival, route []int) {
 func (fs *FleetSim) admitPending(sh *fleetShard) {
 	for i := range sh.pending {
 		a := &sh.pending[i]
-		fl := flow{ID: int(a.id), Src: int(a.src), Dst: int(a.dst), SizeBits: a.sizeBits, Hash: a.hash,
-			remaining: a.sizeBits, start: fs.now, lastTouch: fs.now}
-		h := sh.g.addFlow(flowSlot{flow: fl, n: a.n, path: a.path, proxy: a.side >= 0, master: a.master})
+		id := ident{ID: int(a.id), Src: int(a.src), Dst: int(a.dst), SizeBits: a.sizeBits, Hash: a.hash, start: fs.now}
+		h := sh.g.addFlow(flowHot{remaining: a.sizeBits, lastTouch: fs.now, n: a.n, path: a.path, proxy: a.side >= 0},
+			flowSlot{ident: id, master: a.master})
 		if a.side >= 0 {
 			fs.cross.v[a.master].proxy[a.side] = h
 		}
@@ -340,9 +341,9 @@ func (fs *FleetSim) admit(fl flow, route []int) {
 	ch := fs.takeCross(fl, lo, hi)
 	for i, s := range [2]int{lo, hi} {
 		g := fs.shards[s].g
-		p := flowSlot{flow: fl, proxy: true, master: ch}
+		p := flowHot{remaining: fl.remaining, lastTouch: fl.lastTouch, proxy: true}
 		p.setPath(route, g)
-		fs.cross.v[ch].proxy[i] = g.addFlow(p)
+		fs.cross.v[ch].proxy[i] = g.addFlow(p, flowSlot{ident: fl.ident, master: ch})
 	}
 }
 
@@ -379,8 +380,8 @@ func (fs *FleetSim) SetLinkFraction(linkID int, frac float64) {
 	sh.g.now = fs.now
 	for _, h := range sh.crossing(linkID) {
 		var fl flow
-		if f := &sh.g.flows.v[h]; f.proxy {
-			fl = fs.retire(f.master)
+		if f := &sh.g.flows.hot[h]; f.proxy {
+			fl = fs.retire(sh.g.flows.v[h].master)
 		} else {
 			sh.g.settle(f)
 			fl = sh.remove(h)
@@ -431,7 +432,7 @@ func (fs *FleetSim) Step(epochLen sim.Time) {
 		g := [2]*flowGraph{fs.shards[cf.shard[0]].g, fs.shards[cf.shard[1]].g}
 		cf.rate = min(g[0].flows.v[cf.proxy[0]].offer, g[1].flows.v[cf.proxy[1]].offer)
 		for i, h := range cf.proxy {
-			p := &g[i].flows.v[h]
+			p := &g[i].flows.hot[h]
 			p.pinned = true
 			if p.rate != cf.rate {
 				p.rate = cf.rate
@@ -472,7 +473,7 @@ func (fs *FleetSim) Step(epochLen sim.Time) {
 			crossDone++
 			continue
 		}
-		cf.remaining -= cf.rate * float64(epochLen)
+		cf.remaining -= float64(cf.rate * float64(epochLen)) // rounded, as in settle
 	}
 	// This barrier's stalls and cross completions, in (End, ID) order, so
 	// Records merges lists that are already ordered.
@@ -490,9 +491,9 @@ func (fs *FleetSim) Step(epochLen sim.Time) {
 		}
 		sh.gone = sh.gone[:0]
 		sh.due = sh.due[:0]
-		for h := range sh.g.flows.v {
-			if c, ok := sh.g.completion(handle(h)); ok && c.at <= fs.epochEnd {
-				sh.due = append(sh.due, c)
+		for h := range sh.g.flows.hot {
+			if at, ok := sh.g.finish(handle(h)); ok && at <= fs.epochEnd {
+				sh.due = append(sh.due, completion{at, sh.g.flows.v[h].ID, handle(h)})
 			}
 		}
 		slices.SortFunc(sh.due, completion.compare)

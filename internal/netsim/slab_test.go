@@ -2,11 +2,14 @@ package netsim
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"mosaic/internal/sim"
 )
@@ -16,7 +19,8 @@ import (
 // mid-transfer, flow 2 takes the slot and finishes there, and flow 1 is
 // rerouted back into it before its old path's finish time. Each flow must
 // complete at the finish time of the path it is on: flow 2 never at flow
-// 1's, flow 1 never at its old path's.
+// 1's, flow 1 never at its old path's. At each reuse the slot's hot and
+// cold halves describe the one flow that holds it.
 func TestCompletionStaleAfterSlotReuse(t *testing.T) {
 	topo, err := NewLeafSpine(2, 2, 2, 100e9)
 	if err != nil {
@@ -33,22 +37,32 @@ func TestCompletionStaleAfterSlotReuse(t *testing.T) {
 		fl.lastTouch = s.now
 		hd := s.admit(fl, route)
 		s.flush()
+		checkIndices(t, s.g, true, fmt.Sprintf("flow %d admitted", fl.ID))
+		f, want := s.g.view(hd), flowHot{}
+		want.setPath(route, s.g)
+		if f.ident != fl.ident || f.remaining != fl.remaining || !slices.Equal(f.links(), want.links()) {
+			t.Fatalf("slot %d holds flow %d with %g bits left on %v; admitted flow %d with %g on %v",
+				hd, f.ID, f.remaining, f.links(), fl.ID, fl.remaining, route)
+		}
 		return hd
 	}
 
 	// Alone at 100G, flow 1's 1 Gb would finish at t=10 ms.
-	ha := admit(flow{ID: 1, Src: h[0], Dst: h[2], SizeBits: 1e9, remaining: 1e9}, 0)
-	oldPath := slices.Clone(s.g.flows.v[ha].links())
+	ha := admit(flow{ident: ident{ID: 1, Src: h[0], Dst: h[2], SizeBits: 1e9}, remaining: 1e9}, 0)
+	oldPath := slices.Clone(s.g.flows.hot[ha].links())
 
 	// At 2 ms it leaves with 0.8 Gb to go, as a reroute takes it off.
 	s.RunUntil(0.002)
 	s.g.now = s.now
-	s.g.settle(&s.g.flows.v[ha])
+	s.g.settle(&s.g.flows.hot[ha])
 	one := s.remove(ha)
 	s.flush()
+	if one.ID != 1 || one.remaining != 0.8e9 {
+		t.Fatalf("removal returned flow %d with %g bits left, want flow 1 with 0.8e9", one.ID, one.remaining)
+	}
 
 	// Flow 2 reuses the slot and finishes there, 2 ms later.
-	if hb := admit(flow{ID: 2, Src: h[1], Dst: h[3], SizeBits: 0.2e9, remaining: 0.2e9, start: s.now}, 0); hb != ha {
+	if hb := admit(flow{ident: ident{ID: 2, Src: h[1], Dst: h[3], SizeBits: 0.2e9, start: s.now}, remaining: 0.2e9}, 0); hb != ha {
 		t.Fatalf("free list is not LIFO: flow 2 got slot %d, want %d", hb, ha)
 	}
 	s.RunUntil(0.005)
@@ -58,7 +72,7 @@ func TestCompletionStaleAfterSlotReuse(t *testing.T) {
 	if hr := admit(one, 1); hr != ha {
 		t.Fatalf("free list is not LIFO: rerouted flow 1 got slot %d, want %d", hr, ha)
 	}
-	if slices.Equal(s.g.flows.v[ha].links(), oldPath) {
+	if slices.Equal(s.g.flows.hot[ha].links(), oldPath) {
 		t.Fatal("hash 1 did not move flow 1 to a new path")
 	}
 	s.Run()
@@ -75,10 +89,45 @@ func TestCompletionStaleAfterSlotReuse(t *testing.T) {
 	}
 }
 
+// The waterfill's half of a slot is one cache line, and neither half holds
+// a pointer, so the GC never scans the slab: a field added to flowHot that
+// spills the line, or a pointer in either half, fails here.
+func TestFlowSlotLayout(t *testing.T) {
+	if size := unsafe.Sizeof(flowHot{}); size != 64 {
+		t.Errorf("flowHot is %d bytes, want one 64-byte cache line", size)
+	}
+	for _, typ := range []reflect.Type{reflect.TypeFor[flowHot](), reflect.TypeFor[flowSlot]()} {
+		if p := pointerField(typ); p != "" {
+			t.Errorf("%s holds a pointer in %s", typ, p)
+		}
+	}
+}
+
+// pointerField names the first field of typ, at any depth, whose type
+// holds a pointer; "" if there is none.
+func pointerField(typ reflect.Type) string {
+	switch typ.Kind() {
+	case reflect.Struct:
+		for i := range typ.NumField() {
+			if p := pointerField(typ.Field(i).Type); p != "" {
+				return typ.Field(i).Name + "/" + p
+			}
+		}
+		return ""
+	case reflect.Array:
+		return pointerField(typ.Elem())
+	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
+		reflect.Float32, reflect.Float64:
+		return ""
+	}
+	return typ.Kind().String()
+}
+
 // A route that does not fit the slot's inline path is refused loudly,
 // never truncated.
 func TestSetPathRejectsOverlongRoute(t *testing.T) {
-	var slot flowSlot
+	var slot flowHot
 	g := newFlowGraph(make([]float64, 8), 0)
 	slot.setPath([]int{1, 2, 3, 4, 5, 6}, g)
 	if got := slot.links(); !slices.Equal(got, []int32{1, 2, 3, 4, 5, 6}) {

@@ -97,9 +97,10 @@ func (r NetworkReport) OpexUSDPerYear() float64 {
 	return r.PowerW * pue / 1000 * 8766 * USDPerKWh
 }
 
-// TCOUSD returns capex plus opex over the given number of years.
+// TCOUSD returns capex plus opex over the given number of years (the
+// product rounded first, so no GOARCH fuses the sum into an FMA).
 func (r NetworkReport) TCOUSD(years float64) float64 {
-	return r.CapexUSD + r.OpexUSDPerYear()*years
+	return r.CapexUSD + float64(r.OpexUSDPerYear()*years)
 }
 
 // Analyze applies a plan to a topology at the given per-link rate.

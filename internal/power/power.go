@@ -157,10 +157,11 @@ const MosaicChannelRate = 2e9
 const MosaicSpareFraction = 0.04
 
 // MosaicChannels returns the channel count (incl. spares) for an aggregate
-// rate at the nominal 2 Gbps per channel.
+// rate at the nominal 2 Gbps per channel. The spare count's product is
+// rounded before the sum, so no GOARCH fuses the two into an FMA.
 func MosaicChannels(rateBps float64) int {
 	data := int(rateBps / MosaicChannelRate)
-	spares := int(float64(data)*MosaicSpareFraction + 0.5)
+	spares := int(float64(float64(data)*MosaicSpareFraction) + 0.5)
 	return data + spares
 }
 
