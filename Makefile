@@ -214,13 +214,18 @@ race:
 # arrivals beside the barrier).
 # The soak and MAC-session golden shas (both harnesses cross every
 # superframe through the link supervisor) run at 1/2/3/4/NumCPU/all
-# PHY workers.
+# PHY workers. The flow engine's and the experiment tables' lines run a
+# second time with GODEBUG=cpu.fma=off, which takes the FMA path out of
+# the math assembly (math.Exp on amd64): the same goldens must hold
+# without it.
 determinism:
 	$(GO) test -run TestDeterminism -count=2 ./internal/phy/
 	$(GO) test -run 'TestSoakDeterminismAcrossWorkerCounts' -count=1 ./internal/faultinject/
 	$(GO) test -run 'TestSessionDeterminismAcrossWorkerCounts' -count=1 ./internal/mac/
 	$(GO) test -run 'TestFleetSimWorkerInvariance' -count=1 ./internal/netsim/
 	$(GO) test -run 'TestE24DeterministicAcrossWorkers|TestScenarioTablesDeterministicAcrossWorkers' -count=1 ./internal/experiments/
+	GODEBUG=cpu.fma=off $(GO) test -run 'TestFleetSimWorkerInvariance' -count=1 ./internal/netsim/
+	GODEBUG=cpu.fma=off $(GO) test -run 'TestE24DeterministicAcrossWorkers|TestScenarioTablesDeterministicAcrossWorkers' -count=1 ./internal/experiments/
 	$(GO) test -run 'TestFleetdDeterministicAcrossWorkers|TestConcurrentAdmissionDeterministic' -count=1 ./internal/fleetd/
 	$(GO) test -run 'TestCompositionOrderInvariant50Iterations|TestRunDeterministicAcrossWorkers' -count=1 ./internal/scenario/
 

@@ -3,7 +3,10 @@
 // Ethernet PCS layers (and by Mosaic's protocol-agnostic gearbox).
 package linecode
 
-import "math/bits"
+import (
+	"encoding/binary"
+	"math/bits"
+)
 
 // Scrambler is the self-synchronizing multiplicative scrambler with
 // polynomial G(x) = 1 + x^39 + x^58 (IEEE 802.3 clause 49). Because it is
@@ -84,20 +87,11 @@ func (s *Scrambler) Scramble(buf []byte) []byte {
 	h := histWord(s.state)
 	i := 0
 	for ; i+8 <= len(buf); i += 8 {
-		w := uint64(buf[i]) | uint64(buf[i+1])<<8 | uint64(buf[i+2])<<16 |
-			uint64(buf[i+3])<<24 | uint64(buf[i+4])<<32 | uint64(buf[i+5])<<40 |
-			uint64(buf[i+6])<<48 | uint64(buf[i+7])<<56
-		t := w ^ (h >> 19) ^ h
+		p := buf[i : i+8 : i+8] // one bounds check for the word's load and store
+		t := binary.LittleEndian.Uint64(p) ^ (h >> 19) ^ h
 		o := t ^ (t << 39) ^ (t << 58)
 		h = o >> 6
-		buf[i] = byte(o)
-		buf[i+1] = byte(o >> 8)
-		buf[i+2] = byte(o >> 16)
-		buf[i+3] = byte(o >> 24)
-		buf[i+4] = byte(o >> 32)
-		buf[i+5] = byte(o >> 40)
-		buf[i+6] = byte(o >> 48)
-		buf[i+7] = byte(o >> 56)
+		binary.LittleEndian.PutUint64(p, o)
 	}
 	s.state = bits.Reverse64(h<<6) & mask58
 	for ; i < len(buf); i++ {
@@ -146,19 +140,11 @@ func (d *Descrambler) Descramble(buf []byte) []byte {
 	h := histWord(d.state)
 	i := 0
 	for ; i+8 <= len(buf); i += 8 {
-		w := uint64(buf[i]) | uint64(buf[i+1])<<8 | uint64(buf[i+2])<<16 |
-			uint64(buf[i+3])<<24 | uint64(buf[i+4])<<32 | uint64(buf[i+5])<<40 |
-			uint64(buf[i+6])<<48 | uint64(buf[i+7])<<56
+		p := buf[i : i+8 : i+8]
+		w := binary.LittleEndian.Uint64(p)
 		o := w ^ (h >> 19) ^ h ^ (w << 39) ^ (w << 58)
 		h = w >> 6
-		buf[i] = byte(o)
-		buf[i+1] = byte(o >> 8)
-		buf[i+2] = byte(o >> 16)
-		buf[i+3] = byte(o >> 24)
-		buf[i+4] = byte(o >> 32)
-		buf[i+5] = byte(o >> 40)
-		buf[i+6] = byte(o >> 48)
-		buf[i+7] = byte(o >> 56)
+		binary.LittleEndian.PutUint64(p, o)
 	}
 	d.state = bits.Reverse64(h<<6) & mask58
 	for ; i < len(buf); i++ {

@@ -20,6 +20,16 @@ import (
 // change re-waterfills only the connected component of links/flows it can
 // have affected, never the whole network.
 //
+// Component record: an unpinned flush (FleetSim's phase A) remembers the
+// components it gathers — their links and flows, and per link its live
+// refs and its proxies in ascending ID — and the pinned flush after it
+// (phase C) re-initialises a remembered component from that record rather
+// than re-walking the link indices; a seed the record does not hold is
+// gathered as before. The one invalidation rule is that addFlow and
+// removeFlow forget the record: capacity, pinned rates and progress are
+// read fresh at every refill. FlowSim never flushes unpinned, so it never
+// records.
+//
 // Exactness: max-min by progressive filling decomposes over connected
 // components of the flow/link sharing graph — flows in disjoint
 // components never contend for a link, so re-filling only the dirtied
@@ -203,6 +213,8 @@ type flowGraph struct {
 	compLinks []int32
 	keys      []uint64 // reorder scratch (flowKeys)
 
+	rec compRecord // the components the last unpinned flush gathered
+
 	waterfills uint64 // component waterfill passes run
 	rated      uint64 // flow-rate assignments performed
 }
@@ -218,6 +230,7 @@ func newFlowGraph(capacity []float64, base int) *flowGraph {
 		remCap:    make([]float64, n),
 		unfrozen:  make([]int32, n),
 		linkMark:  make([]uint64, n),
+		rec:       compRecord{byLink: make([]linkRecord, n)},
 	}
 }
 
@@ -230,8 +243,10 @@ func (g *flowGraph) markDirty(l int) {
 }
 
 // addFlow takes a slot for the flow's two halves, appends it to the index
-// of every link of its path and dirties them.
+// of every link of its path, dirties them and forgets the component
+// record.
 func (g *flowGraph) addFlow(f flowHot, c flowSlot) handle {
+	g.rec.forget()
 	h := g.flows.put(f, c)
 	pos := &g.flows.v[h].pos
 	for i, l := range f.links() {
@@ -249,9 +264,10 @@ func (g *flowGraph) addFlow(f flowHot, c flowSlot) handle {
 }
 
 // removeFlow tombstones the flow's index entries (O(pathlen), amortised
-// over the squeezes), dirties its links, frees its slot and returns the
-// flow value.
+// over the squeezes), dirties its links, forgets the component record,
+// frees its slot and returns the flow value.
 func (g *flowGraph) removeFlow(h handle) flow {
+	g.rec.forget()
 	f, c := &g.flows.hot[h], &g.flows.v[h]
 	for i, l := range f.links() {
 		idx := &g.linkFlows[l]
@@ -344,12 +360,17 @@ func (g *flowGraph) finish(h handle) (sim.Time, bool) {
 // flush re-waterfills every connected component reachable from the
 // dirty links. Links and flows outside the dirty components keep their
 // rates: no flow there shares a link with a dirtied flow, so its max-min
-// allocation cannot have changed.
+// allocation cannot have changed. An unpinned flush records the
+// components it gathers; a pinned flush re-initialises a recorded
+// component from the record and gathers only the others.
 func (g *flowGraph) flush(unpinProxies bool) {
 	if len(g.dirty) == 0 {
 		return
 	}
 	g.epoch++
+	if unpinProxies {
+		g.rec.reset(g.epoch)
+	}
 	for _, l := range g.dirty {
 		g.dirtyIn[l] = false
 	}
@@ -357,10 +378,21 @@ func (g *flowGraph) flush(unpinProxies bool) {
 		if g.linkMark[seed] == g.epoch {
 			continue // already swept into an earlier component this flush
 		}
-		if flows, left := g.gatherComponent(seed, unpinProxies); flows > 0 {
+		// A seed the record holds belongs to a component gathered by an
+		// earlier flush: never the one recording now, whose own links are
+		// all marked.
+		var links []int32
+		var n, left int
+		if c, ok := g.rec.component(seed); ok {
+			links, n, left = g.refill(c)
+		} else {
+			n, left = g.gatherComponent(seed, unpinProxies)
+			links = g.compLinks
+		}
+		if n > 0 {
 			g.waterfills++
 			g.rated += uint64(left)
-			g.fill(left)
+			g.fill(links, left)
 		}
 	}
 	g.dirty = g.dirty[:0]
@@ -373,16 +405,19 @@ func (g *flowGraph) flush(unpinProxies bool) {
 // (link, flow) incidence, subtracts a pinned proxy's fixed demand from
 // the link's remaining capacity or counts an unfrozen flow on it.
 // Pinned proxies contribute that demand instead of participating in the
-// fill; with unpinProxies set, proxies join the fill as ordinary flows
-// and their resulting rate is recorded as the shard's offer. It returns
-// the number of flows in the component and how many of them are to fill.
+// fill; with unpinProxies set, proxies join the fill as ordinary flows,
+// their resulting rate is recorded as the shard's offer, and the
+// component goes into the record. It returns the number of flows in the
+// component and how many of them are to fill.
 func (g *flowGraph) gatherComponent(seed int, unpinProxies bool) (n, left int) {
 	g.linkMark[seed] = g.epoch
 	g.compLinks = append(g.compLinks[:0], int32(seed))
 	flows := g.flows.hot
+	rec := &g.rec
 	for qi := 0; qi < len(g.compLinks); qi++ {
 		l := g.compLinks[qi]
 		remCap, unfrozen := g.capacity[l], int32(0)
+		p0 := len(rec.proxies)
 		for _, ref := range g.ordered(l) {
 			if ref.pi < 0 {
 				continue
@@ -407,6 +442,9 @@ func (g *flowGraph) gatherComponent(seed int, unpinProxies bool) (n, left int) {
 						g.compLinks = append(g.compLinks, fl)
 					}
 				}
+				if unpinProxies {
+					rec.flows = append(rec.flows, ref.h)
+				}
 			}
 			if f.pinned {
 				if remCap -= f.rate; remCap < 0 {
@@ -415,25 +453,124 @@ func (g *flowGraph) gatherComponent(seed int, unpinProxies bool) (n, left int) {
 			} else {
 				unfrozen++
 			}
+			if unpinProxies && f.proxy {
+				rec.proxies = append(rec.proxies, ref.h)
+			}
 		}
 		g.remCap[l], g.unfrozen[l] = remCap, unfrozen
+		if unpinProxies {
+			// Nothing is pinned in an unpinned pass: unfrozen counts every
+			// live ref.
+			rec.byLink[l] = linkRecord{at: rec.at, comp: int32(len(rec.comps)), live: unfrozen,
+				p0: int32(p0), p1: int32(len(rec.proxies))}
+		}
+	}
+	if unpinProxies {
+		rec.links = append(rec.links, g.compLinks...)
+		rec.comps = append(rec.comps, recComp{links: int32(len(rec.links)), flows: int32(len(rec.flows))})
 	}
 	return n, left
 }
 
-// fill runs progressive-filling max-min fairness over the gathered
-// component's `left` unfrozen flows, with the same deterministic ordering
-// as the global reference fill (MaxMinRates, maxmin_test.go): the
+// compRecord remembers the components the last unpinned flush gathered
+// (the file comment gives its use and its one invalidation rule): each
+// component's links and flows, and per link its count of live refs and
+// its proxies in ascending flow ID.
+type compRecord struct {
+	at      uint64       // epoch of the recording flush; 0 once forgotten
+	byLink  []linkRecord // by local link; current where its at matches
+	comps   []recComp
+	links   []int32  // each component's links, component after component
+	flows   []handle // each component's flows, component after component
+	proxies []handle // each recorded link's proxies, ascending by ID
+}
+
+// recComp ends one component's runs in compRecord.links and .flows; the
+// previous component's ends are where they start.
+type recComp struct{ links, flows int32 }
+
+// linkRecord is one recorded link: its component, its live refs and its
+// run proxies[p0:p1].
+type linkRecord struct {
+	at           uint64
+	comp         int32
+	live, p0, p1 int32
+}
+
+// reset starts a record for the flush at epoch.
+func (r *compRecord) reset(epoch uint64) {
+	r.at = epoch
+	r.comps, r.links, r.flows, r.proxies = r.comps[:0], r.links[:0], r.flows[:0], r.proxies[:0]
+}
+
+// forget drops the record: a flow joined or left the graph.
+func (r *compRecord) forget() { r.at = 0 }
+
+// component returns the recorded component holding link l.
+func (r *compRecord) component(l int) (int, bool) {
+	lr := &r.byLink[l]
+	return int(lr.comp), r.at != 0 && lr.at == r.at
+}
+
+// refill runs gatherComponent's first pass over recorded component c as
+// a pinned flush, without walking a link index: a link's remaining
+// capacity is its capacity less each pinned proxy's rate in ascending ID
+// with the same clamp — the subtraction sequence the index walk performs,
+// so every rate comes out bit-identical — its unfrozen count the live
+// refs less the pinned proxies, and one pass over the flows settles and
+// resets them. Their gather marks stay as they are: only gatherComponent
+// reads them, and no component it walks in this flush shares a flow with
+// this one. It returns the component's links, its flow count and how many
+// of them are to fill.
+func (g *flowGraph) refill(c int) (links []int32, n, left int) {
+	r := &g.rec
+	var l0, f0 int32
+	if c > 0 {
+		l0, f0 = r.comps[c-1].links, r.comps[c-1].flows
+	}
+	flows := g.flows.hot
+	links = r.links[l0:r.comps[c].links]
+	for _, l := range links {
+		lr := &r.byLink[l]
+		remCap, pinned := g.capacity[l], int32(0)
+		for _, h := range r.proxies[lr.p0:lr.p1] {
+			if f := &flows[h]; f.pinned {
+				if remCap -= f.rate; remCap < 0 {
+					remCap = 0
+				}
+				pinned++
+			}
+		}
+		g.remCap[l], g.unfrozen[l] = remCap, lr.live-pinned
+		g.linkMark[l] = g.epoch
+	}
+	comp := r.flows[f0:r.comps[c].flows]
+	for _, h := range comp {
+		f := &flows[h]
+		if !f.proxy {
+			g.settle(f)
+		}
+		if f.filled = f.pinned; !f.pinned {
+			f.rate = 0
+			left++
+		}
+	}
+	return links, len(comp), left
+}
+
+// fill runs progressive-filling max-min fairness over the `left`
+// unfrozen flows of the component on links, with the same deterministic
+// ordering as the global reference fill (MaxMinRates, maxmin_test.go): the
 // bottleneck is the lowest-numbered link at the minimum fair share, and
 // its unfrozen flows are frozen by walking its index, ascending by ID —
 // O(crossing) per round, no sort. A bottleneck's
 // count is positive, so every round freezes at least one flow.
-func (g *flowGraph) fill(left int) {
+func (g *flowGraph) fill(links []int32, left int) {
 	flows := g.flows.hot
 	for left > 0 {
 		bottleneck := int32(-1)
 		best := math.Inf(1)
-		for _, l := range g.compLinks {
+		for _, l := range links {
 			if g.unfrozen[l] == 0 {
 				continue
 			}

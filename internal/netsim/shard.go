@@ -1,7 +1,6 @@
 package netsim
 
 import (
-	"cmp"
 	"slices"
 	"strconv"
 
@@ -218,7 +217,19 @@ func (fs *FleetSim) DropRecords() {
 	}
 }
 
-func compareRecords(a, b FlowRecord) int { return cmp.Or(cmp.Compare(a.End, b.End), a.ID-b.ID) }
+// compareRecords orders records by (End, ID). An End is a barrier instant
+// or a finish time read off a positive rate, never NaN, so two float
+// compares decide it; the function is small enough to inline into the
+// merge's heap.
+func compareRecords(a, b FlowRecord) int {
+	switch {
+	case a.End < b.End:
+		return -1
+	case a.End > b.End:
+		return 1
+	}
+	return a.ID - b.ID
+}
 
 // mergeRecords k-way merges the lists into one pre-sized (End, ID)-ordered
 // list. A shard's list arrives ordered (each epoch completes in (time, ID)
@@ -226,28 +237,59 @@ func compareRecords(a, b FlowRecord) int { return cmp.Or(cmp.Compare(a.End, b.En
 // completions: each barrier sorts its own segment), so no record is sorted
 // again; a list still found out of order — stalls from a kill after the
 // last Step, or a tie at a barrier instant — is sorted in place first.
-// The minimum is a scan over the list heads, measured at the 12 pods of a
-// fleet day; past ~18 lists a full sort compares less (DESIGN.md).
+// The next record is the head of the list on top of a binary min-heap of
+// the non-empty lists, kept in lists' own backing array and ordered by
+// their heads: O(log k) compares a record where a scan of the heads took
+// k (DESIGN.md). Heads never compare equal — a flow ID leaves one record —
+// so the heap's order is the only one.
 func mergeRecords(lists [][]FlowRecord) []FlowRecord {
 	total := 0
+	heads := lists[:0]
 	for _, l := range lists {
 		if !slices.IsSortedFunc(l, compareRecords) {
 			slices.SortFunc(l, compareRecords)
 		}
-		total += len(l)
+		if len(l) > 0 {
+			heads = append(heads, l)
+			total += len(l)
+		}
+	}
+	for i := len(heads)/2 - 1; i >= 0; i-- {
+		siftDown(heads, i)
 	}
 	out := make([]FlowRecord, 0, total)
-	for len(out) < total {
-		best := -1
-		for i, l := range lists {
-			if len(l) > 0 && (best < 0 || compareRecords(l[0], lists[best][0]) < 0) {
-				best = i
-			}
+	for len(heads) > 1 {
+		out = append(out, heads[0][0])
+		if heads[0] = heads[0][1:]; len(heads[0]) == 0 {
+			last := len(heads) - 1
+			heads[0] = heads[last]
+			heads = heads[:last]
 		}
-		out = append(out, lists[best][0])
-		lists[best] = lists[best][1:]
+		siftDown(heads, 0)
+	}
+	if len(heads) == 1 {
+		out = append(out, heads[0]...)
 	}
 	return out
+}
+
+// siftDown moves the list at i down mergeRecords' heap until no child's
+// head precedes its own.
+func siftDown(h [][]FlowRecord, i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && compareRecords(h[c+1][0], h[c][0]) < 0 {
+			c++
+		}
+		if compareRecords(h[c][0], h[i][0]) >= 0 {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
 }
 
 // Inject starts a flow at the current barrier on the live ECMP route as

@@ -177,12 +177,13 @@ func TestFlowIDBeyondSortKeyRejected(t *testing.T) {
 	}
 }
 
-// The k-way merge is the old full (End, ID) sort: on randomized shard
-// lists with exact End ties across lists, barrier stalls sharing one
-// instant, an empty list, and a fleet list in flow-ID rather than End
+// The k-way merge is the old full (End, ID) sort at every width from 1
+// to 64 lists: on randomized shard lists with exact End ties across
+// lists, barrier stalls sharing one instant, empty lists, a fleet list
+// in flow-ID rather than End order, and shard lists that arrive out of
 // order.
 func TestRecordsMergeEqualsSort(t *testing.T) {
-	for seed := int64(0); seed < 40; seed++ {
+	for seed := int64(0); seed < 400; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		var lists [][]FlowRecord
 		var all []FlowRecord
@@ -201,25 +202,63 @@ func TestRecordsMergeEqualsSort(t *testing.T) {
 				fleet = append(fleet, next(sim.Time(rng.Intn(16))/4, false))
 			}
 		}
-		lists = append(lists, fleet, nil)
-		// Shard lists: (End, ID)-ordered, End drawn from a small grid so
-		// ties across lists are the rule.
-		for s := 1 + rng.Intn(5); s > 0; s-- {
+		width := 1 + int(seed%64)
+		lists = append(lists, fleet)
+		// Shard lists: End drawn from a small grid so ties across lists
+		// are the rule; most (End, ID)-ordered, one in eight shuffled,
+		// one in eight empty.
+		for len(lists) < width {
 			var l []FlowRecord
-			for i := rng.Intn(60); i > 0; i-- {
-				l = append(l, next(sim.Time(rng.Intn(16))/4, false))
+			if rng.Intn(8) > 0 {
+				for i := rng.Intn(60); i > 0; i-- {
+					l = append(l, next(sim.Time(rng.Intn(16))/4, false))
+				}
 			}
 			slices.SortFunc(l, compareRecords)
+			if rng.Intn(8) == 0 {
+				rng.Shuffle(len(l), func(i, j int) { l[i], l[j] = l[j], l[i] })
+			}
 			lists = append(lists, l)
 		}
+		rng.Shuffle(len(lists), func(i, j int) { lists[i], lists[j] = lists[j], lists[i] })
 		for _, l := range lists {
 			all = append(all, l...)
 		}
 		want := slices.Clone(all)
 		slices.SortFunc(want, compareRecords)
 		if got := mergeRecords(lists); !slices.Equal(got, want) {
-			t.Fatalf("seed %d: merge of %d lists differs from the full sort", seed, len(lists))
+			t.Fatalf("seed %d: merge of %d lists differs from the full sort", seed, width)
 		}
+	}
+}
+
+// mergedSink keeps BenchmarkMergeRecords' result live.
+var mergedSink []FlowRecord
+
+// BenchmarkMergeRecords prices mergeRecords per record on a fleet day's
+// worth of records (690k) split across k (End, ID)-ordered lists whose
+// End times interleave, as a FleetSim's shard lists do.
+func BenchmarkMergeRecords(b *testing.B) {
+	const records = 690_000
+	for _, k := range []int{4, 12, 24, 32, 64} {
+		b.Run(fmt.Sprintf("lists=%d", k), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			base := make([][]FlowRecord, k)
+			for id := range records {
+				s := rng.Intn(k)
+				base[s] = append(base[s], FlowRecord{ID: id, SizeBits: 1, End: sim.Time(rng.Float64() * 86400)})
+			}
+			for _, l := range base {
+				slices.SortFunc(l, compareRecords)
+			}
+			lists := make([][]FlowRecord, k)
+			b.ResetTimer()
+			for range b.N {
+				copy(lists, base)
+				mergedSink = mergeRecords(lists)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*records), "ns/record")
+		})
 	}
 }
 
