@@ -289,13 +289,14 @@ bench-layers:
 		$(GO) run ./cmd/benchguard -layers after -out BENCH_LAYERS.json
 
 # Coverage gate for the packages the vectorized kernels, the fault
-# machinery, the one worker pool, the ARQ core and the flow engine live
-# in: the PHY, the coding stack, faultinject, par, the MAC and netsim must
+# machinery, the one worker pool, the ARQ core, the flow engine, the
+# scenario engine and the one event log live in: the PHY, the coding
+# stack, faultinject, par, the MAC, netsim, scenario and eventlog must
 # stay at or above $(COVER_MIN)% statement coverage combined. COVER.out is
 # uploaded as a CI artifact.
 COVER_MIN ?= 85
 coverage:
-	$(GO) test -coverprofile=COVER.out -covermode=atomic ./internal/phy/... ./internal/coding/... ./internal/faultinject/... ./internal/par/... ./internal/mac/... ./internal/netsim/...
+	$(GO) test -coverprofile=COVER.out -covermode=atomic ./internal/phy/... ./internal/coding/... ./internal/faultinject/... ./internal/par/... ./internal/mac/... ./internal/netsim/... ./internal/scenario/... ./internal/eventlog/...
 	@total=$$($(GO) tool cover -func=COVER.out | awk '/^total:/ { gsub(/%/, "", $$3); print $$3 }'); \
 	awk -v t=$$total -v min=$(COVER_MIN) 'BEGIN { \
 		if (t + 0 < min + 0) { printf "coverage: FAIL — %.1f%% below minimum %d%%\n", t, min; exit 1 } \

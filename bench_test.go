@@ -556,7 +556,7 @@ func BenchmarkFleetSimEpochSteady(b *testing.B) {
 	epoch := func() {
 		inject(512, 1e6)
 		fs.Step(1)
-		fs.DropRecords()
+		fs.DrainRecords(nil)
 	}
 	for i := 0; i < 20000; i += 10 {
 		inject(10, 1e18)

@@ -6,9 +6,9 @@
 package eventlog
 
 import (
+	"bufio"
 	"crypto/sha256"
 	"fmt"
-	"strings"
 )
 
 // DefaultMax is the line cap of a Log whose Max is not positive.
@@ -53,12 +53,22 @@ func (l *Log) Reset() {
 
 // Digest is the golden-sha construction every determinism witness uses:
 // hex of the first 8 bytes of sha256 over the "\n"-joined lines, each
-// trailer (a run summary, typically) appended after a further "\n".
+// trailer (a run summary, typically) appended after a further "\n". The
+// lines stream into the hash through a small buffer, so a long log is
+// never joined into one string.
 func Digest(lines []string, trailer ...string) string {
-	s := strings.Join(lines, "\n")
-	for _, t := range trailer {
-		s += "\n" + t
+	h := sha256.New()
+	w := bufio.NewWriter(h)
+	for i, l := range lines {
+		if i > 0 {
+			w.WriteByte('\n')
+		}
+		w.WriteString(l)
 	}
-	sum := sha256.Sum256([]byte(s))
-	return fmt.Sprintf("%x", sum[:8])
+	for _, t := range trailer {
+		w.WriteByte('\n')
+		w.WriteString(t)
+	}
+	w.Flush() // a hash's Write never fails
+	return fmt.Sprintf("%x", h.Sum(nil)[:8])
 }

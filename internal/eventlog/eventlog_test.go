@@ -3,6 +3,7 @@ package eventlog
 import (
 	"crypto/sha256"
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -43,6 +44,54 @@ func TestDigestMatchesLegacyExpressions(t *testing.T) {
 				t.Error("method and package-level Digest disagree")
 			}
 		})
+	}
+}
+
+// legacyDigest is the construction Digest streamed away: the whole log
+// joined into one string, each trailer concatenated, the lot copied to
+// bytes and hashed.
+func legacyDigest(lines []string, trailer ...string) string {
+	s := strings.Join(lines, "\n")
+	for _, t := range trailer {
+		s += "\n" + t
+	}
+	sum := sha256.Sum256([]byte(s))
+	return fmt.Sprintf("%x", sum[:8])
+}
+
+// Streaming the lines into the hash hashes the same bytes as joining
+// them: on random logs — lines from empty to longer than the stream's
+// buffer, with newlines and multi-byte runes inside them — with no lines
+// and with zero to three trailers, some of them empty.
+func TestDigestStreamsTheJoin(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	alphabet := []rune("epoch=0123456789 \n\tµ→")
+	str := func(maxLen int) string {
+		r := make([]rune, rng.Intn(maxLen+1))
+		for i := range r {
+			r[i] = alphabet[rng.Intn(len(alphabet))]
+		}
+		return string(r)
+	}
+	for i := 0; i < 500; i++ {
+		var lines []string
+		switch n := rng.Intn(40); {
+		case i%10 == 0: // no lines
+		case i%10 == 1:
+			lines = make([]string, n) // every line empty
+		default:
+			maxLen := []int{8, 120, 9000}[rng.Intn(3)]
+			for range n {
+				lines = append(lines, str(maxLen))
+			}
+		}
+		trailers := make([]string, rng.Intn(4))
+		for j := range trailers {
+			trailers[j] = str(40)
+		}
+		if got, want := Digest(lines, trailers...), legacyDigest(lines, trailers...); got != want {
+			t.Fatalf("case %d (%d lines, %d trailers): Digest %s, the joined string hashes to %s", i, len(lines), len(trailers), got, want)
+		}
 	}
 }
 

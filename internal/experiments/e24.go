@@ -91,6 +91,18 @@ func e24WithWorkers(seed int64, workers int) (Table, e24Metrics, error) {
 	winActive := make([]int, windows)
 	winCross := make([]int, windows)
 	winFrac := make([]float64, windows)
+	// Each epoch's drained records are filed under their completion
+	// window: a row's percentiles need only its completion times.
+	winFCTs := make([][]float64, windows)
+	winStalled := make([]int, windows)
+	bucket := func(r netsim.FlowRecord) {
+		w := min(int(r.End)/e24Window, windows-1)
+		if r.Stalled {
+			winStalled[w]++
+			return
+		}
+		winFCTs[w] = append(winFCTs[w], float64(r.FCT()))
+	}
 
 	for e := 0; e < e24Epochs; e++ {
 		// Continuous aging: publish every link's modeled fraction. The
@@ -129,6 +141,7 @@ func e24WithWorkers(seed int64, workers int) (Table, e24Metrics, error) {
 		}
 
 		fs.Step(1)
+		fs.DrainRecords(bucket)
 
 		if (e+1)%e24Window == 0 {
 			w := e / e24Window
@@ -138,17 +151,8 @@ func e24WithWorkers(seed int64, workers int) (Table, e24Metrics, error) {
 		}
 	}
 
-	// One merged pass over the records: bucket by completion epoch.
-	byWindow := make([][]netsim.FlowRecord, windows)
-	for _, r := range fs.Records() {
-		w := int(r.End) / e24Window
-		if w >= windows {
-			w = windows - 1
-		}
-		byWindow[w] = append(byWindow[w], r)
-	}
 	for w := 0; w < windows; w++ {
-		st := netsim.Stats(byWindow[w])
+		st := netsim.SummarizeFCTs(winFCTs[w], winStalled[w])
 		t.AddRow(fmt.Sprintf("e%d-e%d", w*e24Window, (w+1)*e24Window-1),
 			fmt.Sprintf("%d", winArrivals[w]),
 			fmt.Sprintf("%d", st.Count), fmt.Sprintf("%d", st.Stalled),

@@ -451,7 +451,7 @@ func (f *Fleet) stepLocked() {
 		}
 	}
 	f.fsim.Step(epochSimLen)
-	f.fsim.DropRecords() // the snapshot reads the simulator's totals; nothing reads a record
+	f.fsim.DrainRecords(nil) // the snapshot reads the simulator's totals; nothing reads a record
 
 	// Epoch summary line: the fleet-level determinism witness.
 	f.counts = [NumStates]int{}

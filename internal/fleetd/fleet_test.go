@@ -435,10 +435,10 @@ func TestEventLogCapIsVisible(t *testing.T) {
 }
 
 // TestFlowRecordsDrainedEveryEpoch: the daemon's flow simulator must not
-// keep a record per background flow forever. Every barrier drops its
-// records (the simulator keeps the running totals itself), so after 5,000
-// epochs at 16 flows per epoch nothing is retained and the totals account
-// for every flow.
+// keep a record per background flow forever. Every barrier drains its
+// records with a nil fn (the simulator keeps the running totals itself),
+// so after 5,000 epochs at 16 flows per epoch nothing is retained and the
+// totals account for every flow.
 // (1024 host links make 32 pods: enough core capacity that the offered
 // load is sustainable and the active set stays small, as in the soak;
 // testConfig's two pods are overloaded 2:1 by it.)

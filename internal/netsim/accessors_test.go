@@ -84,6 +84,7 @@ func (fs *FleetSim) admitAll() {
 	for _, sh := range fs.shards {
 		fs.admitPending(sh)
 	}
+	fs.queued = 0
 }
 
 // indexed is the tests' view of a link's flow index: its live entries, in

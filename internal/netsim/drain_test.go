@@ -240,3 +240,35 @@ func TestFlowSimRecordsMatchHeapDrain(t *testing.T) {
 		t.Fatalf("records digest %s; the heap drain gave %s", got, want)
 	}
 }
+
+// A kill at the barrier that admitted a flow must see it: Inject leaves
+// the flow pending, so SetLinkFraction admits it before it reroutes, or
+// the flow would sit rated at zero on its dead first route. Twice, so the
+// second barrier checks that the pending count re-arms after the Step
+// that admitted nothing new.
+func TestKillAfterInjectReroutesIt(t *testing.T) {
+	topo, err := NewFleet(2, 2, 2, 2, 100e9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := NewFleetSim(topo, 1)
+	h := topo.Hosts()
+	for i, pair := range [][2]int{{0, 2}, {1, 6}} { // one local, one cross
+		const hash = 7
+		id, err := fs.Inject(h[pair[0]], h[pair[1]], 1e9, hash)
+		if err != nil {
+			t.Fatal(err)
+		}
+		route, err := topo.Path(nil, h[pair[0]], h[pair[1]], hash)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fs.SetLinkFraction(route[1], 0) // its leaf's uplink: the other spine remains
+		fs.Step(1)
+		recs := fs.Records()
+		if len(recs) != i+1 || recs[i].ID != id || recs[i].Stalled || recs[i].End > fs.now {
+			t.Fatalf("barrier %d: records %+v; flow %d should have rerouted around the kill and finished", i, recs, id)
+		}
+		fs.SetLinkFraction(route[1], 1)
+	}
+}

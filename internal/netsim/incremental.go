@@ -564,9 +564,10 @@ func (g *flowGraph) refill(c int) (links []int32, n, left int) {
 // bottleneck is the lowest-numbered link at the minimum fair share, and
 // its unfrozen flows are frozen by walking its index, ascending by ID —
 // O(crossing) per round, no sort. A bottleneck's
-// count is positive, so every round freezes at least one flow.
+// count is positive, so every round freezes at least one flow; a round
+// that freezes none found the counts out of step with the index and
+// panics rather than spin.
 func (g *flowGraph) fill(links []int32, left int) {
-	flows := g.flows.hot
 	for left > 0 {
 		bottleneck := int32(-1)
 		best := math.Inf(1)
@@ -582,26 +583,48 @@ func (g *flowGraph) fill(links []int32, left int) {
 		if bottleneck < 0 {
 			break
 		}
-		for _, ref := range g.linkFlows[bottleneck].refs {
-			f := &flows[ref.h]
-			if ref.pi < 0 || f.filled {
-				continue
+		frozen := g.freeze(bottleneck, best)
+		if frozen == 0 {
+			g.stuck(bottleneck)
+		}
+		left -= frozen
+	}
+}
+
+// freeze fixes every unfilled live flow on the bottleneck at rate,
+// walking its index in ID order, takes the rate off each of their links
+// and returns how many it froze. A function of its own, so the walk keeps
+// its registers free of fill's loop state.
+func (g *flowGraph) freeze(bottleneck int32, rate float64) int {
+	flows, frozen := g.flows.hot, 0
+	for _, ref := range g.linkFlows[bottleneck].refs {
+		f := &flows[ref.h]
+		if ref.pi < 0 || f.filled {
+			continue
+		}
+		f.rate = rate
+		if f.proxy {
+			g.flows.v[ref.h].offer = rate
+		}
+		f.filled = true
+		frozen++
+		for _, l := range f.links() {
+			g.remCap[l] -= f.rate
+			if g.remCap[l] < 0 {
+				g.remCap[l] = 0
 			}
-			f.rate = best
-			if f.proxy {
-				g.flows.v[ref.h].offer = best
-			}
-			f.filled = true
-			left--
-			for _, l := range f.links() {
-				g.remCap[l] -= f.rate
-				if g.remCap[l] < 0 {
-					g.remCap[l] = 0
-				}
-				g.unfrozen[l]--
-			}
+			g.unfrozen[l]--
 		}
 	}
+	return frozen
+}
+
+// stuck reports a fill round that froze no flow on bottleneck l: its
+// unfrozen count and its index disagree, a bug that would otherwise spin.
+func (g *flowGraph) stuck(l int32) {
+	ix := &g.linkFlows[l]
+	panic(fmt.Sprintf("netsim: fill froze no flow on bottleneck link %d: %d counted unfrozen, 0 of its %d live refs unfilled",
+		g.base+int(l), g.unfrozen[l], len(ix.refs)-ix.dead))
 }
 
 // shard is the state both drivers run on: one flowGraph, the count of

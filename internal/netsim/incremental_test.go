@@ -374,3 +374,30 @@ func TestShardLinkRanges(t *testing.T) {
 	}()
 	NewFleetSim(mixed, 1)
 }
+
+// A bottleneck whose unfrozen count exceeds its unfilled live refs would
+// freeze nobody in a fill round, and left would never fall. The round
+// must panic, naming the link and both counts, instead of spinning.
+func TestFillPanicsWhenARoundFreezesNothing(t *testing.T) {
+	topo, err := NewFleet(1, 2, 2, 2, 100e9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := NewFleetSim(topo, 1)
+	h := topo.Hosts()
+	if _, err := fs.Inject(h[0], h[3], 1e12, 0); err != nil {
+		t.Fatal(err)
+	}
+	fs.Step(0.1) // the flow is rated: every live ref on its path is filled
+	g := fs.shards[0].g
+	l := fs.activeSlots(0)[0].links()[0]
+	g.unfrozen[l], g.remCap[l] = 1, 1 // planted: one unfrozen flow that no ref holds
+	want := fmt.Sprintf("netsim: fill froze no flow on bottleneck link %d: 1 counted unfrozen, 0 of its 1 live refs unfilled", g.base+int(l))
+	defer func() {
+		if got := recover(); got != want {
+			t.Fatalf("fill panicked with %v, want %q", got, want)
+		}
+	}()
+	g.fill([]int32{l}, 1)
+	t.Fatal("fill returned with a flow it could not freeze")
+}

@@ -71,6 +71,14 @@ type FleetSim struct {
 	log      eventlog.Log // one line per epoch, capped at eventlog.DefaultMax
 	perShard []byte       // Step scratch: the log line's per_shard list
 
+	// The record merge's inputs (recordLists) and DrainRecords' merge
+	// buffer, both reused.
+	lists   [][]FlowRecord
+	drained []FlowRecord
+
+	// Arrivals Inject left pending since the last admission.
+	queued int
+
 	// Flows that left the simulator in finished epochs (FlowTotals).
 	completed, stalled uint64
 
@@ -189,28 +197,47 @@ func (fs *FleetSim) RatedFlows() uint64 {
 // inside a long-lived mosaicfleetd does not grow by a line per epoch.
 func (fs *FleetSim) EventLog() []string { return fs.log.Lines() }
 
-// Records merges all shard-local and fleet-level records, ordered by
-// (End, ID) — a deterministic global completion order.
+// Records merges all shard-local and fleet-level records not yet
+// drained, ordered by (End, ID) — a deterministic global completion order.
 func (fs *FleetSim) Records() []FlowRecord {
-	lists := make([][]FlowRecord, 0, 1+len(fs.shards))
-	lists = append(lists, fs.records)
+	return mergeRecords(nil, fs.recordLists())
+}
+
+// recordLists gathers the fleet list and every shard's list into a reused
+// slice for mergeRecords, which keeps its heap in it.
+func (fs *FleetSim) recordLists() [][]FlowRecord {
+	fs.lists = append(fs.lists[:0], fs.records)
 	for _, s := range fs.shards {
-		lists = append(lists, s.records)
+		fs.lists = append(fs.lists, s.records)
 	}
-	return mergeRecords(lists)
+	return fs.lists
 }
 
 // FlowTotals returns how many flows have completed and how many have
-// stalled since the simulator was built: what counting Records() gives
-// when no record was ever dropped.
+// stalled since the simulator was built: what counting every record gives,
+// drained or not.
 func (fs *FleetSim) FlowTotals() (completed, stalled uint64) {
 	return fs.completed, fs.stalled + uint64(fs.stalls)
 }
 
-// DropRecords forgets the records, keeping their buffers for reuse: a
-// caller that steps one FleetSim for as long as it lives and only counts
-// outcomes (mosaicfleetd) drops every epoch and so retains nothing.
-func (fs *FleetSim) DropRecords() {
+// DrainRecords hands fn every record not yet drained, in the (End, ID)
+// order Records gives, then forgets them and keeps their buffers. A
+// caller that reads records as they are produced (scenario.Run, E24)
+// drains at each barrier and so retains one epoch's records, not a run's;
+// one that only counts (mosaicfleetd reads FlowTotals) passes a nil fn,
+// which truncates and allocates nothing. Drained after a barrier's kills,
+// the drains concatenate to what one Records call at the end would give:
+// a Step's completions end after the barrier it starts from (unless a
+// flow's remaining bits round to zero there), and that barrier's stalls
+// are in the same drain as the completions ending at its instant. fn
+// must not step the simulator.
+func (fs *FleetSim) DrainRecords(fn func(FlowRecord)) {
+	if fn != nil {
+		fs.drained = mergeRecords(fs.drained[:0], fs.recordLists())
+		for _, r := range fs.drained {
+			fn(r)
+		}
+	}
 	fs.records, fs.sorted = fs.records[:0], 0
 	for _, s := range fs.shards {
 		s.records = s.records[:0]
@@ -231,18 +258,18 @@ func compareRecords(a, b FlowRecord) int {
 	return a.ID - b.ID
 }
 
-// mergeRecords k-way merges the lists into one pre-sized (End, ID)-ordered
-// list. A shard's list arrives ordered (each epoch completes in (time, ID)
-// order and epochs ascend), and so does the fleet list (stalls, cross
-// completions: each barrier sorts its own segment), so no record is sorted
-// again; a list still found out of order — stalls from a kill after the
-// last Step, or a tie at a barrier instant — is sorted in place first.
+// mergeRecords k-way merges the lists onto out, grown once to fit, in
+// (End, ID) order. A shard's list arrives ordered (each epoch completes in
+// (time, ID) order and epochs ascend), and so does the fleet list (stalls,
+// cross completions: each barrier sorts its own segment), so no record is
+// sorted again; a list still found out of order — stalls from a kill after
+// the last Step, or a tie at a barrier instant — is sorted in place first.
 // The next record is the head of the list on top of a binary min-heap of
 // the non-empty lists, kept in lists' own backing array and ordered by
 // their heads: O(log k) compares a record where a scan of the heads took
 // k (DESIGN.md). Heads never compare equal — a flow ID leaves one record —
 // so the heap's order is the only one.
-func mergeRecords(lists [][]FlowRecord) []FlowRecord {
+func mergeRecords(out []FlowRecord, lists [][]FlowRecord) []FlowRecord {
 	total := 0
 	heads := lists[:0]
 	for _, l := range lists {
@@ -257,7 +284,7 @@ func mergeRecords(lists [][]FlowRecord) []FlowRecord {
 	for i := len(heads)/2 - 1; i >= 0; i-- {
 		siftDown(heads, i)
 	}
-	out := make([]FlowRecord, 0, total)
+	out = slices.Grow(out, total)
 	for len(heads) > 1 {
 		out = append(out, heads[0][0])
 		if heads[0] = heads[0][1:]; len(heads[0]) == 0 {
@@ -306,6 +333,7 @@ func (fs *FleetSim) Inject(src, dst int, sizeBits float64, hash uint64) (int, er
 	id := fs.nextID
 	fs.nextID++
 	fs.arrivals++
+	fs.queued++
 	a := arrival{sizeBits: sizeBits, hash: hash, id: uint32(id), src: int32(src), dst: int32(dst), side: -1}
 	lo, hi := fs.span(path)
 	if lo == hi {
@@ -403,14 +431,18 @@ func (fs *FleetSim) retire(ch handle) flow {
 // SetLinkFraction scales a link to frac of nominal at the barrier, with
 // setLinkFraction's clamp and no-op semantics. frac=0 kills the link:
 // crossing flows reroute (in ascending flow-ID order) or stall. A change
-// first admits the barrier's pending arrivals, as if at their Inject.
+// first admits the barrier's pending arrivals, if any, as if at their
+// Inject.
 func (fs *FleetSim) SetLinkFraction(linkID int, frac float64) {
 	changed, dead := setLinkFraction(fs.Topo, fs.capacity, linkID, frac)
 	if !changed {
 		return
 	}
-	for _, sh := range fs.shards {
-		fs.admitPending(sh)
+	if fs.queued > 0 {
+		for _, sh := range fs.shards {
+			fs.admitPending(sh)
+		}
+		fs.queued = 0
 	}
 	sh := fs.shards[fs.shardOf[linkID]]
 	sh.g.markDirty(linkID - sh.g.base)
@@ -453,6 +485,7 @@ func (fs *FleetSim) Step(epochLen sim.Time) {
 		sh.g.now = fs.now
 		sh.g.flush(true)
 	})
+	fs.queued = 0
 
 	// Phase B: pin every cross flow at the min of its shards' offers. A
 	// key is live while its slot holds its flow; a retired slot is free or

@@ -183,6 +183,7 @@ func TestFlowIDBeyondSortKeyRejected(t *testing.T) {
 // in flow-ID rather than End order, and shard lists that arrive out of
 // order.
 func TestRecordsMergeEqualsSort(t *testing.T) {
+	var merged []FlowRecord
 	for seed := int64(0); seed < 400; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		var lists [][]FlowRecord
@@ -226,7 +227,8 @@ func TestRecordsMergeEqualsSort(t *testing.T) {
 		}
 		want := slices.Clone(all)
 		slices.SortFunc(want, compareRecords)
-		if got := mergeRecords(lists); !slices.Equal(got, want) {
+		// The buffer is reused across seeds, as DrainRecords reuses its own.
+		if merged = mergeRecords(merged[:0], lists); !slices.Equal(merged, want) {
 			t.Fatalf("seed %d: merge of %d lists differs from the full sort", seed, width)
 		}
 	}
@@ -255,7 +257,7 @@ func BenchmarkMergeRecords(b *testing.B) {
 			b.ResetTimer()
 			for range b.N {
 				copy(lists, base)
-				mergedSink = mergeRecords(lists)
+				mergedSink = mergeRecords(nil, lists)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*records), "ns/record")
 		})
@@ -295,7 +297,7 @@ func steadyFleet(t *testing.T, locals int) (fs *FleetSim, epoch func()) {
 	for i := 0; i < 50; i++ {
 		epoch()
 	}
-	fs.DropRecords()
+	fs.DrainRecords(nil)
 	return fs, epoch
 }
 
@@ -315,7 +317,7 @@ func TestFleetSimSteadyEpochAllocs(t *testing.T) {
 		fs, epoch := steadyFleet(t, locals)
 		allocs[i] = testing.AllocsPerRun(40, func() {
 			epoch()
-			fs.DropRecords()
+			fs.DrainRecords(nil)
 		})
 		if fs.ActiveFlows() < locals || fs.ActiveFlows() > locals+64 {
 			t.Fatalf("%d locals: population drifted to %d, the epoch is not steady", locals, fs.ActiveFlows())
@@ -334,10 +336,9 @@ func TestFleetSimSteadyEpochAllocs(t *testing.T) {
 }
 
 // FlowTotals counts exactly what counting Records() would — at every
-// instant, a stall between two barriers included — and DropRecords leaves
-// nothing behind, so a FleetSim stepped forever by a caller that only
-// counts retains no more than an epoch's records. (The name predates
-// DrainRecords' removal; the test floor pins it.)
+// instant, a stall between two barriers included — and a nil DrainRecords
+// leaves nothing behind, so a FleetSim stepped forever by a caller that
+// only counts retains no more than an epoch's records.
 func TestFleetSimDrainRecords(t *testing.T) {
 	fs, epoch := steadyFleet(t, 50)
 	retained := func() int {
@@ -369,7 +370,7 @@ func TestFleetSimDrainRecords(t *testing.T) {
 	if wantDone == base {
 		t.Fatal("two epochs completed nothing; the scenario is too weak")
 	}
-	fs.DropRecords()
+	fs.DrainRecords(nil)
 	if n := retained(); n != 0 || len(fs.Records()) != 0 {
 		t.Fatalf("%d records retained after a drop", n)
 	}
@@ -381,7 +382,7 @@ func TestFleetSimDrainRecords(t *testing.T) {
 		epoch()
 		peak = max(peak, retained())
 		countRecords()
-		fs.DropRecords()
+		fs.DrainRecords(nil)
 	}
 	if peak == 0 || peak > 64 {
 		t.Fatalf("a dropped FleetSim held up to %d records across 5000 epochs, want (0, 64]", peak)
@@ -394,7 +395,38 @@ func TestFleetSimDrainRecords(t *testing.T) {
 	if wantStalled == 0 {
 		t.Fatal("the access-link kill stalled nothing; the scenario is too weak")
 	}
-	fs.DropRecords()
+	fs.DrainRecords(nil)
 	fs.Step(1)
 	countRecords()
+}
+
+// A drain reuses its buffers: a nil drain allocates nothing, and once an
+// epoch's records fit the merge buffer a drain that reads every record
+// allocates nothing either, so an epoch drained either way costs the
+// same.
+func TestDrainRecordsAllocatesNothing(t *testing.T) {
+	fs, epoch := steadyFleet(t, 50)
+	if n := testing.AllocsPerRun(100, func() { fs.DrainRecords(nil) }); n != 0 {
+		t.Fatalf("a nil drain allocates %.1f times", n)
+	}
+	seen := 0
+	count := func(FlowRecord) { seen++ }
+	for range 20 {
+		epoch()
+		fs.DrainRecords(count)
+	}
+	if seen == 0 {
+		t.Fatal("20 epochs drained no record; the scenario is too weak")
+	}
+	read := testing.AllocsPerRun(40, func() {
+		epoch()
+		fs.DrainRecords(count)
+	})
+	dropped := testing.AllocsPerRun(40, func() {
+		epoch()
+		fs.DrainRecords(nil)
+	})
+	if read > dropped {
+		t.Errorf("an epoch drained through fn allocates %.1f times, one drained with nil %.1f", read, dropped)
+	}
 }

@@ -127,6 +127,23 @@ func Run(spec Spec, opts Options) (*Result, error) {
 
 	winLen := spec.windowEpochs()
 	win := WindowStat{Start: 0}
+	// account books one drained record: a stall, or a completion into the
+	// window of its epoch. A flow finishing at barrier time t completed
+	// during epoch ceil(t)-1, whose window may still be open.
+	account := func(r netsim.FlowRecord) {
+		if r.Stalled {
+			res.Stalled++
+			return
+		}
+		res.Done++
+		res.BitsDone += r.SizeBits
+		w := &win
+		if i := max(int(math.Ceil(float64(r.End)))-1, 0) / winLen; i < len(res.Windows) {
+			w = &res.Windows[i]
+		}
+		w.Done++
+		w.BitsDone += r.SizeBits
+	}
 	closeWindow := func(endEpoch int) {
 		win.End = endEpoch
 		win.ActiveEnd = fs.ActiveFlows()
@@ -185,6 +202,10 @@ func Run(spec Spec, opts Options) (*Result, error) {
 	for e = 0; e < spec.Epochs; e++ {
 		pool.Wake()
 		pool.Run(2, round)
+		// The last epoch's completions and this barrier's stalls, in the
+		// order one Records call at the end would give: nothing outlives
+		// the epoch that produced it.
+		fs.DrainRecords(account)
 		fs.Step(1)
 		log.Addf("epoch=%d flows=%d unroutable=%d env_events=%d active=%d cross=%d",
 			e, flows, unroutable, envEvents, fs.ActiveFlows(), fs.CrossFlows())
@@ -204,24 +225,7 @@ func Run(spec Spec, opts Options) (*Result, error) {
 			spec.Name, invariantEpoch, invariantErr)
 	}
 
-	// Completion accounting, bucketed into windows by end time. A flow
-	// finishing at barrier time t completed during epoch ceil(t)-1.
-	for _, r := range fs.Records() {
-		if r.Stalled {
-			res.Stalled++
-			continue
-		}
-		res.Done++
-		res.BitsDone += r.SizeBits
-		e := int(math.Ceil(float64(r.End))) - 1
-		if e < 0 {
-			e = 0
-		}
-		if w := e / winLen; w < len(res.Windows) {
-			res.Windows[w].Done++
-			res.Windows[w].BitsDone += r.SizeBits
-		}
-	}
+	fs.DrainRecords(account) // the last epoch's completions
 	for i, env := range envs {
 		exp := env.expect()
 		res.Faults = append(res.Faults, FaultCount{
