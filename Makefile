@@ -1,5 +1,5 @@
 # Tier-1 verification for the Mosaic repo. `make check` is the gate every
-# change must pass: vet, the substrate grep gate, build, the plain test
+# change must pass: vet, the static audit, staticcheck, build, the plain test
 # suite, the same suite under the race detector (every fan-out runs on
 # internal/par), and a doubled determinism run to catch any
 # seed-dependent flakiness. CI (.github/workflows/ci.yml) runs
@@ -31,17 +31,20 @@ fuzz_loop = for t in $(FUZZ_TARGETS); do \
 		$(GO) test $(2) -run '^$$' -fuzz "^$$fn$$" -fuzztime $(1) ./$$pkg/ || exit 1; \
 	done
 
-.PHONY: check vet substrate audit build test race determinism staticcheck bench bench-check bench-layers coverage fuzz-smoke verify-deep soak-fleetd scenario-conformance loc
+.PHONY: check vet audit build test race determinism staticcheck bench bench-check bench-layers coverage fuzz-smoke verify-deep soak-fleetd scenario-conformance loc
 
-check: vet substrate audit staticcheck build test race determinism
+check: vet audit staticcheck build test race determinism
 
 vet:
 	$(GO) vet ./...
 
-# The typed half of the dead-weight audit (audit_typed_test.go): go/types
-# over the whole tree, seconds rather than milliseconds, so it sits behind
-# a build tag and runs here instead of in `go test ./...`. The syntactic
-# half (audit_test.go) is tier-1.
+# The one static gate: the tree's named rules (audit_rules_test.go — each
+# violation prints `RULE-ID file:line: why`; the arm64 FMA compile of
+# internal/netsim is one of them) and the typed half of the dead-weight
+# audit (audit_typed_test.go). It type-checks the whole tree with
+# go/types, seconds rather than milliseconds, so it sits behind a build
+# tag and runs here instead of in `go test ./...`. The syntactic half of
+# the dead-weight audit (audit_test.go) is tier-1.
 audit:
 	$(GO) test -tags audit -run TestTypedAudit -count=1 .
 
@@ -54,142 +57,6 @@ staticcheck:
 	else \
 		echo "staticcheck: not installed, skipping (CI enforces it)"; \
 	fi
-
-# One execution substrate, one event log, one superframe boundary, one
-# clock per link: non-test Go under internal/ and cmd/ writes
-# a `go` statement (`go func` or `go f(`) or holds a sync.WaitGroup only
-# in internal/par, and hashes with sha256 only in internal/eventlog. The
-# allow-list is one goroutine in each of httpx (the server),
-# mosaicfleetd (the epoch ticker) and linksoak (the served soak), and E23's copper
-# stall-record hash (records, not a line log). The link supervisor is
-# the single owner of the reactive-sparing boundary: nothing calls
-# Monitor.FailedChannels or keeps a `handled` map (phy.Link.SpareFailed
-# asks the mapper), only faultinject/supervisor.go installs a
-# transition-hook closure, only the supervisor formats the remap line,
-# and the Poisson gap is drawn only inside internal/netsim
-# (FlowSim.OfferPoisson). Capacity renegotiation is a plain Bridge.Sync
-# call at that boundary, and nothing is scheduled — links, sessions and
-# flows are all stepped with the caller holding the clock: no sim import
-# in fleetd/link.go, no sim.Engine/NewEngine/Canceler identifier and no
-# .Schedule( or .After( call anywhere, no container/heap in internal/sim,
-# no BeginBatch/CommitBatch. There is one stats mirror: a cumulative stat
-# becomes a counter by the growth-since-last-sync line in
-# internal/telemetry/mirror.go and nowhere else (no other
-# `.Add(now - prev)`, no syncDelta helper), every other collector is a row
-# table beside the struct it reads — so internal/telemetry names no
-# mosaic_fleetd_/mosaic_mac_ series and declares no
-# MACStats/MACVCStats/MACCollector or Fleet*Collector type — and capacity
-# leaves a mac.Bridge one way, Fraction() (no CapacitySink,
-# no DiscardCapacity). Flows are pointer-free slab
-# records addressed by handle: non-test internal/netsim names no
-# *incFlow, keeps no map[int]*T flow table, sorts flows only as integer
-# (ID, handle) keys (no slices.SortFunc comparator over flows), and
-# Topology.Path routes from up-link lists built once (no per-route
-# `var out []int`). Neither FlowSim nor FleetSim sorts or queues to find
-# a completion: a link's flows sit in an ID-ordered index, so
-# internal/netsim names no compFlows, noteReRated or reRated list,
-# incremental.go (the flush path)
-# calls slices.Sort exactly once — the integer-key repair of an index a
-# reroute broke — and slices.SortFunc never; and both read finish
-# times off the slab, so non-test internal/netsim declares no heap or
-# queue type, imports no container/heap and keeps no per-flow version
-# counter (`ver`) to invalidate queued entries. A link exchange
-# works on bytes with tables that fit in L1: non-test internal/phy names
-# no linecode.Block, DecodeBlock, AppendFrameBlocks, AppendExtract or
-# dataExtractor (the encode and parse stages go between frame bytes and
-# stream bytes through linecode.AppendFrame/AppendIdle/Classify, and
-# ScanStream has one decode path), and non-test internal/coding/rs names
-# no contrib (the encoder's tables are eight 2 KB slices, not a row per
-# data position). Waiting stays inside the runner: only internal/par
-# yields with runtime.Gosched or spins on an atomic in a loop condition
-# (a second one elsewhere is a second scheduler). A serving link keeps
-# its state, not its scratch: phy.Link declares no linkScratch or
-# probeScratch field (an exchange or probe borrows one for the call) and
-# mac.Pair no ExchangeBuf field (a Tick borrows its arena), and
-# newFlowGraph sizes its per-link arrays to its own link range, never to
-# the topology (no len(t.Links), no Topology argument). FleetSim.Step
-# walks the cross-key list it keeps across epochs and never rebuilds it
-# from the slab (no range fs.cross.v in Step). Admission is the shards'
-# work, not the caller's: FleetSim.Inject routes and leaves the flow on
-# its shards' pending lists (no admit( or addFlow( call in Inject).
-# Every link-stack operation has one face, the one the hot path runs:
-# non-test internal/phy and internal/mac declare no allocating twin —
-# no DecodeStream, SnapshotInto, NewEndpointVC, Send or Transmit, no
-# Encode(plain/Decode(encoded FEC method — and the exchange hands its
-# frames to no emit callback (no `emit func(frame` in phy/link.go).
-# Every count has one owner: a MAC endpoint's aggregate Stats are the
-# sum of its VC counters (non-test internal/mac bumps no e.stats twin of
-# a VC counter and declares no syncGauges), the telemetry registry keeps
-# one metric index (no counters, gauges or hists map field), and the
-# soak series are a row table over the Result (no soakMetrics type).
-# There is one door into the fleet: no non-test code imports
-# container/heap, and fleetd's HTTP routes apply an Op through
-# Fleet.Apply (api.go calls no s.fleet.Create/Degrade/Renegotiate/Retire).
-# The flow engine's digests hold on every GOARCH: compiled for arm64 with
-# -S, internal/netsim (with what it inlines) fuses no multiply into an add
-# or subtract — an explicit float64(...) rounds each product first —
-# except in invariants.go, whose two tolerance comparisons
-# (cap*(1+1e-9)+1 and capacity*(1-1e-9)-1) only bound CheckInvariants'
-# verdict and reach no digest; and the compile must print its assembly,
-# so a failed build cannot pass.
-SUBSTRATE_SRC = find internal cmd -name '*.go' ! -name '*_test.go'
-SUPERVISOR = internal/faultinject/supervisor.go
-MIRROR = internal/telemetry/mirror.go
-FLUSH = internal/netsim/incremental.go
-GOROUTINE = '\bgo (func|[A-Za-z_][A-Za-z0-9_.]*\()|sync\.WaitGroup'
-FUSED = '\bF(N)?M(ADD|SUB)[SD]\b'
-substrate:
-	@bad=$$( { $(SUBSTRATE_SRC) ! -path 'internal/par/*' \
-			! -path internal/telemetry/httpx/httpx.go ! -path cmd/mosaicfleetd/main.go ! -path cmd/linksoak/main.go \
-			-exec grep -nE $(GOROUTINE) {} + ; \
-		$(SUBSTRATE_SRC) ! -path 'internal/eventlog/*' ! -path internal/experiments/e23.go \
-			-exec grep -nF 'sha256.Sum256(' {} + ; \
-		for f in internal/telemetry/httpx/httpx.go cmd/mosaicfleetd/main.go cmd/linksoak/main.go; do \
-			[ "$$(grep -cE $(GOROUTINE) $$f)" -le 1 ] || echo "$$f: more than its one goroutine"; \
-		done; \
-		$(SUBSTRATE_SRC) -exec grep -nE '\.FailedChannels\(|handled[A-Za-z]*[ :=]+(make\()?map\[' {} + ; \
-		$(SUBSTRATE_SRC) ! -path $(SUPERVISOR) -exec grep -nF 'SetTransitionHook(func' {} + ; \
-		grep -HnF '"mosaic/internal/sim"' internal/fleetd/link.go ; \
-		$(SUBSTRATE_SRC) -exec grep -nE '\bsim\.((New)?Engine|Canceler)\b|\.(Schedule|After)\(|\b(Begin|Commit)Batch\b' {} + ; \
-		grep -HnE '\b((New)?Engine|Canceler)\b|"container/heap"' internal/sim/*.go ; \
-		$(SUBSTRATE_SRC) -path 'internal/telemetry/*' -exec grep -nE '^type (MACStats|MACVCStats|MACCollector|Fleet[A-Za-z]*Collector)\b|"mosaic_(fleetd|mac)_' {} + ; \
-		$(SUBSTRATE_SRC) ! -path $(MIRROR) -exec grep -nE '\.Add\([^()]* - |syncDelta\(' {} + ; \
-		[ "$$(grep -cE '\.Add\([^()]* - ' $(MIRROR))" -eq 1 ] || echo "$(MIRROR): want exactly one delta-advance line"; \
-		grep -rnE --include='*.go' 'CapacitySink|DiscardCapacity' . ; \
-		$(SUBSTRATE_SRC) ! -path $(SUPERVISOR) -exec grep -nF '"sf=%d remap %v"' {} + ; \
-		$(SUBSTRATE_SRC) ! -path 'internal/netsim/*' -exec grep -nF '.NextGapSec(' {} + ; \
-		$(SUBSTRATE_SRC) -path 'internal/netsim/*' -exec grep -nE '\*incFlow|map\[int\]\*|SortFunc\(.*func\(a, b \*?(flow|flowSlot|handle)\)' {} + ; \
-		grep -HnF 'var out []int' internal/netsim/topology.go ; \
-		$(SUBSTRATE_SRC) -path 'internal/netsim/*' -exec grep -nE 'compFlows|noteReRated|reRated' {} + ; \
-		$(SUBSTRATE_SRC) -path 'internal/netsim/*' -exec grep -nE '^type [A-Za-z]*([Hh]eap|[Qq]ueue)\b|"container/heap"|\bver\b' {} + ; \
-		grep -Hn 'slices\.Sort' $(FLUSH) | grep -vF 'slices.Sort(keys)' ; \
-		[ "$$(grep -cF 'slices.Sort(keys)' $(FLUSH))" -eq 1 ] || echo "$(FLUSH): want exactly one slices.Sort(keys), the index repair"; \
-		$(SUBSTRATE_SRC) -path 'internal/phy/*' -exec grep -nE 'linecode\.Block\b|DecodeBlock|AppendFrameBlocks|AppendExtract|dataExtractor' {} + ; \
-		$(SUBSTRATE_SRC) -path 'internal/coding/rs/*' -exec grep -nw 'contrib' {} + ; \
-		$(SUBSTRATE_SRC) -path 'internal/phy/*' -exec awk '/^type Link struct/,/^}/ { if (/linkScratch|probeScratch/) print FILENAME ":" FNR ": " $$0 }' {} + ; \
-		$(SUBSTRATE_SRC) -path 'internal/mac/*' -exec awk '/^type Pair struct/,/^}/ { if (/ExchangeBuf/) print FILENAME ":" FNR ": " $$0 }' {} + ; \
-		$(SUBSTRATE_SRC) -path 'internal/netsim/*' -exec awk '/^func newFlowGraph\(/,/^}/ { if (/len\(t\.Links\)|Topology/) print FILENAME ":" FNR ": " $$0 }' {} + ; \
-		$(SUBSTRATE_SRC) -path 'internal/netsim/*' -exec awk '/^func \(fs \*FleetSim\) Step\(/,/^}/ { if (/range fs\.cross\.v/) print FILENAME ":" FNR ": " $$0 }' {} + ; \
-		$(SUBSTRATE_SRC) -path 'internal/netsim/*' -exec awk '/^func \(fs \*FleetSim\) Inject\(/,/^}/ { if (/admit\(|addFlow\(/) print FILENAME ":" FNR ": " $$0 }' {} + ; \
-		$(SUBSTRATE_SRC) ! -path 'internal/par/*' -exec grep -nE 'runtime\.Gosched|for [^{]*\.(Load|CompareAndSwap)\(' {} + ; \
-		$(SUBSTRATE_SRC) \( -path 'internal/phy/*' -o -path 'internal/mac/*' \) -exec grep -nE '^func (\([^)]*\) )?(DecodeStream|SnapshotInto|NewEndpointVC)\(|^func \([^)]*\) (Send|Transmit)\(|(^func \([^)]*\) |^[[:space:]]+)(Encode\(plain|Decode\(encoded)' {} + ; \
-		grep -HnF 'emit func(frame' internal/phy/link.go ; \
-		$(SUBSTRATE_SRC) -path 'internal/mac/*' -exec grep -nE 'e\.stats\.(PacketsQueued|DataTx|Retransmits|Delivered|Duplicates|Discarded|Reordered|CreditStalls|Timeouts)\b|^func (\([^)]*\) )?syncGauges\(' {} + ; \
-		$(SUBSTRATE_SRC) -path 'internal/telemetry/*' -exec grep -nE '^[[:space:]]+(counters|gauges|hists)[[:space:]]+map\[' {} + ; \
-		grep -HnE '^type soakMetrics\b' internal/faultinject/*.go ; \
-		$(SUBSTRATE_SRC) -exec grep -nF '"container/heap"' {} + ; \
-		grep -HnE 's\.fleet\.(Create|Degrade|Renegotiate|Retire)\(' internal/fleetd/api.go ; \
-		for pat in 'SetTransitionHook(func' '"sf=%d remap %v"'; do \
-			[ "$$(grep -cF "$$pat" $(SUPERVISOR))" -eq 1 ] || echo "$(SUPERVISOR): want exactly one $$pat"; \
-		done; \
-		asm=$$(GOARCH=arm64 $(GO) build -gcflags=-S ./internal/netsim 2>&1); \
-		echo "$$asm" | grep -q '^mosaic/internal/netsim\..* STEXT' || echo "internal/netsim: the arm64 -S compile printed no assembly"; \
-		echo "$$asm" | grep -E $(FUSED) | grep -vF 'internal/netsim/invariants.go:'; } ); \
-	if [ -n "$$bad" ]; then \
-		echo "substrate: FAIL — use internal/par for fan-out, internal/eventlog for log digests, faultinject.Supervisor for the superframe boundary, a plain Bridge.Sync after its sparing step for renegotiation, a step loop with the caller holding the clock (no scheduler: FlowSim.RunUntil, Session.Step, FleetSim.Step) to drive anything, a telemetry.Row table beside the stats struct (internal/mac for MAC series, internal/fleetd for fleet series; telemetry.Mirror does the delta) for metrics, Bridge.Fraction() to hand capacity to a flow simulator, slab handles, integer sort keys (not flow pointers), ID-ordered link indices (no per-flush sort) and finish times read off the slab (no heap, queue or version counter) in internal/netsim, linecode.AppendFrame/AppendIdle/Classify on the byte stream (no linecode.Block staging, no extract-then-decode fork) in internal/phy, sliced tables (no per-position contrib rows) in internal/coding/rs, internal/par for any wait on another goroutine (no Gosched or atomic spin loop elsewhere), and buffers borrowed for the call (no scratch field on phy.Link, no ExchangeBuf on mac.Pair) with flow graphs sized to their own link range (no len(t.Links) in newFlowGraph), and a cross-key list kept across epochs (no range fs.cross.v key rebuild in FleetSim.Step), and arrivals admitted by their shards in phase A (no admit or addFlow call in FleetSim.Inject), and one face per link-stack operation in internal/phy and internal/mac (no DecodeStream, SnapshotInto, NewEndpointVC, Send, Transmit or FEC Encode/Decode twin, no emit callback in the exchange), and one owner per count (an endpoint's aggregate Stats sum its VC counters, no e.stats twin of a VC counter and no syncGauges in internal/mac; one metric index in the telemetry registry, no counters/gauges/hists map; the soak series a row table over the Result, no soakMetrics), and one door into the fleet (no container/heap import outside tests; the HTTP routes in internal/fleetd/api.go apply an Op through Fleet.Apply, never Create/Degrade/Renegotiate/Retire), and no fused multiply-add on arm64 in internal/netsim outside invariants.go (round the product with float64(...)):"; \
-		echo "$$bad"; exit 1; \
-	fi; \
-	echo "substrate: OK — goroutines only in internal/par, sha256 only in internal/eventlog, sparing/hook/remap line only in the link supervisor, nothing scheduled (no sim.Engine, no Schedule/After call, no batch mode), one stats mirror (no hand-written delta sync, no MAC or fleet collector in telemetry), capacity leaves a bridge through Fraction() only, netsim flows pointer-free, no flush sorts and no completion queue (no heap, no version counter in netsim), a link exchange stages no Blocks and forks no decode path, RS encode tables are sliced, Gosched and spin-waits only in internal/par, a link and a pair hold no per-call scratch, flow graphs are pod-sized, phase B walks a kept cross-key list, Inject admits nothing, phy and mac keep one face per operation, every count has one owner (no endpoint twin of a VC counter, one registry index, no soakMetrics), one door into the fleet (no container/heap, the API's routes go through Fleet.Apply), netsim fuses no FMA on arm64"
 
 build:
 	$(GO) build ./...
@@ -350,7 +217,7 @@ fuzz-smoke:
 # system) listed apart. ROADMAP's "non-test line count goes down" is read
 # off the committed LOC.txt (CI's lint job also prints and uploads it).
 loc:
-	@find . -name '*.go' ! -name '*_test.go' ! -path './.*' -exec wc -l {} + | awk ' \
+	@wc -l $$($(GO) list -f '{{range .GoFiles}}{{$$.Dir}}/{{.}} {{end}}' ./... | sed 's|$(CURDIR)/|./|g') | awk ' \
 		$$2 == "total" { next } \
 		{ n = split($$2, p, "/"); key = (n == 2) ? "(root)" : p[2]; \
 		  if ((key == "internal" || key == "cmd") && n > 3) key = key "/" p[3]; \

@@ -1,8 +1,10 @@
 package mosaic
 
-// The dead-weight audit (ROADMAP 1(c)): nothing under internal/ is
-// exported without a non-test caller. The scan is syntactic (go/parser,
-// no type information), so it errs toward silence: a package-level name
+// The syntactic half of the dead-weight audit, in tier-1: nothing under
+// internal/ is exported without a non-test caller. Its typed half and the
+// tree's named static rules run in `make audit`, the repo's one static
+// gate (audit_typed_test.go, audit_rules_test.go). The scan here has no
+// type information, so it errs toward silence: a package-level name
 // counts as called when its own package names it (as a bare identifier,
 // not as the field or method of a selector) anywhere besides the
 // declaration, or any other non-test file selects it through an import
@@ -33,7 +35,7 @@ import (
 var auditAllow = map[string]string{
 	"internal/reliability.MonteCarloSurvival": "reference model: the Monte-Carlo oracle refmodel's property suite and the reliability tests hold the k-of-n closed form against",
 	"internal/phy.Link.SetChannelSkew":        "test fixture: skews a channel in the phy tests and refmodel's pipeline fuzz target",
-	"internal/phy.Monitor.FailedChannels":     "test observer of the monitor's failed set; make substrate forbids a non-test caller (phy.Link.SpareFailed walks the monitor in place)",
+	"internal/phy.Monitor.FailedChannels":     "test observer of the monitor's failed set; rule SPARING-IN-SUPERVISOR forbids a non-test caller (phy.Link.SpareFailed walks the monitor in place)",
 	"internal/core.Design800G":                "test fixture: the 400-channel scale point of the core, config and root integration tests",
 	"internal/units.ApproxEqual":              "test fixture: the relative-tolerance compare of seven packages' tests",
 	"internal/coding/gf.MustNew":              "test fixture: panicking field constructor of the gf, rs and refmodel tests",
@@ -41,12 +43,12 @@ var auditAllow = map[string]string{
 }
 
 // typedAuditAllow is the same list for the typed audit
-// (audit_typed_test.go, run by `make check`): exported methods no
+// (audit_typed_test.go, run by `make audit`): exported methods no
 // non-test selector or interface reaches, types non-test code never
 // names, and option fields read but never set. What the syntactic scan
 // also flags is listed once, above.
 var typedAuditAllow = map[string]string{
-	"internal/fleetd.Fleet.Run":         "replays a recorded op script epoch by epoch; ROADMAP 2's journal-replay restart is its caller-to-be, the fleetd golden test its only one today",
+	"internal/fleetd.Fleet.Run":         "replays a recorded op script epoch by epoch; a journal-replay restart of mosaicfleetd is its caller-to-be, the fleetd golden test its only one today",
 	"internal/netsim/workload.Fixed":    "test fixture: the deterministic size distribution of netsim's arrival-order and RunUntil tests",
 	"internal/channel.Copper.Validate":  "test oracle: TestCopperCatalog holds the cable catalog to it; no non-test code builds a Copper outside the catalog",
 	"internal/photonics.Laser.Validate": "test oracle: TestLaserCatalogValid holds the laser catalog to it; no non-test code builds a Laser outside the catalog",
@@ -86,8 +88,7 @@ func TestNoCallerlessExports(t *testing.T) {
 // called one and an allow-listed one are not, and an allow-list entry
 // matching nothing is stale.
 func TestAuditCatchesPlantedExport(t *testing.T) {
-	root := t.TempDir()
-	for name, src := range map[string]string{
+	root := plantTree(t, map[string]string{
 		"go.mod": "module planted\n",
 		"internal/a/a.go": `package a
 type T struct{}
@@ -102,15 +103,7 @@ func Internal() {}
 `,
 		"internal/a/a_test.go": "package a\nfunc init() { TestOnly() }\n",
 		"cmd/x/main.go":        "package main\nimport \"planted/internal/a\"\nfunc main() { a.Used(); a.T{}.Called() }\n",
-	} {
-		p := filepath.Join(root, filepath.FromSlash(name))
-		if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(p, []byte(src), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
+	})
 	flagged, err := auditExports(root)
 	if err != nil {
 		t.Fatal(err)
@@ -154,15 +147,10 @@ func auditVerdict(flagged []string, allow map[string]string) (unlisted, stale []
 // sorted "internal/pkg.Name" / "internal/pkg.Type.Method" keys, the
 // exported declarations under root/internal that nothing references.
 func auditExports(root string) ([]string, error) {
-	mod, err := os.ReadFile(filepath.Join(root, "go.mod"))
+	module, err := modulePath(root)
 	if err != nil {
 		return nil, err
 	}
-	fields := strings.Fields(string(mod))
-	if len(fields) < 2 || fields[0] != "module" {
-		return nil, fmt.Errorf("audit: %s/go.mod does not start with a module line", root)
-	}
-	module := fields[1]
 
 	fset := token.NewFileSet()
 	files := map[string][]*ast.File{} // slash-separated dir relative to root -> its non-test files
@@ -172,7 +160,7 @@ func auditExports(root string) ([]string, error) {
 		}
 		name := d.Name()
 		if d.IsDir() {
-			if p != root && (strings.HasPrefix(name, ".") || name == "testdata") {
+			if p != root && auditSkipsDir(name) {
 				return filepath.SkipDir
 			}
 			return nil
@@ -297,6 +285,39 @@ func auditExports(root string) ([]string, error) {
 	}
 	sort.Strings(flagged)
 	return flagged, nil
+}
+
+// plantTree writes files, keyed by slash-separated path, under a fresh
+// temporary directory and returns it.
+func plantTree(t *testing.T, files map[string]string) string {
+	t.Helper()
+	root := t.TempDir()
+	for name, src := range files {
+		p := filepath.Join(root, filepath.FromSlash(name))
+		if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(p, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return root
+}
+
+// auditSkipsDir reports a directory the module's packages never live in.
+func auditSkipsDir(name string) bool { return strings.HasPrefix(name, ".") || name == "testdata" }
+
+// modulePath reads the module path off the first line of root/go.mod.
+func modulePath(root string) (string, error) {
+	mod, err := os.ReadFile(filepath.Join(root, "go.mod"))
+	if err != nil {
+		return "", err
+	}
+	fields := strings.Fields(string(mod))
+	if len(fields) < 2 || fields[0] != "module" {
+		return "", fmt.Errorf("audit: %s/go.mod does not start with a module line", root)
+	}
+	return fields[1], nil
 }
 
 // recvName is the receiver's base type name: T for T, *T and T[K].

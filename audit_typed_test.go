@@ -2,10 +2,14 @@
 
 package mosaic
 
-// The typed half of the dead-weight audit (ROADMAP 1(c)): what the
-// syntactic scan in audit_test.go cannot see because it matches names,
-// not objects. It type-checks every non-test package of the module
-// (go/types, the standard library imported from source) and flags
+// `make audit`, the repo's one static gate (go test -tags audit -run
+// TestTypedAudit .). It type-checks every non-test package of the module
+// once (go/types, the standard library imported from source) and runs
+// two checks over the result: the named rules of audit_rules_test.go,
+// each a one-of-each fact of the tree shown to fire on a planted tree, and
+// the typed half of the dead-weight audit, below. That half sees what the
+// syntactic scan in audit_test.go cannot, because it matches names, not
+// objects. It flags
 //
 //   - an exported method on a concrete type under internal/ that no
 //     non-test selector resolves to and that no interface — declared in
@@ -19,12 +23,10 @@ package mosaic
 //     with one value in use, which should be that constant.
 //
 // Type-checking the tree and the standard library it reaches from source
-// takes seconds, not the syntactic scan's milliseconds, so it runs from
-// `make check` behind the audit build tag
-// (go test -tags audit -run TestTypedAudit .), not in tier-1.
+// takes seconds, not the syntactic scan's milliseconds, so the gate runs
+// from `make check` behind the audit build tag, not in tier-1.
 
 import (
-	"fmt"
 	"go/ast"
 	"go/build"
 	"go/importer"
@@ -32,23 +34,33 @@ import (
 	"go/token"
 	"go/types"
 	"io/fs"
-	"os"
 	"path/filepath"
 	"reflect"
 	"regexp"
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
 func TestTypedAudit(t *testing.T) {
-	flagged, err := typedAudit(".")
+	asm := make(chan []string, 1)
+	go func() { asm <- arm64Findings(".", auditRules) }() // the compile overlaps the type-check
+	l, err := loadModule(".")
 	if err != nil {
 		t.Fatal(err)
 	}
+	findings, err := ruleFindings(l, auditRules)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range append(findings, <-asm...) {
+		t.Error(f)
+	}
+
 	// The syntactic scan's verdict on what it also flags stands.
-	flagged = slices.DeleteFunc(flagged, func(k string) bool { _, ok := auditAllow[k]; return ok })
+	flagged := slices.DeleteFunc(typedAudit(l), func(k string) bool { _, ok := auditAllow[k]; return ok })
 	unlisted, stale := auditVerdict(flagged, typedAuditAllow)
 	for _, k := range unlisted {
 		t.Errorf("%s: an exported method nothing outside tests can reach, or an option read but never set: delete it (make the option its constant), or add it to typedAuditAllow with a reason", k)
@@ -67,8 +79,7 @@ func TestTypedAudit(t *testing.T) {
 // everything the syntactic scan would pass because the name is selected
 // somewhere, on something else.
 func TestTypedAuditCatchesPlanted(t *testing.T) {
-	root := t.TempDir()
-	for name, src := range map[string]string{
+	root := plantTree(t, map[string]string{
 		"go.mod": "module planted\n",
 		"internal/a/a.go": `package a
 
@@ -139,19 +150,12 @@ func main() {
 	_ = a.Run(c)
 }
 `,
-	} {
-		p := filepath.Join(root, filepath.FromSlash(name))
-		if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(p, []byte(src), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	flagged, err := typedAudit(root)
+	})
+	l, err := loadModule(root)
 	if err != nil {
 		t.Fatal(err)
 	}
+	flagged := typedAudit(l)
 	want := []string{"internal/a.Box.Drop", "internal/a.Ghost", "internal/a.Log.Len", "internal/a.RunConfig.FrameLen", "internal/a.Square.Perim"}
 	if !reflect.DeepEqual(flagged, want) {
 		t.Fatalf("flagged %v, want %v", flagged, want)
@@ -203,22 +207,23 @@ func (l *auditLoader) Import(path string) (*types.Package, error) {
 	return pkg, nil
 }
 
-// typedAudit returns, as sorted "internal/pkg.Type.Name" keys, the
-// exported methods and option fields under root/internal that the rules
-// at the top of this file flag.
-func typedAudit(root string) ([]string, error) {
-	mod, err := os.ReadFile(filepath.Join(root, "go.mod"))
+// auditStd type-checks the standard library from source, once per test
+// binary: every module the audit tests load shares it.
+var auditStd = sync.OnceValues(func() (*token.FileSet, types.Importer) {
+	fset := token.NewFileSet()
+	return fset, importer.ForCompiler(fset, "source", nil)
+})
+
+// loadModule type-checks every non-test package of the module at root
+// that matches the host's build constraints.
+func loadModule(root string) (*auditLoader, error) {
+	module, err := modulePath(root)
 	if err != nil {
 		return nil, err
 	}
-	fields := strings.Fields(string(mod))
-	if len(fields) < 2 || fields[0] != "module" {
-		return nil, fmt.Errorf("audit: %s/go.mod does not start with a module line", root)
-	}
-	fset := token.NewFileSet()
+	fset, std := auditStd()
 	l := &auditLoader{
-		root: root, module: fields[1], fset: fset,
-		std: importer.ForCompiler(fset, "source", nil),
+		root: root, module: module, fset: fset, std: std,
 		info: &types.Info{
 			Types:      map[ast.Expr]types.TypeAndValue{},
 			Defs:       map[*ast.Ident]types.Object{},
@@ -232,7 +237,7 @@ func typedAudit(root string) ([]string, error) {
 		if err != nil || !d.IsDir() {
 			return err
 		}
-		if name := d.Name(); p != root && (strings.HasPrefix(name, ".") || name == "testdata") {
+		if p != root && auditSkipsDir(d.Name()) {
 			return filepath.SkipDir
 		}
 		if _, err := build.Default.ImportDir(p, 0); err != nil {
@@ -248,7 +253,13 @@ func typedAudit(root string) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
+	return l, nil
+}
 
+// typedAudit returns, as sorted "internal/pkg.Type.Name" keys, the
+// exported methods and option fields under the module's internal/ that
+// the dead-weight rules at the top of this file flag.
+func typedAudit(l *auditLoader) []string {
 	// Every interface a value can be used through: each interface type
 	// written in the tree, named or literal, plus each one a reachable
 	// standard-library package declares.
@@ -381,7 +392,7 @@ func typedAudit(root string) ([]string, error) {
 		}
 	}
 	sort.Strings(flagged)
-	return flagged, nil
+	return flagged
 }
 
 // classifyFieldUses records, for every struct field an identifier of f

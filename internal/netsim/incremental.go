@@ -320,7 +320,7 @@ func (g *flowGraph) ordered(l int32) []linkRef {
 }
 
 // settle progresses a flow's remaining bits to g.now, the product rounded
-// first so that no GOARCH fuses it into an FMA (make substrate).
+// first so that no GOARCH fuses it into an FMA (rule NETSIM-NO-FMA).
 func (g *flowGraph) settle(f *flowHot) {
 	elapsed := float64(g.now - f.lastTouch)
 	if elapsed > 0 && f.rate > 0 {

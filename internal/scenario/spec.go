@@ -1,4 +1,4 @@
-// Package scenario is the composable scenario layer (ROADMAP item 4): a
+// Package scenario is the composable scenario layer: a
 // scenario is a JSON-described workload mix (AI-collective all-reduce
 // and all-to-all, incast, storage replication fan-out, diurnal
 // user-facing load with flash crowds) crossed with an environment model
