@@ -80,6 +80,11 @@ func holdsMain(dir string) bool {
 // records a number soon points at the wrong item.
 var roadmapCite = regexp.MustCompile(`ROADMAP[\s/#]+(item[\s/#]+)?[0-9]`)
 
+// changeStatement is the title of a change's statement, which numbers
+// the change and, like CHANGES.md, is dated to the roadmap it was written
+// against.
+var changeStatement = regexp.MustCompile(`^# [A-Z]+ [0-9]+ · `)
+
 // A citeAllowance keeps a file's roadmap citations: exactly n, and why.
 type citeAllowance struct {
 	n   int
@@ -91,8 +96,8 @@ var roadmapCiteAllow = map[string]citeAllowance{
 }
 
 // TestNoRoadmapNumbersOutsideRoadmap fails on a roadmap item cited by
-// number in a Go, Markdown, YAML or Makefile file other than ROADMAP.md,
-// CHANGES.md and ISSUE.md.
+// number in a Go, Markdown, YAML or Makefile file other than the dated
+// records: ROADMAP.md, CHANGES.md and a change's statement at the root.
 func TestNoRoadmapNumbersOutsideRoadmap(t *testing.T) {
 	found, err := roadmapCites(".", roadmapCiteAllow)
 	if err != nil {
@@ -154,7 +159,7 @@ func roadmapCites(root string, allow map[string]citeAllowance) ([]string, error)
 		}
 		rel = filepath.ToSlash(rel)
 		switch ext := filepath.Ext(rel); {
-		case rel == "ROADMAP.md" || rel == "CHANGES.md" || rel == "ISSUE.md":
+		case rel == "ROADMAP.md" || rel == "CHANGES.md":
 			return nil
 		case ext != ".go" && ext != ".md" && ext != ".yml" && d.Name() != "Makefile":
 			return nil
@@ -162,6 +167,9 @@ func roadmapCites(root string, allow map[string]citeAllowance) ([]string, error)
 		src, err := os.ReadFile(p)
 		if err != nil {
 			return err
+		}
+		if !strings.Contains(rel, "/") && changeStatement.Match(src) {
+			return nil
 		}
 		for _, m := range roadmapCite.FindAllIndex(src, -1) {
 			counts[rel]++
