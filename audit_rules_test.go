@@ -194,9 +194,14 @@ var auditRules = []rule{{
 	match: ident(`linkScratch|probeScratch`),
 }, {
 	id:    "PAIR-NO-ARENA",
-	why:   "a mac.Pair keeps no exchange buffer: a Tick borrows its arena",
+	why:   "a mac.Pair keeps no exchange buffer and no chunk headers: a Tick borrows its arena",
 	files: []string{"internal/mac/"}, decl: "Pair",
-	match: ident(`ExchangeBuf`),
+	match: anyOf(ident(`ExchangeBuf`), defines(``, isByteSlices)),
+}, {
+	id:    "ENDPOINT-NO-TXBUF",
+	why:   "a mac.Endpoint is born with no superframe buffer: Pair.Tick builds into its borrowed arena, BuildSuperframe grows one on first use",
+	files: []string{"internal/mac/"}, decl: "NewEndpoint",
+	match: makesBytes,
 }, {
 	id:    "FLOWGRAPH-OWN-RANGE",
 	why:   "newFlowGraph sizes its per-link arrays to its own link range, never to the topology",
@@ -416,6 +421,41 @@ func defines(re string, typ func(types.Type) bool) check {
 func isMap(t types.Type) bool   { _, ok := t.Underlying().(*types.Map); return ok }
 func isFunc(t types.Type) bool  { _, ok := t.Underlying().(*types.Signature); return ok }
 func isSlice(t types.Type) bool { _, ok := t.Underlying().(*types.Slice); return ok }
+
+// isBytes reports whether t is a byte slice.
+func isBytes(t types.Type) bool {
+	s, ok := t.Underlying().(*types.Slice)
+	if !ok {
+		return false
+	}
+	b, ok := s.Elem().Underlying().(*types.Basic)
+	return ok && b.Kind() == types.Byte
+}
+
+// isByteSlices reports whether t is a slice of byte slices.
+func isByteSlices(t types.Type) bool {
+	s, ok := t.Underlying().(*types.Slice)
+	return ok && isBytes(s.Elem())
+}
+
+// makesBytes matches a make call or composite literal that builds a byte
+// slice.
+func makesBytes(info *types.Info, n ast.Node) bool {
+	switch n := n.(type) {
+	case *ast.CallExpr:
+		if callName(n) != "make" {
+			return false
+		}
+	case *ast.CompositeLit:
+	default:
+		return false
+	}
+	if info == nil {
+		return false
+	}
+	t := info.TypeOf(n.(ast.Expr))
+	return t != nil && isBytes(t)
+}
 
 // hookClosure matches a SetTransitionHook call handed a function literal.
 func hookClosure(_ *types.Info, n ast.Node) bool {
@@ -995,12 +1035,36 @@ type fec interface {
 
 type Stats struct{ DataTx, FramesTx, Timeouts int }
 
-type Endpoint struct{ stats Stats }
+type Endpoint struct {
+	stats Stats
+	order []int
+	tx    []byte
+}
 
 type VC struct{ stats Stats }
 
 type Pair struct {
-	ExchangeBuf []byte // want PAIR-NO-ARENA
+	ExchangeBuf []byte   // want PAIR-NO-ARENA
+	chunks      [][]byte // want PAIR-NO-ARENA
+	frameLen    int
+}
+
+// tickArena holds the clean variant: chunk headers outside Pair.
+type tickArena struct{ chunks [][]byte }
+
+func NewEndpoint(budget int) *Endpoint {
+	e := &Endpoint{order: make([]int, budget)}
+	e.tx = make([]byte, 0, budget) // want ENDPOINT-NO-TXBUF
+	e.tx = []byte{0}               // want ENDPOINT-NO-TXBUF
+	return e
+}
+
+// BuildSuperframe holds the clean variant: a buffer grown on first use.
+func (e *Endpoint) BuildSuperframe() []byte {
+	if e.tx == nil {
+		e.tx = make([]byte, 0, len(e.order))
+	}
+	return e.tx
 }
 
 func (e *Endpoint) Send(p []byte) { // want ONE-FACE

@@ -45,8 +45,10 @@ func (l *Log) Lines() []string { return l.lines }
 func (l *Log) Dropped() uint64 { return l.dropped }
 
 // Reset empties the log and its drop count but keeps the line capacity,
-// so a per-epoch buffer is refilled, not reallocated.
+// so a per-epoch buffer is refilled, not reallocated. The lines it cuts
+// off are cleared first, so the buffer keeps none of their strings alive.
 func (l *Log) Reset() {
+	clear(l.lines)
 	l.lines = l.lines[:0]
 	l.dropped = 0
 }

@@ -155,3 +155,24 @@ func TestResetKeepsCapacity(t *testing.T) {
 		t.Errorf("refill of %d lines allocates %.0f times, want the renderings alone", n, refill)
 	}
 }
+
+// Reset keeps the capacity but none of the lines: a buffer reset at every
+// barrier must not hold the previous epoch's strings until they are
+// overwritten.
+func TestResetClearsLines(t *testing.T) {
+	var l Log
+	for i := 0; i < 5; i++ {
+		l.Addf("line %d", i)
+	}
+	c := cap(l.Lines())
+	l.Reset()
+	lines := l.Lines()
+	if cap(lines) != c {
+		t.Fatalf("Reset: capacity %d, want %d", cap(lines), c)
+	}
+	for i, s := range lines[:c] {
+		if s != "" {
+			t.Errorf("Reset: slot %d still holds %q", i, s)
+		}
+	}
+}

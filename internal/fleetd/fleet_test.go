@@ -587,9 +587,10 @@ func TestStepBudgetRotor(t *testing.T) {
 // have been brought up and the StepBudget rotor has ticked each of them,
 // and again once every link has served two full send windows. What a
 // call needs only while it runs — the PHY exchange scratch, the tick's
-// delivered-frame arena, the Accept buffer — is borrowed for the call and
-// does not count; the link's protocol state, its channels and its share
-// of the flow engine's per-link arrays do. The second measurement catches
+// arena (superframe, chunk headers, delivered frames), the Accept buffer
+// — is borrowed for the call and does not count; the link's protocol
+// state, its channels and its share of the flow engine's per-link arrays
+// do. The second measurement catches
 // state that grows with a link's age rather than its traffic, such as a
 // payload copy kept for every replay slot a MAC endpoint ever filled.
 func TestFleetdRetainedBytesPerLink(t *testing.T) {
@@ -635,16 +636,17 @@ func TestFleetdRetainedBytesPerLink(t *testing.T) {
 	}
 	t.Logf("%.0f B retained per serving link after one tick, %.0f B after %d more (%d active flows)",
 		young, old, aged, f.Snapshot().ActiveFlows)
-	// Measured 11.1–11.6 KB after one tick and 13.9–14.5 KB aged; this
-	// bound is the aged figure plus about 25 %. About 2.3 KB of the aged
-	// growth is not the link's: 16 background flows an epoch outrun eight
-	// pods, so some 750 flows stand in the flow engine by then (with no
-	// background flows the aged figure is 11.5–12 KB). Endpoints with a
+	// Measured 8.1 KB after one tick and 10.8 KB aged; this bound is the
+	// aged figure plus about 25 %. About 2.3 KB of the aged growth is not
+	// the link's: 16 background flows an epoch outrun eight pods, so some
+	// 750 flows stand in the flow engine by then. Endpoints that each
+	// kept a superframe buffer (and a pair that kept its chunk headers)
+	// retained 11.6 KB after one tick and 14.3 KB aged; endpoints with a
 	// fixed replay ring whose slots kept the last payload they carried
-	// retained 18.6 KB after one tick and 36 KB aged; a link that owned
-	// its exchange scratch, tick arenas and Accept buffer, with every
-	// pod's flow graph sized to the whole topology, 56.4 KB after one.
-	const bound = 18_000
+	// 18.6 KB after one tick and 36 KB aged; a link that owned its
+	// exchange scratch, tick arenas and Accept buffer, with every pod's
+	// flow graph sized to the whole topology, 56.4 KB after one.
+	const bound = 13_500
 	if young > bound || old > bound {
 		t.Errorf("%.0f B retained per serving link after one tick and %.0f B aged: above the %d B bound", young, old, bound)
 	}

@@ -2,6 +2,7 @@ package mac
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -284,7 +285,7 @@ type Endpoint struct {
 	order  []int // precomputed WRR service sequence over VC indices
 	cursor int   // position in order, persists across superframes
 
-	txBuf []byte // superframe payload under construction
+	txBuf []byte // BuildSuperframe's payload, grown on first use; a Pair never fills it
 
 	deframer  Deframer
 	emit      func(Frame) // bound handleFrame, constructed once
@@ -310,7 +311,6 @@ func NewEndpoint(cfg Config, onDeliver func(vc int, payload []byte)) (*Endpoint,
 		overhead:  full.wireOverhead(),
 		vcs:       make([]vcState, full.VCs),
 		order:     buildServiceOrder(full.VCClass),
-		txBuf:     make([]byte, 0, full.PayloadBudget),
 		onDeliver: onDeliver,
 	}
 	for i := range e.vcs {
@@ -364,9 +364,18 @@ var idlePad [256]byte
 // carried it, then idle fill to exactly PayloadBudget bytes. The
 // returned slice is reused by the next call.
 func (e *Endpoint) BuildSuperframe() []byte {
+	e.txBuf = e.buildSuperframe(e.txBuf)
+	return e.txBuf
+}
+
+// buildSuperframe is BuildSuperframe over storage the caller owns: it
+// builds the superframe into buf[:0], grown once to the budget if it is
+// short, and returns it. Pair.Tick builds into the arena it borrows for
+// the tick.
+func (e *Endpoint) buildSuperframe(buf []byte) []byte {
 	e.tick++
-	out := e.txBuf[:0]
 	budget := e.cfg.PayloadBudget
+	out := slices.Grow(buf[:0], budget)
 	for i := range e.vcs {
 		e.vcs[i].txPiggy = false
 	}
@@ -406,8 +415,6 @@ func (e *Endpoint) BuildSuperframe() []byte {
 	for len(out) < budget {
 		out = append(out, idlePad[:min(budget-len(out), len(idlePad))]...)
 	}
-
-	e.txBuf = out
 	return out
 }
 

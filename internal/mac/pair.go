@@ -27,18 +27,14 @@ const DefaultPHYFrameLen = 243
 // Pair drives two LLR endpoints over a pair of unidirectional PHY
 // links. Tick moves one superframe in each direction: A's payload is
 // chunked into PHY frames, pushed through fwd, and the surviving chunks
-// are deframed by B (and symmetrically B over rev to A). Chunk slices
-// are headers into the payload buffer and the delivered frames of both
-// directions land in one phy.ExchangeBuf borrowed for the Tick (Accept
-// copies what it keeps), so a Pair holds no arena between ticks and a
-// warmed tick allocates nothing.
+// are deframed by B (and symmetrically B over rev to A). Everything a
+// Tick writes lives in one tickArena borrowed for the call, so a Pair
+// holds no buffer between ticks and a warmed tick allocates nothing.
 type Pair struct {
 	A, B     *Endpoint
 	fwd, rev *phy.Link
 
 	phyFrameLen int
-	chunksF     [][]byte
-	chunksR     [][]byte
 
 	// FwdStats/RevStats hold the PHY ExchangeStats of the latest Tick,
 	// with PerChannel nil: the per-channel map lives in the borrowed arena
@@ -46,8 +42,18 @@ type Pair struct {
 	FwdStats, RevStats phy.ExchangeStats
 }
 
-// tickBufs lends a Tick its delivered-frame arena.
-var tickBufs = sync.Pool{New: func() any { return new(phy.ExchangeBuf) }}
+// tickArena is what a Tick writes. One superframe payload and one set of
+// chunk headers into it serve both directions: A's payload is dead once
+// the forward exchange returns, before B builds its own. The delivered
+// frames of both directions land in ex, and Accept copies what it keeps.
+type tickArena struct {
+	payload []byte
+	chunks  [][]byte
+	ex      phy.ExchangeBuf
+}
+
+// tickBufs lends a Tick its arena.
+var tickBufs = sync.Pool{New: func() any { return new(tickArena) }}
 
 // NewPair wires two endpoints over the given links. onDeliverA receives
 // packets arriving AT A (sent by B), onDeliverB those arriving at B.
@@ -79,13 +85,7 @@ func NewPair(fwd, rev *phy.Link, cfg PairConfig, onDeliverA, onDeliverB func([]b
 	if err != nil {
 		return nil, err
 	}
-	nchunks := ec.PayloadBudget / fl
-	return &Pair{
-		A: a, B: b, fwd: fwd, rev: rev,
-		phyFrameLen: fl,
-		chunksF:     make([][]byte, nchunks),
-		chunksR:     make([][]byte, nchunks),
-	}, nil
+	return &Pair{A: a, B: b, fwd: fwd, rev: rev, phyFrameLen: fl}, nil
 }
 
 // vcBlind adapts a delivery callback that ignores the VC to NewEndpoint's.
@@ -111,11 +111,12 @@ func chunk(payload []byte, size int, dst [][]byte) [][]byte {
 
 // Tick runs one superframe in both directions.
 func (p *Pair) Tick() error {
-	buf := tickBufs.Get().(*phy.ExchangeBuf)
+	buf := tickBufs.Get().(*tickArena)
 	defer tickBufs.Put(buf)
 
-	p.chunksF = chunk(p.A.BuildSuperframe(), p.phyFrameLen, p.chunksF)
-	delivered, st, err := p.fwd.ExchangeInto(buf, p.chunksF)
+	buf.payload = p.A.buildSuperframe(buf.payload)
+	buf.chunks = chunk(buf.payload, p.phyFrameLen, buf.chunks)
+	delivered, st, err := p.fwd.ExchangeInto(&buf.ex, buf.chunks)
 	if err != nil {
 		return fmt.Errorf("mac: forward exchange: %w", err)
 	}
@@ -123,8 +124,9 @@ func (p *Pair) Tick() error {
 	p.FwdStats.PerChannel = nil
 	p.B.Accept(delivered)
 
-	p.chunksR = chunk(p.B.BuildSuperframe(), p.phyFrameLen, p.chunksR)
-	delivered, st, err = p.rev.ExchangeInto(buf, p.chunksR)
+	buf.payload = p.B.buildSuperframe(buf.payload)
+	buf.chunks = chunk(buf.payload, p.phyFrameLen, buf.chunks)
+	delivered, st, err = p.rev.ExchangeInto(&buf.ex, buf.chunks)
 	if err != nil {
 		return fmt.Errorf("mac: reverse exchange: %w", err)
 	}

@@ -2,6 +2,7 @@ package mac
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"mosaic/internal/phy"
@@ -126,13 +127,14 @@ func TestPairRoundsBudgetToPHYFrames(t *testing.T) {
 // raceEnabled is set under -race (race_test.go).
 var raceEnabled bool
 
-// A warmed Tick allocates nothing, PHY side included: the delivered
-// chunks live in the phy.ExchangeBuf the Tick borrowed until Accept has
-// copied them. This is every fleetd link tick and every session
-// superframe. Under -race sync.Pool drops a quarter of what is put back,
-// so a Tick now and then rebuilds a borrowed buffer (tens of allocations
-// on average): there the cleanest of up to 50 single Ticks must allocate
-// nothing, which a per-Tick allocation still fails.
+// A warmed Tick allocates nothing, PHY side included: the superframe,
+// its chunk headers and the delivered chunks live in the arena the Tick
+// borrowed until Accept has copied them. This is every fleetd link tick
+// and every session superframe. Under -race sync.Pool drops a quarter of
+// what is put back, so a Tick now and then rebuilds a borrowed buffer
+// (tens of allocations on average): there the cleanest of up to 50
+// single Ticks must allocate nothing, which a per-Tick allocation still
+// fails.
 func TestPairTickSteadyStateAllocs(t *testing.T) {
 	for _, arq := range []ARQKind{ARQGoBackN, ARQSelectiveRepeat} {
 		t.Run(string(arq), func(t *testing.T) {
@@ -263,5 +265,114 @@ func TestEndpointStatsSumVCs(t *testing.T) {
 	if a.Retransmits == 0 || b.Duplicates == 0 || b.Reordered == 0 || b.Discarded == 0 {
 		t.Fatalf("lossy run left an ARQ branch unexercised: a.Retransmits=%d b.Duplicates=%d b.Reordered=%d b.Discarded=%d",
 			a.Retransmits, b.Duplicates, b.Reordered, b.Discarded)
+	}
+}
+
+// lossyPair is a 3-VC selective-repeat pair over lossy links in both
+// directions, with the packets delivered at each side recorded in hex.
+func lossyPair(t *testing.T) (p *Pair, atA, atB *[]string) {
+	t.Helper()
+	fwd, rev := testLink(t, 11, 1), testLink(t, 12, 1)
+	for _, ch := range []int{2, 5, 10} {
+		fwd.SetChannelBER(ch, 4e-3)
+		rev.SetChannelBER(ch+1, 4e-3)
+	}
+	atA, atB = new([]string), new([]string)
+	record := func(into *[]string) func([]byte) {
+		return func(b []byte) { *into = append(*into, fmt.Sprintf("%x", b)) }
+	}
+	p, err := NewPair(fwd, rev, PairConfig{
+		PHYFrameLen: 120,
+		Endpoint: Config{
+			ARQ: ARQSelectiveRepeat, VCs: 3, VCClass: []uint8{0, 1, 2},
+			Window: 16, RetxTimeout: 2, MaxPayload: 200, PayloadBudget: 3000,
+		},
+	}, record(atA), record(atB))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p, atA, atB
+}
+
+// offer queues one tick of traffic on both sides of p, each packet
+// tagged with its tick and VC.
+func offer(t *testing.T, p *Pair, tick int) {
+	t.Helper()
+	pkt := make([]byte, 180)
+	for vc := 0; vc < 3; vc++ {
+		pkt[0], pkt[1] = byte(tick), byte(vc)
+		if err := p.A.SendVC(vc, pkt); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.B.SendVC(vc, pkt[:60]); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// Ticking a pair through its endpoints — BuildSuperframe, chunk, Exchange,
+// Accept, each direction in turn, as a traced benchmark run spells it out
+// — and ticking it with Tick deliver the same packets and leave the same
+// endpoint and PHY counters, retransmissions and reorder included.
+func TestTickMatchesEndpointSequence(t *testing.T) {
+	ticked, tickedA, tickedB := lossyPair(t)
+	spelled, spelledA, spelledB := lossyPair(t)
+	half := func(tx, rx *Endpoint, link *phy.Link) phy.ExchangeStats {
+		payload := tx.BuildSuperframe()
+		var chunks [][]byte
+		for off := 0; off < len(payload); off += spelled.phyFrameLen {
+			chunks = append(chunks, payload[off:min(off+spelled.phyFrameLen, len(payload))])
+		}
+		delivered, st, err := link.Exchange(chunks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rx.Accept(delivered)
+		st.PerChannel = nil
+		return st
+	}
+	for tick := 0; tick < 60; tick++ {
+		offer(t, ticked, tick)
+		offer(t, spelled, tick)
+		if err := ticked.Tick(); err != nil {
+			t.Fatal(err)
+		}
+		fwd := half(spelled.A, spelled.B, spelled.fwd)
+		rev := half(spelled.B, spelled.A, spelled.rev)
+		if !reflect.DeepEqual(fwd, ticked.FwdStats) || !reflect.DeepEqual(rev, ticked.RevStats) {
+			t.Fatalf("tick %d: PHY stats differ:\n Tick      %+v %+v\n endpoints %+v %+v",
+				tick, ticked.FwdStats, ticked.RevStats, fwd, rev)
+		}
+		if a, b := ticked.A.Stats(), spelled.A.Stats(); a != b {
+			t.Fatalf("tick %d: A stats differ:\n Tick      %+v\n endpoints %+v", tick, a, b)
+		}
+		if a, b := ticked.B.Stats(), spelled.B.Stats(); a != b {
+			t.Fatalf("tick %d: B stats differ:\n Tick      %+v\n endpoints %+v", tick, a, b)
+		}
+	}
+	if !reflect.DeepEqual(*tickedA, *spelledA) || !reflect.DeepEqual(*tickedB, *spelledB) {
+		t.Fatalf("deliveries differ: Tick %d/%d, endpoints %d/%d", len(*tickedA), len(*tickedB), len(*spelledA), len(*spelledB))
+	}
+	if a := ticked.A.Stats(); a.Retransmits == 0 || ticked.B.Stats().Reordered == 0 || len(*tickedB) == 0 {
+		t.Fatalf("lossy run left retransmission or reorder unexercised: A %+v, B %+v", a, ticked.B.Stats())
+	}
+}
+
+// A Pair keeps no superframe between ticks: Tick builds both directions
+// into the arena it borrows, so neither endpoint ever grows the buffer
+// BuildSuperframe would.
+func TestPairHoldsNoPayloadBetweenTicks(t *testing.T) {
+	p, _, _ := lossyPair(t)
+	for tick := 0; tick < 10; tick++ {
+		offer(t, p, tick)
+		if err := p.Tick(); err != nil {
+			t.Fatal(err)
+		}
+		if p.A.txBuf != nil || p.B.txBuf != nil {
+			t.Fatalf("tick %d: endpoints hold %d and %d superframe bytes", tick, cap(p.A.txBuf), cap(p.B.txBuf))
+		}
+	}
+	if got := len(p.A.BuildSuperframe()); got != 3000 || cap(p.A.txBuf) < got {
+		t.Fatalf("BuildSuperframe outside a Tick gave %d bytes in a %d-byte buffer, want 3000 grown on use", got, cap(p.A.txBuf))
 	}
 }

@@ -485,6 +485,35 @@ func TestMapperDoubleFailIdempotent(t *testing.T) {
 	}
 }
 
+// Fail on one 8+2 mapper, in sequence: a channel outside [0, 10) is no
+// channel of the mapper, so it fails nothing and the channel count stays.
+func TestMapperFailTable(t *testing.T) {
+	m, _ := NewMapper(8, 2)
+	noop := func(p int) RemapEvent { return RemapEvent{Physical: p, Lane: -1, Spare: -1} }
+	for _, tc := range []struct {
+		name          string
+		physical      int
+		want          RemapEvent
+		lanes, spares int
+	}{
+		{"lane", 3, RemapEvent{Physical: 3, Lane: 3, Spare: 8}, 8, 1},
+		{"repeated", 3, noop(3), 8, 1},
+		{"spare", 9, noop(9), 8, 0},
+		{"remapped spare", 8, RemapEvent{Physical: 8, Lane: 3, Spare: -1, Degraded: true}, 7, 0},
+		{"negative", -1, noop(-1), 7, 0},
+		{"at n", 10, noop(10), 7, 0},
+		{"far above n", 99, noop(99), 7, 0},
+	} {
+		if got := m.Fail(tc.physical); got != tc.want {
+			t.Errorf("%s: Fail(%d) = %+v, want %+v", tc.name, tc.physical, got, tc.want)
+		}
+		if m.NumLanes() != tc.lanes || m.SparesLeft() != tc.spares || m.NumChannels() != 10 {
+			t.Errorf("%s: after Fail(%d) lanes=%d spares=%d channels=%d, want %d, %d, 10",
+				tc.name, tc.physical, m.NumLanes(), m.SparesLeft(), m.NumChannels(), tc.lanes, tc.spares)
+		}
+	}
+}
+
 func TestMapperRejectsBadShape(t *testing.T) {
 	if _, err := NewMapper(0, 1); err == nil {
 		t.Error("zero lanes accepted")

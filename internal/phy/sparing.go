@@ -13,9 +13,9 @@ import (
 // Remaps take effect at superframe boundaries, mirroring how the hardware
 // swaps lanes between alignment periods.
 type Mapper struct {
-	lanes  []int        // lane -> physical channel
-	spares []int        // unused physical channels, in preference order
-	failed map[int]bool // physical channels taken out of service
+	lanes  []int  // lane -> physical channel
+	spares []int  // unused physical channels, in preference order
+	failed []bool // by physical channel: taken out of service
 }
 
 // NewMapper creates a mapper with `lanes` active lanes and `spares`
@@ -28,7 +28,7 @@ func NewMapper(lanes, spares int) (*Mapper, error) {
 	m := &Mapper{
 		lanes:  make([]int, lanes),
 		spares: make([]int, 0, spares),
-		failed: make(map[int]bool),
+		failed: make([]bool, lanes+spares),
 	}
 	for i := range m.lanes {
 		m.lanes[i] = i
@@ -43,7 +43,7 @@ func NewMapper(lanes, spares int) (*Mapper, error) {
 func (m *Mapper) NumLanes() int { return len(m.lanes) }
 
 // NumChannels returns the total number of physical channels managed.
-func (m *Mapper) NumChannels() int { return len(m.lanes) + len(m.spares) + len(m.failed) }
+func (m *Mapper) NumChannels() int { return len(m.failed) }
 
 // SparesLeft returns the number of unused spare channels.
 func (m *Mapper) SparesLeft() int { return len(m.spares) }
@@ -85,9 +85,10 @@ func (e RemapEvent) String() string {
 // Fail marks a physical channel dead and repairs the lane map: the lane is
 // remapped onto the first available spare; with no spares left the lane is
 // removed and the link degrades to fewer lanes (graceful rate degradation
-// rather than link-down).
+// rather than link-down). A channel already failed, or outside
+// [0, NumChannels), changes nothing.
 func (m *Mapper) Fail(physical int) RemapEvent {
-	if m.failed[physical] {
+	if physical < 0 || physical >= len(m.failed) || m.failed[physical] {
 		return RemapEvent{Physical: physical, Lane: -1, Spare: -1}
 	}
 	m.failed[physical] = true
