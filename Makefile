@@ -100,7 +100,10 @@ determinism:
 # the whole pipeline (7 reach points, construction + exchange); the
 # steady-state Exchange — clean, and at BER 2e-4 where the RS decode
 # path runs — the MAC round trips and one woken par.Pool round in the
-# exchange's shape (PoolRoundWoken) are pinned allocation-free; E12Degradation gates FlowSim's event loop (five
+# exchange's shape (PoolRoundWoken) are pinned allocation-free, as are the
+# noisy tick's two per-error and per-frame paths: one dirty RS(68,64)
+# block's decode (RSDecodeDirty) and an ack-only superframe's idle scan
+# (DeframeIdle); E12Degradation gates FlowSim's event loop (five
 # 3,000-flow fat-tree runs); FleetSimEpochSteady pins the flow engine's epoch at a
 # constant population (its allocs/op must not scale with the flows held);
 # ScenarioStorm prices 100 epochs of the repo benchmark's storm spec
@@ -119,6 +122,7 @@ bench:
 	@$(GO) test -bench 'BenchmarkE10EndToEnd$$' -benchmem -benchtime 100x -count=$(BENCH_COUNT) -run '^$$' . && \
 	$(GO) test -bench 'BenchmarkExchangeSteadyState$$|BenchmarkExchangeNoisySteadyState$$|BenchmarkMACFrameRoundTrip$$|BenchmarkMACFrameRoundTripSR$$|BenchmarkPoolRoundWoken$$' \
 		-benchmem -benchtime 1000x -count=$(BENCH_COUNT) -run '^$$' . && \
+	$(GO) test -bench 'BenchmarkRSDecodeDirty$$|BenchmarkDeframeIdle$$' -benchmem -benchtime 20000x -count=$(BENCH_COUNT) -run '^$$' . && \
 	$(GO) test -bench 'BenchmarkE12Degradation$$|BenchmarkE24FleetFlows$$' -benchmem -benchtime 1x -count=$(BENCH_COUNT) -run '^$$' -timeout 30m . && \
 	$(GO) test -bench 'BenchmarkFleetSimEpochSteady$$' -benchmem -benchtime 200x -count=$(BENCH_COUNT) -run '^$$' . && \
 	$(GO) test -bench 'BenchmarkScenarioStorm$$' -benchmem -benchtime 10x -count=$(BENCH_COUNT) -run '^$$' . && \

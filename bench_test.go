@@ -18,6 +18,7 @@ import (
 	"testing"
 
 	"mosaic/internal/channel"
+	"mosaic/internal/coding/rs"
 	"mosaic/internal/core"
 	"mosaic/internal/experiments"
 	"mosaic/internal/fleetd"
@@ -341,9 +342,10 @@ func BenchmarkExchangeSteadyState(b *testing.B) {
 
 // BenchmarkExchangeNoisySteadyState is the same link at BER 2e-4 on every
 // channel (the link_noisy_arq operating point): most channel frames carry
-// a dirty RS block, so this row gates the decode path — re-encode check,
-// parity-difference syndromes, Berlekamp-Massey/Chien/Forney, resync
-// after an overload — which the clean row never enters. Also 0 allocs/op.
+// a dirty RS block, so this row gates the decode path — the parity
+// difference and its syndromes, Berlekamp-Massey, closed-form error
+// positions, Forney, resync after an overload — which the clean row
+// never enters. Also 0 allocs/op.
 func BenchmarkExchangeNoisySteadyState(b *testing.B) {
 	benchExchangeInto(b, 2e-4)
 }
@@ -462,6 +464,74 @@ func BenchmarkMACFrameRoundTrip(b *testing.B) {
 	b.StopTimer()
 	if got != b.N {
 		b.Fatalf("round-tripped %d/%d frames", got, b.N)
+	}
+}
+
+// BenchmarkRSDecodeDirty prices one dirty RS(68,64) block through
+// Codec8.Decode, the per-block cost of the link_noisy_arq operating
+// point: the ops alternate between 64 blocks with one byte error and 64
+// with two, each copied out and corrected from its parity difference,
+// its positions solved in closed form. Pinned at 0 allocs/op.
+func BenchmarkRSDecodeDirty(b *testing.B) {
+	code, err := rs.Lite(68, 64)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cd := code.Codec8()
+	rng := rand.New(rand.NewSource(1))
+	blocks := make([][]byte, 128)
+	for i := range blocks {
+		blk := make([]byte, 68)
+		rng.Read(blk[4:])
+		cd.EncodeParity(blk[:4], blk[4:])
+		for _, pos := range rng.Perm(68)[:1+i%2] {
+			blk[pos] ^= byte(1 + rng.Intn(255))
+		}
+		blocks[i] = blk
+	}
+	var data [64]byte
+	b.ReportAllocs()
+	b.ResetTimer()
+	corrections := 0
+	for i := 0; i < b.N; i++ {
+		blk := blocks[i%len(blocks)]
+		copy(data[:], blk[4:])
+		n, err := cd.Decode(data[:], blk)
+		if err != nil {
+			b.Fatal(err)
+		}
+		corrections += n
+	}
+	b.StopTimer()
+	if want := b.N + b.N/2; corrections != want {
+		b.Fatalf("%d corrections over %d blocks, want %d", corrections, b.N, want)
+	}
+}
+
+// BenchmarkDeframeIdle deframes what link_noisy_arq's reverse direction
+// carries every tick: a PayloadBudget-sized superframe (that workload's
+// 60 × (1500 B + v2 overhead)) holding one selective-ack frame per VC
+// and idle fill to the budget, which the deframer crosses a word group
+// at a time. Pinned at 0 allocs/op.
+func BenchmarkDeframeIdle(b *testing.B) {
+	const budget = 60 * (1500 + mac.OverheadV2)
+	sf := make([]byte, 0, budget)
+	for vc := byte(0); vc < 3; vc++ {
+		sf = mac.AppendFrameVC(sf, mac.FlagAck|mac.FlagSack, vc, 0, 7, make([]byte, mac.SackBytes))
+	}
+	sf = sf[:budget]
+	var d mac.Deframer
+	acks := 0
+	emit := func(mac.Frame) { acks++ }
+	b.SetBytes(budget)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d.Deframe(sf, emit)
+	}
+	b.StopTimer()
+	if acks != 3*b.N || d.Stats.IdleBytes != uint64(b.N)*(budget-3*(mac.OverheadV2+mac.SackBytes)) {
+		b.Fatalf("%d acks, %d idle bytes over %d superframes", acks, d.Stats.IdleBytes, b.N)
 	}
 }
 

@@ -1,10 +1,6 @@
 package rs
 
-import (
-	"encoding/binary"
-
-	"mosaic/internal/coding/gf"
-)
+import "encoding/binary"
 
 // Codec8 is the byte-domain fast path for short codes over GF(2^8) with
 // at most 8 parity symbols — the RS-lite class the PHY runs on every lane
@@ -26,18 +22,27 @@ import (
 //     generator root, so S_j is that difference polynomial at
 //     alpha^(fcr+j): np² products against synPow instead of np Horner
 //     passes over all n bytes, and exactly the same values.
-//   - Decode: the same syndromes → Berlekamp-Massey → Chien → Forney
-//     decision procedure as Code.DecodeErasures (with no erasures), run
-//     over fixed-size stack arrays so a dirty block decodes without a
-//     single heap allocation.
+//   - Decode: one parity difference proves a block clean or hands its
+//     syndromes to the decision procedure of Code.DecodeErasures (with no
+//     erasures): Berlekamp-Massey, the error positions, Forney. The
+//     positions of a degree-1 or degree-2 locator — every locator the
+//     t = 2 codes produce — are solved in closed form from log, inverse
+//     and quadratic-root byte tables (errorPositions); a Chien scan over
+//     the n positions runs only for degree 3 and up. All of it is over
+//     fixed-size stack arrays, so a dirty block decodes without a heap
+//     allocation.
 //
 // A Codec8 makes exactly the accept/reject decisions of the reference
-// path: same bounded-distance guard, same Chien root-count check, same
-// final codeword verification. That equivalence is what refmodel's
-// FuzzDiffRSVector target pins against the naive reference decoder.
+// path: same bounded-distance guard, same root-count check (the closed
+// forms find a root exactly where the scan does:
+// TestCodec8ClosedFormMatchesScan tries every degree-1 and degree-2
+// locator on every code in the envelope), same final codeword
+// verification. That equivalence is what TestCodec8DecodeMatchesReference
+// and refmodel's FuzzDiffRSVector target pin against the reference
+// decoders.
 //
 // A Codec8 is immutable after construction and safe for concurrent use;
-// all mutable state is the caller's block and the decoder's stack frame.
+// all mutable state is the caller's data and the decoder's stack frame.
 type Codec8 struct {
 	n, k, np, fcr int
 	mul           *[256][256]byte
@@ -46,7 +51,9 @@ type Codec8 struct {
 	synPow        [8][8]byte     // synPow[j][i] = alpha^((fcr+j)·i)
 	xinv          []byte         // xinv[i] = alpha^(-i), Chien probe per position
 	xmag          []byte         // xmag[i] = alpha(i)^(1-fcr), Forney magnitude factor
-	field         *gf.Field
+	log           [256]byte      // log[alpha^i] = i (log[0] unused)
+	inv           [256]byte      // inv[a] = 1/a (inv[0] unused)
+	quadRoot      [256]byte      // quadRoot[c]: a z with z²+z = c, or 0 when there is none (c ≠ 0)
 }
 
 // maxParity8 bounds the packed-register encode: 8 parity bytes fill the
@@ -77,7 +84,6 @@ func newCodec8(c *Code) *Codec8 {
 		fcr:     c.fcr,
 		mul:     f.MulTable8(),
 		remMask: ^uint64(0) >> (8 * uint(8-np)),
-		field:   f,
 	}
 	for fb := 0; fb < 256; fb++ {
 		var w uint64
@@ -101,6 +107,14 @@ func newCodec8(c *Code) *Codec8 {
 	for i := 0; i < c.n; i++ {
 		cd.xinv[i] = byte(f.Alpha(-i))
 		cd.xmag[i] = byte(f.Pow(f.Alpha(i), 1-c.fcr))
+	}
+	for i := 0; i < 255; i++ {
+		a := f.Alpha(i)
+		cd.log[a] = byte(i)
+		cd.inv[a] = byte(f.Alpha(-i))
+	}
+	for z := 2; z < 256; z++ { // z and z+1 share z²+z; 0 and 1 give 0
+		cd.quadRoot[cd.mul[z][z]^byte(z)] = byte(z)
 	}
 	return cd
 }
@@ -162,7 +176,8 @@ func (cd *Codec8) EncodeParity(parity, data []byte) {
 }
 
 // parityDiff returns received parity XOR re-encoded parity, packed like
-// parityWord: zero exactly when block is a codeword.
+// parityWord: zero exactly when block is a codeword, since a systematic
+// codeword's parity is exactly the encoder's output for its data bytes.
 func (cd *Codec8) parityDiff(block []byte) uint64 {
 	var recv uint64
 	for j := 0; j < cd.np; j++ {
@@ -170,11 +185,6 @@ func (cd *Codec8) parityDiff(block []byte) uint64 {
 	}
 	return recv ^ cd.parityWord(block[cd.np:])
 }
-
-// Clean reports whether block (len n, coefficient order: parity first)
-// is a codeword, without modifying it: a systematic codeword's parity is
-// exactly the encoder's output for its data bytes.
-func (cd *Codec8) Clean(block []byte) bool { return cd.parityDiff(block) == 0 }
 
 // diffSyndromes evaluates the parity-difference polynomial (parityDiff's
 // packed word, byte i the coefficient of x^i) at the np generator roots:
@@ -199,18 +209,25 @@ func (cd *Codec8) polyEval8(p *[2*maxParity8 + 2]byte, plen int, x byte) byte {
 	return acc
 }
 
-// Decode corrects block (len n) in place and returns the number of byte
-// corrections. On an uncorrectable block it returns ErrTooManyErrors and
-// leaves block exactly as received. The decision procedure — including
-// the bounded-distance guard, the Chien root-count check, and the final
-// codeword verification — matches Code.DecodeTo.
-func (cd *Codec8) Decode(block []byte) (int, error) {
-	diff := cd.parityDiff(block)
-	if diff == 0 {
-		return 0, nil
-	}
+// Decode corrects the errors in block (len n, coefficient order: parity
+// first), which it never writes, and returns how many bytes it
+// corrected. The corrections that fall in block's data bytes are applied
+// to data, the caller's copy of block[np:np+len(data)], len(data) ≤ k. A
+// clean block costs one parity pass. On an uncorrectable block it returns
+// ErrTooManyErrors and leaves data as it was. The decision procedure —
+// including the bounded-distance guard, the root-count check, and the
+// final codeword verification — matches Code.DecodeTo.
+func (cd *Codec8) Decode(data, block []byte) (int, error) {
 	mul := cd.mul
 	np := cd.np
+	// parityDiff spelled out, so that a clean block costs one call.
+	var diff uint64
+	for j := 0; j < np; j++ {
+		diff |= uint64(block[j]) << (8 * uint(j))
+	}
+	if diff ^= cd.parityWord(block[np:]); diff == 0 {
+		return 0, nil
+	}
 	syn := cd.diffSyndromes(diff)
 
 	// Berlekamp-Massey over fixed arrays; lengths mirror the reference
@@ -232,7 +249,7 @@ func (cd *Codec8) Decode(block []byte) (int, error) {
 			m++
 			continue
 		}
-		coef := byte(cd.field.Div(int(d), int(bcoef)))
+		coef := mul[d][cd.inv[bcoef]]
 		newLen := m + bLen
 		if lambdaLen > newLen {
 			newLen = lambdaLen
@@ -268,35 +285,21 @@ func (cd *Codec8) Decode(block []byte) (int, error) {
 			break
 		}
 	}
-	if nerr < 0 {
-		return 0, ErrTooManyErrors
-	}
-	if nerr == 0 {
-		// Psi constant: the Chien search finds no roots, the empty
-		// correction cannot clear nonzero syndromes — reference path
-		// reports uncorrectable after its final verify.
+	if nerr <= 0 {
+		// Psi constant: it has no roots, and the empty correction cannot
+		// clear nonzero syndromes — the reference path reports
+		// uncorrectable after its final verify.
 		return 0, ErrTooManyErrors
 	}
 	// Bounded-distance guard: 2v must not exceed n-k.
 	if 2*nerr > np {
 		return 0, ErrTooManyErrors
 	}
-	psiLen := nerr + 1
-
-	// Chien search over all n positions.
 	var positions [maxParity8]int
-	npos := 0
-	for i := 0; i < cd.n; i++ {
-		if cd.polyEval8(&lambda, psiLen, cd.xinv[i]) == 0 {
-			if npos < len(positions) {
-				positions[npos] = i
-			}
-			npos++
-		}
-	}
-	if npos != nerr {
+	if !cd.errorPositions(&lambda, nerr, &positions) {
 		return 0, ErrTooManyErrors
 	}
+	psiLen := nerr + 1
 
 	// Forney: Omega = S·Psi mod x^np, dPsi = formal derivative.
 	var omega, dpsi [2*maxParity8 + 2]byte
@@ -313,7 +316,7 @@ func (cd *Codec8) Decode(block []byte) (int, error) {
 		dpsi[i-1] = lambda[i]
 	}
 	var mags [maxParity8]byte
-	for pi := 0; pi < npos; pi++ {
+	for pi := 0; pi < nerr; pi++ {
 		pos := positions[pi]
 		x := cd.xinv[pos]
 		den := cd.polyEval8(&dpsi, psiLen-1, x)
@@ -321,18 +324,62 @@ func (cd *Codec8) Decode(block []byte) (int, error) {
 			return 0, ErrTooManyErrors
 		}
 		num := cd.polyEval8(&omega, np, x)
-		mags[pi] = mul[cd.xmag[pos]][byte(cd.field.Div(int(num), int(den)))]
+		mags[pi] = mul[cd.xmag[pos]][mul[num][cd.inv[den]]]
 	}
 
-	// Apply, verify, and revert if the "correction" is not a codeword.
-	for pi := 0; pi < npos; pi++ {
-		block[positions[pi]] ^= mags[pi]
+	// Verify on a copy that the "correction" is a codeword, then apply it
+	// to data.
+	var fixed [255]byte
+	cw := fixed[:cd.n]
+	copy(cw, block)
+	for pi := 0; pi < nerr; pi++ {
+		cw[positions[pi]] ^= mags[pi]
 	}
-	if !cd.Clean(block) {
-		for pi := 0; pi < npos; pi++ {
-			block[positions[pi]] ^= mags[pi]
-		}
+	if cd.parityDiff(cw) != 0 {
 		return 0, ErrTooManyErrors
 	}
-	return npos, nil
+	for pi := 0; pi < nerr; pi++ {
+		if i := positions[pi] - np; i >= 0 && i < len(data) {
+			data[i] ^= mags[pi]
+		}
+	}
+	return nerr, nil
+}
+
+// errorPositions writes the error positions of the degree-nerr locator
+// lambda to pos, ascending, and reports whether there are exactly nerr:
+// the i < n with lambda(alpha^-i) = 0, as a Chien scan finds them.
+// Degrees 1 and 2 are solved for y = 1/x = alpha^i. y + Λ1 = 0 puts the
+// error at log(Λ1). y² + Λ1·y + Λ2 = 0 with Λ1 = 0 is a double root, one
+// position; otherwise y = Λ1·z gives z² + z = Λ2/Λ1², with roots z and
+// z+1 when quadRoot has one. Higher degrees (t ≥ 3 codes) scan.
+func (cd *Codec8) errorPositions(lambda *[2*maxParity8 + 2]byte, nerr int, pos *[maxParity8]int) bool {
+	switch nerr {
+	case 1:
+		pos[0] = int(cd.log[lambda[1]])
+		return pos[0] < cd.n
+	case 2:
+		l1 := lambda[1]
+		if l1 == 0 {
+			return false
+		}
+		il := cd.inv[l1]
+		z := cd.quadRoot[cd.mul[lambda[2]][cd.mul[il][il]]]
+		if z == 0 {
+			return false
+		}
+		y := cd.mul[l1][z]
+		p0, p1 := int(cd.log[y]), int(cd.log[y^l1])
+		pos[0], pos[1] = min(p0, p1), max(p0, p1)
+		return pos[1] < cd.n
+	}
+	// A degree-nerr polynomial has at most nerr roots, and nerr ≤ np/2.
+	npos := 0
+	for i := 0; i < cd.n; i++ {
+		if cd.polyEval8(lambda, nerr+1, cd.xinv[i]) == 0 {
+			pos[npos] = i
+			npos++
+		}
+	}
+	return npos == nerr
 }

@@ -101,9 +101,9 @@ func TestCodec8EncodeParityMatchesLFSR(t *testing.T) {
 // hornerSyndromes is the definition diffSyndromes replaced: each
 // syndrome is the whole received block evaluated at alpha^(fcr+j) by
 // Horner's rule, one dependent product per byte.
-func hornerSyndromes(cd *Codec8, block []byte) (syn [maxParity8]byte) {
+func hornerSyndromes(cd *Codec8, f *gf.Field, block []byte) (syn [maxParity8]byte) {
 	for j := 0; j < cd.np; j++ {
-		row := &cd.mul[byte(cd.field.Alpha(cd.fcr+j))]
+		row := &cd.mul[byte(f.Alpha(cd.fcr+j))]
 		var acc byte
 		for i := cd.n - 1; i >= 0; i-- {
 			acc = row[acc] ^ block[i]
@@ -135,7 +135,7 @@ func TestCodec8DiffSyndromesMatchHorner(t *testing.T) {
 					for _, pos := range rng.Perm(reg.hi - reg.lo)[:nerr] {
 						block[reg.lo+pos] ^= byte(1 + rng.Intn(255))
 					}
-					got, want := cd.diffSyndromes(cd.parityDiff(block)), hornerSyndromes(cd, block)
+					got, want := cd.diffSyndromes(cd.parityDiff(block)), hornerSyndromes(cd, c.Field(), block)
 					if got != want {
 						t.Fatalf("%v, %d errors in %s: parity-difference syndromes %v, Horner %v",
 							c, nerr, reg.name, got, want)
@@ -146,9 +146,10 @@ func TestCodec8DiffSyndromesMatchHorner(t *testing.T) {
 	}
 }
 
-// TestCodec8CleanIsCodewordTest checks that Clean accepts exactly the
-// codewords: every encode output passes, and any single-byte corruption
-// fails (distance ≥ np+1 > 1 for all these codes).
+// TestCodec8CleanIsCodewordTest checks that a zero parity difference
+// marks exactly the codewords — every encode output is clean, any
+// single-byte corruption is not (distance ≥ np+1 > 1 for all these
+// codes) — and that Decode leaves a codeword's data as it is.
 func TestCodec8CleanIsCodewordTest(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	for _, c := range codec8Codes(t) {
@@ -160,13 +161,17 @@ func TestCodec8CleanIsCodewordTest(t *testing.T) {
 			block := make([]byte, n)
 			cd.EncodeParity(block[:n-k], data)
 			copy(block[n-k:], data)
-			if !cd.Clean(block) {
-				t.Fatalf("%v: Clean rejected a codeword", c)
+			if cd.parityDiff(block) != 0 {
+				t.Fatalf("%v: a codeword has a parity difference", c)
+			}
+			got := append([]byte(nil), data...)
+			if corr, err := cd.Decode(got, block); err != nil || corr != 0 || !bytes.Equal(got, data) {
+				t.Fatalf("%v: Decode of a codeword made %d corrections, %v", c, corr, err)
 			}
 			pos := rng.Intn(n)
 			block[pos] ^= byte(1 + rng.Intn(255))
-			if cd.Clean(block) {
-				t.Fatalf("%v: Clean accepted a corrupted block (byte %d)", c, pos)
+			if cd.parityDiff(block) == 0 {
+				t.Fatalf("%v: a corrupted block (byte %d) has no parity difference", c, pos)
 			}
 		}
 	}
@@ -176,7 +181,9 @@ func TestCodec8CleanIsCodewordTest(t *testing.T) {
 // the general int-symbol decoder over identical received words with
 // 0..t+2 errors — spanning clean, correctable, and overloaded blocks,
 // the beyond-t patterns included — and requires identical bytes,
-// correction counts, and accept/reject decisions.
+// correction counts, and accept/reject decisions, with the received
+// block never written. Data bytes suffice: a codeword's data fixes its
+// parity, and Decode verifies it corrected to a codeword.
 func TestCodec8DecodeMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for _, c := range append(codec8Codes(t), wideCode) {
@@ -203,7 +210,11 @@ func TestCodec8DecodeMatchesReference(t *testing.T) {
 				blk[i] = byte(s)
 			}
 			got := append([]byte(nil), blk...)
-			corr, err := cd.Decode(got)
+			out := append([]byte(nil), blk[n-k:]...)
+			corr, err := cd.Decode(out, got)
+			if !bytes.Equal(got, blk) {
+				t.Fatalf("%v trial %d: Decode wrote the received block", c, trial)
+			}
 			if (err != nil) != (refErr != nil) {
 				t.Fatalf("%v trial %d (%d errors): codec err %v, reference err %v",
 					c, trial, nerr, err, refErr)
@@ -212,9 +223,9 @@ func TestCodec8DecodeMatchesReference(t *testing.T) {
 				if !errors.Is(err, ErrTooManyErrors) {
 					t.Fatalf("%v: unexpected error type %v", c, err)
 				}
-				// Uncorrectable: the block must be exactly as received.
-				if !bytes.Equal(got, blk) {
-					t.Fatalf("%v trial %d: failed decode modified the block", c, trial)
+				// Uncorrectable: the data passes through as received.
+				if corr != 0 || !bytes.Equal(out, blk[n-k:]) {
+					t.Fatalf("%v trial %d: failed decode returned %d corrections and other data", c, trial, corr)
 				}
 				continue
 			}
@@ -222,12 +233,73 @@ func TestCodec8DecodeMatchesReference(t *testing.T) {
 				t.Fatalf("%v trial %d (%d errors): corrections %d, reference %d",
 					c, trial, nerr, corr, refCorr)
 			}
-			for i := range refOut {
-				if int(got[i]) != refOut[i] {
-					t.Fatalf("%v trial %d: byte %d is %d, reference %d",
-						c, trial, i, got[i], refOut[i])
+			for i, b := range out {
+				if int(b) != refOut[n-k+i] {
+					t.Fatalf("%v trial %d: data byte %d is %d, reference %d",
+						c, trial, i, b, refOut[n-k+i])
 				}
 			}
+		}
+	}
+}
+
+// chienPositions is the definition errorPositions' closed forms
+// replaced: every position i < n where the locator vanishes at
+// alpha^-i, in ascending order.
+func chienPositions(cd *Codec8, lambda *[2*maxParity8 + 2]byte, nerr int) []int {
+	var out []int
+	for i := 0; i < cd.n; i++ {
+		if cd.polyEval8(lambda, nerr+1, cd.xinv[i]) == 0 {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
+// TestCodec8ClosedFormMatchesScan tries every degree-1 locator 1 + Λ1·x
+// and every degree-2 locator 1 + Λ1·x + Λ2·x² — Λ1 = 0 double roots,
+// irreducible quadratics and roots at positions ≥ n of the shortened
+// codes included — on every code in the envelope, and wants
+// errorPositions to accept exactly the locators whose scan finds as many
+// positions as the degree, with those positions in the same order.
+func TestCodec8ClosedFormMatchesScan(t *testing.T) {
+	for _, c := range append(codec8Codes(t), wideCode) {
+		cd := c.Codec8()
+		var accepted [3]int
+		check := func(lambda *[2*maxParity8 + 2]byte, nerr int) {
+			var pos [maxParity8]int
+			ok := cd.errorPositions(lambda, nerr, &pos)
+			want := chienPositions(cd, lambda, nerr)
+			if ok != (len(want) == nerr) {
+				t.Fatalf("%v: locator %v: closed form accepts %v, scan finds %v", c, lambda[:nerr+1], ok, want)
+			}
+			if !ok {
+				return
+			}
+			accepted[nerr]++
+			for i, p := range want {
+				if pos[i] != p {
+					t.Fatalf("%v: locator %v: closed form says %v, scan %v", c, lambda[:nerr+1], pos[:nerr], want)
+				}
+			}
+		}
+		var lambda [2*maxParity8 + 2]byte
+		lambda[0] = 1
+		for l1 := 1; l1 < 256; l1++ {
+			lambda[1] = byte(l1)
+			check(&lambda, 1)
+		}
+		for l1 := 0; l1 < 256; l1++ {
+			for l2 := 1; l2 < 256; l2++ {
+				lambda[1], lambda[2] = byte(l1), byte(l2)
+				check(&lambda, 2)
+			}
+		}
+		// Each position pair of the code is one split locator: n and
+		// n·(n-1)/2 of them.
+		if n := c.N(); accepted[1] != n || accepted[2] != n*(n-1)/2 {
+			t.Errorf("%v: accepted %d degree-1 and %d degree-2 locators, want %d and %d",
+				c, accepted[1], accepted[2], n, n*(n-1)/2)
 		}
 	}
 }

@@ -42,8 +42,8 @@ import (
 // v1 is the legacy single-virtual-channel format; v2 inserts one VC byte
 // after the flags so each virtual channel carries its own sequence and
 // ack space. The CRC (IEEE 802.3 polynomial) covers header and payload.
-// Idle fill between frames is IdleByte, chosen to differ from magic0 so
-// the deframer skips it in one compare per byte.
+// Idle fill between frames is IdleByte, zero so the deframer crosses a
+// run of it 32 bytes a step and a superframe is filled with one clear.
 const (
 	Magic0   = 0xD5
 	Magic1   = 0x4D
@@ -75,6 +75,9 @@ const (
 	// length would otherwise swallow the rest of the buffer).
 	DefaultMaxPayload = 2048
 )
+
+// The idle scan tests words against zero: IdleByte must be 0x00.
+const _ uint = -IdleByte
 
 // Frame flags.
 const (
@@ -161,9 +164,17 @@ func (d *Deframer) Deframe(buf []byte, emit func(Frame)) {
 	for i+MinFrameLen <= len(buf) {
 		if buf[i] == IdleByte {
 			// Idle fill is walked a run at a time: one add per run, not one
-			// store per byte. The tail loop below counts idle the same way,
-			// so a run may end anywhere up to the end of the buffer.
-			run := i + 1
+			// store per byte, and 32 bytes a step while four words read
+			// zero. The tail loop below counts idle the same way, so a run
+			// may end anywhere up to the end of the buffer.
+			rest := buf[i+1:]
+			for len(rest) >= 32 && binary.LittleEndian.Uint64(rest)|
+				binary.LittleEndian.Uint64(rest[8:])|
+				binary.LittleEndian.Uint64(rest[16:])|
+				binary.LittleEndian.Uint64(rest[24:]) == 0 {
+				rest = rest[32:]
+			}
+			run := len(buf) - len(rest)
 			for run < len(buf) && buf[run] == IdleByte {
 				run++
 			}

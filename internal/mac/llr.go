@@ -351,10 +351,6 @@ func (v *vcState) copyBuf(p []byte) []byte {
 	return append(buf, p...)
 }
 
-// idlePad is the shared idle-fill source; appended in chunks so filling
-// a mostly-empty superframe is a few copies, not a byte loop.
-var idlePad [256]byte
-
 // BuildSuperframe advances the endpoint one superframe tick and returns
 // the payload to hand to the PHY. Frame order is deterministic:
 // retransmissions first (per VC in index order, slots chosen by the ARQ
@@ -411,10 +407,10 @@ func (e *Endpoint) buildSuperframe(buf []byte) []byte {
 		out = e.arq.appendAcks(e, vc, out, budget)
 	}
 
-	// Idle fill to the fixed budget.
-	for len(out) < budget {
-		out = append(out, idlePad[:min(budget-len(out), len(idlePad))]...)
-	}
+	// Idle fill to the fixed budget (IdleByte is zero).
+	n := len(out)
+	out = out[:budget]
+	clear(out[n:])
 	return out
 }
 

@@ -403,7 +403,10 @@ func TestFleetSimDrainRecords(t *testing.T) {
 // A drain reuses its buffers: a nil drain allocates nothing, and once an
 // epoch's records fit the merge buffer a drain that reads every record
 // allocates nothing either, so an epoch drained either way costs the
-// same.
+// same. Under -race an epoch's log line now and then misses fmt's
+// pooled printer and allocates more, so there the cleanest of up to 50
+// single epochs of each kind is compared, which a per-record allocation
+// still fails.
 func TestDrainRecordsAllocatesNothing(t *testing.T) {
 	fs, epoch := steadyFleet(t, 50)
 	if n := testing.AllocsPerRun(100, func() { fs.DrainRecords(nil) }); n != 0 {
@@ -418,14 +421,20 @@ func TestDrainRecordsAllocatesNothing(t *testing.T) {
 	if seen == 0 {
 		t.Fatal("20 epochs drained no record; the scenario is too weak")
 	}
-	read := testing.AllocsPerRun(40, func() {
+	readEpoch := func() {
 		epoch()
 		fs.DrainRecords(count)
-	})
-	dropped := testing.AllocsPerRun(40, func() {
+	}
+	droppedEpoch := func() {
 		epoch()
 		fs.DrainRecords(nil)
-	})
+	}
+	read := testing.AllocsPerRun(40, readEpoch)
+	dropped := testing.AllocsPerRun(40, droppedEpoch)
+	for i := 0; raceEnabled && read > dropped && i < 50; i++ {
+		read = min(read, testing.AllocsPerRun(1, readEpoch))
+		dropped = min(dropped, testing.AllocsPerRun(1, droppedEpoch))
+	}
 	if read > dropped {
 		t.Errorf("an epoch drained through fn allocates %.1f times, one drained with nil %.1f", read, dropped)
 	}

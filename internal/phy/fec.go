@@ -149,11 +149,12 @@ type RSFEC struct {
 	// fast is the byte-domain table-driven codec (rs.Codec8) for GF(2^8)
 	// codes with ≤8 parity symbols — the RS-lite class. When non-nil,
 	// AppendEncode/AppendDecode skip the int-symbol staging entirely:
-	// encode streams parity straight into dst from the sliced tables,
-	// decode proves a block clean by re-encoding its parity from the wire
-	// bytes in place, and only a dirty block is copied (to a stack buffer)
-	// for the allocation-free full decode. Larger codes (KP4 over
-	// GF(2^10)) keep the general path.
+	// encode streams parity straight into dst from the sliced tables, and
+	// decode appends each block's data bytes to dst and takes the block's
+	// parity difference once, from the wire bytes in place — zero proves
+	// it clean, anything else feeds the allocation-free full decode, which
+	// corrects the appended bytes. Larger codes (KP4 over GF(2^10)) keep
+	// the general path.
 	fast *rs.Codec8
 	// scratch pools per-call symbol buffers so the concurrent per-lane
 	// workers share one allocation-free codec on the general path.
@@ -299,34 +300,23 @@ func (r *RSFEC) AppendDecode(dst, encoded []byte, plainLen int) ([]byte, int, er
 	corrections := 0
 	var firstErr error
 	if r.fast != nil {
-		np := n - k
 		for b := 0; b < blocks; b++ {
 			block := encoded[b*n : (b+1)*n]
-			src := block[np:]
-			if !r.fast.Clean(block) {
-				// Dirty block: decode a stack copy so the received
-				// stream stays untouched (the framer may re-scan these
-				// bytes at a different alignment after a resync).
-				var blk [255]byte
-				copy(blk[:n], block)
-				ncorr, err := r.fast.Decode(blk[:n])
-				if err != nil {
-					// The sentinel alone: callers only branch on non-nil /
-					// errors.Is, and wrapping the block index here was the
-					// single largest allocation source in the whole RX path
-					// (one fmt.Errorf per overloaded frame at high BER).
-					firstErr = ErrFECOverload
-					// best effort: pass the received data through
-				} else {
-					src = blk[np:n]
-				}
-				corrections += ncorr
+			take := min(k, start+plainLen-len(dst))
+			// Corrections go into the appended data bytes, so the received
+			// stream stays untouched (the framer may re-scan these bytes at
+			// a different alignment after a resync).
+			dst = append(dst, block[n-k:n-k+take]...)
+			ncorr, err := r.fast.Decode(dst[len(dst)-take:], block)
+			if err != nil {
+				// The sentinel alone: callers only branch on non-nil /
+				// errors.Is, and wrapping the block index here was the
+				// single largest allocation source in the whole RX path
+				// (one fmt.Errorf per overloaded frame at high BER). The
+				// received data stays, best effort.
+				firstErr = ErrFECOverload
 			}
-			take := k
-			if rem := start + plainLen - len(dst); take > rem {
-				take = rem
-			}
-			dst = append(dst, src[:take]...)
+			corrections += ncorr
 		}
 		return dst, corrections, firstErr
 	}

@@ -284,10 +284,15 @@ func diffBSCSkip(seed int64, size int) string {
 	return ""
 }
 
+// rsTwoErrors is the diffRSVector size at which every block carries
+// exactly two byte errors.
+const rsTwoErrors = 2
+
 // diffRSVector checks the vectorized byte-stream RS path — sliced-table
-// encode, re-encode clean check, parity-difference syndromes — against
-// the reference byte FEC over multi-block streams with 0..np+2 errors per
-// block (spanning clean, correctable, and overloaded words).
+// encode, parity-difference clean check and syndromes, closed-form error
+// positions — against the reference byte FEC over multi-block streams
+// with 0..np+2 errors per block (spanning clean, correctable, and
+// overloaded words), or exactly two at size rsTwoErrors.
 func diffRSVector(seed int64, size int) string {
 	rng := rand.New(rand.NewSource(seed))
 	n, k := rsParams(rng)
@@ -320,6 +325,9 @@ func diffRSVector(seed int64, size int) string {
 	total := 0
 	for b := 0; b+n <= len(recv); b += n {
 		nerr := rng.Intn(np + 3)
+		if size == rsTwoErrors {
+			nerr = 2
+		}
 		total += nerr
 		for _, pos := range rng.Perm(n)[:nerr] {
 			recv[b+pos] ^= byte(1 + rng.Intn(255))

@@ -46,13 +46,22 @@ func FuzzDiffScrambler(f *testing.F) { fuzzDiff(f, diffScrambler) }
 func FuzzDiffBSCSkip(f *testing.F)   { fuzzDiff(f, diffBSCSkip) }
 func FuzzDiffRSEncode(f *testing.F)  { fuzzDiff(f, diffRSEncode) }
 func FuzzDiffRSDecode(f *testing.F)  { fuzzDiff(f, diffRSDecode) }
-func FuzzDiffRSVector(f *testing.F)  { fuzzDiff(f, diffRSVector) }
 func FuzzDiffFramer(f *testing.F)    { fuzzDiff(f, diffFramer) }
 func FuzzDiffStriper(f *testing.F)   { fuzzDiff(f, diffStriper) }
 func FuzzDiffMACLLR(f *testing.F)    { fuzzDiff(f, diffMACLLR) }
 func FuzzDiffMACSR(f *testing.F)     { fuzzDiff(f, diffMACSR) }
 func FuzzDiffMACVC(f *testing.F)     { fuzzDiff(f, diffMACVC) }
 func FuzzDiffPipeline(f *testing.F)  { fuzzDiff(f, diffPipeline) }
+
+// FuzzDiffRSVector adds two-error cases to the quick corpus: at size
+// rsTwoErrors every block carries exactly two byte errors, the
+// degree-2 locators whose positions the decoder solves in closed form.
+func FuzzDiffRSVector(f *testing.F) {
+	for c := range quickSeeds {
+		f.Add(caseSeed(c), uint8(rsTwoErrors-1))
+	}
+	fuzzDiff(f, diffRSVector)
+}
 
 // mixedMACBuffer builds a deframer input from seed: idle runs, junk that
 // may hold stray magics, and v1 and v2 frames some of which exceed the
@@ -120,6 +129,20 @@ func FuzzMACDeframe(f *testing.F) {
 	for c := range quickSeeds {
 		buf, maxPayload := mixedMACBuffer(caseSeed(c), 4)
 		f.Add(buf, maxPayload)
+	}
+	// The idle scan crosses 32 bytes a step: a run broken by a non-idle
+	// byte at every offset of the first step and into the second, and
+	// runs that end at the buffer's tail on and off a step boundary,
+	// after a frame and with nothing before them.
+	for off := 0; off <= 40; off++ {
+		buf := make([]byte, 80)
+		buf[off] = 0x5A
+		f.Add(buf, uint16(0))
+	}
+	ack := mac.AppendFrameVC(nil, mac.FlagAck|mac.FlagSack, 1, 0, 3, make([]byte, mac.SackBytes))
+	for _, run := range []int{1, 31, 32, 33, 64, 65, 100} {
+		f.Add(append(append([]byte(nil), ack...), make([]byte, run)...), uint16(0))
+		f.Add(make([]byte, run), uint16(0))
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte, maxPayload uint16) {
