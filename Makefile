@@ -10,11 +10,13 @@ GO ?= go
 FUZZTIME ?= 20s
 # pkg:target pairs — go test runs one fuzz target at a time, per package.
 # Every fuzz target in the tree, no more (TestFuzzTargetsListed): the
-# wire-facing decoders, the scenario parser, and the differential targets
+# wire-facing decoders, the scenario parser, the event-record renderer
+# held to fmt.Sprintf, and the differential targets
 # that hold each optimized hot-path stage to its naive twin in
 # internal/refmodel.
 FUZZ_TARGETS = internal/phy:FuzzFramerDecodeStream internal/phy:FuzzHammingFECDecode \
 	internal/phy:FuzzParseFramesNeverPanics internal/scenario:FuzzScenarioSpec \
+	internal/eventlog:FuzzEventRender \
 	internal/refmodel:FuzzRSLiteDecode internal/refmodel:FuzzMACDeframe \
 	internal/refmodel:FuzzDiffScrambler internal/refmodel:FuzzDiffBSCSkip \
 	internal/refmodel:FuzzDiffRSEncode internal/refmodel:FuzzDiffRSDecode \

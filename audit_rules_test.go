@@ -104,12 +104,18 @@ var auditRules = []rule{{
 	},
 }, {
 	id:    "REMAP-IN-SUPERVISOR",
-	why:   "only the link supervisor formats the remap line, at the superframe boundary it owns",
+	why:   "only the link supervisor declares the remap record, at the superframe boundary it owns",
 	files: srcDirs,
 	match: stringLit(`^sf=%d remap %v$`),
 	allow: []allowance{
-		{"internal/faultinject/supervisor.go", `s.log.Addf("sf=%d remap %v", s.sf, ev)`, "the supervisor's one remap line"},
+		{"internal/faultinject/supervisor.go", `var recRemap = eventlog.NewKind("sf=%d remap %v", eventlog.Int, eventlog.Rec)`, "the supervisor's one remap record"},
 	},
+}, {
+	id: "EVENTLOG-RECORDS",
+	why: "an event is a record, rendered on demand: no Addf under internal/, and internal/eventlog's append path " +
+		"(the Entry methods, Log's Add and AppendEach, and skip) calls no fmt",
+	files: []string{"internal/"}, tests: true,
+	match: anyOf(ident(`^Addf$`), fmtOnAppendPath),
 }, {
 	id:    "FLEETD-LINK-NO-SIM",
 	why:   "a fleetd link is stepped by its caller, who holds the clock: it imports no simulation clock",
@@ -266,6 +272,28 @@ var auditRules = []rule{{
 	files: []string{"internal/netsim/"}, skip: []string{"internal/netsim/invariants.go"},
 	arm64: regexp.MustCompile(`\bF(N)?M(ADD|SUB)[SD]\b`),
 }}
+
+// fmtOnAppendPath matches a function of internal/eventlog's append path
+// whose body refers to package fmt.
+func fmtOnAppendPath(info *types.Info, n ast.Node) bool {
+	fd, ok := n.(*ast.FuncDecl)
+	if !ok || info == nil || fd.Body == nil || !matchKey(objectKey(info.Defs[fd.Name]), []string{
+		"mosaic/internal/eventlog.Entry.*", "mosaic/internal/eventlog.Log.Add", "mosaic/internal/eventlog.Log.AppendEach",
+		"mosaic/internal/eventlog.skip",
+	}) {
+		return false
+	}
+	found := false
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok {
+			if pn, ok := info.Uses[id].(*types.PkgName); ok && pn.Imported().Path() == "fmt" {
+				found = true
+			}
+		}
+		return !found
+	})
+	return found
+}
 
 // anyOf matches what any of ms matches.
 func anyOf(ms ...check) check {
@@ -935,13 +963,51 @@ func Run(h []func(), f func(), n *atomic.Int64) {
 `,
 	"internal/eventlog/eventlog.go": `package eventlog
 
-import "crypto/sha256"
+import (
+	"crypto/sha256"
+	"fmt"
+)
 
 // Digest is the clean variant of the sha256.New() hole.
 func Digest(b []byte) []byte {
 	h := sha256.New()
 	h.Write(b)
 	return h.Sum(nil)
+}
+
+type Arg int
+
+var Int, Rec Arg
+
+type Kind struct{ format string }
+
+func NewKind(format string, args ...Arg) *Kind { return &Kind{format} }
+
+type Log struct{ buf []byte }
+
+type Entry struct{ l *Log }
+
+func (l *Log) Add(k *Kind) Entry {
+	l.buf = append(l.buf, k.format...)
+	return Entry{l}
+}
+
+func (e Entry) Int(v int) Entry { // want EVENTLOG-RECORDS
+	e.l.buf = fmt.Appendf(e.l.buf, "%d", v)
+	return e
+}
+
+// render is the clean variant: the renderer may format.
+func render(b []byte, v int) []byte { return fmt.Appendf(b, "%d", v) }
+`,
+	"internal/mac/session.go": `package mac
+
+type eventLog struct{}
+
+func (eventLog) Addf(format string, args ...any) {} // want EVENTLOG-RECORDS
+
+func (l eventLog) retx(sf int) {
+	l.Addf("sf=%d retx", sf) // want EVENTLOG-RECORDS
 }
 `,
 	"internal/experiments/e23.go": `package experiments
@@ -1102,14 +1168,15 @@ func mirror(c *counter, now float64) { c.Add(now) }
 `,
 	"internal/faultinject/supervisor.go": `package faultinject
 
-import "mosaic/internal/phy"
+import (
+	"mosaic/internal/eventlog"
+	"mosaic/internal/phy"
+)
 
-type eventLog struct{}
-
-func (eventLog) Addf(format string, args ...any) {}
+var recRemap = eventlog.NewKind("sf=%d remap %v", eventlog.Int, eventlog.Rec)
 
 type Supervisor struct {
-	log eventLog
+	log *eventlog.Log
 	sf  int
 }
 
@@ -1118,8 +1185,8 @@ func (s *Supervisor) attach(link *phy.Link) {
 	})
 }
 
-func (s *Supervisor) remap(ev []int) {
-	s.log.Addf("sf=%d remap %v", s.sf, ev)
+func (s *Supervisor) remap() {
+	s.log.Add(recRemap).Int(s.sf)
 }
 `,
 	"internal/faultinject/soak_test.go": "package faultinject\n\ntype soakMetrics struct{} // want SOAK-ROW-TABLE\n",

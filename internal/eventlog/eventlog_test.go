@@ -4,9 +4,25 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
+
+// The test kinds: a line of any text, and a numbered line.
+var (
+	text     = NewKind("%s", Str)
+	numbered = NewKind("line %d", Int)
+)
+
+// textLog is a log of lines, each one text record.
+func textLog(lines []string) *Log {
+	var l Log
+	for _, s := range lines {
+		l.Add(text).Str(s)
+	}
+	return &l
+}
 
 // Digest must be exactly what the six hand-written sites computed, so
 // every golden constant in the repo survives the move: the bare form
@@ -28,10 +44,7 @@ func TestDigestMatchesLegacyExpressions(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			var l Log
-			for _, line := range tc.lines {
-				l.Addf("%s", line)
-			}
+			l := textLog(tc.lines)
 			bare := sha256.Sum256([]byte(strings.Join(tc.lines, "\n")))
 			if got, want := Digest(l.Lines()), fmt.Sprintf("%x", bare[:8]); got != want {
 				t.Errorf("Digest() = %s, legacy expression gives %s", got, want)
@@ -40,7 +53,7 @@ func TestDigestMatchesLegacyExpressions(t *testing.T) {
 			if got, want := Digest(l.Lines(), summary), fmt.Sprintf("%x", trailed[:8]); got != want {
 				t.Errorf("Digest(summary) = %s, legacy expression gives %s", got, want)
 			}
-			if Digest(l.Lines(), summary) != Digest(tc.lines, summary) {
+			if l.Digest(summary) != Digest(tc.lines, summary) || l.Digest() != Digest(tc.lines) {
 				t.Error("method and package-level Digest disagree")
 			}
 		})
@@ -59,8 +72,9 @@ func legacyDigest(lines []string, trailer ...string) string {
 	return fmt.Sprintf("%x", sum[:8])
 }
 
-// Streaming the lines into the hash hashes the same bytes as joining
-// them: on random logs — lines from empty to longer than the stream's
+// Streaming the lines, or the records, into the hash hashes the same
+// bytes as joining them, and the records render the lines back across
+// Lines' 64 KB chunks: on random logs — lines from empty to longer than the stream's
 // buffer, with newlines and multi-byte runes inside them — with no lines
 // and with zero to three trailers, some of them empty.
 func TestDigestStreamsTheJoin(t *testing.T) {
@@ -89,8 +103,16 @@ func TestDigestStreamsTheJoin(t *testing.T) {
 		for j := range trailers {
 			trailers[j] = str(40)
 		}
-		if got, want := Digest(lines, trailers...), legacyDigest(lines, trailers...); got != want {
+		want := legacyDigest(lines, trailers...)
+		if got := Digest(lines, trailers...); got != want {
 			t.Fatalf("case %d (%d lines, %d trailers): Digest %s, the joined string hashes to %s", i, len(lines), len(trailers), got, want)
+		}
+		l := textLog(lines)
+		if got := l.Digest(trailers...); got != want {
+			t.Fatalf("case %d (%d lines, %d trailers): the records digest to %s, the joined string hashes to %s", i, len(lines), len(trailers), got, want)
+		}
+		if got := l.Lines(); !slices.Equal(got, lines) {
+			t.Fatalf("case %d: %d lines render as %d others", i, len(lines), len(got))
 		}
 	}
 }
@@ -98,22 +120,22 @@ func TestDigestStreamsTheJoin(t *testing.T) {
 func TestCapCountsDrops(t *testing.T) {
 	l := &Log{Max: 3}
 	for i := 0; i < 5; i++ {
-		l.Addf("line %d", i)
+		l.Add(numbered).Int(i)
 	}
 	if len(l.Lines()) != 3 || l.Dropped() != 2 {
 		t.Fatalf("Len=%d Dropped=%d, want 3 and 2", len(l.Lines()), l.Dropped())
 	}
 	if got := strings.Join(l.Lines(), "|"); got != "line 0|line 1|line 2" {
-		t.Errorf("retained %q: the cap must keep the oldest lines", got)
+		t.Errorf("retained %q: the cap must keep the oldest records", got)
 	}
 
 	l.Reset()
 	if len(l.Lines()) != 0 || l.Dropped() != 0 {
 		t.Fatalf("after Reset: Len=%d Dropped=%d", len(l.Lines()), l.Dropped())
 	}
-	l.Addf("again")
+	l.Add(text).Str("again")
 	if len(l.Lines()) != 1 || l.Lines()[0] != "again" {
-		t.Errorf("after Reset+Addf: %q", l.Lines())
+		t.Errorf("after Reset+Add: %q", l.Lines())
 	}
 }
 
@@ -121,7 +143,7 @@ func TestZeroAndNonPositiveMaxUseDefault(t *testing.T) {
 	var zero Log
 	for _, l := range []*Log{&zero, {Max: -1}} {
 		for i := 0; i < DefaultMax+2; i++ {
-			l.Addf("x")
+			l.Add(text).Str("x")
 		}
 		if len(l.Lines()) != DefaultMax || l.Dropped() != 2 {
 			t.Errorf("Len=%d Dropped=%d, want %d and 2", len(l.Lines()), l.Dropped(), DefaultMax)
@@ -129,14 +151,14 @@ func TestZeroAndNonPositiveMaxUseDefault(t *testing.T) {
 	}
 }
 
-// Reset keeps the line capacity: refilling a per-epoch buffer costs the
-// Sprintf renderings and nothing else, so it must allocate less than
-// filling a fresh log, which also grows the slice.
+// Reset keeps the arena's capacity: refilling a per-epoch buffer packs
+// the records and allocates nothing, where filling a fresh log grows its
+// arena.
 func TestResetKeepsCapacity(t *testing.T) {
 	const n = 64
 	fill := func(l *Log) {
 		for i := 0; i < n; i++ {
-			l.Addf("sf=%d remap", i)
+			l.Add(numbered).Int(i)
 		}
 	}
 	fresh := testing.AllocsPerRun(50, func() { fill(new(Log)) })
@@ -146,33 +168,25 @@ func TestResetKeepsCapacity(t *testing.T) {
 		l.Reset()
 		fill(&l)
 	})
-	if refill >= fresh {
-		t.Errorf("refill after Reset allocates %.0f times, a fresh fill %.0f: capacity was not kept", refill, fresh)
-	}
-	// One string per rendered line; the race detector's runtime also boxes
-	// the int argument.
-	if refill > 2*n {
-		t.Errorf("refill of %d lines allocates %.0f times, want the renderings alone", n, refill)
+	if fresh == 0 || refill != 0 {
+		t.Errorf("a fresh fill of %d records allocates %.0f times and a refill after Reset %.0f: want some and none", n, fresh, refill)
 	}
 }
 
-// Reset keeps the capacity but none of the lines: a buffer reset at every
-// barrier must not hold the previous epoch's strings until they are
-// overwritten.
+// Reset keeps the capacity but none of the records: what is appended
+// after it renders alone.
 func TestResetClearsLines(t *testing.T) {
 	var l Log
 	for i := 0; i < 5; i++ {
-		l.Addf("line %d", i)
+		l.Add(numbered).Int(i)
 	}
-	c := cap(l.Lines())
+	c := cap(l.buf)
 	l.Reset()
-	lines := l.Lines()
-	if cap(lines) != c {
-		t.Fatalf("Reset: capacity %d, want %d", cap(lines), c)
+	if cap(l.buf) != c || len(l.buf) != 0 || l.Lines() != nil {
+		t.Fatalf("Reset: capacity %d (want %d), %d bytes and %q left", cap(l.buf), c, len(l.buf), l.Lines())
 	}
-	for i, s := range lines[:c] {
-		if s != "" {
-			t.Errorf("Reset: slot %d still holds %q", i, s)
-		}
+	l.Add(numbered).Int(7)
+	if got := l.Lines(); len(got) != 1 || got[0] != "line 7" {
+		t.Errorf("after Reset: %q, want [line 7]", got)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"sort"
 	"strings"
 
-	"mosaic/internal/eventlog"
 	"mosaic/internal/faultinject"
 	"mosaic/internal/mac"
 	"mosaic/internal/netsim"
@@ -167,7 +166,7 @@ func e24WithWorkers(seed int64, workers int) (Table, e24Metrics, error) {
 	}
 	m.Waterfills = fs.Waterfills()
 	m.RatedFlows = fs.RatedFlows()
-	m.LogSHA = eventlog.Digest(fs.EventLog())
+	m.LogSHA = fs.LogDigest()
 
 	samples, err := e24BringUpSamples(seed, workers, aging, len(topo.Links))
 	if err != nil {

@@ -22,6 +22,8 @@ import (
 	"math/rand"
 	"os"
 	"sort"
+
+	"mosaic/internal/eventlog"
 )
 
 // Kind is the class of an injected fault.
@@ -87,22 +89,34 @@ func (e Event) Validate() error {
 	}
 }
 
-// String renders the event compactly (stable format: the soak event log
-// hashes these strings in its determinism golden test).
-func (e Event) String() string {
+// The forms an Event is logged and rendered in (stable: the soak event
+// log hashes them in its determinism golden test).
+var (
+	recKill       = eventlog.NewKind("sf=%d kill ch=%d", eventlog.Int, eventlog.Int)
+	recAging      = eventlog.NewKind("sf=%d aging ch=%d to=%.2e over=%d", eventlog.Int, eventlog.Int, eventlog.Float, eventlog.Int)
+	recBurst      = eventlog.NewKind("sf=%d burst ch=%d ber=%.2e for=%d", eventlog.Int, eventlog.Int, eventlog.Float, eventlog.Int)
+	recCorrelated = eventlog.NewKind("sf=%d correlated ch=%d span=%d", eventlog.Int, eventlog.Int, eventlog.Int)
+	recOther      = eventlog.NewKind("sf=%d %s ch=%d", eventlog.Int, eventlog.Str, eventlog.Int)
+)
+
+// Record appends the event as the nested record en takes.
+func (e Event) Record(en eventlog.Entry) {
 	switch e.Kind {
 	case KindKill:
-		return fmt.Sprintf("sf=%d kill ch=%d", e.At, e.Channel)
+		en.Rec(recKill).Int(e.At).Int(e.Channel)
 	case KindAging:
-		return fmt.Sprintf("sf=%d aging ch=%d to=%.2e over=%d", e.At, e.Channel, e.BER, e.Duration)
+		en.Rec(recAging).Int(e.At).Int(e.Channel).Float(e.BER).Int(e.Duration)
 	case KindBurst:
-		return fmt.Sprintf("sf=%d burst ch=%d ber=%.2e for=%d", e.At, e.Channel, e.BER, e.Duration)
+		en.Rec(recBurst).Int(e.At).Int(e.Channel).Float(e.BER).Int(e.Duration)
 	case KindCorrelated:
-		return fmt.Sprintf("sf=%d correlated ch=%d span=%d", e.At, e.Channel, e.Span)
+		en.Rec(recCorrelated).Int(e.At).Int(e.Channel).Int(e.Span)
 	default:
-		return fmt.Sprintf("sf=%d %s ch=%d", e.At, e.Kind, e.Channel)
+		en.Rec(recOther).Int(e.At).Str(string(e.Kind)).Int(e.Channel)
 	}
 }
+
+// String renders the event compactly, as its record.
+func (e Event) String() string { return eventlog.Line(e.Record) }
 
 // Schedule is a validated, time-ordered fault script plus the seed that
 // generated it (0 for hand-written schedules).

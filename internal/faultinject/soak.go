@@ -73,6 +73,13 @@ type Result struct {
 	SurvivedFullWidth bool `json:"survived_full_width"`
 }
 
+// The soak's own records, beside the supervisor's.
+var (
+	recInject    = eventlog.NewKind("inject %v", eventlog.Rec)
+	recFirstDrop = eventlog.NewKind("sf=%d first-drop delivered=%d/%d", eventlog.Int, eventlog.Int, eventlog.Int)
+	recMaintain  = eventlog.NewKind("sf=%d maintain %v", eventlog.Int, eventlog.Rec)
+)
+
 // Run executes the schedule against cfg.Link and returns the event log
 // and aggregate statistics. The run is deterministic: a fixed link seed,
 // traffic seed, and schedule produce a byte-identical Log at any
@@ -118,7 +125,7 @@ func Run(cfg Config) (*Result, error) {
 		m.Sync(&view)
 	}
 	sup.OnInject = func(e Event) {
-		log.Addf("inject %v", e)
+		e.Record(log.Add(recInject))
 		view.inject[e.Kind]++
 	}
 
@@ -137,7 +144,7 @@ func Run(cfg Config) (*Result, error) {
 		res.Corrections += st.Corrections
 		if res.FirstDropSF < 0 && st.FramesDelivered < st.FramesIn {
 			res.FirstDropSF = sf
-			log.Addf("sf=%d first-drop delivered=%d/%d", sf, st.FramesDelivered, st.FramesIn)
+			log.Add(recFirstDrop).Int(sf).Int(st.FramesDelivered).Int(st.FramesIn)
 		}
 
 		res.Remaps += sup.Spare()
@@ -146,7 +153,7 @@ func Run(cfg Config) (*Result, error) {
 		if cfg.MaintainEvery > 0 && (sf+1)%cfg.MaintainEvery == 0 {
 			for _, a := range link.Maintain(cfg.Policy) {
 				res.MaintenanceActions++
-				log.Addf("sf=%d maintain %v", sf, a)
+				a.Record(log.Add(recMaintain).Int(sf))
 			}
 		}
 

@@ -24,7 +24,7 @@ import (
 //	End(st)    degraded / spares-exhausted milestones, once each, then the
 //	           telemetry feed
 //
-// The supervisor writes four canonical lines into the caller's log, all
+// The supervisor writes four canonical records into the caller's log, all
 // labelled with the sf passed to Begin: "sf=N transition ch=C from->to",
 // "sf=N remap <event>", "sf=N degraded lanes=L/L0" and "sf=N
 // spares-exhausted". Everything else (inject, first-drop, maintain, retx,
@@ -55,6 +55,18 @@ type Supervisor struct {
 	// and count injections in their own dialect.
 	OnInject func(e Event)
 }
+
+// The supervisor's records.
+var (
+	channelState = eventlog.Enum(phy.Healthy.String(), phy.Degraded.String(), phy.Failed.String())
+
+	recTransition = eventlog.NewKind("sf=%d transition ch=%d %v->%v", eventlog.Int, eventlog.Int, channelState, channelState)
+	recDegraded   = eventlog.NewKind("sf=%d degraded lanes=%d/%d", eventlog.Int, eventlog.Int, eventlog.Int)
+	recExhausted  = eventlog.NewKind("sf=%d spares-exhausted", eventlog.Int)
+)
+
+// recRemap is the one remap record, its event nested.
+var recRemap = eventlog.NewKind("sf=%d remap %v", eventlog.Int, eventlog.Rec)
 
 // agingRamp tracks one in-flight KindAging event.
 type agingRamp struct {
@@ -95,7 +107,7 @@ func Supervise(link *phy.Link, log *eventlog.Log, metrics *telemetry.Registry) *
 		if s.prev != nil {
 			s.prev(physical, from, to)
 		}
-		s.log.Addf("sf=%d transition ch=%d %v->%v", s.sf, physical, from, to)
+		s.log.Add(recTransition).Int(s.sf).Int(physical).Enum(int(from)).Enum(int(to))
 	})
 	return s
 }
@@ -183,7 +195,7 @@ func (s *Supervisor) Begin(sf int) {
 // Returns how many channels were remapped.
 func (s *Supervisor) Spare() int {
 	return s.link.SpareFailed(func(ev phy.RemapEvent) {
-		s.log.Addf("sf=%d remap %v", s.sf, ev)
+		ev.Record(s.log.Add(recRemap).Int(s.sf))
 	})
 }
 
@@ -195,11 +207,11 @@ func (s *Supervisor) End(st phy.ExchangeStats) {
 	m := s.link.Mapper()
 	if s.degradedSF < 0 && m.NumLanes() < s.lanesStart {
 		s.degradedSF = s.sf
-		s.log.Addf("sf=%d degraded lanes=%d/%d", s.sf, m.NumLanes(), s.lanesStart)
+		s.log.Add(recDegraded).Int(s.sf).Int(m.NumLanes()).Int(s.lanesStart)
 	}
 	if s.exhaustSF < 0 && m.SparesLeft() == 0 {
 		s.exhaustSF = s.sf
-		s.log.Addf("sf=%d spares-exhausted", s.sf)
+		s.log.Add(recExhausted).Int(s.sf)
 	}
 	if s.col != nil {
 		s.col.ObserveExchange(st)

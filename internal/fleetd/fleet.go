@@ -22,6 +22,22 @@ import (
 // advances per service epoch.
 const epochSimLen = 10 * sim.Millisecond
 
+// The fleet's records. A link's own records reach the fleet log at the
+// barrier, copied under recLinkEvent's (epoch, link) prefix.
+var (
+	recShed        = eventlog.NewKind("epoch=%d shed op=%s reason=%s", eventlog.Int, eventlog.Str, eventlog.Str)
+	recCreate      = eventlog.NewKind("epoch=%d op=create link=%d topo=%d lanes=%d", eventlog.Int, eventlog.Int, eventlog.Int, eventlog.Int)
+	recDegrade     = eventlog.NewKind("epoch=%d op=degrade link=%d killed=%d", eventlog.Int, eventlog.Int, eventlog.Int)
+	recRenegotiate = eventlog.NewKind("epoch=%d op=renegotiate link=%d", eventlog.Int, eventlog.Int)
+	recRetire      = eventlog.NewKind("epoch=%d op=retire link=%d", eventlog.Int, eventlog.Int)
+	recReload      = eventlog.NewKind("epoch=%d op=reload max_links=%d admit=%g/%g step_budget=%d",
+		eventlog.Int, eventlog.Int, eventlog.Float, eventlog.Float, eventlog.Int)
+	recLinkEvent = eventlog.NewKind("epoch=%d link=%d %s", eventlog.Int, eventlog.Int, eventlog.Rec)
+	recSummary   = eventlog.NewKind("epoch=%d summary live=%d serving=%d degraded=%d draining=%d retired=%d flows=%d",
+		eventlog.Int, eventlog.Int, eventlog.Int, eventlog.Int, eventlog.Int, eventlog.Int, eventlog.Int)
+	recDrain = eventlog.NewKind("epoch=%d op=drain links=%d", eventlog.Int, eventlog.Int)
+)
+
 // ErrUnknownLink is returned by operations naming a link ID the fleet
 // does not hold (never admitted, or retired and pruned).
 var ErrUnknownLink = errors.New("fleetd: unknown link")
@@ -165,7 +181,7 @@ func (f *Fleet) countShed(op string, reason ShedReason) *ShedError {
 	case ShedDraining:
 		f.adm.ShedDraining++
 	}
-	f.log.Addf("epoch=%d shed op=%s reason=%s", f.epoch, op, reason)
+	f.log.Add(recShed).Int(int(f.epoch)).Str(op).Str(string(reason))
 	return &ShedError{Reason: reason}
 }
 
@@ -248,7 +264,7 @@ func (f *Fleet) Create(n int, d *LinkDesign) ([]int, error) {
 		}
 		f.links = append(f.links, ml)
 		f.adm.Admitted++
-		f.log.Addf("epoch=%d op=create link=%d topo=%d lanes=%d", f.epoch, id, topoID, design.Lanes)
+		f.log.Add(recCreate).Int(int(f.epoch)).Int(id).Int(topoID).Int(design.Lanes)
 		ids = append(ids, id)
 	}
 	return ids, shed
@@ -294,7 +310,7 @@ func (f *Fleet) degrade(id, count int) error {
 			killed++
 		}
 	}
-	f.log.Addf("epoch=%d op=degrade link=%d killed=%d", f.epoch, id, killed)
+	f.log.Add(recDegrade).Int(int(f.epoch)).Int(id).Int(killed)
 	return nil
 }
 
@@ -308,10 +324,10 @@ func (f *Fleet) renegotiate(id int) error {
 	if ml == nil {
 		return ErrUnknownLink
 	}
-	if err := ml.transition(StateRenegotiating, "op"); err != nil {
+	if _, err := ml.transition(StateRenegotiating, recToOp); err != nil {
 		return err
 	}
-	f.log.Addf("epoch=%d op=renegotiate link=%d", f.epoch, id)
+	f.log.Add(recRenegotiate).Int(int(f.epoch)).Int(id)
 	return nil
 }
 
@@ -324,10 +340,10 @@ func (f *Fleet) retire(id int) error {
 	if ml == nil {
 		return ErrUnknownLink
 	}
-	if err := ml.transition(StateDraining, "op"); err != nil {
+	if _, err := ml.transition(StateDraining, recToOp); err != nil {
 		return err
 	}
-	f.log.Addf("epoch=%d op=retire link=%d", f.epoch, id)
+	f.log.Add(recRetire).Int(int(f.epoch)).Int(id)
 	return nil
 }
 
@@ -359,9 +375,8 @@ func (f *Fleet) reloadLocked(cfg Config) error {
 	f.cfg.Budgets = cfg.Budgets
 	f.cfg.Design = cfg.Design
 	f.bucket.resize(cfg.Budgets.AdmitPerEpoch, cfg.Budgets.AdmitBurst)
-	f.log.Addf("epoch=%d op=reload max_links=%d admit=%g/%g step_budget=%d",
-		f.epoch, cfg.Budgets.MaxLinks, cfg.Budgets.AdmitPerEpoch,
-		cfg.Budgets.AdmitBurst, cfg.Budgets.StepBudget)
+	f.log.Add(recReload).Int(int(f.epoch)).Int(cfg.Budgets.MaxLinks).Float(cfg.Budgets.AdmitPerEpoch).
+		Float(cfg.Budgets.AdmitBurst).Int(cfg.Budgets.StepBudget)
 	return nil
 }
 
@@ -419,9 +434,7 @@ func (f *Fleet) stepLocked() {
 	// ascending link-ID order.
 	var retirees []*managedLink
 	for _, ml := range runnable {
-		for _, line := range ml.events.Lines() {
-			f.log.Addf("epoch=%d link=%d %s", f.epoch, ml.id, line)
-		}
+		f.log.AppendEach(&ml.events, recLinkEvent, int(f.epoch), ml.id)
 		ml.events.Reset()
 		if ml.bridge != nil {
 			f.fsim.SetLinkFraction(ml.topoID, ml.bridge.Fraction()) // no-op unless it moved
@@ -458,10 +471,9 @@ func (f *Fleet) stepLocked() {
 	for _, ml := range f.links {
 		f.counts[ml.state]++
 	}
-	f.log.Addf("epoch=%d summary live=%d serving=%d degraded=%d draining=%d retired=%d flows=%d",
-		f.epoch, len(f.links),
-		f.counts[StateServing], f.counts[StateDegraded], f.counts[StateDraining],
-		f.adm.Retired, f.fsim.ActiveFlows())
+	f.log.Add(recSummary).Int(int(f.epoch)).Int(len(f.links)).
+		Int(f.counts[StateServing]).Int(f.counts[StateDegraded]).Int(f.counts[StateDraining]).
+		Int(int(f.adm.Retired)).Int(f.fsim.ActiveFlows())
 
 	f.epoch++
 	sheds := f.admission().Sheds()
@@ -591,10 +603,10 @@ func (f *Fleet) PoolStats() PoolStats { return f.pool.Stats() }
 func (f *Fleet) Drain(ctx context.Context) int {
 	f.mu.Lock()
 	f.draining = true
-	f.log.Addf("epoch=%d op=drain links=%d", f.epoch, len(f.links))
+	f.log.Add(recDrain).Int(int(f.epoch)).Int(len(f.links))
 	for _, ml := range f.links {
 		if ml.state != StateDraining && ml.state != StateRetired {
-			_ = ml.transition(StateDraining, "fleet-drain")
+			_, _ = ml.transition(StateDraining, recToFleetDrain)
 		}
 	}
 	f.mu.Unlock()

@@ -662,3 +662,54 @@ func liveHeap() uint64 {
 	runtime.ReadMemStats(&ms)
 	return ms.HeapAlloc
 }
+
+// The fleet log keeps records, not lines: after a few hundred epochs of
+// create/retire churn at a steady population, the heap it retained per
+// entry is the packed record and the arena's growth slack.
+func TestFleetLogRetainedBytesPerEntry(t *testing.T) {
+	const churn, age, epochs = 16, 8, 300
+	cfg := DefaultConfig()
+	cfg.Workers = 2
+	cfg.Budgets.FlowsPerEpoch = 0
+	f, err := New(cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ring [age][]int
+	epoch := func(e int) {
+		for _, id := range ring[e%age] {
+			if err := f.retire(id); err != nil {
+				t.Fatalf("retire link %d: %v", id, err)
+			}
+		}
+		created, err := f.Create(churn, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ring[e%age] = created
+		f.Step()
+	}
+	for e := range 4 * age {
+		epoch(e)
+	}
+	entries0 := len(f.EventLog())
+	before := liveHeap()
+	for e := 4 * age; e < 4*age+epochs; e++ {
+		epoch(e)
+	}
+	entries := len(f.EventLog()) - entries0
+	after := liveHeap()
+	perEntry := (float64(after) - float64(before)) / float64(entries)
+	t.Logf("%.1f B retained per log entry over %d entries of churn (%d -> %d B, %d live links)", perEntry, entries, before, after, f.Snapshot().LiveLinks)
+	if entries < churn*epochs*4 {
+		t.Fatalf("%d entries over %d epochs: the churn logged too little to measure", entries, epochs)
+	}
+	// Measured 15.2–16.0 B, the arena's growth slack included; this bound
+	// is that plus about 25 %. A log of rendered lines retained 80.6 B an
+	// entry here: a ≈ 50 B string, its 16 B header and the allocator's
+	// rounding.
+	const bound = 19.5
+	if perEntry > bound {
+		t.Errorf("%.1f B retained per log entry, above the %.1f B bound", perEntry, bound)
+	}
+}

@@ -43,8 +43,8 @@ type managedLink struct {
 
 	packets [][]byte
 
-	// events buffers this epoch's log lines; the fleet merges and clears
-	// it at the barrier.
+	// events buffers this epoch's records; the fleet copies them into
+	// its log and clears it at the barrier.
 	events eventlog.Log
 
 	// runServe marks the link as scheduled for serving ticks this epoch
@@ -55,20 +55,38 @@ type managedLink struct {
 	queued, delivered, retx uint64
 }
 
-// transition applies a lifecycle edge, returning the typed error on an
-// illegal one. Every successful edge is event-logged.
-func (m *managedLink) transition(to State, detail string) error {
+// A link's records, filed in its event buffer. Each lifecycle edge is a
+// record "from->to detail" of one of the recTo kinds.
+var (
+	stateArg = eventlog.Enum(stateNames[:]...)
+
+	recToOp         = eventlog.NewKind("%s->%s op", stateArg, stateArg)
+	recToOnError    = eventlog.NewKind("%s->%s on-error", stateArg, stateArg)
+	recToFleetDrain = eventlog.NewKind("%s->%s fleet-drain", stateArg, stateArg)
+	recToBringUp    = eventlog.NewKind("%s->%s lanes=%d", stateArg, stateArg, eventlog.Int)
+	recToServing    = eventlog.NewKind("%s->%s sf=%d lanes=%d", stateArg, stateArg, eventlog.Int, eventlog.Int)
+	recToRecommit   = eventlog.NewKind("%s->%s sf=%d lanes=%d frac=%.4f", stateArg, stateArg, eventlog.Int, eventlog.Int, eventlog.Float)
+	recToRetiredNew = eventlog.NewKind("%s->%s sf=0", stateArg, stateArg)
+	recToRetired    = eventlog.NewKind("%s->%s sf=%d delivered=%d/%d retx=%d", stateArg, stateArg, eventlog.Int, eventlog.Int, eventlog.Int, eventlog.Int)
+	recToDegraded   = eventlog.NewKind("%s->%s sf=%d lanes=%d/%d spares=%d", stateArg, stateArg, eventlog.Int, eventlog.Int, eventlog.Int, eventlog.Int)
+
+	recInject     = eventlog.NewKind("sf=%d inject %v", eventlog.Int, eventlog.Rec)
+	recBridge     = eventlog.NewKind("sf=%d bridge lanes=%d frac=%.4f", eventlog.Int, eventlog.Int, eventlog.Float)
+	recWitnessErr = eventlog.NewKind("sf=%d scenario=%s witness error: %v", eventlog.Int, eventlog.Str, eventlog.Str)
+	recWitness    = eventlog.NewKind("sf=%d scenario=%s witness events=%d round=%d", eventlog.Int, eventlog.Str, eventlog.Int, eventlog.Int)
+	recError      = eventlog.NewKind("sf=%d error: %v", eventlog.Int, eventlog.Str)
+)
+
+// transition applies a lifecycle edge and opens its record, of kind
+// detail, whose detail arguments the caller appends; an illegal edge
+// returns the typed error and logs nothing.
+func (m *managedLink) transition(to State, detail *eventlog.Kind) (eventlog.Entry, error) {
 	if !CanTransition(m.state, to) {
-		return &TransitionError{Link: m.id, From: m.state, To: to}
+		return eventlog.Entry{}, &TransitionError{Link: m.id, From: m.state, To: to}
 	}
-	from := m.state
+	e := m.events.Add(detail).Enum(int(m.state)).Enum(int(to))
 	m.state = to
-	if detail != "" {
-		m.events.Addf("%s->%s %s", from, to, detail)
-	} else {
-		m.events.Addf("%s->%s", from, to)
-	}
-	return nil
+	return e, nil
 }
 
 // linkSeed derives the per-link seed from the fleet seed and the link
@@ -122,11 +140,11 @@ func (m *managedLink) construct() error {
 	// the absolute superframe, not the schedule round's.
 	m.sup = faultinject.Supervise(m.fwd, &m.events, nil)
 	m.sup.OnInject = func(e faultinject.Event) {
-		m.events.Addf("sf=%d inject %v", m.sf, e)
+		e.Record(m.events.Add(recInject).Int(m.sf))
 	}
 	m.bridge = mac.NewBridge(m.fwd)
 	m.bridge.OnRenegotiate = func(lanes int, frac float64) {
-		m.events.Addf("sf=%d bridge lanes=%d frac=%.4f", m.sf, lanes, frac)
+		m.events.Add(recBridge).Int(m.sf).Int(lanes).Float(frac)
 	}
 
 	m.loadSchedule()
@@ -149,10 +167,10 @@ func (m *managedLink) loadSchedule() {
 		if err != nil {
 			// Unreachable for a registered scenario (the library validates);
 			// log and serve unfaulted rather than wedging the lifecycle.
-			m.events.Addf("sf=%d scenario=%s witness error: %v", m.sf, entry.ID, err)
+			m.events.Add(recWitnessErr).Int(m.sf).Str(entry.ID).Str(err.Error())
 		} else {
 			sched = s
-			m.events.Addf("sf=%d scenario=%s witness events=%d round=%d", m.sf, entry.ID, len(sched.Events), m.round)
+			m.events.Add(recWitness).Int(m.sf).Str(entry.ID).Int(len(sched.Events)).Int(m.round)
 		}
 	} else if d.Hazard > 0 {
 		rng := rand.New(rand.NewSource(roundSeed))
@@ -199,10 +217,10 @@ func (m *managedLink) tick(draining bool) {
 func (m *managedLink) fail(err error) {
 	if m.err == nil {
 		m.err = err
-		m.events.Addf("sf=%d error: %v", m.sf, err)
+		m.events.Add(recError).Int(m.sf).Str(err.Error())
 	}
 	if m.state != StateDraining && m.state != StateRetired {
-		_ = m.transition(StateDraining, "on-error")
+		_, _ = m.transition(StateDraining, recToOnError)
 	}
 }
 
@@ -218,13 +236,14 @@ func (m *managedLink) step() {
 			m.fail(fmt.Errorf("construct: %w", err))
 			return
 		}
-		_ = m.transition(StateBringUp, fmt.Sprintf("lanes=%d", m.design.Lanes))
+		e, _ := m.transition(StateBringUp, recToBringUp)
+		e.Int(m.design.Lanes)
 
 	case StateBringUp:
 		m.tick(false)
 		if m.state == StateBringUp && m.sf >= m.design.BringUpSF {
-			_ = m.transition(StateServing,
-				fmt.Sprintf("sf=%d lanes=%d", m.sf, m.fwd.Mapper().NumLanes()))
+			e, _ := m.transition(StateServing, recToServing)
+			e.Int(m.sf).Int(m.fwd.Mapper().NumLanes())
 		}
 		m.checkDegraded()
 
@@ -239,19 +258,19 @@ func (m *managedLink) step() {
 		// Commit the degraded width as the new contract. The fraction is
 		// the bridge's (relative to the design width), already published.
 		m.contract = m.fwd.Mapper().NumLanes()
-		_ = m.transition(StateServing,
-			fmt.Sprintf("sf=%d lanes=%d frac=%.4f", m.sf, m.contract, m.bridge.Fraction()))
+		e, _ := m.transition(StateServing, recToRecommit)
+		e.Int(m.sf).Int(m.contract).Float(m.bridge.Fraction())
 
 	case StateDraining:
 		if m.pair == nil {
-			_ = m.transition(StateRetired, "sf=0")
+			_, _ = m.transition(StateRetired, recToRetiredNew)
 			return
 		}
 		m.tick(true)
 		m.drained++
 		if m.pair.A.Stats().InFlight == 0 || m.drained >= m.design.DrainSF {
-			_ = m.transition(StateRetired, fmt.Sprintf(
-				"sf=%d delivered=%d/%d retx=%d", m.sf, m.delivered, m.queued, m.retx))
+			e, _ := m.transition(StateRetired, recToRetired)
+			e.Int(m.sf).Int(int(m.delivered)).Int(int(m.queued)).Int(int(m.retx))
 		}
 	}
 }
@@ -264,8 +283,8 @@ func (m *managedLink) checkDegraded() {
 	}
 	lanes := m.fwd.Mapper().NumLanes()
 	if lanes < m.contract {
-		_ = m.transition(StateDegraded, fmt.Sprintf(
-			"sf=%d lanes=%d/%d spares=%d", m.sf, lanes, m.contract, m.fwd.Mapper().SparesLeft()))
+		e, _ := m.transition(StateDegraded, recToDegraded)
+		e.Int(m.sf).Int(lanes).Int(m.contract).Int(m.fwd.Mapper().SparesLeft())
 	}
 }
 

@@ -2,6 +2,7 @@ package fleetd
 
 import (
 	"errors"
+	"slices"
 	"testing"
 )
 
@@ -38,14 +39,14 @@ func TestLifecycleLegalEdges(t *testing.T) {
 			t.Errorf("CanTransition(%s, %s) = false, want true", e.from, e.to)
 		}
 		ml := &managedLink{id: 7, state: e.from}
-		if err := ml.transition(e.to, "test"); err != nil {
+		if _, err := ml.transition(e.to, recToOp); err != nil {
 			t.Errorf("transition %s -> %s: %v", e.from, e.to, err)
 		}
 		if ml.state != e.to {
 			t.Errorf("transition %s -> %s left state %s", e.from, e.to, ml.state)
 		}
-		if len(ml.events.Lines()) != 1 {
-			t.Errorf("transition %s -> %s logged %d events, want 1", e.from, e.to, len(ml.events.Lines()))
+		if got, want := ml.events.Lines(), []string{e.from.String() + "->" + e.to.String() + " op"}; !slices.Equal(got, want) {
+			t.Errorf("transition %s -> %s logged %q, want %q", e.from, e.to, got, want)
 		}
 	}
 }
@@ -63,7 +64,7 @@ func TestLifecycleIllegalEdges(t *testing.T) {
 				t.Errorf("CanTransition(%s, %s) = true, want false", from, to)
 			}
 			ml := &managedLink{id: 42, state: from}
-			err := ml.transition(to, "test")
+			_, err := ml.transition(to, recToOp)
 			if err == nil {
 				t.Errorf("transition %s -> %s: no error", from, to)
 				continue

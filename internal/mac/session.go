@@ -69,6 +69,16 @@ type Session struct {
 	log eventlog.Log
 }
 
+// The session's records, beside its supervisor's.
+var (
+	recInject        = eventlog.NewKind("inject %v", eventlog.Rec)
+	recRenegotiate   = eventlog.NewKind("sf=%d renegotiate t=%v lanes=%d frac=%.4f", eventlog.Int, eventlog.Str, eventlog.Int, eventlog.Float)
+	recSendError     = eventlog.NewKind("sf=%d send error: %v", eventlog.Int, eventlog.Str)
+	recBurst         = eventlog.NewKind("sf=%d incast burst +%d", eventlog.Int, eventlog.Int)
+	recExchangeError = eventlog.NewKind("sf=%d exchange error: %v", eventlog.Int, eventlog.Str)
+	recRetx          = eventlog.NewKind("sf=%d retx +%d (total=%d inflight=%d)", eventlog.Int, eventlog.Int, eventlog.Int, eventlog.Int)
+)
+
 // Result summarizes a finished session.
 type Result struct {
 	Log []string `json:"log"`
@@ -153,11 +163,11 @@ func NewSession(cfg SessionConfig) (*Session, error) {
 	s.sup = faultinject.Supervise(cfg.Fwd, &s.log, cfg.Metrics)
 	s.sup.Load(cfg.Schedule, 0)
 	s.sup.OnInject = func(e faultinject.Event) {
-		s.log.Addf("inject %v", e)
+		e.Record(s.log.Add(recInject))
 	}
 	if cfg.Bridge != nil && cfg.Bridge.OnRenegotiate == nil {
 		cfg.Bridge.OnRenegotiate = func(lanes int, frac float64) {
-			s.log.Addf("sf=%d renegotiate t=%v lanes=%d frac=%.4f", s.sf, s.now, lanes, frac)
+			s.log.Add(recRenegotiate).Int(s.sf).Str(s.now.String()).Int(lanes).Float(frac)
 		}
 	}
 	return s, nil
@@ -179,7 +189,7 @@ func (s *Session) queueTraffic() bool {
 		for k := 0; k < n; k++ {
 			if err := s.pair.A.SendVC(vc, s.packets[i]); err != nil {
 				s.err = err
-				s.log.Addf("sf=%d send error: %v", s.sf, err)
+				s.log.Add(recSendError).Int(s.sf).Str(err.Error())
 				return false
 			}
 			i++
@@ -196,7 +206,7 @@ func (s *Session) queueTraffic() bool {
 		return false
 	}
 	if s.cfg.BurstEvery > 0 && s.sf%s.cfg.BurstEvery == 0 {
-		s.log.Addf("sf=%d incast burst +%d", s.sf, s.cfg.BurstPackets)
+		s.log.Add(recBurst).Int(s.sf).Int(s.cfg.BurstPackets)
 		if !send(0, s.cfg.BurstPackets) {
 			return false
 		}
@@ -224,7 +234,7 @@ func (s *Session) Step() bool {
 	}
 	if err := s.pair.Tick(); err != nil {
 		s.err = err
-		s.log.Addf("sf=%d exchange error: %v", s.sf, err)
+		s.log.Add(recExchangeError).Int(s.sf).Str(err.Error())
 		s.sup.Close()
 		return false
 	}
@@ -234,8 +244,7 @@ func (s *Session) Step() bool {
 
 	// Retransmission activity (the LLR doing its job) is log-worthy.
 	if a := s.pair.A.Stats(); a.Retransmits > s.prevRetx {
-		s.log.Addf("sf=%d retx +%d (total=%d inflight=%d)",
-			s.sf, a.Retransmits-s.prevRetx, a.Retransmits, a.InFlight)
+		s.log.Add(recRetx).Int(s.sf).Int(int(a.Retransmits - s.prevRetx)).Int(int(a.Retransmits)).Int(a.InFlight)
 		s.prevRetx = a.Retransmits
 	}
 

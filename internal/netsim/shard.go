@@ -2,7 +2,6 @@ package netsim
 
 import (
 	"slices"
-	"strconv"
 
 	"mosaic/internal/eventlog"
 	"mosaic/internal/par"
@@ -69,7 +68,7 @@ type FleetSim struct {
 	records  []FlowRecord // stalls + cross completions (shard records merged on demand)
 	sorted   int          // records[:sorted] is in (End, ID) order: each barrier sorts its own segment
 	log      eventlog.Log // one line per epoch, capped at eventlog.DefaultMax
-	perShard []byte       // Step scratch: the log line's per_shard list
+	perShard []int        // Step scratch: the epoch record's per_shard list
 
 	// The record merge's inputs (recordLists) and DrainRecords' merge
 	// buffer, both reused.
@@ -192,10 +191,19 @@ func (fs *FleetSim) RatedFlows() uint64 {
 	return n
 }
 
+// recEpoch is the one record a FleetSim logs, once per epoch.
+var recEpoch = eventlog.NewKind(
+	"epoch=%d t=%.3f arrivals=%d cross_arrivals=%d stalls=%d done=%d cross_done=%d per_shard=[%s] active=%d cross=%d cap_sum=%.6e",
+	eventlog.Int, eventlog.Float, eventlog.Int, eventlog.Int, eventlog.Int, eventlog.Int, eventlog.Int, eventlog.Ints,
+	eventlog.Int, eventlog.Int, eventlog.Float)
+
 // EventLog returns the per-epoch log lines (the determinism witness:
 // its sha must match at any worker count), capped so that the FleetSim
 // inside a long-lived mosaicfleetd does not grow by a line per epoch.
 func (fs *FleetSim) EventLog() []string { return fs.log.Lines() }
+
+// LogDigest is eventlog.Digest(fs.EventLog()), streamed from the records.
+func (fs *FleetSim) LogDigest() string { return fs.log.Digest() }
 
 // Records merges all shard-local and fleet-level records not yet
 // drained, ordered by (End, ID) — a deterministic global completion order.
@@ -580,21 +588,16 @@ func (fs *FleetSim) Step(epochLen sim.Time) {
 	// Epilogue: one deterministic log line per epoch.
 	done := 0
 	fs.perShard = fs.perShard[:0]
-	for i, sh := range fs.shards {
+	for _, sh := range fs.shards {
 		done += len(sh.due)
-		if i > 0 {
-			fs.perShard = append(fs.perShard, ',')
-		}
-		fs.perShard = strconv.AppendInt(fs.perShard, int64(len(sh.due)), 10)
+		fs.perShard = append(fs.perShard, len(sh.due))
 	}
 	var capSum float64
 	for _, c := range fs.capacity {
 		capSum += c
 	}
-	fs.log.Addf(
-		"epoch=%d t=%.3f arrivals=%d cross_arrivals=%d stalls=%d done=%d cross_done=%d per_shard=[%s] active=%d cross=%d cap_sum=%.6e",
-		fs.epochIdx, float64(fs.now), fs.arrivals, fs.crossArrivals, fs.stalls,
-		done, crossDone, fs.perShard, fs.ActiveFlows(), fs.cross.live(), capSum)
+	fs.log.Add(recEpoch).Int(fs.epochIdx).Float(float64(fs.now)).Int(fs.arrivals).Int(fs.crossArrivals).Int(fs.stalls).
+		Int(done).Int(crossDone).Ints(fs.perShard).Int(fs.ActiveFlows()).Int(fs.cross.live()).Float(capSum)
 	fs.epochIdx++
 	fs.completed += uint64(done + crossDone)
 	fs.stalled += uint64(fs.stalls)

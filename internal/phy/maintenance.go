@@ -1,6 +1,6 @@
 package phy
 
-import "fmt"
+import "mosaic/internal/eventlog"
 
 // Predictive maintenance: LEDs age gracefully (their BER drifts up over
 // months) rather than dying abruptly like lasers. Because the monitor sees
@@ -31,11 +31,15 @@ type MaintenanceAction struct {
 	Event        RemapEvent
 }
 
-// String renders the action.
-func (a MaintenanceAction) String() string {
-	return fmt.Sprintf("proactive: channel %d at estBER %.2e: %v",
-		a.Physical, a.EstimatedBER, a.Event)
+var recProactive = eventlog.NewKind("proactive: channel %d at estBER %.2e: %v", eventlog.Int, eventlog.Float, eventlog.Rec)
+
+// Record appends the action as the nested record en takes.
+func (a MaintenanceAction) Record(en eventlog.Entry) {
+	a.Event.Record(en.Rec(recProactive).Int(a.Physical).Float(a.EstimatedBER))
 }
+
+// String renders the action as its record.
+func (a MaintenanceAction) String() string { return eventlog.Line(a.Record) }
 
 // Maintain applies the policy once: it examines the monitor's estimates
 // and spares out the worst offenders, worst first, while the spare budget

@@ -2,7 +2,8 @@ package phy
 
 import (
 	"errors"
-	"fmt"
+
+	"mosaic/internal/eventlog"
 )
 
 // Mapper assigns logical lanes to physical channels and manages the spare
@@ -70,17 +71,27 @@ type RemapEvent struct {
 	Degraded bool // true when the link lost a lane instead of remapping
 }
 
-// String renders the event.
-func (e RemapEvent) String() string {
+// The forms a RemapEvent is logged and rendered in.
+var (
+	recSpareFailed = eventlog.NewKind("spare channel %d failed (no traffic impact)", eventlog.Int)
+	recNoSpares    = eventlog.NewKind("channel %d (lane %d) failed, no spares: degraded to fewer lanes", eventlog.Int, eventlog.Int)
+	recRemapped    = eventlog.NewKind("channel %d (lane %d) failed, remapped to spare %d", eventlog.Int, eventlog.Int, eventlog.Int)
+)
+
+// Record appends the event as the nested record en takes.
+func (e RemapEvent) Record(en eventlog.Entry) {
 	switch {
 	case e.Lane < 0:
-		return fmt.Sprintf("spare channel %d failed (no traffic impact)", e.Physical)
+		en.Rec(recSpareFailed).Int(e.Physical)
 	case e.Degraded:
-		return fmt.Sprintf("channel %d (lane %d) failed, no spares: degraded to %s", e.Physical, e.Lane, "fewer lanes")
+		en.Rec(recNoSpares).Int(e.Physical).Int(e.Lane)
 	default:
-		return fmt.Sprintf("channel %d (lane %d) failed, remapped to spare %d", e.Physical, e.Lane, e.Spare)
+		en.Rec(recRemapped).Int(e.Physical).Int(e.Lane).Int(e.Spare)
 	}
 }
+
+// String renders the event as its record.
+func (e RemapEvent) String() string { return eventlog.Line(e.Record) }
 
 // Fail marks a physical channel dead and repairs the lane map: the lane is
 // remapped onto the first available spare; with no spares left the lane is

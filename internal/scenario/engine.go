@@ -61,6 +61,14 @@ type Result struct {
 	LogSHA     string
 }
 
+// The engine's records: one header, then one line per epoch.
+var (
+	recHeader = eventlog.NewKind("scenario=%s seed=%d epochs=%d hosts=%d links=%d workloads=%d environments=%d",
+		eventlog.Str, eventlog.Int, eventlog.Int, eventlog.Int, eventlog.Int, eventlog.Int, eventlog.Int)
+	recEpoch = eventlog.NewKind("epoch=%d flows=%d unroutable=%d env_events=%d active=%d cross=%d",
+		eventlog.Int, eventlog.Int, eventlog.Int, eventlog.Int, eventlog.Int, eventlog.Int)
+)
+
 // Run executes a validated spec over a fresh fleet: each epoch the
 // environments fold their capacity fractions into a per-link
 // multiplier vector (published through SetLinkFraction), the workloads'
@@ -122,8 +130,7 @@ func Run(spec Spec, opts Options) (*Result, error) {
 		Links:  len(topo.Links),
 	}
 	var log eventlog.Log
-	log.Addf("scenario=%s seed=%d epochs=%d hosts=%d links=%d workloads=%d environments=%d",
-		spec.Name, spec.Seed, spec.Epochs, len(hosts), len(topo.Links), len(workloads), len(envs))
+	log.Add(recHeader).Str(spec.Name).Int(int(spec.Seed)).Int(spec.Epochs).Int(len(hosts)).Int(len(topo.Links)).Int(len(workloads)).Int(len(envs))
 
 	winLen := spec.windowEpochs()
 	win := WindowStat{Start: 0}
@@ -178,7 +185,7 @@ func Run(spec Spec, opts Options) (*Result, error) {
 		}
 		envEvents = 0
 		for i, env := range envs {
-			n := env.apply(e, mult, log.Addf)
+			n := env.apply(e, mult, &log)
 			eventCounts[i] += n
 			envEvents += n
 		}
@@ -207,8 +214,7 @@ func Run(spec Spec, opts Options) (*Result, error) {
 		// the epoch that produced it.
 		fs.DrainRecords(account)
 		fs.Step(1)
-		log.Addf("epoch=%d flows=%d unroutable=%d env_events=%d active=%d cross=%d",
-			e, flows, unroutable, envEvents, fs.ActiveFlows(), fs.CrossFlows())
+		log.Add(recEpoch).Int(e).Int(flows).Int(unroutable).Int(envEvents).Int(fs.ActiveFlows()).Int(fs.CrossFlows())
 
 		res.Flows += flows
 		res.Unroutable += unroutable

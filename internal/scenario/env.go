@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"sort"
 
+	"mosaic/internal/eventlog"
 	"mosaic/internal/photonics"
 )
 
@@ -13,18 +14,26 @@ import (
 // multiplies per-link capacity fractions into the epoch's fraction
 // vector (reset to 1 each epoch, so transient effects decay naturally
 // and persistent effects are re-applied from runner state), counts the
-// fault events it injected, and appends deterministic log lines. Each
+// fault events it injected, and appends deterministic log records. Each
 // runner also knows the closed-form expectation of its total event
 // count, which the conformance harness checks the actual count against.
 type envRunner interface {
 	name() string
 	// apply folds this epoch's degradation into mult (len == links) and
 	// returns the number of fault events injected this epoch.
-	apply(e int, mult []float64, logf func(format string, args ...any)) int
+	apply(e int, mult []float64, log *eventlog.Log) int
 	// expect returns the closed-form mean and standard deviation of the
 	// total event count over the whole run.
 	expect() Expectation
 }
+
+// The environments' records.
+var (
+	recSEU          = eventlog.NewKind("epoch=%d env=%s seu link=%d frac=%.3f", eventlog.Int, eventlog.Str, eventlog.Int, eventlog.Float)
+	recRadBurst     = eventlog.NewKind("epoch=%d env=%s burst links=[%d,%d) epochs=%d frac=%.3f", eventlog.Int, eventlog.Str, eventlog.Int, eventlog.Int, eventlog.Int, eventlog.Float)
+	recDerate       = eventlog.NewKind("epoch=%d env=%s derate frac=%.4f", eventlog.Int, eventlog.Str, eventlog.Float)
+	recContaminated = eventlog.NewKind("epoch=%d env=%s contaminated link=%d frac=%.3f", eventlog.Int, eventlog.Str, eventlog.Int, eventlog.Float)
+)
 
 // Expectation is the closed-form distribution of an environment's total
 // injected-event count over a run: exact (Sigma == 0) for deterministic
@@ -110,7 +119,7 @@ type radBurst struct {
 
 func (r *radiationEnv) name() string { return r.id }
 
-func (r *radiationEnv) apply(e int, mult []float64, logf func(string, ...any)) int {
+func (r *radiationEnv) apply(e int, mult []float64, log *eventlog.Log) int {
 	events := 0
 	// Persistent effect of bursts still in flight.
 	live := r.bursts[:0]
@@ -131,7 +140,7 @@ func (r *radiationEnv) apply(e int, mult []float64, logf func(string, ...any)) i
 			if r.rng.Float64() < r.p {
 				mult[l] *= r.seuFrac
 				events++
-				logf("epoch=%d env=%s seu link=%d frac=%.3f", e, r.id, l, r.seuFrac)
+				log.Add(recSEU).Int(e).Str(r.id).Int(l).Float(r.seuFrac)
 			}
 		}
 	}
@@ -149,8 +158,7 @@ func (r *radiationEnv) apply(e int, mult []float64, logf func(string, ...any)) i
 			mult[l] *= r.burstFrac
 		}
 		events++
-		logf("epoch=%d env=%s burst links=[%d,%d) epochs=%d frac=%.3f",
-			e, r.id, first, first+span, r.burstEpochs, r.burstFrac)
+		log.Add(recRadBurst).Int(e).Str(r.id).Int(first).Int(first + span).Int(r.burstEpochs).Float(r.burstFrac)
 	}
 	return events
 }
@@ -200,7 +208,7 @@ func (t *thermalEnv) fractionAt(e int) float64 {
 	return f
 }
 
-func (t *thermalEnv) apply(e int, mult []float64, logf func(string, ...any)) int {
+func (t *thermalEnv) apply(e int, mult []float64, log *eventlog.Log) int {
 	f := t.fractionAt(e)
 	if f >= 1-1e-12 {
 		return 0
@@ -208,7 +216,7 @@ func (t *thermalEnv) apply(e int, mult []float64, logf func(string, ...any)) int
 	for l := 0; l < t.links; l++ {
 		mult[l] *= f
 	}
-	logf("epoch=%d env=%s derate frac=%.4f", e, t.id, f)
+	log.Add(recDerate).Int(e).Str(t.id).Float(f)
 	return 1
 }
 
@@ -237,7 +245,7 @@ type contaminationEnv struct {
 
 func (c *contaminationEnv) name() string { return c.id }
 
-func (c *contaminationEnv) apply(e int, mult []float64, logf func(string, ...any)) int {
+func (c *contaminationEnv) apply(e int, mult []float64, log *eventlog.Log) int {
 	if e < c.at {
 		return 0
 	}
@@ -248,7 +256,7 @@ func (c *contaminationEnv) apply(e int, mult []float64, logf func(string, ...any
 		return 0
 	}
 	for _, l := range c.chosen {
-		logf("epoch=%d env=%s contaminated link=%d frac=%.3f", e, c.id, l, c.frac)
+		log.Add(recContaminated).Int(e).Str(c.id).Int(l).Float(c.frac)
 	}
 	return len(c.chosen)
 }
