@@ -16,6 +16,7 @@ FUZZTIME ?= 20s
 # internal/refmodel.
 FUZZ_TARGETS = internal/phy:FuzzFramerDecodeStream internal/phy:FuzzHammingFECDecode \
 	internal/phy:FuzzParseFramesNeverPanics internal/scenario:FuzzScenarioSpec \
+	internal/scenario:FuzzScenarioSource \
 	internal/eventlog:FuzzEventRender \
 	internal/refmodel:FuzzRSLiteDecode internal/refmodel:FuzzMACDeframe \
 	internal/refmodel:FuzzDiffScrambler internal/refmodel:FuzzDiffBSCSkip \

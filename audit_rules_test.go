@@ -117,6 +117,16 @@ var auditRules = []rule{{
 	files: []string{"internal/"}, tests: true,
 	match: anyOf(ident(`^Addf$`), fmtOnAppendPath),
 }, {
+	id: "SCENARIO-PINNED-DRAWS",
+	why: "a scenario runner draws through goSource, Go 1's source as a concrete type: no (*rand.Rand).Intn, Int31n, " +
+		"Perm or Float64 and no rand.NewSource but the one newGoSource recovers its register from",
+	files: []string{"internal/scenario/workload.go", "internal/scenario/env.go", "internal/scenario/source.go"},
+	match: refers("math/rand.Rand.Intn", "math/rand.Rand.Int31n", "math/rand.Rand.Perm", "math/rand.Rand.Float64",
+		"math/rand.NewSource"),
+	allow: []allowance{
+		{"internal/scenario/source.go", "ref := rand.NewSource(seed).(rand.Source64)", "newGoSource reads math/rand's own first draws"},
+	},
+}, {
 	id:    "FLEETD-LINK-NO-SIM",
 	why:   "a fleetd link is stepped by its caller, who holds the clock: it imports no simulation clock",
 	files: []string{"internal/fleetd/link.go"},
@@ -1203,6 +1213,29 @@ type Fleet struct{}
 func (f *Fleet) Create(n int) ([]int, error) { return nil, nil }
 
 func (f *Fleet) Apply(op string) ([]int, error) { return nil, nil }
+`,
+	"internal/scenario/source.go": `package scenario
+
+import "math/rand"
+
+type goSource struct{ rand.Source64 }
+
+func newGoSource(seed int64) *goSource {
+	ref := rand.NewSource(seed).(rand.Source64)
+	return &goSource{ref}
+}
+`,
+	"internal/scenario/workload.go": `package scenario
+
+import r "math/rand"
+
+func draw(src *goSource, hosts int) (int, float64, uint64) {
+	shadow := r.New(r.NewSource(1)) // want SCENARIO-PINNED-DRAWS
+	rng := r.New(src)
+	j := rng.Intn(hosts) + shadow.Perm(hosts)[0] // want SCENARIO-PINNED-DRAWS
+	f := rng.Float64()                           // want SCENARIO-PINNED-DRAWS
+	return j, f, rng.Uint64()
+}
 `,
 	"internal/fleetd/api.go": `package fleetd
 

@@ -24,7 +24,8 @@ import "encoding/binary"
 //     passes over all n bytes, and exactly the same values.
 //   - Decode: one parity difference proves a block clean or hands its
 //     syndromes to the decision procedure of Code.DecodeErasures (with no
-//     erasures): Berlekamp-Massey, the error positions, Forney. The
+//     erasures): Berlekamp-Massey, the error positions, Forney, and a
+//     check that the corrections cancel every syndrome it holds. The
 //     positions of a degree-1 or degree-2 locator — every locator the
 //     t = 2 codes produce — are solved in closed form from log, inverse
 //     and quadratic-root byte tables (errorPositions); a Chien scan over
@@ -37,7 +38,9 @@ import "encoding/binary"
 // forms find a root exactly where the scan does:
 // TestCodec8ClosedFormMatchesScan tries every degree-1 and degree-2
 // locator on every code in the envelope), same final codeword
-// verification. That equivalence is what TestCodec8DecodeMatchesReference
+// verification (against the syndromes rather than a re-encode: the np
+// roots are distinct, so a word is a codeword exactly when all np
+// syndromes vanish). That equivalence is what TestCodec8DecodeMatchesReference
 // and refmodel's FuzzDiffRSVector target pin against the reference
 // decoders.
 //
@@ -175,19 +178,9 @@ func (cd *Codec8) EncodeParity(parity, data []byte) {
 	}
 }
 
-// parityDiff returns received parity XOR re-encoded parity, packed like
-// parityWord: zero exactly when block is a codeword, since a systematic
-// codeword's parity is exactly the encoder's output for its data bytes.
-func (cd *Codec8) parityDiff(block []byte) uint64 {
-	var recv uint64
-	for j := 0; j < cd.np; j++ {
-		recv |= uint64(block[j]) << (8 * uint(j))
-	}
-	return recv ^ cd.parityWord(block[cd.np:])
-}
-
-// diffSyndromes evaluates the parity-difference polynomial (parityDiff's
-// packed word, byte i the coefficient of x^i) at the np generator roots:
+// diffSyndromes evaluates the parity-difference polynomial (received
+// parity XOR the parity re-encoded from the received data, packed like
+// parityWord: byte i the coefficient of x^i) at the np generator roots:
 // the block's syndromes, since the codeword part contributes zero.
 func (cd *Codec8) diffSyndromes(diff uint64) (syn [maxParity8]byte) {
 	for i := 0; i < cd.np; i++ {
@@ -220,7 +213,8 @@ func (cd *Codec8) polyEval8(p *[2*maxParity8 + 2]byte, plen int, x byte) byte {
 func (cd *Codec8) Decode(data, block []byte) (int, error) {
 	mul := cd.mul
 	np := cd.np
-	// parityDiff spelled out, so that a clean block costs one call.
+	// The parity difference: zero exactly when block is a codeword, since
+	// a systematic codeword's parity is the encoder's output for its data.
 	var diff uint64
 	for j := 0; j < np; j++ {
 		diff |= uint64(block[j]) << (8 * uint(j))
@@ -327,16 +321,24 @@ func (cd *Codec8) Decode(data, block []byte) (int, error) {
 		mags[pi] = mul[cd.xmag[pos]][mul[num][cd.inv[den]]]
 	}
 
-	// Verify on a copy that the "correction" is a codeword, then apply it
-	// to data.
-	var fixed [255]byte
-	cw := fixed[:cd.n]
-	copy(cw, block)
+	// Verify that the "correction" leaves a codeword: the block's
+	// syndromes minus the corrections' must all vanish. The code's np
+	// roots are distinct, so that is exactly g(x) dividing the corrected
+	// word — the reference path's re-encode, without re-encoding. A
+	// correction e at position p adds e·alpha^((fcr+j)·p) to S_j.
 	for pi := 0; pi < nerr; pi++ {
-		cw[positions[pi]] ^= mags[pi]
+		pos := positions[pi]
+		x := cd.inv[cd.xinv[pos]]                        // alpha^p
+		v := mul[mags[pi]][mul[x][cd.inv[cd.xmag[pos]]]] // e·alpha^(fcr·p)
+		for j := 0; j < np; j++ {
+			syn[j] ^= v
+			v = mul[v][x]
+		}
 	}
-	if cd.parityDiff(cw) != 0 {
-		return 0, ErrTooManyErrors
+	for j := 0; j < np; j++ {
+		if syn[j] != 0 {
+			return 0, ErrTooManyErrors
+		}
 	}
 	for pi := 0; pi < nerr; pi++ {
 		if i := positions[pi] - np; i >= 0 && i < len(data) {

@@ -3,7 +3,6 @@ package scenario
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 
 	"mosaic/internal/eventlog"
@@ -55,12 +54,12 @@ func thermalLED() (photonics.MicroLED, float64) {
 // The runner's RNG stream is seeded purely from spec seed × component
 // content (resolved.seed), so composition order cannot perturb draws.
 func newEnvRunner(r resolved, topo TopoSpec, epochs int) envRunner {
-	rng := rand.New(rand.NewSource(r.seed))
+	src := newGoSource(r.seed)
 	links := topo.Links()
 	switch r.comp.Kind {
 	case KindRadiation:
 		return &radiationEnv{
-			id: r.name, rng: rng, links: links, epochs: epochs,
+			id: r.name, src: src, links: links, epochs: epochs,
 			p: r.comp.SEURate, seuFrac: r.comp.SEUFraction,
 			q: r.comp.BurstRate, span: r.comp.BurstSpan,
 			burstEpochs: r.comp.BurstEpochs, burstFrac: r.comp.BurstFraction,
@@ -76,11 +75,8 @@ func newEnvRunner(r resolved, topo TopoSpec, epochs int) envRunner {
 	case KindContamination:
 		// Choose the contaminated links up front from the component's
 		// own stream; sorted so the log order is canonical.
-		n := r.comp.Links
-		if n > links {
-			n = links
-		}
-		chosen := permHead(rng, links, n)
+		chosen := make([]int, min(r.comp.Links, links))
+		permHead(src, newBounds(links), chosen)
 		sort.Ints(chosen)
 		return &contaminationEnv{
 			id: r.name, epochs: epochs, at: r.comp.AtEpoch,
@@ -100,7 +96,7 @@ func newEnvRunner(r resolved, topo TopoSpec, epochs int) envRunner {
 // exact Binomial expectation.
 type radiationEnv struct {
 	id          string
-	rng         *rand.Rand
+	src         *goSource
 	links       int
 	epochs      int
 	p, seuFrac  float64
@@ -137,7 +133,7 @@ func (r *radiationEnv) apply(e int, mult []float64, log *eventlog.Log) int {
 	// Transient SEUs: one draw per link per epoch, ascending link order.
 	if r.p > 0 {
 		for l := 0; l < r.links; l++ {
-			if r.rng.Float64() < r.p {
+			if r.src.float64() < r.p {
 				mult[l] *= r.seuFrac
 				events++
 				log.Add(recSEU).Int(e).Str(r.id).Int(l).Float(r.seuFrac)
@@ -147,12 +143,12 @@ func (r *radiationEnv) apply(e int, mult []float64, log *eventlog.Log) int {
 
 	// Correlated burst: one draw per epoch, plus a placement draw only
 	// when it fires.
-	if r.q > 0 && r.rng.Float64() < r.q {
+	if r.q > 0 && r.src.float64() < r.q {
 		span := r.span
 		if span > r.links {
 			span = r.links
 		}
-		first := r.rng.Intn(r.links - span + 1)
+		first := r.src.int31n(newBound(r.links - span + 1))
 		r.bursts = append(r.bursts, radBurst{first: first, span: span, until: e + r.burstEpochs})
 		for l := first; l < first+span; l++ {
 			mult[l] *= r.burstFrac

@@ -29,35 +29,38 @@ type arrival struct {
 }
 
 // newWorkloadRunner builds the runner for a resolved workload component.
+// Every runner draws from one goSource; bounds holds the bounded-draw
+// constants of every m up to the host count, which is all its draws need.
 func newWorkloadRunner(r resolved, topo TopoSpec, epochs int) workloadRunner {
-	rng := rand.New(rand.NewSource(r.seed))
+	src := newGoSource(r.seed)
+	bounds := newBounds(topo.Hosts())
 	switch r.comp.Kind {
 	case KindAllReduce:
 		return &allreduceWL{
-			rng:    rng,
-			groups: pickGroups(rng, topo.Hosts(), r.comp.Groups, r.comp.GroupSize),
+			src:    src,
+			groups: pickGroups(src, bounds, r.comp.Groups, r.comp.GroupSize),
 			rounds: r.comp.RoundsPerEpoch, bits: r.comp.FlowBits,
 		}
 	case KindAllToAll:
 		return &alltoallWL{
-			rng:    rng,
-			groups: pickGroups(rng, topo.Hosts(), r.comp.Groups, r.comp.GroupSize),
+			src:    src,
+			groups: pickGroups(src, bounds, r.comp.Groups, r.comp.GroupSize),
 			period: r.comp.PeriodEpochs, bits: r.comp.FlowBits,
 		}
 	case KindIncast:
 		return &incastWL{
-			rng:   rng,
-			fanIn: r.comp.FanIn, period: r.comp.PeriodEpochs, bits: r.comp.FlowBits,
+			src: src, bounds: bounds, head: make([]int, r.comp.FanIn+1),
+			period: r.comp.PeriodEpochs, bits: r.comp.FlowBits,
 		}
 	case KindStorage:
 		return &storageWL{
-			rng:    rng,
-			writes: r.comp.WritesPerEpoch, fanout: r.comp.Fanout, bits: r.comp.FlowBits,
+			src: src, bounds: bounds, head: make([]int, r.comp.Fanout+1),
+			writes: r.comp.WritesPerEpoch, bits: r.comp.FlowBits,
 		}
 	case KindDiurnal:
 		dist := workload.WebSearch()
 		return &diurnalWL{
-			rng: rng, epochs: epochs,
+			src: src, rng: rand.New(src), bounds: bounds, epochs: epochs,
 			peak: r.comp.PeakLoad, scale: r.comp.MeanBits / dist.MeanBits(),
 			dist: dist, flash: r.comp.Flash,
 		}
@@ -65,11 +68,12 @@ func newWorkloadRunner(r resolved, topo TopoSpec, epochs int) workloadRunner {
 	panic(fmt.Sprintf("scenario: no runner for workload kind %q", r.comp.Kind))
 }
 
-// pickGroups partitions a seeded host permutation into `groups`
-// consecutive chunks of `size` — fixed collective membership for the
-// whole run, the way training jobs pin their workers.
-func pickGroups(rng *rand.Rand, hosts, groups, size int) [][]int {
-	perm := permHead(rng, hosts, groups*size)
+// pickGroups partitions a seeded permutation of the len(bounds) hosts
+// into `groups` consecutive chunks of `size` — fixed collective
+// membership for the whole run, the way training jobs pin their workers.
+func pickGroups(src *goSource, bounds []bound, groups, size int) [][]int {
+	perm := make([]int, groups*size)
+	permHead(src, bounds, perm)
 	out := make([][]int, 0, groups)
 	for g := 0; g < groups; g++ {
 		out = append(out, perm[g*size:(g+1)*size])
@@ -77,14 +81,19 @@ func pickGroups(rng *rand.Rand, hosts, groups, size int) [][]int {
 	return out
 }
 
-// permHead returns rng.Perm(n)[:k] and leaves rng where rng.Perm(n) would:
-// it makes the same n Intn(i+1) draws but keeps only positions < k. In
-// Perm's inside-out shuffle a value only ever moves to a higher position,
-// so nothing past k can come back into the head.
-func permHead(rng *rand.Rand, n, k int) []int {
-	head := make([]int, k)
-	for i := 0; i < n; i++ {
-		j := rng.Intn(i + 1)
+// permHead writes rand.Perm(n)[:len(head)] to head, n = len(bounds), and
+// leaves src where rand.Perm(n) would: it makes the same n Intn(i+1)
+// draws but keeps only positions < len(head). In Perm's inside-out
+// shuffle a value only ever moves to a higher position, so nothing past
+// the head can come back into it.
+func permHead(src *goSource, bounds []bound, head []int) {
+	k := len(head)
+	for i, b := range bounds {
+		v := src.int31() // src.int31n(b), spelled out: its loop puts it over the inliner's budget
+		for v > b.max {
+			v = src.int31()
+		}
+		j := b.mod(v)
 		if i < k {
 			head[i] = head[j]
 		}
@@ -92,14 +101,13 @@ func permHead(rng *rand.Rand, n, k int) []int {
 			head[j] = i
 		}
 	}
-	return head
 }
 
 // allreduceWL emits ring all-reduce traffic: every epoch, rounds×
 // (per group) each member sends a chunk to its ring successor. Group
 // membership is fixed at construction.
 type allreduceWL struct {
-	rng    *rand.Rand
+	src    *goSource
 	groups [][]int
 	rounds int
 	bits   float64
@@ -109,7 +117,7 @@ func (w *allreduceWL) draw(e, hosts int, out []arrival) []arrival {
 	for r := 0; r < w.rounds; r++ {
 		for _, g := range w.groups {
 			for i := range g {
-				out = append(out, arrival{g[i], g[(i+1)%len(g)], w.bits, w.rng.Uint64()})
+				out = append(out, arrival{g[i], g[(i+1)%len(g)], w.bits, w.src.Uint64()})
 			}
 		}
 	}
@@ -120,7 +128,7 @@ func (w *allreduceWL) draw(e, hosts int, out []arrival) []arrival {
 // `period` epochs: N(N-1) flows of bits/(N-1) each, the shuffle phase
 // of expert-parallel or reduce-scatter collectives.
 type alltoallWL struct {
-	rng    *rand.Rand
+	src    *goSource
 	groups [][]int
 	period int
 	bits   float64
@@ -135,7 +143,7 @@ func (w *alltoallWL) draw(e, hosts int, out []arrival) []arrival {
 		for i := range g {
 			for j := range g {
 				if i != j {
-					out = append(out, arrival{g[i], g[j], per, w.rng.Uint64()})
+					out = append(out, arrival{g[i], g[j], per, w.src.Uint64()})
 				}
 			}
 		}
@@ -147,8 +155,9 @@ func (w *alltoallWL) draw(e, hosts int, out []arrival) []arrival {
 // distinct senders all target one receiver at once — the classic
 // partition-aggregate incast that stresses the receiver's edge link.
 type incastWL struct {
-	rng    *rand.Rand
-	fanIn  int
+	src    *goSource
+	bounds []bound
+	head   []int // receiver, then the fanIn senders
 	period int
 	bits   float64
 }
@@ -157,9 +166,9 @@ func (w *incastWL) draw(e, hosts int, out []arrival) []arrival {
 	if e%w.period != 0 {
 		return out
 	}
-	perm := permHead(w.rng, hosts, w.fanIn+1)
-	for _, src := range perm[1:] {
-		out = append(out, arrival{src, perm[0], w.bits, w.rng.Uint64()})
+	permHead(w.src, w.bounds[:hosts], w.head)
+	for _, src := range w.head[1:] {
+		out = append(out, arrival{src, w.head[0], w.bits, w.src.Uint64()})
 	}
 	return out
 }
@@ -168,17 +177,18 @@ func (w *incastWL) draw(e, hosts int, out []arrival) []arrival {
 // on random primaries and each primary pushes a copy to `fanout`
 // distinct replicas.
 type storageWL struct {
-	rng    *rand.Rand
+	src    *goSource
+	bounds []bound
+	head   []int // primary, then the fanout replicas
 	writes int
-	fanout int
 	bits   float64
 }
 
 func (w *storageWL) draw(e, hosts int, out []arrival) []arrival {
 	for n := 0; n < w.writes; n++ {
-		perm := permHead(w.rng, hosts, w.fanout+1)
-		for _, replica := range perm[1:] {
-			out = append(out, arrival{perm[0], replica, w.bits, w.rng.Uint64()})
+		permHead(w.src, w.bounds[:hosts], w.head)
+		for _, replica := range w.head[1:] {
+			out = append(out, arrival{w.head[0], replica, w.bits, w.src.Uint64()})
 		}
 	}
 	return out
@@ -189,7 +199,9 @@ func (w *storageWL) draw(e, hosts int, out []arrival) []arrival {
 // epoch, with WebSearch-distributed sizes rescaled to the requested
 // mean. An optional flash crowd multiplies the load inside its window.
 type diurnalWL struct {
-	rng    *rand.Rand
+	src    *goSource
+	rng    *rand.Rand // over src, for the size samples
+	bounds []bound
 	epochs int
 	peak   float64
 	scale  float64
@@ -204,13 +216,13 @@ func (w *diurnalWL) draw(e, hosts int, out []arrival) []arrival {
 	}
 	n := int(load * float64(hosts))
 	for i := 0; i < n; i++ {
-		src := w.rng.Intn(hosts)
-		dst := w.rng.Intn(hosts - 1)
+		src := w.src.int31n(w.bounds[hosts-1])
+		dst := w.src.int31n(w.bounds[hosts-2])
 		if dst >= src {
 			dst++
 		}
 		bits := w.dist.SampleBits(w.rng) * w.scale
-		out = append(out, arrival{src, dst, bits, w.rng.Uint64()})
+		out = append(out, arrival{src, dst, bits, w.src.Uint64()})
 	}
 	return out
 }
