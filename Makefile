@@ -103,7 +103,9 @@ determinism:
 # the whole pipeline (7 reach points, construction + exchange); the
 # steady-state Exchange — clean, and at BER 2e-4 where the RS decode
 # path runs — the MAC round trips and one woken par.Pool round in the
-# exchange's shape (PoolRoundWoken) are pinned allocation-free, as are the
+# exchange's shape (PoolRoundWoken) and back-to-back rounds alternating
+# between two pools in the storm's shape (PoolRoundsTwoPools) are pinned
+# allocation-free, as are the
 # noisy tick's two per-error and per-frame paths: one dirty RS(68,64)
 # block's decode (RSDecodeDirty) and an ack-only superframe's idle scan
 # (DeframeIdle); E12Degradation gates FlowSim's event loop (five
@@ -123,7 +125,7 @@ determinism:
 BENCH_COUNT ?= 5
 bench:
 	@$(GO) test -bench 'BenchmarkE10EndToEnd$$' -benchmem -benchtime 100x -count=$(BENCH_COUNT) -run '^$$' . && \
-	$(GO) test -bench 'BenchmarkExchangeSteadyState$$|BenchmarkExchangeNoisySteadyState$$|BenchmarkMACFrameRoundTrip$$|BenchmarkMACFrameRoundTripSR$$|BenchmarkPoolRoundWoken$$' \
+	$(GO) test -bench 'BenchmarkExchangeSteadyState$$|BenchmarkExchangeNoisySteadyState$$|BenchmarkMACFrameRoundTrip$$|BenchmarkMACFrameRoundTripSR$$|BenchmarkPoolRoundWoken$$|BenchmarkPoolRoundsTwoPools$$' \
 		-benchmem -benchtime 1000x -count=$(BENCH_COUNT) -run '^$$' . && \
 	$(GO) test -bench 'BenchmarkRSDecodeDirty$$|BenchmarkDeframeIdle$$' -benchmem -benchtime 20000x -count=$(BENCH_COUNT) -run '^$$' . && \
 	$(GO) test -bench 'BenchmarkE12Degradation$$|BenchmarkE24FleetFlows$$' -benchmem -benchtime 1x -count=$(BENCH_COUNT) -run '^$$' -timeout 30m . && \
@@ -146,21 +148,40 @@ bench-check:
 		-baseline ci/bench_baseline.json -out BENCH_E10.json
 
 # The per-layer ledger: the repo benchmark's five workloads, untraced and
-# traced, three times over at fixed work (-rounds 8, so every counted
-# metric repeats exactly from row to row and only the timings move),
-# every metric folded to its median into the "after" row of
-# BENCH_LAYERS.json (committed; other rows are kept). A change that
-# claims a gain commits a "before" row measured on its parent tree — run
-# the same loop in a checkout of the parent and pipe it through this
-# tree's `benchguard -layers before` — beside the "after" row this target
-# writes. The fold then prints metric | before | after | ratio per
-# workload and fails if a count (a metric all three runs agree on exactly;
-# runtime.* and driver.* excepted) differs from the "before" row: a change
-# that was only to make the simulator faster must leave what it simulated
-# alone. ~2 min per run on this tree.
+# traced, at fixed work (-rounds 8, so every counted metric repeats
+# exactly from run to run and only the timings move), every metric folded
+# to its median over three runs into a row of BENCH_LAYERS.json
+# (committed; rows with other labels are kept). A change measures itself
+# against its parent with `make bench-layers PARENT=<ref>`: the parent's
+# benchmark is built from a git worktree of <ref>, a copy of that binary
+# is the A/A arm, and the three builds run in the orders P A N, A N P,
+# N P A, so no arm holds one position on a host whose speed drifts. Each
+# arm folds into its own row — before, before-aa, after — and the A/A
+# row's spread against before is the noise a before/after ratio must
+# clear. Without PARENT the target folds three runs of this tree into
+# the after row. Each fold past before prints metric | before | after |
+# ratio per workload and fails if a count (a metric all three runs agree
+# on exactly; runtime.* and driver.* excepted) differs from the before
+# row: a change that was only to make the simulator faster must leave
+# what it simulated alone. ~2 min per run on this tree, so ~18 min with
+# PARENT.
 bench-layers:
-	@for i in 1 2 3; do $(GO) run ./benchmark -all -trace 1 -rounds 8 || exit 1; done | \
-		$(GO) run ./cmd/benchguard -layers after -out BENCH_LAYERS.json
+	@set -e; dir=$$(mktemp -d); \
+	trap 'if [ -d "$$dir/parent" ]; then git worktree remove --force "$$dir/parent"; fi; rm -rf "$$dir"' EXIT; \
+	$(GO) build -o "$$dir/after" ./benchmark; \
+	if [ -n "$(PARENT)" ]; then \
+		git worktree add --detach "$$dir/parent" "$(PARENT)" >/dev/null; \
+		(cd "$$dir/parent" && $(GO) build -o "$$dir/before" ./benchmark); \
+		cp "$$dir/before" "$$dir/before-aa"; \
+		arms="before before-aa after"; \
+		for order in "before before-aa after" "before-aa after before" "after before before-aa"; do \
+			for arm in $$order; do echo "bench-layers: $$arm" >&2; "$$dir/$$arm" -all -trace 1 -rounds 8 >> "$$dir/$$arm.out"; done; \
+		done; \
+	else \
+		arms=after; \
+		for i in 1 2 3; do "$$dir/after" -all -trace 1 -rounds 8 >> "$$dir/after.out"; done; \
+	fi; \
+	for arm in $$arms; do $(GO) run ./cmd/benchguard -layers $$arm -in "$$dir/$$arm.out" -out BENCH_LAYERS.json; done
 
 # Coverage gate for the packages the vectorized kernels, the fault
 # machinery, the one worker pool, the ARQ core, the flow engine, the

@@ -406,6 +406,29 @@ func BenchmarkPoolRoundWoken(b *testing.B) {
 	}
 }
 
+// BenchmarkPoolRoundsTwoPools prices pool rounds in the storm's shape:
+// back-to-back rounds alternating between two pools (the scenario round,
+// then FleetSim's shard phases), each after ≈60 µs of serial work on the
+// caller and with no Wake, so a round's helper is the one the other
+// pool's round left waiting. One op is a round on each pool, 40 tasks of
+// ≈2 µs on 2 workers apiece. Pinned at 0 allocs/op.
+func BenchmarkPoolRoundsTwoPools(b *testing.B) {
+	pools := [2]*par.Pool{par.New(2), par.New(2)}
+	var tasks [40]uint64
+	task := func(i int) { tasks[i] = xorshiftSpin(tasks[i]+1, 900) }
+	var serial uint64
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, p := range pools {
+			serial = xorshiftSpin(serial+1, 27000)
+			p.Run(len(tasks), task)
+		}
+	}
+	if serial == 0 {
+		b.Fatal("serial stage optimised away")
+	}
+}
+
 // xorshiftSpin runs n dependent xorshift steps: ≈2.2 ns each on the
 // 2-vCPU guest the baselines were measured on.
 func xorshiftSpin(x uint64, n int) uint64 {

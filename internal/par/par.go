@@ -17,36 +17,44 @@ import (
 )
 
 // waitBound is how long a goroutine yields its P before giving up on the
-// other side of a round: a helper waiting for its round to be published
-// exits, a caller waiting for its joined helpers parks. It is a constant
-// so that an idle Pool owns no goroutines half a millisecond after its
-// last Wake, and long enough to cover an idle vCPU picking up a helper
-// (70–90 µs on the 2-vCPU guest DESIGN.md measures).
+// other side of a round: a helper waiting for a round to join exits, a
+// caller waiting for its joined helpers parks. It is a constant so that
+// a process owns no helpers half a millisecond after its last round or
+// Wake, and long enough to cover an idle vCPU picking up a helper
+// (70–90 µs on the 2-vCPU guest DESIGN.md measures) and most gaps
+// between back-to-back rounds.
 const waitBound = 500 * time.Microsecond
 
-// The round word: round id in the high 32 bits, the phase in the next
-// two, and the count of helpers that joined the round in the rest. Every
-// transition is one atomic store or CAS, so a helper's join and the
-// caller's close are totally ordered.
+// The round word: round id in the high 32 bits, the open bit, and the
+// count of helpers that joined the round in the rest. Every transition
+// is one atomic store or CAS, so a helper's join and the caller's close
+// are totally ordered.
 const (
-	pending    = 1 << 30 // Wake armed the round; Run has not published it
-	open       = 2 << 30 // published: helpers may join
-	phaseMask  = 3 << 30 // phase 0 is closed: nobody may join
-	joinedMask = 1<<30 - 1
+	open       = 1 << 31 // published: helpers may join; clear is closed
+	joinedMask = open - 1
 	idShift    = 32
 )
 
+// The helpers are one set per process, shared by every Pool. board is
+// the pool they should join next — the last to Wake or Run, put back by
+// a nested Run when its round closes — and live counts the helpers
+// launched and not yet gone.
+var (
+	board atomic.Pointer[Pool]
+	live  atomic.Int64
+)
+
 // Pool runs indexed tasks across a fixed number of workers. The caller
-// of Run is worker 0; helpers are launched by Wake or Run for one round
-// and exit with it, so an idle Pool owns no goroutines. One Run at a time
-// per Pool, and Wake from the same goroutine; a task may Run on a
-// different Pool (registry → experiment → phy.Exchange nests so).
+// of Run is worker 0; the process's helpers join a round as workers 1, 2,
+// … up to the pool's size. One Run at a time per Pool, and Wake from the
+// same goroutine; a task may Run on a different Pool (registry →
+// experiment → phy.Exchange nests so).
 type Pool struct {
 	workers int
 
 	// Lifetime tasks executed, tasks stolen from another worker's range,
-	// barrier rounds run, helpers that found their round already closed,
-	// and the size of the round in flight.
+	// barrier rounds run, rounds that closed with fewer helpers joined
+	// than they could take, and the size of the round in flight.
 	tasks  atomic.Uint64
 	steals atomic.Uint64
 	rounds atomic.Uint64
@@ -54,10 +62,9 @@ type Pool struct {
 	depth  atomic.Int64
 
 	round  atomic.Uint64 // the round word
-	live   atomic.Int64  // helpers launched and not yet gone
 	done   chan struct{} // a token per joined helper done with its share; sized so no send blocks
-	help   func()        // the helper body, built once so `go` allocates nothing
 	fn     func(i int)   // the round in flight
+	prev   *Pool         // the announcement this pool's Wake or Run replaced on the board
 	queues []queue
 }
 
@@ -76,9 +83,7 @@ func New(workers int) *Pool {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	p := &Pool{workers: workers, queues: make([]queue, workers), done: make(chan struct{}, workers)}
-	p.help = p.helper
-	return p
+	return &Pool{workers: workers, queues: make([]queue, workers), done: make(chan struct{}, workers)}
 }
 
 // Stats is a pool's telemetry snapshot.
@@ -87,7 +92,7 @@ type Stats struct {
 	Tasks   uint64 `json:"tasks"`
 	Steals  uint64 `json:"steals"`
 	Rounds  uint64 `json:"rounds"`
-	Late    uint64 `json:"late"` // helpers that arrived after their round closed
+	Late    uint64 `json:"late"` // rounds that closed with fewer helpers joined than they could take
 	Depth   int64  `json:"depth"`
 }
 
@@ -103,25 +108,32 @@ func (p *Pool) Stats() Stats {
 	}
 }
 
-// Wake launches the next round's helpers ahead of Run, so the time an
-// idle CPU takes to pick one up overlaps the caller's serial work instead
-// of the round. Helpers that see no Run within waitBound exit. A nil Pool
-// ignores it.
+// Wake announces the pool's next round and launches helpers ahead of
+// Run, so the time an idle CPU takes to pick one up overlaps the
+// caller's serial work instead of the round. A nil Pool ignores it.
 func (p *Pool) Wake() {
 	if p == nil {
 		return
 	}
-	if w := p.round.Load(); w&phaseMask != pending {
-		p.round.Store((w>>idShift+1)<<idShift | pending)
-	}
-	p.launch(p.workers - 1)
+	p.announce()
+	launch(p.workers - 1)
 }
 
-// launch starts helpers until want are alive.
-func (p *Pool) launch(want int) {
-	for p.live.Load() < int64(want) {
-		p.live.Add(1)
-		go p.help()
+// announce puts p on the board, keeping what it replaced for the close
+// of p's round to put back: the helpers an inner Run borrowed return to
+// the outer round.
+func (p *Pool) announce() {
+	if old := board.Swap(p); old != p {
+		p.prev = old
+	}
+}
+
+// launch starts helpers until the process has want of them.
+func launch(want int) {
+	for n := live.Load(); n < int64(want); n = live.Load() {
+		if live.CompareAndSwap(n, n+1) {
+			go helper()
+		}
 	}
 }
 
@@ -146,21 +158,24 @@ func (p *Pool) Run(n int, fn func(i int)) {
 		p.queues[w].next.Store(int64(w*per + min(w, extra)))
 		p.queues[w].hi = int64((w+1)*per + min(w+1, extra))
 	}
-	// Publish: a Woken round keeps its id, a cold one takes the next.
-	w := p.round.Load()
-	id := w >> idShift
-	if w&phaseMask != pending {
-		id++
-	}
-	p.round.Store(id<<idShift | open)
-	p.launch(min(p.workers, n) - 1)
+	want := min(p.workers, n) - 1
+	p.announce()
+	p.round.Store((p.round.Load()>>idShift+1)<<idShift | open)
+	launch(want)
 	p.work(0)
 
 	// Close (clear the open bit; a helper's join CAS on the open word now
-	// fails, so the joined count is final), then wait for the joined
-	// helpers only: yield while they finish, park once the bound passed.
-	w = p.round.Add(^uint64(open - 1))
-	for joined, start := w&joinedMask, time.Now(); joined > 0; joined-- {
+	// fails, so the joined count is final) and hand the board back, then
+	// wait for the joined helpers only: yield while they finish, park
+	// once the bound passed.
+	w := p.round.Add(^uint64(open - 1))
+	board.CompareAndSwap(p, p.prev)
+	p.prev = nil
+	joined := int(w & joinedMask)
+	if joined < want {
+		p.late.Add(1)
+	}
+	for start := time.Now(); joined > 0; joined-- {
 		for len(p.done) == 0 && time.Since(start) < waitBound {
 			runtime.Gosched()
 		}
@@ -170,33 +185,40 @@ func (p *Pool) Run(n int, fn func(i int)) {
 	p.depth.Store(0)
 }
 
-// helper waits, yielding its P, for a round to be published and joins it
-// with one CAS; it then works as worker 1, 2, … in join order and hands
-// its token back. A helper that finds the round closed, or no round
-// within waitBound, exits without reading fn or the ranges.
-func (p *Pool) helper() {
-	start := time.Now()
+// helper is one of the process's helpers. It yields its P while it waits
+// for an open round on the board, joins it with one CAS while the round
+// has fewer than min(workers, n) − 1 helpers, works its share as worker
+// 1, 2, … in join order and hands its token back. Then it waits again,
+// for whichever pool is on the board next, and exits once it has waited
+// without joining for four times the share it just worked, or waitBound
+// if that is shorter (or it has worked none): a helper whose rounds are
+// short lingers briefly, so it spins through no long serial stage, while
+// one whose rounds take their time waits out the gap to the next. It
+// never reads a round's fn or ranges unless its CAS joined that round,
+// and never rejoins a round it left.
+func helper() {
+	var last *Pool
+	var lastID uint64
+	idle, bound := time.Now(), time.Duration(waitBound)
 	for {
-		w := p.round.Load()
-		switch w & phaseMask {
-		case open:
-			if !p.round.CompareAndSwap(w, w+1) {
+		if p := board.Load(); p != nil {
+			w := p.round.Load()
+			if w&open != 0 && (p != last || w>>idShift != lastID) &&
+				int64(w&joinedMask) < min(int64(p.workers), p.depth.Load())-1 &&
+				p.round.CompareAndSwap(w, w+1) {
+				joined := time.Now()
+				p.work(int(w&joinedMask) + 1)
+				p.done <- struct{}{}
+				last, lastID, idle = p, w>>idShift, time.Now()
+				bound = min(4*idle.Sub(joined), waitBound)
 				continue
 			}
-			p.work(int(w&joinedMask) + 1)
-			p.live.Add(-1) // before the token: the next Wake sees this one gone
-			p.done <- struct{}{}
-			return
-		case pending:
-			if time.Since(start) < waitBound {
-				runtime.Gosched()
-				continue
-			}
-		default:
-			p.late.Add(1)
 		}
-		p.live.Add(-1)
-		return
+		if time.Since(idle) >= bound {
+			live.Add(-1)
+			return
+		}
+		runtime.Gosched()
 	}
 }
 

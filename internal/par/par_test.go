@@ -118,6 +118,20 @@ func TestRunNested(t *testing.T) {
 			}
 		}
 	}
+	// The close of an inner round hands the board back to the outer one,
+	// and the outer close to what was there before its Wake (a one-task
+	// outer round runs on this goroutine alone, so nothing else announces).
+	before, one, inner := board.Load(), New(2), New(workers)
+	one.Wake()
+	one.Run(1, func(int) {
+		inner.Run(innerN, func(int) {})
+		if got := board.Load(); got != one {
+			t.Errorf("board holds %p after the inner round, want the outer pool %p", got, one)
+		}
+	})
+	if got := board.Load(); got != before {
+		t.Errorf("board holds %p after the outer round, want %p from before it", got, before)
+	}
 }
 
 // Many independent pools driven at once (every fleetd link stepping its
@@ -189,9 +203,9 @@ func TestRoundProtocolStress(t *testing.T) {
 		}
 		// A straggler writing into a finished round would land after its
 		// check above: look again once every helper is gone.
-		for deadline := time.Now().Add(time.Second); p.live.Load() != 0; {
+		for deadline := time.Now().Add(time.Second); live.Load() != 0; {
 			if time.Now().After(deadline) {
-				t.Fatalf("workers=%d: %d helpers still live a second after the last round", workers, p.live.Load())
+				t.Fatalf("workers=%d: %d helpers still live a second after the last round", workers, live.Load())
 			}
 			runtime.Gosched()
 		}
@@ -243,4 +257,80 @@ func TestWakeWithoutRun(t *testing.T) {
 		}
 	}
 	t.Fatalf("no attempt of %d returned to the baseline goroutine count within %v", attempts, 2*waitBound)
+}
+
+// Rounds that alternate between two pools — the storm's shape, the
+// scenario round then FleetSim's shard phases — share the process's
+// helpers: a helper that finished a round of one pool joins the next
+// round of the other, but only as a worker that round has a range for
+// (never past min(workers, n) − 1 joined, so never past the smaller
+// pool's workers), and the set never grows past the larger pool's
+// workers − 1.
+func TestRoundsAlternateBetweenPools(t *testing.T) {
+	waitForNoHelpers(t)
+	pools := [2]*Pool{New(4), New(2)}
+	sizes := []int{0, 1, 2, 3, 100}
+	const most = 3 // the 4-worker pool's helpers
+	var over atomic.Int64
+	for r := 0; r < 4000; r++ {
+		p, n := pools[r%2], sizes[r/2%len(sizes)]
+		hits := make([]atomic.Int32, n)
+		p.Run(n, func(i int) {
+			hits[i].Add(1)
+			if h := live.Load(); h > most {
+				over.Store(h)
+			}
+		})
+		for i := range hits {
+			if got := hits[i].Load(); got != 1 {
+				t.Fatalf("round %d (workers=%d n=%d): task %d ran %d times", r, p.workers, n, i, got)
+			}
+		}
+		// The closed word keeps its joined count until the pool's next round.
+		if joined := int(p.round.Load() & joinedMask); n > 0 && joined > min(p.workers, n)-1 {
+			t.Fatalf("round %d (workers=%d n=%d): %d helpers joined", r, p.workers, n, joined)
+		}
+		if h := max(live.Load(), over.Load()); h > most {
+			t.Fatalf("round %d: %d helpers live, want at most %d", r, h, most)
+		}
+	}
+}
+
+// A process owns no helpers waitBound after its last round: the helpers
+// a Run launched, joined or not, wait at most that long for another
+// round and then exit.
+func TestHelpersExitAfterRun(t *testing.T) {
+	// A busy host can hold a waiting helper off its CPU past the bound,
+	// so one clean attempt of five passes; every attempt must drain.
+	const attempts = 5
+	p := New(4)
+	for a := 0; a < attempts; a++ {
+		waitForNoHelpers(t)
+		p.Run(100, func(int) {
+			for start := time.Now(); time.Since(start) < 10*time.Microsecond; {
+			}
+		})
+		start, joined := time.Now(), p.round.Load()&joinedMask > 0
+		for live.Load() != 0 {
+			if time.Since(start) > time.Second {
+				t.Fatalf("Run left %d helpers behind for a second", live.Load())
+			}
+			runtime.Gosched() // a sleep here can overshoot by a millisecond
+		}
+		if joined && time.Since(start) <= 2*waitBound {
+			return
+		}
+	}
+	t.Fatalf("no attempt of %d had a helper join its Run and every helper exit within %v", attempts, 2*waitBound)
+}
+
+// waitForNoHelpers waits for the helpers an earlier test left to exit.
+func waitForNoHelpers(t *testing.T) {
+	t.Helper()
+	for deadline := time.Now().Add(time.Second); live.Load() != 0; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d helpers still live after a second", live.Load())
+		}
+		time.Sleep(20 * time.Microsecond)
+	}
 }
