@@ -158,30 +158,24 @@ bench-check:
 # N P A, so no arm holds one position on a host whose speed drifts. Each
 # arm folds into its own row — before, before-aa, after — and the A/A
 # row's spread against before is the noise a before/after ratio must
-# clear. Without PARENT the target folds three runs of this tree into
-# the after row. Each fold past before prints metric | before | after |
-# ratio per workload and fails if a count (a metric all three runs agree
-# on exactly; runtime.* and driver.* excepted) differs from the before
-# row: a change that was only to make the simulator faster must leave
-# what it simulated alone. ~2 min per run on this tree, so ~18 min with
-# PARENT.
+# clear; without PARENT the target refuses to run. Each fold past before
+# prints metric | before | after | ratio per workload and fails if a
+# count (a metric all three runs agree on exactly; runtime.* and driver.*
+# excepted) differs from the before row: a change that was only to make
+# the simulator faster must leave what it simulated alone. ~2 min per
+# run on this tree, so ~18 min in all.
 bench-layers:
+	@if [ -z "$(PARENT)" ]; then echo "bench-layers: set PARENT=<ref>, the commit to measure this tree against" >&2; exit 1; fi
 	@set -e; dir=$$(mktemp -d); \
 	trap 'if [ -d "$$dir/parent" ]; then git worktree remove --force "$$dir/parent"; fi; rm -rf "$$dir"' EXIT; \
 	$(GO) build -o "$$dir/after" ./benchmark; \
-	if [ -n "$(PARENT)" ]; then \
-		git worktree add --detach "$$dir/parent" "$(PARENT)" >/dev/null; \
-		(cd "$$dir/parent" && $(GO) build -o "$$dir/before" ./benchmark); \
-		cp "$$dir/before" "$$dir/before-aa"; \
-		arms="before before-aa after"; \
-		for order in "before before-aa after" "before-aa after before" "after before before-aa"; do \
-			for arm in $$order; do echo "bench-layers: $$arm" >&2; "$$dir/$$arm" -all -trace 1 -rounds 8 >> "$$dir/$$arm.out"; done; \
-		done; \
-	else \
-		arms=after; \
-		for i in 1 2 3; do "$$dir/after" -all -trace 1 -rounds 8 >> "$$dir/after.out"; done; \
-	fi; \
-	for arm in $$arms; do $(GO) run ./cmd/benchguard -layers $$arm -in "$$dir/$$arm.out" -out BENCH_LAYERS.json; done
+	git worktree add --detach "$$dir/parent" "$(PARENT)" >/dev/null; \
+	(cd "$$dir/parent" && $(GO) build -o "$$dir/before" ./benchmark); \
+	cp "$$dir/before" "$$dir/before-aa"; \
+	for order in "before before-aa after" "before-aa after before" "after before before-aa"; do \
+		for arm in $$order; do echo "bench-layers: $$arm" >&2; "$$dir/$$arm" -all -trace 1 -rounds 8 >> "$$dir/$$arm.out"; done; \
+	done; \
+	for arm in before before-aa after; do $(GO) run ./cmd/benchguard -layers $$arm -in "$$dir/$$arm.out" -out BENCH_LAYERS.json; done
 
 # Coverage gate for the packages the vectorized kernels, the fault
 # machinery, the one worker pool, the ARQ core, the flow engine, the

@@ -25,24 +25,30 @@ import (
 // between back-to-back rounds.
 const waitBound = 500 * time.Microsecond
 
-// The round word: round id in the high 32 bits, the open bit, and the
-// count of helpers that joined the round in the rest. Every transition
-// is one atomic store or CAS, so a helper's join and the caller's close
-// are totally ordered.
+// The round word: round id in the high 32 bits, the open bit, the woken
+// bit, and the count of helpers that joined the round in the rest. Every
+// transition is one atomic store or CAS, so a helper's join and the
+// caller's close are totally ordered.
 const (
 	open       = 1 << 31 // published: helpers may join; clear is closed
-	joinedMask = open - 1
+	woken      = 1 << 30 // set on a closed word by Wake, cleared by the next publish: a round is coming
+	joinedMask = woken - 1
 	idShift    = 32
 )
 
 // The helpers are one set per process, shared by every Pool. board is
 // the pool they should join next — the last to Wake or Run, put back by
-// a nested Run when its round closes — and live counts the helpers
-// launched and not yet gone.
+// a nested Run when its round closes — and helpers counts them: those
+// launched and not yet gone in the high 32 bits (one liveHelper each),
+// and those of them not working a round in the low 32. A helper busy in
+// an outer round is not idle, so a Run nested in its task launches a
+// helper of its own. One word, so a helper leaves both counts at once.
 var (
-	board atomic.Pointer[Pool]
-	live  atomic.Int64
+	board   atomic.Pointer[Pool]
+	helpers atomic.Uint64
 )
+
+const liveHelper = 1 << 32
 
 // Pool runs indexed tasks across a fixed number of workers. The caller
 // of Run is worker 0; the process's helpers join a round as workers 1, 2,
@@ -110,11 +116,13 @@ func (p *Pool) Stats() Stats {
 
 // Wake announces the pool's next round and launches helpers ahead of
 // Run, so the time an idle CPU takes to pick one up overlaps the
-// caller's serial work instead of the round. A nil Pool ignores it.
+// caller's serial work instead of the round; helpers wait out up to
+// waitBound of that work. A nil Pool ignores it.
 func (p *Pool) Wake() {
 	if p == nil {
 		return
 	}
+	p.round.Store(p.round.Load() | woken) // a closed word has no other writer
 	p.announce()
 	launch(p.workers - 1)
 }
@@ -128,10 +136,10 @@ func (p *Pool) announce() {
 	}
 }
 
-// launch starts helpers until the process has want of them.
+// launch starts helpers until the process has want of them idle.
 func launch(want int) {
-	for n := live.Load(); n < int64(want); n = live.Load() {
-		if live.CompareAndSwap(n, n+1) {
+	for h := helpers.Load(); int(uint32(h)) < want; h = helpers.Load() {
+		if helpers.CompareAndSwap(h, h+liveHelper+1) {
 			go helper()
 		}
 	}
@@ -158,10 +166,12 @@ func (p *Pool) Run(n int, fn func(i int)) {
 		p.queues[w].next.Store(int64(w*per + min(w, extra)))
 		p.queues[w].hi = int64((w+1)*per + min(w+1, extra))
 	}
+	// Launch before publishing: once the round is open, a helper that
+	// joined it no longer counts as idle, and launch would replace it.
 	want := min(p.workers, n) - 1
 	p.announce()
-	p.round.Store((p.round.Load()>>idShift+1)<<idShift | open)
 	launch(want)
+	p.round.Store((p.round.Load()>>idShift+1)<<idShift | open)
 	p.work(0)
 
 	// Close (clear the open bit; a helper's join CAS on the open word now
@@ -188,34 +198,49 @@ func (p *Pool) Run(n int, fn func(i int)) {
 // helper is one of the process's helpers. It yields its P while it waits
 // for an open round on the board, joins it with one CAS while the round
 // has fewer than min(workers, n) − 1 helpers, works its share as worker
-// 1, 2, … in join order and hands its token back. Then it waits again,
-// for whichever pool is on the board next, and exits once it has waited
-// without joining for four times the share it just worked, or waitBound
-// if that is shorter (or it has worked none): a helper whose rounds are
-// short lingers briefly, so it spins through no long serial stage, while
-// one whose rounds take their time waits out the gap to the next. It
-// never reads a round's fn or ranges unless its CAS joined that round,
-// and never rejoins a round it left.
+// 1, 2, … in join order, counts itself idle again and hands its token
+// back (in that order, so the caller's next Run launches no helper in
+// place of one that is done). Then it waits again, for whichever pool is
+// on the board next. It never reads a round's fn or ranges unless its
+// CAS joined that round, and never rejoins a round it left.
+//
+// How long it waits: while the board shows a woken pool, up to
+// waitBound; otherwise four times the share it just worked, capped at
+// waitBound. A helper whose rounds are short lingers briefly, so it
+// spins through no long serial stage, while one whose rounds take their
+// time waits out the gap to the next. A helper that has worked no round,
+// or whose share took waitBound or more, does not wait at all: it came
+// too late for the round that launched it, or its round was long enough
+// that a fresh helper's start (70–90 µs) is a small part of the next, and
+// a spinning helper holds the global run queue, so the network poller
+// of a process that serves requests between rounds goes unread.
 func helper() {
 	var last *Pool
 	var lastID uint64
-	idle, bound := time.Now(), time.Duration(waitBound)
+	since, bound := time.Now(), time.Duration(0)
 	for {
+		var w uint64
 		if p := board.Load(); p != nil {
-			w := p.round.Load()
+			w = p.round.Load()
 			if w&open != 0 && (p != last || w>>idShift != lastID) &&
 				int64(w&joinedMask) < min(int64(p.workers), p.depth.Load())-1 &&
 				p.round.CompareAndSwap(w, w+1) {
+				helpers.Add(^uint64(0)) // not idle
 				joined := time.Now()
 				p.work(int(w&joinedMask) + 1)
+				helpers.Add(1)
 				p.done <- struct{}{}
-				last, lastID, idle = p, w>>idShift, time.Now()
-				bound = min(4*idle.Sub(joined), waitBound)
+				last, lastID, since = p, w>>idShift, time.Now()
+				if share := since.Sub(joined); share < waitBound {
+					bound = min(4*share, waitBound)
+				} else {
+					bound = 0
+				}
 				continue
 			}
 		}
-		if time.Since(idle) >= bound {
-			live.Add(-1)
+		if waited := time.Since(since); waited >= waitBound || waited >= bound && w&woken == 0 {
+			helpers.Add(^uint64(liveHelper)) // neither live nor idle
 			return
 		}
 		runtime.Gosched()

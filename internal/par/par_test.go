@@ -203,9 +203,9 @@ func TestRoundProtocolStress(t *testing.T) {
 		}
 		// A straggler writing into a finished round would land after its
 		// check above: look again once every helper is gone.
-		for deadline := time.Now().Add(time.Second); live.Load() != 0; {
+		for deadline := time.Now().Add(time.Second); liveHelpers() != 0; {
 			if time.Now().After(deadline) {
-				t.Fatalf("workers=%d: %d helpers still live a second after the last round", workers, live.Load())
+				t.Fatalf("workers=%d: %d helpers still live a second after the last round", workers, liveHelpers())
 			}
 			runtime.Gosched()
 		}
@@ -277,7 +277,7 @@ func TestRoundsAlternateBetweenPools(t *testing.T) {
 		hits := make([]atomic.Int32, n)
 		p.Run(n, func(i int) {
 			hits[i].Add(1)
-			if h := live.Load(); h > most {
+			if h := liveHelpers(); h > most {
 				over.Store(h)
 			}
 		})
@@ -290,10 +290,56 @@ func TestRoundsAlternateBetweenPools(t *testing.T) {
 		if joined := int(p.round.Load() & joinedMask); n > 0 && joined > min(p.workers, n)-1 {
 			t.Fatalf("round %d (workers=%d n=%d): %d helpers joined", r, p.workers, n, joined)
 		}
-		if h := max(live.Load(), over.Load()); h > most {
+		if h := max(liveHelpers(), over.Load()); h > most {
 			t.Fatalf("round %d: %d helpers live, want at most %d", r, h, most)
 		}
 	}
+}
+
+// A Run nested in a task that a helper is working — the registry's
+// helper running E24, whose FleetSim and link pools Run inside it — gets
+// a helper of its own: a helper busy in the outer round does not count
+// toward the inner round's shortfall.
+func TestNestedRunOnHelperGetsHelper(t *testing.T) {
+	// The outer caller holds index 0 until a helper has taken index 1; on
+	// a busy host that can take past the deadline, and then the caller
+	// runs index 1 itself. One attempt of five with the nested Run on a
+	// helper decides.
+	const attempts = 5
+	for a := 0; a < attempts; a++ {
+		waitForNoHelpers(t)
+		outer, inner := New(2), New(2)
+		var taken, onHelper, together atomic.Bool
+		outer.Run(2, func(i int) {
+			if i == 0 {
+				for deadline := time.Now().Add(time.Second); !taken.Load() && time.Now().Before(deadline); {
+					runtime.Gosched()
+				}
+				onHelper.Store(taken.Load())
+				return
+			}
+			taken.Store(true)
+			var in atomic.Int32
+			inner.Run(2, func(int) {
+				// The second task starting while the first waits: someone
+				// other than this helper and the parked outer caller joined.
+				if in.Add(1) > 1 {
+					return
+				}
+				for deadline := time.Now().Add(time.Second); in.Load() < 2 && time.Now().Before(deadline); {
+					runtime.Gosched()
+				}
+				together.Store(in.Load() == 2)
+			})
+		})
+		if onHelper.Load() {
+			if !together.Load() {
+				t.Fatal("a Run nested on a busy helper got no helper: its two tasks never ran at once")
+			}
+			return
+		}
+	}
+	t.Skipf("no attempt of %d had a helper take the outer round's second task", attempts)
 }
 
 // A process owns no helpers waitBound after its last round: the helpers
@@ -306,14 +352,19 @@ func TestHelpersExitAfterRun(t *testing.T) {
 	p := New(4)
 	for a := 0; a < attempts; a++ {
 		waitForNoHelpers(t)
-		p.Run(100, func(int) {
+		p.Run(100, func(i int) {
+			// Hold the round until a helper joined: a helper still queued
+			// behind this goroutine when the round closes would join none.
+			for start := time.Now(); i == 0 && p.round.Load()&joinedMask == 0 && time.Since(start) < 100*time.Millisecond; {
+				runtime.Gosched()
+			}
 			for start := time.Now(); time.Since(start) < 10*time.Microsecond; {
 			}
 		})
 		start, joined := time.Now(), p.round.Load()&joinedMask > 0
-		for live.Load() != 0 {
+		for liveHelpers() != 0 {
 			if time.Since(start) > time.Second {
-				t.Fatalf("Run left %d helpers behind for a second", live.Load())
+				t.Fatalf("Run left %d helpers behind for a second", liveHelpers())
 			}
 			runtime.Gosched() // a sleep here can overshoot by a millisecond
 		}
@@ -324,12 +375,15 @@ func TestHelpersExitAfterRun(t *testing.T) {
 	t.Fatalf("no attempt of %d had a helper join its Run and every helper exit within %v", attempts, 2*waitBound)
 }
 
+// liveHelpers is the process's count of helpers launched and not gone.
+func liveHelpers() int64 { return int64(helpers.Load() / liveHelper) }
+
 // waitForNoHelpers waits for the helpers an earlier test left to exit.
 func waitForNoHelpers(t *testing.T) {
 	t.Helper()
-	for deadline := time.Now().Add(time.Second); live.Load() != 0; {
+	for deadline := time.Now().Add(time.Second); liveHelpers() != 0; {
 		if time.Now().After(deadline) {
-			t.Fatalf("%d helpers still live after a second", live.Load())
+			t.Fatalf("%d helpers still live after a second", liveHelpers())
 		}
 		time.Sleep(20 * time.Microsecond)
 	}
