@@ -1,7 +1,8 @@
 # Tier-1 verification for the Mosaic repo. `make check` is the gate every
 # change must pass: vet, the static audit, staticcheck, build, the plain test
-# suite, the same suite under the race detector (every fan-out runs on
-# internal/par), and a doubled determinism run to catch any
+# suite (internal/par's again at GOMAXPROCS 1, 2 and 4), the same suite
+# under the race detector (every fan-out runs on internal/par), and a
+# doubled determinism run to catch any
 # seed-dependent flakiness. CI (.github/workflows/ci.yml) runs
 # `make check` plus the fuzz-smoke, bench-check, scenario-conformance,
 # and coverage stages below.
@@ -66,6 +67,7 @@ build:
 
 test:
 	$(GO) test ./...
+	$(GO) test -cpu 1,2,4 ./internal/par
 
 race:
 	$(GO) test -race ./...
@@ -103,9 +105,10 @@ determinism:
 # the whole pipeline (7 reach points, construction + exchange); the
 # steady-state Exchange — clean, and at BER 2e-4 where the RS decode
 # path runs — the MAC round trips and one woken par.Pool round in the
-# exchange's shape (PoolRoundWoken) and back-to-back rounds alternating
-# between two pools in the storm's shape (PoolRoundsTwoPools) are pinned
-# allocation-free, as are the
+# exchange's shape (PoolRoundWoken), back-to-back rounds alternating
+# between two pools in the storm's shape (PoolRoundsTwoPools) and a round
+# after 1 ms of serial work in fleetd's shape (PoolRoundAfterGap) are
+# pinned allocation-free, as are the
 # noisy tick's two per-error and per-frame paths: one dirty RS(68,64)
 # block's decode (RSDecodeDirty) and an ack-only superframe's idle scan
 # (DeframeIdle); E12Degradation gates FlowSim's event loop (five
@@ -125,7 +128,7 @@ determinism:
 BENCH_COUNT ?= 5
 bench:
 	@$(GO) test -bench 'BenchmarkE10EndToEnd$$' -benchmem -benchtime 100x -count=$(BENCH_COUNT) -run '^$$' . && \
-	$(GO) test -bench 'BenchmarkExchangeSteadyState$$|BenchmarkExchangeNoisySteadyState$$|BenchmarkMACFrameRoundTrip$$|BenchmarkMACFrameRoundTripSR$$|BenchmarkPoolRoundWoken$$|BenchmarkPoolRoundsTwoPools$$' \
+	$(GO) test -bench 'BenchmarkExchangeSteadyState$$|BenchmarkExchangeNoisySteadyState$$|BenchmarkMACFrameRoundTrip$$|BenchmarkMACFrameRoundTripSR$$|BenchmarkPoolRoundWoken$$|BenchmarkPoolRoundsTwoPools$$|BenchmarkPoolRoundAfterGap$$' \
 		-benchmem -benchtime 1000x -count=$(BENCH_COUNT) -run '^$$' . && \
 	$(GO) test -bench 'BenchmarkRSDecodeDirty$$|BenchmarkDeframeIdle$$' -benchmem -benchtime 20000x -count=$(BENCH_COUNT) -run '^$$' . && \
 	$(GO) test -bench 'BenchmarkE12Degradation$$|BenchmarkE24FleetFlows$$' -benchmem -benchtime 1x -count=$(BENCH_COUNT) -run '^$$' -timeout 30m . && \

@@ -429,6 +429,29 @@ func BenchmarkPoolRoundsTwoPools(b *testing.B) {
 	}
 }
 
+// BenchmarkPoolRoundAfterGap prices a pool round in fleetd's shape: ≈1 ms
+// of serial work on the caller (the API phase between two epochs), then
+// one Run of 128 tasks of ≈20 µs (the link steps) on 2 workers, with no
+// Wake — ≈2.3 ms an op if a helper joins the round early, ≈3.6 ms if the
+// caller works it alone. With no HTTP server beside it, a helper started
+// for the round is picked up about as fast as one that spun through the
+// gap, so it gates allocations and a ceiling, not the pickup. Pinned at 0
+// allocs/op.
+func BenchmarkPoolRoundAfterGap(b *testing.B) {
+	p := par.New(2)
+	var links [128]uint64
+	task := func(i int) { links[i] = xorshiftSpin(links[i]+1, 9000) }
+	var serial uint64
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		serial = xorshiftSpin(serial+1, 454000)
+		p.Run(len(links), task)
+	}
+	if serial == 0 {
+		b.Fatal("serial stage optimised away")
+	}
+}
+
 // xorshiftSpin runs n dependent xorshift steps: ≈2.2 ns each on the
 // 2-vCPU guest the baselines were measured on.
 func xorshiftSpin(x uint64, n int) uint64 {

@@ -34,6 +34,7 @@ var fleetRows = []telemetry.Row[Fleet]{
 	{Name: "mosaic_fleetd_pool_steals_total", Help: "pool tasks obtained by stealing", Count: func(f *Fleet) uint64 { return f.pool.Stats().Steals }},
 	{Name: "mosaic_fleetd_pool_rounds_total", Help: "pool barrier rounds run", Count: func(f *Fleet) uint64 { return f.pool.Stats().Rounds }},
 	{Name: "mosaic_fleetd_pool_late_total", Help: "pool rounds that closed with fewer helpers joined than they could take", Count: func(f *Fleet) uint64 { return f.pool.Stats().Late }},
+	{Name: "mosaic_fleetd_pool_pickup_ns_total", Help: "ns from a pool round's publish to its first helper's join, summed over joined rounds", Count: func(f *Fleet) uint64 { return f.pool.Stats().PickupNs }},
 }
 
 // linkRows is one managed link's gauge set, labelled link="<id>":

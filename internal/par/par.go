@@ -16,39 +16,40 @@ import (
 	"time"
 )
 
-// waitBound is how long a goroutine yields its P before giving up on the
-// other side of a round: a helper waiting for a round to join exits, a
-// caller waiting for its joined helpers parks. It is a constant so that
-// a process owns no helpers half a millisecond after its last round or
-// Wake, and long enough to cover an idle vCPU picking up a helper
-// (70–90 µs on the 2-vCPU guest DESIGN.md measures) and most gaps
-// between back-to-back rounds.
-const waitBound = 500 * time.Microsecond
+// spinBound is how long a goroutine stays on its P waiting for the other
+// side of a round before it parks: a helper with no round to join spins,
+// a caller waiting for its joined helpers yields. It covers fleetd's API
+// phase between two step rounds (1–3 ms on the 2-vCPU guest DESIGN.md
+// measures), so the step round's helper is running when it is published.
+const spinBound = 3 * time.Millisecond
 
-// The round word: round id in the high 32 bits, the open bit, the woken
-// bit, and the count of helpers that joined the round in the rest. Every
-// transition is one atomic store or CAS, so a helper's join and the
-// caller's close are totally ordered.
+// The round word: round id in the high 32 bits, the open bit, and the
+// count of helpers that joined the round in the rest. Every transition
+// is one atomic store or CAS, so a helper's join and the caller's close
+// are totally ordered.
 const (
 	open       = 1 << 31 // published: helpers may join; clear is closed
-	woken      = 1 << 30 // set on a closed word by Wake, cleared by the next publish: a round is coming
-	joinedMask = woken - 1
+	joinedMask = open - 1
 	idShift    = 32
 )
 
-// The helpers are one set per process, shared by every Pool. board is
-// the pool they should join next — the last to Wake or Run, put back by
-// a nested Run when its round closes — and helpers counts them: those
-// launched and not yet gone in the high 32 bits (one liveHelper each),
-// and those of them not working a round in the low 32. A helper busy in
-// an outer round is not idle, so a Run nested in its task launches a
-// helper of its own. One word, so a helper leaves both counts at once.
+// The helpers are one set per process, shared by every Pool, and none
+// ever exits. board is the pool they should join next — the last to Wake
+// or Run, put back by a nested Run when its round closes. helpers counts
+// them in three 21-bit fields, high to low: every helper launched, the
+// parked ones, and the idle ones — awake and working no round: spinning,
+// or unparked or launched and not yet at the board. A helper busy in an
+// outer round is not idle, so a Run nested in its task gets a helper of
+// its own. unpark holds a token per helper unparked and not yet running:
+// no send blocks while fewer helpers are parked than its size.
 var (
 	board   atomic.Pointer[Pool]
 	helpers atomic.Uint64
+	unpark  = make(chan struct{}, 1024)
 )
 
-const liveHelper = 1 << 32
+const idleHelper, parkedHelper, liveHelper, countMask = 1, 1 << 21, 1 << 42, 1<<21 - 1
+const parkIdle = parkedHelper - idleHelper // an idle helper parks
 
 // Pool runs indexed tasks across a fixed number of workers. The caller
 // of Run is worker 0; the process's helpers join a round as workers 1, 2,
@@ -59,19 +60,21 @@ type Pool struct {
 	workers int
 
 	// Lifetime tasks executed, tasks stolen from another worker's range,
-	// barrier rounds run, rounds that closed with fewer helpers joined
-	// than they could take, and the size of the round in flight.
+	// barrier rounds run, rounds closed short of helpers, summed publish
+	// to first join ns, and the size of the round in flight.
 	tasks  atomic.Uint64
 	steals atomic.Uint64
 	rounds atomic.Uint64
 	late   atomic.Uint64
+	pickup atomic.Uint64
 	depth  atomic.Int64
 
-	round  atomic.Uint64 // the round word
-	done   chan struct{} // a token per joined helper done with its share; sized so no send blocks
-	fn     func(i int)   // the round in flight
-	prev   *Pool         // the announcement this pool's Wake or Run replaced on the board
-	queues []queue
+	round     atomic.Uint64 // the round word
+	published time.Time     // when the round in flight opened
+	done      chan struct{} // a token per joined helper done with its share; sized so no send blocks
+	fn        func(i int)   // the round in flight
+	prev      *Pool         // the announcement this pool's Wake or Run replaced on the board
+	queues    []queue
 }
 
 // queue is one worker's share of a round: the half-open index range
@@ -94,35 +97,35 @@ func New(workers int) *Pool {
 
 // Stats is a pool's telemetry snapshot.
 type Stats struct {
-	Workers int    `json:"workers"`
-	Tasks   uint64 `json:"tasks"`
-	Steals  uint64 `json:"steals"`
-	Rounds  uint64 `json:"rounds"`
-	Late    uint64 `json:"late"` // rounds that closed with fewer helpers joined than they could take
-	Depth   int64  `json:"depth"`
+	Workers  int    `json:"workers"`
+	Tasks    uint64 `json:"tasks"`
+	Steals   uint64 `json:"steals"`
+	Rounds   uint64 `json:"rounds"`
+	Late     uint64 `json:"late"`      // rounds that closed with fewer helpers joined than they could take
+	PickupNs uint64 `json:"pickup_ns"` // publish to first join, summed over the rounds a helper joined
+	Depth    int64  `json:"depth"`
 }
 
 // Stats reads the counters; safe while a Run is in flight.
 func (p *Pool) Stats() Stats {
 	return Stats{
-		Workers: p.workers,
-		Tasks:   p.tasks.Load(),
-		Steals:  p.steals.Load(),
-		Rounds:  p.rounds.Load(),
-		Late:    p.late.Load(),
-		Depth:   p.depth.Load(),
+		Workers:  p.workers,
+		Tasks:    p.tasks.Load(),
+		Steals:   p.steals.Load(),
+		Rounds:   p.rounds.Load(),
+		Late:     p.late.Load(),
+		PickupNs: p.pickup.Load(),
+		Depth:    p.depth.Load(),
 	}
 }
 
-// Wake announces the pool's next round and launches helpers ahead of
-// Run, so the time an idle CPU takes to pick one up overlaps the
-// caller's serial work instead of the round; helpers wait out up to
-// waitBound of that work. A nil Pool ignores it.
+// Wake announces the pool's next round and wakes helpers ahead of Run,
+// so their pickup overlaps the caller's serial work instead of the
+// round; they spin up to spinBound for it. A nil Pool ignores it.
 func (p *Pool) Wake() {
 	if p == nil {
 		return
 	}
-	p.round.Store(p.round.Load() | woken) // a closed word has no other writer
 	p.announce()
 	launch(p.workers - 1)
 }
@@ -136,10 +139,15 @@ func (p *Pool) announce() {
 	}
 }
 
-// launch starts helpers until the process has want of them idle.
+// launch tops the process's idle helpers up to want: it unparks a parked
+// helper while there is one and starts a goroutine only when none is.
 func launch(want int) {
-	for h := helpers.Load(); int(uint32(h)) < want; h = helpers.Load() {
-		if helpers.CompareAndSwap(h, h+liveHelper+1) {
+	for h := helpers.Load(); int(h&countMask) < want; h = helpers.Load() {
+		if h/parkedHelper&countMask > 0 {
+			if helpers.CompareAndSwap(h, h-parkIdle) {
+				unpark <- struct{}{}
+			}
+		} else if helpers.CompareAndSwap(h, h+liveHelper+idleHelper) {
 			go helper()
 		}
 	}
@@ -171,6 +179,7 @@ func (p *Pool) Run(n int, fn func(i int)) {
 	want := min(p.workers, n) - 1
 	p.announce()
 	launch(want)
+	p.published = time.Now()
 	p.round.Store((p.round.Load()>>idShift+1)<<idShift | open)
 	p.work(0)
 
@@ -186,7 +195,7 @@ func (p *Pool) Run(n int, fn func(i int)) {
 		p.late.Add(1)
 	}
 	for start := time.Now(); joined > 0; joined-- {
-		for len(p.done) == 0 && time.Since(start) < waitBound {
+		for len(p.done) == 0 && time.Since(start) < spinBound {
 			runtime.Gosched()
 		}
 		<-p.done
@@ -195,55 +204,46 @@ func (p *Pool) Run(n int, fn func(i int)) {
 	p.depth.Store(0)
 }
 
-// helper is one of the process's helpers. It yields its P while it waits
-// for an open round on the board, joins it with one CAS while the round
-// has fewer than min(workers, n) − 1 helpers, works its share as worker
-// 1, 2, … in join order, counts itself idle again and hands its token
-// back (in that order, so the caller's next Run launches no helper in
-// place of one that is done). Then it waits again, for whichever pool is
-// on the board next. It never reads a round's fn or ranges unless its
-// CAS joined that round, and never rejoins a round it left.
+// helper is one of the process's helpers. It joins an open round on the
+// board with one CAS while the round has fewer than min(workers, n) − 1
+// helpers, works its share as worker 1, 2, … in join order, counts itself
+// idle again and hands its token back (in that order, so the caller's
+// next Run wakes no helper in place of one that is done). It reads a
+// round's fn and ranges only once its CAS joined it, and never rejoins.
 //
-// How long it waits: while the board shows a woken pool, up to
-// waitBound; otherwise four times the share it just worked, capped at
-// waitBound. A helper whose rounds are short lingers briefly, so it
-// spins through no long serial stage, while one whose rounds take their
-// time waits out the gap to the next. A helper that has worked no round,
-// or whose share took waitBound or more, does not wait at all: it came
-// too late for the round that launched it, or its round was long enough
-// that a fresh helper's start (70–90 µs) is a small part of the next, and
-// a spinning helper holds the global run queue, so the network poller
-// of a process that serves requests between rounds goes unread.
+// Between rounds it spins, reading only the board and the round word and
+// never yielding, so it is on a CPU when the next round opens; after
+// spinBound it parks until a launch unparks it. A helper that finds
+// GOMAXPROCS − 1 other helpers idle parks at once: spinners never hold
+// every P, so a caller or request handler readied beside them has one.
 func helper() {
 	var last *Pool
 	var lastID uint64
-	since, bound := time.Now(), time.Duration(0)
 	for {
-		var w uint64
-		if p := board.Load(); p != nil {
-			w = p.round.Load()
-			if w&open != 0 && (p != last || w>>idShift != lastID) &&
-				int64(w&joinedMask) < min(int64(p.workers), p.depth.Load())-1 &&
-				p.round.CompareAndSwap(w, w+1) {
-				helpers.Add(^uint64(0)) // not idle
-				joined := time.Now()
-				p.work(int(w&joinedMask) + 1)
-				helpers.Add(1)
-				p.done <- struct{}{}
-				last, lastID, since = p, w>>idShift, time.Now()
-				if share := since.Sub(joined); share < waitBound {
-					bound = min(4*share, waitBound)
-				} else {
-					bound = 0
+		spin, since := int(helpers.Load()&countMask) < runtime.GOMAXPROCS(0), time.Now()
+		for i := 1; ; i++ {
+			if p := board.Load(); p != nil {
+				w := p.round.Load()
+				if w&open != 0 && (p != last || w>>idShift != lastID) &&
+					int64(w&joinedMask) < min(int64(p.workers), p.depth.Load())-1 &&
+					p.round.CompareAndSwap(w, w+1) {
+					helpers.Add(^uint64(idleHelper - 1)) // not idle
+					if w&joinedMask == 0 {
+						p.pickup.Add(uint64(time.Since(p.published)))
+					}
+					p.work(int(w&joinedMask) + 1)
+					helpers.Add(idleHelper)
+					p.done <- struct{}{}
+					last, lastID = p, w>>idShift
+					break
 				}
-				continue
+			}
+			if !spin || i%64 == 0 && time.Since(since) >= spinBound {
+				helpers.Add(parkIdle)
+				<-unpark // the launch that sent it counted this helper idle again
+				break
 			}
 		}
-		if waited := time.Since(since); waited >= waitBound || waited >= bound && w&woken == 0 {
-			helpers.Add(^uint64(liveHelper)) // neither live nor idle
-			return
-		}
-		runtime.Gosched()
 	}
 }
 

@@ -27,7 +27,7 @@ func TestPoolRunsEveryTaskOnce(t *testing.T) {
 			if n > 0 {
 				want.Tasks, want.Rounds = uint64(n), 1
 			}
-			st.Steals, st.Late = 0, 0 // schedule-dependent
+			st.Steals, st.Late, st.PickupNs = 0, 0, 0 // schedule-dependent
 			if st != want {
 				t.Fatalf("workers=%d n=%d: stats %+v, want %+v", workers, n, st, want)
 			}
@@ -202,13 +202,8 @@ func TestRoundProtocolStress(t *testing.T) {
 			}
 		}
 		// A straggler writing into a finished round would land after its
-		// check above: look again once every helper is gone.
-		for deadline := time.Now().Add(time.Second); liveHelpers() != 0; {
-			if time.Now().After(deadline) {
-				t.Fatalf("workers=%d: %d helpers still live a second after the last round", workers, liveHelpers())
-			}
-			runtime.Gosched()
-		}
+		// check above: look again once every helper is parked.
+		waitForNoAwakeHelpers(t)
 		if n := twice.Load(); n != 0 {
 			t.Fatalf("workers=%d: %d tasks ran twice", workers, n)
 		}
@@ -226,25 +221,20 @@ func TestRoundProtocolStress(t *testing.T) {
 	}
 }
 
-// A Wake that no Run follows leaves nothing behind: its helpers give up
-// within the bound, so the goroutine count returns to where it was, and
-// the Run that comes later still runs every task once.
+// A Wake that no Run follows leaves nothing awake: its helpers park
+// within the bound, and the Run that comes later still runs every task
+// once.
 func TestWakeWithoutRun(t *testing.T) {
 	// A busy host can hold a spinning helper off its CPU past the bound,
-	// so one clean attempt of five passes; every attempt must drain.
+	// so one clean attempt of five passes; every attempt must park.
 	const attempts = 5
 	for a := 0; a < attempts; a++ {
-		base := runtime.NumGoroutine()
+		waitForNoAwakeHelpers(t)
 		p := New(4)
 		start := time.Now()
 		p.Wake()
-		for runtime.NumGoroutine() > base {
-			if time.Since(start) > time.Second {
-				t.Fatalf("Wake left %d goroutines behind for a second", runtime.NumGoroutine()-base)
-			}
-			time.Sleep(20 * time.Microsecond)
-		}
-		drained := time.Since(start)
+		waitForNoAwakeHelpers(t)
+		parked := time.Since(start)
 		hits := make([]atomic.Int32, 100)
 		p.Run(len(hits), func(i int) { hits[i].Add(1) })
 		for i := range hits {
@@ -252,11 +242,11 @@ func TestWakeWithoutRun(t *testing.T) {
 				t.Fatalf("Run after an unused Wake: task %d ran %d times", i, got)
 			}
 		}
-		if drained <= 2*waitBound {
+		if parked <= 2*spinBound {
 			return
 		}
 	}
-	t.Fatalf("no attempt of %d returned to the baseline goroutine count within %v", attempts, 2*waitBound)
+	t.Fatalf("no attempt of %d had every helper parked within %v of a Wake", attempts, 2*spinBound)
 }
 
 // Rounds that alternate between two pools — the storm's shape, the
@@ -265,9 +255,9 @@ func TestWakeWithoutRun(t *testing.T) {
 // round of the other, but only as a worker that round has a range for
 // (never past min(workers, n) − 1 joined, so never past the smaller
 // pool's workers), and the set never grows past the larger pool's
-// workers − 1.
+// workers − 1 awake.
 func TestRoundsAlternateBetweenPools(t *testing.T) {
-	waitForNoHelpers(t)
+	waitForNoAwakeHelpers(t)
 	pools := [2]*Pool{New(4), New(2)}
 	sizes := []int{0, 1, 2, 3, 100}
 	const most = 3 // the 4-worker pool's helpers
@@ -277,7 +267,7 @@ func TestRoundsAlternateBetweenPools(t *testing.T) {
 		hits := make([]atomic.Int32, n)
 		p.Run(n, func(i int) {
 			hits[i].Add(1)
-			if h := liveHelpers(); h > most {
+			if h := awakeHelpers(); h > most {
 				over.Store(h)
 			}
 		})
@@ -290,8 +280,8 @@ func TestRoundsAlternateBetweenPools(t *testing.T) {
 		if joined := int(p.round.Load() & joinedMask); n > 0 && joined > min(p.workers, n)-1 {
 			t.Fatalf("round %d (workers=%d n=%d): %d helpers joined", r, p.workers, n, joined)
 		}
-		if h := max(liveHelpers(), over.Load()); h > most {
-			t.Fatalf("round %d: %d helpers live, want at most %d", r, h, most)
+		if h := max(awakeHelpers(), over.Load()); h > most {
+			t.Fatalf("round %d: %d helpers awake, want at most %d", r, h, most)
 		}
 	}
 }
@@ -307,7 +297,7 @@ func TestNestedRunOnHelperGetsHelper(t *testing.T) {
 	// helper decides.
 	const attempts = 5
 	for a := 0; a < attempts; a++ {
-		waitForNoHelpers(t)
+		waitForNoAwakeHelpers(t)
 		outer, inner := New(2), New(2)
 		var taken, onHelper, together atomic.Bool
 		outer.Run(2, func(i int) {
@@ -342,16 +332,16 @@ func TestNestedRunOnHelperGetsHelper(t *testing.T) {
 	t.Skipf("no attempt of %d had a helper take the outer round's second task", attempts)
 }
 
-// A process owns no helpers waitBound after its last round: the helpers
-// a Run launched, joined or not, wait at most that long for another
-// round and then exit.
-func TestHelpersExitAfterRun(t *testing.T) {
-	// A busy host can hold a waiting helper off its CPU past the bound,
-	// so one clean attempt of five passes; every attempt must drain.
+// A process has no helper awake spinBound after its last round: the
+// helpers a Run woke, joined or not, spin at most that long for another
+// round and then park.
+func TestHelpersParkAfterRun(t *testing.T) {
+	// A busy host can hold a spinning helper off its CPU past the bound,
+	// so one clean attempt of five passes; every attempt must park.
 	const attempts = 5
 	p := New(4)
 	for a := 0; a < attempts; a++ {
-		waitForNoHelpers(t)
+		waitForNoAwakeHelpers(t)
 		p.Run(100, func(i int) {
 			// Hold the round until a helper joined: a helper still queued
 			// behind this goroutine when the round closes would join none.
@@ -362,28 +352,117 @@ func TestHelpersExitAfterRun(t *testing.T) {
 			}
 		})
 		start, joined := time.Now(), p.round.Load()&joinedMask > 0
-		for liveHelpers() != 0 {
+		for awakeHelpers() != 0 {
 			if time.Since(start) > time.Second {
-				t.Fatalf("Run left %d helpers behind for a second", liveHelpers())
+				t.Fatalf("Run left %d helpers awake for a second", awakeHelpers())
 			}
 			runtime.Gosched() // a sleep here can overshoot by a millisecond
 		}
-		if joined && time.Since(start) <= 2*waitBound {
+		if joined && time.Since(start) <= 2*spinBound {
 			return
 		}
 	}
-	t.Fatalf("no attempt of %d had a helper join its Run and every helper exit within %v", attempts, 2*waitBound)
+	t.Fatalf("no attempt of %d had a helper join its Run and every helper park within %v", attempts, 2*spinBound)
 }
 
-// liveHelpers is the process's count of helpers launched and not gone.
-func liveHelpers() int64 { return int64(helpers.Load() / liveHelper) }
+// Parked helpers are reused: 1,000 Runs, each after a gap longer than
+// spinBound in which every helper parked, start at most workers − 1
+// goroutines in all, where helpers that exited would cost one per Run.
+func TestParkedHelpersAreReused(t *testing.T) {
+	const workers, rounds = 4, 1000
+	p := New(workers)
+	before := launched()
+	var hits atomic.Int64
+	fn := func(int) { hits.Add(1) }
+	for r := 0; r < rounds; r++ {
+		time.Sleep(spinBound)
+		waitForNoAwakeHelpers(t)
+		p.Run(100, fn)
+	}
+	if got := hits.Load(); got != rounds*100 {
+		t.Fatalf("%d Runs of 100 tasks ran %d", rounds, got)
+	}
+	if n := launched() - before; n > workers-1 {
+		t.Fatalf("%d Runs after parking gaps started %d helpers, want at most %d", rounds, n, workers-1)
+	}
+}
 
-// waitForNoHelpers waits for the helpers an earlier test left to exit.
-func waitForNoHelpers(t *testing.T) {
+// Spinning helpers never take the P that a readied caller needs: 200
+// Runs of a pool wider than the Ps, each right after a sleep (the caller
+// is readied while the last round's helpers may spin), must average under
+// spinBound a round, sleep included. A helper that spins past the cap
+// holds the caller off its P until it parks, spinBound after its round.
+func TestSpinnersLeaveTheCallerAP(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var sink [64]uint64
+	task := func(i int) {
+		x := sink[i]
+		for j := 0; j < 1000; j++ {
+			x = x*6364136223846793005 + 1
+		}
+		sink[i] = x
+	}
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		waitForNoAwakeHelpers(t)
+		const rounds = 200
+		p, start := New(4), time.Now()
+		for r := 0; r < rounds; r++ {
+			time.Sleep(100 * time.Microsecond)
+			p.Run(len(sink), task)
+		}
+		if avg := time.Since(start) / rounds; avg > spinBound {
+			t.Errorf("GOMAXPROCS=%d: a sleep and a Run of New(4) took %v on average, want at most %v", procs, avg, spinBound)
+		}
+	}
+}
+
+// A round a helper joined adds its publish-to-join time to PickupNs; a
+// round the caller runs alone adds nothing.
+func TestPickupCountsJoinedRounds(t *testing.T) {
+	p := New(2)
+	p.Run(1, func(int) {})
+	if got := p.Stats().PickupNs; got != 0 {
+		t.Fatalf("a one-task round, which no helper may join, added %d ns of pickup", got)
+	}
+	// The caller holds the round until a helper joined, for up to a
+	// second: on a busy host the unparked helper may come later than that.
+	const attempts = 5
+	for a := 0; a < attempts; a++ {
+		waitForNoAwakeHelpers(t) // the helper is parked, so its pickup takes time
+		before := p.Stats().PickupNs
+		p.Run(2, func(i int) {
+			for deadline := time.Now().Add(time.Second); i == 0 && p.round.Load()&joinedMask == 0 && time.Now().Before(deadline); {
+				runtime.Gosched()
+			}
+		})
+		if p.round.Load()&joinedMask == 0 {
+			continue
+		}
+		if got := p.Stats().PickupNs; got <= before {
+			t.Fatalf("a joined round left PickupNs at %d, want above %d", got, before)
+		}
+		return
+	}
+	t.Skipf("no attempt of %d had a helper join its round", attempts)
+}
+
+// launched is the process's count of helpers started; none exits.
+func launched() uint64 { return helpers.Load() / liveHelper }
+
+// awakeHelpers counts the helpers that are not parked: spinning, working
+// a round, or unparked and not yet at the board.
+func awakeHelpers() int64 {
+	h := helpers.Load()
+	return int64(h/liveHelper) - int64(h/parkedHelper&countMask)
+}
+
+// waitForNoAwakeHelpers waits for the helpers an earlier round woke to park.
+func waitForNoAwakeHelpers(t *testing.T) {
 	t.Helper()
-	for deadline := time.Now().Add(time.Second); liveHelpers() != 0; {
+	for deadline := time.Now().Add(time.Second); awakeHelpers() != 0; {
 		if time.Now().After(deadline) {
-			t.Fatalf("%d helpers still live after a second", liveHelpers())
+			t.Fatalf("%d helpers still awake after a second", awakeHelpers())
 		}
 		time.Sleep(20 * time.Microsecond)
 	}
